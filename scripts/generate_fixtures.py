@@ -22,7 +22,6 @@ from metriclie import catalog as cat  # noqa: E402
 from metriclie import schema  # noqa: E402
 from metriclie.cochain_complex import Cochain, cochain_from_terms  # noqa: E402
 from metriclie.double_construction import build_double  # noqa: E402
-from metriclie.quadratic_cohomology import QuadraticCocycle  # noqa: E402
 
 DATA = ROOT / "src" / "metriclie" / "data"
 
@@ -30,35 +29,6 @@ DATA = ROOT / "src" / "metriclie" / "data"
 def write(path: Path, doc: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(schema.dumps_document(doc))
-
-
-def form_document(terms, module_dim: int) -> dict:
-    """A context-free cocycle document holding one 2-form family member."""
-    alpha = [
-        {
-            "i": i + 1,
-            "j": j + 1,
-            "value": [
-                schema.format_scalar(Fraction(coeff) if k == target else Fraction(0))
-                for k in range(module_dim)
-            ],
-        }
-        for coeff, (i, j), target in sorted(terms, key=lambda term: term[1])
-    ]
-    return schema.wrap("cocycle", {"alpha": alpha, "gamma": []})
-
-
-def gamma_document(terms) -> dict:
-    gamma = [
-        {
-            "i": i + 1,
-            "j": j + 1,
-            "k": k + 1,
-            "value": schema.format_scalar(Fraction(coeff)),
-        }
-        for coeff, (i, j, k) in sorted(terms, key=lambda term: term[1])
-    ]
-    return schema.wrap("cocycle", {"alpha": [], "gamma": gamma})
 
 
 def main() -> None:
@@ -81,10 +51,26 @@ def main() -> None:
             schema.wrap("module", schema.module_to_payload(module)),
         )
 
+    n = 4  # the standard forms live on a four dimensional base
+    no_gamma = Cochain.zero(n, 3, 1, scalar=True)
     for fname, terms in sorted(cat.FORM_TERMS.items()):
-        module_dim = max(target for _, _, target in terms) + 1
-        write(DATA / "forms" / f"{fname}.json", form_document(terms, module_dim))
-    write(DATA / "forms" / "gamma0.json", gamma_document(cat.GAMMA0_TERMS))
+        m = max(target for _, _, target in terms) + 1
+        values = [
+            (ij, [coeff if t == target else 0 for t in range(m)])
+            for coeff, ij, target in terms
+        ]
+        alpha = cochain_from_terms(n, 2, m, values)
+        write(
+            DATA / "forms" / f"{fname}.json",
+            schema.wrap("cocycle", schema.cochains_to_payload(alpha, no_gamma)),
+        )
+    gamma0 = cochain_from_terms(
+        n, 3, 1, [(ijk, [coeff]) for coeff, ijk in cat.GAMMA0_TERMS], scalar=True
+    )
+    write(
+        DATA / "forms" / "gamma0.json",
+        schema.wrap("cocycle", schema.cochains_to_payload(Cochain.zero(n, 2, 0), gamma0)),
+    )
 
     named = {
         "g64_quad.json": cat.g64_admissible_cocycle(),

@@ -16,7 +16,6 @@ from .cochain_complex import (
     differential,
     differential_matrix,
     pullback,
-    scalar_cochain,
     wedge_pair,
 )
 from .double_construction import (
@@ -44,6 +43,7 @@ from .lie_core import (
 from .quadratic_cohomology import (
     AdmissibilityReport,
     CocycleError,
+    ConsistencyError,
     QuadraticCochain,
     QuadraticCocycle,
     act,
@@ -72,6 +72,7 @@ __all__ = [
     "CatalogReport",
     "Cochain",
     "CocycleError",
+    "ConsistencyError",
     "ENTRIES",
     "Fingerprint",
     "Isomap",
@@ -110,7 +111,6 @@ __all__ = [
     "pullback",
     "run_catalog",
     "scalar",
-    "scalar_cochain",
     "signature_of",
     "validate_jacobi",
     "verify_metric",

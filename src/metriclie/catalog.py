@@ -11,7 +11,7 @@ construction, recording metric fingerprints along the way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -164,8 +164,6 @@ def module_for_tag(tag: str) -> OrthogonalModule:
 # ---------------------------------------------------------------------------
 # cocycle data
 # ---------------------------------------------------------------------------
-
-Coeff = "Fraction | str"
 
 #: alpha term: (coefficient, (i, j), target coordinate of the module)
 AlphaTerm = tuple[object, tuple[int, int], int]
@@ -440,7 +438,8 @@ def _build_entries() -> tuple[CatalogEntry, ...]:
 ENTRIES: tuple[CatalogEntry, ...] = _build_entries()
 
 _BY_ID = {entry.id: entry for entry in ENTRIES}
-assert len(_BY_ID) == len(ENTRIES), "duplicate catalog entry ids"
+if len(_BY_ID) != len(ENTRIES):
+    raise ValueError("duplicate catalog entry ids")
 
 
 def entry_by_id(entry_id: str) -> CatalogEntry:
@@ -572,7 +571,7 @@ def _process(entry: CatalogEntry, params: Mapping[str, Fraction]) -> CatalogRow:
     proxy = indecomposability_proxy(cocycle)
     try:
         double = build_double(cocycle)
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         return CatalogRow(
             entry.id,
             frozen_params,

@@ -22,7 +22,6 @@ from . import schema
 from .cochain_complex import OrthogonalModule, cohomology_dim, validate_module
 from .double_construction import (
     MetricLieAlgebra,
-    Provenance,
     build_double,
     fingerprint,
     verify_metric,
@@ -39,7 +38,6 @@ from .quadratic_cohomology import (
     AdmissibilityReport,
     QuadraticCocycle,
     check_admissible,
-    cocycle_defect,
     indecomposability_proxy,
 )
 from .schema import SchemaError
@@ -223,14 +221,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     if kind == "metric_lie_algebra":
-        gram = parsed.gram
         provenance = None
         if parsed.provenance is not None:
-            source = assemble_cocycle(parsed.provenance, None, None)
-            provenance = Provenance(
-                source.algebra, source.module, source.alpha, source.gamma
-            )
-        metric = MetricLieAlgebra(parsed.algebra, gram, provenance)
+            provenance = assemble_cocycle(parsed.provenance, None, None)
+        metric = MetricLieAlgebra(parsed.algebra, parsed.gram, provenance)
         outcome = verify_metric(metric)
         if not outcome.ok:
             failed = outcome.failures()[0]
@@ -278,7 +272,7 @@ def cmd_double(args: argparse.Namespace) -> int:
     cocycle = assemble_cocycle(parsed, args.algebra, args.module)
     try:
         metric = build_double(cocycle)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         raise MathFailure(str(exc)) from None
     emit(schema.wrap("metric_lie_algebra", schema.metric_to_payload(metric)), args.out)
     if args.out is not None:

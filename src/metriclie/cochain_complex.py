@@ -26,6 +26,7 @@ from .exact_linalg import (
     Vector,
     det,
     kernel_basis,
+    linear_combination,
     rank,
     vec_add,
     vec_is_zero,
@@ -70,9 +71,6 @@ class OrthogonalModule:
 
     def is_trivial(self) -> bool:
         return self.action is None or all(m.is_zero() for m in self.action)
-
-
-SCALAR_MODULE = OrthogonalModule(gram=Matrix.identity(1))
 
 
 def validate_module(l: LieAlgebra, module: OrthogonalModule) -> None:
@@ -224,14 +222,16 @@ class Cochain:
         for a in args:
             if len(a) != self.n:
                 raise ValueError("argument does not live in the algebra")
-        out = zero_vector(self.value_dim)
-        for key, value in self.values.items():
-            minor = Matrix.from_rows([[args[c][r] for c in range(self.degree)] for r in key],
-                                     cols=self.degree)
-            coeff = det(minor) if self.degree else Fraction(1)
-            if coeff != 0:
-                out = vec_add(out, vec_scale(coeff, value))
-        return out
+        # each stored value is weighted by the minor of the arguments on its key
+        coeffs = [
+            det(Matrix.from_rows([[args[c][r] for c in range(self.degree)] for r in key],
+                                 cols=self.degree))
+            if self.degree
+            else Fraction(1)
+            for key in self.values
+        ]
+        values = list(self.values.values())
+        return linear_combination(coeffs, values.__getitem__, self.value_dim)
 
 
 def cochain_from_terms(
@@ -253,24 +253,6 @@ def cochain_from_terms(
             v = vec_scale(-1, v)
         values[key] = vec_add(values[key], v) if key in values else v
     return Cochain(n, degree, value_dim, scalar, values)
-
-
-def scalar_cochain(
-    n: int, degree: int, terms: Iterable[tuple[Sequence[int], int | str | Fraction]]
-) -> Cochain:
-    return cochain_from_terms(n, degree, 1, [(idx, [c]) for idx, c in terms], scalar=True)
-
-
-def eval_vector_first(c: Cochain, v: Vector, rest: tuple[int, ...]) -> Vector:
-    """Evaluate ``c(v, e_rest...)`` where only the first slot is a vector."""
-    out = zero_vector(c.value_dim)
-    for k, coeff in enumerate(v):
-        if coeff == 0:
-            continue
-        term = c.value_at((k,) + rest)
-        if not vec_is_zero(term):
-            out = vec_add(out, vec_scale(coeff, term))
-    return out
 
 
 def differential(l: LieAlgebra, module: OrthogonalModule | None, c: Cochain) -> Cochain:
@@ -295,7 +277,8 @@ def differential(l: LieAlgebra, module: OrthogonalModule | None, c: Cochain) -> 
                 if vec_is_zero(w):
                     continue
                 rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
-                term = eval_vector_first(c, w, rest)
+                # c(w, e_rest...): contract the first slot with the bracket
+                term = linear_combination(w, lambda k: c.value_at((k,) + rest), c.value_dim)
                 if vec_is_zero(term):
                     continue
                 if (a + b) % 2:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochain_complex import Cochain, OrthogonalModule, pair_values
+from .cochain_complex import pair_values
 from .exact_linalg import (
     Matrix,
     Signature,
@@ -27,6 +27,7 @@ from .exact_linalg import (
     gram_on_span,
     rank,
     signature_of,
+    unit_vector,
     vec_is_zero,
     zero_vector,
 )
@@ -37,28 +38,22 @@ from .lie_core import (
     lower_central_series,
     validate_jacobi,
 )
-from .quadratic_cohomology import QuadraticCocycle
+from .quadratic_cohomology import ConsistencyError, QuadraticCocycle
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """The construction data a metric algebra was built from."""
-
-    algebra: LieAlgebra
-    module: OrthogonalModule
-    alpha: Cochain
-    gamma: Cochain
-
-
 @dataclass
 class MetricLieAlgebra:
-    """A Lie algebra with an invariant nondegenerate symmetric form."""
+    """A Lie algebra with an invariant nondegenerate symmetric form.
+
+    ``provenance`` is the quadratic cocycle the algebra was built from as a
+    double, if any.
+    """
 
     algebra: LieAlgebra
     gram: Matrix
-    provenance: Provenance | None = None
+    provenance: QuadraticCocycle | None = None
 
 
 @dataclass(frozen=True)
@@ -94,6 +89,7 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     """Assemble and fully validate the metric double of a quadratic cocycle.
 
     Only trivial module actions are supported; a nontrivial action raises.
+    A result that fails its own re-check raises :class:`ConsistencyError`.
     """
     l, module = z.algebra, z.module
     if not module.is_trivial():
@@ -130,7 +126,7 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     for t in range(m):
         for i in range(n):
             sigma_part = tuple(
-                pair_values(module.gram, unit_a(m, t), z.alpha.value_at((i, k)))
+                pair_values(module.gram, unit_vector(m, t), z.alpha.value_at((i, k)))
                 for k in range(n)
             )
             if any(c != 0 for c in sigma_part):
@@ -156,22 +152,14 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
             gram_rows[a_off + s][a_off + t] = module.gram.at(s, t)
     gram = Matrix.from_rows(gram_rows, cols=total)
 
-    result = MetricLieAlgebra(
-        algebra=algebra,
-        gram=gram,
-        provenance=Provenance(algebra=l, module=module, alpha=z.alpha, gamma=z.gamma),
-    )
+    result = MetricLieAlgebra(algebra=algebra, gram=gram, provenance=z)
     report = verify_metric(result)
     if not report.ok:
         first = report.failures()[0]
-        raise AssertionError("double construction failed %s: %s" % (first.axiom, first.detail))
+        raise ConsistencyError("double construction failed %s: %s" % (first.axiom, first.detail))
     if not is_nilpotent(algebra):
-        raise AssertionError("double of a nilpotent algebra must be nilpotent")
+        raise ConsistencyError("double of a nilpotent algebra must be nilpotent")
     return result
-
-
-def unit_a(m: int, t: int) -> Vector:
-    return tuple(Fraction(1) if s == t else _ZERO for s in range(m))
 
 
 def verify_metric(g: MetricLieAlgebra) -> MetricReport:

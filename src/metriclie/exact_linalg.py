@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -56,6 +56,23 @@ def vec_scale(c: Fraction | int, v: Vector) -> Vector:
 
 def vec_is_zero(v: Vector) -> bool:
     return all(a == 0 for a in v)
+
+
+def linear_combination(
+    coeffs: Iterable[Fraction], term: Callable[[int], Vector], length: int
+) -> Vector:
+    """Sum of ``c_k * term(k)`` over the nonzero ``c_k``, as a vector of ``length``.
+
+    ``term`` is called only for nonzero coefficients, so contracting a form
+    or a bracket with a sparse vector touches only its support.
+    """
+    out = [_ZERO] * length
+    for k, c in enumerate(coeffs):
+        if c:
+            for t, x in enumerate(term(k)):
+                if x:
+                    out[t] += c * x
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import (
@@ -18,6 +19,7 @@ from .exact_linalg import (
     Vector,
     echelon_basis,
     kernel_basis,
+    linear_combination,
     stack_rows,
     unit_vector,
     vec_add,
@@ -75,9 +77,7 @@ class Subspace:
             raise ValueError("vector does not live in the ambient space")
         pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
         coeffs = tuple(v[p] for p in pivots)
-        residual = v
-        for c, row in zip(coeffs, self.basis):
-            residual = vec_sub(residual, vec_scale(c, row))
+        residual = vec_sub(v, linear_combination(coeffs, self.basis.__getitem__, len(v)))
         if not vec_is_zero(residual):
             return None
         return coeffs
@@ -99,12 +99,7 @@ class Subspace:
             row += [-other.basis[w][i] for w in range(other.dim)]
             entries.append(row)
         ker = kernel_basis(Matrix.from_rows(entries, cols=cols))
-        vectors = []
-        for k in ker:
-            v = zero_vector(n)
-            for u in range(self.dim):
-                v = vec_add(v, vec_scale(k[u], self.basis[u]))
-            vectors.append(v)
+        vectors = [linear_combination(k[: self.dim], self.basis.__getitem__, n) for k in ker]
         return Subspace.span(n, vectors)
 
 
@@ -200,15 +195,17 @@ def ad_matrix(l: LieAlgebra, i: int) -> Matrix:
 
 def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     """Check the Jacobi identity on all basis triples i < j < k."""
-    for i in range(l.dim):
-        for j in range(i + 1, l.dim):
-            for k in range(j + 1, l.dim):
+    n = l.dim
+
+    def ad(i: int, w: Vector) -> Vector:
+        return linear_combination(w, partial(l.basis_bracket, i), n)
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
                 defect = vec_add(
-                    vec_add(
-                        bracket(l, unit_vector(l.dim, i), l.basis_bracket(j, k)),
-                        bracket(l, unit_vector(l.dim, j), l.basis_bracket(k, i)),
-                    ),
-                    bracket(l, unit_vector(l.dim, k), l.basis_bracket(i, j)),
+                    vec_add(ad(i, l.basis_bracket(j, k)), ad(j, l.basis_bracket(k, i))),
+                    ad(k, l.basis_bracket(i, j)),
                 )
                 if not vec_is_zero(defect):
                     return JacobiReport(ok=False, triple=(i, j, k), defect=defect)
@@ -226,7 +223,9 @@ def lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPro
     dims = [current.dim]
     while dims[-1] > 0:
         generators = [
-            bracket(l, unit_vector(l.dim, i), w) for i in range(l.dim) for w in current.basis
+            linear_combination(w, partial(l.basis_bracket, i), l.dim)
+            for i in range(l.dim)
+            for w in current.basis
         ]
         nxt = Subspace.span(l.dim, generators)
         chain.append(nxt)

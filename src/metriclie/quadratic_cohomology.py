@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .cochain_complex import (
     Cochain,
@@ -38,10 +39,8 @@ from .exact_linalg import (
     echelon_basis,
     is_nondegenerate_on_span,
     kernel_basis,
-    vec_add,
+    linear_combination,
     vec_is_zero,
-    vec_scale,
-    zero_vector,
 )
 from .lie_core import LieAlgebra, Subspace, filtration_spaces, is_nilpotent, lower_central_series
 
@@ -54,6 +53,13 @@ class CocycleError(ValueError):
 
 class AdmissibilityPreconditionError(ValueError):
     """Raised when the admissibility test is applied outside its domain."""
+
+
+class ConsistencyError(ValueError):
+    """Raised when an exact re-check of a computed result fails.
+
+    This signals an internal inconsistency, never malformed input.
+    """
 
 
 def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
@@ -218,18 +224,6 @@ class AdmissibilityReport:
         return self.conditions[k]
 
 
-def _alpha_on_basis_and_vector(alpha: Cochain, i: int, w: Vector) -> Vector:
-    """alpha(e_i, w) for a basis index and an arbitrary vector."""
-    out = zero_vector(alpha.value_dim)
-    for k, coeff in enumerate(w):
-        if coeff == 0:
-            continue
-        term = alpha.value_at((i, k))
-        if not vec_is_zero(term):
-            out = vec_add(out, vec_scale(coeff, term))
-    return out
-
-
 def _gamma_on_basis_and_vectors(gamma: Cochain, i: int, u: Vector, w: Vector) -> Fraction:
     """gamma(e_i, u, w) for a basis index and two arbitrary vectors."""
     total = Fraction(0)
@@ -264,44 +258,31 @@ def _condition_a(
     rows: list[list[Fraction]] = []
     for i in range(n):
         # alpha(e_i, L0) = 0, one scalar row per module coordinate
-        alpha_cols = [_alpha_on_basis_and_vector(z.alpha, i, b) for b in stage.basis]
+        alpha_cols = [
+            linear_combination(b, lambda t: z.alpha.value_at((i, t)), m) for b in stage.basis
+        ]
         for t in range(m):
             row = [alpha_cols[u][t] for u in range(d0)] + [Fraction(0)] * (m + d1)
             rows.append(row)
         # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
         for j, w in enumerate(series_term.basis):
             row = [_gamma_on_basis_and_vectors(z.gamma, i, b, w) for b in stage.basis]
-            alpha_iw = _alpha_on_basis_and_vector(z.alpha, i, w)
-            paired = module.gram.apply(alpha_iw)
-            row += list(paired)
-            bw = _bracket_with_basis(l, i, w)
-            coords = series_term.coords(bw)
+            alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
+            row += list(module.gram.apply(alpha_iw))
+            coords = series_term.coords(linear_combination(w, partial(l.basis_bracket, i), n))
             if coords is None:
-                raise AssertionError("bracket left the series term, series data corrupt")
+                raise ConsistencyError("bracket left the series term, series data corrupt")
             row += [-coords[t] for t in range(d1)]
             rows.append(row)
     system = Matrix.from_rows(rows, cols=unknowns)
     for vec in kernel_basis(system):
         head = vec[:d0]
         if not vec_is_zero(head):
-            l0 = zero_vector(n)
-            for u in range(d0):
-                l0 = vec_add(l0, vec_scale(vec[u], stage.basis[u]))
+            l0 = linear_combination(head, stage.basis.__getitem__, n)
             a0 = vec[d0 : d0 + m]
             z0 = vec[d0 + m :]
             return False, (l0, a0, z0)
     return True, None
-
-
-def _bracket_with_basis(l: LieAlgebra, i: int, w: Vector) -> Vector:
-    out = zero_vector(l.dim)
-    for k, coeff in enumerate(w):
-        if coeff == 0:
-            continue
-        v = l.basis_bracket(i, k)
-        if not vec_is_zero(v):
-            out = vec_add(out, vec_scale(coeff, v))
-    return out
 
 
 def _condition_b(
@@ -315,22 +296,22 @@ def _condition_b(
     tensor_basis = [(i, j) for i in range(n) for j in range(d1)]
     if tensor_basis:
         bracket_matrix = Matrix.from_rows(
-            [list(_bracket_with_basis(l, i, series_term.basis[j])) for (i, j) in tensor_basis],
+            [
+                linear_combination(series_term.basis[j], partial(l.basis_bracket, i), n)
+                for (i, j) in tensor_basis
+            ],
             cols=n,
         ).transpose()
         kernel = kernel_basis(bracket_matrix)
     else:
         kernel = []
     alpha_on_tensor = [
-        _alpha_on_basis_and_vector(z.alpha, i, series_term.basis[j]) for (i, j) in tensor_basis
+        linear_combination(series_term.basis[j], lambda t: z.alpha.value_at((i, t)), module.dim)
+        for (i, j) in tensor_basis
     ]
-    images: list[Vector] = []
-    for vec in kernel:
-        img = zero_vector(module.dim)
-        for t, coeff in enumerate(vec):
-            if coeff != 0:
-                img = vec_add(img, vec_scale(coeff, alpha_on_tensor[t]))
-        images.append(img)
+    images = [
+        linear_combination(vec, alpha_on_tensor.__getitem__, module.dim) for vec in kernel
+    ]
     image_dim = len(echelon_basis(images, module.dim))
     if is_nondegenerate_on_span(module.gram, images):
         return True, image_dim, None

@@ -14,10 +14,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
-from .double_construction import MetricLieAlgebra, Provenance
+from .double_construction import MetricLieAlgebra
 from .exact_linalg import Matrix, Vector
 from .lie_core import LieAlgebra
 from .quadratic_cohomology import QuadraticCocycle
@@ -176,10 +176,6 @@ class ParsedModule:
     gram: Matrix
     action: tuple[Matrix, ...] | None = None
 
-    @property
-    def dim(self) -> int:
-        return self.gram.rows
-
     def build(self) -> OrthogonalModule:
         return OrthogonalModule(self.gram, self.action)
 
@@ -230,24 +226,30 @@ class ParsedCocycle:
     module: ParsedModule | None = None
 
 
-def cocycle_to_payload(cocycle: QuadraticCocycle, embed_context: bool = True) -> dict:
-    alpha = [
-        {"i": key[0] + 1, "j": key[1] + 1, "value": format_vector(value)}
-        for key, value in sorted(cocycle.alpha.values.items())
-    ]
-    gamma = [
-        {
-            "i": key[0] + 1,
-            "j": key[1] + 1,
-            "k": key[2] + 1,
-            "value": format_scalar(value[0]),
-        }
-        for key, value in sorted(cocycle.gamma.values.items())
-    ]
-    payload: dict = {"alpha": alpha, "gamma": gamma}
-    if embed_context:
-        payload["algebra"] = algebra_to_payload(cocycle.algebra)
-        payload["module"] = module_to_payload(cocycle.module)
+def cochains_to_payload(alpha: Cochain, gamma: Cochain) -> dict:
+    """Payload of a context-free cocycle document: the terms of both forms."""
+    return {
+        "alpha": [
+            {"i": key[0] + 1, "j": key[1] + 1, "value": format_vector(value)}
+            for key, value in sorted(alpha.values.items())
+        ],
+        "gamma": [
+            {
+                "i": key[0] + 1,
+                "j": key[1] + 1,
+                "k": key[2] + 1,
+                "value": format_scalar(value[0]),
+            }
+            for key, value in sorted(gamma.values.items())
+        ],
+    }
+
+
+def cocycle_to_payload(cocycle: QuadraticCocycle) -> dict:
+    """Payload of a cocycle document with its algebra and module embedded."""
+    payload = cochains_to_payload(cocycle.alpha, cocycle.gamma)
+    payload["algebra"] = algebra_to_payload(cocycle.algebra)
+    payload["module"] = module_to_payload(cocycle.module)
     return payload
 
 
@@ -352,13 +354,7 @@ def metric_to_payload(metric: MetricLieAlgebra) -> dict:
         "gram": format_matrix(metric.gram),
     }
     if metric.provenance is not None:
-        source = QuadraticCocycle(
-            metric.provenance.algebra,
-            metric.provenance.module,
-            metric.provenance.alpha,
-            metric.provenance.gamma,
-        )
-        payload["provenance"] = cocycle_to_payload(source, embed_context=True)
+        payload["provenance"] = cocycle_to_payload(metric.provenance)
     return payload
 
 
@@ -373,70 +369,6 @@ def parse_metric_payload(payload: Any, where: str = "metric_lie_algebra") -> Par
     if "provenance" in payload:
         provenance = parse_cocycle_payload(payload["provenance"], f"{where}.provenance")
     return ParsedMetric(algebra, gram, provenance)
-
-
-def module_payload_from_parsed(parsed: ParsedModule) -> dict:
-    payload: dict = {"dim": parsed.dim, "gram": format_matrix(parsed.gram)}
-    if parsed.action is not None:
-        payload["action"] = [format_matrix(m) for m in parsed.action]
-    return payload
-
-
-def cocycle_payload_from_parsed(parsed: ParsedCocycle) -> dict:
-    """Canonical payload for a parsed cocycle: terms sorted by index, scalars
-    reformatted."""
-    alpha = [
-        {
-            "i": i,
-            "j": j,
-            "value": [
-                format_scalar(parse_scalar(entry, "cocycle.alpha value"))
-                for entry in value
-            ],
-        }
-        for (i, j), value in sorted(parsed.alpha_terms, key=lambda term: term[0])
-    ]
-    gamma = [
-        {"i": i, "j": j, "k": k, "value": format_scalar(value)}
-        for (i, j, k), value in sorted(parsed.gamma_terms, key=lambda term: term[0])
-    ]
-    payload: dict = {"alpha": alpha, "gamma": gamma}
-    if parsed.algebra is not None:
-        payload["algebra"] = algebra_to_payload(parsed.algebra)
-    if parsed.module is not None:
-        payload["module"] = module_payload_from_parsed(parsed.module)
-    return payload
-
-
-def metric_payload_from_parsed(parsed: ParsedMetric) -> dict:
-    payload: dict = {
-        "algebra": algebra_to_payload(parsed.algebra),
-        "gram": format_matrix(parsed.gram),
-    }
-    if parsed.provenance is not None:
-        payload["provenance"] = cocycle_payload_from_parsed(parsed.provenance)
-    return payload
-
-
-def emit_document(kind: str, parsed) -> dict:
-    """Canonical document for a parsed value: the inverse of parse_document."""
-    if kind == "lie_algebra":
-        return wrap(kind, algebra_to_payload(parsed))
-    if kind == "module":
-        return wrap(kind, module_payload_from_parsed(parsed))
-    if kind == "cocycle":
-        return wrap(kind, cocycle_payload_from_parsed(parsed))
-    if kind == "metric_lie_algebra":
-        return wrap(kind, metric_payload_from_parsed(parsed))
-    raise ValueError(f"cannot emit documents of kind {kind!r}")
-
-
-def build_provenance(parsed: ParsedCocycle) -> Provenance | None:
-    if parsed.algebra is None or parsed.module is None:
-        return None
-    module = parsed.module.build()
-    alpha, gamma = assemble_cochains(parsed, parsed.algebra, module)
-    return Provenance(parsed.algebra, module, alpha, gamma)
 
 
 # ---------------------------------------------------------------------------

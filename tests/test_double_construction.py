@@ -1,7 +1,9 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+from metriclie import cli, double_construction
 from metriclie.catalog import (
     entry_by_id,
     g41,
@@ -9,10 +11,13 @@ from metriclie.catalog import (
     heisenberg,
     instantiate,
     module_for_tag,
+    run_catalog,
 )
 from metriclie.cochain_complex import OrthogonalModule
 from metriclie.double_construction import (
+    MetricCheck,
     MetricLieAlgebra,
+    MetricReport,
     build_double,
     coadjoint_matrix,
     fingerprint,
@@ -20,7 +25,7 @@ from metriclie.double_construction import (
 )
 from metriclie.exact_linalg import Matrix, Signature, signature_of
 from metriclie.lie_core import LieAlgebra, abelian
-from metriclie.quadratic_cohomology import zero_cocycle
+from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 
 from support import rng
 
@@ -191,3 +196,19 @@ def test_prop_fixture_double_is_self_consistent():
     fp = fingerprint(g)
     assert fp.dim == 16
     assert fp.signature == Signature(neg=8, pos=8, null=0)
+
+
+def test_failed_recheck_is_a_typed_error_for_every_caller(monkeypatch, capsys):
+    failing = MetricReport(ok=False, checks=(MetricCheck("jacobi", False, "forced"),))
+    monkeypatch.setattr(double_construction, "verify_metric", lambda g: failing)
+    entry = entry_by_id("T1.8.r01")
+    with pytest.raises(ConsistencyError, match="jacobi: forced"):
+        build_double(instantiate(entry))
+    (row,) = run_catalog(entries=[entry]).rows
+    assert row.cocycle_valid and row.double_built is False
+    assert "jacobi: forced" in row.error
+    assert cli.main(["double", "cocycles/r2_plane.json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "report"
+    assert doc["payload"]["ok"] is False
+    assert "jacobi: forced" in doc["payload"]["error"]

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,19 @@ from metriclie.exact_linalg import (
     gram_on_span,
     is_nondegenerate_on_span,
     kernel_basis,
+    linear_combination,
     rank,
     rref,
     signature_of,
     solve_affine,
+    unit_vector,
     vec_is_zero,
     vector,
 )
+from metriclie.catalog import g64, g65, heisenberg
+from metriclie.lie_core import bracket
+
+from support import five_dim_three_step, random_cochain, rational, rng
 
 fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -181,3 +189,28 @@ def test_signature_dataclass_accessors():
     sig = Signature(2, 3, 1)
     assert sig.neg == 2 and sig.pos == 3 and sig.null == 1
     assert sig.dim == 6
+
+
+def test_linear_combination_matches_reference_contractions():
+    rg = rng(11)
+
+    def sparse_vector(n):
+        return tuple(rational(rg) if rg.random() < 0.5 else Fraction(0) for _ in range(n))
+
+    # ad(e_i) w against the bilinear bracket with a unit vector
+    for l in (heisenberg(), five_dim_three_step(), g64(), g65()):
+        n = l.dim
+        for _ in range(10):
+            w = sparse_vector(n)
+            for i in range(n):
+                expected = bracket(l, unit_vector(n, i), w)
+                assert linear_combination(w, partial(l.basis_bracket, i), n) == expected
+    # c(v, e_rest...) against multilinear cochain evaluation
+    n = 5
+    for degree in (1, 2, 3):
+        c = random_cochain(rg, n, degree, 2)
+        for rest in combinations(range(n), degree - 1):
+            v = sparse_vector(n)
+            expected = c.evaluate([v] + [unit_vector(n, r) for r in rest])
+            got = linear_combination(v, lambda k: c.value_at((k,) + rest), c.value_dim)
+            assert got == expected

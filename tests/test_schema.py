@@ -1,4 +1,7 @@
 import json
+import shutil
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -6,19 +9,22 @@ import pytest
 
 from metriclie import schema
 from metriclie.catalog import g41, module_for_tag
+from metriclie.cli import assemble_cocycle
 from metriclie.cochain_complex import OrthogonalModule
+from metriclie.double_construction import MetricLieAlgebra
 from metriclie.exact_linalg import Matrix
+from metriclie.lie_core import abelian
 from metriclie.schema import (
     SchemaError,
     algebra_to_payload,
     assemble_cochains,
-    build_provenance,
+    cochains_to_payload,
     cocycle_to_payload,
     dumps_document,
-    emit_document,
     format_scalar,
     loads_document,
     metric_to_payload,
+    module_to_payload,
     parse_algebra_payload,
     parse_document,
     parse_module_payload,
@@ -26,7 +32,29 @@ from metriclie.schema import (
     wrap,
 )
 
-DATA = Path(__file__).resolve().parents[1] / "src" / "metriclie" / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "metriclie" / "data"
+
+
+def build_and_emit(kind, parsed) -> dict:
+    """Canonical document for a parsed value: build the objects, then emit them."""
+    if kind == "lie_algebra":
+        return wrap(kind, algebra_to_payload(parsed))
+    if kind == "module":
+        return wrap(kind, module_to_payload(parsed.build()))
+    if kind == "cocycle" and parsed.algebra is None and parsed.module is None:
+        # context-free forms: dimensions come from the largest index and the
+        # value length
+        indices = [i for key, _ in parsed.alpha_terms + parsed.gamma_terms for i in key]
+        m = len(parsed.alpha_terms[0][1]) if parsed.alpha_terms else 0
+        context = (abelian(max(indices)), OrthogonalModule(Matrix.identity(m)))
+        return wrap(kind, cochains_to_payload(*assemble_cochains(parsed, *context)))
+    if kind == "cocycle":
+        return wrap(kind, cocycle_to_payload(assemble_cocycle(parsed, None, None)))
+    provenance = None
+    if parsed.provenance is not None:
+        provenance = assemble_cocycle(parsed.provenance, None, None)
+    return wrap(kind, metric_to_payload(MetricLieAlgebra(parsed.algebra, parsed.gram, provenance)))
 
 
 def test_scalar_formats():
@@ -107,8 +135,8 @@ def test_cocycle_payload_context_and_assembly():
     assert parsed.algebra == z.algebra
     alpha, gamma = assemble_cochains(parsed, parsed.algebra, parsed.module.build())
     assert alpha == z.alpha and gamma == z.gamma
-    prov = build_provenance(parsed)
-    assert prov is not None and prov.alpha == z.alpha
+    rebuilt = assemble_cocycle(parsed, None, None)
+    assert rebuilt.alpha == z.alpha and rebuilt.module == z.module
 
 
 def test_assemble_rejects_out_of_range_terms():
@@ -150,7 +178,7 @@ def test_metric_document_round_trip_in_memory():
     assert parsed.algebra == g.algebra
     assert parsed.gram == g.gram
     assert parsed.provenance is not None
-    assert emit_document(kind, parsed) == doc
+    assert build_and_emit(kind, parsed) == doc
 
 
 def shipped_documents():
@@ -175,6 +203,31 @@ def test_round_trip_every_shipped_fixture():
             assert "kind" not in json.loads(text)
             continue
         kind, parsed = loads_document(text)
-        assert dumps_document(emit_document(kind, parsed)) == text, path
+        assert dumps_document(build_and_emit(kind, parsed)) == text, path
         checked += 1
     assert checked >= 100
+
+
+def test_fixture_generator_reproduces_data_tree(tmp_path):
+    # The generator deletes and rewrites its own data directory, so it runs
+    # on a copy of the script and the package.
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "generate_fixtures.py", tmp_path / "scripts")
+    shutil.copytree(
+        ROOT / "src" / "metriclie",
+        tmp_path / "src" / "metriclie",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    subprocess.run(
+        [sys.executable, str(tmp_path / "scripts" / "generate_fixtures.py")],
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    regenerated = tmp_path / "src" / "metriclie" / "data"
+
+    def tree(root):
+        files = sorted(p for p in root.rglob("*") if p.is_file())
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in files}
+
+    assert tree(regenerated) == tree(DATA)
