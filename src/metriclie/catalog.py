@@ -11,12 +11,12 @@ construction, recording metric fingerprints along the way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
-from .double_construction import Fingerprint, build_double, fingerprint
+from .double_construction import Fingerprint, MetricLieAlgebra, build_double, fingerprint
 from .exact_linalg import Matrix, scalar, unit_vector, zero_vector
 from .lie_core import LieAlgebra, abelian
 from .quadratic_cohomology import (
@@ -540,9 +540,18 @@ class CatalogRow:
 
 @dataclass(frozen=True)
 class CatalogReport:
+    """Rows of a catalog run and their aggregates.
+
+    ``doubles[i]`` is the metric double that ``rows[i]`` was fingerprinted
+    from, or None where none was built.  The doubles stay with the report, so
+    a caller that keeps only rows keeps no doubles; they take no part in
+    comparing reports.
+    """
+
     rows: tuple[CatalogRow, ...]
     collisions: tuple[tuple[tuple, tuple[str, ...]], ...]
     family_splits: tuple[tuple[str, int], ...]
+    doubles: tuple[MetricLieAlgebra | None, ...] = field(compare=False, repr=False)
 
     def rows_for(self, entry_id: str) -> tuple[CatalogRow, ...]:
         return tuple(r for r in self.rows if r.entry_id == entry_id)
@@ -561,18 +570,20 @@ def _sample_points(
     return [dict(point) for point in itertools.product(*axes)]
 
 
-def _process(entry: CatalogEntry, params: Mapping[str, Fraction]) -> CatalogRow:
+def _process(
+    entry: CatalogEntry, params: Mapping[str, Fraction]
+) -> tuple[CatalogRow, MetricLieAlgebra | None]:
     frozen_params = tuple(sorted(params.items()))
     try:
         cocycle = instantiate(entry, params)
     except CocycleError as exc:
-        return CatalogRow(entry.id, frozen_params, False, error=str(exc))
+        return CatalogRow(entry.id, frozen_params, False, error=str(exc)), None
     admissible = check_admissible(cocycle).overall
     proxy = indecomposability_proxy(cocycle)
     try:
         double = build_double(cocycle)
     except ValueError as exc:
-        return CatalogRow(
+        row = CatalogRow(
             entry.id,
             frozen_params,
             True,
@@ -581,7 +592,8 @@ def _process(entry: CatalogEntry, params: Mapping[str, Fraction]) -> CatalogRow:
             double_built=False,
             error=str(exc),
         )
-    return CatalogRow(
+        return row, None
+    row = CatalogRow(
         entry.id,
         frozen_params,
         True,
@@ -590,6 +602,7 @@ def _process(entry: CatalogEntry, params: Mapping[str, Fraction]) -> CatalogRow:
         double_built=True,
         fingerprint=fingerprint(double),
     )
+    return row, double
 
 
 def run_catalog(
@@ -600,9 +613,12 @@ def run_catalog(
     samples = dict(default_samples() if samples is None else samples)
     chosen = ENTRIES if entries is None else tuple(entries)
     rows: list[CatalogRow] = []
+    doubles: list[MetricLieAlgebra | None] = []
     for entry in chosen:
         for point in _sample_points(entry, samples):
-            rows.append(_process(entry, point))
+            row, double = _process(entry, point)
+            rows.append(row)
+            doubles.append(double)
 
     by_fingerprint: dict[tuple, set[str]] = {}
     by_entry: dict[str, set[tuple]] = {}
@@ -623,7 +639,7 @@ def run_catalog(
         for entry_id, keys in sorted(by_entry.items())
         if len(keys) > 1
     )
-    return CatalogReport(tuple(rows), collisions, family_splits)
+    return CatalogReport(tuple(rows), collisions, family_splits, tuple(doubles))
 
 
 def report_table(report: CatalogReport) -> str:

@@ -172,6 +172,10 @@ def admissibility_payload(rep: AdmissibilityReport) -> dict:
                 "a0": schema.format_vector(a0),
                 "z0": schema.format_vector(z0),
             }
+        if cond.b_witness is not None:
+            entry["b_witness"] = [
+                [schema.format_vector(row) for row in tensor] for tensor in cond.b_witness
+            ]
         conditions.append(entry)
     return {"admissible": rep.overall, "conditions": conditions}
 
@@ -370,13 +374,10 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for row in rep.rows:
+        for row, double in zip(rep.rows, rep.doubles):
             if not row.ok:
                 continue
-            entry = cat.entry_by_id(row.entry_id)
-            cocycle = cat.instantiate(entry, dict(row.params))
-            metric = build_double(cocycle)
-            doc = schema.wrap("metric_lie_algebra", schema.metric_to_payload(metric))
+            doc = schema.wrap("metric_lie_algebra", schema.metric_to_payload(double))
             (out_dir / _row_filename(row)).write_text(schema.dumps_document(doc))
     if args.table:
         sys.stdout.write(cat.report_table(rep) + "\n")

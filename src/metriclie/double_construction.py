@@ -184,32 +184,37 @@ def verify_metric(g: MetricLieAlgebra) -> MetricReport:
             "" if jac.ok else "fails at triple %s with defect %s" % (jac.triple, jac.defect),
         )
     )
-    inv_ok = True
-    inv_detail = ""
-    if sym_ok:
-        for i in range(n):
-            for j in range(n):
-                bij = g.algebra.basis_bracket(i, j)
-                for k in range(j, n):
-                    # <[e_i, e_j], e_k> + <e_j, [e_i, e_k]>; symmetric in (j, k)
-                    first = sum(
-                        (bij[t] * g.gram.at(t, k) for t in range(n) if bij[t] != 0), _ZERO
-                    )
-                    bik = g.algebra.basis_bracket(i, k)
-                    second = sum(
-                        (g.gram.at(j, t) * bik[t] for t in range(n) if bik[t] != 0), _ZERO
-                    )
-                    if first + second != 0:
-                        inv_ok = False
-                        inv_detail = "fails at triple (%d, %d, %d)" % (i, j, k)
-                        break
-                if not inv_ok:
-                    break
-            if not inv_ok:
-                break
+    inv_detail = _invariance_failure(g) if sym_ok else ""
+    inv_ok = not inv_detail
     checks.append(MetricCheck("invariance", inv_ok, inv_detail))
     ok = all(c.ok for c in checks)
     return MetricReport(ok=ok, checks=tuple(checks))
+
+
+def _invariance_failure(g: MetricLieAlgebra) -> str:
+    """The first basis triple (i, j, k), j <= k, where <[e_i, e_j], e_k> +
+    <e_j, [e_i, e_k]> does not vanish, or "" when the form is invariant.
+
+    The form must be symmetric; only nonzero bracket and form entries are
+    multiplied.
+    """
+    n = g.algebra.dim
+    # nonzero (j, <e_j, e_t>) per t
+    support = [[(j, x) for j, x in enumerate(g.gram.row(t)) if x != 0] for t in range(n)]
+    for i in range(n):
+        # pairing[j, k] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[k, j]
+        pairing: dict[tuple[int, int], Fraction] = {}
+        for k in range(n):
+            for t, c in enumerate(g.algebra.basis_bracket(i, k)):
+                if c:
+                    for j, x in support[t]:
+                        key = (j, k)
+                        term = x * c
+                        pairing[key] = pairing[key] + term if key in pairing else term
+        for j, k in sorted({(min(key), max(key)) for key in pairing}):
+            if pairing.get((j, k), 0) + pairing.get((k, j), 0) != 0:
+                return "fails at triple (%d, %d, %d)" % (i, j, k)
+    return ""
 
 
 @dataclass(frozen=True)

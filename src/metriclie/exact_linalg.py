@@ -104,7 +104,7 @@ class Matrix:
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged rows in matrix literal")
-            flat.extend(Fraction(x) for x in r)
+            flat.extend(x if type(x) is Fraction else Fraction(x) for x in r)
         return Matrix(len(rows), width, tuple(flat))
 
     @staticmethod
@@ -156,9 +156,7 @@ class Matrix:
             raise ValueError("matrix product shape mismatch")
         out: list[Fraction] = []
         for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((r[k] * other.at(k, j) for k in range(self.cols)), _ZERO))
+            out.extend(linear_combination(self.row(i), other.row, other.cols))
         return Matrix(self.rows, other.cols, tuple(out))
 
     def scale(self, c: Fraction | int) -> "Matrix":
@@ -224,10 +222,13 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         pv = rows[r][c]
         if pv != 1:
             rows[r] = [x / pv for x in rows[r]]
+        support = [(j, x) for j, x in enumerate(rows[r]) if x != 0]
         for i in range(m.rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                target = rows[i]
+                for j, x in support:
+                    target[j] -= f * x
         pivots.append(c)
         r += 1
     return Matrix.from_rows(rows, cols=m.cols), tuple(pivots)

@@ -5,6 +5,9 @@ sparse map from index pairs ``(i, j)`` with ``i < j`` to the coordinate
 vector of ``[e_i, e_j]``.  The Jacobi identity is checked eagerly on
 construction; a constructor flag disables the check so that tests can build
 deliberately broken tables.
+
+:class:`LieAlgebra` is immutable, so the lower central series and the center
+are computed at most once per instance and then reused.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import (
@@ -112,7 +116,15 @@ class SeriesProfile:
 
 
 class LieAlgebra:
-    """A Lie algebra given by sparse antisymmetric structure constants."""
+    """A Lie algebra given by sparse antisymmetric structure constants.
+
+    Instances are immutable: ``brackets`` (keys ``i < j``) is a read-only
+    mapping and ``dim`` and ``labels`` cannot be reassigned.  The table of
+    both ``(i, j)`` and ``(j, i)`` is kept beside it, so that
+    :meth:`basis_bracket` is one lookup.
+    """
+
+    __slots__ = ("_dim", "_labels", "_brackets", "_table", "_zero", "_hash", "_series", "_center")
 
     def __init__(
         self,
@@ -130,6 +142,7 @@ class LieAlgebra:
             if len(labels) != dim:
                 raise ValueError("expected %d labels, got %d" % (dim, len(labels)))
         table: dict[tuple[int, int], Vector] = {}
+        full: dict[tuple[int, int], Vector] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
@@ -137,10 +150,16 @@ class LieAlgebra:
             if len(v) != dim:
                 raise ValueError("bracket value for (%d, %d) has wrong length" % (i, j))
             if not vec_is_zero(v):
-                table[(i, j)] = v
-        self.dim = dim
-        self.labels = labels
-        self.brackets = table
+                table[(i, j)] = full[(i, j)] = v
+                full[(j, i)] = tuple(-c for c in v)
+        self._dim = dim
+        self._labels = labels
+        self._brackets = MappingProxyType(table)
+        self._table = full
+        self._zero = zero_vector(dim)
+        self._hash: int | None = None
+        self._series: tuple[tuple[Subspace, ...], SeriesProfile] | None = None
+        self._center: Subspace | None = None
         if validate:
             report = validate_jacobi(self)
             if not report.ok:
@@ -149,26 +168,38 @@ class LieAlgebra:
                     % (report.triple, report.defect)
                 )
 
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return self._labels
+
+    @property
+    def brackets(self) -> Mapping[tuple[int, int], Vector]:
+        return self._brackets
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
         return (
-            self.dim == other.dim
-            and self.labels == other.labels
-            and self.brackets == other.brackets
+            self._dim == other._dim
+            and self._labels == other._labels
+            and self._brackets == other._brackets
         )
 
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self._dim, self._labels, frozenset(self._brackets.items())))
+        return self._hash
+
     def __repr__(self) -> str:
-        return "LieAlgebra(dim=%d, brackets=%d)" % (self.dim, len(self.brackets))
+        return "LieAlgebra(dim=%d, brackets=%d)" % (self._dim, len(self._brackets))
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for arbitrary basis indices."""
-        if i == j:
-            return zero_vector(self.dim)
-        if i < j:
-            return self.brackets.get((i, j), zero_vector(self.dim))
-        v = self.brackets.get((j, i))
-        return zero_vector(self.dim) if v is None else vec_scale(-1, v)
+        return self._table.get((i, j), self._zero)
 
 
 def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
@@ -196,16 +227,16 @@ def ad_matrix(l: LieAlgebra, i: int) -> Matrix:
 def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     """Check the Jacobi identity on all basis triples i < j < k."""
     n = l.dim
-
-    def ad(i: int, w: Vector) -> Vector:
-        return linear_combination(w, partial(l.basis_bracket, i), n)
-
+    bb = l.basis_bracket
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                defect = vec_add(
-                    vec_add(ad(i, l.basis_bracket(j, k)), ad(j, l.basis_bracket(k, i))),
-                    ad(k, l.basis_bracket(i, j)),
+                # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] as one sparse sum
+                outer = (i, j, k)
+                defect = linear_combination(
+                    bb(j, k) + bb(k, i) + bb(i, j),
+                    lambda s: bb(outer[s // n], s % n),
+                    n,
                 )
                 if not vec_is_zero(defect):
                     return JacobiReport(ok=False, triple=(i, j, k), defect=defect)
@@ -216,8 +247,15 @@ def lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPro
     """Terms of the lower central series, starting with the whole algebra.
 
     The list ends with the zero subspace for nilpotent algebras and with a
-    repeated term when the series stabilizes at a nonzero ideal.
+    repeated term when the series stabilizes at a nonzero ideal.  Computed
+    on the first call and reused for the lifetime of ``l``.
     """
+    if l._series is None:
+        l._series = _lower_central_series(l)
+    return l._series
+
+
+def _lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesProfile]:
     current = Subspace.full(l.dim)
     chain = [current]
     dims = [current.dim]
@@ -242,7 +280,13 @@ def is_nilpotent(l: LieAlgebra) -> bool:
 
 
 def center(l: LieAlgebra) -> Subspace:
-    """Kernel of the adjoint action, canonicalized."""
+    """Kernel of the adjoint action, canonicalized; computed once per ``l``."""
+    if l._center is None:
+        l._center = _center(l)
+    return l._center
+
+
+def _center(l: LieAlgebra) -> Subspace:
     if l.dim == 0:
         return Subspace.zero(0)
     stacked = stack_rows([ad_matrix(l, i) for i in range(l.dim)])

@@ -27,12 +27,11 @@ from metriclie.cochain_complex import (
 from metriclie.exact_linalg import (
     Matrix,
     kernel_basis,
+    linear_combination,
     solve_affine,
     unit_vector,
     vec_add,
     vec_is_zero,
-    vec_scale,
-    zero_vector,
 )
 from metriclie.lie_core import LieAlgebra
 from metriclie.quadratic_cohomology import QuadraticCochain, QuadraticCocycle
@@ -145,12 +144,9 @@ def _cochain_from_vector(
 
 
 def _random_span_element(rg: random.Random, basis, length: int):
-    total = zero_vector(length)
-    for vec in basis:
-        coeff = rational(rg)
-        if coeff:
-            total = vec_add(total, vec_scale(coeff, vec))
-    return total
+    # One draw per basis vector, in order; only nonzero entries are summed.
+    coeffs = [rational(rg) for _ in basis]
+    return linear_combination(coeffs, basis.__getitem__, length)
 
 
 def random_closed_alpha(

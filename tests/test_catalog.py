@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from metriclie import lie_core
 from metriclie.catalog import (
     ENTRIES,
     CatalogEntry,
@@ -151,3 +152,28 @@ def test_catalog_bases_are_small_and_nilpotent():
         assert z.algebra.dim <= 5
         assert is_nilpotent(z.algebra)
         assert 2 * z.algebra.dim + z.module.dim <= 10
+
+
+def test_catalog_row_builds_each_series_and_center_once(monkeypatch):
+    built = {"series": [], "center": []}
+
+    def counting(kind, original):
+        def wrapper(l):
+            built[kind].append(l)
+            return original(l)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        lie_core, "_lower_central_series", counting("series", lie_core._lower_central_series)
+    )
+    monkeypatch.setattr(lie_core, "_center", counting("center", lie_core._center))
+    entry = entry_by_id("T1.3a.r01.g1")
+    report = run_catalog(entries=[entry])
+    (row,), (double,) = report.rows, report.doubles
+    assert row.ok
+    base = instantiate(entry).algebra
+    for kind in ("series", "center"):
+        assert len(built[kind]) == 2, kind
+        assert built[kind][0] == base
+        assert built[kind][1] is double.algebra

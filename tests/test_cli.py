@@ -1,9 +1,14 @@
 import json
 from fractions import Fraction
 
+from metriclie import catalog as cat
 from metriclie import cli, schema
 from metriclie.catalog import g41, g64, module_for_tag
+from metriclie.double_construction import build_double
+from metriclie.quadratic_cohomology import check_admissible
 from metriclie.schema import algebra_to_payload, module_to_payload
+
+from support import five_dim_three_step, random_valid_cocycle, rng
 
 
 def run(capsys, *argv):
@@ -261,3 +266,61 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
     code, doc = run(capsys, "verify", "myalg.json")
     assert code == 0
     assert doc["payload"]["series_dims"] == [4, 2, 1, 0]
+
+
+def test_catalog_out_reuses_the_catalog_doubles(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def counting_build(cocycle):
+        built.append(cocycle)
+        return build_double(cocycle)
+
+    monkeypatch.setattr(cat, "build_double", counting_build)
+    monkeypatch.setattr(cli, "build_double", counting_build)
+    out_dir = tmp_path / "doubles"
+    code, doc = run(capsys, "catalog", "--entries", "T1.3b.r02", "--out", str(out_dir))
+    assert code == 0
+    rows = doc["payload"]["rows"]
+    assert len(built) == len(rows) == 9
+    files = sorted(out_dir.glob("*.json"))
+    assert len(files) == len(rows)
+    # Byte for byte what a fresh instantiate-and-build of each row writes.
+    chosen = [e for e in cat.ENTRIES if e.id.startswith("T1.3b.r02")]
+    for row in cat.run_catalog(entries=chosen).rows:
+        fresh = build_double(cat.instantiate(cat.entry_by_id(row.entry_id), dict(row.params)))
+        expected = schema.dumps_document(
+            schema.wrap("metric_lie_algebra", schema.metric_to_payload(fresh))
+        )
+        assert (out_dir / cli._row_filename(row)).read_text() == expected
+
+
+def test_admissible_reports_b_witness_from_the_rejection_study(tmp_path, capsys):
+    # Replay the criterion-4 study (seed 2026) up to its first (B_k) failure.
+    l = five_dim_three_step()
+    rg = rng(2026)
+    tags = ("r01", "r10", "r11", "r02", "r11w", "r21", "r03", "r22w")
+    rejected, found = 0, None
+    while found is None and rejected < 50:
+        z = random_valid_cocycle(rg, l, module_for_tag(tags[rejected % len(tags)]))
+        if z is None:
+            continue
+        rep = check_admissible(z)
+        if not all(c.b_passed for c in rep.conditions):
+            found = z, rep
+        rejected += 1
+    assert found is not None
+    z, rep = found
+    doc = schema.wrap("cocycle", schema.cocycle_to_payload(z))
+    code, out = run(capsys, "admissible", write_doc(tmp_path, "rejected.json", doc))
+    assert code == 1
+    payload = out["payload"]
+    assert payload["admissible"] is False
+    for cond, got in zip(rep.conditions, payload["conditions"]):
+        assert got["b_passed"] is cond.b_passed
+        if cond.b_passed:
+            assert "b_witness" not in got
+        else:
+            assert got["b_witness"] == [
+                [schema.format_vector(row) for row in tensor] for tensor in cond.b_witness
+            ]
+            assert got["b_witness"]

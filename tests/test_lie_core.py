@@ -2,7 +2,18 @@ from fractions import Fraction
 
 import pytest
 
-from metriclie.catalog import g41, g52, g64, heisenberg
+from metriclie import lie_core
+from metriclie.catalog import (
+    BASE_BUILDERS,
+    ENTRIES,
+    base_algebra,
+    g41,
+    g52,
+    g64,
+    heisenberg,
+    instantiate,
+)
+from metriclie.double_construction import build_double
 from metriclie.exact_linalg import unit_vector, vector
 from metriclie.lie_core import (
     JacobiError,
@@ -171,3 +182,50 @@ def test_jacobi_holds_for_random_vectors():
         ]
         total = tuple(a + b + c for a, b, c in zip(*cyclic))
         assert total == (Fraction(0),) * 6
+
+
+def _catalog_algebras():
+    """Every catalog base algebra and the double of every catalog entry."""
+    algebras = [base_algebra(name) for name in sorted(BASE_BUILDERS)]
+    for entry in ENTRIES:
+        params = {name: Fraction(1) for name in entry.params}
+        algebras.append(build_double(instantiate(entry, params)).algebra)
+    return algebras
+
+
+def test_cached_series_and_center_match_a_fresh_computation():
+    for l in _catalog_algebras():
+        series, center_space = lower_central_series(l), center(l)
+        assert lower_central_series(l) is series and center(l) is center_space
+        fresh = LieAlgebra(l.dim, dict(l.brackets), labels=l.labels, validate=False)
+        assert fresh == l and fresh is not l
+        assert lie_core._lower_central_series(fresh) == series
+        assert lie_core._center(fresh) == center_space
+
+
+def test_basis_bracket_is_antisymmetric_on_all_pairs():
+    for l in _catalog_algebras():
+        for i in range(l.dim):
+            assert l.basis_bracket(i, i) == (Fraction(0),) * l.dim
+            for j in range(l.dim):
+                assert l.basis_bracket(j, i) == tuple(-c for c in l.basis_bracket(i, j))
+
+
+def test_algebra_is_read_only():
+    l = g41()
+    with pytest.raises(TypeError):
+        l.brackets[(0, 1)] = unit_vector(4, 3)
+    with pytest.raises(TypeError):
+        l.brackets[(1, 2)] = unit_vector(4, 3)
+    with pytest.raises(AttributeError):
+        l.dim = 5
+    with pytest.raises(AttributeError):
+        l.labels = ("a", "b", "c", "d")
+    assert l == g41() and l.basis_bracket(1, 2) == (0, 0, 0, 0)
+
+
+def test_equal_algebras_hash_equal():
+    assert hash(g41()) == hash(g41())
+    assert len({g41(), g41(), g52(), abelian(4)}) == 3
+    swapped = LieAlgebra(4, dict(reversed(list(g41().brackets.items()))), labels=g41().labels)
+    assert swapped == g41() and hash(swapped) == hash(g41())
