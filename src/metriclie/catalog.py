@@ -231,15 +231,11 @@ def _alpha_cochain(
             _resolve(coeff, params) if k == target else Fraction(0) for k in range(m)
         )
         terms.append((indices, value))
-    if not terms:
-        return Cochain.zero(n, 2, m)
     return cochain_from_terms(n, 2, m, terms)
 
 
 def _gamma_cochain(entry: CatalogEntry, n: int, params: Mapping[str, Fraction]) -> Cochain:
     terms = [(indices, (_resolve(coeff, params),)) for coeff, indices in entry.gamma_terms]
-    if not terms:
-        return Cochain.zero(n, 3, 1, scalar=True)
     return cochain_from_terms(n, 3, 1, terms, scalar=True)
 
 

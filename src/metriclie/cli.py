@@ -9,7 +9,6 @@ argument does not parse.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -150,7 +149,6 @@ def assemble_cocycle(
         raise SchemaError("module action length does not match the algebra dimension")
     alpha, gamma = schema.assemble_cochains(parsed, algebra, module)
     try:
-        validate_module(algebra, module)
         return QuadraticCocycle(algebra, module, alpha, gamma)
     except ValueError as exc:
         raise MathFailure(str(exc)) from None

@@ -19,16 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cochain_complex import pair_values
 from .exact_linalg import (
     Matrix,
     Signature,
-    Vector,
     gram_on_span,
     rank,
     signature_of,
     unit_vector,
-    vec_is_zero,
     zero_vector,
 )
 from .lie_core import (
@@ -72,22 +69,11 @@ class MetricReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-def coadjoint_matrix(l: LieAlgebra, i: int) -> Matrix:
-    """Matrix of ad*(e_i) on the dual basis: minus the transpose of ad(e_i)."""
-    n = l.dim
-    entries = []
-    for k in range(n):
-        row = []
-        for j in range(n):
-            # coefficient of sigma^k in ad*(e_i) sigma^j, namely -([e_i, e_k])_j
-            row.append(-l.basis_bracket(i, k)[j])
-        entries.append(row)
-    return Matrix.from_rows(entries, cols=n)
-
-
 def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     """Assemble and fully validate the metric double of a quadratic cocycle.
 
+    The table is filled in one pass over the stored entries of gamma, alpha
+    and the brackets of ``l``, following the formulas in the module docstring.
     Only trivial module actions are supported; a nontrivial action raises.
     A result that fails its own re-check raises :class:`ConsistencyError`.
     """
@@ -101,37 +87,31 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     a_off = n
     x_off = n + m
 
-    def embed(sigma_part: Vector, a_part: Vector, x_part: Vector) -> Vector:
-        return tuple(sigma_part) + tuple(a_part) + tuple(x_part)
+    table: dict[tuple[int, int], list[Fraction]] = {}
 
-    table: dict[tuple[int, int], Vector] = {}
-    # [X_i, X_j]: dual part gamma(X_i, X_j, .), module part alpha, original bracket
-    for i in range(n):
-        for j in range(i + 1, n):
-            sigma_part = tuple(z.gamma.value_at((i, j, k))[0] for k in range(n))
-            a_part = z.alpha.value_at((i, j))
-            x_part = l.basis_bracket(i, j)
-            value = embed(sigma_part, a_part, x_part)
-            if not vec_is_zero(value):
-                table[(x_off + i, x_off + j)] = value
-    # [sigma^j, X_i] = -ad*(X_i) sigma^j
-    for i in range(n):
-        coad = coadjoint_matrix(l, i)
-        for j in range(n):
-            col = coad.column(j)
-            if not vec_is_zero(col):
-                value = embed(tuple(-c for c in col), zero_vector(m), zero_vector(n))
-                table[(j, x_off + i)] = value
-    # [A_t, X_i] = <A_t, alpha(X_i, .)> in l*
-    for t in range(m):
-        for i in range(n):
-            sigma_part = tuple(
-                pair_values(module.gram, unit_vector(m, t), z.alpha.value_at((i, k)))
-                for k in range(n)
-            )
-            if any(c != 0 for c in sigma_part):
-                value = embed(sigma_part, zero_vector(m), zero_vector(n))
-                table[(a_off + t, x_off + i)] = value
+    def add(i: int, j: int, t: int, c: Fraction) -> None:
+        """Add c e_t to [e_i, e_j], i < j."""
+        if c:
+            table.setdefault((i, j), [_ZERO] * total)[t] += c
+
+    # [X_i, X_j] picks up gamma(X_i, X_j, X_k) sigma^k for each ordering of a key
+    for (i, j, k), (c,) in z.gamma.values.items():
+        add(x_off + i, x_off + j, k, c)
+        add(x_off + i, x_off + k, j, -c)
+        add(x_off + j, x_off + k, i, c)
+    # [X_i, X_j] picks up alpha(X_i, X_j); [A_s, X_i] = <A_s, alpha(X_i, X_j)> sigma^j
+    for (i, j), v in z.alpha.values.items():
+        for s, c in enumerate(v):
+            add(x_off + i, x_off + j, a_off + s, c)
+        for s, c in enumerate(module.gram.apply(v)):
+            add(a_off + s, x_off + i, j, c)
+            add(a_off + s, x_off + j, i, -c)
+    # [X_i, X_k] = [e_i, e_k]_l; [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k
+    for (i, k), v in l.brackets.items():
+        for t, c in enumerate(v):
+            add(x_off + i, x_off + k, x_off + t, c)
+            add(t, x_off + i, k, c)
+            add(t, x_off + k, i, -c)
 
     labels = (
         tuple("%s*" % s for s in l.labels)
@@ -140,16 +120,9 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     )
     algebra = LieAlgebra(total, table, labels=labels, validate=False)
 
-    gram_rows = []
-    for r in range(total):
-        row = [_ZERO] * total
-        gram_rows.append(row)
-    for i in range(n):
-        gram_rows[i][x_off + i] = Fraction(1)
-        gram_rows[x_off + i][i] = Fraction(1)
-    for s in range(m):
-        for t in range(m):
-            gram_rows[a_off + s][a_off + t] = module.gram.at(s, t)
+    gram_rows = [unit_vector(total, x_off + i) for i in range(n)]
+    gram_rows += [zero_vector(n) + module.gram.row(s) + zero_vector(n) for s in range(m)]
+    gram_rows += [unit_vector(total, i) for i in range(n)]
     gram = Matrix.from_rows(gram_rows, cols=total)
 
     result = MetricLieAlgebra(algebra=algebra, gram=gram, provenance=z)

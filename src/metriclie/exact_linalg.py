@@ -55,7 +55,7 @@ def vec_scale(c: Fraction | int, v: Vector) -> Vector:
 
 
 def vec_is_zero(v: Vector) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def linear_combination(
@@ -184,21 +184,6 @@ class Matrix:
             raise ValueError("matrix shape mismatch")
 
 
-def stack_rows(matrices: Sequence[Matrix]) -> Matrix:
-    """Stack matrices vertically; they must share a column count."""
-    if not matrices:
-        raise ValueError("nothing to stack")
-    cols = matrices[0].cols
-    flat: list[Fraction] = []
-    total = 0
-    for m in matrices:
-        if m.cols != cols:
-            raise ValueError("column mismatch while stacking")
-        flat.extend(m.entries)
-        total += m.rows
-    return Matrix(total, cols, tuple(flat))
-
-
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns.
 
@@ -246,11 +231,17 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     remaining free coordinates are 0.
     """
     reduced, pivots = rref(m)
+    return _kernel_from_rref(reduced, pivots, m.cols)
+
+
+def _kernel_from_rref(reduced: Matrix, pivots: tuple[int, ...], cols: int) -> list[Vector]:
+    """The kernel basis of :func:`kernel_basis`, read off the first ``cols``
+    columns of a reduced echelon form whose pivots all lie among them."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    free_cols = [c for c in range(cols) if c not in pivot_set]
     basis: list[Vector] = []
     for f in free_cols:
-        v = [_ZERO] * m.cols
+        v = [_ZERO] * cols
         v[f] = _ONE
         for r, p in enumerate(pivots):
             v[p] = -reduced.at(r, f)
@@ -263,6 +254,8 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
 
     Returns ``(particular, kernel)`` where the particular solution sets all
     free variables to zero, or ``None`` when the system is inconsistent.
+    One elimination serves both: the left block of ``rref([a | b])`` is
+    ``rref(a)``.
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length mismatch")
@@ -275,7 +268,7 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
     particular = [_ZERO] * a.cols
     for r, p in enumerate(pivots):
         particular[p] = reduced.at(r, a.cols)
-    return tuple(particular), kernel_basis(a)
+    return tuple(particular), _kernel_from_rref(reduced, pivots, a.cols)
 
 
 def det(m: Matrix) -> Fraction:

@@ -224,21 +224,6 @@ class AdmissibilityReport:
         return self.conditions[k]
 
 
-def _gamma_on_basis_and_vectors(gamma: Cochain, i: int, u: Vector, w: Vector) -> Fraction:
-    """gamma(e_i, u, w) for a basis index and two arbitrary vectors."""
-    total = Fraction(0)
-    for a, ca in enumerate(u):
-        if ca == 0:
-            continue
-        for b, cb in enumerate(w):
-            if cb == 0:
-                continue
-            v = gamma.value_at((i, a, b))
-            if not vec_is_zero(v):
-                total += ca * cb * v[0]
-    return total
-
-
 def _condition_a(
     z: QuadraticCocycle, stage: Subspace, series_term: Subspace, k: int
 ) -> tuple[bool, tuple[Vector, Vector, Vector] | None]:
@@ -266,7 +251,11 @@ def _condition_a(
             rows.append(row)
         # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
         for j, w in enumerate(series_term.basis):
-            row = [_gamma_on_basis_and_vectors(z.gamma, i, b, w) for b in stage.basis]
+            # gamma(e_i, ., w) contracted once, then paired with each stage vector
+            gamma_iw = linear_combination(
+                w, lambda t: tuple(z.gamma.value_at((i, s, t))[0] for s in range(n)), n
+            )
+            row = [sum((x * y for x, y in zip(b, gamma_iw)), Fraction(0)) for b in stage.basis]
             alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
             row += list(module.gram.apply(alpha_iw))
             coords = series_term.coords(linear_combination(w, partial(l.basis_bracket, i), n))

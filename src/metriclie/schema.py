@@ -323,16 +323,8 @@ def assemble_cochains(
         if len({i, j, k}) != 3:
             raise SchemaError(f"cocycle.gamma: repeated index in ({i}, {j}, {k})")
         gamma_terms.append(((i - 1, j - 1, k - 1), (value,)))
-    alpha = (
-        cochain_from_terms(n, 2, m, alpha_terms)
-        if alpha_terms
-        else Cochain.zero(n, 2, m)
-    )
-    gamma = (
-        cochain_from_terms(n, 3, 1, gamma_terms, scalar=True)
-        if gamma_terms
-        else Cochain.zero(n, 3, 1, scalar=True)
-    )
+    alpha = cochain_from_terms(n, 2, m, alpha_terms)
+    gamma = cochain_from_terms(n, 3, 1, gamma_terms, scalar=True)
     return alpha, gamma
 
 

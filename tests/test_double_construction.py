@@ -13,18 +13,17 @@ from metriclie.catalog import (
     module_for_tag,
     run_catalog,
 )
-from metriclie.cochain_complex import OrthogonalModule
+from metriclie.cochain_complex import OrthogonalModule, pair_values
 from metriclie.double_construction import (
     MetricCheck,
     MetricLieAlgebra,
     MetricReport,
     build_double,
-    coadjoint_matrix,
     fingerprint,
     verify_metric,
 )
-from metriclie.exact_linalg import Matrix, Signature, signature_of
-from metriclie.lie_core import LieAlgebra, abelian
+from metriclie.exact_linalg import Matrix, Signature, signature_of, unit_vector
+from metriclie.lie_core import LieAlgebra, abelian, bracket
 from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 
 from support import rng
@@ -33,6 +32,17 @@ from support import rng
 def entry_double(entry_id: str, **params):
     entry = entry_by_id(entry_id)
     return build_double(instantiate(entry, {k: Fraction(v) for k, v in params.items()}))
+
+
+def coadjoint_block(l, i):
+    """ad*(e_i) on the dual basis, read off the zero-cocycle double: entry
+    (k, j) is the sigma^k coefficient of [X_i, sigma^j]."""
+    module = module_for_tag("r01")
+    g = build_double(zero_cocycle(l, module)).algebra
+    x_i = l.dim + module.dim + i
+    return Matrix.from_rows(
+        [[g.basis_bracket(x_i, j)[k] for j in range(l.dim)] for k in range(l.dim)]
+    )
 
 
 def test_coadjoint_matrix_on_g41():
@@ -45,15 +55,53 @@ def test_coadjoint_matrix_on_g41():
             [0, 0, 0, 0],
         ]
     )
-    assert coadjoint_matrix(g41(), 0) == expected
+    assert coadjoint_block(g41(), 0) == expected
     for i in range(3):
-        assert coadjoint_matrix(heisenberg(), i).transpose() == -(
+        assert coadjoint_block(heisenberg(), i).transpose() == -(
             Matrix.from_rows([ad_row(heisenberg(), i, k) for k in range(3)])
         )
 
 
 def ad_row(l, i, k):
     return [l.basis_bracket(i, j)[k] for j in range(l.dim)]
+
+
+def docstring_bracket(z, a, b):
+    """[e_a, e_b] in the double of z, straight from the module docstring."""
+    l, module = z.algebra, z.module
+    n, m = l.dim, module.dim
+    e = [unit_vector(n, i) for i in range(n)]
+
+    def part(x):
+        return ("sigma", x) if x < n else ("a", x - n) if x < n + m else ("x", x - n - m)
+
+    (pa, i), (pb, j) = part(a), part(b)
+    sigma, a_part, x_part = [Fraction(0)] * n, [Fraction(0)] * m, [Fraction(0)] * n
+    if (pa, pb) == ("x", "x"):
+        # [L1, L2] = gamma(L1, L2, .) + alpha(L1, L2) + [L1, L2]_l
+        sigma = [z.gamma.value_at((i, j, k))[0] for k in range(n)]
+        a_part = list(z.alpha.value_at((i, j)))
+        x_part = list(bracket(l, e[i], e[j]))
+    elif (pa, pb) == ("sigma", "x"):
+        # [Z, L] = -ad*(L)(Z), and (ad*(L) Z)(L') = -Z([L, L'])
+        sigma = [bracket(l, e[j], e[k])[i] for k in range(n)]
+    elif (pa, pb) == ("a", "x"):
+        # [A, L] = <A, alpha(L, .)>
+        sigma = [
+            pair_values(module.gram, unit_vector(m, i), z.alpha.value_at((j, k)))
+            for k in range(n)
+        ]
+    return tuple(sigma + a_part + x_part)
+
+
+def test_every_catalog_double_matches_the_docstring_formulas():
+    rep = run_catalog()
+    built = [g for g in rep.doubles if g is not None]
+    assert len(built) == len(rep.rows)
+    for g in built:
+        for a in range(g.algebra.dim):
+            for b in range(a + 1, g.algebra.dim):
+                assert g.algebra.basis_bracket(a, b) == docstring_bracket(g.provenance, a, b)
 
 
 def test_item_eight_doubles():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from metriclie.double_construction import build_double
 from metriclie.exact_linalg import unit_vector, vector
 from metriclie.lie_core import (
     JacobiError,
+    JacobiReport,
     LieAlgebra,
     NotNilpotentError,
     Subspace,
@@ -229,3 +231,65 @@ def test_equal_algebras_hash_equal():
     assert len({g41(), g41(), g52(), abelian(4)}) == 3
     swapped = LieAlgebra(4, dict(reversed(list(g41().brackets.items()))), labels=g41().labels)
     assert swapped == g41() and hash(swapped) == hash(g41())
+
+
+def _brute_force_jacobi(l):
+    """The first failing triple over all C(n, 3) triples, by the dense bracket."""
+    e = [unit_vector(l.dim, i) for i in range(l.dim)]
+    for i, j, k in combinations(range(l.dim), 3):
+        terms = (
+            bracket(l, e[i], bracket(l, e[j], e[k])),
+            bracket(l, e[j], bracket(l, e[k], e[i])),
+            bracket(l, e[k], bracket(l, e[i], e[j])),
+        )
+        defect = tuple(a + b + c for a, b, c in zip(*terms))
+        if any(defect):
+            return JacobiReport(ok=False, triple=(i, j, k), defect=defect)
+    return JacobiReport(ok=True)
+
+
+def _random_sparse_table(rg, n):
+    """A random table: two-step nilpotent (so Jacobi holds) with probability
+    1/3, the same plus one arbitrary bracket with probability 1/3, and
+    arbitrary sparse brackets otherwise."""
+    kind = rg.randrange(3)
+    c = rg.randint(1, n - 2)  # the last c basis vectors span the center of a two-step table
+    table = {}
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if kind == 2 or j < n - c]
+    for i, j in rg.sample(pairs, rg.randint(0, len(pairs))):
+        support = range(n) if kind == 2 else range(n - c, n)
+        table[(i, j)] = tuple(
+            rational(rg) if t in support and rg.random() < 0.5 else Fraction(0) for t in range(n)
+        )
+    if kind == 1:
+        i, j = sorted(rg.sample(range(n), 2))
+        table[(i, j)] = tuple(rational(rg) for _ in range(n))
+    return LieAlgebra(n, table, validate=False)
+
+
+def test_validate_jacobi_matches_a_brute_force_scan():
+    rg = rng(2027)
+    verdicts = set()
+    for _ in range(300):
+        l = _random_sparse_table(rg, rg.randint(3, 7))
+        report = validate_jacobi(l)
+        assert report == _brute_force_jacobi(l)
+        verdicts.add(report.ok)
+    for name in sorted(BASE_BUILDERS):
+        l = base_algebra(name)
+        assert validate_jacobi(l) == _brute_force_jacobi(l) == JacobiReport(ok=True)
+    assert verdicts == {True, False}
+
+
+def test_validate_jacobi_visits_no_triple_of_an_abelian_algebra(monkeypatch):
+    calls = []
+    original = lie_core.linear_combination
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lie_core, "linear_combination", counting)
+    l = abelian(60)
+    assert validate_jacobi(l).ok
+    assert calls == []
