@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Sequence
 
 from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
@@ -101,7 +102,10 @@ BASE_BUILDERS = {
 }
 
 
+@cache
 def base_algebra(name: str) -> LieAlgebra:
+    """The base algebra ``name``, one shared instance per name, so its
+    series and center are computed once for every entry on it."""
     try:
         builder = BASE_BUILDERS[name]
     except KeyError:
@@ -153,7 +157,9 @@ MODULE_BUILDERS = {
 }
 
 
+@cache
 def module_for_tag(tag: str) -> OrthogonalModule:
+    """The coefficient space ``tag``, one shared instance per tag."""
     try:
         builder = MODULE_BUILDERS[tag]
     except KeyError:
@@ -575,28 +581,20 @@ def _process(
     except CocycleError as exc:
         return CatalogRow(entry.id, frozen_params, False, error=str(exc)), None
     admissible = check_admissible(cocycle).overall
-    proxy = indecomposability_proxy(cocycle)
+    double, error = None, None
     try:
         double = build_double(cocycle)
     except ValueError as exc:
-        row = CatalogRow(
-            entry.id,
-            frozen_params,
-            True,
-            admissible=admissible,
-            proxy_indecomposable=proxy,
-            double_built=False,
-            error=str(exc),
-        )
-        return row, None
+        error = str(exc)
     row = CatalogRow(
         entry.id,
         frozen_params,
         True,
         admissible=admissible,
-        proxy_indecomposable=proxy,
-        double_built=True,
-        fingerprint=fingerprint(double),
+        proxy_indecomposable=indecomposability_proxy(cocycle),
+        double_built=double is not None,
+        fingerprint=None if double is None else fingerprint(double),
+        error=error,
     )
     return row, double
 

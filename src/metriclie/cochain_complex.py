@@ -201,9 +201,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.values
 
-    def get(self, key: tuple[int, ...]) -> Vector:
-        return self.values.get(key, zero_vector(self.value_dim))
-
     def value_at(self, indices: Sequence[int]) -> Vector:
         """Value on basis vectors in any order (alternating lookup)."""
         sorted_sign = sort_with_sign(indices)

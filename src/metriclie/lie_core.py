@@ -2,9 +2,10 @@
 
 A Lie algebra is stored through its antisymmetric structure constants: a
 sparse map from index pairs ``(i, j)`` with ``i < j`` to the coordinate
-vector of ``[e_i, e_j]``.  The Jacobi identity is checked eagerly on
-construction; a constructor flag disables the check so that tests can build
-deliberately broken tables.
+vector of ``[e_i, e_j]``.  The nonzero brackets are also kept row by row,
+so that ``[e_i, w]`` touches only the stored brackets of ``e_i``.  The
+Jacobi identity is checked eagerly on construction; a constructor flag
+disables the check so that tests can build deliberately broken tables.
 
 :class:`LieAlgebra` is immutable, so the lower central series and the center
 are computed at most once per instance and then reused.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -118,12 +118,13 @@ class LieAlgebra:
     """A Lie algebra given by sparse antisymmetric structure constants.
 
     Instances are immutable: ``brackets`` (keys ``i < j``) is a read-only
-    mapping and ``dim`` and ``labels`` cannot be reassigned.  The table of
-    both ``(i, j)`` and ``(j, i)`` is kept beside it, so that
-    :meth:`basis_bracket` is one lookup.
+    mapping and ``dim`` and ``labels`` cannot be reassigned.  Beside it,
+    ``_rows[i]`` maps each ``j`` with a nonzero ``[e_i, e_j]`` to that
+    bracket, in both orientations, so that :meth:`basis_bracket` is one
+    lookup and :meth:`ad` sums over the stored brackets of ``e_i`` only.
     """
 
-    __slots__ = ("_dim", "_labels", "_brackets", "_table", "_zero", "_hash", "_series", "_center")
+    __slots__ = ("_dim", "_labels", "_brackets", "_rows", "_zero", "_hash", "_series", "_center")
 
     def __init__(
         self,
@@ -141,7 +142,7 @@ class LieAlgebra:
             if len(labels) != dim:
                 raise ValueError("expected %d labels, got %d" % (dim, len(labels)))
         table: dict[tuple[int, int], Vector] = {}
-        full: dict[tuple[int, int], Vector] = {}
+        rows: list[dict[int, Vector]] = [{} for _ in range(dim)]
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
@@ -149,12 +150,12 @@ class LieAlgebra:
             if len(v) != dim:
                 raise ValueError("bracket value for (%d, %d) has wrong length" % (i, j))
             if not vec_is_zero(v):
-                table[(i, j)] = full[(i, j)] = v
-                full[(j, i)] = tuple(-c for c in v)
+                table[(i, j)] = rows[i][j] = v
+                rows[j][i] = tuple(-c for c in v)
         self._dim = dim
         self._labels = labels
         self._brackets = MappingProxyType(table)
-        self._table = full
+        self._rows = rows
         self._zero = zero_vector(dim)
         self._hash: int | None = None
         self._series: tuple[tuple[Subspace, ...], SeriesProfile] | None = None
@@ -198,7 +199,12 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for arbitrary basis indices."""
-        return self._table.get((i, j), self._zero)
+        return self._rows[i].get(j, self._zero)
+
+    def ad(self, i: int, w: Vector) -> Vector:
+        """[e_i, w], summed over the nonzero brackets of e_i only."""
+        row = self._rows[i]
+        return linear_combination([w[j] for j in row], list(row.values()).__getitem__, self._dim)
 
 
 def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
@@ -215,12 +221,6 @@ def bracket(l: LieAlgebra, x: Vector, y: Vector) -> Vector:
         if c != 0:
             out = vec_add(out, vec_scale(c, v))
     return out
-
-
-def ad_matrix(l: LieAlgebra, i: int) -> Matrix:
-    """Matrix of ad(e_i): columns are [e_i, e_j]."""
-    cols = [l.basis_bracket(i, j) for j in range(l.dim)]
-    return Matrix.from_rows(cols, cols=l.dim).transpose()
 
 
 def validate_jacobi(l: LieAlgebra) -> JacobiReport:
@@ -269,11 +269,8 @@ def _lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPr
     chain = [current]
     dims = [current.dim]
     while dims[-1] > 0:
-        generators = [
-            linear_combination(w, partial(l.basis_bracket, i), l.dim)
-            for i in range(l.dim)
-            for w in current.basis
-        ]
+        # e_i without a stored bracket adds only zero generators
+        generators = [l.ad(i, w) for i, row in enumerate(l._rows) if row for w in current.basis]
         nxt = Subspace.span(l.dim, generators)
         chain.append(nxt)
         dims.append(nxt.dim)
@@ -296,8 +293,15 @@ def center(l: LieAlgebra) -> Subspace:
 
 
 def _center(l: LieAlgebra) -> Subspace:
-    rows = [row for i in range(l.dim) for row in ad_matrix(l, i).to_rows() if any(row)]
-    return Subspace.span(l.dim, kernel_basis(Matrix.from_rows(rows, cols=l.dim)))
+    # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
+    n = l.dim
+    rows: dict[tuple[int, int], list[Fraction]] = {}
+    for i, brackets in enumerate(l._rows):
+        for j, v in brackets.items():
+            for t, c in enumerate(v):
+                if c:
+                    rows.setdefault((i, t), [Fraction(0)] * n)[j] = c
+    return Subspace.span(n, kernel_basis(Matrix.from_rows(list(rows.values()), cols=n)))
 
 
 def nilpotency_index(l: LieAlgebra) -> int:

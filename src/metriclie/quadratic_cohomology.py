@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .cochain_complex import (
     Cochain,
@@ -225,7 +224,7 @@ class AdmissibilityReport:
 
 
 def _condition_a(
-    z: QuadraticCocycle, stage: Subspace, series_term: Subspace, k: int
+    z: QuadraticCocycle, stage: Subspace, series_term: Subspace
 ) -> tuple[bool, tuple[Vector, Vector, Vector] | None]:
     """(A_k): any L0 in the stage admitting compatible (A0, Z0) must be zero.
 
@@ -258,7 +257,7 @@ def _condition_a(
             row = [sum((x * y for x, y in zip(b, gamma_iw)), Fraction(0)) for b in stage.basis]
             alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
             row += list(module.gram.apply(alpha_iw))
-            coords = series_term.coords(linear_combination(w, partial(l.basis_bracket, i), n))
+            coords = series_term.coords(l.ad(i, w))
             if coords is None:
                 raise ConsistencyError("bracket left the series term, series data corrupt")
             row += [-coords[t] for t in range(d1)]
@@ -275,7 +274,7 @@ def _condition_a(
 
 
 def _condition_b(
-    z: QuadraticCocycle, series_term: Subspace, k: int
+    z: QuadraticCocycle, series_term: Subspace
 ) -> tuple[bool, int, tuple[tuple[Vector, ...], ...] | None]:
     """(B_k): alpha maps the kernel of the bracket pairing l (x) l^(k+1) -> l
     onto a nondegenerate subspace of the module."""
@@ -285,10 +284,7 @@ def _condition_b(
     tensor_basis = [(i, j) for i in range(n) for j in range(d1)]
     if tensor_basis:
         bracket_matrix = Matrix.from_rows(
-            [
-                linear_combination(series_term.basis[j], partial(l.basis_bracket, i), n)
-                for (i, j) in tensor_basis
-            ],
+            [l.ad(i, series_term.basis[j]) for (i, j) in tensor_basis],
             cols=n,
         ).transpose()
         kernel = kernel_basis(bracket_matrix)
@@ -327,8 +323,8 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     overall = True
     for k, stage in enumerate(stages):
         series_term = series[k]  # l^(k+1)
-        a_passed, a_witness = _condition_a(z, stage, series_term, k)
-        b_passed, image_dim, b_witness = _condition_b(z, series_term, k)
+        a_passed, a_witness = _condition_a(z, stage, series_term)
+        b_passed, image_dim, b_witness = _condition_b(z, series_term)
         overall = overall and a_passed and b_passed
         conditions.append(
             ConditionKReport(

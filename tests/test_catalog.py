@@ -7,6 +7,7 @@ from metriclie import lie_core
 from metriclie.catalog import (
     ENTRIES,
     CatalogEntry,
+    base_algebra,
     default_samples,
     entries_for_item,
     entry_by_id,
@@ -155,6 +156,7 @@ def test_catalog_bases_are_small_and_nilpotent():
 
 
 def test_catalog_row_builds_each_series_and_center_once(monkeypatch):
+    base_algebra.cache_clear()
     built = {"series": [], "center": []}
 
     def counting(kind, original):
@@ -168,12 +170,13 @@ def test_catalog_row_builds_each_series_and_center_once(monkeypatch):
         lie_core, "_lower_central_series", counting("series", lie_core._lower_central_series)
     )
     monkeypatch.setattr(lie_core, "_center", counting("center", lie_core._center))
-    entry = entry_by_id("T1.3a.r01.g1")
-    report = run_catalog(entries=[entry])
-    (row,), (double,) = report.rows, report.doubles
-    assert row.ok
-    base = instantiate(entry).algebra
+    entries = [entry_by_id("T1.3a.r01.g1"), entry_by_id("T1.3a.r01.g2")]
+    report = run_catalog(entries=entries)
+    assert report.all_ok and len(report.doubles) == 2
+    base = base_algebra("g41")
+    assert all(instantiate(entry).algebra is base for entry in entries)
     for kind in ("series", "center"):
-        assert len(built[kind]) == 2, kind
-        assert built[kind][0] == base
-        assert built[kind][1] is double.algebra
+        # the shared base once, then each double once
+        assert len(built[kind]) == 3, kind
+        assert built[kind][0] is base
+        assert built[kind][1:] == [double.algebra for double in report.doubles]

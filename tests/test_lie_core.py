@@ -15,7 +15,7 @@ from metriclie.catalog import (
     instantiate,
 )
 from metriclie.double_construction import build_double
-from metriclie.exact_linalg import unit_vector, vector
+from metriclie.exact_linalg import Matrix, kernel_basis, unit_vector, vector
 from metriclie.lie_core import (
     JacobiError,
     JacobiReport,
@@ -23,7 +23,6 @@ from metriclie.lie_core import (
     NotNilpotentError,
     Subspace,
     abelian,
-    ad_matrix,
     bracket,
     center,
     direct_sum,
@@ -74,10 +73,9 @@ def test_bracket_is_bilinear_and_antisymmetric():
 
 def test_ad_matrix_columns_are_brackets():
     h = heisenberg()
-    ad1 = ad_matrix(h, 0)
-    assert ad1.column(1) == unit_vector(3, 2)
-    assert ad1.column(0) == (0, 0, 0)
-    assert ad1.column(2) == (0, 0, 0)
+    assert h.ad(0, unit_vector(3, 1)) == unit_vector(3, 2)
+    assert h.ad(0, unit_vector(3, 0)) == (0, 0, 0)
+    assert h.ad(0, unit_vector(3, 2)) == (0, 0, 0)
 
 
 def test_lower_central_series_profiles():
@@ -293,3 +291,51 @@ def test_validate_jacobi_visits_no_triple_of_an_abelian_algebra(monkeypatch):
     l = abelian(60)
     assert validate_jacobi(l).ok
     assert calls == []
+
+
+@pytest.fixture(scope="module")
+def reference_algebras():
+    """Random sparse tables (Lie or not), every catalog base and every double."""
+    rg = rng(3031)
+    tables = [_random_sparse_table(rg, rg.randint(3, 7)) for _ in range(150)]
+    return tables + _catalog_algebras()
+
+
+def _dense_ad(l, i, w):
+    return bracket(l, unit_vector(l.dim, i), w)
+
+
+def test_ad_matches_the_dense_bracket(reference_algebras):
+    rg = rng(3032)
+    for l in reference_algebras:
+        for i in range(l.dim):
+            w = tuple(rational(rg) if rg.random() < 0.5 else Fraction(0) for _ in range(l.dim))
+            assert l.ad(i, w) == _dense_ad(l, i, w)
+
+
+def test_center_is_the_kernel_of_the_dense_ad_matrices(reference_algebras):
+    for l in reference_algebras:
+        n = l.dim
+        # ad(e_i) has the columns [e_i, e_j]; stack the n matrices and take the kernel
+        rows = []
+        for i in range(n):
+            columns = [_dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
+            rows += [[column[t] for column in columns] for t in range(n)]
+        dense = Subspace.span(n, kernel_basis(Matrix.from_rows(rows, cols=n)))
+        assert lie_core._center(l) == dense
+
+
+def test_lower_central_series_is_spanned_by_dense_brackets(reference_algebras):
+    for l in reference_algebras:
+        n = l.dim
+        current = Subspace.full(n)
+        chain = [current]
+        while current.dim:
+            nxt = Subspace.span(n, [_dense_ad(l, i, w) for i in range(n) for w in current.basis])
+            chain.append(nxt)
+            if nxt.dim == current.dim:
+                break
+            current = nxt
+        series, profile = lie_core._lower_central_series(l)
+        assert series == tuple(chain)
+        assert profile.dims == tuple(s.dim for s in chain)
