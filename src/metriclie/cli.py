@@ -18,7 +18,7 @@ from typing import Sequence
 
 from . import catalog as cat
 from . import schema
-from .cochain_complex import OrthogonalModule, cohomology_dim, validate_module
+from .cochain_complex import OrthogonalModule, cohomology_dim
 from .double_construction import (
     MetricLieAlgebra,
     build_double,
@@ -145,8 +145,6 @@ def assemble_cocycle(
         )
     algebra = checked_algebra(algebra)
     module = checked_module(parsed_module)
-    if module.action is not None and len(module.action) != algebra.dim:
-        raise SchemaError("module action length does not match the algebra dimension")
     alpha, gamma = schema.assemble_cochains(parsed, algebra, module)
     try:
         return QuadraticCocycle(algebra, module, alpha, gamma)
@@ -294,10 +292,6 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     module = None
     if args.module is not None:
         module = checked_module(load_kind(args.module, "module"))
-        try:
-            validate_module(algebra, module)
-        except ValueError as exc:
-            raise MathFailure(str(exc)) from None
     if args.degree < 0:
         raise SchemaError("--degree must be nonnegative")
     dim = cohomology_dim(algebra, module, args.degree)

@@ -1,10 +1,12 @@
 """Alternating cochains on a Lie algebra with values in an orthogonal module.
 
-Cochains are sparse: only strictly increasing index tuples are stored, and
-only with nonzero values.  The differential follows the convention
+The module is trivial, as the module of a quadratic extension of a nilpotent
+metric Lie algebra always is (Kath-Olbrich): a vector space with a
+nondegenerate symmetric form on which the algebra acts by zero.  Cochains
+are sparse: only strictly increasing index tuples are stored, and only with
+nonzero values.  The differential follows the convention
 
-    (d w)(x_0, ..., x_p) = sum_{i<j} (-1)^(i+j) w([x_i, x_j], ..., ^i, ..., ^j, ...)
-                         + sum_i (-1)^i rho(x_i) . w(..., ^i, ...),
+    (d w)(x_0, ..., x_p) = sum_{i<j} (-1)^(i+j) w([x_i, x_j], ..., ^i, ..., ^j, ...),
 
 and the scalar pairing of two module valued cochains is the plain shuffle sum
 
@@ -25,7 +27,6 @@ from .exact_linalg import (
     Matrix,
     Vector,
     det,
-    kernel_basis,
     linear_combination,
     rank,
     vec_add,
@@ -34,71 +35,26 @@ from .exact_linalg import (
     vector,
     zero_vector,
 )
-from .lie_core import LieAlgebra, Subspace, bracket
+from .lie_core import LieAlgebra, bracket
 
 _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class OrthogonalModule:
-    """A vector space with a nondegenerate symmetric form and a skew action.
-
-    ``action`` holds one matrix per basis vector of the acting Lie algebra;
-    ``None`` means the trivial action (the common case here).  Compatibility
-    of a nontrivial action with the Lie bracket is checked against a concrete
-    algebra by :func:`validate_module`.
-    """
+    """A vector space with a nondegenerate symmetric form."""
 
     gram: Matrix
-    action: tuple[Matrix, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.gram.is_symmetric():
             raise ValueError("module form must be symmetric")
         if rank(self.gram) != self.gram.rows:
             raise ValueError("module form must be nondegenerate")
-        if self.action is not None:
-            for k, rho in enumerate(self.action):
-                if rho.rows != self.dim or rho.cols != self.dim:
-                    raise ValueError("action matrix %d has wrong shape" % k)
-                skew = self.gram @ rho + rho.transpose() @ self.gram
-                if not skew.is_zero():
-                    raise ValueError("action matrix %d is not skew for the form" % k)
 
     @property
     def dim(self) -> int:
         return self.gram.rows
-
-    def is_trivial(self) -> bool:
-        return self.action is None or all(m.is_zero() for m in self.action)
-
-
-def validate_module(l: LieAlgebra, module: OrthogonalModule) -> None:
-    """Check that a nontrivial action represents the Lie bracket."""
-    if module.action is None:
-        return
-    if len(module.action) != l.dim:
-        raise ValueError("expected %d action matrices, got %d" % (l.dim, len(module.action)))
-    for i in range(l.dim):
-        for j in range(i + 1, l.dim):
-            rho_bracket = Matrix.zero(module.dim, module.dim)
-            for k, c in enumerate(l.basis_bracket(i, j)):
-                if c != 0:
-                    rho_bracket = rho_bracket + module.action[k].scale(c)
-            commutator = module.action[i] @ module.action[j] - module.action[j] @ module.action[i]
-            if not (rho_bracket - commutator).is_zero():
-                raise ValueError("action does not represent the bracket at (%d, %d)" % (i, j))
-
-
-def rho_kernel_space(l: LieAlgebra, module: OrthogonalModule) -> Subspace:
-    """The subspace of the algebra acting by zero on the module."""
-    if module.action is None or module.dim == 0:
-        return Subspace.full(l.dim)
-    rows = []
-    for r in range(module.dim):
-        for c in range(module.dim):
-            rows.append([module.action[i].at(r, c) for i in range(l.dim)])
-    return Subspace.span(l.dim, kernel_basis(Matrix.from_rows(rows, cols=l.dim)))
 
 
 def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
@@ -252,17 +208,11 @@ def cochain_from_terms(
     return Cochain(n, degree, value_dim, scalar, values)
 
 
-def differential(l: LieAlgebra, module: OrthogonalModule | None, c: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential; pass ``module=None`` for scalar forms."""
+def differential(l: LieAlgebra, c: Cochain) -> Cochain:
+    """Chevalley-Eilenberg differential with trivial coefficients."""
     if c.n != l.dim:
         raise ValueError("cochain does not live on this algebra")
-    p = c.degree
-    out_degree = p + 1
-    use_action = (
-        module is not None and not c.scalar and module.action is not None
-    )
-    if use_action and len(module.action) != l.dim:
-        raise ValueError("module action does not match the algebra dimension")
+    out_degree = c.degree + 1
     values: dict[tuple[int, ...], Vector] = {}
     if out_degree > l.dim:
         return Cochain.zero(l.dim, out_degree, c.value_dim, c.scalar)
@@ -279,18 +229,6 @@ def differential(l: LieAlgebra, module: OrthogonalModule | None, c: Cochain) -> 
                 if vec_is_zero(term):
                     continue
                 if (a + b) % 2:
-                    term = vec_scale(-1, term)
-                total = vec_add(total, term)
-        if use_action:
-            for a in range(out_degree):
-                rest = key[:a] + key[a + 1 :]
-                v = c.values.get(rest)
-                if v is None:
-                    continue
-                term = module.action[key[a]].apply(v)
-                if vec_is_zero(term):
-                    continue
-                if a % 2:
                     term = vec_scale(-1, term)
                 total = vec_add(total, term)
         if not vec_is_zero(total):
@@ -355,7 +293,7 @@ def differential_matrix(l: LieAlgebra, module: OrthogonalModule | None, p: int) 
             is_scalar,
             {key: tuple(Fraction(1) if s == t else _ZERO for s in range(value_dim))},
         )
-        image = differential(l, module, unit)
+        image = differential(l, unit)
         col = [_ZERO] * len(codomain)
         for out_key, value in image.values.items():
             for s, entry in enumerate(value):
@@ -371,6 +309,8 @@ def cohomology_dim(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> in
     """dim H^p(l, module) = dim ker d_p - rank d_(p-1)."""
     if p < 0:
         raise ValueError("negative degree")
+    if p > l.dim:
+        return 0  # C^p = 0; answered before any p-tuple is enumerated
     value_dim = 1 if module is None else module.dim
     dim_cp = len(_basis_enumeration(l.dim, p, value_dim))
     rank_dp = rank(differential_matrix(l, module, p))

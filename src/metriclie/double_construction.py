@@ -74,12 +74,9 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
 
     The table is filled in one pass over the stored entries of gamma, alpha
     and the brackets of ``l``, following the formulas in the module docstring.
-    Only trivial module actions are supported; a nontrivial action raises.
     A result that fails its own re-check raises :class:`ConsistencyError`.
     """
     l, module = z.algebra, z.module
-    if not module.is_trivial():
-        raise ValueError("the double construction here requires a trivial module action")
     if not is_nilpotent(l):
         raise ValueError("the double construction here requires a nilpotent algebra")
     n, m = l.dim, module.dim
@@ -168,8 +165,8 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     """The first basis triple (i, j, k), j <= k, where <[e_i, e_j], e_k> +
     <e_j, [e_i, e_k]> does not vanish, or "" when the form is invariant.
 
-    The form must be symmetric; only nonzero bracket and form entries are
-    multiplied.
+    The form must be symmetric; only the stored brackets of each e_i and the
+    nonzero form entries are multiplied.
     """
     n = g.algebra.dim
     # nonzero (j, <e_j, e_t>) per t
@@ -177,8 +174,8 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     for i in range(n):
         # pairing[j, k] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[k, j]
         pairing: dict[tuple[int, int], Fraction] = {}
-        for k in range(n):
-            for t, c in enumerate(g.algebra.basis_bracket(i, k)):
+        for k, v in g.algebra.row(i).items():
+            for t, c in enumerate(v):
                 if c:
                     for j, x in support[t]:
                         key = (j, k)

@@ -201,6 +201,10 @@ class LieAlgebra:
         """[e_i, e_j] for arbitrary basis indices."""
         return self._rows[i].get(j, self._zero)
 
+    def row(self, i: int) -> Mapping[int, Vector]:
+        """The nonzero brackets [e_i, e_j] of e_i, keyed by j (read-only)."""
+        return MappingProxyType(self._rows[i])
+
     def ad(self, i: int, w: Vector) -> Vector:
         """[e_i, w], summed over the nonzero brackets of e_i only."""
         row = self._rows[i]
@@ -286,7 +290,7 @@ def is_nilpotent(l: LieAlgebra) -> bool:
 
 
 def center(l: LieAlgebra) -> Subspace:
-    """Kernel of the adjoint action, canonicalized; computed once per ``l``."""
+    """Kernel of the adjoint representation, canonicalized; computed once per ``l``."""
     if l._center is None:
         l._center = _center(l)
     return l._center
@@ -313,11 +317,10 @@ def nilpotency_index(l: LieAlgebra) -> int:
     return first_zero - 1
 
 
-def filtration_spaces(l: LieAlgebra, rho_kernel: Subspace | None = None) -> list[Subspace]:
+def filtration_spaces(l: LieAlgebra) -> list[Subspace]:
     """Central filtration used by the admissibility test.
 
-    Returns ``[l_(0), ..., l_(m)]`` where ``l_(0)`` is the intersection of the
-    center with ``rho_kernel`` (the whole algebra for a trivial action) and
+    Returns ``[l_(0), ..., l_(m)]`` where ``l_(0)`` is the center and
     ``l_(k)`` is the intersection of the center with the (k+1)-st lower
     central series term, with m minimal such that l^(m+2) = 0.
     """
@@ -326,12 +329,7 @@ def filtration_spaces(l: LieAlgebra, rho_kernel: Subspace | None = None) -> list
         raise NotNilpotentError("filtration spaces require a nilpotent algebra")
     m = profile.dims.index(0) - 1
     z = center(l)
-    if rho_kernel is None:
-        rho_kernel = Subspace.full(l.dim)
-    spaces = [z.intersect(rho_kernel)]
-    for k in range(1, m + 1):
-        spaces.append(z.intersect(series[k]))  # series[k] = l^(k+1)
-    return spaces
+    return [z] + [z.intersect(series[k]) for k in range(1, m + 1)]  # series[k] = l^(k+1)
 
 
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:

@@ -12,11 +12,13 @@ cocycles from the right; the cochain pairs form a group under
     (tau1, sigma1) * (tau2, sigma2)
         = (tau1 + tau2, sigma1 + sigma2 + 1/2 <tau1 ^ tau2>).
 
-The admissibility test decides whether a cocycle gives rise to an
-indecomposable metric double; it checks, for every stage k of the central
+Admissibility is Kath-Olbrich's condition on the data that their
+classification scheme uses.  It checks, for every stage k of the central
 filtration, a linear condition (A_k) ruling out central directions that
 alpha and gamma cannot see, and a nondegeneracy condition (B_k) on the
-alpha-image of the kernel of the bracket pairing.
+alpha-image of the kernel of the bracket pairing.  It does not make the
+double indecomposable; :func:`indecomposability_proxy` checks only a
+necessary condition for that.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from .cochain_complex import (
     Cochain,
     OrthogonalModule,
     differential,
-    rho_kernel_space,
-    validate_module,
     wedge_pair,
 )
 from .exact_linalg import (
@@ -74,10 +74,10 @@ def cocycle_defect(
     ``("gamma_equation", key)`` for a 4-tuple where d gamma and the half
     wedge square disagree.
     """
-    d_alpha = differential(l, module, alpha)
+    d_alpha = differential(l, alpha)
     if not d_alpha.is_zero():
         return ("d_alpha", min(d_alpha.values))
-    residual = differential(l, None, gamma) - half_wedge_square(module, alpha)
+    residual = differential(l, gamma) - half_wedge_square(module, alpha)
     if not residual.is_zero():
         return ("gamma_equation", min(residual.values))
     return None
@@ -120,7 +120,6 @@ class QuadraticCocycle:
             raise ValueError("alpha must be a module valued 2-form on the algebra")
         if (self.gamma.n, self.gamma.degree, self.gamma.scalar) != (n, 3, True):
             raise ValueError("gamma must be a scalar 3-form on the algebra")
-        validate_module(self.algebra, self.module)
         defect = cocycle_defect(self.algebra, self.module, self.alpha, self.gamma)
         if defect is not None:
             kind, key = defect
@@ -160,17 +159,17 @@ def cq_inverse(c: QuadraticCochain) -> QuadraticCochain:
 
 
 def act(z: QuadraticCocycle, c: QuadraticCochain) -> QuadraticCocycle:
-    """Right action of a quadratic cochain on a quadratic cocycle.
+    """A quadratic cochain acting on a quadratic cocycle from the right.
 
     The result is validated on construction; a validation failure here would
     indicate an internal sign inconsistency, not bad input.
     """
     if z.algebra != c.algebra or z.module != c.module:
         raise ValueError("cocycle and cochain live over different data")
-    d_tau = differential(z.algebra, z.module, c.tau)
+    d_tau = differential(z.algebra, c.tau)
     alpha = z.alpha + d_tau
     mixed = wedge_pair(z.module, z.alpha + d_tau.scale(_HALF), c.tau)
-    gamma = z.gamma + differential(z.algebra, None, c.sigma) + mixed
+    gamma = z.gamma + differential(z.algebra, c.sigma) + mixed
     return QuadraticCocycle(z.algebra, z.module, alpha, gamma)
 
 
@@ -180,19 +179,6 @@ def verify_equivalence_witness(
     """Whether acting on z1 by c lands exactly on z2."""
     moved = act(z1, c)
     return moved.alpha == z2.alpha and moved.gamma == z2.gamma
-
-
-def check_invariant_valued(l: LieAlgebra, module: OrthogonalModule, alpha: Cochain) -> bool:
-    """Whether every value of alpha is fixed by the module action."""
-    if module.action is None:
-        return True
-    if len(module.action) != l.dim:
-        raise ValueError("module action does not match the algebra dimension")
-    for value in alpha.values.values():
-        for rho in module.action:
-            if not vec_is_zero(rho.apply(value)):
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -309,16 +295,13 @@ def _condition_b(
 def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     """Run (A_k) and (B_k) for every stage k = 0..m of the central filtration.
 
-    Preconditions: the algebra is nilpotent and alpha takes values in the
-    invariants of the module action.
+    Precondition: the algebra is nilpotent.
     """
-    l, module = z.algebra, z.module
+    l = z.algebra
     if not is_nilpotent(l):
         raise AdmissibilityPreconditionError("admissibility is defined for nilpotent algebras")
-    if not check_invariant_valued(l, module, z.alpha):
-        raise AdmissibilityPreconditionError("alpha must take invariant values")
     series, _ = lower_central_series(l)
-    stages = filtration_spaces(l, rho_kernel_space(l, module))
+    stages = filtration_spaces(l)
     conditions: list[ConditionKReport] = []
     overall = True
     for k, stage in enumerate(stages):

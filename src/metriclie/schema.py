@@ -174,41 +174,25 @@ class ParsedModule:
     """Module data before the orthogonality checks run."""
 
     gram: Matrix
-    action: tuple[Matrix, ...] | None = None
 
     def build(self) -> OrthogonalModule:
-        return OrthogonalModule(self.gram, self.action)
+        return OrthogonalModule(self.gram)
 
 
 def module_to_payload(module: OrthogonalModule) -> dict:
-    payload: dict = {"dim": module.dim, "gram": format_matrix(module.gram)}
-    if module.action is not None:
-        payload["action"] = [format_matrix(m) for m in module.action]
-    return payload
+    return {"dim": module.dim, "gram": format_matrix(module.gram)}
 
 
 def parse_module_payload(payload: Any, where: str = "module") -> ParsedModule:
     payload = _expect_object(payload, where)
-    _expect_keys(payload, {"dim", "gram", "action"}, {"dim", "gram"}, where)
+    _expect_keys(payload, {"dim", "gram"}, {"dim", "gram"}, where)
     dim = payload["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise SchemaError(f"{where}.dim: expected a nonnegative integer")
     gram = parse_square_matrix(payload["gram"], f"{where}.gram")
     if gram.rows != dim:
         raise SchemaError(f"{where}.gram: expected a {dim}x{dim} matrix")
-    action = None
-    if "action" in payload:
-        raw = payload["action"]
-        if not isinstance(raw, list):
-            raise SchemaError(f"{where}.action: expected a list of matrices")
-        mats = []
-        for k, item in enumerate(raw):
-            mat = parse_square_matrix(item, f"{where}.action[{k}]")
-            if mat.rows != dim:
-                raise SchemaError(f"{where}.action[{k}]: expected {dim}x{dim}")
-            mats.append(mat)
-        action = tuple(mats)
-    return ParsedModule(gram, action)
+    return ParsedModule(gram)
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ def test_criterion_1_fixture_cocycles():
         start = time.monotonic()
         for fixture in (g64_admissible_cocycle, g65_admissible_cocycle):
             z = fixture()
-            assert differential(z.algebra, z.module, z.alpha).is_zero()
+            assert differential(z.algebra, z.alpha).is_zero()
             assert wedge_pair(z.module, z.alpha, z.alpha).is_zero()
             rep = check_admissible(z)
             assert rep.overall
@@ -181,7 +181,7 @@ def test_criterion_5_differential_suite():
                     c = random_cochain(
                         rg, algebra.dim, degree, value_dim, scalar=scalar
                     )
-                    dd = differential(algebra, module, differential(algebra, module, c))
+                    dd = differential(algebra, differential(algebra, c))
                     assert dd.is_zero(), name
         assert pinned_expansion_failures() == []
         assert differential_matrix(g41(), None, 3).is_zero()
@@ -258,8 +258,8 @@ def test_criterion_7_pullback_regressions():
         for degree in (1, 2):
             for _ in range(10):
                 c = random_cochain(rg, 4, degree, 2)
-                assert pullback(iso, differential(target, module, c)) == differential(
-                    target, module, pullback(iso, c)
+                assert pullback(iso, differential(target, c)) == differential(
+                    target, pullback(iso, c)
                 )
         scalar_iso = Isomap(auto)
         for _ in range(10):

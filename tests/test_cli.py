@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 
 from metriclie import catalog as cat
@@ -114,9 +115,7 @@ def test_verify_flags_broken_cocycle(tmp_path, capsys):
         key
         for key in combinations(range(6), 3)
         if not differential(
-            algebra,
-            None,
-            cochain_from_terms(6, 3, 1, [(key, (Fraction(1),))], scalar=True),
+            algebra, cochain_from_terms(6, 3, 1, [(key, (Fraction(1),))], scalar=True)
         ).is_zero()
     )
     base["payload"]["gamma"].append(
@@ -213,6 +212,30 @@ def test_cohomology_dimensions(capsys):
     assert doc["payload"]["coefficients"] == "module"
     code, doc = run(capsys, "cohomology", "algebras/r5.json", "--degree", "-1")
     assert code == 2
+
+
+def test_cohomology_above_the_dimension_is_zero_without_enumerating(capsys):
+    start = time.monotonic()
+    code, doc = run(capsys, "cohomology", "algebras/g64.json", "--degree", str(10**12))
+    assert time.monotonic() - start < 1.0
+    assert code == 0 and doc["payload"]["dim"] == 0
+
+
+def test_module_document_with_action_key_is_schema_error(tmp_path, capsys):
+    zero = [["0", "0"], ["0", "0"]]
+    module = schema.wrap(
+        "module", {"dim": 2, "gram": [["0", "1"], ["1", "0"]], "action": [zero] * 4}
+    )
+    path = write_doc(tmp_path, "acting.json", module)
+    for argv in (
+        ("verify", path),
+        ("admissible", "forms/f1.json", "--algebra", "algebras/h1r.json", "--module", path),
+        ("cohomology", "algebras/h1r.json", "--degree", "2", "--module", path),
+    ):
+        code, doc = run(capsys, *argv)
+        assert code == 2, argv
+        assert doc["kind"] == "report"
+        assert "action" in doc["payload"]["error"]
 
 
 def test_catalog_subset(capsys):

@@ -13,7 +13,7 @@ from metriclie.catalog import (
     module_for_tag,
     run_catalog,
 )
-from metriclie.cochain_complex import OrthogonalModule, pair_values
+from metriclie.cochain_complex import pair_values
 from metriclie.double_construction import (
     MetricCheck,
     MetricLieAlgebra,
@@ -26,7 +26,7 @@ from metriclie.exact_linalg import Matrix, Signature, signature_of, unit_vector
 from metriclie.lie_core import LieAlgebra, abelian, bracket
 from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 
-from support import rng
+from support import rational, rng
 
 
 def entry_double(entry_id: str, **params):
@@ -217,18 +217,68 @@ def test_verify_metric_catches_flipped_coefficient():
     assert report.failures()
 
 
+def brute_invariance_failure(g: MetricLieAlgebra) -> str:
+    """Reference scan of every basis triple (i, j, k), j <= k, in order."""
+    n = g.algebra.dim
+    gram = g.gram.to_rows()
+    for i in range(n):
+        # m[j][k] = <[e_i, e_j], e_k>, so <e_j, [e_i, e_k]> = m[k][j]
+        m = []
+        for j in range(n):
+            nonzero = [(t, c) for t, c in enumerate(g.algebra.basis_bracket(i, j)) if c]
+            m.append([sum((c * gram[t][k] for t, c in nonzero), Fraction(0)) for k in range(n)])
+        for j in range(n):
+            for k in range(j, n):
+                if m[j][k] + m[k][j] != 0:
+                    return "fails at triple (%d, %d, %d)" % (i, j, k)
+    return ""
+
+
+def invariance_detail(g: MetricLieAlgebra) -> str:
+    (check,) = [c for c in verify_metric(g).checks if c.axiom == "invariance"]
+    return check.detail
+
+
+def random_sparse_metric(rg, n: int) -> MetricLieAlgebra:
+    """A random sparse table (Jacobi not enforced) with a random symmetric form."""
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rg.random() < 0.3:
+                table[(i, j)] = tuple(
+                    rational(rg) if rg.random() < 0.4 else Fraction(0) for _ in range(n)
+                )
+    gram = [[Fraction(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if a == b or rg.random() < 0.3:
+                gram[a][b] = gram[b][a] = rational(rg)
+    return MetricLieAlgebra(LieAlgebra(n, table, validate=False), Matrix.from_rows(gram, cols=n))
+
+
+def test_invariance_scan_matches_brute_force_triples():
+    rg = rng(53)
+    cases = [random_sparse_metric(rg, rg.randint(0, 7)) for _ in range(80)]
+    for g in run_catalog().doubles:
+        cases.append(g)
+        # a symmetric change of one form entry usually breaks invariance
+        n = g.algebra.dim
+        a, b = rg.randrange(n), rg.randrange(n)
+        rows = g.gram.to_rows()
+        rows[a][b] += 1
+        if a != b:
+            rows[b][a] += 1
+        cases.append(MetricLieAlgebra(g.algebra, Matrix.from_rows(rows, cols=n)))
+    details = [invariance_detail(g) for g in cases]
+    assert details == [brute_invariance_failure(g) for g in cases]
+    assert all(d == "" for d in details[80::2])  # the catalog doubles themselves
+    assert sum(1 for d in details if d) >= 80
+
+
 def test_verify_metric_catches_degenerate_form():
     g = entry_double("T1.8.r01")
     report = verify_metric(MetricLieAlgebra(algebra=g.algebra, gram=Matrix.zero(5, 5)))
     assert not report.ok
-
-
-def test_build_double_rejects_nontrivial_action():
-    gram = Matrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    action = (Matrix.from_rows([[0, 1, 0], [0, 0, -1], [0, 0, 0]]), Matrix.zero(3, 3))
-    z = zero_cocycle(abelian(2), OrthogonalModule(gram, action=action))
-    with pytest.raises(ValueError):
-        build_double(z)
 
 
 def test_build_double_rejects_non_nilpotent_base():

@@ -33,7 +33,7 @@ from metriclie.lie_core import (
     validate_jacobi,
 )
 
-from support import five_dim_three_step, rational, rng
+from support import rational, rng
 
 
 def test_construction_validates_jacobi_eagerly():
@@ -112,13 +112,6 @@ def test_filtration_spaces_known_values():
     spaces = filtration_spaces(g64())
     expected = (unit_vector(6, 4), unit_vector(6, 5))
     assert [s.basis for s in spaces] == [expected, expected]
-
-
-def test_filtration_respects_action_kernel():
-    l = five_dim_three_step()
-    restricted = Subspace.span(5, [unit_vector(5, 4)])
-    spaces = filtration_spaces(l, rho_kernel=restricted)
-    assert spaces[0].basis == (unit_vector(5, 4),)
 
 
 def test_direct_sum_combines_structure():
