@@ -14,13 +14,19 @@ and the scalar pairing of two module valued cochains is the plain shuffle sum
         <c1(x_{s(1)}, ..., x_{s(p)}), c2(x_{s(p+1)}, ..., x_{s(p+q)})>
 
 with no factorial normalization.
+
+Both kernels visit stored entries only: the differential of ``c`` costs
+O(stored keys x p x brackets per target) and the wedge of ``c1`` and ``c2``
+O(|c1| |c2| m) for values in an ``m``-dimensional module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .exact_linalg import (
@@ -29,6 +35,7 @@ from .exact_linalg import (
     det,
     linear_combination,
     rank,
+    unit_vector,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -209,68 +216,75 @@ def cochain_from_terms(
 
 
 def differential(l: LieAlgebra, c: Cochain) -> Cochain:
-    """Chevalley-Eilenberg differential with trivial coefficients."""
+    """Chevalley-Eilenberg differential with trivial coefficients.
+
+    Runs over the stored keys of ``c``: a key with value ``v`` and a slot
+    holding the target ``e_t`` feed ``+-w_t v`` into every key ``rest + {i, j}``
+    for which ``w = [e_i, e_j]`` has a nonzero ``e_t`` component.
+    """
     if c.n != l.dim:
         raise ValueError("cochain does not live on this algebra")
     out_degree = c.degree + 1
-    values: dict[tuple[int, ...], Vector] = {}
-    if out_degree > l.dim:
+    if not c.values:
         return Cochain.zero(l.dim, out_degree, c.value_dim, c.scalar)
-    for key in combinations(range(l.dim), out_degree):
-        total = zero_vector(c.value_dim)
-        for a in range(out_degree):
-            for b in range(a + 1, out_degree):
-                w = l.basis_bracket(key[a], key[b])
-                if vec_is_zero(w):
+    hits: dict[int, list[tuple[int, int, Fraction]]] = {}
+    for (i, j), w in l.brackets.items():
+        for t, x in enumerate(w):
+            if x:
+                hits.setdefault(t, []).append((i, j, x))
+    sums: dict[tuple[int, ...], list[Fraction]] = {}
+    for key, v in c.values.items():
+        for s, t in enumerate(key):
+            rest = key[:s] + key[s + 1 :]
+            for i, j, x in hits.get(t, ()):
+                if i in rest or j in rest:
                     continue
-                rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
-                # c(w, e_rest...): contract the first slot with the bracket
-                term = linear_combination(w, lambda k: c.value_at((k,) + rest), c.value_dim)
-                if vec_is_zero(term):
-                    continue
-                if (a + b) % 2:
-                    term = vec_scale(-1, term)
-                total = vec_add(total, term)
-        if not vec_is_zero(total):
-            values[key] = total
+                # c(e_t, e_rest...) = (-1)^s v, and i, j land in slots a, b + 1
+                a, b = bisect(rest, i), bisect(rest, j)
+                coeff = -x if (s + a + b + 1) % 2 else x
+                out = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
+                total = sums.get(out)
+                if total is None:
+                    total = sums[out] = [_ZERO] * c.value_dim
+                for k, y in enumerate(v):
+                    if y:
+                        total[k] += coeff * y
+    values = {key: tuple(sums[key]) for key in sorted(sums)}
     return Cochain(l.dim, out_degree, c.value_dim, c.scalar, values)
 
 
 def pair_values(gram: Matrix, u: Vector, v: Vector) -> Fraction:
     """The symmetric pairing <u, v> of two module values."""
-    return sum((u[i] * gram.at(i, j) * v[j] for i in range(len(u)) for j in range(len(v))), _ZERO)
+    gv = linear_combination(v, gram.row, len(v))
+    return sum((x * y for x, y in zip(u, gv) if x), _ZERO)
 
 
 def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
-    """Scalar valued wedge of two module valued cochains via the module form."""
+    """Scalar valued wedge of two module valued cochains via the module form.
+
+    Runs over the pairs of stored keys with disjoint supports; each right
+    value is multiplied by the form once.
+    """
     if c1.n != c2.n:
         raise ValueError("cochains live on different algebras")
     if c1.value_dim != module.dim or c2.value_dim != module.dim:
         raise ValueError("cochain values do not match the module")
-    p, q = c1.degree, c2.degree
     n = c1.n
-    out_degree = p + q
-    values: dict[tuple[int, ...], Vector] = {}
+    out_degree = c1.degree + c2.degree
     if out_degree > n or not c1.values or not c2.values:
         return Cochain.zero(n, out_degree, 1, scalar=True)
-    for key in combinations(range(n), out_degree):
-        total = _ZERO
-        for positions in combinations(range(out_degree), p):
-            left = tuple(key[s] for s in positions)
-            u = c1.values.get(left)
-            if u is None:
+    gram, m = module.gram, module.dim
+    right = [(k2, linear_combination(v, gram.row, m)) for k2, v in c2.values.items()]
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for k1, u in c1.values.items():
+        for k2, gv in right:
+            sorted_sign = sort_with_sign(k1 + k2)
+            if sorted_sign is None:
                 continue
-            complement = [s for s in range(out_degree) if s not in positions]
-            right = tuple(key[s] for s in complement)
-            v = c2.values.get(right)
-            if v is None:
-                continue
-            sign = -1 if sum(positions) % 2 != (p * (p - 1) // 2) % 2 else 1
-            contribution = pair_values(module.gram, u, v)
-            total += sign * contribution
-        if total != 0:
-            values[key] = (total,)
-    return Cochain(n, out_degree, 1, True, values)
+            key, sign = sorted_sign
+            pairing = sum((x * y for x, y in zip(u, gv) if x), _ZERO)
+            sums[key] = sums.get(key, _ZERO) + (pairing if sign == 1 else -pairing)
+    return Cochain(n, out_degree, 1, True, {key: (sums[key],) for key in sorted(sums)})
 
 
 def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[int, ...], int]]:
@@ -279,26 +293,22 @@ def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[
 
 def differential_matrix(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> Matrix:
     """Matrix of d: C^p -> C^(p+1) over the standard sparse bases."""
+    if p < 0:
+        raise ValueError("negative degree")
     value_dim = 1 if module is None else module.dim
+    if p >= l.dim:
+        return Matrix.zero(0, comb(l.dim, p) * value_dim)  # C^(p+1) = 0; nothing enumerated
     is_scalar = module is None
     domain = _basis_enumeration(l.dim, p, value_dim)
     codomain = _basis_enumeration(l.dim, p + 1, value_dim)
     index = {bk: r for r, bk in enumerate(codomain)}
     cols: list[list[Fraction]] = []
     for key, t in domain:
-        unit = Cochain(
-            l.dim,
-            p,
-            value_dim,
-            is_scalar,
-            {key: tuple(Fraction(1) if s == t else _ZERO for s in range(value_dim))},
-        )
-        image = differential(l, unit)
+        unit = Cochain(l.dim, p, value_dim, is_scalar, {key: unit_vector(value_dim, t)})
         col = [_ZERO] * len(codomain)
-        for out_key, value in image.values.items():
+        for out_key, value in differential(l, unit).values.items():
             for s, entry in enumerate(value):
-                if entry != 0:
-                    col[index[(out_key, s)]] = entry
+                col[index[(out_key, s)]] = entry
         cols.append(col)
     if not domain:
         return Matrix.zero(len(codomain), 0)
@@ -312,7 +322,7 @@ def cohomology_dim(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> in
     if p > l.dim:
         return 0  # C^p = 0; answered before any p-tuple is enumerated
     value_dim = 1 if module is None else module.dim
-    dim_cp = len(_basis_enumeration(l.dim, p, value_dim))
+    dim_cp = comb(l.dim, p) * value_dim
     rank_dp = rank(differential_matrix(l, module, p))
     rank_prev = rank(differential_matrix(l, module, p - 1)) if p > 0 else 0
     return dim_cp - rank_dp - rank_prev

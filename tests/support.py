@@ -12,8 +12,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from metriclie.catalog import (
+    BASE_BUILDERS,
     ENTRIES,
     base_algebra,
+    instantiate,
     module_for_tag,
 )
 from metriclie.cochain_complex import (
@@ -24,6 +26,7 @@ from metriclie.cochain_complex import (
     pair_values,
     wedge_pair,
 )
+from metriclie.double_construction import build_double
 from metriclie.exact_linalg import (
     Matrix,
     kernel_basis,
@@ -88,6 +91,39 @@ def seven_dim_two_step() -> LieAlgebra:
         },
         labels=("X1", "X2", "X3", "X4", "X5", "Y", "Z"),
     )
+
+
+# ---------------------------------------------------------------------------
+# random structure constant tables and the catalog algebras
+# ---------------------------------------------------------------------------
+
+
+def random_sparse_table(rg: random.Random, n: int) -> LieAlgebra:
+    """A random table: two-step nilpotent (so Jacobi holds) with probability
+    1/3, the same plus one arbitrary bracket with probability 1/3, and
+    arbitrary sparse brackets otherwise."""
+    kind = rg.randrange(3)
+    c = rg.randint(1, n - 2)  # the last c basis vectors span the center of a two-step table
+    table = {}
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if kind == 2 or j < n - c]
+    for i, j in rg.sample(pairs, rg.randint(0, len(pairs))):
+        support = range(n) if kind == 2 else range(n - c, n)
+        table[(i, j)] = tuple(
+            rational(rg) if t in support and rg.random() < 0.5 else Fraction(0) for t in range(n)
+        )
+    if kind == 1:
+        i, j = sorted(rg.sample(range(n), 2))
+        table[(i, j)] = tuple(rational(rg) for _ in range(n))
+    return LieAlgebra(n, table, validate=False)
+
+
+def catalog_algebras() -> list[LieAlgebra]:
+    """Every catalog base algebra and the double of every catalog entry."""
+    algebras = [base_algebra(name) for name in sorted(BASE_BUILDERS)]
+    for entry in ENTRIES:
+        params = {name: Fraction(1) for name in entry.params}
+        algebras.append(build_double(instantiate(entry, params)).algebra)
+    return algebras
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +231,54 @@ def catalog_pairs() -> list[tuple[str, LieAlgebra, OrthogonalModule | None]]:
         module = None if entry.module_tag == "none" else module_for_tag(entry.module_tag)
         out.append((f"{entry.base}/{entry.module_tag}", base_algebra(entry.base), module))
     return out
+
+
+# ---------------------------------------------------------------------------
+# dense reference kernels: every basis tuple, every slot split
+# ---------------------------------------------------------------------------
+
+
+def dense_differential(l: LieAlgebra, c: Cochain) -> Cochain:
+    """The differential evaluated on every increasing (p+1)-tuple of basis vectors."""
+    out_degree = c.degree + 1
+    values = {}
+    for key in combinations(range(l.dim), out_degree):
+        total = (Fraction(0),) * c.value_dim
+        for a in range(out_degree):
+            for b in range(a + 1, out_degree):
+                w = l.basis_bracket(key[a], key[b])
+                rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
+                term = linear_combination(w, lambda k: c.value_at((k,) + rest), c.value_dim)
+                if (a + b) % 2:
+                    term = _neg(term)
+                total = vec_add(total, term)
+        if not vec_is_zero(total):
+            values[key] = total
+    return Cochain(l.dim, out_degree, c.value_dim, c.scalar, values)
+
+
+def dense_pairing(gram: Matrix, u, v) -> Fraction:
+    """<u, v> summed over every entry of the Gram matrix."""
+    entries = (u[i] * gram.at(i, j) * v[j] for i in range(len(u)) for j in range(len(v)))
+    return sum(entries, Fraction(0))
+
+
+def dense_wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
+    """The wedge pairing summed over every (p, q)-split of every increasing tuple."""
+    p, q = c1.degree, c2.degree
+    values = {}
+    for key in combinations(range(c1.n), p + q):
+        total = Fraction(0)
+        for positions in combinations(range(p + q), p):
+            u = c1.values.get(tuple(key[s] for s in positions))
+            v = c2.values.get(tuple(key[s] for s in range(p + q) if s not in positions))
+            if u is None or v is None:
+                continue
+            sign = -1 if sum(positions) % 2 != (p * (p - 1) // 2) % 2 else 1
+            total += sign * dense_pairing(module.gram, u, v)
+        if total != 0:
+            values[key] = (total,)
+    return Cochain(c1.n, p + q, 1, True, values)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from metriclie.catalog import (
-    ENTRIES,
     FORM_TERMS,
     GAMMA0_TERMS,
     base_algebra,

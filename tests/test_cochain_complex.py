@@ -1,11 +1,14 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from metriclie import cochain_complex
 from metriclie.catalog import (
     FORM_TERMS,
     GAMMA0_TERMS,
     g41,
+    g64,
     g64_admissible_cocycle,
     heisenberg_line,
     module_for_tag,
@@ -25,13 +28,18 @@ from metriclie.cochain_complex import (
     pullback,
     wedge_pair,
 )
-from metriclie.exact_linalg import Matrix, unit_vector, vector
+from metriclie.exact_linalg import Matrix, rank, unit_vector
 from metriclie.lie_core import LieAlgebra, abelian
 
 from support import (
+    catalog_algebras,
+    dense_differential,
+    dense_pairing,
+    dense_wedge_pair,
     five_dim_three_step,
     pinned_expansion_failures,
     random_cochain,
+    random_sparse_table,
     rational,
     rng,
 )
@@ -189,6 +197,21 @@ def test_cohomology_vanishes_above_the_dimension():
     assert cohomology_dim(g41(), None, 10**12) == 0
 
 
+def test_differential_matrix_outside_the_complex_enumerates_nothing():
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="negative degree"):
+        differential_matrix(g64(), None, -1)
+    module = module_for_tag("r11w")
+    assert differential_matrix(g64(), None, 10**12) == Matrix.zero(0, 0)
+    assert differential_matrix(g64(), module, 10**12) == Matrix.zero(0, 0)
+    # C^6 of the 6-dimensional g64 is one copy of the values, C^7 is zero
+    assert differential_matrix(g64(), None, 6) == Matrix.zero(0, 1)
+    assert differential_matrix(g64(), module, 6) == Matrix.zero(0, 2)
+    d5 = differential_matrix(g64(), module, 5)
+    assert (d5.rows, d5.cols) == (2, 12)
+    assert time.monotonic() - start < 1.0
+
+
 def test_cohomology_invariant_under_basis_permutation():
     # same algebra presented on the reordered basis (X2, X1, Z, Y)
     neg_e2 = tuple(-c for c in unit_vector(4, 2))
@@ -272,3 +295,116 @@ def test_non_automorphism_is_detected():
     l = g41()
     s = Matrix.diagonal([1, 1, 1, 5])
     assert not is_lie_homomorphism(s, l, l)
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against the dense references in support.py
+# ---------------------------------------------------------------------------
+
+
+def random_gram(rg, m):
+    """A random nondegenerate symmetric form on Q^m."""
+    while True:
+        rows = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                if rg.random() < 0.6:
+                    rows[i][j] = rows[j][i] = rational(rg)
+        gram = Matrix.from_rows(rows)
+        if rank(gram) == m:
+            return gram
+
+
+@pytest.fixture(scope="module")
+def kernel_algebras():
+    """Random sparse tables (Lie or not), every catalog base and every double."""
+    rg = rng(5051)
+    return [random_sparse_table(rg, rg.randint(3, 7)) for _ in range(60)] + catalog_algebras()
+
+
+def assert_same(fast, dense):
+    assert fast == dense
+    assert list(fast.values) == list(dense.values)
+
+
+def test_differential_matches_the_dense_reference(kernel_algebras):
+    rg = rng(5052)
+    for l in kernel_algebras:
+        for degree in range(min(4, l.dim) + 1):
+            density = rg.choice((0.05, 0.3, 0.8))
+            c = random_cochain(rg, l.dim, degree, rg.randint(1, 4), density=density)
+            assert_same(differential(l, c), dense_differential(l, c))
+
+
+def test_wedge_pair_matches_the_dense_reference(kernel_algebras):
+    rg = rng(5053)
+    for l in kernel_algebras:
+        m = rg.randint(1, 4)
+        module = OrthogonalModule(random_gram(rg, m))
+        p = rg.randint(0, min(4, l.dim))
+        q = rg.randint(0, min(4, 5 - p, l.dim - p))
+        c1 = random_cochain(rg, l.dim, p, m, density=rg.choice((0.1, 0.5)))
+        c2 = random_cochain(rg, l.dim, q, m, density=rg.choice((0.1, 0.5)))
+        assert_same(wedge_pair(module, c1, c2), dense_wedge_pair(module, c1, c2))
+        for u in c1.values.values():
+            for v in c2.values.values():
+                assert pair_values(module.gram, u, v) == dense_pairing(module.gram, u, v)
+        if 2 * p <= l.dim:
+            assert_same(wedge_pair(module, c1, c1), dense_wedge_pair(module, c1, c1))
+
+
+def test_differential_of_an_empty_cochain_does_no_work(monkeypatch):
+    calls = []
+    sort_with_sign = cochain_complex.sort_with_sign
+    basis_bracket = LieAlgebra.basis_bracket
+
+    def counting_sort(indices):
+        calls.append(indices)
+        return sort_with_sign(indices)
+
+    def counting_bracket(self, i, j):
+        calls.append((i, j))
+        return basis_bracket(self, i, j)
+
+    h15 = LieAlgebra(15, {(i, 7 + i): unit_vector(15, 14) for i in range(7)})
+    cases = ((abelian(60), 2), (h15, 3))
+    monkeypatch.setattr(cochain_complex, "sort_with_sign", counting_sort)
+    monkeypatch.setattr(LieAlgebra, "basis_bracket", counting_bracket)
+    for l, degree in cases:
+        d = differential(l, Cochain.zero(l.dim, degree, 1, scalar=True))
+        assert d == Cochain.zero(l.dim, degree + 1, 1, scalar=True)
+    assert calls == []
+
+
+def test_wedge_pair_visits_only_pairs_of_stored_keys(monkeypatch):
+    probes = []
+
+    class Probed(dict):
+        def get(self, key, default=None):
+            probes.append(key)
+            return dict.get(self, key, default)
+
+        def __getitem__(self, key):
+            probes.append(key)
+            return dict.__getitem__(self, key)
+
+        def __contains__(self, key):
+            probes.append(key)
+            return dict.__contains__(self, key)
+
+    sort_with_sign = cochain_complex.sort_with_sign
+
+    def counting_sort(indices):
+        probes.append(indices)
+        return sort_with_sign(indices)
+
+    rg = rng(5054)
+    module = module_for_tag("r11w")
+    c1 = random_cochain(rg, 12, 2, 2, density=0.06)
+    c2 = random_cochain(rg, 12, 2, 2, density=0.06)
+    assert c1.values and c2.values
+    expected = dense_wedge_pair(module, c1, c2)
+    c1.values, c2.values = Probed(c1.values), Probed(c2.values)
+    monkeypatch.setattr(cochain_complex, "sort_with_sign", counting_sort)
+    assert wedge_pair(module, c1, c2) == expected
+    assert 0 < len(probes) <= len(c1.values) * len(c2.values)

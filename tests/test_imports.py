@@ -1,12 +1,17 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a module imports is used in that module.
+
+Checked over the package modules, the test files and the scripts.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "metriclie"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "metriclie"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:

@@ -6,15 +6,12 @@ import pytest
 from metriclie import lie_core
 from metriclie.catalog import (
     BASE_BUILDERS,
-    ENTRIES,
     base_algebra,
     g41,
     g52,
     g64,
     heisenberg,
-    instantiate,
 )
-from metriclie.double_construction import build_double
 from metriclie.exact_linalg import Matrix, kernel_basis, unit_vector, vector
 from metriclie.lie_core import (
     JacobiError,
@@ -33,7 +30,7 @@ from metriclie.lie_core import (
     validate_jacobi,
 )
 
-from support import rational, rng
+from support import catalog_algebras, random_sparse_table, rational, rng
 
 
 def test_construction_validates_jacobi_eagerly():
@@ -177,17 +174,8 @@ def test_jacobi_holds_for_random_vectors():
         assert total == (Fraction(0),) * 6
 
 
-def _catalog_algebras():
-    """Every catalog base algebra and the double of every catalog entry."""
-    algebras = [base_algebra(name) for name in sorted(BASE_BUILDERS)]
-    for entry in ENTRIES:
-        params = {name: Fraction(1) for name in entry.params}
-        algebras.append(build_double(instantiate(entry, params)).algebra)
-    return algebras
-
-
 def test_cached_series_and_center_match_a_fresh_computation():
-    for l in _catalog_algebras():
+    for l in catalog_algebras():
         series, center_space = lower_central_series(l), center(l)
         assert lower_central_series(l) is series and center(l) is center_space
         fresh = LieAlgebra(l.dim, dict(l.brackets), labels=l.labels, validate=False)
@@ -197,7 +185,7 @@ def test_cached_series_and_center_match_a_fresh_computation():
 
 
 def test_basis_bracket_is_antisymmetric_on_all_pairs():
-    for l in _catalog_algebras():
+    for l in catalog_algebras():
         for i in range(l.dim):
             assert l.basis_bracket(i, i) == (Fraction(0),) * l.dim
             for j in range(l.dim):
@@ -239,30 +227,11 @@ def _brute_force_jacobi(l):
     return JacobiReport(ok=True)
 
 
-def _random_sparse_table(rg, n):
-    """A random table: two-step nilpotent (so Jacobi holds) with probability
-    1/3, the same plus one arbitrary bracket with probability 1/3, and
-    arbitrary sparse brackets otherwise."""
-    kind = rg.randrange(3)
-    c = rg.randint(1, n - 2)  # the last c basis vectors span the center of a two-step table
-    table = {}
-    pairs = [(i, j) for i, j in combinations(range(n), 2) if kind == 2 or j < n - c]
-    for i, j in rg.sample(pairs, rg.randint(0, len(pairs))):
-        support = range(n) if kind == 2 else range(n - c, n)
-        table[(i, j)] = tuple(
-            rational(rg) if t in support and rg.random() < 0.5 else Fraction(0) for t in range(n)
-        )
-    if kind == 1:
-        i, j = sorted(rg.sample(range(n), 2))
-        table[(i, j)] = tuple(rational(rg) for _ in range(n))
-    return LieAlgebra(n, table, validate=False)
-
-
 def test_validate_jacobi_matches_a_brute_force_scan():
     rg = rng(2027)
     verdicts = set()
     for _ in range(300):
-        l = _random_sparse_table(rg, rg.randint(3, 7))
+        l = random_sparse_table(rg, rg.randint(3, 7))
         report = validate_jacobi(l)
         assert report == _brute_force_jacobi(l)
         verdicts.add(report.ok)
@@ -290,8 +259,8 @@ def test_validate_jacobi_visits_no_triple_of_an_abelian_algebra(monkeypatch):
 def reference_algebras():
     """Random sparse tables (Lie or not), every catalog base and every double."""
     rg = rng(3031)
-    tables = [_random_sparse_table(rg, rg.randint(3, 7)) for _ in range(150)]
-    return tables + _catalog_algebras()
+    tables = [random_sparse_table(rg, rg.randint(3, 7)) for _ in range(150)]
+    return tables + catalog_algebras()
 
 
 def _dense_ad(l, i, w):
