@@ -3,7 +3,14 @@
 Exit codes: 0 when the command succeeds and any verdict is positive,
 1 when the mathematics fails (invalid bracket, broken cocycle identity,
 inadmissible cocycle, metric axiom violation), 2 when a document or an
-argument does not parse.
+argument does not parse or an input is over a size limit.
+
+The size limits are checked before any work that grows with them starts:
+``verify``, ``admissible`` and ``double`` build dense subspaces of the
+algebra, so they take algebras of dimension at most ``MAX_DIM``;
+``cohomology`` builds the dense matrices of d_(p-1) and d_p, so it takes
+degrees whose two matrices have at most ``MAX_COHOMOLOGY_CELLS`` entries
+together.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import os
 import sys
 from fractions import Fraction
 from importlib import resources
+from math import comb
 from pathlib import Path
 from typing import Sequence
 
@@ -46,6 +54,9 @@ DATA_ENV = "METRICLIE_DATA"
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_SCHEMA = 2
+
+MAX_DIM = 64
+MAX_COHOMOLOGY_CELLS = 2_000_000
 
 
 class MathFailure(Exception):
@@ -104,6 +115,15 @@ def report(command: str, **fields) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def bounded(algebra: LieAlgebra) -> LieAlgebra:
+    """The algebra itself, if its dimension is within ``MAX_DIM``."""
+    if algebra.dim > MAX_DIM:
+        raise SchemaError(
+            f"algebra dimension {algebra.dim} is over the limit MAX_DIM = {MAX_DIM}"
+        )
+    return algebra
+
+
 def checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
     outcome = validate_jacobi(algebra)
     if not outcome.ok:
@@ -143,7 +163,7 @@ def assemble_cocycle(
         raise SchemaError(
             "cocycle document has no module context; pass --module or embed one"
         )
-    algebra = checked_algebra(algebra)
+    algebra = checked_algebra(bounded(algebra))
     module = checked_module(parsed_module)
     alpha, gamma = schema.assemble_cochains(parsed, algebra, module)
     try:
@@ -184,7 +204,7 @@ def admissibility_payload(rep: AdmissibilityReport) -> dict:
 def cmd_verify(args: argparse.Namespace) -> int:
     kind, parsed = load_document(args.document)
     if kind == "lie_algebra":
-        algebra = checked_algebra(parsed)
+        algebra = checked_algebra(bounded(parsed))
         _, profile = lower_central_series(algebra)
         emit(
             report(
@@ -221,6 +241,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
     if kind == "metric_lie_algebra":
+        bounded(parsed.algebra)
         provenance = None
         if parsed.provenance is not None:
             provenance = assemble_cocycle(parsed.provenance, None, None)
@@ -294,6 +315,13 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
         module = checked_module(load_kind(args.module, "module"))
     if args.degree < 0:
         raise SchemaError("--degree must be nonnegative")
+    n, m, p = algebra.dim, 1 if module is None else module.dim, args.degree
+    cells = sum(comb(n, q) * m * comb(n, q + 1) * m for q in (p - 1, p) if q >= 0)
+    if cells > MAX_COHOMOLOGY_CELLS:
+        raise SchemaError(
+            f"the differential matrices of degree {p} have {cells} entries, over the "
+            f"limit MAX_COHOMOLOGY_CELLS = {MAX_COHOMOLOGY_CELLS}"
+        )
     dim = cohomology_dim(algebra, module, args.degree)
     emit(
         report(

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .exact_linalg import (
     Matrix,
@@ -81,7 +82,7 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None
     return tuple(idx), sign
 
 
-@dataclass
+@dataclass(frozen=True)
 class Cochain:
     """A sparse alternating form with vector values.
 
@@ -89,13 +90,14 @@ class Cochain:
     of each stored value, and ``scalar`` marks forms with values in the ground
     field rather than in a module (relevant for serialization and pullbacks).
     Keys are strictly increasing tuples; zero values are never stored.
+    Cochains are immutable: ``values`` is a read-only mapping.
     """
 
     n: int
     degree: int
     value_dim: int
     scalar: bool = False
-    values: dict[tuple[int, ...], Vector] = field(default_factory=dict)
+    values: Mapping[tuple[int, ...], Vector] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.degree < 0:
@@ -110,12 +112,13 @@ class Cochain:
                 raise ValueError("key %s out of range" % (key,))
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError("key %s is not strictly increasing" % (key,))
-            v = vector(value)
-            if len(v) != self.value_dim:
+            if type(value) is not tuple or not all(type(x) is Fraction for x in value):
+                value = vector(value)
+            if len(value) != self.value_dim:
                 raise ValueError("value for %s has wrong length" % (key,))
-            if not vec_is_zero(v):
-                clean[key] = v
-        self.values = clean
+            if not vec_is_zero(value):
+                clean[key] = value
+        object.__setattr__(self, "values", MappingProxyType(clean))
 
     @staticmethod
     def zero(n: int, degree: int, value_dim: int, scalar: bool = False) -> "Cochain":
@@ -139,15 +142,6 @@ class Cochain:
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        return (
-            (self.n, self.degree, self.value_dim, self.scalar)
-            == (other.n, other.degree, other.value_dim, other.scalar)
-            and self.values == other.values
-        )
 
     def scale(self, c: Fraction | int) -> "Cochain":
         c = Fraction(c)

@@ -40,9 +40,9 @@ from .quadratic_cohomology import ConsistencyError, QuadraticCocycle
 _ZERO = Fraction(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricLieAlgebra:
-    """A Lie algebra with an invariant nondegenerate symmetric form.
+    """An immutable Lie algebra with an invariant nondegenerate symmetric form.
 
     ``provenance`` is the quadratic cocycle the algebra was built from as a
     double, if any.
@@ -174,13 +174,12 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     for i in range(n):
         # pairing[j, k] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[k, j]
         pairing: dict[tuple[int, int], Fraction] = {}
-        for k, v in g.algebra.row(i).items():
-            for t, c in enumerate(v):
-                if c:
-                    for j, x in support[t]:
-                        key = (j, k)
-                        term = x * c
-                        pairing[key] = pairing[key] + term if key in pairing else term
+        for k, pairs in g.algebra.row(i).items():
+            for t, c in pairs:
+                for j, x in support[t]:
+                    key = (j, k)
+                    term = x * c
+                    pairing[key] = pairing[key] + term if key in pairing else term
         for j, k in sorted({(min(key), max(key)) for key in pairing}):
             if pairing.get((j, k), 0) + pairing.get((k, j), 0) != 0:
                 return "fails at triple (%d, %d, %d)" % (i, j, k)

@@ -1,17 +1,20 @@
 """Exact rational linear algebra primitives.
 
 Vectors are tuples of :class:`fractions.Fraction` and matrices are immutable
-row-major grids of the same.  Every elimination uses deterministic pivoting
-(first nonzero column, smallest row index), so ranks, kernels, solution sets
-and signatures are reproducible bit for bit.  No floating point appears
-anywhere in this package.
+row-major grids of the same.  Row reduction runs over sparse rows that hold
+only their nonzero entries, and returns the reduced row echelon form.  That
+form is unique for a given row space, so ranks, kernels, solution sets and
+echelon bases do not depend on the order in which rows are eliminated and
+are reproducible bit for bit.  Determinants and signatures scan for pivots
+in a fixed order (first nonzero column, smallest row index).  No floating
+point appears anywhere in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -184,43 +187,80 @@ class Matrix:
             raise ValueError("matrix shape mismatch")
 
 
+def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+    """The nonzero rows of the reduced row echelon form of the span of ``rows``.
+
+    Rows are sparse maps ``{column: nonzero entry}``; they are consumed (the
+    maps are modified in place).  Each incoming row is reduced by the pivot
+    rows found so far, normalized at its first nonzero column and subtracted
+    from the earlier pivot rows, so the pivot rows stay reduced against each
+    other and only stored entries are touched.  Returns ``(pivot, row)`` pairs
+    sorted by pivot column, each row with a 1 at its pivot.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        for p in [c for c in row if c in pivots]:
+            _axpy(row, -row.pop(p), pivots[p], p)
+        if not row:
+            continue
+        c = min(row)
+        pv = row[c]
+        if pv != 1:
+            row = {j: x / pv for j, x in row.items()}
+        for other in pivots.values():
+            f = other.pop(c, None)
+            if f is not None:
+                _axpy(other, -f, row, c)
+        pivots[c] = row
+    return sorted(pivots.items())
+
+
+def _axpy(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction], skip: int) -> None:
+    """target += f * source on every column but ``skip``, dropping zeros."""
+    for j, x in source.items():
+        if j != skip:
+            y = target.get(j)
+            if y is None:
+                target[j] = f * x
+            else:
+                y += f * x
+                if y:
+                    target[j] = y
+                else:
+                    del target[j]
+
+
+def _sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
+    cols = m.cols
+    e = m.entries
+    return [{j: x for j, x in enumerate(e[i * cols : (i + 1) * cols]) if x} for i in range(m.rows)]
+
+
+def _dense(row: dict[int, Fraction], length: int) -> Vector:
+    out = [_ZERO] * length
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the tuple of pivot columns.
 
-    Pivot selection is deterministic: scan columns left to right, take the
-    first row (top to bottom) with a nonzero entry.
+    The reduced row echelon form of a matrix is unique: it depends only on
+    the row space, not on the order in which rows are eliminated.  So the
+    result is reproducible bit for bit, although the elimination visits the
+    rows in input order and only their nonzero entries.
     """
-    rows = m.to_rows()
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
-        support = [(j, x) for j, x in enumerate(rows[r]) if x != 0]
-        for i in range(m.rows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                target = rows[i]
-                for j, x in support:
-                    target[j] -= f * x
-        pivots.append(c)
-        r += 1
-    return Matrix.from_rows(rows, cols=m.cols), tuple(pivots)
+    reduced = _reduce(_sparse_rows(m))
+    entries: list[Fraction] = []
+    for _, row in reduced:
+        entries.extend(_dense(row, m.cols))
+    entries.extend((_ZERO,) * ((m.rows - len(reduced)) * m.cols))
+    return Matrix(m.rows, m.cols, tuple(entries)), tuple(p for p, _ in reduced)
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
+    return len(_reduce(_sparse_rows(m)))
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
@@ -230,23 +270,19 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     coordinate is set to 1, pivot coordinates are filled by back substitution,
     remaining free coordinates are 0.
     """
-    reduced, pivots = rref(m)
-    return _kernel_from_rref(reduced, pivots, m.cols)
+    return [_dense(v, m.cols) for v in _kernel(_reduce(_sparse_rows(m)), m.cols)]
 
 
-def _kernel_from_rref(reduced: Matrix, pivots: tuple[int, ...], cols: int) -> list[Vector]:
-    """The kernel basis of :func:`kernel_basis`, read off the first ``cols``
-    columns of a reduced echelon form whose pivots all lie among them."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(cols) if c not in pivot_set]
-    basis: list[Vector] = []
-    for f in free_cols:
-        v = [_ZERO] * cols
-        v[f] = _ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced.at(r, f)
-        basis.append(tuple(v))
-    return basis
+def _kernel(reduced: list[tuple[int, dict[int, Fraction]]], cols: int) -> list[dict[int, Fraction]]:
+    """The kernel basis of :func:`kernel_basis` as sparse rows, read off the
+    first ``cols`` columns of reduced rows whose pivots all lie among them."""
+    pivot_set = {p for p, _ in reduced}
+    basis = {f: {f: _ONE} for f in range(cols) if f not in pivot_set}
+    for p, row in reduced:
+        for j, x in row.items():
+            if j != p and j < cols:
+                basis[j][p] = -x
+    return list(basis.values())
 
 
 def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
@@ -259,16 +295,17 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length mismatch")
-    augmented = Matrix(a.rows, a.cols + 1, tuple(
-        a.at(i, j) if j < a.cols else b[i] for i in range(a.rows) for j in range(a.cols + 1)
-    ))
-    reduced, pivots = rref(augmented)
-    if a.cols in pivots:
+    rows = _sparse_rows(a)
+    for row, x in zip(rows, b):
+        if x:
+            row[a.cols] = x
+    reduced = _reduce(rows)
+    if reduced and reduced[-1][0] == a.cols:
         return None
     particular = [_ZERO] * a.cols
-    for r, p in enumerate(pivots):
-        particular[p] = reduced.at(r, a.cols)
-    return tuple(particular), _kernel_from_rref(reduced, pivots, a.cols)
+    for p, row in reduced:
+        particular[p] = row.get(a.cols, _ZERO)
+    return tuple(particular), [_dense(v, a.cols) for v in _kernel(reduced, a.cols)]
 
 
 def det(m: Matrix) -> Fraction:
@@ -373,14 +410,15 @@ def signature_of(gram: Matrix) -> Signature:
 
 def echelon_basis(vectors: Iterable[Vector], ambient_dim: int) -> tuple[Vector, ...]:
     """Canonical (reduced echelon) basis of the span of ``vectors``."""
-    vecs = [v for v in vectors if not vec_is_zero(v)]
-    for v in vecs:
-        if len(v) != ambient_dim:
+    return tuple(_dense(row, ambient_dim) for _, row in _reduce(_sparse_vectors(vectors, ambient_dim)))
+
+
+def _sparse_vectors(vectors: Iterable[Vector], ambient_dim: int) -> Iterator[dict[int, Fraction]]:
+    for v in vectors:
+        row = {j: x for j, x in enumerate(v) if x}
+        if row and len(v) != ambient_dim:
             raise ValueError("vector length %d does not match ambient %d" % (len(v), ambient_dim))
-    if not vecs:
-        return ()
-    reduced, pivots = rref(Matrix.from_rows(vecs, cols=ambient_dim))
-    return tuple(reduced.row(i) for i in range(len(pivots)))
+        yield row
 
 
 def gram_on_span(gram: Matrix, basis: Sequence[Vector]) -> Matrix:

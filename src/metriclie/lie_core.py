@@ -3,8 +3,9 @@
 A Lie algebra is stored through its antisymmetric structure constants: a
 sparse map from index pairs ``(i, j)`` with ``i < j`` to the coordinate
 vector of ``[e_i, e_j]``.  The nonzero brackets are also kept row by row,
-so that ``[e_i, w]`` touches only the stored brackets of ``e_i``.  The
-Jacobi identity is checked eagerly on construction; a constructor flag
+each as its nonzero ``(t, c)`` pairs, so that ``[e_i, w]``, the Jacobi
+check, the lower central series and the center touch only stored entries.
+The Jacobi identity is checked eagerly on construction; a constructor flag
 disables the check so that tests can build deliberately broken tables.
 
 :class:`LieAlgebra` is immutable, so the lower central series and the center
@@ -14,13 +15,17 @@ are computed at most once per instance and then reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (
     Matrix,
     Vector,
+    _dense,
+    _kernel,
+    _reduce,
     echelon_basis,
     kernel_basis,
     linear_combination,
@@ -32,6 +37,9 @@ from .exact_linalg import (
     vector,
     zero_vector,
 )
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class JacobiError(ValueError):
@@ -64,7 +72,12 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace.span(ambient_dim, [unit_vector(ambient_dim, i) for i in range(ambient_dim)])
+        return Subspace(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+
+    @staticmethod
+    def from_reduced(ambient_dim: int, reduced: list[tuple[int, dict[int, Fraction]]]) -> "Subspace":
+        """The subspace spanned by sparse reduced echelon rows (pivot, row)."""
+        return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for _, row in reduced))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -74,12 +87,16 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis vector (its first nonzero entry)."""
+        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+
     def coords(self, v: Vector) -> Vector | None:
         """Coordinates of ``v`` in the echelon basis, or None if outside."""
         if len(v) != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
-        coeffs = tuple(v[p] for p in pivots)
+        coeffs = tuple(v[p] for p in self._pivots)
         residual = vec_sub(v, linear_combination(coeffs, self.basis.__getitem__, len(v)))
         if not vec_is_zero(residual):
             return None
@@ -119,9 +136,9 @@ class LieAlgebra:
 
     Instances are immutable: ``brackets`` (keys ``i < j``) is a read-only
     mapping and ``dim`` and ``labels`` cannot be reassigned.  Beside it,
-    ``_rows[i]`` maps each ``j`` with a nonzero ``[e_i, e_j]`` to that
-    bracket, in both orientations, so that :meth:`basis_bracket` is one
-    lookup and :meth:`ad` sums over the stored brackets of ``e_i`` only.
+    ``_rows[i]`` maps each ``j`` with a nonzero ``[e_i, e_j]`` to the
+    nonzero ``(t, c)`` pairs of that bracket, in both orientations, so that
+    :meth:`ad` sums over the stored entries of the brackets of ``e_i`` only.
     """
 
     __slots__ = ("_dim", "_labels", "_brackets", "_rows", "_zero", "_hash", "_series", "_center")
@@ -142,16 +159,18 @@ class LieAlgebra:
             if len(labels) != dim:
                 raise ValueError("expected %d labels, got %d" % (dim, len(labels)))
         table: dict[tuple[int, int], Vector] = {}
-        rows: list[dict[int, Vector]] = [{} for _ in range(dim)]
+        rows: list[dict[int, tuple[tuple[int, Fraction], ...]]] = [{} for _ in range(dim)]
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
             v = vector(value)
             if len(v) != dim:
                 raise ValueError("bracket value for (%d, %d) has wrong length" % (i, j))
-            if not vec_is_zero(v):
-                table[(i, j)] = rows[i][j] = v
-                rows[j][i] = tuple(-c for c in v)
+            pairs = tuple((t, c) for t, c in enumerate(v) if c)
+            if pairs:
+                table[(i, j)] = v
+                rows[i][j] = pairs
+                rows[j][i] = tuple((t, -c) for t, c in pairs)
         self._dim = dim
         self._labels = labels
         self._brackets = MappingProxyType(table)
@@ -199,16 +218,25 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for arbitrary basis indices."""
-        return self._rows[i].get(j, self._zero)
+        if i > j:
+            v = self._brackets.get((j, i))
+            return self._zero if v is None else tuple(-c for c in v)
+        return self._brackets.get((i, j), self._zero)
 
-    def row(self, i: int) -> Mapping[int, Vector]:
-        """The nonzero brackets [e_i, e_j] of e_i, keyed by j (read-only)."""
+    def row(self, i: int) -> Mapping[int, tuple[tuple[int, Fraction], ...]]:
+        """The nonzero brackets [e_i, e_j] of e_i as their nonzero ``(t, c)``
+        pairs (c the e_t coordinate), keyed by j (read-only)."""
         return MappingProxyType(self._rows[i])
 
     def ad(self, i: int, w: Vector) -> Vector:
-        """[e_i, w], summed over the nonzero brackets of e_i only."""
-        row = self._rows[i]
-        return linear_combination([w[j] for j in row], list(row.values()).__getitem__, self._dim)
+        """[e_i, w], summed over the stored entries of the brackets of e_i only."""
+        out = [_ZERO] * self._dim
+        for j, pairs in self._rows[i].items():
+            x = w[j]
+            if x:
+                for t, c in pairs:
+                    out[t] += x * c
+        return tuple(out)
 
 
 def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
@@ -231,10 +259,11 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     """Check the Jacobi identity on basis triples i < j < k, in lexicographic order.
 
     Only triples in which some pair has a stored bracket are visited: on the
-    others all three terms vanish, so an abelian algebra visits none.
+    others all three terms vanish, so an abelian algebra visits none.  Each
+    term [e_a, [e_b, e_c]] is summed over the stored entries of the brackets.
     """
     n = l.dim
-    bb = l.basis_bracket
+    rows = l._rows
     triples = sorted(
         {
             (a, b, c) if b < c else (a, c, b) if a < c else (c, a, b)
@@ -245,14 +274,15 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     )
     for outer in triples:
         i, j, k = outer
-        # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]] as one sparse sum
-        defect = linear_combination(
-            bb(j, k) + bb(k, i) + bb(i, j),
-            lambda s: bb(outer[s // n], s % n),
-            n,
-        )
-        if not vec_is_zero(defect):
-            return JacobiReport(ok=False, triple=outer, defect=defect)
+        # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
+        defect: dict[int, Fraction] = {}
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            row_a = rows[a]
+            for t, x in rows[b].get(c, ()):
+                for u, y in row_a.get(t, ()):
+                    defect[u] = defect.get(u, _ZERO) + x * y
+        if any(defect.values()):
+            return JacobiReport(ok=False, triple=outer, defect=_dense(defect, n))
     return JacobiReport(ok=True)
 
 
@@ -269,19 +299,36 @@ def lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPro
 
 
 def _lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesProfile]:
-    current = Subspace.full(l.dim)
-    chain = [current]
-    dims = [current.dim]
+    n = l.dim
+    # e_i without a stored bracket adds only zero generators
+    rows = [row for row in l._rows if row]
+    current = [{i: _ONE} for i in range(n)]  # reduced echelon rows of l
+    chain = [Subspace.full(n)]
+    dims = [n]
     while dims[-1] > 0:
-        # e_i without a stored bracket adds only zero generators
-        generators = [l.ad(i, w) for i, row in enumerate(l._rows) if row for w in current.basis]
-        nxt = Subspace.span(l.dim, generators)
-        chain.append(nxt)
-        dims.append(nxt.dim)
-        if nxt.dim == current.dim:
+        reduced = _reduce(_ad_images(rows, current))
+        chain.append(Subspace.from_reduced(n, reduced))
+        dims.append(len(reduced))
+        if dims[-1] == dims[-2]:
             break  # stabilized, not nilpotent
-        current = nxt
+        current = [r for _, r in reduced]
     return tuple(chain), SeriesProfile(tuple(dims))
+
+
+def _ad_images(
+    rows: list[dict[int, tuple[tuple[int, Fraction], ...]]], basis: list[dict[int, Fraction]]
+) -> Iterator[dict[int, Fraction]]:
+    """The nonzero [e_i, w] for the stored rows of e_i and the sparse w in
+    ``basis``, as fresh sparse rows."""
+    for row in rows:
+        for w in basis:
+            image: dict[int, Fraction] = {}
+            for j, x in w.items():
+                for t, c in row.get(j, ()):
+                    image[t] = image.get(t, _ZERO) + x * c
+            image = {t: y for t, y in image.items() if y}
+            if image:
+                yield image
 
 
 def is_nilpotent(l: LieAlgebra) -> bool:
@@ -299,13 +346,13 @@ def center(l: LieAlgebra) -> Subspace:
 def _center(l: LieAlgebra) -> Subspace:
     # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
     n = l.dim
-    rows: dict[tuple[int, int], list[Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, brackets in enumerate(l._rows):
-        for j, v in brackets.items():
-            for t, c in enumerate(v):
-                if c:
-                    rows.setdefault((i, t), [Fraction(0)] * n)[j] = c
-    return Subspace.span(n, kernel_basis(Matrix.from_rows(list(rows.values()), cols=n)))
+        for j, pairs in brackets.items():
+            for t, c in pairs:
+                rows.setdefault((i, t), {})[j] = c
+    kernel = _kernel(_reduce(rows.values()), n)
+    return Subspace.from_reduced(n, _reduce(kernel))
 
 
 def nilpotency_index(l: LieAlgebra) -> int:

@@ -240,7 +240,8 @@ def _condition_a(
             gamma_iw = linear_combination(
                 w, lambda t: tuple(z.gamma.value_at((i, s, t))[0] for s in range(n)), n
             )
-            row = [sum((x * y for x, y in zip(b, gamma_iw)), Fraction(0)) for b in stage.basis]
+            support = [(s, y) for s, y in enumerate(gamma_iw) if y]
+            row = [sum((b[s] * y for s, y in support), Fraction(0)) for b in stage.basis]
             alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
             row += list(module.gram.apply(alpha_iw))
             coords = series_term.coords(l.ad(i, w))

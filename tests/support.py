@@ -17,6 +17,7 @@ from metriclie.catalog import (
     base_algebra,
     instantiate,
     module_for_tag,
+    orthonormal_module,
 )
 from metriclie.cochain_complex import (
     Cochain,
@@ -26,7 +27,7 @@ from metriclie.cochain_complex import (
     pair_values,
     wedge_pair,
 )
-from metriclie.double_construction import build_double
+from metriclie.double_construction import MetricLieAlgebra, build_double
 from metriclie.exact_linalg import (
     Matrix,
     kernel_basis,
@@ -37,7 +38,7 @@ from metriclie.exact_linalg import (
     vec_is_zero,
 )
 from metriclie.lie_core import LieAlgebra
-from metriclie.quadratic_cohomology import QuadraticCochain, QuadraticCocycle
+from metriclie.quadratic_cohomology import QuadraticCochain, QuadraticCocycle, zero_cocycle
 
 
 def rng(seed: int) -> random.Random:
@@ -124,6 +125,19 @@ def catalog_algebras() -> list[LieAlgebra]:
         params = {name: Fraction(1) for name in entry.params}
         algebras.append(build_double(instantiate(entry, params)).algebra)
     return algebras
+
+
+def scale_doubles() -> dict[str, MetricLieAlgebra]:
+    """The doubles of the benchmark's scale workload: the zero cocycle on
+    h_15 ([X_i, Y_i] = Z) and on the standard filiform algebra of dimension
+    12 ([X1, X_i] = X_(i+1)), with the module diag(1, 1)."""
+    h15 = LieAlgebra(15, {(i, 7 + i): unit_vector(15, 14) for i in range(7)})
+    fil12 = LieAlgebra(12, {(0, i): unit_vector(12, i + 1) for i in range(1, 11)})
+    module = orthonormal_module([1, 1])
+    return {
+        "T*h_15": build_double(zero_cocycle(h15, module)),
+        "T*fil_12": build_double(zero_cocycle(fil12, module)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +293,95 @@ def dense_wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Coch
         if total != 0:
             values[key] = (total,)
     return Cochain(c1.n, p + q, 1, True, values)
+
+
+def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form by a dense column scan: for each column, left
+    to right, the first remaining row with a nonzero entry becomes the pivot."""
+    rows = m.to_rows()
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.cols):
+        if r == m.rows:
+            break
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return Matrix.from_rows(rows, cols=m.cols), tuple(pivots)
+
+
+def dense_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
+    """One kernel vector per free column of ``dense_rref(m)``."""
+    reduced, pivots = dense_rref(m)
+    basis = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -reduced.at(r, f)
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_solve_affine(a: Matrix, b) -> tuple[tuple[Fraction, ...], list] | None:
+    """Particular solution (free variables 0) and kernel, from ``dense_rref(a)``
+    and ``dense_rref([a | b])``; None when the system is inconsistent."""
+    augmented = Matrix.from_rows([list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
+    reduced, pivots = dense_rref(augmented)
+    if a.cols in pivots:
+        return None
+    particular = [Fraction(0)] * a.cols
+    for r, p in enumerate(pivots):
+        particular[p] = reduced.at(r, a.cols)
+    return tuple(particular), dense_kernel(a)
+
+
+def random_elimination_case(rg: random.Random) -> Matrix:
+    """A random matrix for the elimination: 0 x n, n x 0, tall, wide or square;
+    sparse or dense; with zero rows, duplicate (or scaled) rows, non-unit
+    pivots and rank-deficient blocks."""
+    shape = rg.randrange(8)
+    if shape == 0:
+        rows, cols = 0, rg.randint(0, 6)
+    elif shape == 1:
+        rows, cols = rg.randint(1, 6), 0
+    else:
+        rows, cols = rg.randint(1, 9), rg.randint(1, 9)
+    density = rg.choice((0.15, 0.4, 0.8))
+
+    def entry():
+        return rational(rg, 5, 4) if rg.random() < density else Fraction(0)
+
+    if rows and cols and rg.random() < 0.35:
+        # a rank-deficient block (a product through k < min(rows, cols)) inside zeros
+        k = rg.randint(0, min(rows, cols) - 1)
+        left = [[entry() for _ in range(k)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(k)]
+        grid = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(cols)]
+                for i in range(rows)]
+        c0 = rg.randrange(cols)
+        for row in grid:
+            for j in range(c0):
+                row[j] = Fraction(0)
+    else:
+        grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        roll = rg.random()
+        if roll < 0.1:
+            grid[i] = [Fraction(0)] * cols
+        elif roll < 0.25 and i:
+            factor = rg.choice((Fraction(1), Fraction(-1), rational(rg, 3, 2) or Fraction(2)))
+            grid[i] = [factor * x for x in grid[rg.randrange(i)]]
+    return Matrix.from_rows(grid, cols=cols)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import time
 from fractions import Fraction
+from math import comb
 
 from metriclie import catalog as cat
 from metriclie import cli, schema
@@ -10,6 +11,7 @@ from metriclie.quadratic_cohomology import check_admissible
 from metriclie.schema import algebra_to_payload, module_to_payload
 
 from support import five_dim_three_step, random_valid_cocycle, rng
+from test_golden import golden_commands
 
 
 def run(capsys, *argv):
@@ -219,6 +221,51 @@ def test_cohomology_above_the_dimension_is_zero_without_enumerating(capsys):
     code, doc = run(capsys, "cohomology", "algebras/g64.json", "--degree", str(10**12))
     assert time.monotonic() - start < 1.0
     assert code == 0 and doc["payload"]["dim"] == 0
+
+
+def test_inputs_over_the_size_limits_exit_2_at_once(tmp_path, capsys):
+    big = write_doc(tmp_path, "ab10000.json", schema.wrap("lie_algebra", {"dim": 10_000, "brackets": []}))
+    wide = write_doc(tmp_path, "ab400.json", schema.wrap("lie_algebra", {"dim": 400, "brackets": []}))
+    n = cli.MAX_DIM + 1
+    cocycle = write_doc(tmp_path, "zero.json", schema.wrap("cocycle", {
+        "alpha": [],
+        "gamma": [],
+        "algebra": {"dim": n, "brackets": []},
+        "module": {"dim": 1, "gram": [["1"]]},
+    }))
+    identity = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    metric = write_doc(tmp_path, "flat.json", schema.wrap("metric_lie_algebra", {
+        "algebra": {"dim": n, "brackets": []},
+        "gram": identity,
+    }))
+    cases = [
+        (("verify", big), "MAX_DIM"),
+        (("cohomology", wide, "--degree", "2"), "MAX_COHOMOLOGY_CELLS"),
+        (("verify", metric), "MAX_DIM"),
+        (("admissible", cocycle), "MAX_DIM"),
+        (("double", cocycle), "MAX_DIM"),
+    ]
+    for argv, limit in cases:
+        start = time.monotonic()
+        code, doc = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 2, argv
+        assert doc["kind"] == "report" and doc["payload"]["ok"] is False
+        assert limit in doc["payload"]["error"], argv
+
+
+def test_bundled_documents_and_golden_commands_are_within_the_limits():
+    # with a margin of 2 on the dimension and of 100 on the cells
+    for argv in golden_commands():
+        if argv[0] == "catalog":
+            continue
+        kind, parsed = cli.load_document(argv[1])
+        algebra = parsed if kind == "lie_algebra" else getattr(parsed, "algebra", None)
+        assert algebra is None or 2 * algebra.dim <= cli.MAX_DIM, argv
+        if argv[0] == "cohomology":
+            n, p = algebra.dim, int(argv[3])
+            cells = sum(comb(n, q) * comb(n, q + 1) for q in (p - 1, p) if q >= 0)
+            assert 100 * cells <= cli.MAX_COHOMOLOGY_CELLS, argv
 
 
 def test_module_document_with_action_key_is_schema_error(tmp_path, capsys):

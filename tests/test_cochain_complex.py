@@ -1,3 +1,4 @@
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -404,7 +405,41 @@ def test_wedge_pair_visits_only_pairs_of_stored_keys(monkeypatch):
     c2 = random_cochain(rg, 12, 2, 2, density=0.06)
     assert c1.values and c2.values
     expected = dense_wedge_pair(module, c1, c2)
-    c1.values, c2.values = Probed(c1.values), Probed(c2.values)
+    for c in (c1, c2):  # Cochain is frozen: install the probes past its __setattr__
+        object.__setattr__(c, "values", Probed(c.values))
     monkeypatch.setattr(cochain_complex, "sort_with_sign", counting_sort)
     assert wedge_pair(module, c1, c2) == expected
     assert 0 < len(probes) <= len(c1.values) * len(c2.values)
+
+
+def test_cochain_is_immutable():
+    c = Cochain(4, 2, 2, False, {(0, 1): (1, 2)})
+    with pytest.raises(TypeError):
+        c.values[(0, 1)] = (Fraction(5), Fraction(5))
+    with pytest.raises(TypeError):
+        c.values[(2, 3)] = (Fraction(1), Fraction(0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.values = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.degree = 3
+    assert c == Cochain(4, 2, 2, False, {(0, 1): (Fraction(1), Fraction(2))})
+
+
+def test_cochain_converts_only_values_that_are_not_fraction_tuples(monkeypatch):
+    converted = []
+    original = cochain_complex.vector
+
+    def counting_vector(value):
+        converted.append(value)
+        return original(value)
+
+    monkeypatch.setattr(cochain_complex, "vector", counting_vector)
+    exact = (Fraction(1), Fraction(-1, 2))
+    c = Cochain(3, 1, 2, False, {(0,): exact, (1,): (0, Fraction(0)), (2,): [3, "1/3"]})
+    assert converted == [(0, Fraction(0)), [3, "1/3"]]
+    assert c.values[(0,)] is exact
+    assert c.values == {(0,): exact, (2,): (Fraction(3), Fraction(1, 3))}
+    with pytest.raises(ValueError):
+        Cochain(3, 1, 2, False, {(0,): (Fraction(1),)})
+    with pytest.raises(ValueError):
+        Cochain(3, 2, 1, True, {(1, 0): (Fraction(1),)})

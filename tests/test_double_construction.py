@@ -1,5 +1,7 @@
+import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +28,9 @@ from metriclie.exact_linalg import Matrix, Signature, signature_of, unit_vector
 from metriclie.lie_core import LieAlgebra, abelian, bracket
 from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 
-from support import rational, rng
+from support import rational, rng, scale_doubles
+
+EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
 
 def entry_double(entry_id: str, **params):
@@ -145,6 +149,31 @@ def test_double_of_zero_cocycle_is_flat():
     assert fp.signature == Signature(neg=3, pos=4, null=0)
     assert fp.series_dims == (7, 0)
     assert fp.center_dim == 7
+
+
+def test_metric_lie_algebra_is_immutable():
+    g = build_double(zero_cocycle(abelian(3), module_for_tag("r01")))
+    for name, value in (("algebra", abelian(7)), ("gram", Matrix.identity(7)), ("provenance", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    with pytest.raises(TypeError):
+        g.provenance.alpha.values[(0, 1)] = (Fraction(1),)
+    assert verify_metric(g).ok
+
+
+def test_scale_doubles_match_the_pinned_benchmark_fingerprints():
+    pinned = json.loads(EXPECTED.read_text())["scale"]
+    for name, g in scale_doubles().items():
+        fp = fingerprint(g)
+        text = "%d|%s|%s|%d|%s|%s" % (
+            fp.dim,
+            fp.signature.as_tuple(),
+            tuple(fp.series_dims),
+            fp.center_dim,
+            fp.center_signature.as_tuple(),
+            fp.derived_signature.as_tuple(),
+        )
+        assert text == pinned[name], name
 
 
 def test_signature_additivity_on_sample_entries():

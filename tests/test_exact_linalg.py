@@ -26,7 +26,16 @@ from metriclie.exact_linalg import (
 from metriclie.catalog import g64, g65, heisenberg
 from metriclie.lie_core import bracket
 
-from support import five_dim_three_step, random_cochain, rational, rng
+from support import (
+    dense_kernel,
+    dense_rref,
+    dense_solve_affine,
+    five_dim_three_step,
+    random_cochain,
+    random_elimination_case,
+    rational,
+    rng,
+)
 
 fractions = st.fractions(
     min_value=Fraction(-6), max_value=Fraction(6), max_denominator=4
@@ -214,3 +223,47 @@ def test_linear_combination_matches_reference_contractions():
             expected = c.evaluate([v] + [unit_vector(n, r) for r in rest])
             got = linear_combination(v, lambda k: c.value_at((k,) + rest), c.value_dim)
             assert got == expected
+
+
+def test_sparse_elimination_matches_the_dense_reference():
+    rg = rng(8080)
+    shapes = set()
+    inconsistent = 0
+    for _ in range(2400):
+        m = random_elimination_case(rg)
+        reduced, pivots = dense_rref(m)
+        assert rref(m) == (reduced, pivots)
+        assert rank(m) == len(pivots)
+        assert kernel_basis(m) == dense_kernel(m)
+        assert echelon_basis([m.row(i) for i in range(m.rows)], m.cols) == tuple(
+            reduced.row(r) for r in range(len(pivots))
+        )
+        # one consistent right hand side and one drawn at random
+        x = tuple(rational(rg) for _ in range(m.cols))
+        for b in (m.apply(x), tuple(rational(rg) for _ in range(m.rows))):
+            expected = dense_solve_affine(m, b)
+            assert solve_affine(m, b) == expected
+            inconsistent += expected is None
+        shapes.add((m.rows == 0, m.cols == 0, (m.rows > m.cols) - (m.rows < m.cols)))
+        shapes.add(("rank deficient", len(pivots) < min(m.rows, m.cols)))
+    assert {(True, False, -1), (False, True, 1), (False, False, -1), (False, False, 1)} <= shapes
+    assert ("rank deficient", True) in shapes
+    assert inconsistent > 100
+
+
+def test_elimination_edge_cases():
+    empty = Matrix.from_rows([], cols=4)
+    assert rref(empty) == (empty, ())
+    assert kernel_basis(empty) == [unit_vector(4, i) for i in range(4)]
+    assert solve_affine(empty, ()) == ((Fraction(0),) * 4, kernel_basis(empty))
+    flat = Matrix(3, 0, ())
+    assert rref(flat) == (flat, ()) and rank(flat) == 0 and kernel_basis(flat) == []
+    assert solve_affine(flat, vector([0, 0, 0])) == ((), [])
+    assert solve_affine(flat, vector([0, 1, 0])) is None
+    # non-unit pivots, a duplicate row and a zero row
+    m = Matrix.from_rows([[0, 3, 6], [0, 3, 6], [0, 0, 0], [2, 4, 1]])
+    assert rref(m) == dense_rref(m)
+    assert rref(m)[1] == (0, 1)
+    assert echelon_basis([vector([0, 0]), vector([0, 5])], 2) == (vector([0, 1]),)
+    with pytest.raises(ValueError):
+        echelon_basis([vector([1, 0, 0])], 2)

@@ -12,7 +12,7 @@ from metriclie.catalog import (
     g64,
     heisenberg,
 )
-from metriclie.exact_linalg import Matrix, kernel_basis, unit_vector, vector
+from metriclie.exact_linalg import Matrix, unit_vector, vector
 from metriclie.lie_core import (
     JacobiError,
     JacobiReport,
@@ -30,7 +30,21 @@ from metriclie.lie_core import (
     validate_jacobi,
 )
 
-from support import catalog_algebras, random_sparse_table, rational, rng
+from support import (
+    catalog_algebras,
+    dense_kernel,
+    dense_rref,
+    random_sparse_table,
+    rational,
+    rng,
+    scale_doubles,
+)
+
+
+@pytest.fixture(scope="module")
+def scale_algebras():
+    """The doubles of h_15 and of the filiform algebra of dimension 12."""
+    return [g.algebra for g in scale_doubles().values()]
 
 
 def test_construction_validates_jacobi_eagerly():
@@ -215,11 +229,12 @@ def test_equal_algebras_hash_equal():
 def _brute_force_jacobi(l):
     """The first failing triple over all C(n, 3) triples, by the dense bracket."""
     e = [unit_vector(l.dim, i) for i in range(l.dim)]
+    inner = {(a, b): bracket(l, e[a], e[b]) for a in range(l.dim) for b in range(l.dim)}
     for i, j, k in combinations(range(l.dim), 3):
         terms = (
-            bracket(l, e[i], bracket(l, e[j], e[k])),
-            bracket(l, e[j], bracket(l, e[k], e[i])),
-            bracket(l, e[k], bracket(l, e[i], e[j])),
+            bracket(l, e[i], inner[j, k]),
+            bracket(l, e[j], inner[k, i]),
+            bracket(l, e[k], inner[i, j]),
         )
         defect = tuple(a + b + c for a, b, c in zip(*terms))
         if any(defect):
@@ -227,7 +242,7 @@ def _brute_force_jacobi(l):
     return JacobiReport(ok=True)
 
 
-def test_validate_jacobi_matches_a_brute_force_scan():
+def test_validate_jacobi_matches_a_brute_force_scan(scale_algebras):
     rg = rng(2027)
     verdicts = set()
     for _ in range(300):
@@ -235,8 +250,7 @@ def test_validate_jacobi_matches_a_brute_force_scan():
         report = validate_jacobi(l)
         assert report == _brute_force_jacobi(l)
         verdicts.add(report.ok)
-    for name in sorted(BASE_BUILDERS):
-        l = base_algebra(name)
+    for l in [base_algebra(name) for name in sorted(BASE_BUILDERS)] + scale_algebras:
         assert validate_jacobi(l) == _brute_force_jacobi(l) == JacobiReport(ok=True)
     assert verdicts == {True, False}
 
@@ -256,11 +270,18 @@ def test_validate_jacobi_visits_no_triple_of_an_abelian_algebra(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def reference_algebras():
-    """Random sparse tables (Lie or not), every catalog base and every double."""
+def reference_algebras(scale_algebras):
+    """Random sparse tables (Lie or not), every catalog base and every double,
+    and the two large doubles of the benchmark."""
     rg = rng(3031)
     tables = [random_sparse_table(rg, rg.randint(3, 7)) for _ in range(150)]
-    return tables + catalog_algebras()
+    return tables + catalog_algebras() + scale_algebras
+
+
+def _dense_span(n, vectors):
+    """The reduced echelon basis of span(vectors), by the dense reference."""
+    reduced, pivots = dense_rref(Matrix.from_rows(vectors, cols=n))
+    return Subspace(n, tuple(reduced.row(r) for r in range(len(pivots))))
 
 
 def _dense_ad(l, i, w):
@@ -283,17 +304,17 @@ def test_center_is_the_kernel_of_the_dense_ad_matrices(reference_algebras):
         for i in range(n):
             columns = [_dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
             rows += [[column[t] for column in columns] for t in range(n)]
-        dense = Subspace.span(n, kernel_basis(Matrix.from_rows(rows, cols=n)))
+        dense = _dense_span(n, dense_kernel(Matrix.from_rows(rows, cols=n)))
         assert lie_core._center(l) == dense
 
 
 def test_lower_central_series_is_spanned_by_dense_brackets(reference_algebras):
     for l in reference_algebras:
         n = l.dim
-        current = Subspace.full(n)
+        current = _dense_span(n, [unit_vector(n, i) for i in range(n)])
         chain = [current]
         while current.dim:
-            nxt = Subspace.span(n, [_dense_ad(l, i, w) for i in range(n) for w in current.basis])
+            nxt = _dense_span(n, [_dense_ad(l, i, w) for i in range(n) for w in current.basis])
             chain.append(nxt)
             if nxt.dim == current.dim:
                 break
