@@ -5,12 +5,13 @@ Exit codes: 0 when the command succeeds and any verdict is positive,
 inadmissible cocycle, metric axiom violation), 2 when a document or an
 argument does not parse or an input is over a size limit.
 
-The size limits are checked before any work that grows with them starts:
-``verify``, ``admissible`` and ``double`` build dense subspaces of the
-algebra, so they take algebras of dimension at most ``MAX_DIM``;
-``cohomology`` builds the dense matrices of d_(p-1) and d_p, so it takes
-degrees whose two matrices have at most ``MAX_COHOMOLOGY_CELLS`` entries
-together.
+The size limits bound the enumerated work and are checked before it starts:
+``verify``, ``admissible`` and ``double`` enumerate dense subspaces of the
+algebra, so they take dimension at most ``MAX_DIM`` (``admissible`` on the
+64-dim abelian zero cocycle: about 3 s on a 2-core Xeon); ``cohomology``
+eliminates the nonzero entries of d on the bases of C^(p-1) and C^p, whose
+two matrices may have at most ``MAX_COHOMOLOGY_CELLS`` entries together
+(``--degree 3`` on the 17-dim abelian algebra: about 0.02 s).
 """
 
 from __future__ import annotations

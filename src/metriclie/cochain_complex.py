@@ -28,11 +28,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (
     Matrix,
     Vector,
+    _reduce,
     det,
     linear_combination,
     rank,
@@ -285,40 +286,45 @@ def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[
     return [(key, t) for key in combinations(range(n), degree) for t in range(value_dim)]
 
 
+def _differential_columns(
+    l: LieAlgebra, module: OrthogonalModule | None, p: int
+) -> Iterator[dict[tuple[tuple[int, ...], int], Fraction]]:
+    """d_p of each standard basis cochain of C^p, in order, as a sparse column
+    keyed by the basis cochains ``(key, s)`` of C^(p+1)."""
+    value_dim = 1 if module is None else module.dim
+    for key, t in _basis_enumeration(l.dim, p, value_dim):
+        unit = Cochain(l.dim, p, value_dim, module is None, {key: unit_vector(value_dim, t)})
+        values = differential(l, unit).values
+        yield {(out_key, s): x for out_key, v in values.items() for s, x in enumerate(v) if x}
+
+
 def differential_matrix(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> Matrix:
     """Matrix of d: C^p -> C^(p+1) over the standard sparse bases."""
     if p < 0:
         raise ValueError("negative degree")
     value_dim = 1 if module is None else module.dim
+    width = comb(l.dim, p) * value_dim
     if p >= l.dim:
-        return Matrix.zero(0, comb(l.dim, p) * value_dim)  # C^(p+1) = 0; nothing enumerated
-    is_scalar = module is None
-    domain = _basis_enumeration(l.dim, p, value_dim)
-    codomain = _basis_enumeration(l.dim, p + 1, value_dim)
-    index = {bk: r for r, bk in enumerate(codomain)}
-    cols: list[list[Fraction]] = []
-    for key, t in domain:
-        unit = Cochain(l.dim, p, value_dim, is_scalar, {key: unit_vector(value_dim, t)})
-        col = [_ZERO] * len(codomain)
-        for out_key, value in differential(l, unit).values.items():
-            for s, entry in enumerate(value):
-                col[index[(out_key, s)]] = entry
-        cols.append(col)
-    if not domain:
-        return Matrix.zero(len(codomain), 0)
-    return Matrix.from_rows(cols, cols=len(codomain)).transpose()
+        return Matrix.zero(0, width)  # C^(p+1) = 0; nothing enumerated
+    index = {bk: r for r, bk in enumerate(_basis_enumeration(l.dim, p + 1, value_dim))}
+    entries = [_ZERO] * (len(index) * width)
+    for c, column in enumerate(_differential_columns(l, module, p)):
+        for bk, x in column.items():
+            entries[index[bk] * width + c] = x
+    return Matrix(len(index), width, tuple(entries))
 
 
 def cohomology_dim(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> int:
-    """dim H^p(l, module) = dim ker d_p - rank d_(p-1)."""
+    """dim H^p(l, module) = dim ker d_p - rank d_(p-1), each rank taken on the
+    sparse columns of d as rows (rank d = rank d^T), without a matrix of d."""
     if p < 0:
         raise ValueError("negative degree")
     if p > l.dim:
         return 0  # C^p = 0; answered before any p-tuple is enumerated
     value_dim = 1 if module is None else module.dim
     dim_cp = comb(l.dim, p) * value_dim
-    rank_dp = rank(differential_matrix(l, module, p))
-    rank_prev = rank(differential_matrix(l, module, p - 1)) if p > 0 else 0
+    rank_dp = len(_reduce(_differential_columns(l, module, p)))
+    rank_prev = len(_reduce(_differential_columns(l, module, p - 1))) if p > 0 else 0
     return dim_cp - rank_dp - rank_prev
 
 

@@ -1,13 +1,15 @@
 """Exact rational linear algebra primitives.
 
 Vectors are tuples of :class:`fractions.Fraction` and matrices are immutable
-row-major grids of the same.  Row reduction runs over sparse rows that hold
-only their nonzero entries, and returns the reduced row echelon form.  That
-form is unique for a given row space, so ranks, kernels, solution sets and
-echelon bases do not depend on the order in which rows are eliminated and
-are reproducible bit for bit.  Determinants and signatures scan for pivots
-in a fixed order (first nonzero column, smallest row index).  No floating
-point appears anywhere in this package.
+row-major grids of the same.  Every elimination runs over sparse rows that
+hold only their nonzero entries.  Row reduction returns the reduced row
+echelon form, which is unique for a given row space, so ranks, kernels,
+solution sets and echelon bases do not depend on the order in which rows
+are eliminated and are reproducible bit for bit.  The pivot order does not
+matter for determinants and signatures either: the determinant is unique,
+and inertia is additive over Schur complements (Haynsworth 1968), so every
+sequence of nonzero pivots counts the same signature.  No floating point
+appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -195,7 +197,8 @@ def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fr
     rows found so far, normalized at its first nonzero column and subtracted
     from the earlier pivot rows, so the pivot rows stay reduced against each
     other and only stored entries are touched.  Returns ``(pivot, row)`` pairs
-    sorted by pivot column, each row with a 1 at its pivot.
+    sorted by pivot column, each row with a 1 at its pivot.  Any totally
+    ordered column keys work, not only integers.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
@@ -309,31 +312,26 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
 
 
 def det(m: Matrix) -> Fraction:
-    """Exact determinant by Gaussian elimination."""
+    """Exact determinant by Gaussian elimination on sparse rows."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = m.to_rows()
-    n = m.rows
-    sign = _ONE
+    rows = _sparse_rows(m)
     result = _ONE
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    for c in range(m.rows):
+        # pivot on the first row from c on with a nonzero entry in column c
+        i = next((i for i in range(c, m.rows) if c in rows[i]), None)
+        if i is None:
             return _ZERO
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pv = rows[c][c]
-        result *= pv
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return sign * result
+        if i != c:
+            rows[c], rows[i] = rows[i], rows[c]
+            result = -result
+        pivot = rows[c]
+        result *= pivot[c]
+        for other in rows[c + 1 :]:
+            f = other.pop(c, None)
+            if f is not None:
+                _axpy(other, -f / pivot[c], pivot, c)
+    return result
 
 
 @dataclass(frozen=True)
@@ -353,59 +351,47 @@ class Signature:
 
 
 def signature_of(gram: Matrix) -> Signature:
-    """Signature of a symmetric matrix via exact congruence diagonalization.
+    """Signature of a symmetric matrix by symmetric elimination on sparse rows.
 
-    When a diagonal pivot vanishes we first try to swap in a later index with
-    a nonzero diagonal entry; if every remaining diagonal entry is zero we add
-    the partner row and column of some nonzero off-diagonal entry, which then
-    produces a nonzero pivot.  The count is invariant under congruence.
+    A remaining index k with a nonzero diagonal entry d counts by the sign of
+    d, and the rest is replaced by its Schur complement
+    a_ij - a_ik a_kj / d.  When every remaining diagonal entry vanishes, a
+    nonzero entry b = a_kp is a 2x2 pivot [[0, b], [b, 0]]: it counts one
+    negative and one positive direction, and the rest becomes
+    a_ij - (a_ik a_pj + a_ip a_kj) / b.  Indices whose rows become zero are
+    null directions.
     """
     if not gram.is_symmetric():
         raise ValueError("signature_of requires a symmetric matrix")
-    n = gram.rows
-    rows = gram.to_rows()
-
-    def add_row_col(dst: int, src: int) -> None:
-        rows[dst] = [a + b for a, b in zip(rows[dst], rows[src])]
-        for i in range(n):
-            rows[i][dst] += rows[i][src]
-
-    def swap_row_col(i: int, j: int) -> None:
-        rows[i], rows[j] = rows[j], rows[i]
-        for r in rows:
-            r[i], r[j] = r[j], r[i]
-
+    rows = {i: row for i, row in enumerate(_sparse_rows(gram)) if row}
     neg = pos = 0
-    for k in range(n):
-        if rows[k][k] == 0:
-            partner = None
-            for i in range(k + 1, n):
-                if rows[i][k] != 0:
-                    partner = i
-                    break
-            if partner is None:
-                continue  # null direction
-            swapped = False
-            for i in range(k + 1, n):
-                if rows[i][i] != 0 and rows[i][k] != 0:
-                    swap_row_col(k, i)
-                    swapped = True
-                    break
-            if not swapped:
-                # both diagonal entries vanish, so the sum picks up 2 * rows[partner][k]
-                add_row_col(k, partner)
-        pv = rows[k][k]
-        if pv > 0:
-            pos += 1
+    while rows:
+        k = next((i for i, row in rows.items() if i in row), None)
+        if k is not None:
+            pivot = rows.pop(k)
+            d = pivot.pop(k)
+            neg, pos = (neg, pos + 1) if d > 0 else (neg + 1, pos)
+            updates = [(i, -x / d, pivot) for i, x in pivot.items()]
+            pivots = (k,)
         else:
-            neg += 1
-        for i in range(k + 1, n):
-            if rows[i][k] != 0:
-                f = rows[i][k] / pv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-                for j in range(n):
-                    rows[j][i] -= f * rows[j][k]
-    return Signature(neg=neg, pos=pos, null=n - neg - pos)
+            k, row_k = next(iter(rows.items()))
+            p = min(row_k)
+            row_p = rows.pop(p)
+            b = row_k.pop(p)
+            del rows[k], row_p[k]
+            neg, pos = neg + 1, pos + 1
+            updates = [(i, -x / b, row_p) for i, x in row_k.items()]
+            updates += [(i, -x / b, row_k) for i, x in row_p.items()]
+            pivots = (k, p)
+        for i, f, source in updates:
+            row = rows[i]
+            for c in pivots:
+                row.pop(c, None)
+            _axpy(row, f, source, k)  # no source holds a pivot column
+        for i in {i for i, _, _ in updates}:
+            if not rows[i]:
+                del rows[i]  # a null direction
+    return Signature(neg=neg, pos=pos, null=gram.rows - neg - pos)
 
 
 def echelon_basis(vectors: Iterable[Vector], ambient_dim: int) -> tuple[Vector, ...]:

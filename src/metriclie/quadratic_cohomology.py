@@ -35,6 +35,9 @@ from .cochain_complex import (
 from .exact_linalg import (
     Matrix,
     Vector,
+    _dense,
+    _kernel,
+    _reduce,
     echelon_basis,
     is_nondegenerate_on_span,
     kernel_basis,
@@ -266,30 +269,30 @@ def _condition_b(
     """(B_k): alpha maps the kernel of the bracket pairing l (x) l^(k+1) -> l
     onto a nondegenerate subspace of the module."""
     l, module = z.algebra, z.module
-    n = l.dim
+    n, m = l.dim, module.dim
     d1 = series_term.dim
-    tensor_basis = [(i, j) for i in range(n) for j in range(d1)]
-    if tensor_basis:
-        bracket_matrix = Matrix.from_rows(
-            [l.ad(i, series_term.basis[j]) for (i, j) in tensor_basis],
-            cols=n,
-        ).transpose()
-        kernel = kernel_basis(bracket_matrix)
-    else:
-        kernel = []
+    # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, b_j]
+    rows: dict[int, dict[int, Fraction]] = {}
+    for i in range(n):
+        for j, w in enumerate(series_term.basis):
+            for t, x in enumerate(l.ad(i, w)):
+                if x:
+                    rows.setdefault(t, {})[i * d1 + j] = x
+    kernel = _kernel(_reduce(rows.values()), n * d1)
     alpha_on_tensor = [
-        linear_combination(series_term.basis[j], lambda t: z.alpha.value_at((i, t)), module.dim)
-        for (i, j) in tensor_basis
+        linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
+        for i in range(n)
+        for w in series_term.basis
     ]
     images = [
-        linear_combination(vec, alpha_on_tensor.__getitem__, module.dim) for vec in kernel
+        linear_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
+        for vec in kernel
     ]
-    image_dim = len(echelon_basis(images, module.dim))
+    image_dim = len(echelon_basis(images, m))
     if is_nondegenerate_on_span(module.gram, images):
         return True, image_dim, None
-    witness = tuple(
-        tuple(vec[i * d1 : (i + 1) * d1] for i in range(n)) for vec in kernel
-    )
+    dense = [_dense(vec, n * d1) for vec in kernel]
+    witness = tuple(tuple(v[i * d1 : (i + 1) * d1] for i in range(n)) for v in dense)
     return False, image_dim, witness
 
 

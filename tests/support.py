@@ -30,6 +30,7 @@ from metriclie.cochain_complex import (
 from metriclie.double_construction import MetricLieAlgebra, build_double
 from metriclie.exact_linalg import (
     Matrix,
+    Signature,
     kernel_basis,
     linear_combination,
     solve_affine,
@@ -343,6 +344,161 @@ def dense_solve_affine(a: Matrix, b) -> tuple[tuple[Fraction, ...], list] | None
     for r, p in enumerate(pivots):
         particular[p] = reduced.at(r, a.cols)
     return tuple(particular), dense_kernel(a)
+
+
+def dense_det(m: Matrix) -> Fraction:
+    """Determinant by dense Gaussian elimination: for each column, the first
+    remaining row with a nonzero entry becomes the pivot."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    rows = m.to_rows()
+    n = m.rows
+    sign = Fraction(1)
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+            sign = -sign
+        pv = rows[c][c]
+        result *= pv
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return sign * result
+
+
+def dense_signature_of(gram: Matrix) -> Signature:
+    """Signature by dense congruence diagonalization.
+
+    When a diagonal pivot vanishes, a later index with a nonzero diagonal
+    entry and a nonzero coupling is swapped in; if there is none, the partner
+    row and column of a nonzero off-diagonal entry are added, which produces
+    a nonzero pivot.
+    """
+    if not gram.is_symmetric():
+        raise ValueError("signature_of requires a symmetric matrix")
+    n = gram.rows
+    rows = gram.to_rows()
+
+    def add_row_col(dst: int, src: int) -> None:
+        rows[dst] = [a + b for a, b in zip(rows[dst], rows[src])]
+        for i in range(n):
+            rows[i][dst] += rows[i][src]
+
+    def swap_row_col(i: int, j: int) -> None:
+        rows[i], rows[j] = rows[j], rows[i]
+        for r in rows:
+            r[i], r[j] = r[j], r[i]
+
+    neg = pos = 0
+    for k in range(n):
+        if rows[k][k] == 0:
+            partner = None
+            for i in range(k + 1, n):
+                if rows[i][k] != 0:
+                    partner = i
+                    break
+            if partner is None:
+                continue  # null direction
+            swapped = False
+            for i in range(k + 1, n):
+                if rows[i][i] != 0 and rows[i][k] != 0:
+                    swap_row_col(k, i)
+                    swapped = True
+                    break
+            if not swapped:
+                # both diagonal entries vanish, so the sum picks up 2 * rows[partner][k]
+                add_row_col(k, partner)
+        pv = rows[k][k]
+        if pv > 0:
+            pos += 1
+        else:
+            neg += 1
+        for i in range(k + 1, n):
+            if rows[i][k] != 0:
+                f = rows[i][k] / pv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+                for j in range(n):
+                    rows[j][i] -= f * rows[j][k]
+    return Signature(neg=neg, pos=pos, null=n - neg - pos)
+
+
+def random_symmetric_case(rg: random.Random) -> tuple[str, Matrix]:
+    """A random symmetric matrix whose diagonal is mostly zero, with its kind:
+    ``empty`` (0 x 0), ``witt`` (hyperbolic planes, definite and null lines,
+    permuted), ``coupled`` (zero diagonal with sparse couplings), ``image``
+    (S^T B S for a rank-deficient block form B and a random, possibly
+    singular S) or ``sparse`` (rare diagonal entries)."""
+    kind = rg.choice(("empty", "witt", "coupled", "image", "sparse"))
+    if kind == "empty":
+        return kind, Matrix.from_rows([], cols=0)
+    n = rg.randint(1, 9)
+
+    def nonzero() -> Fraction:
+        return rational(rg, 4, 3) or Fraction(1)
+
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    if kind in ("witt", "image"):
+        # blocks [[0, b], [b, 0]], [[a]] and [[0]] on consecutive indices
+        i = 0
+        while i < n:
+            roll = rg.random()
+            if roll < 0.5 and i + 1 < n:
+                grid[i][i + 1] = grid[i + 1][i] = nonzero()
+                i += 2
+                continue
+            if roll < 0.75:
+                grid[i][i] = nonzero()
+            i += 1
+        if kind == "witt":
+            perm = list(range(n))
+            rg.shuffle(perm)
+            grid = [[grid[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+        else:
+            s = Matrix.from_rows(
+                [[rational(rg) if rg.random() < 0.4 else Fraction(0) for _ in range(n)]
+                 for _ in range(n)]
+            )
+            grid = (s.transpose() @ Matrix.from_rows(grid) @ s).to_rows()
+    else:
+        density = rg.choice((0.15, 0.4, 0.8))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rg.random() < density:
+                    grid[i][j] = grid[j][i] = nonzero()
+            if kind == "sparse" and rg.random() < 0.15:
+                grid[i][i] = nonzero()
+    return kind, Matrix.from_rows(grid, cols=n)
+
+
+def random_square_case(rg: random.Random) -> Matrix:
+    """A random square matrix for the determinant, singular about half of
+    the time (a zero row, a repeated or scaled row, or a low-rank product)."""
+    n = rg.randint(0, 8)
+    density = rg.choice((0.2, 0.5, 0.9))
+    grid = [[rational(rg, 5, 4) if rg.random() < density else Fraction(0) for _ in range(n)]
+            for _ in range(n)]
+    roll = rg.random()
+    if n and roll < 0.15:
+        grid[rg.randrange(n)] = [Fraction(0)] * n
+    elif n > 1 and roll < 0.35:
+        i, j = rg.sample(range(n), 2)
+        grid[i] = [rational(rg, 3, 2) * x for x in grid[j]]
+    elif n > 1 and roll < 0.5:
+        k = rg.randint(0, n - 1)
+        left = [[rational(rg) for _ in range(k)] for _ in range(n)]
+        right = [[rational(rg) for _ in range(n)] for _ in range(k)]
+        grid = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
+                for i in range(n)]
+    return Matrix.from_rows(grid, cols=n)
 
 
 def random_elimination_case(rg: random.Random) -> Matrix:

@@ -1,7 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 import time
 from fractions import Fraction
+from importlib import resources
 from math import comb
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metriclie import catalog as cat
 from metriclie import cli, schema
@@ -394,3 +401,135 @@ def test_admissible_reports_b_witness_from_the_rejection_study(tmp_path, capsys)
                 [schema.format_vector(row) for row in tensor] for tensor in cond.b_witness
             ]
             assert got["b_witness"]
+
+
+# ---------------------------------------------------------------------------
+# totality: any document ends in exit 0, 1 or 2 with a report
+# ---------------------------------------------------------------------------
+
+_DATA = resources.files("metriclie") / "data"
+_FIXTURES = sorted(
+    f"{folder.name}/{p.name}"
+    for folder in _DATA.iterdir()
+    if folder.is_dir()
+    for p in folder.iterdir()
+    if p.name.endswith(".json")
+)
+_ALGEBRAS = [name for name in _FIXTURES if name.startswith("algebras/")]
+_MODULES = [name for name in _FIXTURES if name.startswith("modules/")]
+
+# Integers stay small or sit at the size limits: a dimension in the billions
+# makes LieAlgebra allocate per-dimension storage while the document loads,
+# before any limit is checked.
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.sampled_from([cli.MAX_DIM, cli.MAX_DIM + 1, 10_000]),
+    st.sampled_from(["0", "1", "-1", "1/2", "-3/4", "2/0", "1.5", "1e3", "", "x"]),
+    st.text(max_size=6),
+)
+_keys = st.one_of(
+    st.sampled_from(
+        ["kind", "payload", "dim", "labels", "brackets", "i", "j", "value", "gram",
+         "alpha", "gamma", "algebra", "module", "provenance", "action"]
+    ),
+    st.text(max_size=5),
+)
+_json = st.recursive(
+    _scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_keys, children, max_size=5),
+    max_leaves=24,
+)
+_documents = st.one_of(
+    _json,
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["lie_algebra", "module", "cocycle", "metric_lie_algebra", "report"]),
+         "payload": _json}
+    ),
+)
+
+
+def _spots(node):
+    """Every (container, key) below ``node``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from _spots(child)
+
+
+def _mutate(data, doc):
+    for _ in range(data.draw(st.integers(0, 2))):
+        spots = list(_spots(doc))
+        if not spots:
+            return data.draw(_json)
+        container, key = data.draw(st.sampled_from(spots))
+        action = data.draw(st.sampled_from(["replace", "delete", "copy", "nudge"]))
+        value = container[key]
+        if action == "delete":
+            del container[key]
+        elif action == "copy":
+            other, other_key = data.draw(st.sampled_from(spots))
+            container[key] = copy.deepcopy(other[other_key])
+        elif action == "nudge" and isinstance(value, int) and not isinstance(value, bool):
+            container[key] = value + data.draw(st.sampled_from([-1, 1, cli.MAX_DIM]))
+        else:
+            container[key] = data.draw(_json)
+    return doc
+
+
+_COMMANDS = ("verify", "admissible", "double", "cohomology")
+# the commands that accept an intact document of each folder
+_FITTING = {
+    "algebras": ("verify", "cohomology"),
+    "catalog": ("verify", "admissible", "double"),
+    "cocycles": ("verify", "admissible", "double"),
+    "doubles": ("verify",),
+    "forms": ("admissible", "double"),
+    "modules": ("verify",),
+}
+
+
+def _run_command(data, out_dir, path, folder=None):
+    fitting = _FITTING.get(folder, _COMMANDS)
+    command = data.draw(st.sampled_from(fitting) | st.sampled_from(_COMMANDS))
+    argv = [command, path]
+    if command == "cohomology":
+        argv += ["--degree", str(data.draw(st.integers(-1, 4)))]
+    elif data.draw(st.booleans()):
+        argv += ["--algebra", data.draw(st.sampled_from(_ALGEBRAS))]
+    if command != "verify" and data.draw(st.booleans()):
+        argv += ["--module", data.draw(st.sampled_from(_MODULES))]
+    if command == "double":
+        argv += ["--out", str(out_dir / "double.json")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    doc = json.loads(out.getvalue())
+    assert doc["kind"] == "report", argv
+    assert doc["payload"]["command"] == command, argv
+
+
+def _write(out_dir, doc):
+    path = out_dir / "doc.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+_fuzz = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@_fuzz
+@given(data=st.data(), name=st.sampled_from(_FIXTURES))
+def test_cli_is_total_on_mutated_fixtures(tmp_path_factory, data, name):
+    out_dir = tmp_path_factory.mktemp("mutated")
+    doc = _mutate(data, json.loads((_DATA / name).read_text()))
+    _run_command(data, out_dir, _write(out_dir, doc), name.split("/")[0])
+
+
+@_fuzz
+@given(data=st.data(), doc=st.one_of(_documents, st.text(max_size=40)))
+def test_cli_is_total_on_arbitrary_json(tmp_path_factory, data, doc):
+    out_dir = tmp_path_factory.mktemp("arbitrary")
+    _run_command(data, out_dir, _write(out_dir, doc))

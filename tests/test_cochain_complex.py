@@ -213,6 +213,33 @@ def test_differential_matrix_outside_the_complex_enumerates_nothing():
     assert time.monotonic() - start < 1.0
 
 
+def test_cohomology_dim_builds_no_matrix(monkeypatch):
+    cases = [
+        (abelian(5), None, 3, 10),
+        (abelian(17), None, 3, 680),
+        (heisenberg_line(), None, 2, 4),
+        (heisenberg_line(), OrthogonalModule(Matrix.identity(2)), 2, 8),
+        (g64(), module_for_tag("r11w"), 6, 2),
+    ]
+    calls = []
+    post_init = Matrix.__post_init__
+    build = cochain_complex.differential_matrix
+
+    def counting_post_init(self):
+        calls.append((self.rows, self.cols))
+        post_init(self)
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(cochain_complex, "differential_matrix", counting_build)
+    for l, module, p, expected in cases:
+        assert cohomology_dim(l, module, p) == expected
+    assert calls == []
+
+
 def test_cohomology_invariant_under_basis_permutation():
     # same algebra presented on the reordered basis (X2, X1, Z, Y)
     neg_e2 = tuple(-c for c in unit_vector(4, 2))

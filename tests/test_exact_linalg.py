@@ -23,18 +23,24 @@ from metriclie.exact_linalg import (
     vec_is_zero,
     vector,
 )
-from metriclie.catalog import g64, g65, heisenberg
-from metriclie.lie_core import bracket
+from metriclie.catalog import ENTRIES, g64, g65, heisenberg, instantiate
+from metriclie.double_construction import build_double
+from metriclie.lie_core import bracket, center, lower_central_series
 
 from support import (
+    dense_det,
     dense_kernel,
     dense_rref,
+    dense_signature_of,
     dense_solve_affine,
     five_dim_three_step,
     random_cochain,
     random_elimination_case,
+    random_square_case,
+    random_symmetric_case,
     rational,
     rng,
+    scale_doubles,
 )
 
 fractions = st.fractions(
@@ -267,3 +273,30 @@ def test_elimination_edge_cases():
     assert echelon_basis([vector([0, 0]), vector([0, 5])], 2) == (vector([0, 1]),)
     with pytest.raises(ValueError):
         echelon_basis([vector([1, 0, 0])], 2)
+
+
+def test_sparse_signature_and_det_match_the_dense_reference():
+    rg = rng(9090)
+    kinds = set()
+    singular = 0
+    for _ in range(2400):
+        kind, g = random_symmetric_case(rg)
+        assert signature_of(g) == dense_signature_of(g), (kind, g.to_rows())
+        kinds.add(kind)
+        m = random_square_case(rg)
+        expected = dense_det(m)
+        assert det(m) == expected, m.to_rows()
+        singular += expected == 0
+    assert kinds == {"empty", "witt", "coupled", "image", "sparse"}
+    assert 500 < singular < 2000
+
+
+def test_signatures_of_the_catalog_doubles_match_the_dense_reference():
+    doubles = [build_double(instantiate(e, {name: Fraction(1) for name in e.params})) for e in ENTRIES]
+    doubles += scale_doubles().values()
+    for metric in doubles:
+        series, _ = lower_central_series(metric.algebra)
+        g = metric.gram
+        for basis in (None, center(metric.algebra).basis, series[1].basis):
+            gram = g if basis is None else gram_on_span(g, basis)
+            assert signature_of(gram) == dense_signature_of(gram)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,7 +18,7 @@ from metriclie.cochain_complex import (
     differential,
 )
 from metriclie.exact_linalg import vec_is_zero
-from metriclie.lie_core import LieAlgebra
+from metriclie.lie_core import LieAlgebra, abelian
 from metriclie.quadratic_cohomology import (
     AdmissibilityPreconditionError,
     CocycleError,
@@ -212,3 +213,20 @@ def test_admissibility_needs_nilpotency():
 def test_indecomposability_proxy_fails_for_small_image():
     z = zero_cocycle(g64(), module_for_tag("r22w"))
     assert not indecomposability_proxy(z)
+
+
+def test_zero_cocycle_on_a_mid_size_abelian_algebra_keeps_the_pairing_kernel_sparse():
+    # The kernel of the bracket pairing l (x) l -> l of the 32-dim abelian
+    # algebra is the whole 1,024-dim tensor space: as dense vectors it would
+    # take 8 MB of pointers alone.  Kept sparse, the (A_0) system dominates
+    # the peak (about 5.6 MB).
+    z = zero_cocycle(abelian(32), module_for_tag("r01"))
+    tracemalloc.start()
+    try:
+        report = check_admissible(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_000_000
+    (cond,) = report.conditions
+    assert not cond.a_passed and cond.b_passed and cond.b_image_dim == 0
