@@ -8,7 +8,7 @@ argument does not parse or an input is over a size limit.
 The size limits bound the enumerated work and are checked before it starts:
 ``verify``, ``admissible`` and ``double`` enumerate dense subspaces of the
 algebra, so they take dimension at most ``MAX_DIM`` (``admissible`` on the
-64-dim abelian zero cocycle: about 3 s on a 2-core Xeon); ``cohomology``
+64-dim abelian zero cocycle: about 0.3 s on a 2-core Xeon); ``cohomology``
 eliminates the nonzero entries of d on the bases of C^(p-1) and C^p, whose
 two matrices may have at most ``MAX_COHOMOLOGY_CELLS`` entries together
 (``--degree 3`` on the 17-dim abelian algebra: about 0.02 s).

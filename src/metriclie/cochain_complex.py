@@ -283,7 +283,9 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
 
 
 def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[int, ...], int]]:
-    return [(key, t) for key in combinations(range(n), degree) for t in range(value_dim)]
+    # combinations() copies its pool of n indices even for the one key of degree 0
+    keys = combinations(range(n), degree) if degree else [()]
+    return [(key, t) for key in keys for t in range(value_dim)]
 
 
 def _differential_columns(

@@ -21,13 +21,12 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .exact_linalg import (
-    Matrix,
     Vector,
     _dense,
     _kernel,
     _reduce,
+    _sparse_vectors,
     echelon_basis,
-    kernel_basis,
     linear_combination,
     unit_vector,
     vec_add,
@@ -40,6 +39,7 @@ from .exact_linalg import (
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_NO_BRACKETS: Mapping[int, tuple[tuple[int, Fraction], ...]] = MappingProxyType({})
 
 
 class JacobiError(ValueError):
@@ -79,10 +79,6 @@ class Subspace:
         """The subspace spanned by sparse reduced echelon rows (pivot, row)."""
         return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for _, row in reduced))
 
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -108,19 +104,15 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        # Solve B^T u = C^T w: kernel of the block matrix [B^T | -C^T].
+        # Zassenhaus: reduce [u | u] for u in self and [w | 0] for w in other;
+        # the reduced rows with a pivot in the right half are [0 | v], and
+        # their v are the reduced echelon basis of the intersection.
         n = self.ambient_dim
-        cols = self.dim + other.dim
-        entries = []
-        for i in range(n):
-            row = [self.basis[u][i] for u in range(self.dim)]
-            row += [-other.basis[w][i] for w in range(other.dim)]
-            entries.append(row)
-        ker = kernel_basis(Matrix.from_rows(entries, cols=cols))
-        vectors = [linear_combination(k[: self.dim], self.basis.__getitem__, n) for k in ker]
-        return Subspace.span(n, vectors)
+        rows = [{**u, **{j + n: x for j, x in u.items()}} for u in _sparse_vectors(self.basis, n)]
+        rows += _sparse_vectors(other.basis, n)
+        return Subspace.from_reduced(
+            n, [(p - n, {j - n: x for j, x in row.items()}) for p, row in _reduce(rows) if p >= n]
+        )
 
 
 @dataclass(frozen=True)
@@ -139,9 +131,11 @@ class LieAlgebra:
     ``_rows[i]`` maps each ``j`` with a nonzero ``[e_i, e_j]`` to the
     nonzero ``(t, c)`` pairs of that bracket, in both orientations, so that
     :meth:`ad` sums over the stored entries of the brackets of ``e_i`` only.
+    Storage grows with the brackets, not with ``dim``: only indices with a
+    stored bracket have a row, and default labels are made on demand.
     """
 
-    __slots__ = ("_dim", "_labels", "_brackets", "_rows", "_zero", "_hash", "_series", "_center")
+    __slots__ = ("_dim", "_labels", "_brackets", "_rows", "_hash", "_series", "_center")
 
     def __init__(
         self,
@@ -152,14 +146,12 @@ class LieAlgebra:
     ) -> None:
         if dim < 0:
             raise ValueError("negative dimension")
-        if labels is None:
-            labels = tuple("X%d" % (i + 1) for i in range(dim))
-        else:
+        if labels is not None:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("expected %d labels, got %d" % (dim, len(labels)))
         table: dict[tuple[int, int], Vector] = {}
-        rows: list[dict[int, tuple[tuple[int, Fraction], ...]]] = [{} for _ in range(dim)]
+        rows: dict[int, dict[int, tuple[tuple[int, Fraction], ...]]] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
@@ -169,13 +161,12 @@ class LieAlgebra:
             pairs = tuple((t, c) for t, c in enumerate(v) if c)
             if pairs:
                 table[(i, j)] = v
-                rows[i][j] = pairs
-                rows[j][i] = tuple((t, -c) for t, c in pairs)
+                rows.setdefault(i, {})[j] = pairs
+                rows.setdefault(j, {})[i] = tuple((t, -c) for t, c in pairs)
         self._dim = dim
         self._labels = labels
         self._brackets = MappingProxyType(table)
         self._rows = rows
-        self._zero = zero_vector(dim)
         self._hash: int | None = None
         self._series: tuple[tuple[Subspace, ...], SeriesProfile] | None = None
         self._center: Subspace | None = None
@@ -193,6 +184,8 @@ class LieAlgebra:
 
     @property
     def labels(self) -> tuple[str, ...]:
+        if self._labels is None:
+            return tuple("X%d" % (i + 1) for i in range(self._dim))
         return self._labels
 
     @property
@@ -204,13 +197,13 @@ class LieAlgebra:
             return NotImplemented
         return (
             self._dim == other._dim
-            and self._labels == other._labels
+            and self.labels == other.labels
             and self._brackets == other._brackets
         )
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._dim, self._labels, frozenset(self._brackets.items())))
+            self._hash = hash((self._dim, self.labels, frozenset(self._brackets.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -220,18 +213,19 @@ class LieAlgebra:
         """[e_i, e_j] for arbitrary basis indices."""
         if i > j:
             v = self._brackets.get((j, i))
-            return self._zero if v is None else tuple(-c for c in v)
-        return self._brackets.get((i, j), self._zero)
+            return zero_vector(self._dim) if v is None else tuple(-c for c in v)
+        v = self._brackets.get((i, j))
+        return zero_vector(self._dim) if v is None else v
 
     def row(self, i: int) -> Mapping[int, tuple[tuple[int, Fraction], ...]]:
         """The nonzero brackets [e_i, e_j] of e_i as their nonzero ``(t, c)``
         pairs (c the e_t coordinate), keyed by j (read-only)."""
-        return MappingProxyType(self._rows[i])
+        return MappingProxyType(self._rows.get(i, _NO_BRACKETS))
 
     def ad(self, i: int, w: Vector) -> Vector:
         """[e_i, w], summed over the stored entries of the brackets of e_i only."""
         out = [_ZERO] * self._dim
-        for j, pairs in self._rows[i].items():
+        for j, pairs in self._rows.get(i, _NO_BRACKETS).items():
             x = w[j]
             if x:
                 for t, c in pairs:
@@ -263,7 +257,6 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     term [e_a, [e_b, e_c]] is summed over the stored entries of the brackets.
     """
     n = l.dim
-    rows = l._rows
     triples = sorted(
         {
             (a, b, c) if b < c else (a, c, b) if a < c else (c, a, b)
@@ -272,6 +265,8 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
             if c != a and c != b
         }
     )
+    # indexed by basis element; a stored bracket already holds n coordinates
+    rows = [l._rows.get(i, _NO_BRACKETS) for i in range(n)] if triples else []
     for outer in triples:
         i, j, k = outer
         # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
@@ -301,7 +296,7 @@ def lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPro
 def _lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesProfile]:
     n = l.dim
     # e_i without a stored bracket adds only zero generators
-    rows = [row for row in l._rows if row]
+    rows = [l._rows[i] for i in sorted(l._rows)]
     current = [{i: _ONE} for i in range(n)]  # reduced echelon rows of l
     chain = [Subspace.full(n)]
     dims = [n]
@@ -347,7 +342,7 @@ def _center(l: LieAlgebra) -> Subspace:
     # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
     n = l.dim
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for i, brackets in enumerate(l._rows):
+    for i, brackets in sorted(l._rows.items()):
         for j, pairs in brackets.items():
             for t, c in pairs:
                 rows.setdefault((i, t), {})[j] = c

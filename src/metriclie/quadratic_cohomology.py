@@ -16,9 +16,11 @@ Admissibility is Kath-Olbrich's condition on the data that their
 classification scheme uses.  It checks, for every stage k of the central
 filtration, a linear condition (A_k) ruling out central directions that
 alpha and gamma cannot see, and a nondegeneracy condition (B_k) on the
-alpha-image of the kernel of the bracket pairing.  It does not make the
-double indecomposable; :func:`indecomposability_proxy` checks only a
-necessary condition for that.
+alpha-image of the kernel of the bracket pairing.  Both are read off one
+pass over the tensor basis of l (x) l^(k+1) per stage, and both kernels
+come from the sparse elimination.  Admissibility does not make the double
+indecomposable; :func:`indecomposability_proxy` checks only a necessary
+condition for that.
 """
 
 from __future__ import annotations
@@ -33,19 +35,19 @@ from .cochain_complex import (
     wedge_pair,
 )
 from .exact_linalg import (
-    Matrix,
     Vector,
+    _axpy,
     _dense,
     _kernel,
     _reduce,
+    _sparse_vectors,
     echelon_basis,
     is_nondegenerate_on_span,
-    kernel_basis,
     linear_combination,
-    vec_is_zero,
 )
 from .lie_core import LieAlgebra, Subspace, filtration_spaces, is_nilpotent, lower_central_series
 
+_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
@@ -212,88 +214,86 @@ class AdmissibilityReport:
         return self.conditions[k]
 
 
-def _condition_a(
-    z: QuadraticCocycle, stage: Subspace, series_term: Subspace
-) -> tuple[bool, tuple[Vector, Vector, Vector] | None]:
-    """(A_k): any L0 in the stage admitting compatible (A0, Z0) must be zero.
+def _stage_report(
+    z: QuadraticCocycle,
+    k: int,
+    stage: Subspace,
+    series_term: Subspace,
+    gamma_at: dict[int, dict[int, dict[int, Fraction]]],
+) -> ConditionKReport:
+    """(A_k) and (B_k) in one pass over the tensor basis e_i (x) w_j of
+    l (x) l^(k+1), reading [e_i, w_j] and alpha(e_i, w_j) once each.
 
+    (A_k): any L0 in the stage admitting compatible (A0, Z0) must be zero.
     The constraints are linear in (L0, A0, Z0) jointly, so the condition
-    amounts to the kernel of one big system projecting to zero on the L0
-    block.
+    amounts to the kernel of one sparse system (columns: L0 over the stage
+    basis, then A0, then Z0) projecting to zero on the L0 block.
+
+    (B_k): alpha maps the kernel of the bracket pairing l (x) l^(k+1) -> l
+    onto a nondegenerate subspace of the module.
     """
     l, module = z.algebra, z.module
     n, m = l.dim, module.dim
-    d0 = stage.dim
-    d1 = series_term.dim
-    if d0 == 0:
-        return True, None
-    unknowns = d0 + m + d1
-    rows: list[list[Fraction]] = []
+    d0, d1 = stage.dim, series_term.dim
+    stage_rows = list(_sparse_vectors(stage.basis, n))
+    a_rows: list[dict[int, Fraction]] = []
+    # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
+    pairing: dict[int, dict[int, Fraction]] = {}
+    alpha_on_tensor: list[Vector] = []
     for i in range(n):
-        # alpha(e_i, L0) = 0, one scalar row per module coordinate
-        alpha_cols = [
-            linear_combination(b, lambda t: z.alpha.value_at((i, t)), m) for b in stage.basis
-        ]
-        for t in range(m):
-            row = [alpha_cols[u][t] for u in range(d0)] + [Fraction(0)] * (m + d1)
-            rows.append(row)
+        def alpha_i(t: int) -> Vector:
+            return z.alpha.value_at((i, t))
+
+        # alpha(e_i, L0) = 0, one row per module coordinate
+        alpha_on_stage = [linear_combination(b, alpha_i, m) for b in stage.basis]
+        a_rows += ({u: a[t] for u, a in enumerate(alpha_on_stage) if a[t]} for t in range(m))
+        # gamma(e_i, b_u, .) for the stage basis vectors b_u with a nonzero one
+        gamma_i, gamma_stage = gamma_at.get(i, {}), []
+        for u, b in enumerate(stage_rows):
+            gb: dict[int, Fraction] = {}
+            for s, x in b.items():
+                _axpy(gb, x, gamma_i.get(s, {}), -1)  # -1: no column skipped
+            if gb:
+                gamma_stage.append((u, gb))
         # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
         for j, w in enumerate(series_term.basis):
-            # gamma(e_i, ., w) contracted once, then paired with each stage vector
-            gamma_iw = linear_combination(
-                w, lambda t: tuple(z.gamma.value_at((i, s, t))[0] for s in range(n)), n
-            )
-            support = [(s, y) for s, y in enumerate(gamma_iw) if y]
-            row = [sum((b[s] * y for s, y in support), Fraction(0)) for b in stage.basis]
-            alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
-            row += list(module.gram.apply(alpha_iw))
-            coords = series_term.coords(l.ad(i, w))
-            if coords is None:
-                raise ConsistencyError("bracket left the series term, series data corrupt")
-            row += [-coords[t] for t in range(d1)]
-            rows.append(row)
-    system = Matrix.from_rows(rows, cols=unknowns)
-    for vec in kernel_basis(system):
-        head = vec[:d0]
-        if not vec_is_zero(head):
-            l0 = linear_combination(head, stage.basis.__getitem__, n)
-            a0 = vec[d0 : d0 + m]
-            z0 = vec[d0 + m :]
-            return False, (l0, a0, z0)
-    return True, None
-
-
-def _condition_b(
-    z: QuadraticCocycle, series_term: Subspace
-) -> tuple[bool, int, tuple[tuple[Vector, ...], ...] | None]:
-    """(B_k): alpha maps the kernel of the bracket pairing l (x) l^(k+1) -> l
-    onto a nondegenerate subspace of the module."""
-    l, module = z.algebra, z.module
-    n, m = l.dim, module.dim
-    d1 = series_term.dim
-    # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, b_j]
-    rows: dict[int, dict[int, Fraction]] = {}
-    for i in range(n):
-        for j, w in enumerate(series_term.basis):
-            for t, x in enumerate(l.ad(i, w)):
-                if x:
-                    rows.setdefault(t, {})[i * d1 + j] = x
-    kernel = _kernel(_reduce(rows.values()), n * d1)
-    alpha_on_tensor = [
-        linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
-        for i in range(n)
-        for w in series_term.basis
-    ]
+            image = l.ad(i, w)
+            alpha_iw = linear_combination(w, alpha_i, m)
+            alpha_on_tensor.append(alpha_iw)
+            gamma_iw = ((u, sum((x * w[t] for t, x in gb.items()), _ZERO)) for u, gb in gamma_stage)
+            row = {u: y for u, y in gamma_iw if y}
+            g_alpha = linear_combination(alpha_iw, module.gram.row, m)
+            row.update((d0 + t, y) for t, y in enumerate(g_alpha) if y)
+            if any(image):
+                coords = series_term.coords(image)
+                if coords is None:
+                    raise ConsistencyError("bracket left the series term, series data corrupt")
+                row.update((d0 + m + t, -y) for t, y in enumerate(coords) if y)
+                for t, x in enumerate(image):
+                    if x:
+                        pairing.setdefault(t, {})[i * d1 + j] = x
+            a_rows.append(row)
+    unknowns = d0 + m + d1
+    a_kernel = _kernel(_reduce(a_rows), unknowns)
+    head = next((_dense(v, unknowns) for v in a_kernel if min(v) < d0), None)
+    a_witness = None
+    if head is not None:
+        l0 = linear_combination(head[:d0], stage.basis.__getitem__, n)
+        a_witness = (l0, head[d0 : d0 + m], head[d0 + m :])
+    kernel = _kernel(_reduce(pairing.values()), n * d1)
     images = [
         linear_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
         for vec in kernel
     ]
+    b_passed = is_nondegenerate_on_span(module.gram, images)
+    b_witness = None
+    if not b_passed:  # each kernel tensor as its n x d1 coefficient matrix
+        b_witness = tuple(
+            tuple(tuple(vec.get(i * d1 + j, _ZERO) for j in range(d1)) for i in range(n))
+            for vec in kernel
+        )
     image_dim = len(echelon_basis(images, m))
-    if is_nondegenerate_on_span(module.gram, images):
-        return True, image_dim, None
-    dense = [_dense(vec, n * d1) for vec in kernel]
-    witness = tuple(tuple(v[i * d1 : (i + 1) * d1] for i in range(n)) for v in dense)
-    return False, image_dim, witness
+    return ConditionKReport(k, a_witness is None, b_passed, image_dim, a_witness, b_witness)
 
 
 def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
@@ -305,25 +305,19 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     if not is_nilpotent(l):
         raise AdmissibilityPreconditionError("admissibility is defined for nilpotent algebras")
     series, _ = lower_central_series(l)
-    stages = filtration_spaces(l)
-    conditions: list[ConditionKReport] = []
-    overall = True
-    for k, stage in enumerate(stages):
-        series_term = series[k]  # l^(k+1)
-        a_passed, a_witness = _condition_a(z, stage, series_term)
-        b_passed, image_dim, b_witness = _condition_b(z, series_term)
-        overall = overall and a_passed and b_passed
-        conditions.append(
-            ConditionKReport(
-                k=k,
-                a_passed=a_passed,
-                b_passed=b_passed,
-                b_image_dim=image_dim,
-                a_witness=a_witness,
-                b_witness=b_witness,
-            )
-        )
-    return AdmissibilityReport(overall=overall, conditions=tuple(conditions))
+    # gamma(e_i, e_s, e_t) as gamma_at[i][s][t], each stored key in its six orientations
+    gamma_at: dict[int, dict[int, dict[int, Fraction]]] = {}
+    for (a, b, c), (v,) in z.gamma.values.items():
+        for i, s, t, y in ((a, b, c, v), (b, c, a, v), (c, a, b, v),
+                           (a, c, b, -v), (b, a, c, -v), (c, b, a, -v)):
+            gamma_at.setdefault(i, {}).setdefault(s, {})[t] = y
+    conditions = tuple(
+        _stage_report(z, k, stage, series[k], gamma_at)  # series[k] = l^(k+1)
+        for k, stage in enumerate(filtration_spaces(l))
+    )
+    return AdmissibilityReport(
+        overall=all(c.a_passed and c.b_passed for c in conditions), conditions=conditions
+    )
 
 
 def indecomposability_proxy(z: QuadraticCocycle) -> bool:

@@ -31,6 +31,11 @@ from metriclie.double_construction import MetricLieAlgebra, build_double
 from metriclie.exact_linalg import (
     Matrix,
     Signature,
+    _dense,
+    _kernel,
+    _reduce,
+    echelon_basis,
+    is_nondegenerate_on_span,
     kernel_basis,
     linear_combination,
     solve_affine,
@@ -38,8 +43,22 @@ from metriclie.exact_linalg import (
     vec_add,
     vec_is_zero,
 )
-from metriclie.lie_core import LieAlgebra
-from metriclie.quadratic_cohomology import QuadraticCochain, QuadraticCocycle, zero_cocycle
+from metriclie.lie_core import (
+    LieAlgebra,
+    Subspace,
+    center,
+    is_nilpotent,
+    lower_central_series,
+)
+from metriclie.quadratic_cohomology import (
+    AdmissibilityPreconditionError,
+    AdmissibilityReport,
+    ConditionKReport,
+    ConsistencyError,
+    QuadraticCochain,
+    QuadraticCocycle,
+    zero_cocycle,
+)
 
 
 def rng(seed: int) -> random.Random:
@@ -538,6 +557,116 @@ def random_elimination_case(rg: random.Random) -> Matrix:
             factor = rg.choice((Fraction(1), Fraction(-1), rational(rg, 3, 2) or Fraction(2)))
             grid[i] = [factor * x for x in grid[rg.randrange(i)]]
     return Matrix.from_rows(grid, cols=cols)
+
+
+# ---------------------------------------------------------------------------
+# dense reference admissibility: one dense (A_k) system per stage, and the
+# intersection as the kernel of the block matrix [B^T | -C^T]
+# ---------------------------------------------------------------------------
+
+
+def dense_intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """The intersection from the kernel of [B^T | -C^T], B and C the bases."""
+    if s1.ambient_dim != s2.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if s1.dim == 0 or s2.dim == 0:
+        return Subspace(s1.ambient_dim, ())
+    n = s1.ambient_dim
+    entries = []
+    for i in range(n):
+        row = [s1.basis[u][i] for u in range(s1.dim)]
+        row += [-s2.basis[w][i] for w in range(s2.dim)]
+        entries.append(row)
+    ker = kernel_basis(Matrix.from_rows(entries, cols=s1.dim + s2.dim))
+    vectors = [linear_combination(k[: s1.dim], s1.basis.__getitem__, n) for k in ker]
+    return Subspace.span(n, vectors)
+
+
+def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspace):
+    """(A_k) as the kernel of one dense system in (L0, A0, Z0)."""
+    l, module = z.algebra, z.module
+    n, m = l.dim, module.dim
+    d0 = stage.dim
+    d1 = series_term.dim
+    if d0 == 0:
+        return True, None
+    rows = []
+    for i in range(n):
+        # alpha(e_i, L0) = 0, one scalar row per module coordinate
+        alpha_cols = [
+            linear_combination(b, lambda t: z.alpha.value_at((i, t)), m) for b in stage.basis
+        ]
+        for t in range(m):
+            rows.append([alpha_cols[u][t] for u in range(d0)] + [Fraction(0)] * (m + d1))
+        # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
+        for w in series_term.basis:
+            gamma_iw = linear_combination(
+                w, lambda t: tuple(z.gamma.value_at((i, s, t))[0] for s in range(n)), n
+            )
+            support = [(s, y) for s, y in enumerate(gamma_iw) if y]
+            row = [sum((b[s] * y for s, y in support), Fraction(0)) for b in stage.basis]
+            alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
+            row += list(module.gram.apply(alpha_iw))
+            coords = series_term.coords(l.ad(i, w))
+            if coords is None:
+                raise ConsistencyError("bracket left the series term, series data corrupt")
+            row += [-coords[t] for t in range(d1)]
+            rows.append(row)
+    for vec in kernel_basis(Matrix.from_rows(rows, cols=d0 + m + d1)):
+        head = vec[:d0]
+        if not vec_is_zero(head):
+            l0 = linear_combination(head, stage.basis.__getitem__, n)
+            return False, (l0, vec[d0 : d0 + m], vec[d0 + m :])
+    return True, None
+
+
+def _dense_condition_b(z: QuadraticCocycle, series_term: Subspace):
+    """(B_k) on the kernel of the bracket pairing l (x) l^(k+1) -> l."""
+    l, module = z.algebra, z.module
+    n, m = l.dim, module.dim
+    d1 = series_term.dim
+    rows = {}
+    for i in range(n):
+        for j, w in enumerate(series_term.basis):
+            for t, x in enumerate(l.ad(i, w)):
+                if x:
+                    rows.setdefault(t, {})[i * d1 + j] = x
+    kernel = _kernel(_reduce(rows.values()), n * d1)
+    alpha_on_tensor = [
+        linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
+        for i in range(n)
+        for w in series_term.basis
+    ]
+    images = [
+        linear_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
+        for vec in kernel
+    ]
+    image_dim = len(echelon_basis(images, m))
+    if is_nondegenerate_on_span(module.gram, images):
+        return True, image_dim, None
+    dense = [_dense(vec, n * d1) for vec in kernel]
+    witness = tuple(tuple(v[i * d1 : (i + 1) * d1] for i in range(n)) for v in dense)
+    return False, image_dim, witness
+
+
+def dense_check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
+    """(A_k) and (B_k) stage by stage, each condition built on its own, with
+    the filtration intersected through :func:`dense_intersect`."""
+    l = z.algebra
+    if not is_nilpotent(l):
+        raise AdmissibilityPreconditionError("admissibility is defined for nilpotent algebras")
+    series, profile = lower_central_series(l)
+    z0, top = center(l), profile.dims.index(0) - 1
+    stages = [z0] + [dense_intersect(z0, series[k]) for k in range(1, top + 1)]
+    conditions = []
+    for k, stage in enumerate(stages):
+        a_passed, a_witness = _dense_condition_a(z, stage, series[k])
+        b_passed, image_dim, b_witness = _dense_condition_b(z, series[k])
+        conditions.append(
+            ConditionKReport(k, a_passed, b_passed, image_dim, a_witness, b_witness)
+        )
+    overall = all(c.a_passed and c.b_passed for c in conditions)
+    return AdmissibilityReport(overall=overall, conditions=tuple(conditions))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from metriclie.lie_core import (
 
 from support import (
     catalog_algebras,
+    dense_intersect,
     dense_kernel,
     dense_rref,
     random_sparse_table,
@@ -152,6 +153,38 @@ def test_subspace_coords_and_intersection():
     assert Subspace.full(3).intersect(s).basis == s.basis
 
 
+def _random_subspace_pair(rg):
+    """Two random subspaces of Q^n, 0 <= n <= 7, sharing a random number of
+    spanning vectors (possibly none), with zero, repeated and scaled vectors."""
+    n = rg.randint(0, 7)
+
+    def vec():
+        density = rg.choice((0.2, 0.5, 0.9))
+        return tuple(rational(rg) if rg.random() < density else Fraction(0) for _ in range(n))
+
+    shared = [vec() for _ in range(rg.randint(0, 3))]
+    spans = []
+    for _ in range(2):
+        vectors = shared + [vec() for _ in range(rg.randint(0, 4))]
+        if vectors and rg.random() < 0.3:
+            vectors.append(tuple(rational(rg) * x for x in rg.choice(vectors)))
+        rg.shuffle(vectors)
+        spans.append(Subspace.span(n, vectors))
+    return spans
+
+
+def test_intersect_matches_the_dense_reference():
+    rg = rng(3033)
+    nonzero = 0
+    for _ in range(2000):
+        s1, s2 = _random_subspace_pair(rg)
+        meet = s1.intersect(s2)
+        assert meet == dense_intersect(s1, s2)
+        assert meet == s2.intersect(s1)
+        nonzero += meet.dim > 0
+    assert nonzero > 1000
+
+
 def test_derived_subalgebra_codimension_at_least_two():
     # non-abelian nilpotent algebras never have a one dimensional quotient
     for build in (heisenberg, g41, g52, g64):
@@ -224,6 +257,13 @@ def test_equal_algebras_hash_equal():
     assert len({g41(), g41(), g52(), abelian(4)}) == 3
     swapped = LieAlgebra(4, dict(reversed(list(g41().brackets.items()))), labels=g41().labels)
     assert swapped == g41() and hash(swapped) == hash(g41())
+    # default labels are made on demand, yet equal the same labels given explicitly
+    named = LieAlgebra(4, g41().brackets, labels=("X1", "X2", "X3", "X4"))
+    default = LieAlgebra(4, g41().brackets)
+    assert default.labels == named.labels
+    assert default == named and hash(default) == hash(named)
+    assert abelian(3) == LieAlgebra(3, {}, labels=("X1", "X2", "X3"))
+    assert hash(abelian(3)) == hash(LieAlgebra(3, {}, labels=("X1", "X2", "X3")))
 
 
 def _brute_force_jacobi(l):

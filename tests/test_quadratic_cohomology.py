@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -5,10 +6,14 @@ from itertools import combinations
 import pytest
 
 from metriclie.catalog import (
+    ENTRIES,
+    _sample_points,
+    default_samples,
     g41,
     g64,
     g64_admissible_cocycle,
     g65_admissible_cocycle,
+    instantiate,
     module_for_tag,
     orthonormal_module,
 )
@@ -16,9 +21,10 @@ from metriclie.cochain_complex import (
     Cochain,
     cochain_from_terms,
     differential,
+    differential_matrix,
 )
-from metriclie.exact_linalg import vec_is_zero
-from metriclie.lie_core import LieAlgebra, abelian
+from metriclie.exact_linalg import Matrix, kernel_basis, vec_is_zero
+from metriclie.lie_core import LieAlgebra, abelian, is_nilpotent, validate_jacobi
 from metriclie.quadratic_cohomology import (
     AdmissibilityPreconditionError,
     CocycleError,
@@ -34,7 +40,19 @@ from metriclie.quadratic_cohomology import (
     zero_cocycle,
 )
 
-from support import random_quadratic_cochain, random_valid_cocycle, rng
+from support import (
+    _cochain_from_vector,
+    _random_span_element,
+    dense_check_admissible,
+    five_dim_three_step,
+    random_quadratic_cochain,
+    random_sparse_table,
+    random_valid_cocycle,
+    rng,
+    seven_dim_two_step,
+)
+
+_TAGS = ("r01", "r10", "r11", "r02", "r11w", "r21", "r03", "r22w")
 
 
 def first_nonclosed_form(l: LieAlgebra, degree: int) -> Cochain:
@@ -186,8 +204,6 @@ def test_zero_cocycle_on_g41_fails_last_stage():
 
 
 def test_valid_cocycles_on_five_dim_base_never_pass_both_final_conditions():
-    from support import five_dim_three_step
-
     l = five_dim_three_step()
     rg = rng(58)
     seen = 0
@@ -216,17 +232,133 @@ def test_indecomposability_proxy_fails_for_small_image():
 
 
 def test_zero_cocycle_on_a_mid_size_abelian_algebra_keeps_the_pairing_kernel_sparse():
-    # The kernel of the bracket pairing l (x) l -> l of the 32-dim abelian
-    # algebra is the whole 1,024-dim tensor space: as dense vectors it would
-    # take 8 MB of pointers alone.  Kept sparse, the (A_0) system dominates
-    # the peak (about 5.6 MB).
-    z = zero_cocycle(abelian(32), module_for_tag("r01"))
-    tracemalloc.start()
-    try:
+    # The kernel of the bracket pairing l (x) l -> l of the n-dim abelian
+    # algebra is the whole n^2-dim tensor space: as dense vectors it would
+    # take 8 MB of pointers alone at n = 32.  Kept sparse, its unit vectors
+    # dominate the peak (about 0.4 MB at n = 32 and 1 MB at n = 48); the
+    # (A_0) system has no nonzero entry, so it must hold no dense rows.
+    for n, bound in ((32, 7_000_000), (48, 4_000_000)):
+        z = zero_cocycle(abelian(n), module_for_tag("r01"))
+        tracemalloc.start()
+        try:
+            report = check_admissible(z)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, n
+        (cond,) = report.conditions
+        assert not cond.a_passed and cond.b_passed and cond.b_image_dim == 0
+
+
+# ---------------------------------------------------------------------------
+# the sparse stage pass against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def criterion_4_cocycles():
+    """Every solvable try of the criterion-4 study (seed 2026), in order."""
+    l = five_dim_three_step()
+    rg = rng(2026)
+    out = []
+    while len(out) < 50:
+        z = random_valid_cocycle(rg, l, module_for_tag(_TAGS[len(out) % len(_TAGS)]))
+        if z is not None:
+            out.append(z)
+    return out
+
+
+def test_check_admissible_matches_the_dense_reference_on_the_catalog():
+    rows = 0
+    for entry in ENTRIES:
+        for point in _sample_points(entry, default_samples()):
+            z = instantiate(entry, point)
+            assert check_admissible(z) == dense_check_admissible(z), entry.id
+            rows += 1
+    assert rows == 95
+    for fixture in (g64_admissible_cocycle, g65_admissible_cocycle):
+        assert check_admissible(fixture()) == dense_check_admissible(fixture())
+
+
+def test_check_admissible_matches_the_dense_reference_on_the_rejection_study():
+    failed = {"a": 0, "b": 0}
+    for z in criterion_4_cocycles():
         report = check_admissible(z)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7_000_000
-    (cond,) = report.conditions
-    assert not cond.a_passed and cond.b_passed and cond.b_image_dim == 0
+        assert report == dense_check_admissible(z)
+        failed["a"] += not all(c.a_passed for c in report.conditions)
+        failed["b"] += not all(c.b_passed for c in report.conditions)
+    assert failed["a"] and failed["b"]  # both witnesses are compared
+
+
+def _closed_shift(rg, z: QuadraticCocycle) -> QuadraticCocycle:
+    """z with a random closed scalar 3-form added to gamma: again a cocycle."""
+    l = z.algebra
+    d3 = differential_matrix(l, None, 3)
+    total = _random_span_element(rg, kernel_basis(d3), d3.cols)
+    shift = _cochain_from_vector(total, l.dim, 3, 1, True)
+    return QuadraticCocycle(l, z.module, z.alpha, z.gamma + shift)
+
+
+def test_check_admissible_matches_the_dense_reference_on_random_nilpotent_tables():
+    # the center of a random table sits at any indices, so every orientation
+    # of a stored gamma key meets a stage vector
+    rg = rng(2031)
+    seen = shifted = 0
+    while seen < 40:
+        l = random_sparse_table(rg, rg.randint(3, 7))
+        if not (validate_jacobi(l).ok and is_nilpotent(l)):
+            continue
+        module = module_for_tag(rg.choice(_TAGS))
+        for z in (zero_cocycle(l, module), random_valid_cocycle(rg, l, module, tries=3)):
+            if z is None:
+                continue
+            moved = _closed_shift(rg, z)
+            shifted += moved != z
+            for y in (z, moved):
+                assert check_admissible(y) == dense_check_admissible(y)
+        seen += 1
+    assert shifted >= 30
+
+
+def test_check_admissible_matches_the_dense_reference_with_closed_gamma_shifts():
+    rg = rng(2032)
+    cocycles = [g64_admissible_cocycle(), g65_admissible_cocycle()]
+    for l in (five_dim_three_step(), seven_dim_two_step()):
+        for tag in ("r01", "r10", "r11", "r02") * 2:
+            z = random_valid_cocycle(rg, l, module_for_tag(tag))
+            if z is not None:
+                cocycles.append(z)
+    assert len(cocycles) >= 8
+    for z in cocycles:
+        moved = _closed_shift(rg, z)
+        assert moved != z
+        for y in (z, moved):
+            assert check_admissible(y) == dense_check_admissible(y)
+
+
+def test_check_admissible_builds_no_dense_system(monkeypatch):
+    # No kernel_basis call and no Matrix wider than the module (the Gram
+    # restrictions of the (B_k) check are the only matrices left).
+    cocycles = (g64_admissible_cocycle(), zero_cocycle(g41(), orthonormal_module([1])))
+    calls = []
+    widths = []
+    post_init = Matrix.__post_init__
+
+    def counting_kernel_basis(m):
+        calls.append(m.cols)
+        return kernel_basis(m)
+
+    def recording_post_init(self):
+        widths.append(self.cols)
+        post_init(self)
+
+    # every metriclie namespace that holds kernel_basis, as a from-import binds it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("metriclie") and getattr(module, "kernel_basis", None) is kernel_basis:
+            monkeypatch.setattr(module, "kernel_basis", counting_kernel_basis)
+    monkeypatch.setattr(Matrix, "__post_init__", recording_post_init)
+    for z in cocycles:
+        widths.clear()
+        report = check_admissible(z)
+        assert calls == []
+        assert all(width <= z.module.dim for width in widths)
+        assert report.overall is (z.module.dim == 4)
