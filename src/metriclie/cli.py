@@ -128,11 +128,7 @@ def bounded(algebra: LieAlgebra) -> LieAlgebra:
 def checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
     outcome = validate_jacobi(algebra)
     if not outcome.ok:
-        i, j, k = outcome.triple
-        labels = algebra.labels
-        raise MathFailure(
-            f"Jacobi identity fails on ({labels[i]}, {labels[j]}, {labels[k]})"
-        )
+        raise MathFailure(f"Jacobi identity fails on {algebra.named(outcome.triple)}")
     return algebra
 
 

@@ -219,14 +219,23 @@ def differential(l: LieAlgebra, c: Cochain) -> Cochain:
     """
     if c.n != l.dim:
         raise ValueError("cochain does not live on this algebra")
-    out_degree = c.degree + 1
-    if not c.values:
-        return Cochain.zero(l.dim, out_degree, c.value_dim, c.scalar)
+    return _differential(c, _bracket_targets(l) if c.values else {})
+
+
+def _bracket_targets(l: LieAlgebra) -> dict[int, list[tuple[int, int, Fraction]]]:
+    """For each e_t, the stored brackets [e_i, e_j] (i < j) with a nonzero
+    e_t component x, as ``(i, j, x)``."""
     hits: dict[int, list[tuple[int, int, Fraction]]] = {}
     for (i, j), w in l.brackets.items():
         for t, x in enumerate(w):
             if x:
                 hits.setdefault(t, []).append((i, j, x))
+    return hits
+
+
+def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Fraction]]]) -> Cochain:
+    """d c, given the :func:`_bracket_targets` of the algebra of ``c``."""
+    out_degree = c.degree + 1
     sums: dict[tuple[int, ...], list[Fraction]] = {}
     for key, v in c.values.items():
         for s, t in enumerate(key):
@@ -245,7 +254,7 @@ def differential(l: LieAlgebra, c: Cochain) -> Cochain:
                     if y:
                         total[k] += coeff * y
     values = {key: tuple(sums[key]) for key in sorted(sums)}
-    return Cochain(l.dim, out_degree, c.value_dim, c.scalar, values)
+    return Cochain(c.n, out_degree, c.value_dim, c.scalar, values)
 
 
 def pair_values(gram: Matrix, u: Vector, v: Vector) -> Fraction:
@@ -294,9 +303,10 @@ def _differential_columns(
     """d_p of each standard basis cochain of C^p, in order, as a sparse column
     keyed by the basis cochains ``(key, s)`` of C^(p+1)."""
     value_dim = 1 if module is None else module.dim
+    hits = _bracket_targets(l)
     for key, t in _basis_enumeration(l.dim, p, value_dim):
         unit = Cochain(l.dim, p, value_dim, module is None, {key: unit_vector(value_dim, t)})
-        values = differential(l, unit).values
+        values = _differential(unit, hits).values
         yield {(out_key, s): x for out_key, v in values.items() for s, x in enumerate(v) if x}
 
 

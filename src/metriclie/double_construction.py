@@ -22,7 +22,6 @@ from fractions import Fraction
 from .exact_linalg import (
     Matrix,
     Signature,
-    gram_on_span,
     rank,
     signature_of,
     unit_vector,
@@ -151,7 +150,10 @@ def verify_metric(g: MetricLieAlgebra) -> MetricReport:
         MetricCheck(
             "jacobi",
             jac.ok,
-            "" if jac.ok else "fails at triple %s with defect %s" % (jac.triple, jac.defect),
+            ""
+            if jac.ok
+            else "fails at triple %s with defect (%s)"
+            % (g.algebra.named(jac.triple), ", ".join(map(str, jac.defect))),
         )
     )
     inv_detail = _invariance_failure(g) if sym_ok else ""
@@ -182,7 +184,7 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
                     pairing[key] = pairing[key] + term if key in pairing else term
         for j, k in sorted({(min(key), max(key)) for key in pairing}):
             if pairing.get((j, k), 0) + pairing.get((k, j), 0) != 0:
-                return "fails at triple (%d, %d, %d)" % (i, j, k)
+                return "fails at triple %s" % g.algebra.named((i, j, k))
     return ""
 
 
@@ -217,6 +219,6 @@ def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
         signature=signature_of(g.gram),
         series_dims=profile.dims,
         center_dim=z.dim,
-        center_signature=signature_of(gram_on_span(g.gram, z.basis)),
-        derived_signature=signature_of(gram_on_span(g.gram, derived.basis)),
+        center_signature=signature_of(z.form(g.gram)),
+        derived_signature=signature_of(derived.form(g.gram)),
     )

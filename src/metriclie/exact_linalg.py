@@ -4,8 +4,9 @@ Vectors are tuples of :class:`fractions.Fraction` and matrices are immutable
 row-major grids of the same.  Every elimination runs over sparse rows that
 hold only their nonzero entries.  Row reduction returns the reduced row
 echelon form, which is unique for a given row space, so ranks, kernels,
-solution sets and echelon bases do not depend on the order in which rows
-are eliminated and are reproducible bit for bit.  The pivot order does not
+solution sets and the echelon basis of each :class:`Subspace` do not
+depend on the order in which rows are eliminated and are reproducible bit
+for bit.  The pivot order does not
 matter for determinants and signatures either: the determinant is unique,
 and inertia is additive over Schur complements (Haynsworth 1968), so every
 sequence of nonzero pivots counts the same signature.  No floating point
@@ -15,6 +16,7 @@ appears anywhere in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -146,12 +148,9 @@ class Matrix:
         )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("matrix shape mismatch")
         return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._shape_check(other)
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
@@ -164,17 +163,11 @@ class Matrix:
             out.extend(linear_combination(self.row(i), other.row, other.cols))
         return Matrix(self.rows, other.cols, tuple(out))
 
-    def scale(self, c: Fraction | int) -> "Matrix":
-        c = Fraction(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
-
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product."""
         if len(v) != self.cols:
             raise ValueError("vector length %d does not match cols=%d" % (len(v), self.cols))
-        return tuple(
-            sum((self.at(i, k) * v[k] for k in range(self.cols)), _ZERO) for i in range(self.rows)
-        )
+        return linear_combination(v, self.column, self.rows)
 
     def is_symmetric(self) -> bool:
         return self.rows == self.cols and all(
@@ -183,10 +176,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
-
-    def _shape_check(self, other: "Matrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape mismatch")
 
 
 def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
@@ -394,11 +383,6 @@ def signature_of(gram: Matrix) -> Signature:
     return Signature(neg=neg, pos=pos, null=gram.rows - neg - pos)
 
 
-def echelon_basis(vectors: Iterable[Vector], ambient_dim: int) -> tuple[Vector, ...]:
-    """Canonical (reduced echelon) basis of the span of ``vectors``."""
-    return tuple(_dense(row, ambient_dim) for _, row in _reduce(_sparse_vectors(vectors, ambient_dim)))
-
-
 def _sparse_vectors(vectors: Iterable[Vector], ambient_dim: int) -> Iterator[dict[int, Fraction]]:
     for v in vectors:
         row = {j: x for j, x in enumerate(v) if x}
@@ -407,20 +391,88 @@ def _sparse_vectors(vectors: Iterable[Vector], ambient_dim: int) -> Iterator[dic
         yield row
 
 
-def gram_on_span(gram: Matrix, basis: Sequence[Vector]) -> Matrix:
-    """Restrict a symmetric form to the span of ``basis`` (as B G B^T)."""
-    b = Matrix.from_rows(basis, cols=gram.cols) if basis else Matrix.zero(0, gram.cols)
-    return b @ gram @ b.transpose()
+@dataclass(frozen=True)
+class Subspace:
+    """A subspace of Q^n, canonicalized to its reduced echelon basis.
 
-
-def is_nondegenerate_on_span(gram: Matrix, vectors: Iterable[Vector]) -> bool:
-    """Whether the restriction of ``gram`` to span(vectors) is nondegenerate.
-
-    The zero subspace counts as nondegenerate.  The answer only depends on
-    the span, not on the spanning set, because the vectors are first reduced
-    to a canonical basis.
+    The reduced echelon basis is unique, so two subspaces are equal exactly
+    when they span the same space, whichever constructor built them.
+    ``rows`` holds the same basis as sparse ``{column: entry}`` maps; it is
+    derived on first use and shared, so callers hand copies of its rows to
+    :func:`_reduce`, which consumes its input.
     """
-    basis = echelon_basis(vectors, gram.cols)
-    if not basis:
-        return True
-    return rank(gram_on_span(gram, basis)) == len(basis)
+
+    ambient_dim: int
+    basis: tuple[Vector, ...]
+
+    @staticmethod
+    def span(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
+        """The span of dense vectors of length ``ambient_dim``."""
+        return Subspace.of_rows(ambient_dim, _sparse_vectors(vectors, ambient_dim))
+
+    @staticmethod
+    def of_rows(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
+        """The span of sparse rows ``{column: nonzero entry}``; the rows are consumed."""
+        return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for _, row in _reduce(rows)))
+
+    @staticmethod
+    def kernel(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
+        """The common kernel of sparse rows over columns ``0..ambient_dim-1``;
+        the rows are consumed."""
+        return Subspace.of_rows(ambient_dim, _kernel(_reduce(rows), ambient_dim))
+
+    @staticmethod
+    def full(ambient_dim: int) -> "Subspace":
+        return Subspace(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    @cached_property
+    def rows(self) -> tuple[dict[int, Fraction], ...]:
+        """The basis as sparse rows (shared: copy a row before changing it)."""
+        return tuple({j: x for j, x in enumerate(b) if x} for b in self.basis)
+
+    @cached_property
+    def _pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis vector (its first nonzero entry)."""
+        return tuple(min(row) for row in self.rows)
+
+    def coords(self, v: Vector) -> Vector | None:
+        """Coordinates of ``v`` in the echelon basis, or None if outside."""
+        if len(v) != self.ambient_dim:
+            raise ValueError("vector does not live in the ambient space")
+        coeffs = tuple(v[p] for p in self._pivots)
+        residual = vec_sub(v, linear_combination(coeffs, self.basis.__getitem__, len(v)))
+        if not vec_is_zero(residual):
+            return None
+        return coeffs
+
+    def contains(self, v: Vector) -> bool:
+        return self.coords(v) is not None
+
+    def intersect(self, other: "Subspace") -> "Subspace":
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        # Zassenhaus: reduce [u | u] for u in self and [w | 0] for w in other;
+        # the reduced rows with a pivot in the right half are [0 | v], and
+        # their v are the reduced echelon basis of the intersection.
+        n = self.ambient_dim
+        rows = [{**u, **{j + n: x for j, x in u.items()}} for u in self.rows]
+        rows += (dict(w) for w in other.rows)
+        return Subspace(
+            n,
+            tuple(_dense({j - n: x for j, x in row.items()}, n) for p, row in _reduce(rows) if p >= n),
+        )
+
+    def form(self, gram: Matrix) -> Matrix:
+        """The restriction of the form ``gram`` to this subspace: B G B^T for
+        the echelon basis B."""
+        b = Matrix(self.dim, self.ambient_dim, tuple(x for v in self.basis for x in v))
+        return b @ gram @ b.transpose()
+
+    def is_nondegenerate(self, gram: Matrix) -> bool:
+        """Whether the restriction of ``gram`` is nondegenerate; the zero
+        subspace counts as nondegenerate."""
+        return rank(self.form(gram)) == self.dim

@@ -15,30 +15,13 @@ are computed at most once per instance and then reused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .exact_linalg import (
-    Vector,
-    _dense,
-    _kernel,
-    _reduce,
-    _sparse_vectors,
-    echelon_basis,
-    linear_combination,
-    unit_vector,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    vector,
-    zero_vector,
-)
+from .exact_linalg import Subspace, Vector, _dense, linear_combination, vector, zero_vector
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _NO_BRACKETS: Mapping[int, tuple[tuple[int, Fraction], ...]] = MappingProxyType({})
 
 
@@ -57,62 +40,6 @@ class JacobiReport:
     ok: bool
     triple: tuple[int, int, int] | None = None
     defect: Vector | None = None
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of Q^n, canonicalized to a reduced echelon basis."""
-
-    ambient_dim: int
-    basis: tuple[Vector, ...]
-
-    @staticmethod
-    def span(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
-        return Subspace(ambient_dim, echelon_basis(vectors, ambient_dim))
-
-    @staticmethod
-    def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
-
-    @staticmethod
-    def from_reduced(ambient_dim: int, reduced: list[tuple[int, dict[int, Fraction]]]) -> "Subspace":
-        """The subspace spanned by sparse reduced echelon rows (pivot, row)."""
-        return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for _, row in reduced))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis vector (its first nonzero entry)."""
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
-
-    def coords(self, v: Vector) -> Vector | None:
-        """Coordinates of ``v`` in the echelon basis, or None if outside."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector does not live in the ambient space")
-        coeffs = tuple(v[p] for p in self._pivots)
-        residual = vec_sub(v, linear_combination(coeffs, self.basis.__getitem__, len(v)))
-        if not vec_is_zero(residual):
-            return None
-        return coeffs
-
-    def contains(self, v: Vector) -> bool:
-        return self.coords(v) is not None
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        # Zassenhaus: reduce [u | u] for u in self and [w | 0] for w in other;
-        # the reduced rows with a pivot in the right half are [0 | v], and
-        # their v are the reduced echelon basis of the intersection.
-        n = self.ambient_dim
-        rows = [{**u, **{j + n: x for j, x in u.items()}} for u in _sparse_vectors(self.basis, n)]
-        rows += _sparse_vectors(other.basis, n)
-        return Subspace.from_reduced(
-            n, [(p - n, {j - n: x for j, x in row.items()}) for p, row in _reduce(rows) if p >= n]
-        )
 
 
 @dataclass(frozen=True)
@@ -209,6 +136,11 @@ class LieAlgebra:
     def __repr__(self) -> str:
         return "LieAlgebra(dim=%d, brackets=%d)" % (self._dim, len(self._brackets))
 
+    def named(self, indices: Sequence[int]) -> str:
+        """Basis elements by label, as in ``(X1, X3, X4)``."""
+        labels = self.labels
+        return "(%s)" % ", ".join(labels[i] for i in indices)
+
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for arbitrary basis indices."""
         if i > j:
@@ -238,15 +170,10 @@ def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
 
 
 def bracket(l: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the structure constants."""
+    """Bilinear extension of the structure constants: the sum of x_i [e_i, y]."""
     if len(x) != l.dim or len(y) != l.dim:
         raise ValueError("argument does not live in the algebra")
-    out = zero_vector(l.dim)
-    for (i, j), v in l.brackets.items():
-        c = x[i] * y[j] - x[j] * y[i]
-        if c != 0:
-            out = vec_add(out, vec_scale(c, v))
-    return out
+    return linear_combination(x, lambda i: l.ad(i, y), l.dim)
 
 
 def validate_jacobi(l: LieAlgebra) -> JacobiReport:
@@ -294,27 +221,21 @@ def lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPro
 
 
 def _lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesProfile]:
-    n = l.dim
     # e_i without a stored bracket adds only zero generators
     rows = [l._rows[i] for i in sorted(l._rows)]
-    current = [{i: _ONE} for i in range(n)]  # reduced echelon rows of l
-    chain = [Subspace.full(n)]
-    dims = [n]
-    while dims[-1] > 0:
-        reduced = _reduce(_ad_images(rows, current))
-        chain.append(Subspace.from_reduced(n, reduced))
-        dims.append(len(reduced))
-        if dims[-1] == dims[-2]:
+    chain = [Subspace.full(l.dim)]
+    while chain[-1].dim > 0:
+        chain.append(Subspace.of_rows(l.dim, _ad_images(rows, chain[-1].rows)))
+        if chain[-1].dim == chain[-2].dim:
             break  # stabilized, not nilpotent
-        current = [r for _, r in reduced]
-    return tuple(chain), SeriesProfile(tuple(dims))
+    return tuple(chain), SeriesProfile(tuple(s.dim for s in chain))
 
 
 def _ad_images(
-    rows: list[dict[int, tuple[tuple[int, Fraction], ...]]], basis: list[dict[int, Fraction]]
+    rows: list[dict[int, tuple[tuple[int, Fraction], ...]]], basis: Sequence[dict[int, Fraction]]
 ) -> Iterator[dict[int, Fraction]]:
     """The nonzero [e_i, w] for the stored rows of e_i and the sparse w in
-    ``basis``, as fresh sparse rows."""
+    ``basis`` (only read), as fresh sparse rows."""
     for row in rows:
         for w in basis:
             image: dict[int, Fraction] = {}
@@ -340,14 +261,12 @@ def center(l: LieAlgebra) -> Subspace:
 
 def _center(l: LieAlgebra) -> Subspace:
     # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
-    n = l.dim
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, brackets in sorted(l._rows.items()):
         for j, pairs in brackets.items():
             for t, c in pairs:
                 rows.setdefault((i, t), {})[j] = c
-    kernel = _kernel(_reduce(rows.values()), n)
-    return Subspace.from_reduced(n, _reduce(kernel))
+    return Subspace.kernel(l.dim, rows.values())
 
 
 def nilpotency_index(l: LieAlgebra) -> int:

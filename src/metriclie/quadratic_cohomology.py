@@ -34,18 +34,8 @@ from .cochain_complex import (
     differential,
     wedge_pair,
 )
-from .exact_linalg import (
-    Vector,
-    _axpy,
-    _dense,
-    _kernel,
-    _reduce,
-    _sparse_vectors,
-    echelon_basis,
-    is_nondegenerate_on_span,
-    linear_combination,
-)
-from .lie_core import LieAlgebra, Subspace, filtration_spaces, is_nilpotent, lower_central_series
+from .exact_linalg import Subspace, Vector, _axpy, _dense, _kernel, _reduce, linear_combination
+from .lie_core import LieAlgebra, filtration_spaces, is_nilpotent, lower_central_series
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -128,7 +118,7 @@ class QuadraticCocycle:
         defect = cocycle_defect(self.algebra, self.module, self.alpha, self.gamma)
         if defect is not None:
             kind, key = defect
-            raise CocycleError("%s fails at basis tuple %s" % (kind, key))
+            raise CocycleError("%s fails at basis tuple %s" % (kind, self.algebra.named(key)))
 
 
 def zero_cocycle(l: LieAlgebra, module: OrthogonalModule) -> QuadraticCocycle:
@@ -235,7 +225,6 @@ def _stage_report(
     l, module = z.algebra, z.module
     n, m = l.dim, module.dim
     d0, d1 = stage.dim, series_term.dim
-    stage_rows = list(_sparse_vectors(stage.basis, n))
     a_rows: list[dict[int, Fraction]] = []
     # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
     pairing: dict[int, dict[int, Fraction]] = {}
@@ -249,7 +238,7 @@ def _stage_report(
         a_rows += ({u: a[t] for u, a in enumerate(alpha_on_stage) if a[t]} for t in range(m))
         # gamma(e_i, b_u, .) for the stage basis vectors b_u with a nonzero one
         gamma_i, gamma_stage = gamma_at.get(i, {}), []
-        for u, b in enumerate(stage_rows):
+        for u, b in enumerate(stage.rows):
             gb: dict[int, Fraction] = {}
             for s, x in b.items():
                 _axpy(gb, x, gamma_i.get(s, {}), -1)  # -1: no column skipped
@@ -285,15 +274,15 @@ def _stage_report(
         linear_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
         for vec in kernel
     ]
-    b_passed = is_nondegenerate_on_span(module.gram, images)
+    image = Subspace.span(m, images)
+    b_passed = image.is_nondegenerate(module.gram)
     b_witness = None
     if not b_passed:  # each kernel tensor as its n x d1 coefficient matrix
         b_witness = tuple(
             tuple(tuple(vec.get(i * d1 + j, _ZERO) for j in range(d1)) for i in range(n))
             for vec in kernel
         )
-    image_dim = len(echelon_basis(images, m))
-    return ConditionKReport(k, a_witness is None, b_passed, image_dim, a_witness, b_witness)
+    return ConditionKReport(k, a_witness is None, b_passed, image.dim, a_witness, b_witness)
 
 
 def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
@@ -323,5 +312,4 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
 def indecomposability_proxy(z: QuadraticCocycle) -> bool:
     """Necessary condition for indecomposability: the values of alpha span
     the whole module."""
-    span = echelon_basis(list(z.alpha.values.values()), z.module.dim)
-    return len(span) == z.module.dim
+    return Subspace.span(z.module.dim, z.alpha.values.values()).dim == z.module.dim

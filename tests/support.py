@@ -31,11 +31,10 @@ from metriclie.double_construction import MetricLieAlgebra, build_double
 from metriclie.exact_linalg import (
     Matrix,
     Signature,
+    Subspace,
     _dense,
     _kernel,
     _reduce,
-    echelon_basis,
-    is_nondegenerate_on_span,
     kernel_basis,
     linear_combination,
     solve_affine,
@@ -45,7 +44,6 @@ from metriclie.exact_linalg import (
 )
 from metriclie.lie_core import (
     LieAlgebra,
-    Subspace,
     center,
     is_nilpotent,
     lower_central_series,
@@ -253,6 +251,22 @@ def random_valid_cocycle(
     return None
 
 
+REJECTION_TAGS = ("r01", "r10", "r11", "r02", "r11w", "r21", "r03", "r22w")
+
+
+def rejection_study_cocycles() -> list[QuadraticCocycle]:
+    """The 50 solvable tries of the criterion-4 rejection study (seed 2026)
+    on ``five_dim_three_step``, the module tags taken in turn."""
+    l = five_dim_three_step()
+    rg = rng(2026)
+    out = []
+    while len(out) < 50:
+        z = random_valid_cocycle(rg, l, module_for_tag(REJECTION_TAGS[len(out) % len(REJECTION_TAGS)]))
+        if z is not None:
+            out.append(z)
+    return out
+
+
 def catalog_pairs() -> list[tuple[str, LieAlgebra, OrthogonalModule | None]]:
     """Distinct (base algebra, coefficient module) pairs from the catalog."""
     seen = []
@@ -270,6 +284,16 @@ def catalog_pairs() -> list[tuple[str, LieAlgebra, OrthogonalModule | None]]:
 # ---------------------------------------------------------------------------
 # dense reference kernels: every basis tuple, every slot split
 # ---------------------------------------------------------------------------
+
+
+def dense_bracket(l: LieAlgebra, x, y) -> tuple[Fraction, ...]:
+    """[x, y] summed over every stored bracket, c_ij = x_i y_j - x_j y_i."""
+    out = (Fraction(0),) * l.dim
+    for (i, j), v in l.brackets.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c != 0:
+            out = vec_add(out, tuple(c * a for a in v))
+    return out
 
 
 def dense_differential(l: LieAlgebra, c: Cochain) -> Cochain:
@@ -565,6 +589,11 @@ def random_elimination_case(rg: random.Random) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
+def subspace_intact(space: Subspace) -> bool:
+    """Whether the shared sparse rows of ``space`` still hold its basis."""
+    return list(space.rows) == [{j: x for j, x in enumerate(b) if x} for b in space.basis]
+
+
 def dense_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """The intersection from the kernel of [B^T | -C^T], B and C the bases."""
     if s1.ambient_dim != s2.ambient_dim:
@@ -641,8 +670,11 @@ def _dense_condition_b(z: QuadraticCocycle, series_term: Subspace):
         linear_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
         for vec in kernel
     ]
-    image_dim = len(echelon_basis(images, m))
-    if is_nondegenerate_on_span(module.gram, images):
+    # the echelon basis B of the image and the rank of B G B^T, all dense
+    reduced, pivots = dense_rref(Matrix.from_rows(images, cols=m))
+    b = Matrix.from_rows([reduced.row(r) for r in range(len(pivots))], cols=m)
+    image_dim = len(pivots)
+    if len(dense_rref(b @ module.gram @ b.transpose())[1]) == image_dim:
         return True, image_dim, None
     dense = [_dense(vec, n * d1) for vec in kernel]
     witness = tuple(tuple(v[i * d1 : (i + 1) * d1] for i in range(n)) for v in dense)

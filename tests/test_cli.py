@@ -18,7 +18,6 @@ from metriclie.double_construction import build_double
 from metriclie.quadratic_cohomology import check_admissible
 from metriclie.schema import algebra_to_payload, module_to_payload
 
-from support import five_dim_three_step, random_valid_cocycle, rng
 from test_golden import golden_commands
 
 
@@ -134,6 +133,39 @@ def test_verify_flags_broken_cocycle(tmp_path, capsys):
     code, out = run(capsys, "verify", write_doc(tmp_path, "broken.json", base))
     assert code == 1
     assert "gamma_equation" in out["payload"]["error"]
+
+
+def _bundled(name):
+    return json.loads(cli.resolve_path(name).read_text())
+
+
+def test_failures_name_basis_labels_not_indices(tmp_path, capsys):
+    # the documents number their basis from 1, so a failure names labels
+    doc = _bundled("cocycles/g64_quad.json")
+    first = doc["payload"]["alpha"][0]
+    first["value"] = [str(2 * Fraction(x)) for x in first["value"]]
+    path = write_doc(tmp_path, "doubled_alpha.json", doc)
+    for command in ("admissible", "double", "verify"):
+        code, out = run(capsys, command, path)
+        assert code == 1
+        assert out["payload"]["error"] == "d_alpha fails at basis tuple (X1, X3, X4)"
+    doc = _bundled("doubles/r2_plane_double.json")
+    first = doc["payload"]["algebra"]["brackets"][0]
+    first["value"] = [str(-Fraction(x)) for x in first["value"]]
+    code, out = run(capsys, "verify", write_doc(tmp_path, "flipped.json", doc))
+    assert code == 1
+    assert out["payload"]["error"] == "invariance: fails at triple (A1, X1, X2)"
+    doc["payload"]["algebra"] = {
+        "dim": 5,
+        "labels": ["P", "Q", "R", "S", "T"],
+        "brackets": [
+            {"i": 1, "j": 2, "value": ["0", "0", "1", "0", "0"]},
+            {"i": 1, "j": 3, "value": ["1", "0", "0", "0", "0"]},
+        ],
+    }
+    code, out = run(capsys, "verify", write_doc(tmp_path, "not_lie.json", doc))
+    assert code == 1
+    assert out["payload"]["error"] == "jacobi: fails at triple (P, Q, R) with defect (0, 0, 1, 0, 0)"
 
 
 def test_admissible_prop_fixture(capsys):
@@ -392,22 +424,13 @@ def test_catalog_out_reuses_the_catalog_doubles(tmp_path, monkeypatch, capsys):
         assert (out_dir / cli._row_filename(row)).read_text() == expected
 
 
-def test_admissible_reports_b_witness_from_the_rejection_study(tmp_path, capsys):
-    # Replay the criterion-4 study (seed 2026) up to its first (B_k) failure.
-    l = five_dim_three_step()
-    rg = rng(2026)
-    tags = ("r01", "r10", "r11", "r02", "r11w", "r21", "r03", "r22w")
-    rejected, found = 0, None
-    while found is None and rejected < 50:
-        z = random_valid_cocycle(rg, l, module_for_tag(tags[rejected % len(tags)]))
-        if z is None:
-            continue
-        rep = check_admissible(z)
-        if not all(c.b_passed for c in rep.conditions):
-            found = z, rep
-        rejected += 1
-    assert found is not None
-    z, rep = found
+def test_admissible_reports_b_witness_from_the_rejection_study(rejection_study, tmp_path, capsys):
+    # the first (B_k) failure of the criterion-4 study
+    z, rep = next(
+        (z, rep)
+        for z, rep in ((z, check_admissible(z)) for z in rejection_study.cocycles)
+        if not all(c.b_passed for c in rep.conditions)
+    )
     doc = schema.wrap("cocycle", schema.cocycle_to_payload(z))
     code, out = run(capsys, "admissible", write_doc(tmp_path, "rejected.json", doc))
     assert code == 1

@@ -470,3 +470,20 @@ def test_cochain_converts_only_values_that_are_not_fraction_tuples(monkeypatch):
         Cochain(3, 1, 2, False, {(0,): (Fraction(1),)})
     with pytest.raises(ValueError):
         Cochain(3, 2, 1, True, {(1, 0): (Fraction(1),)})
+
+
+def test_differential_columns_index_the_brackets_once(monkeypatch):
+    builds = []
+    targets = cochain_complex._bracket_targets
+
+    def counting_targets(l):
+        builds.append(l)
+        return targets(l)
+
+    monkeypatch.setattr(cochain_complex, "_bracket_targets", counting_targets)
+    # d_3 and d_2 on the 20 basis 3-cochains and the 15 basis 2-cochains
+    cohomology_dim(g64(), None, 3)
+    assert len(builds) == 2
+    builds.clear()
+    differential_matrix(g64(), None, 2)
+    assert len(builds) == 1

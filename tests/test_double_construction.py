@@ -259,7 +259,8 @@ def brute_invariance_failure(g: MetricLieAlgebra) -> str:
         for j in range(n):
             for k in range(j, n):
                 if m[j][k] + m[k][j] != 0:
-                    return "fails at triple (%d, %d, %d)" % (i, j, k)
+                    labels = g.algebra.labels
+                    return "fails at triple (%s, %s, %s)" % (labels[i], labels[j], labels[k])
     return ""
 
 

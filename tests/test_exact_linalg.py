@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from metriclie.exact_linalg import (
     Matrix,
     Signature,
+    Subspace,
     det,
-    echelon_basis,
-    gram_on_span,
-    is_nondegenerate_on_span,
     kernel_basis,
     linear_combination,
     rank,
@@ -25,9 +23,10 @@ from metriclie.exact_linalg import (
 )
 from metriclie.catalog import ENTRIES, g64, g65, heisenberg, instantiate
 from metriclie.double_construction import build_double
-from metriclie.lie_core import bracket, center, lower_central_series
+from metriclie.lie_core import center, lower_central_series
 
 from support import (
+    dense_bracket,
     dense_det,
     dense_kernel,
     dense_rref,
@@ -120,18 +119,18 @@ def test_signature_handles_coupled_zero_diagonal():
     assert signature_of(m).as_tuple() == (1, 2, 0)
 
 
-def test_echelon_basis_canonicalizes_span():
-    basis = echelon_basis([vector([2, 2, 0]), vector([1, 1, 1])], 3)
+def test_subspace_span_canonicalizes():
+    basis = Subspace.span(3, [vector([2, 2, 0]), vector([1, 1, 1])]).basis
     assert basis == (vector([1, 1, 0]), vector([0, 0, 1]))
 
 
-def test_gram_on_span_restricts_form():
+def test_subspace_form_restricts_the_form():
     gram = Matrix.diagonal([1, 1, -1])
-    basis = (vector([1, 0, 1]),)
-    assert gram_on_span(gram, basis).to_rows() == [[Fraction(0)]]
-    assert not is_nondegenerate_on_span(gram, basis)
-    assert is_nondegenerate_on_span(gram, [])
-    assert is_nondegenerate_on_span(gram, [vector([1, 0, 0])])
+    null_line = Subspace.span(3, [vector([1, 0, 1])])
+    assert null_line.form(gram).to_rows() == [[Fraction(0)]]
+    assert not null_line.is_nondegenerate(gram)
+    assert Subspace.span(3, []).is_nondegenerate(gram)
+    assert Subspace.span(3, [vector([1, 0, 0])]).is_nondegenerate(gram)
 
 
 def test_matrix_shape_mismatch_rejected():
@@ -218,7 +217,7 @@ def test_linear_combination_matches_reference_contractions():
         for _ in range(10):
             w = sparse_vector(n)
             for i in range(n):
-                expected = bracket(l, unit_vector(n, i), w)
+                expected = dense_bracket(l, unit_vector(n, i), w)
                 assert linear_combination(w, partial(l.basis_bracket, i), n) == expected
     # c(v, e_rest...) against multilinear cochain evaluation
     n = 5
@@ -241,7 +240,7 @@ def test_sparse_elimination_matches_the_dense_reference():
         assert rref(m) == (reduced, pivots)
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == dense_kernel(m)
-        assert echelon_basis([m.row(i) for i in range(m.rows)], m.cols) == tuple(
+        assert Subspace.span(m.cols, [m.row(i) for i in range(m.rows)]).basis == tuple(
             reduced.row(r) for r in range(len(pivots))
         )
         # one consistent right hand side and one drawn at random
@@ -270,9 +269,9 @@ def test_elimination_edge_cases():
     m = Matrix.from_rows([[0, 3, 6], [0, 3, 6], [0, 0, 0], [2, 4, 1]])
     assert rref(m) == dense_rref(m)
     assert rref(m)[1] == (0, 1)
-    assert echelon_basis([vector([0, 0]), vector([0, 5])], 2) == (vector([0, 1]),)
+    assert Subspace.span(2, [vector([0, 0]), vector([0, 5])]).basis == (vector([0, 1]),)
     with pytest.raises(ValueError):
-        echelon_basis([vector([1, 0, 0])], 2)
+        Subspace.span(2, [vector([1, 0, 0])])
 
 
 def test_sparse_signature_and_det_match_the_dense_reference():
@@ -297,6 +296,9 @@ def test_signatures_of_the_catalog_doubles_match_the_dense_reference():
     for metric in doubles:
         series, _ = lower_central_series(metric.algebra)
         g = metric.gram
-        for basis in (None, center(metric.algebra).basis, series[1].basis):
-            gram = g if basis is None else gram_on_span(g, basis)
+        assert signature_of(g) == dense_signature_of(g)
+        for space in (center(metric.algebra), series[1]):
+            gram = space.form(g)
+            b = Matrix.from_rows(space.basis, cols=g.cols)
+            assert gram == b @ g @ b.transpose()  # B G B^T by dense products
             assert signature_of(gram) == dense_signature_of(gram)

@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from metriclie import lie_core
+import metriclie
+from metriclie import exact_linalg, lie_core
 from metriclie.catalog import (
     BASE_BUILDERS,
     base_algebra,
@@ -32,6 +33,7 @@ from metriclie.lie_core import (
 
 from support import (
     catalog_algebras,
+    dense_bracket,
     dense_intersect,
     dense_kernel,
     dense_rref,
@@ -39,6 +41,7 @@ from support import (
     rational,
     rng,
     scale_doubles,
+    subspace_intact,
 )
 
 
@@ -151,6 +154,20 @@ def test_subspace_coords_and_intersection():
     disjoint = Subspace.span(3, [vector([1, 0, 1])])
     assert s.intersect(disjoint).dim == 0
     assert Subspace.full(3).intersect(s).basis == s.basis
+    assert metriclie.Subspace is lie_core.Subspace is exact_linalg.Subspace
+
+
+def test_intersect_and_the_series_leave_their_subspaces_unchanged():
+    # the shared sparse rows are read by the elimination, never consumed
+    rg = rng(3034)
+    for _ in range(200):
+        s1, s2 = _random_subspace_pair(rg)
+        s1.intersect(s2)
+        assert subspace_intact(s1) and subspace_intact(s2)
+    for l in catalog_algebras():
+        series, _ = lower_central_series(l)  # each term's rows span the next
+        filtration_spaces(l)  # the center met with each term
+        assert all(subspace_intact(s) for s in series + (center(l),))
 
 
 def _random_subspace_pair(rg):
@@ -269,12 +286,12 @@ def test_equal_algebras_hash_equal():
 def _brute_force_jacobi(l):
     """The first failing triple over all C(n, 3) triples, by the dense bracket."""
     e = [unit_vector(l.dim, i) for i in range(l.dim)]
-    inner = {(a, b): bracket(l, e[a], e[b]) for a in range(l.dim) for b in range(l.dim)}
+    inner = {(a, b): dense_bracket(l, e[a], e[b]) for a in range(l.dim) for b in range(l.dim)}
     for i, j, k in combinations(range(l.dim), 3):
         terms = (
-            bracket(l, e[i], inner[j, k]),
-            bracket(l, e[j], inner[k, i]),
-            bracket(l, e[k], inner[i, j]),
+            dense_bracket(l, e[i], inner[j, k]),
+            dense_bracket(l, e[j], inner[k, i]),
+            dense_bracket(l, e[k], inner[i, j]),
         )
         defect = tuple(a + b + c for a, b, c in zip(*terms))
         if any(defect):
@@ -325,7 +342,7 @@ def _dense_span(n, vectors):
 
 
 def _dense_ad(l, i, w):
-    return bracket(l, unit_vector(l.dim, i), w)
+    return dense_bracket(l, unit_vector(l.dim, i), w)
 
 
 def test_ad_matches_the_dense_bracket(reference_algebras):

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from metriclie import exact_linalg, quadratic_cohomology
 from metriclie.catalog import (
     ENTRIES,
     _sample_points,
@@ -41,6 +42,7 @@ from metriclie.quadratic_cohomology import (
 )
 
 from support import (
+    REJECTION_TAGS,
     _cochain_from_vector,
     _random_span_element,
     dense_check_admissible,
@@ -50,9 +52,8 @@ from support import (
     random_valid_cocycle,
     rng,
     seven_dim_two_step,
+    subspace_intact,
 )
-
-_TAGS = ("r01", "r10", "r11", "r02", "r11w", "r21", "r03", "r22w")
 
 
 def first_nonclosed_form(l: LieAlgebra, degree: int) -> Cochain:
@@ -255,18 +256,6 @@ def test_zero_cocycle_on_a_mid_size_abelian_algebra_keeps_the_pairing_kernel_spa
 # ---------------------------------------------------------------------------
 
 
-def criterion_4_cocycles():
-    """Every solvable try of the criterion-4 study (seed 2026), in order."""
-    l = five_dim_three_step()
-    rg = rng(2026)
-    out = []
-    while len(out) < 50:
-        z = random_valid_cocycle(rg, l, module_for_tag(_TAGS[len(out) % len(_TAGS)]))
-        if z is not None:
-            out.append(z)
-    return out
-
-
 def test_check_admissible_matches_the_dense_reference_on_the_catalog():
     rows = 0
     for entry in ENTRIES:
@@ -279,9 +268,9 @@ def test_check_admissible_matches_the_dense_reference_on_the_catalog():
         assert check_admissible(fixture()) == dense_check_admissible(fixture())
 
 
-def test_check_admissible_matches_the_dense_reference_on_the_rejection_study():
+def test_check_admissible_matches_the_dense_reference_on_the_rejection_study(rejection_study):
     failed = {"a": 0, "b": 0}
-    for z in criterion_4_cocycles():
+    for z in rejection_study.cocycles:
         report = check_admissible(z)
         assert report == dense_check_admissible(z)
         failed["a"] += not all(c.a_passed for c in report.conditions)
@@ -307,7 +296,7 @@ def test_check_admissible_matches_the_dense_reference_on_random_nilpotent_tables
         l = random_sparse_table(rg, rg.randint(3, 7))
         if not (validate_jacobi(l).ok and is_nilpotent(l)):
             continue
-        module = module_for_tag(rg.choice(_TAGS))
+        module = module_for_tag(rg.choice(REJECTION_TAGS))
         for z in (zero_cocycle(l, module), random_valid_cocycle(rg, l, module, tries=3)):
             if z is None:
                 continue
@@ -362,3 +351,29 @@ def test_check_admissible_builds_no_dense_system(monkeypatch):
         assert calls == []
         assert all(width <= z.module.dim for width in widths)
         assert report.overall is (z.module.dim == 4)
+
+
+def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypatch):
+    # Subspace eliminates through exact_linalg's own binding of _reduce: per
+    # stage once for the span of the (B_k) images and once for the rank of
+    # the form on it.  The witness kernels use quadratic_cohomology's binding.
+    per_stage = []
+    reduce, stage_report = exact_linalg._reduce, quadratic_cohomology._stage_report
+
+    def counting_reduce(rows):
+        if per_stage:
+            per_stage[-1] += 1
+        return reduce(rows)
+
+    def checked_stage_report(z, k, stage, series_term, gamma_at):
+        per_stage.append(0)
+        report = stage_report(z, k, stage, series_term, gamma_at)
+        assert subspace_intact(stage) and subspace_intact(series_term)
+        return report
+
+    monkeypatch.setattr(exact_linalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(quadratic_cohomology, "_stage_report", checked_stage_report)
+    for z in (g64_admissible_cocycle(), zero_cocycle(g41(), orthonormal_module([1]))):
+        per_stage.clear()
+        report = check_admissible(z)
+        assert per_stage == [2] * len(report.conditions)
