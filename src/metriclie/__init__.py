@@ -54,17 +54,23 @@ from .quadratic_cohomology import (
     indecomposability_proxy,
     zero_cocycle,
 )
-from .catalog import (
-    ENTRIES,
-    CatalogEntry,
-    CatalogReport,
-    default_samples,
-    entry_by_id,
-    instantiate,
-    run_catalog,
-)
 
 __version__ = "0.1.0"
+
+_CATALOG_NAMES = frozenset((
+    "ENTRIES", "CatalogEntry", "CatalogReport", "default_samples", "entry_by_id", "instantiate",
+    "run_catalog",
+))
+
+
+def __getattr__(name: str):
+    """The catalog names, importing the catalog on first use only (PEP 562)."""
+    if name in _CATALOG_NAMES:
+        from . import catalog
+
+        return getattr(catalog, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AdmissibilityReport",

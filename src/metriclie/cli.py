@@ -3,7 +3,8 @@
 Exit codes: 0 when the command succeeds and any verdict is positive,
 1 when the mathematics fails (invalid bracket, broken cocycle identity,
 inadmissible cocycle, metric axiom violation), 2 when a document or an
-argument does not parse or an input is over a size limit.
+argument does not parse, a file cannot be read or written, or an input is
+over a size limit.
 
 The size limits bound the enumerated work and are checked before it starts:
 ``verify``, ``admissible`` and ``double`` enumerate dense subspaces of the
@@ -23,9 +24,8 @@ from fractions import Fraction
 from importlib import resources
 from math import comb
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import catalog as cat
 from . import schema
 from .cochain_complex import OrthogonalModule, cohomology_dim
 from .double_construction import (
@@ -49,6 +49,9 @@ from .quadratic_cohomology import (
     indecomposability_proxy,
 )
 from .schema import SchemaError
+
+if TYPE_CHECKING:
+    from .catalog import CatalogRow
 
 DATA_ENV = "METRICLIE_DATA"
 
@@ -87,7 +90,11 @@ def resolve_path(name: str) -> Path:
 
 def load_document(name: str):
     path = resolve_path(name)
-    return schema.loads_document(path.read_text())
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return schema.loads_document(text)
 
 
 def load_kind(name: str, kind: str):
@@ -203,41 +210,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if kind == "lie_algebra":
         algebra = checked_algebra(bounded(parsed))
         _, profile = lower_central_series(algebra)
-        emit(
-            report(
-                "verify",
-                kind=kind,
-                ok=True,
-                nilpotent=is_nilpotent(algebra),
-                series_dims=list(profile.dims),
-            )
-        )
-        return EXIT_OK
-    if kind == "module":
+        fields = {"nilpotent": is_nilpotent(algebra), "series_dims": list(profile.dims)}
+    elif kind == "module":
         module = checked_module(parsed)
-        emit(
-            report(
-                "verify",
-                kind=kind,
-                ok=True,
-                dim=module.dim,
-                signature=list(signature_of(module.gram).as_tuple()),
-            )
-        )
-        return EXIT_OK
-    if kind == "cocycle":
+        fields = {"dim": module.dim, "signature": list(signature_of(module.gram).as_tuple())}
+    elif kind == "cocycle":
         cocycle = assemble_cocycle(parsed, args.algebra, args.module)
-        emit(
-            report(
-                "verify",
-                kind=kind,
-                ok=True,
-                algebra_dim=cocycle.algebra.dim,
-                module_dim=cocycle.module.dim,
-            )
-        )
-        return EXIT_OK
-    if kind == "metric_lie_algebra":
+        fields = {"algebra_dim": cocycle.algebra.dim, "module_dim": cocycle.module.dim}
+    elif kind == "metric_lie_algebra":
         bounded(parsed.algebra)
         provenance = None
         if parsed.provenance is not None:
@@ -247,18 +227,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not outcome.ok:
             failed = outcome.failures()[0]
             raise MathFailure(f"{failed.axiom}: {failed.detail}")
-        fp = fingerprint(metric)
-        emit(
-            report(
-                "verify",
-                kind=kind,
-                ok=True,
-                nilpotent=is_nilpotent(metric.algebra),
-                fingerprint=_fingerprint_payload(fp),
-            )
-        )
-        return EXIT_OK
-    raise SchemaError(f"verify does not accept {kind} documents")
+        fields = {
+            "nilpotent": is_nilpotent(metric.algebra),
+            "fingerprint": _fingerprint_payload(fingerprint(metric)),
+        }
+    else:
+        raise SchemaError(f"verify does not accept {kind} documents")
+    emit(report("verify", kind=kind, ok=True, **fields))
+    return EXIT_OK
 
 
 def _fingerprint_payload(fp) -> dict:
@@ -333,6 +309,8 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
 
 
 def parse_samples(text: str) -> dict[str, tuple[Fraction, ...]]:
+    from . import catalog as cat
+
     samples = dict(cat.default_samples())
     if not text:
         return samples
@@ -357,7 +335,7 @@ def parse_samples(text: str) -> dict[str, tuple[Fraction, ...]]:
     return samples
 
 
-def _row_payload(row: cat.CatalogRow) -> dict:
+def _row_payload(row: CatalogRow) -> dict:
     payload: dict = {
         "entry": row.entry_id,
         "params": {k: schema.format_scalar(v) for k, v in row.params},
@@ -373,7 +351,7 @@ def _row_payload(row: cat.CatalogRow) -> dict:
     return payload
 
 
-def _row_filename(row: cat.CatalogRow) -> str:
+def _row_filename(row: CatalogRow) -> str:
     stem = row.entry_id.replace(".", "_")
     for name, value in row.params:
         stem += f"__{name}_{schema.format_scalar(value).replace('/', 'over').replace('-', 'm')}"
@@ -381,16 +359,19 @@ def _row_filename(row: cat.CatalogRow) -> str:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
+    from . import catalog as cat
+
     samples = parse_samples(args.samples or "")
     entries = cat.ENTRIES
     if args.entries:
         entries = tuple(e for e in cat.ENTRIES if e.id.startswith(args.entries))
         if not entries:
             raise SchemaError(f"no catalog entries match prefix {args.entries!r}")
-    rep = cat.run_catalog(samples, entries)
-    if args.out is not None:
+    if args.out is not None:  # an unusable directory fails before any work
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
+    rep = cat.run_catalog(samples, entries)
+    if args.out is not None:
         for row, double in zip(rep.rows, rep.doubles):
             if not row.ok:
                 continue
@@ -467,7 +448,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:
         emit(report(args.command, ok=False, error=str(exc)))
         return EXIT_SCHEMA
     except MathFailure as exc:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_linalg import (
     Matrix,
@@ -340,8 +340,7 @@ def cohomology_dim(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> in
     return dim_cp - rank_dp - rank_prev
 
 
-@dataclass(frozen=True)
-class Isomap:
+class Isomap(NamedTuple):
     """A pair (S, U): S maps the source algebra into the target algebra and U
     maps target module values back to source module values."""
 

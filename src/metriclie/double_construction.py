@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exact_linalg import (
     Matrix,
@@ -52,15 +53,13 @@ class MetricLieAlgebra:
     provenance: QuadraticCocycle | None = None
 
 
-@dataclass(frozen=True)
-class MetricCheck:
+class MetricCheck(NamedTuple):
     axiom: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class MetricReport:
+class MetricReport(NamedTuple):
     ok: bool
     checks: tuple[MetricCheck, ...]
 
@@ -188,8 +187,7 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     return ""
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     """Cheap isometry invariants used to separate catalog output."""
 
     dim: int
@@ -200,14 +198,8 @@ class Fingerprint:
     derived_signature: Signature
 
     def as_tuple(self) -> tuple:
-        return (
-            self.dim,
-            self.signature.as_tuple(),
-            self.series_dims,
-            self.center_dim,
-            self.center_signature.as_tuple(),
-            self.derived_signature.as_tuple(),
-        )
+        """The fields as nested plain tuples."""
+        return tuple(x.as_tuple() if type(x) is Signature else x for x in self)
 
 
 def fingerprint(g: MetricLieAlgebra) -> Fingerprint:

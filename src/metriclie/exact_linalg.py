@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -323,8 +323,7 @@ def det(m: Matrix) -> Fraction:
     return result
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     """Inertia of a symmetric bilinear form: (negative, positive, null)."""
 
     neg: int

@@ -14,10 +14,9 @@ are computed at most once per instance and then reused.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_linalg import Subspace, Vector, _dense, linear_combination, vector, zero_vector
 
@@ -33,8 +32,7 @@ class NotNilpotentError(ValueError):
     """Raised by operations that are only defined for nilpotent algebras."""
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     """Outcome of a Jacobi check: either a pass or the first failing triple."""
 
     ok: bool
@@ -42,8 +40,7 @@ class JacobiReport:
     defect: Vector | None = None
 
 
-@dataclass(frozen=True)
-class SeriesProfile:
+class SeriesProfile(NamedTuple):
     """Dimensions along the lower central series, ending at 0 for nilpotent
     algebras and at a repeated value when the series stabilizes instead."""
 

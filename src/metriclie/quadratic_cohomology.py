@@ -27,11 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cochain_complex import (
     Cochain,
     OrthogonalModule,
     differential,
+    sort_with_sign,
     wedge_pair,
 )
 from .exact_linalg import Subspace, Vector, _axpy, _dense, _kernel, _reduce, linear_combination
@@ -57,7 +59,25 @@ class ConsistencyError(ValueError):
 
 
 def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
-    return wedge_pair(module, alpha, alpha).scale(_HALF)
+    """(1/2) <alpha ^ alpha>.
+
+    In even positive degree both orders of a pair of stored keys give the same
+    term and no key pairs with itself, so each unordered pair of keys is
+    visited once, and sorted only when their supports are disjoint.
+    """
+    p, m = alpha.degree, module.dim
+    if p % 2 or not p or 2 * p > alpha.n or alpha.value_dim != m:
+        return wedge_pair(module, alpha, alpha).scale(_HALF)
+    stored = [(key, frozenset(key), u) for key, u in alpha.values.items()]
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for a, (k1, s1, u) in enumerate(stored):
+        gu = linear_combination(u, module.gram.row, m)
+        for k2, s2, v in stored[a + 1 :]:
+            if s1.isdisjoint(s2):
+                key, sign = sort_with_sign(k1 + k2)
+                pairing = sum((x * y for x, y in zip(v, gu) if x), _ZERO)
+                sums[key] = sums.get(key, _ZERO) + (pairing if sign == 1 else -pairing)
+    return Cochain(alpha.n, 2 * p, 1, True, {key: (sums[key],) for key in sorted(sums)})
 
 
 def cocycle_defect(
@@ -149,7 +169,7 @@ def cq_compose(c1: QuadraticCochain, c2: QuadraticCochain) -> QuadraticCochain:
 
 
 def cq_inverse(c: QuadraticCochain) -> QuadraticCochain:
-    square = wedge_pair(c.module, c.tau, c.tau).scale(_HALF)
+    square = half_wedge_square(c.module, c.tau)
     return QuadraticCochain(c.algebra, c.module, c.tau.scale(-1), c.sigma.scale(-1) + square)
 
 
@@ -176,8 +196,7 @@ def verify_equivalence_witness(
     return moved.alpha == z2.alpha and moved.gamma == z2.gamma
 
 
-@dataclass(frozen=True)
-class ConditionKReport:
+class ConditionKReport(NamedTuple):
     """Verdicts for one filtration stage k.
 
     ``a_witness`` carries (L0, A0, Z0) for a failing (A_k): a nonzero central
@@ -195,8 +214,7 @@ class ConditionKReport:
     b_witness: tuple[tuple[Vector, ...], ...] | None = None
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     overall: bool
     conditions: tuple[ConditionKReport, ...]
 

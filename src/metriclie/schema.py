@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
 from .double_construction import MetricLieAlgebra
@@ -169,8 +168,7 @@ def parse_algebra_payload(payload: Any, where: str = "lie_algebra") -> LieAlgebr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedModule:
+class ParsedModule(NamedTuple):
     """Module data before the orthogonality checks run."""
 
     gram: Matrix
@@ -200,8 +198,7 @@ def parse_module_payload(payload: Any, where: str = "module") -> ParsedModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedCocycle:
+class ParsedCocycle(NamedTuple):
     """Cocycle terms plus optional embedded context, before validation."""
 
     alpha_terms: tuple[tuple[tuple[int, int], list], ...]
@@ -317,8 +314,7 @@ def assemble_cochains(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParsedMetric:
+class ParsedMetric(NamedTuple):
     algebra: LieAlgebra
     gram: Matrix
     provenance: ParsedCocycle | None = None

@@ -1,0 +1,79 @@
+"""``scripts/bench_summary.py`` pairs saved benchmark runs by workload and
+seed and summarizes each end-to-end metric per side."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_summary.py"
+
+
+def run_output(workload, seed, ops_per_s, trace=0, failed=0, cpu="Test CPU"):
+    metrics = {
+        "setup_s": {"value": 0.04, "unit": "s"},
+        "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
+        "op_p50_ms": {"value": 1000 / ops_per_s, "unit": "ms"},
+        "op_p90_ms": {"value": 1500 / ops_per_s, "unit": "ms"},
+        "peak_rss_mb": {"value": 24.0, "unit": "MB"},
+    }
+    result = {"correct": failed == 0, "attempted": 40, "failed": failed, "metrics": metrics}
+    return (
+        f"# cpu: {cpu}\n# nproc: 2\n# python: 3.11.7\n# workload: {workload}\n"
+        f"# seed: {seed}\n# seconds: 15.0\n# trace: {trace}\n# 4 cycles of 1 1 1 1 s (wall)\n"
+        f"ops_per_s {ops_per_s} 1/s\n{json.dumps(result)}\n"
+    )
+
+
+def summarize(tmp_path, runs, *extra):
+    files = {"parent": [], "change": []}
+    for index, (side, text) in enumerate(runs):
+        path = tmp_path / f"{index:02d}_{side}.txt"
+        path.write_text(text)
+        files[side].append(str(path))
+    out = tmp_path / "BENCH_x.json"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), "--pr", "x", "--out", str(out),
+         "--parent", *files["parent"], "--change", *files["change"], *extra],
+        capture_output=True, text=True, timeout=60,
+    )
+    return done, (json.loads(out.read_text()) if done.returncode == 0 else None)
+
+
+def test_pairs_runs_and_summarizes_each_metric(tmp_path):
+    runs = [
+        ("parent", run_output("cli", 1, 8.0)),
+        ("change", run_output("cli", 1, 10.0)),
+        ("change", run_output("cli", 2, 11.0)),
+        ("parent", run_output("cli", 2, 9.0)),
+        ("parent", run_output("cli", 3, 10.0)),
+        ("change", run_output("cli", 3, 9.5, failed=1)),
+        ("change", run_output("cli", 4, 30.0, trace=1)),
+        ("parent", run_output("reject", 5, 700.0)),
+        ("change", run_output("reject", 5, 700.0)),
+    ]
+    done, bench = summarize(tmp_path, runs, "--description", "synthetic")
+    assert done.returncode == 0, done.stderr
+    assert bench["description"] == "synthetic"
+    assert bench["machine"] == {"cpu": "Test CPU", "nproc": "2", "python": "3.11.7"}
+    assert len(bench["runs"]) == 8 and [r["seed"] for r in bench["traced"]] == [4]
+    cli = bench["summary"]["cli"]
+    ops = cli["ops_per_s"]
+    assert ops["pairs"] == 3 and ops["change_wins"] == 2
+    assert ops["parent_q1_median_q3"] == [8.5, 9.0, 9.5]
+    assert ops["change_q1_median_q3"] == [9.75, 10.0, 10.5]
+    assert ops["median_ratio"] == round(10.0 / 9.0, 3)
+    assert ops["medians_differ_beyond_parent_iqr"] is False
+    assert cli["op_p50_ms"]["change_wins"] == 2  # lower is better
+    assert cli["failed"] == {"parent": 0, "change": 1} and cli["all_correct"] is False
+    reject = bench["summary"]["reject"]["ops_per_s"]
+    assert reject["pairs"] == 1 and reject["change_wins"] == 0  # a tie counts for neither
+    assert reject["medians_differ_beyond_parent_iqr"] is None
+
+
+def test_refuses_runs_from_different_machines_and_foreign_files(tmp_path):
+    runs = [("parent", run_output("cli", 1, 8.0)), ("change", run_output("cli", 1, 9.0, cpu="Other"))]
+    done, _ = summarize(tmp_path, runs)
+    assert done.returncode != 0 and "different machines" in done.stderr
+    done, _ = summarize(tmp_path, [("parent", "no result here\n"), ("change", run_output("cli", 1, 9.0))])
+    assert done.returncode != 0 and "result object" in done.stderr

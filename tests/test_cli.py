@@ -389,6 +389,33 @@ def test_catalog_out_directory(tmp_path, capsys):
         assert parsed.provenance is not None
 
 
+def test_verify_on_a_file_that_is_not_utf8_is_schema_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"kind": "module", "version": "caf\u00e9"}'.encode("latin-1"))
+    code, doc = run(capsys, "verify", str(path))
+    assert code == 2
+    assert doc["kind"] == "report" and doc["payload"]["ok"] is False
+    assert "not UTF-8" in doc["payload"]["error"]
+
+
+def test_double_into_a_missing_directory_is_schema_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code, doc = run(capsys, "double", "cocycles/g64_quad.json", "--out", str(out))
+    assert code == 2
+    assert doc["payload"]["command"] == "double" and doc["payload"]["ok"] is False
+    assert str(out) in doc["payload"]["error"]
+    assert not out.parent.exists()
+
+
+def test_catalog_out_onto_an_existing_file_is_schema_error(tmp_path, capsys):
+    target = tmp_path / "taken"
+    target.write_text("keep")
+    code, doc = run(capsys, "catalog", "--entries", "T1.8.r01", "--out", str(target))
+    assert code == 2
+    assert doc["payload"]["command"] == "catalog" and doc["payload"]["ok"] is False
+    assert target.read_text() == "keep"
+
+
 def test_data_dir_override(tmp_path, monkeypatch, capsys):
     source = cli.resolve_path("algebras/g41.json").read_text()
     (tmp_path / "myalg.json").write_text(source)

@@ -23,6 +23,7 @@ from metriclie.cochain_complex import (
     cochain_from_terms,
     differential,
     differential_matrix,
+    wedge_pair,
 )
 from metriclie.exact_linalg import Matrix, kernel_basis, vec_is_zero
 from metriclie.lie_core import LieAlgebra, abelian, is_nilpotent, validate_jacobi
@@ -36,6 +37,7 @@ from metriclie.quadratic_cohomology import (
     cq_compose,
     cq_identity,
     cq_inverse,
+    half_wedge_square,
     indecomposability_proxy,
     verify_equivalence_witness,
     zero_cocycle,
@@ -47,11 +49,13 @@ from support import (
     _random_span_element,
     dense_check_admissible,
     five_dim_three_step,
+    random_cochain,
     random_quadratic_cochain,
     random_sparse_table,
     random_valid_cocycle,
     rng,
     seven_dim_two_step,
+    six_dim_two_step,
     subspace_intact,
 )
 
@@ -377,3 +381,29 @@ def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypa
         per_stage.clear()
         report = check_admissible(z)
         assert per_stage == [2] * len(report.conditions)
+
+
+def test_half_wedge_square_matches_the_halved_wedge_pair():
+    # 480 random closed 2-forms over every module of the rejection study, plus
+    # random cochains of odd and even degree, compared value by value and in
+    # key order against wedge_pair(alpha, alpha) / 2
+    rg = rng(2040)
+    forms = []
+    for l in (five_dim_three_step(), six_dim_two_step(), seven_dim_two_step()):
+        for tag in REJECTION_TAGS:
+            module = module_for_tag(tag)
+            d2 = differential_matrix(l, module, 2)
+            closed = kernel_basis(d2)
+            for _ in range(20):
+                total = _random_span_element(rg, closed, d2.cols)
+                forms.append((module, _cochain_from_vector(total, l.dim, 2, module.dim, False)))
+    assert len(forms) == 480
+    for degree in (0, 1, 2, 3, 4):
+        for density in (0.05, 0.3, 1.0):
+            module = module_for_tag(rg.choice(REJECTION_TAGS))
+            forms.append((module, random_cochain(rg, 8, degree, module.dim, density=density)))
+    for module, alpha in forms:
+        got = half_wedge_square(module, alpha)
+        expected = wedge_pair(module, alpha, alpha).scale(Fraction(1, 2))
+        assert got == expected
+        assert list(got.values.items()) == list(expected.values.items())
