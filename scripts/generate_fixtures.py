@@ -20,7 +20,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from metriclie import catalog as cat  # noqa: E402
 from metriclie import schema  # noqa: E402
-from metriclie.cochain_complex import Cochain, cochain_from_terms  # noqa: E402
+from metriclie.cochain_complex import Cochain  # noqa: E402
 from metriclie.double_construction import build_double  # noqa: E402
 
 DATA = ROOT / "src" / "metriclie" / "data"
@@ -55,18 +55,12 @@ def main() -> None:
     no_gamma = Cochain.zero(n, 3, 1, scalar=True)
     for fname, terms in sorted(cat.FORM_TERMS.items()):
         m = max(target for _, _, target in terms) + 1
-        values = [
-            (ij, [coeff if t == target else 0 for t in range(m)])
-            for coeff, ij, target in terms
-        ]
-        alpha = cochain_from_terms(n, 2, m, values)
+        alpha = cat.alpha_cochain(terms, n, m, {})
         write(
             DATA / "forms" / f"{fname}.json",
             schema.wrap("cocycle", schema.cochains_to_payload(alpha, no_gamma)),
         )
-    gamma0 = cochain_from_terms(
-        n, 3, 1, [(ijk, [coeff]) for coeff, ijk in cat.GAMMA0_TERMS], scalar=True
-    )
+    gamma0 = cat.gamma_cochain(cat.GAMMA0_TERMS, n, {})
     write(
         DATA / "forms" / "gamma0.json",
         schema.wrap("cocycle", schema.cochains_to_payload(Cochain.zero(n, 2, 0), gamma0)),

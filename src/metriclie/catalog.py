@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
 from .double_construction import Fingerprint, MetricLieAlgebra, build_double, fingerprint
-from .exact_linalg import Matrix, scalar, unit_vector, zero_vector
+from .exact_linalg import Matrix, scalar, unit_vector
 from .lie_core import LieAlgebra, abelian
 from .quadratic_cohomology import (
     CocycleError,
@@ -228,21 +228,25 @@ def _resolve(coeff: object, params: Mapping[str, Fraction]) -> Fraction:
     return scalar(coeff)  # type: ignore[arg-type]
 
 
-def _alpha_cochain(
-    entry: CatalogEntry, n: int, m: int, params: Mapping[str, Fraction]
+def alpha_cochain(
+    terms: Sequence[AlphaTerm], n: int, m: int, params: Mapping[str, Fraction]
 ) -> Cochain:
-    terms = []
-    for coeff, indices, target in entry.alpha_terms:
+    """The module valued 2-form of ``terms`` on an ``n``-dimensional base."""
+    values = []
+    for coeff, indices, target in terms:
         value = tuple(
             _resolve(coeff, params) if k == target else Fraction(0) for k in range(m)
         )
-        terms.append((indices, value))
-    return cochain_from_terms(n, 2, m, terms)
+        values.append((indices, value))
+    return cochain_from_terms(n, 2, m, values)
 
 
-def _gamma_cochain(entry: CatalogEntry, n: int, params: Mapping[str, Fraction]) -> Cochain:
-    terms = [(indices, (_resolve(coeff, params),)) for coeff, indices in entry.gamma_terms]
-    return cochain_from_terms(n, 3, 1, terms, scalar=True)
+def gamma_cochain(
+    terms: Sequence[GammaTerm], n: int, params: Mapping[str, Fraction]
+) -> Cochain:
+    """The scalar 3-form of ``terms`` on an ``n``-dimensional base."""
+    values = [(indices, (_resolve(coeff, params),)) for coeff, indices in terms]
+    return cochain_from_terms(n, 3, 1, values, scalar=True)
 
 
 def instantiate(
@@ -262,8 +266,8 @@ def instantiate(
             raise ValueError(f"parameter {name} of {entry.id} must be positive")
     algebra = base_algebra(entry.base)
     module = module_for_tag(entry.module_tag)
-    alpha = _alpha_cochain(entry, algebra.dim, module.dim, params)
-    gamma = _gamma_cochain(entry, algebra.dim, params)
+    alpha = alpha_cochain(entry.alpha_terms, algebra.dim, module.dim, params)
+    gamma = gamma_cochain(entry.gamma_terms, algebra.dim, params)
     return QuadraticCocycle(algebra, module, alpha, gamma)
 
 
@@ -460,46 +464,42 @@ def entries_for_item(item: str) -> tuple[CatalogEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _vec(m: int, target: int, sign: int = 1) -> tuple:
-    v = list(zero_vector(m))
-    v[target] = Fraction(sign)
-    return tuple(v)
+#: admissible 2-forms on g64 and g65 with values in the split module r22w
+G64_ALPHA_TERMS: tuple[AlphaTerm, ...] = (
+    (1, (0, 4), 0),
+    (-1, (3, 5), 0),
+    (1, (2, 4), 1),
+    (1, (1, 5), 1),
+    (1, (2, 5), 2),
+    (1, (0, 5), 3),
+)
+G65_ALPHA_TERMS: tuple[AlphaTerm, ...] = (
+    (1, (0, 4), 0),
+    (1, (3, 5), 0),
+    (1, (2, 4), 1),
+    (1, (1, 5), 1),
+    (1, (1, 4), 2),
+    (-1, (2, 5), 2),
+    (1, (3, 4), 3),
+    (-1, (0, 5), 3),
+)
+
+
+def _split_module_cocycle(algebra: LieAlgebra, terms: Sequence[AlphaTerm]) -> QuadraticCocycle:
+    module = module_for_tag("r22w")
+    alpha = alpha_cochain(terms, algebra.dim, module.dim, {})
+    gamma = Cochain.zero(algebra.dim, 3, 1, scalar=True)
+    return QuadraticCocycle(algebra, module, alpha, gamma)
 
 
 def g64_admissible_cocycle() -> QuadraticCocycle:
     """Fixed admissible cocycle on g64 with values in the split module."""
-    algebra = g64()
-    module = module_for_tag("r22w")
-    terms = [
-        ((0, 4), _vec(4, 0)),
-        ((3, 5), _vec(4, 0, -1)),
-        ((2, 4), _vec(4, 1)),
-        ((1, 5), _vec(4, 1)),
-        ((2, 5), _vec(4, 2)),
-        ((0, 5), _vec(4, 3)),
-    ]
-    alpha = cochain_from_terms(6, 2, 4, terms)
-    gamma = Cochain.zero(6, 3, 1, scalar=True)
-    return QuadraticCocycle(algebra, module, alpha, gamma)
+    return _split_module_cocycle(g64(), G64_ALPHA_TERMS)
 
 
 def g65_admissible_cocycle() -> QuadraticCocycle:
     """Fixed admissible cocycle on g65 with values in the split module."""
-    algebra = g65()
-    module = module_for_tag("r22w")
-    terms = [
-        ((0, 4), _vec(4, 0)),
-        ((3, 5), _vec(4, 0)),
-        ((2, 4), _vec(4, 1)),
-        ((1, 5), _vec(4, 1)),
-        ((1, 4), _vec(4, 2)),
-        ((2, 5), _vec(4, 2, -1)),
-        ((3, 4), _vec(4, 3)),
-        ((0, 5), _vec(4, 3, -1)),
-    ]
-    alpha = cochain_from_terms(6, 2, 4, terms)
-    gamma = Cochain.zero(6, 3, 1, scalar=True)
-    return QuadraticCocycle(algebra, module, alpha, gamma)
+    return _split_module_cocycle(g65(), G65_ALPHA_TERMS)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from importlib import resources
 from math import comb
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import schema
 from .cochain_complex import OrthogonalModule, cohomology_dim
@@ -34,7 +34,7 @@ from .double_construction import (
     fingerprint,
     verify_metric,
 )
-from .exact_linalg import signature_of
+from .exact_linalg import Matrix, signature_of
 from .lie_core import (
     LieAlgebra,
     is_nilpotent,
@@ -139,37 +139,34 @@ def checked_algebra(algebra: LieAlgebra) -> LieAlgebra:
     return algebra
 
 
-def checked_module(parsed: schema.ParsedModule) -> OrthogonalModule:
+def checked_module(gram: Matrix) -> OrthogonalModule:
     try:
-        return parsed.build()
+        return OrthogonalModule(gram)
     except ValueError as exc:
         raise MathFailure(str(exc)) from None
 
 
 def assemble_cocycle(
-    parsed: schema.ParsedCocycle,
-    algebra_doc: str | None,
-    module_doc: str | None,
+    payload: Any, algebra_doc: str | None, module_doc: str | None, where: str = "cocycle"
 ) -> QuadraticCocycle:
+    """The cocycle of a payload in the context of ``--algebra``/``--module``
+    or, when those are not given, of the documents it embeds."""
+    algebra, gram = schema.cocycle_context(payload, where)
     if algebra_doc is not None:
         algebra = load_kind(algebra_doc, "lie_algebra")
-    elif parsed.algebra is not None:
-        algebra = parsed.algebra
-    else:
+    elif algebra is None:
         raise SchemaError(
             "cocycle document has no algebra context; pass --algebra or embed one"
         )
     if module_doc is not None:
-        parsed_module = load_kind(module_doc, "module")
-    elif parsed.module is not None:
-        parsed_module = parsed.module
-    else:
+        gram = load_kind(module_doc, "module")
+    elif gram is None:
         raise SchemaError(
             "cocycle document has no module context; pass --module or embed one"
         )
     algebra = checked_algebra(bounded(algebra))
-    module = checked_module(parsed_module)
-    alpha, gamma = schema.assemble_cochains(parsed, algebra, module)
+    module = checked_module(gram)
+    alpha, gamma = schema.parse_cochains(payload, algebra.dim, module.dim, where)
     try:
         return QuadraticCocycle(algebra, module, alpha, gamma)
     except ValueError as exc:
@@ -221,7 +218,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         bounded(parsed.algebra)
         provenance = None
         if parsed.provenance is not None:
-            provenance = assemble_cocycle(parsed.provenance, None, None)
+            provenance = assemble_cocycle(
+                parsed.provenance, None, None, "metric_lie_algebra.provenance"
+            )
         metric = MetricLieAlgebra(parsed.algebra, parsed.gram, provenance)
         outcome = verify_metric(metric)
         if not outcome.ok:

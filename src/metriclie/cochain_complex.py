@@ -121,6 +121,11 @@ class Cochain:
                 clean[key] = value
         object.__setattr__(self, "values", MappingProxyType(clean))
 
+    def __hash__(self) -> int:
+        return hash(
+            (self.n, self.degree, self.value_dim, self.scalar, frozenset(self.values.items()))
+        )
+
     @staticmethod
     def zero(n: int, degree: int, value_dim: int, scalar: bool = False) -> "Cochain":
         return Cochain(n, degree, value_dim, scalar, {})

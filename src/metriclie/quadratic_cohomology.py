@@ -98,7 +98,7 @@ def cocycle_defect(
     return None
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticCochain:
     """A pair (tau, sigma): module valued 1-form and scalar 2-form."""
 
@@ -115,7 +115,7 @@ class QuadraticCochain:
             raise ValueError("sigma must be a scalar 2-form on the algebra")
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticCocycle:
     """A validated quadratic cocycle (alpha, gamma)."""
 

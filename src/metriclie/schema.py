@@ -6,6 +6,13 @@ Basis indices are 1-based in files and 0-based in memory.  Parsing is
 strictly separated from mathematical validation: this module raises
 :class:`SchemaError` for malformed documents and never for documents
 that are well-formed but describe invalid mathematics.
+
+The terms of an alternating form (brackets, alpha, gamma) are read in one
+pass: each index is checked against the dimension it lives in, the indices
+may come in any order, and a term given twice, in the same or another order,
+is an error rather than a sum.  Every error names its JSON position, as in
+``metric_lie_algebra.provenance.alpha[0].i: index 9 out of range 1..2``.
+A cocycle's terms are read only once its algebra and module are known.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Any, Mapping, NamedTuple
 
-from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
+from .cochain_complex import Cochain, OrthogonalModule, sort_with_sign
 from .double_construction import MetricLieAlgebra
 from .exact_linalg import Matrix, Vector
 from .lie_core import LieAlgebra
@@ -106,6 +113,45 @@ def _parse_index(obj: Any, dim: int, where: str) -> int:
     return obj - 1
 
 
+def _one_based(indices) -> str:
+    return "(%s)" % ", ".join(str(i + 1) for i in indices)
+
+
+def _parse_terms(
+    items: Any, fields: tuple[str, ...], dim: int, length: int | None, where: str
+) -> dict[tuple[int, ...], Vector]:
+    """Read the terms ``{i, j[, k], value}`` of an alternating form.
+
+    The value is a vector of ``length`` scalars, or one scalar when
+    ``length`` is None; an odd order of the indices negates it.  A repeated
+    index, or a key given twice in any order, is a :class:`SchemaError`.
+    """
+    if not isinstance(items, list):
+        raise SchemaError(f"{where}: expected a list")
+    names = {*fields, "value"}
+    values: dict[tuple[int, ...], Vector] = {}
+    first: dict[tuple[int, ...], str] = {}
+    for t, item in enumerate(items):
+        spot = f"{where}[{t}]"
+        _expect_keys(_expect_object(item, spot), names, names, spot)
+        indices = [_parse_index(item[name], dim, f"{spot}.{name}") for name in fields]
+        ordered = sort_with_sign(indices)
+        if ordered is None:
+            raise SchemaError(f"{spot}: repeated index in {_one_based(indices)}")
+        key, sign = ordered
+        if key in first:
+            raise SchemaError(
+                f"{spot}: duplicate term for {_one_based(key)}, first given at {first[key]}"
+            )
+        first[key] = spot
+        if length is None:
+            value = (parse_scalar(item["value"], f"{spot}.value"),)
+        else:
+            value = parse_vector(item["value"], length, f"{spot}.value")
+        values[key] = value if sign == 1 else tuple(-c for c in value)
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Lie algebras
 # ---------------------------------------------------------------------------
@@ -142,24 +188,7 @@ def parse_algebra_payload(payload: Any, where: str = "lie_algebra") -> LieAlgebr
         if not all(isinstance(s, str) for s in raw):
             raise SchemaError(f"{where}.labels: expected strings")
         labels = tuple(raw)
-    if not isinstance(payload["brackets"], list):
-        raise SchemaError(f"{where}.brackets: expected a list")
-    brackets: dict[tuple[int, int], Vector] = {}
-    for k, item in enumerate(payload["brackets"]):
-        spot = f"{where}.brackets[{k}]"
-        item = _expect_object(item, spot)
-        _expect_keys(item, {"i", "j", "value"}, {"i", "j", "value"}, spot)
-        i = _parse_index(item["i"], dim, f"{spot}.i")
-        j = _parse_index(item["j"], dim, f"{spot}.j")
-        if i == j:
-            raise SchemaError(f"{spot}: repeated index {i + 1}")
-        value = parse_vector(item["value"], dim, f"{spot}.value")
-        if i > j:
-            i, j = j, i
-            value = tuple(-c for c in value)
-        if (i, j) in brackets:
-            raise SchemaError(f"{spot}: duplicate bracket for ({i + 1}, {j + 1})")
-        brackets[(i, j)] = value
+    brackets = _parse_terms(payload["brackets"], ("i", "j"), dim, dim, f"{where}.brackets")
     return LieAlgebra(dim, brackets, labels=labels, validate=False)
 
 
@@ -168,20 +197,12 @@ def parse_algebra_payload(payload: Any, where: str = "lie_algebra") -> LieAlgebr
 # ---------------------------------------------------------------------------
 
 
-class ParsedModule(NamedTuple):
-    """Module data before the orthogonality checks run."""
-
-    gram: Matrix
-
-    def build(self) -> OrthogonalModule:
-        return OrthogonalModule(self.gram)
-
-
 def module_to_payload(module: OrthogonalModule) -> dict:
     return {"dim": module.dim, "gram": format_matrix(module.gram)}
 
 
-def parse_module_payload(payload: Any, where: str = "module") -> ParsedModule:
+def parse_module_payload(payload: Any, where: str = "module") -> Matrix:
+    """The gram matrix of a module; ``OrthogonalModule`` checks its form."""
     payload = _expect_object(payload, where)
     _expect_keys(payload, {"dim", "gram"}, {"dim", "gram"}, where)
     dim = payload["dim"]
@@ -190,21 +211,12 @@ def parse_module_payload(payload: Any, where: str = "module") -> ParsedModule:
     gram = parse_square_matrix(payload["gram"], f"{where}.gram")
     if gram.rows != dim:
         raise SchemaError(f"{where}.gram: expected a {dim}x{dim} matrix")
-    return ParsedModule(gram)
+    return gram
 
 
 # ---------------------------------------------------------------------------
 # cocycles
 # ---------------------------------------------------------------------------
-
-
-class ParsedCocycle(NamedTuple):
-    """Cocycle terms plus optional embedded context, before validation."""
-
-    alpha_terms: tuple[tuple[tuple[int, int], list], ...]
-    gamma_terms: tuple[tuple[tuple[int, int, int], Fraction], ...]
-    algebra: LieAlgebra | None = None
-    module: ParsedModule | None = None
 
 
 def cochains_to_payload(alpha: Cochain, gamma: Cochain) -> dict:
@@ -234,79 +246,34 @@ def cocycle_to_payload(cocycle: QuadraticCocycle) -> dict:
     return payload
 
 
-def parse_cocycle_payload(payload: Any, where: str = "cocycle") -> ParsedCocycle:
+def cocycle_context(
+    payload: Any, where: str = "cocycle"
+) -> tuple[LieAlgebra | None, Matrix | None]:
+    """Check the fields of a cocycle payload; parse its embedded algebra and
+    module gram, each None when absent."""
     payload = _expect_object(payload, where)
     _expect_keys(
         payload, {"alpha", "gamma", "algebra", "module"}, {"alpha", "gamma"}, where
     )
-    algebra = None
+    algebra = gram = None
     if "algebra" in payload:
         algebra = parse_algebra_payload(payload["algebra"], f"{where}.algebra")
-    module = None
     if "module" in payload:
-        module = parse_module_payload(payload["module"], f"{where}.module")
-
-    if not isinstance(payload["alpha"], list):
-        raise SchemaError(f"{where}.alpha: expected a list")
-    if not isinstance(payload["gamma"], list):
-        raise SchemaError(f"{where}.gamma: expected a list")
-
-    alpha_terms = []
-    for k, item in enumerate(payload["alpha"]):
-        spot = f"{where}.alpha[{k}]"
-        item = _expect_object(item, spot)
-        _expect_keys(item, {"i", "j", "value"}, {"i", "j", "value"}, spot)
-        if isinstance(item["i"], bool) or not isinstance(item["i"], int):
-            raise SchemaError(f"{spot}.i: expected a 1-based integer index")
-        if isinstance(item["j"], bool) or not isinstance(item["j"], int):
-            raise SchemaError(f"{spot}.j: expected a 1-based integer index")
-        if not isinstance(item["value"], list):
-            raise SchemaError(f"{spot}.value: expected a list of scalars")
-        alpha_terms.append(((item["i"], item["j"]), item["value"]))
-
-    gamma_terms = []
-    for k, item in enumerate(payload["gamma"]):
-        spot = f"{where}.gamma[{k}]"
-        item = _expect_object(item, spot)
-        _expect_keys(item, {"i", "j", "k", "value"}, {"i", "j", "k", "value"}, spot)
-        for field in ("i", "j", "k"):
-            if isinstance(item[field], bool) or not isinstance(item[field], int):
-                raise SchemaError(f"{spot}.{field}: expected a 1-based integer index")
-        value = parse_scalar(item["value"], f"{spot}.value")
-        gamma_terms.append(((item["i"], item["j"], item["k"]), value))
-
-    return ParsedCocycle(tuple(alpha_terms), tuple(gamma_terms), algebra, module)
+        gram = parse_module_payload(payload["module"], f"{where}.module")
+    return algebra, gram
 
 
-def assemble_cochains(
-    parsed: ParsedCocycle, algebra: LieAlgebra, module: OrthogonalModule
+def parse_cochains(
+    payload: Mapping, n: int, m: int, where: str = "cocycle"
 ) -> tuple[Cochain, Cochain]:
-    """Resolve 1-based terms against concrete dimensions.
+    """alpha and gamma of a payload checked by :func:`cocycle_context`, on an
+    ``n``-dimensional algebra with values in an ``m``-dimensional module.
 
-    Shape problems raise :class:`SchemaError`; the returned cochains are
-    normalized but not yet checked against the cocycle conditions.
+    The cochains are not yet checked against the cocycle conditions.
     """
-    n, m = algebra.dim, module.dim
-    alpha_terms = []
-    for (i, j), value in parsed.alpha_terms:
-        for index in (i, j):
-            if not 1 <= index <= n:
-                raise SchemaError(f"cocycle.alpha: index {index} out of range 1..{n}")
-        if i == j:
-            raise SchemaError(f"cocycle.alpha: repeated index {i}")
-        vec = parse_vector(value, m, "cocycle.alpha.value")
-        alpha_terms.append(((i - 1, j - 1), vec))
-    gamma_terms = []
-    for (i, j, k), value in parsed.gamma_terms:
-        for index in (i, j, k):
-            if not 1 <= index <= n:
-                raise SchemaError(f"cocycle.gamma: index {index} out of range 1..{n}")
-        if len({i, j, k}) != 3:
-            raise SchemaError(f"cocycle.gamma: repeated index in ({i}, {j}, {k})")
-        gamma_terms.append(((i - 1, j - 1, k - 1), (value,)))
-    alpha = cochain_from_terms(n, 2, m, alpha_terms)
-    gamma = cochain_from_terms(n, 3, 1, gamma_terms, scalar=True)
-    return alpha, gamma
+    alpha = _parse_terms(payload["alpha"], ("i", "j"), n, m, f"{where}.alpha")
+    gamma = _parse_terms(payload["gamma"], ("i", "j", "k"), n, None, f"{where}.gamma")
+    return Cochain(n, 2, m, False, alpha), Cochain(n, 3, 1, True, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +282,11 @@ def assemble_cochains(
 
 
 class ParsedMetric(NamedTuple):
+    """Metric data before the axioms run; ``provenance`` is a cocycle payload."""
+
     algebra: LieAlgebra
     gram: Matrix
-    provenance: ParsedCocycle | None = None
+    provenance: Any = None
 
 
 def metric_to_payload(metric: MetricLieAlgebra) -> dict:
@@ -339,7 +308,7 @@ def parse_metric_payload(payload: Any, where: str = "metric_lie_algebra") -> Par
         raise SchemaError(f"{where}.gram: expected {algebra.dim}x{algebra.dim}")
     provenance = None
     if "provenance" in payload:
-        provenance = parse_cocycle_payload(payload["provenance"], f"{where}.provenance")
+        provenance = _expect_object(payload["provenance"], f"{where}.provenance")
     return ParsedMetric(algebra, gram, provenance)
 
 
@@ -355,8 +324,9 @@ def wrap(kind: str, payload: dict) -> dict:
 def parse_document(obj: Any):
     """Dispatch a raw JSON object to the parser for its kind.
 
-    Returns a pair (kind, parsed) where parsed is a LieAlgebra,
-    ParsedModule, ParsedCocycle or ParsedMetric.
+    Returns a pair (kind, parsed) where parsed is a LieAlgebra, the gram
+    Matrix of a module, a ParsedMetric, or for a cocycle its payload, whose
+    terms :func:`parse_cochains` reads once the context is known.
     """
     obj = _expect_object(obj, "document")
     _expect_keys(obj, {"kind", "payload"}, {"kind", "payload"}, "document")
@@ -369,7 +339,7 @@ def parse_document(obj: Any):
     if kind == "module":
         return kind, parse_module_payload(payload)
     if kind == "cocycle":
-        return kind, parse_cocycle_payload(payload)
+        return kind, payload
     if kind == "metric_lie_algebra":
         return kind, parse_metric_payload(payload)
     raise SchemaError("report documents are output only")

@@ -168,6 +168,50 @@ def test_failures_name_basis_labels_not_indices(tmp_path, capsys):
     assert out["payload"]["error"] == "jacobi: fails at triple (P, Q, R) with defect (0, 0, 1, 0, 0)"
 
 
+def test_a_term_given_twice_in_any_order_exits_2_naming_both_positions(tmp_path, capsys):
+    # Summed, the reversed copy of the first gamma term of g52_two_forms
+    # would cancel it, and the reversed alpha copy of r2_plane doubles it.
+    cases = []
+    for twin in ({"i": 4, "j": 1, "k": 5, "value": "1"}, {"i": 5, "j": 1, "k": 4, "value": "1"}):
+        doc = _bundled("cocycles/g52_two_forms.json")
+        gamma = doc["payload"]["gamma"]
+        assert gamma[0] == {"i": 1, "j": 4, "k": 5, "value": "1"}
+        gamma.append(twin)
+        message = f"cocycle.gamma[{len(gamma) - 1}]: duplicate term for (1, 4, 5), first given at cocycle.gamma[0]"
+        cases.append((doc, message))
+    doc = _bundled("cocycles/r2_plane.json")
+    alpha = doc["payload"]["alpha"]
+    assert alpha == [{"i": 1, "j": 2, "value": ["1"]}]
+    alpha.append({"i": 2, "j": 1, "value": ["-1"]})
+    cases.append((doc, "cocycle.alpha[1]: duplicate term for (1, 2), first given at cocycle.alpha[0]"))
+    for doc, message in cases:
+        path = write_doc(tmp_path, "twice.json", doc)
+        for command in ("verify", "admissible", "double"):
+            code, out = run(capsys, command, path)
+            assert code == 2, (command, message)
+            assert out["payload"]["error"] == message
+
+
+def test_provenance_errors_name_their_position(tmp_path, capsys):
+    prefix = "metric_lie_algebra.provenance"
+    cases = [
+        (("alpha", 0, "i"), 9, f"{prefix}.alpha[0].i: index 9 out of range 1..2"),
+        (("alpha", 0, "value"), ["0.5"],
+         f"{prefix}.alpha[0].value[0]: '0.5' is not an exact rational (use 'p' or 'p/q')"),
+        (("alpha", 0, "value"), ["1", "1"], f"{prefix}.alpha[0].value: expected 1 entries, got 2"),
+    ]
+    for (field, position, key), value, message in cases:
+        doc = _bundled("doubles/r2_plane_double.json")
+        doc["payload"]["provenance"][field][position][key] = value
+        code, out = run(capsys, "verify", write_doc(tmp_path, "provenance.json", doc))
+        assert code == 2, message
+        assert out["payload"]["error"] == message
+    doc["payload"]["provenance"] = None
+    code, out = run(capsys, "verify", write_doc(tmp_path, "provenance.json", doc))
+    assert code == 2
+    assert out["payload"]["error"] == f"{prefix}: expected an object"
+
+
 def test_admissible_prop_fixture(capsys):
     code, doc = run(capsys, "admissible", "cocycles/g64_quad.json")
     assert code == 0
@@ -320,7 +364,10 @@ def test_bundled_documents_and_golden_commands_are_within_the_limits():
         if argv[0] == "catalog":
             continue
         kind, parsed = cli.load_document(argv[1])
-        algebra = parsed if kind == "lie_algebra" else getattr(parsed, "algebra", None)
+        if kind == "cocycle":
+            algebra = schema.cocycle_context(parsed)[0]
+        else:
+            algebra = parsed if kind == "lie_algebra" else getattr(parsed, "algebra", None)
         assert algebra is None or 2 * algebra.dim <= cli.MAX_DIM, argv
         if argv[0] == "cohomology":
             n, p = algebra.dim, int(argv[3])
@@ -528,15 +575,26 @@ def _spots(node):
         yield from _spots(child)
 
 
+def _is_term(node):
+    return isinstance(node, dict) and "i" in node and "j" in node
+
+
 def _mutate(data, doc):
     for _ in range(data.draw(st.integers(0, 2))):
         spots = list(_spots(doc))
         if not spots:
             return data.draw(_json)
         container, key = data.draw(st.sampled_from(spots))
-        action = data.draw(st.sampled_from(["replace", "delete", "copy", "nudge"]))
+        action = data.draw(st.sampled_from(["replace", "delete", "copy", "nudge", "reverse"]))
         value = container[key]
-        if action == "delete":
+        if action == "reverse":
+            # append a copy of a term with its first two indices swapped
+            terms = [(c, k) for c, k in spots if isinstance(c, list) and _is_term(c[k])]
+            if terms:
+                container, key = data.draw(st.sampled_from(terms))
+                term = container[key]
+                container.append({**term, "i": term["j"], "j": term["i"]})
+        elif action == "delete":
             del container[key]
         elif action == "copy":
             other, other_key = data.draw(st.sampled_from(spots))

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from metriclie.cochain_complex import (
     differential_matrix,
     wedge_pair,
 )
+from metriclie.double_construction import build_double
 from metriclie.exact_linalg import Matrix, kernel_basis, vec_is_zero
 from metriclie.lie_core import LieAlgebra, abelian, is_nilpotent, validate_jacobi
 from metriclie.quadratic_cohomology import (
@@ -100,6 +102,20 @@ def test_shape_mismatches_are_rejected():
         QuadraticCocycle(z.algebra, z.module, z.gamma, z.gamma)
     with pytest.raises(ValueError):
         QuadraticCocycle(z.algebra, z.module, z.alpha, z.alpha)
+
+
+def test_cocycles_and_cochain_pairs_are_frozen_and_hash_by_value():
+    z = g64_admissible_cocycle()
+    c = cq_identity(z.algebra, z.module)
+    for value, name, replacement in ((z, "alpha", z.alpha.scale(2)), (c, "sigma", c.sigma)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, name, replacement)
+    assert z.alpha == g64_admissible_cocycle().alpha
+    twin = build_double(g64_admissible_cocycle())
+    assert build_double(z) == twin and hash(build_double(z)) == hash(twin)
+    assert hash(z.alpha) == hash(cochain_from_terms(6, 2, 4, reversed(list(z.alpha.values.items()))))
+    assert len({z, g64_admissible_cocycle(), g65_admissible_cocycle()}) == 2
+    assert hash(c) == hash(cq_identity(g64(), module_for_tag("r22w")))
 
 
 def test_compose_identity_and_inverse():

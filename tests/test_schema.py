@@ -7,18 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from metriclie import schema
 from metriclie.catalog import g41, module_for_tag
 from metriclie.cli import assemble_cocycle
 from metriclie.cochain_complex import OrthogonalModule
 from metriclie.double_construction import MetricLieAlgebra
-from metriclie.exact_linalg import Matrix
-from metriclie.lie_core import abelian
 from metriclie.schema import (
     SchemaError,
     algebra_to_payload,
-    assemble_cochains,
     cochains_to_payload,
+    cocycle_context,
     cocycle_to_payload,
     dumps_document,
     format_scalar,
@@ -26,6 +23,7 @@ from metriclie.schema import (
     metric_to_payload,
     module_to_payload,
     parse_algebra_payload,
+    parse_cochains,
     parse_document,
     parse_module_payload,
     parse_scalar,
@@ -41,14 +39,14 @@ def build_and_emit(kind, parsed) -> dict:
     if kind == "lie_algebra":
         return wrap(kind, algebra_to_payload(parsed))
     if kind == "module":
-        return wrap(kind, module_to_payload(parsed.build()))
-    if kind == "cocycle" and parsed.algebra is None and parsed.module is None:
+        return wrap(kind, module_to_payload(OrthogonalModule(parsed)))
+    if kind == "cocycle" and cocycle_context(parsed) == (None, None):
         # context-free forms: dimensions come from the largest index and the
         # value length
-        indices = [i for key, _ in parsed.alpha_terms + parsed.gamma_terms for i in key]
-        m = len(parsed.alpha_terms[0][1]) if parsed.alpha_terms else 0
-        context = (abelian(max(indices)), OrthogonalModule(Matrix.identity(m)))
-        return wrap(kind, cochains_to_payload(*assemble_cochains(parsed, *context)))
+        terms = parsed["alpha"] + parsed["gamma"]
+        n = max(term[name] for term in terms for name in "ijk" if name in term)
+        m = len(parsed["alpha"][0]["value"]) if parsed["alpha"] else 0
+        return wrap(kind, cochains_to_payload(*parse_cochains(parsed, n, m)))
     if kind == "cocycle":
         return wrap(kind, cocycle_to_payload(assemble_cocycle(parsed, None, None)))
     provenance = None
@@ -120,9 +118,9 @@ def test_module_payload_distinguishes_shape_from_math():
     with pytest.raises(SchemaError):
         parse_module_payload(ragged)
     lopsided = {"dim": 2, "gram": [["1", "2"], ["3", "4"]]}
-    parsed = parse_module_payload(lopsided)  # shape is fine
+    gram = parse_module_payload(lopsided)  # shape is fine
     with pytest.raises(ValueError):
-        parsed.build()  # the gram matrix is not symmetric
+        OrthogonalModule(gram)  # the gram matrix is not symmetric
 
 
 def test_cocycle_payload_context_and_assembly():
@@ -130,26 +128,55 @@ def test_cocycle_payload_context_and_assembly():
 
     z = g64_admissible_cocycle()
     doc = wrap("cocycle", cocycle_to_payload(z))
-    kind, parsed = parse_document(doc)
+    kind, payload = parse_document(doc)
     assert kind == "cocycle"
-    assert parsed.algebra == z.algebra
-    alpha, gamma = assemble_cochains(parsed, parsed.algebra, parsed.module.build())
+    algebra, gram = cocycle_context(payload)
+    assert algebra == z.algebra and gram == z.module.gram
+    alpha, gamma = parse_cochains(payload, algebra.dim, gram.rows)
     assert alpha == z.alpha and gamma == z.gamma
-    rebuilt = assemble_cocycle(parsed, None, None)
-    assert rebuilt.alpha == z.alpha and rebuilt.module == z.module
+    rebuilt = assemble_cocycle(payload, None, None)
+    assert rebuilt == z
 
 
 def test_assemble_rejects_out_of_range_terms():
-    parsed = schema.parse_cocycle_payload(
-        {"alpha": [{"i": 1, "j": 9, "value": ["1"]}], "gamma": []}
+    n, m = g41().dim, module_for_tag("r01").dim
+    cases = [
+        ({"alpha": [{"i": 1, "j": 9, "value": ["1"]}], "gamma": []},
+         "cocycle.alpha[0].j: index 9 out of range 1..4"),
+        ({"alpha": [{"i": 1, "j": 2, "value": ["1", "1"]}], "gamma": []},
+         "cocycle.alpha[0].value: expected 1 entries, got 2"),
+        ({"alpha": [], "gamma": [{"i": 1, "j": 2, "k": 0, "value": "1"}]},
+         "cocycle.gamma[0].k: index 0 out of range 1..4"),
+        ({"alpha": [], "gamma": [{"i": 1, "j": 2, "k": 3, "value": ["1"]}]},
+         "cocycle.gamma[0].value: expected a rational string, got list"),
+        ({"alpha": [{"i": 2, "j": 2, "value": ["1"]}], "gamma": []},
+         "cocycle.alpha[0]: repeated index in (2, 2)"),
+    ]
+    for payload, message in cases:
+        with pytest.raises(SchemaError) as caught:
+            parse_cochains(payload, n, m)
+        assert str(caught.value) == message
+
+
+def test_a_term_given_twice_in_any_order_is_rejected():
+    alpha = [{"i": 1, "j": 3, "value": ["1"]}, {"i": 3, "j": 1, "value": ["-1"]}]
+    with pytest.raises(SchemaError) as caught:
+        parse_cochains({"alpha": alpha, "gamma": []}, 4, 1)
+    assert str(caught.value) == (
+        "cocycle.alpha[1]: duplicate term for (1, 3), first given at cocycle.alpha[0]"
     )
-    with pytest.raises(SchemaError):
-        assemble_cochains(parsed, g41(), module_for_tag("r01"))
-    parsed = schema.parse_cocycle_payload(
-        {"alpha": [{"i": 1, "j": 2, "value": ["1", "1"]}], "gamma": []}
-    )
-    with pytest.raises(SchemaError):
-        assemble_cochains(parsed, g41(), module_for_tag("r01"))
+    gamma = [
+        {"i": 1, "j": 2, "k": 4, "value": "1"},
+        {"i": 2, "j": 3, "k": 4, "value": "1"},
+        {"i": 4, "j": 1, "k": 2, "value": "-1"},
+    ]
+    with pytest.raises(SchemaError) as caught:
+        parse_cochains({"alpha": [], "gamma": gamma}, 4, 1, "here")
+    assert str(caught.value) == "here.gamma[2]: duplicate term for (1, 2, 4), first given at here.gamma[0]"
+    # a term in its own order, once, is read with the sign of the permutation
+    alpha, gamma = parse_cochains({"alpha": alpha[1:], "gamma": gamma[2:]}, 4, 1)
+    assert alpha.values == {(0, 2): (Fraction(1),)}
+    assert gamma.values == {(0, 1, 3): (Fraction(-1),)}
 
 
 def test_document_envelope_errors():

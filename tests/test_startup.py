@@ -21,7 +21,7 @@ from metriclie.double_construction import (
 from metriclie.exact_linalg import Matrix, Signature
 from metriclie.lie_core import JacobiReport, SeriesProfile, abelian
 from metriclie.quadratic_cohomology import AdmissibilityReport, ConditionKReport
-from metriclie.schema import ParsedCocycle, ParsedMetric, ParsedModule
+from metriclie.schema import ParsedMetric
 
 CATALOG_NAMES = (
     "ENTRIES",
@@ -84,8 +84,6 @@ def test_plain_records_are_read_only_named_tuples():
         fp,
         ConditionKReport(0, True, True, 2),
         AdmissibilityReport(True, (ConditionKReport(0, True, True, 2),)),
-        ParsedModule(gram),
-        ParsedCocycle((), ()),
         ParsedMetric(abelian(2), gram),
     ]
     for record in records:
