@@ -30,6 +30,7 @@ from .exact_linalg import Matrix, Signature, scalar, signature_of
 from .lie_core import (
     JacobiError,
     LieAlgebra,
+    NotNilpotentError,
     Subspace,
     abelian,
     bracket,
@@ -87,6 +88,7 @@ __all__ = [
     "Matrix",
     "MetricLieAlgebra",
     "MetricReport",
+    "NotNilpotentError",
     "OrthogonalModule",
     "QuadraticCochain",
     "QuadraticCocycle",

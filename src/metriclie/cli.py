@@ -2,9 +2,9 @@
 
 Exit codes: 0 when the command succeeds and any verdict is positive,
 1 when the mathematics fails (invalid bracket, broken cocycle identity,
-inadmissible cocycle, metric axiom violation), 2 when a document or an
-argument does not parse, a file cannot be read or written, or an input is
-over a size limit.
+algebra not nilpotent, inadmissible cocycle, metric axiom violation), 2
+when a document or an argument does not parse, a file cannot be read or
+written, or an input is over a size limit.
 
 The size limits bound the enumerated work and are checked before it starts:
 ``verify``, ``admissible`` and ``double`` enumerate dense subspaces of the
@@ -37,12 +37,12 @@ from .double_construction import (
 from .exact_linalg import Matrix, signature_of
 from .lie_core import (
     LieAlgebra,
+    NotNilpotentError,
     is_nilpotent,
     lower_central_series,
     validate_jacobi,
 )
 from .quadratic_cohomology import (
-    AdmissibilityPreconditionError,
     AdmissibilityReport,
     QuadraticCocycle,
     check_admissible,
@@ -206,8 +206,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     kind, parsed = load_document(args.document)
     if kind == "lie_algebra":
         algebra = checked_algebra(bounded(parsed))
-        _, profile = lower_central_series(algebra)
-        fields = {"nilpotent": is_nilpotent(algebra), "series_dims": list(profile.dims)}
+        series = [s.dim for s in lower_central_series(algebra)]
+        fields = {"nilpotent": is_nilpotent(algebra), "series_dims": series}
     elif kind == "module":
         module = checked_module(parsed)
         fields = {"dim": module.dim, "signature": list(signature_of(module.gram).as_tuple())}
@@ -250,10 +250,7 @@ def _fingerprint_payload(fp) -> dict:
 def cmd_admissible(args: argparse.Namespace) -> int:
     parsed = load_kind(args.document, "cocycle")
     cocycle = assemble_cocycle(parsed, args.algebra, args.module)
-    try:
-        rep = check_admissible(cocycle)
-    except AdmissibilityPreconditionError as exc:
-        raise MathFailure(str(exc)) from None
+    rep = check_admissible(cocycle)
     payload = admissibility_payload(rep)
     payload["proxy_indecomposable"] = indecomposability_proxy(cocycle)
     emit(report("admissible", ok=rep.overall, **payload))
@@ -450,7 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SchemaError, OSError) as exc:
         emit(report(args.command, ok=False, error=str(exc)))
         return EXIT_SCHEMA
-    except MathFailure as exc:
+    except (MathFailure, NotNilpotentError) as exc:
         emit(report(args.command, ok=False, error=str(exc)))
         return EXIT_MATH
 

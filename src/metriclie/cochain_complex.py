@@ -201,12 +201,13 @@ def cochain_from_terms(
     terms: Iterable[tuple[Sequence[int], Sequence[int | str | Fraction]]],
     scalar: bool = False,
 ) -> Cochain:
-    """Build a cochain from (indices, value) terms; indices may be unsorted."""
+    """Build a cochain from (indices, value) terms; indices may be unsorted and
+    the values of terms on the same key add up.  A repeated index is an error."""
     values: dict[tuple[int, ...], Vector] = {}
     for indices, value in terms:
         sorted_sign = sort_with_sign(indices)
         if sorted_sign is None:
-            continue
+            raise ValueError("the term on %s has a repeated index" % (tuple(indices),))
         key, sign = sorted_sign
         v = vector(value)
         if sign == -1:

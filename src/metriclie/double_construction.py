@@ -33,6 +33,7 @@ from .lie_core import (
     center,
     is_nilpotent,
     lower_central_series,
+    nilpotency_index,
     validate_jacobi,
 )
 from .quadratic_cohomology import ConsistencyError, QuadraticCocycle
@@ -72,11 +73,11 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
 
     The table is filled in one pass over the stored entries of gamma, alpha
     and the brackets of ``l``, following the formulas in the module docstring.
-    A result that fails its own re-check raises :class:`ConsistencyError`.
+    A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`;
+    a result that fails its own re-check raises :class:`ConsistencyError`.
     """
     l, module = z.algebra, z.module
-    if not is_nilpotent(l):
-        raise ValueError("the double construction here requires a nilpotent algebra")
+    nilpotency_index(l)  # raises NotNilpotentError
     n, m = l.dim, module.dim
     total = 2 * n + m
     a_off = n
@@ -134,16 +135,18 @@ def verify_metric(g: MetricLieAlgebra) -> MetricReport:
     """Re-check every metric Lie algebra axiom from scratch.
 
     Covers symmetry and nondegeneracy of the form, the Jacobi identity, and
-    invariance <[x, y], z> + <y, [x, z]> = 0 on basis triples.
+    invariance <[x, y], z> + <y, [x, z]> = 0 on basis triples.  A check that
+    needs a symmetric (or square) form and cannot run fails as not checked.
     """
     checks: list[MetricCheck] = []
     n = g.algebra.dim
-    sym_ok = g.gram.rows == n and g.gram.cols == n and g.gram.is_symmetric()
+    skipped = "not checked: the form is not symmetric"
+    square = g.gram.rows == n and g.gram.cols == n
+    sym_ok = square and g.gram.is_symmetric()
     checks.append(MetricCheck("symmetric", sym_ok, "" if sym_ok else "form is not symmetric"))
-    nondeg_ok = sym_ok and rank(g.gram) == n
-    checks.append(
-        MetricCheck("nondegenerate", nondeg_ok, "" if nondeg_ok else "form has a radical")
-    )
+    nondeg_ok = square and rank(g.gram) == n
+    nondeg_detail = "" if nondeg_ok else "form has a radical" if square else skipped
+    checks.append(MetricCheck("nondegenerate", nondeg_ok, nondeg_detail))
     jac = validate_jacobi(g.algebra)
     checks.append(
         MetricCheck(
@@ -155,7 +158,7 @@ def verify_metric(g: MetricLieAlgebra) -> MetricReport:
             % (g.algebra.named(jac.triple), ", ".join(map(str, jac.defect))),
         )
     )
-    inv_detail = _invariance_failure(g) if sym_ok else ""
+    inv_detail = _invariance_failure(g) if sym_ok else skipped
     inv_ok = not inv_detail
     checks.append(MetricCheck("invariance", inv_ok, inv_detail))
     ok = all(c.ok for c in checks)
@@ -203,13 +206,13 @@ class Fingerprint(NamedTuple):
 
 
 def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
-    series, profile = lower_central_series(g.algebra)
+    series = lower_central_series(g.algebra)
     z = center(g.algebra)
     derived = series[1] if len(series) > 1 else z  # l^2; fallback unused for dim > 0
     return Fingerprint(
         dim=g.algebra.dim,
         signature=signature_of(g.gram),
-        series_dims=profile.dims,
+        series_dims=tuple(s.dim for s in series),
         center_dim=z.dim,
         center_signature=signature_of(z.form(g.gram)),
         derived_signature=signature_of(derived.form(g.gram)),

@@ -40,13 +40,6 @@ class JacobiReport(NamedTuple):
     defect: Vector | None = None
 
 
-class SeriesProfile(NamedTuple):
-    """Dimensions along the lower central series, ending at 0 for nilpotent
-    algebras and at a repeated value when the series stabilizes instead."""
-
-    dims: tuple[int, ...]
-
-
 class LieAlgebra:
     """A Lie algebra given by sparse antisymmetric structure constants.
 
@@ -92,7 +85,7 @@ class LieAlgebra:
         self._brackets = MappingProxyType(table)
         self._rows = rows
         self._hash: int | None = None
-        self._series: tuple[tuple[Subspace, ...], SeriesProfile] | None = None
+        self._series: tuple[Subspace, ...] | None = None
         self._center: Subspace | None = None
         if validate:
             report = validate_jacobi(self)
@@ -205,10 +198,10 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     return JacobiReport(ok=True)
 
 
-def lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesProfile]:
-    """Terms of the lower central series, starting with the whole algebra.
+def lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
+    """Terms l^1 = l, l^2, ... of the lower central series (``series[k]`` is l^(k+1)).
 
-    The list ends with the zero subspace for nilpotent algebras and with a
+    The terms end with the zero subspace for nilpotent algebras and with a
     repeated term when the series stabilizes at a nonzero ideal.  Computed
     on the first call and reused for the lifetime of ``l``.
     """
@@ -217,7 +210,7 @@ def lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPro
     return l._series
 
 
-def _lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesProfile]:
+def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
     # e_i without a stored bracket adds only zero generators
     rows = [l._rows[i] for i in sorted(l._rows)]
     chain = [Subspace.full(l.dim)]
@@ -225,7 +218,7 @@ def _lower_central_series(l: LieAlgebra) -> tuple[tuple[Subspace, ...], SeriesPr
         chain.append(Subspace.of_rows(l.dim, _ad_images(rows, chain[-1].rows)))
         if chain[-1].dim == chain[-2].dim:
             break  # stabilized, not nilpotent
-    return tuple(chain), SeriesProfile(tuple(s.dim for s in chain))
+    return tuple(chain)
 
 
 def _ad_images(
@@ -245,8 +238,7 @@ def _ad_images(
 
 
 def is_nilpotent(l: LieAlgebra) -> bool:
-    _, profile = lower_central_series(l)
-    return profile.dims[-1] == 0
+    return lower_central_series(l)[-1].dim == 0
 
 
 def center(l: LieAlgebra) -> Subspace:
@@ -267,12 +259,12 @@ def _center(l: LieAlgebra) -> Subspace:
 
 
 def nilpotency_index(l: LieAlgebra) -> int:
-    """The minimal m with l^(m+2) = 0 (so m = 0 for abelian algebras)."""
-    _, profile = lower_central_series(l)
-    if profile.dims[-1] != 0:
+    """The minimal m with l^(m+2) = 0 (so m = 0 for abelian algebras): the one
+    decision of nilpotency, raising :class:`NotNilpotentError` on any other l."""
+    series = lower_central_series(l)
+    if series[-1].dim:
         raise NotNilpotentError("algebra is not nilpotent")
-    first_zero = profile.dims.index(0)  # dims[k] = dim l^(k+1)
-    return first_zero - 1
+    return len(series) - 2  # series[-1] = l^(m+2) = 0
 
 
 def filtration_spaces(l: LieAlgebra) -> list[Subspace]:
@@ -282,12 +274,9 @@ def filtration_spaces(l: LieAlgebra) -> list[Subspace]:
     ``l_(k)`` is the intersection of the center with the (k+1)-st lower
     central series term, with m minimal such that l^(m+2) = 0.
     """
-    series, profile = lower_central_series(l)
-    if profile.dims[-1] != 0:
-        raise NotNilpotentError("filtration spaces require a nilpotent algebra")
-    m = profile.dims.index(0) - 1
-    z = center(l)
-    return [z] + [z.intersect(series[k]) for k in range(1, m + 1)]  # series[k] = l^(k+1)
+    m = nilpotency_index(l)
+    series, z = lower_central_series(l), center(l)
+    return [z] + [z.intersect(series[k]) for k in range(1, m + 1)]
 
 
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:

@@ -37,7 +37,7 @@ from .cochain_complex import (
     wedge_pair,
 )
 from .exact_linalg import Subspace, Vector, _axpy, _dense, _kernel, _reduce, linear_combination
-from .lie_core import LieAlgebra, filtration_spaces, is_nilpotent, lower_central_series
+from .lie_core import LieAlgebra, filtration_spaces, lower_central_series
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
@@ -45,10 +45,6 @@ _HALF = Fraction(1, 2)
 
 class CocycleError(ValueError):
     """Raised when (alpha, gamma) fails the quadratic cocycle conditions."""
-
-
-class AdmissibilityPreconditionError(ValueError):
-    """Raised when the admissibility test is applied outside its domain."""
 
 
 class ConsistencyError(ValueError):
@@ -169,8 +165,10 @@ def cq_compose(c1: QuadraticCochain, c2: QuadraticCochain) -> QuadraticCochain:
 
 
 def cq_inverse(c: QuadraticCochain) -> QuadraticCochain:
-    square = half_wedge_square(c.module, c.tau)
-    return QuadraticCochain(c.algebra, c.module, c.tau.scale(-1), c.sigma.scale(-1) + square)
+    """(-tau, -sigma): the cross term 1/2 <tau ^ -tau> of the product vanishes,
+    since <tau ^ tau>(x, y) = <tau x, tau y> - <tau y, tau x> = 0 for a 1-form
+    tau and a symmetric form."""
+    return QuadraticCochain(c.algebra, c.module, c.tau.scale(-1), c.sigma.scale(-1))
 
 
 def act(z: QuadraticCocycle, c: QuadraticCochain) -> QuadraticCocycle:
@@ -306,12 +304,9 @@ def _stage_report(
 def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     """Run (A_k) and (B_k) for every stage k = 0..m of the central filtration.
 
-    Precondition: the algebra is nilpotent.
+    A non-nilpotent algebra raises NotNilpotentError from the filtration.
     """
-    l = z.algebra
-    if not is_nilpotent(l):
-        raise AdmissibilityPreconditionError("admissibility is defined for nilpotent algebras")
-    series, _ = lower_central_series(l)
+    stages, series = filtration_spaces(z.algebra), lower_central_series(z.algebra)
     # gamma(e_i, e_s, e_t) as gamma_at[i][s][t], each stored key in its six orientations
     gamma_at: dict[int, dict[int, dict[int, Fraction]]] = {}
     for (a, b, c), (v,) in z.gamma.values.items():
@@ -320,7 +315,7 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
             gamma_at.setdefault(i, {}).setdefault(s, {})[t] = y
     conditions = tuple(
         _stage_report(z, k, stage, series[k], gamma_at)  # series[k] = l^(k+1)
-        for k, stage in enumerate(filtration_spaces(l))
+        for k, stage in enumerate(stages)
     )
     return AdmissibilityReport(
         overall=all(c.a_passed and c.b_passed for c in conditions), conditions=conditions

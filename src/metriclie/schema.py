@@ -62,6 +62,8 @@ def parse_scalar(obj: Any, where: str = "scalar") -> Fraction:
             return Fraction(obj)
         except ZeroDivisionError:
             raise SchemaError(f"{where}: {obj!r} has a zero denominator") from None
+        except ValueError:  # over the digit limit of int(), a guard kept
+            raise SchemaError(f"{where}: a scalar of {len(obj)} characters is too long") from None
     raise SchemaError(f"{where}: expected a rational string, got {type(obj).__name__}")
 
 
@@ -348,8 +350,12 @@ def parse_document(obj: Any):
 def loads_document(text: str):
     try:
         obj = json.loads(text)
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except ValueError:  # an integer literal over the digit limit of int(), a guard kept
+        raise SchemaError("invalid JSON: an integer literal has too many digits") from None
     return parse_document(obj)
 
 

@@ -44,12 +44,12 @@ from metriclie.exact_linalg import (
 )
 from metriclie.lie_core import (
     LieAlgebra,
+    NotNilpotentError,
     center,
     is_nilpotent,
     lower_central_series,
 )
 from metriclie.quadratic_cohomology import (
-    AdmissibilityPreconditionError,
     AdmissibilityReport,
     ConditionKReport,
     ConsistencyError,
@@ -215,15 +215,6 @@ def _random_span_element(rg: random.Random, basis, length: int):
     # One draw per basis vector, in order; only nonzero entries are summed.
     coeffs = [rational(rg) for _ in basis]
     return linear_combination(coeffs, basis.__getitem__, length)
-
-
-def random_closed_alpha(
-    rg: random.Random, algebra: LieAlgebra, module: OrthogonalModule
-) -> Cochain:
-    """Random element of the kernel of d on module valued 2-cochains."""
-    d2 = differential_matrix(algebra, module, 2)
-    total = _random_span_element(rg, kernel_basis(d2), d2.cols)
-    return _cochain_from_vector(total, algebra.dim, 2, module.dim, False)
 
 
 def random_valid_cocycle(
@@ -686,9 +677,9 @@ def dense_check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     the filtration intersected through :func:`dense_intersect`."""
     l = z.algebra
     if not is_nilpotent(l):
-        raise AdmissibilityPreconditionError("admissibility is defined for nilpotent algebras")
-    series, profile = lower_central_series(l)
-    z0, top = center(l), profile.dims.index(0) - 1
+        raise NotNilpotentError("admissibility is defined for nilpotent algebras")
+    series = lower_central_series(l)
+    z0, top = center(l), [s.dim for s in series].index(0) - 1
     stages = [z0] + [dense_intersect(z0, series[k]) for k in range(1, top + 1)]
     conditions = []
     for k, stage in enumerate(stages):

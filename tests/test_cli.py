@@ -8,6 +8,7 @@ from fractions import Fraction
 from importlib import resources
 from math import comb
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,9 @@ from metriclie import catalog as cat
 from metriclie import cli, schema
 from metriclie.catalog import g41, g64, module_for_tag
 from metriclie.double_construction import build_double
-from metriclie.quadratic_cohomology import check_admissible
-from metriclie.schema import algebra_to_payload, module_to_payload
+from metriclie.lie_core import LieAlgebra, NotNilpotentError, filtration_spaces
+from metriclie.quadratic_cohomology import check_admissible, zero_cocycle
+from metriclie.schema import algebra_to_payload, cocycle_to_payload, module_to_payload
 
 from test_golden import golden_commands
 
@@ -240,6 +242,25 @@ def test_admissible_reports_witness_for_zero_cocycle(tmp_path, capsys):
     assert failing[-1]["a_witness"]["l0"] == ["0", "0", "0", "1"]
 
 
+def test_a_non_nilpotent_algebra_fails_in_the_library_and_exits_1(tmp_path, capsys):
+    # [X1, X2] = X1: the lower central series stops at span(X1)
+    z = zero_cocycle(LieAlgebra(2, {(0, 1): (1, 0)}), module_for_tag("r01"))
+    with pytest.raises(NotNilpotentError):
+        filtration_spaces(z.algebra)
+    with pytest.raises(NotNilpotentError):
+        check_admissible(z)
+    with pytest.raises(NotNilpotentError):
+        build_double(z)
+    path = write_doc(tmp_path, "solvable.json", schema.wrap("cocycle", cocycle_to_payload(z)))
+    for command in ("admissible", "double"):
+        code, doc = run(capsys, command, path)
+        assert code == 1
+        assert doc["kind"] == "report"
+        assert doc["payload"] == {
+            "command": command, "ok": False, "error": "algebra is not nilpotent"
+        }
+
+
 def test_admissible_with_context_overrides(capsys):
     code, doc = run(
         capsys,
@@ -443,6 +464,31 @@ def test_verify_on_a_file_that_is_not_utf8_is_schema_error(tmp_path, capsys):
     assert code == 2
     assert doc["kind"] == "report" and doc["payload"]["ok"] is False
     assert "not UTF-8" in doc["payload"]["error"]
+
+
+def _verify_text(tmp_path, capsys, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    code, doc = run(capsys, "verify", str(path))
+    assert code == 2
+    assert doc["kind"] == "report" and doc["payload"]["ok"] is False
+    return doc["payload"]["error"]
+
+
+def test_deeply_nested_json_is_schema_error(tmp_path, capsys):
+    assert _verify_text(tmp_path, capsys, "[" * 200_000) == "invalid JSON: nested too deeply"
+
+
+def test_an_integer_literal_over_the_digit_limit_is_schema_error(tmp_path, capsys):
+    text = '{"kind": "lie_algebra", "payload": {"dim": %s, "brackets": []}}' % ("9" * 5000)
+    error = _verify_text(tmp_path, capsys, text)
+    assert error == "invalid JSON: an integer literal has too many digits"
+
+
+def test_a_scalar_over_the_digit_limit_is_schema_error_at_its_position(tmp_path, capsys):
+    doc = schema.wrap("module", {"dim": 1, "gram": [["9" * 5000]]})
+    error = _verify_text(tmp_path, capsys, schema.dumps_document(doc))
+    assert error == "module.gram[0][0]: a scalar of 5000 characters is too long"
 
 
 def test_double_into_a_missing_directory_is_schema_error(tmp_path, capsys):

@@ -69,6 +69,11 @@ def test_cochain_normalizes_index_order():
     assert c.value_at((1, 1)) == (Fraction(0),)
 
 
+def test_cochain_from_terms_rejects_a_repeated_index():
+    with pytest.raises(ValueError, match=r"the term on \(1, 1\) has a repeated index"):
+        cochain_from_terms(3, 2, 1, [((1, 1), (5,))])
+
+
 def test_cochain_rejects_bad_keys():
     with pytest.raises(ValueError):
         Cochain(3, 2, 1, True, {(0, 0): (Fraction(1),)})

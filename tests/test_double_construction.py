@@ -311,6 +311,19 @@ def test_verify_metric_catches_degenerate_form():
     assert not report.ok
 
 
+def test_verify_metric_reports_only_the_checks_it_ran():
+    not_symmetric = MetricCheck("symmetric", False, "form is not symmetric")
+    jacobi = MetricCheck("jacobi", True)
+    skipped = MetricCheck("invariance", False, "not checked: the form is not symmetric")
+    # determinant 1: not symmetric, but without a radical
+    report = verify_metric(MetricLieAlgebra(abelian(2), Matrix.from_rows([[1, 1], [0, 1]])))
+    assert report.checks == (not_symmetric, MetricCheck("nondegenerate", True), jacobi, skipped)
+    report = verify_metric(MetricLieAlgebra(abelian(2), Matrix.from_rows([[0, 1], [0, 0]])))
+    radical = MetricCheck("nondegenerate", False, "form has a radical")
+    assert report.checks == (not_symmetric, radical, jacobi, skipped)
+    assert not report.ok
+
+
 def test_build_double_rejects_non_nilpotent_base():
     solvable = LieAlgebra(2, {(0, 1): (Fraction(1), Fraction(0))}, validate=False)
     z = zero_cocycle(solvable, module_for_tag("r01"))

@@ -28,9 +28,8 @@ from metriclie.cochain_complex import (
 )
 from metriclie.double_construction import build_double
 from metriclie.exact_linalg import Matrix, kernel_basis, vec_is_zero
-from metriclie.lie_core import LieAlgebra, abelian, is_nilpotent, validate_jacobi
+from metriclie.lie_core import LieAlgebra, NotNilpotentError, abelian, is_nilpotent, validate_jacobi
 from metriclie.quadratic_cohomology import (
-    AdmissibilityPreconditionError,
     CocycleError,
     QuadraticCocycle,
     act,
@@ -243,7 +242,7 @@ def test_valid_cocycles_on_five_dim_base_never_pass_both_final_conditions():
 def test_admissibility_needs_nilpotency():
     solvable = LieAlgebra(2, {(0, 1): (Fraction(1), Fraction(0))}, validate=False)
     z = zero_cocycle(solvable, orthonormal_module([1]))
-    with pytest.raises(AdmissibilityPreconditionError):
+    with pytest.raises(NotNilpotentError):
         check_admissible(z)
 
 

@@ -19,7 +19,7 @@ from metriclie.double_construction import (
     fingerprint,
 )
 from metriclie.exact_linalg import Matrix, Signature
-from metriclie.lie_core import JacobiReport, SeriesProfile, abelian
+from metriclie.lie_core import JacobiReport, abelian
 from metriclie.quadratic_cohomology import AdmissibilityReport, ConditionKReport
 from metriclie.schema import ParsedMetric
 
@@ -77,7 +77,6 @@ def test_plain_records_are_read_only_named_tuples():
     records = [
         Signature(1, 2, 0),
         JacobiReport(True),
-        SeriesProfile((3, 1, 0)),
         Isomap(gram),
         MetricCheck("invariance", True),
         MetricReport(True, (MetricCheck("invariance", True),)),
