@@ -50,12 +50,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("vector length mismatch: %d vs %d" % (len(u), len(v)))
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c: Fraction | int, v: Vector) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in v)
@@ -66,15 +60,16 @@ def vec_is_zero(v: Vector) -> bool:
 
 
 def linear_combination(
-    coeffs: Iterable[Fraction], term: Callable[[int], Vector], length: int
+    coeffs: Iterable[Fraction] | dict[int, Fraction], term: Callable[[int], Vector], length: int
 ) -> Vector:
     """Sum of ``c_k * term(k)`` over the nonzero ``c_k``, as a vector of ``length``.
 
-    ``term`` is called only for nonzero coefficients, so contracting a form
-    or a bracket with a sparse vector touches only its support.
+    ``coeffs`` is a dense sequence or a sparse row ``{k: c_k}``.  ``term`` is
+    called only for nonzero coefficients, so contracting a form or a bracket
+    with a sparse vector touches only its support.
     """
     out = [_ZERO] * length
-    for k, c in enumerate(coeffs):
+    for k, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
         if c:
             for t, x in enumerate(term(k)):
                 if x:
@@ -392,17 +387,16 @@ def _sparse_vectors(vectors: Iterable[Vector], ambient_dim: int) -> Iterator[dic
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n, canonicalized to its reduced echelon basis.
+    """A subspace of Q^n, stored as the rows :func:`_reduce` returns for it.
 
-    The reduced echelon basis is unique, so two subspaces are equal exactly
-    when they span the same space, whichever constructor built them.
-    ``rows`` holds the same basis as sparse ``{column: entry}`` maps; it is
-    derived on first use and shared, so callers hand copies of its rows to
-    :func:`_reduce`, which consumes its input.
+    ``rows`` are the reduced echelon rows of the span as sparse ``{column:
+    entry}`` maps, sorted by pivot.  They are unique, so two subspaces are
+    equal exactly when they span the same space.  They are shared: callers
+    hand copies of them to :func:`_reduce`, which consumes its input.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    rows: tuple[dict[int, Fraction], ...]
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
@@ -412,7 +406,7 @@ class Subspace:
     @staticmethod
     def of_rows(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
         """The span of sparse rows ``{column: nonzero entry}``; the rows are consumed."""
-        return Subspace(ambient_dim, tuple(_dense(row, ambient_dim) for _, row in _reduce(rows)))
+        return Subspace(ambient_dim, tuple(row for _, row in _reduce(rows)))
 
     @staticmethod
     def kernel(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
@@ -422,33 +416,38 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple(unit_vector(ambient_dim, i) for i in range(ambient_dim)))
+        return Subspace(ambient_dim, tuple({i: _ONE} for i in range(ambient_dim)))
+
+    def __hash__(self) -> int:
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @cached_property
-    def rows(self) -> tuple[dict[int, Fraction], ...]:
-        """The basis as sparse rows (shared: copy a row before changing it)."""
-        return tuple({j: x for j, x in enumerate(b) if x} for b in self.basis)
+    def basis(self) -> tuple[Vector, ...]:
+        """The rows as dense vectors of length ``ambient_dim``."""
+        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis vector (its first nonzero entry)."""
         return tuple(min(row) for row in self.rows)
 
-    def coords(self, v: Vector) -> Vector | None:
-        """Coordinates of ``v`` in the echelon basis, or None if outside."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("vector does not live in the ambient space")
-        coeffs = tuple(v[p] for p in self._pivots)
-        residual = vec_sub(v, linear_combination(coeffs, self.basis.__getitem__, len(v)))
-        if not vec_is_zero(residual):
-            return None
-        return coeffs
+    def coords(self, v: dict[int, Fraction]) -> Vector | None:
+        """Coordinates of the sparse row ``v`` (only read) in the echelon rows:
+        its entries at their pivots, or None when a residual is left after
+        subtracting the rows times them."""
+        residual = dict(v)
+        coeffs = []
+        for p, row in zip(self._pivots, self.rows):
+            c = residual.pop(p, _ZERO)
+            if c:
+                _axpy(residual, -c, row, p)
+            coeffs.append(c)
+        return None if residual else tuple(coeffs)
 
-    def contains(self, v: Vector) -> bool:
+    def contains(self, v: dict[int, Fraction]) -> bool:
         return self.coords(v) is not None
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -456,20 +455,21 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         # Zassenhaus: reduce [u | u] for u in self and [w | 0] for w in other;
         # the reduced rows with a pivot in the right half are [0 | v], and
-        # their v are the reduced echelon basis of the intersection.
+        # their v are the reduced echelon rows of the intersection.
         n = self.ambient_dim
         rows = [{**u, **{j + n: x for j, x in u.items()}} for u in self.rows]
         rows += (dict(w) for w in other.rows)
-        return Subspace(
-            n,
-            tuple(_dense({j - n: x for j, x in row.items()}, n) for p, row in _reduce(rows) if p >= n),
-        )
+        right = (row for p, row in _reduce(rows) if p >= n)
+        return Subspace(n, tuple({j - n: x for j, x in row.items()} for row in right))
 
     def form(self, gram: Matrix) -> Matrix:
         """The restriction of the form ``gram`` to this subspace: B G B^T for
-        the echelon basis B."""
-        b = Matrix(self.dim, self.ambient_dim, tuple(x for v in self.basis for x in v))
-        return b @ gram @ b.transpose()
+        the echelon basis B, summed over the nonzero entries only."""
+        images = [linear_combination(u, gram.row, self.ambient_dim) for u in self.rows]  # B G
+        entries = (
+            sum((x * g[j] for j, x in v.items() if g[j]), _ZERO) for g in images for v in self.rows
+        )
+        return Matrix(self.dim, self.dim, tuple(entries))
 
     def is_nondegenerate(self, gram: Matrix) -> bool:
         """Whether the restriction of ``gram`` is nondegenerate; the zero

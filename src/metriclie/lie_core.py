@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_linalg import Subspace, Vector, _dense, linear_combination, vector, zero_vector
 
@@ -145,14 +145,24 @@ class LieAlgebra:
         return MappingProxyType(self._rows.get(i, _NO_BRACKETS))
 
     def ad(self, i: int, w: Vector) -> Vector:
-        """[e_i, w], summed over the stored entries of the brackets of e_i only."""
-        out = [_ZERO] * self._dim
-        for j, pairs in self._rows.get(i, _NO_BRACKETS).items():
-            x = w[j]
-            if x:
-                for t, c in pairs:
-                    out[t] += x * c
-        return tuple(out)
+        """[e_i, w] as a dense vector: a view over :meth:`ad_rows`."""
+        (image,) = self.ad_rows((i,), ({j: x for j, x in enumerate(w) if x},))
+        return _dense(image, self._dim)
+
+    def ad_rows(
+        self, indices: Iterable[int], ws: Sequence[Mapping[int, Fraction]]
+    ) -> Iterator[dict[int, Fraction]]:
+        """[e_i, w] for each i in ``indices``, then each sparse w ``{j: nonzero
+        entry}`` in ``ws`` (only read), as fresh sparse rows, each summed over
+        the stored brackets [e_i, e_j] on the support of w only."""
+        for i in indices:
+            row = self._rows.get(i, _NO_BRACKETS)
+            for w in ws:
+                image: dict[int, Fraction] = {}
+                for j, x in w.items():
+                    for t, c in row.get(j, ()):
+                        image[t] = image.get(t, _ZERO) + x * c
+                yield {t: y for t, y in image.items() if y}
 
 
 def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
@@ -211,30 +221,15 @@ def lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
-    # e_i without a stored bracket adds only zero generators
-    rows = [l._rows[i] for i in sorted(l._rows)]
+    # e_i without a stored bracket adds only zero generators; most images are
+    # zero, and filtering them here is cheaper than eliminating them
+    stored = sorted(l._rows)
     chain = [Subspace.full(l.dim)]
     while chain[-1].dim > 0:
-        chain.append(Subspace.of_rows(l.dim, _ad_images(rows, chain[-1].rows)))
+        chain.append(Subspace.of_rows(l.dim, filter(None, l.ad_rows(stored, chain[-1].rows))))
         if chain[-1].dim == chain[-2].dim:
             break  # stabilized, not nilpotent
     return tuple(chain)
-
-
-def _ad_images(
-    rows: list[dict[int, tuple[tuple[int, Fraction], ...]]], basis: Sequence[dict[int, Fraction]]
-) -> Iterator[dict[int, Fraction]]:
-    """The nonzero [e_i, w] for the stored rows of e_i and the sparse w in
-    ``basis`` (only read), as fresh sparse rows."""
-    for row in rows:
-        for w in basis:
-            image: dict[int, Fraction] = {}
-            for j, x in w.items():
-                for t, c in row.get(j, ()):
-                    image[t] = image.get(t, _ZERO) + x * c
-            image = {t: y for t, y in image.items() if y}
-            if image:
-                yield image
 
 
 def is_nilpotent(l: LieAlgebra) -> bool:

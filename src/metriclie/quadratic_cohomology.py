@@ -250,9 +250,9 @@ def _stage_report(
             return z.alpha.value_at((i, t))
 
         # alpha(e_i, L0) = 0, one row per module coordinate
-        alpha_on_stage = [linear_combination(b, alpha_i, m) for b in stage.basis]
+        alpha_on_stage = [linear_combination(b, alpha_i, m) for b in stage.rows]
         a_rows += ({u: a[t] for u, a in enumerate(alpha_on_stage) if a[t]} for t in range(m))
-        # gamma(e_i, b_u, .) for the stage basis vectors b_u with a nonzero one
+        # gamma(e_i, b_u, .) for the stage rows b_u with a nonzero one
         gamma_i, gamma_stage = gamma_at.get(i, {}), []
         for u, b in enumerate(stage.rows):
             gb: dict[int, Fraction] = {}
@@ -261,22 +261,22 @@ def _stage_report(
             if gb:
                 gamma_stage.append((u, gb))
         # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
-        for j, w in enumerate(series_term.basis):
-            image = l.ad(i, w)
+        images = l.ad_rows((i,), series_term.rows)
+        for j, (w, image) in enumerate(zip(series_term.rows, images)):
             alpha_iw = linear_combination(w, alpha_i, m)
             alpha_on_tensor.append(alpha_iw)
-            gamma_iw = ((u, sum((x * w[t] for t, x in gb.items()), _ZERO)) for u, gb in gamma_stage)
+            gamma_iw = ((u, sum((x * gb[t] for t, x in w.items() if t in gb), _ZERO))
+                        for u, gb in gamma_stage)
             row = {u: y for u, y in gamma_iw if y}
             g_alpha = linear_combination(alpha_iw, module.gram.row, m)
             row.update((d0 + t, y) for t, y in enumerate(g_alpha) if y)
-            if any(image):
+            if image:
                 coords = series_term.coords(image)
                 if coords is None:
                     raise ConsistencyError("bracket left the series term, series data corrupt")
                 row.update((d0 + m + t, -y) for t, y in enumerate(coords) if y)
-                for t, x in enumerate(image):
-                    if x:
-                        pairing.setdefault(t, {})[i * d1 + j] = x
+                for t, x in image.items():
+                    pairing.setdefault(t, {})[i * d1 + j] = x
             a_rows.append(row)
     unknowns = d0 + m + d1
     a_kernel = _kernel(_reduce(a_rows), unknowns)
@@ -286,10 +286,7 @@ def _stage_report(
         l0 = linear_combination(head[:d0], stage.basis.__getitem__, n)
         a_witness = (l0, head[d0 : d0 + m], head[d0 + m :])
     kernel = _kernel(_reduce(pairing.values()), n * d1)
-    images = [
-        linear_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
-        for vec in kernel
-    ]
+    images = [linear_combination(vec, alpha_on_tensor.__getitem__, m) for vec in kernel]
     image = Subspace.span(m, images)
     b_passed = image.is_nondegenerate(module.gram)
     b_witness = None

@@ -43,9 +43,15 @@ class SchemaError(ValueError):
 
 
 def format_scalar(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # over the digit limit of int -> str, a guard kept
+        big = max(abs(value.numerator), value.denominator)
+        digits = int((big.bit_length() - 1) * 0.301029995663981) + 1  # digits of 2**(bits - 1)
+        digits += big >= 10**digits
+        raise SchemaError(f"a scalar with {digits} digits is too long to write") from None
 
 
 def parse_scalar(obj: Any, where: str = "scalar") -> Fraction:
@@ -154,24 +160,31 @@ def _parse_terms(
     return values
 
 
+def _format_terms(
+    values: Mapping[tuple[int, ...], Vector], fields: tuple[str, ...], scalar: bool = False
+) -> list[dict]:
+    """The terms ``{i, j[, k], value}`` of an alternating form, sorted by key:
+    the mirror of :func:`_parse_terms`.  The value is a list of scalars, or
+    its one scalar when ``scalar`` is set."""
+    return [
+        {
+            **{name: index + 1 for name, index in zip(fields, key)},
+            "value": format_scalar(value[0]) if scalar else format_vector(value),
+        }
+        for key, value in sorted(values.items())
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Lie algebras
 # ---------------------------------------------------------------------------
 
 
 def algebra_to_payload(algebra: LieAlgebra) -> dict:
-    brackets = [
-        {
-            "i": i + 1,
-            "j": j + 1,
-            "value": format_vector(value),
-        }
-        for (i, j), value in sorted(algebra.brackets.items())
-    ]
     return {
         "dim": algebra.dim,
         "labels": list(algebra.labels),
-        "brackets": brackets,
+        "brackets": _format_terms(algebra.brackets, ("i", "j")),
     }
 
 
@@ -224,19 +237,8 @@ def parse_module_payload(payload: Any, where: str = "module") -> Matrix:
 def cochains_to_payload(alpha: Cochain, gamma: Cochain) -> dict:
     """Payload of a context-free cocycle document: the terms of both forms."""
     return {
-        "alpha": [
-            {"i": key[0] + 1, "j": key[1] + 1, "value": format_vector(value)}
-            for key, value in sorted(alpha.values.items())
-        ],
-        "gamma": [
-            {
-                "i": key[0] + 1,
-                "j": key[1] + 1,
-                "k": key[2] + 1,
-                "value": format_scalar(value[0]),
-            }
-            for key, value in sorted(gamma.values.items())
-        ],
+        "alpha": _format_terms(alpha.values, ("i", "j")),
+        "gamma": _format_terms(gamma.values, ("i", "j", "k"), scalar=True),
     }
 
 

@@ -580,9 +580,23 @@ def random_elimination_case(rg: random.Random) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def subspace_intact(space: Subspace) -> bool:
-    """Whether the shared sparse rows of ``space`` still hold its basis."""
-    return list(space.rows) == [{j: x for j, x in enumerate(b) if x} for b in space.basis]
+def sparse_row(v) -> dict:
+    """The nonzero entries ``{j: v[j]}`` of a dense vector."""
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def dense_span(n: int, vectors) -> Subspace:
+    """The subspace spanned by ``vectors``, its rows read off :func:`dense_rref`."""
+    reduced, pivots = dense_rref(Matrix.from_rows(vectors, cols=n))
+    rows = (reduced.row(r) for r in range(len(pivots)))
+    return Subspace(n, tuple(sparse_row(row) for row in rows))
+
+
+def rows_snapshot(*spaces: Subspace):
+    """Copy the shared sparse rows of ``spaces`` now; the returned check says
+    whether every space still holds exactly those rows."""
+    before = [[dict(row) for row in space.rows] for space in spaces]
+    return lambda: [list(space.rows) for space in spaces] == before
 
 
 def dense_intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -597,9 +611,9 @@ def dense_intersect(s1: Subspace, s2: Subspace) -> Subspace:
         row = [s1.basis[u][i] for u in range(s1.dim)]
         row += [-s2.basis[w][i] for w in range(s2.dim)]
         entries.append(row)
-    ker = kernel_basis(Matrix.from_rows(entries, cols=s1.dim + s2.dim))
+    ker = dense_kernel(Matrix.from_rows(entries, cols=s1.dim + s2.dim))
     vectors = [linear_combination(k[: s1.dim], s1.basis.__getitem__, n) for k in ker]
-    return Subspace.span(n, vectors)
+    return dense_span(n, vectors)
 
 
 def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspace):
@@ -627,7 +641,7 @@ def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspa
             row = [sum((b[s] * y for s, y in support), Fraction(0)) for b in stage.basis]
             alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
             row += list(module.gram.apply(alpha_iw))
-            coords = series_term.coords(l.ad(i, w))
+            coords = series_term.coords(sparse_row(l.ad(i, w)))
             if coords is None:
                 raise ConsistencyError("bracket left the series term, series data corrupt")
             row += [-coords[t] for t in range(d1)]

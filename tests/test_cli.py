@@ -491,6 +491,42 @@ def test_a_scalar_over_the_digit_limit_is_schema_error_at_its_position(tmp_path,
     assert error == "module.gram[0][0]: a scalar of 5000 characters is too long"
 
 
+def test_a_double_coefficient_over_the_digit_limit_is_schema_error(tmp_path, capsys):
+    # alpha(X1, X2) and the module form each read in; the double multiplies them
+    big = "7" * 3000
+    cocycle = {
+        "algebra": {"dim": 2, "brackets": []},
+        "module": {"dim": 1, "gram": [[big]]},
+        "alpha": [{"i": 1, "j": 2, "value": [big]}],
+        "gamma": [],
+    }
+    path = write_doc(tmp_path, "big.json", schema.wrap("cocycle", cocycle))
+    for command in ("verify", "admissible"):
+        assert run(capsys, command, path)[0] == 0
+    out = tmp_path / "double.json"
+    for extra in ((), ("--out", str(out))):
+        code, doc = run(capsys, "double", path, *extra)
+        assert code == 2
+        assert doc["payload"] == {
+            "command": "double",
+            "ok": False,
+            "error": "a scalar with 6000 digits is too long to write",
+        }
+    assert not out.exists()
+
+
+def test_catalog_with_a_sample_at_the_digit_limit_writes_its_report(tmp_path, capsys):
+    # the catalog's doubles are linear in the samples, so none of their
+    # coefficients pass the limit; the file name of such a row is too long
+    samples = "s=1," + "9" * 4300
+    code, doc = run(capsys, "catalog", "--entries", "T1.3b.r02.s", "--samples", samples)
+    assert code == 0 and len(doc["payload"]["rows"]) == 2
+    out_dir = tmp_path / "out"
+    argv = ("catalog", "--entries", "T1.3b.r02.s", "--samples", samples, "--out", str(out_dir))
+    code, doc = run(capsys, *argv)
+    assert code == 2 and doc["payload"]["command"] == "catalog" and doc["payload"]["ok"] is False
+
+
 def test_double_into_a_missing_directory_is_schema_error(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     code, doc = run(capsys, "double", "cocycles/g64_quad.json", "--out", str(out))

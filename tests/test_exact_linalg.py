@@ -28,10 +28,12 @@ from metriclie.lie_core import center, lower_central_series
 from support import (
     dense_bracket,
     dense_det,
+    dense_intersect,
     dense_kernel,
     dense_rref,
     dense_signature_of,
     dense_solve_affine,
+    dense_span,
     five_dim_three_step,
     random_cochain,
     random_elimination_case,
@@ -40,6 +42,7 @@ from support import (
     rational,
     rng,
     scale_doubles,
+    sparse_row,
 )
 
 fractions = st.fractions(
@@ -272,6 +275,63 @@ def test_elimination_edge_cases():
     assert Subspace.span(2, [vector([0, 0]), vector([0, 5])]).basis == (vector([0, 1]),)
     with pytest.raises(ValueError):
         Subspace.span(2, [vector([1, 0, 0])])
+
+
+def _random_vectors(rg, n, count):
+    density = rg.choice((0.2, 0.5, 0.9))
+    return [tuple(rational(rg) if rg.random() < density else Fraction(0) for _ in range(n))
+            for _ in range(count)]
+
+
+def test_every_subspace_constructor_stores_the_dense_reference_rows():
+    rg = rng(7070)
+    for _ in range(800):
+        m = random_elimination_case(rg)
+        n = m.cols
+        vectors = [m.row(i) for i in range(m.rows)]
+        expected = dense_span(n, vectors)
+        sparse = [sparse_row(v) for v in vectors]
+        kernel = dense_span(n, dense_kernel(m))
+        other = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, 4)))
+        built = {
+            "span": (Subspace.span(n, vectors), expected),
+            "of_rows": (Subspace.of_rows(n, sparse), expected),
+            "kernel": (Subspace.kernel(n, [dict(row) for row in sparse]), kernel),
+            "full": (Subspace.full(n), dense_span(n, [unit_vector(n, i) for i in range(n)])),
+            "intersect": (expected.intersect(other), dense_intersect(expected, other)),
+        }
+        for name, (space, reference) in built.items():
+            assert space.rows == reference.rows, name
+            assert [min(row) for row in space.rows] == sorted(min(row) for row in space.rows)
+            assert space.basis == reference.basis and hash(space) == hash(reference)
+
+
+def test_subspace_coords_match_the_dense_reference():
+    rg = rng(7071)
+    outside = 0
+    for _ in range(800):
+        n = rg.randint(0, 8)
+        space = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
+        transpose = Matrix.from_rows([[b[j] for b in space.basis] for j in range(n)], cols=space.dim)
+        inside = transpose.apply(tuple(rational(rg) for _ in range(space.dim)))
+        for v in (inside, *_random_vectors(rg, n, 2)):
+            solved = dense_solve_affine(transpose, v)  # B^T c = v, c unique when solvable
+            expected = None if solved is None else solved[0]
+            sparse = sparse_row(v)
+            assert space.coords(sparse) == expected and sparse == sparse_row(v)
+            assert space.contains(sparse) is (expected is not None)
+            outside += expected is None
+    assert outside > 300
+
+
+def test_subspace_form_matches_the_dense_products():
+    rg = rng(7072)
+    for _ in range(800):
+        _, g = random_symmetric_case(rg)
+        n = g.rows
+        space = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
+        b = Matrix.from_rows(space.basis, cols=n)
+        assert space.form(g) == b @ g @ b.transpose()
 
 
 def test_sparse_signature_and_det_match_the_dense_reference():

@@ -36,12 +36,13 @@ from support import (
     dense_bracket,
     dense_intersect,
     dense_kernel,
-    dense_rref,
+    dense_span,
     random_sparse_table,
     rational,
     rng,
+    rows_snapshot,
     scale_doubles,
-    subspace_intact,
+    sparse_row,
 )
 
 
@@ -148,10 +149,10 @@ def test_direct_sum_combines_structure():
 def test_subspace_coords_and_intersection():
     s = Subspace.span(3, [vector([1, 1, 0]), vector([0, 0, 2])])
     assert s.dim == 2
-    assert s.contains(vector([2, 2, 3]))
-    assert not s.contains(vector([1, 0, 0]))
-    assert s.coords(vector([3, 3, 1])) is not None
-    assert s.coords(vector([0, 1, 0])) is None
+    assert s.contains(sparse_row(vector([2, 2, 3])))
+    assert not s.contains(sparse_row(vector([1, 0, 0])))
+    assert s.coords(sparse_row(vector([3, 3, 1]))) is not None
+    assert s.coords(sparse_row(vector([0, 1, 0]))) is None
     inside = Subspace.span(3, [vector([1, 1, 1])])
     assert s.intersect(inside).dim == 1
     disjoint = Subspace.span(3, [vector([1, 0, 1])])
@@ -165,12 +166,17 @@ def test_intersect_and_the_series_leave_their_subspaces_unchanged():
     rg = rng(3034)
     for _ in range(200):
         s1, s2 = _random_subspace_pair(rg)
+        kept = rows_snapshot(s1, s2)
         s1.intersect(s2)
-        assert subspace_intact(s1) and subspace_intact(s2)
+        assert kept()
     for l in catalog_algebras():
-        series = lower_central_series(l)  # each term's rows span the next
+        # each term's rows span the next; once built, every term is still
+        # the one the dense reference gives
+        series = lower_central_series(l)
+        assert series == _dense_series(l)
+        kept = rows_snapshot(*series, center(l))
         filtration_spaces(l)  # the center met with each term
-        assert all(subspace_intact(s) for s in series + (center(l),))
+        assert kept()
 
 
 def _random_subspace_pair(rg):
@@ -337,12 +343,6 @@ def reference_algebras(scale_algebras):
     return tables + catalog_algebras() + scale_algebras
 
 
-def _dense_span(n, vectors):
-    """The reduced echelon basis of span(vectors), by the dense reference."""
-    reduced, pivots = dense_rref(Matrix.from_rows(vectors, cols=n))
-    return Subspace(n, tuple(reduced.row(r) for r in range(len(pivots))))
-
-
 def _dense_ad(l, i, w):
     return dense_bracket(l, unit_vector(l.dim, i), w)
 
@@ -363,19 +363,24 @@ def test_center_is_the_kernel_of_the_dense_ad_matrices(reference_algebras):
         for i in range(n):
             columns = [_dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
             rows += [[column[t] for column in columns] for t in range(n)]
-        dense = _dense_span(n, dense_kernel(Matrix.from_rows(rows, cols=n)))
+        dense = dense_span(n, dense_kernel(Matrix.from_rows(rows, cols=n)))
         assert lie_core._center(l) == dense
+
+
+def _dense_series(l):
+    """The lower central series of ``l``, each term spanned by dense brackets."""
+    n = l.dim
+    current = dense_span(n, [unit_vector(n, i) for i in range(n)])
+    chain = [current]
+    while current.dim:
+        nxt = dense_span(n, [_dense_ad(l, i, w) for i in range(n) for w in current.basis])
+        chain.append(nxt)
+        if nxt.dim == current.dim:
+            break
+        current = nxt
+    return tuple(chain)
 
 
 def test_lower_central_series_is_spanned_by_dense_brackets(reference_algebras):
     for l in reference_algebras:
-        n = l.dim
-        current = _dense_span(n, [unit_vector(n, i) for i in range(n)])
-        chain = [current]
-        while current.dim:
-            nxt = _dense_span(n, [_dense_ad(l, i, w) for i in range(n) for w in current.basis])
-            chain.append(nxt)
-            if nxt.dim == current.dim:
-                break
-            current = nxt
-        assert lie_core._lower_central_series(l) == tuple(chain)
+        assert lie_core._lower_central_series(l) == _dense_series(l)
