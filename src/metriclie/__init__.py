@@ -30,6 +30,7 @@ from .exact_linalg import Matrix, Signature, scalar, signature_of
 from .lie_core import (
     JacobiError,
     LieAlgebra,
+    MathError,
     NotNilpotentError,
     Subspace,
     abelian,
@@ -85,6 +86,7 @@ __all__ = [
     "Isomap",
     "JacobiError",
     "LieAlgebra",
+    "MathError",
     "Matrix",
     "MetricLieAlgebra",
     "MetricReport",

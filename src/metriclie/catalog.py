@@ -211,16 +211,6 @@ class CatalogEntry:
     gamma_terms: tuple[GammaTerm, ...] = ()
     params: tuple[str, ...] = ()
 
-    def describe(self) -> str:
-        labels = base_algebra(self.base).labels
-        parts = []
-        for coeff, (i, j), target in self.alpha_terms:
-            parts.append(f"{coeff}*s{labels[i]}^s{labels[j]} A{target + 1}")
-        for coeff, (i, j, k) in self.gamma_terms:
-            parts.append(f"{coeff}*s{labels[i]}^s{labels[j]}^s{labels[k]}")
-        body = " + ".join(parts) if parts else "0"
-        return f"{self.id}: {self.base} over {self.module_tag}, {body}"
-
 
 def _resolve(coeff: object, params: Mapping[str, Fraction]) -> Fraction:
     if isinstance(coeff, str):
@@ -554,9 +544,6 @@ class CatalogReport:
     collisions: tuple[tuple[tuple, tuple[str, ...]], ...]
     family_splits: tuple[tuple[str, int], ...]
     doubles: tuple[MetricLieAlgebra | None, ...] = field(compare=False, repr=False)
-
-    def rows_for(self, entry_id: str) -> tuple[CatalogRow, ...]:
-        return tuple(r for r in self.rows if r.entry_id == entry_id)
 
     @property
     def all_ok(self) -> bool:

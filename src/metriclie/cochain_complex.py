@@ -44,22 +44,23 @@ from .exact_linalg import (
     vector,
     zero_vector,
 )
-from .lie_core import LieAlgebra, bracket
+from .lie_core import LieAlgebra, MathError, bracket
 
 _ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
 class OrthogonalModule:
-    """A vector space with a nondegenerate symmetric form."""
+    """A vector space with a nondegenerate symmetric form; any other form
+    raises :class:`~metriclie.lie_core.MathError`."""
 
     gram: Matrix
 
     def __post_init__(self) -> None:
         if not self.gram.is_symmetric():
-            raise ValueError("module form must be symmetric")
+            raise MathError("module form must be symmetric")
         if rank(self.gram) != self.gram.rows:
-            raise ValueError("module form must be nondegenerate")
+            raise MathError("module form must be nondegenerate")
 
     @property
     def dim(self) -> int:
@@ -261,12 +262,6 @@ def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Fraction]]]) 
                         total[k] += coeff * y
     values = {key: tuple(sums[key]) for key in sorted(sums)}
     return Cochain(c.n, out_degree, c.value_dim, c.scalar, values)
-
-
-def pair_values(gram: Matrix, u: Vector, v: Vector) -> Fraction:
-    """The symmetric pairing <u, v> of two module values."""
-    gv = linear_combination(v, gram.row, len(v))
-    return sum((x * y for x, y in zip(u, gv) if x), _ZERO)
 
 
 def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:

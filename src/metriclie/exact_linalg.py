@@ -230,22 +230,6 @@ def _dense(row: dict[int, Fraction], length: int) -> Vector:
     return tuple(out)
 
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the tuple of pivot columns.
-
-    The reduced row echelon form of a matrix is unique: it depends only on
-    the row space, not on the order in which rows are eliminated.  So the
-    result is reproducible bit for bit, although the elimination visits the
-    rows in input order and only their nonzero entries.
-    """
-    reduced = _reduce(_sparse_rows(m))
-    entries: list[Fraction] = []
-    for _, row in reduced:
-        entries.extend(_dense(row, m.cols))
-    entries.extend((_ZERO,) * ((m.rows - len(reduced)) * m.cols))
-    return Matrix(m.rows, m.cols, tuple(entries)), tuple(p for p, _ in reduced)
-
-
 def rank(m: Matrix) -> int:
     return len(_reduce(_sparse_rows(m)))
 
@@ -277,8 +261,8 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
 
     Returns ``(particular, kernel)`` where the particular solution sets all
     free variables to zero, or ``None`` when the system is inconsistent.
-    One elimination serves both: the left block of ``rref([a | b])`` is
-    ``rref(a)``.
+    One elimination serves both: the left block of the reduced echelon form
+    of ``[a | b]`` is that of ``a``.
     """
     if len(b) != a.rows:
         raise ValueError("right hand side length mismatch")
@@ -446,9 +430,6 @@ class Subspace:
                 _axpy(residual, -c, row, p)
             coeffs.append(c)
         return None if residual else tuple(coeffs)
-
-    def contains(self, v: dict[int, Fraction]) -> bool:
-        return self.coords(v) is not None
 
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient_dim != other.ambient_dim:

@@ -24,11 +24,15 @@ _ZERO = Fraction(0)
 _NO_BRACKETS: Mapping[int, tuple[tuple[int, Fraction], ...]] = MappingProxyType({})
 
 
-class JacobiError(ValueError):
+class MathError(ValueError):
+    """Well-formed input that fails a mathematical check."""
+
+
+class JacobiError(MathError):
     """Raised when a structure constant table violates the Jacobi identity."""
 
 
-class NotNilpotentError(ValueError):
+class NotNilpotentError(MathError):
     """Raised by operations that are only defined for nilpotent algebras."""
 
 
@@ -88,12 +92,7 @@ class LieAlgebra:
         self._series: tuple[Subspace, ...] | None = None
         self._center: Subspace | None = None
         if validate:
-            report = validate_jacobi(self)
-            if not report.ok:
-                raise JacobiError(
-                    "Jacobi identity fails on basis triple %s with defect %s"
-                    % (report.triple, report.defect)
-                )
+            require_jacobi(self)
 
     @property
     def dim(self) -> int:
@@ -206,6 +205,15 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
         if any(defect.values()):
             return JacobiReport(ok=False, triple=outer, defect=_dense(defect, n))
     return JacobiReport(ok=True)
+
+
+def require_jacobi(l: LieAlgebra) -> LieAlgebra:
+    """``l`` itself if the Jacobi identity holds, else :class:`JacobiError`
+    naming the first failing basis triple by label (never the defect)."""
+    report = validate_jacobi(l)
+    if not report.ok:
+        raise JacobiError("Jacobi identity fails on %s" % l.named(report.triple))
+    return l
 
 
 def lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:

@@ -37,13 +37,13 @@ from .cochain_complex import (
     wedge_pair,
 )
 from .exact_linalg import Subspace, Vector, _axpy, _dense, _kernel, _reduce, linear_combination
-from .lie_core import LieAlgebra, filtration_spaces, lower_central_series
+from .lie_core import LieAlgebra, MathError, filtration_spaces, lower_central_series
 
 _ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
-class CocycleError(ValueError):
+class CocycleError(MathError):
     """Raised when (alpha, gamma) fails the quadratic cocycle conditions."""
 
 

@@ -24,7 +24,6 @@ from metriclie.cochain_complex import (
     OrthogonalModule,
     differential,
     differential_matrix,
-    pair_values,
     wedge_pair,
 )
 from metriclie.double_construction import MetricLieAlgebra, build_double
@@ -745,9 +744,9 @@ def pinned_expansion_failures(seed: int = 2024, rounds: int = 12) -> list[str]:
         check("dim5.a4", da.evaluate((x1, zz, x3)) == _neg(a.evaluate((yy, x3))))
         half = wedge_pair(module, a, a).evaluate((x1, x3, yy, zz))[0] / 2
         expected = (
-            pair_values(module.gram, a.evaluate((x1, x3)), a.evaluate((yy, zz)))
-            + pair_values(module.gram, a.evaluate((x3, yy)), a.evaluate((x1, zz)))
-            + pair_values(module.gram, a.evaluate((yy, x1)), a.evaluate((x3, zz)))
+            dense_pairing(module.gram, a.evaluate((x1, x3)), a.evaluate((yy, zz)))
+            + dense_pairing(module.gram, a.evaluate((x3, yy)), a.evaluate((x1, zz)))
+            + dense_pairing(module.gram, a.evaluate((yy, x1)), a.evaluate((x3, zz)))
         )
         check("dim5.half_wedge", half == expected)
         g = random_cochain(rg, 5, 3, 1, scalar=True)

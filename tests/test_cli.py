@@ -12,12 +12,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import metriclie
 from metriclie import catalog as cat
 from metriclie import cli, schema
 from metriclie.catalog import g41, g64, module_for_tag
+from metriclie.cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
 from metriclie.double_construction import build_double
-from metriclie.lie_core import LieAlgebra, NotNilpotentError, filtration_spaces
-from metriclie.quadratic_cohomology import check_admissible, zero_cocycle
+from metriclie.exact_linalg import Matrix
+from metriclie.lie_core import (
+    JacobiError,
+    LieAlgebra,
+    MathError,
+    NotNilpotentError,
+    filtration_spaces,
+)
+from metriclie.quadratic_cohomology import (
+    CocycleError,
+    ConsistencyError,
+    QuadraticCocycle,
+    check_admissible,
+    zero_cocycle,
+)
 from metriclie.schema import algebra_to_payload, cocycle_to_payload, module_to_payload
 
 from test_golden import golden_commands
@@ -167,7 +182,82 @@ def test_failures_name_basis_labels_not_indices(tmp_path, capsys):
     }
     code, out = run(capsys, "verify", write_doc(tmp_path, "not_lie.json", doc))
     assert code == 1
-    assert out["payload"]["error"] == "jacobi: fails at triple (P, Q, R) with defect (0, 0, 1, 0, 0)"
+    assert out["payload"]["error"] == "jacobi: fails at triple (P, Q, R)"
+
+
+def test_verify_names_a_jacobi_failure_with_a_defect_too_long_to_print(tmp_path, capsys):
+    big = "7" * 2500  # the defect at (X1, X2, X4) is -big^2, about 5,000 digits
+    algebra = {
+        "dim": 4,
+        "brackets": [
+            {"i": 1, "j": 2, "value": ["0", "0", big, "0"]},
+            {"i": 3, "j": 4, "value": [big, "0", "0", "0"]},
+        ],
+    }
+    gram = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    doc = schema.wrap("metric_lie_algebra", {"algebra": algebra, "gram": gram})
+    code, out = run(capsys, "verify", write_doc(tmp_path, "long_defect.json", doc))
+    assert code == 1
+    assert out["payload"] == {
+        "command": "verify",
+        "ok": False,
+        "error": "jacobi: fails at triple (X1, X2, X4)",
+    }
+
+
+def test_verify_rebuilds_the_double_of_the_provenance(tmp_path, capsys):
+    doc = _bundled("doubles/r2_plane_double.json")
+    doc["payload"]["algebra"]["labels"] = ["P", "Q", "R", "S", "T"]  # labels are not compared
+    code, out = run(capsys, "verify", write_doc(tmp_path, "relabelled.json", doc))
+    assert code == 0 and out["payload"]["ok"] is True
+    cases = {
+        "the double of the cocycle differs from the document": _bundled(
+            "cocycles/g41_line_g1.json"
+        )["payload"],
+        "the algebra of the cocycle is not nilpotent": dict(
+            doc["payload"]["provenance"],
+            algebra={"dim": 2, "brackets": [{"i": 1, "j": 2, "value": ["1", "0"]}]},
+        ),
+    }
+    for message, provenance in cases.items():
+        doc["payload"]["provenance"] = provenance
+        code, out = run(capsys, "verify", write_doc(tmp_path, "swapped.json", doc))
+        assert code == 1
+        assert out["payload"] == {"command": "verify", "ok": False, "error": "provenance: " + message}
+
+
+def test_every_library_failure_on_an_exit_1_path_is_a_math_error():
+    solvable = LieAlgebra(2, {(0, 1): (1, 0)})
+    not_closed = cochain_from_terms(4, 2, 1, [((1, 3), (1,))])
+    failures = {
+        JacobiError: lambda: LieAlgebra(3, {(0, 1): (0, 0, 1), (0, 2): (1, 0, 0)}),
+        NotNilpotentError: lambda: build_double(zero_cocycle(solvable, module_for_tag("r01"))),
+        CocycleError: lambda: QuadraticCocycle(
+            g41(), module_for_tag("r01"), not_closed, Cochain.zero(4, 3, 1, scalar=True)
+        ),
+        MathError: lambda: OrthogonalModule(Matrix.from_rows([[0, 1], [0, 0]])),
+    }
+    for error, fail in failures.items():
+        with pytest.raises(error) as caught:
+            fail()
+        assert isinstance(caught.value, MathError), error
+    with pytest.raises(MathError, match="module form must be nondegenerate"):
+        OrthogonalModule(Matrix.zero(2, 2))
+    # an internal inconsistency is not a property of the input
+    assert not issubclass(ConsistencyError, MathError)
+    assert metriclie.MathError is MathError
+
+
+def test_a_catalog_row_whose_file_name_is_too_long_leaves_no_file(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    samples = "s=1," + "9" * 300  # the row for s = 1 comes first and is fine
+    argv = ("catalog", "--entries", "T1.3b.r02.s", "--samples", samples, "--out", str(out_dir))
+    code, doc = run(capsys, *argv)
+    assert code == 2
+    assert doc["payload"]["error"] == (
+        "catalog row 1 (T1.3b.r02.s): a file name of 320 bytes is over 255"
+    )
+    assert list(out_dir.iterdir()) == []
 
 
 def test_a_term_given_twice_in_any_order_exits_2_naming_both_positions(tmp_path, capsys):

@@ -15,7 +15,6 @@ from metriclie.catalog import (
     module_for_tag,
     run_catalog,
 )
-from metriclie.cochain_complex import pair_values
 from metriclie.double_construction import (
     MetricCheck,
     MetricLieAlgebra,
@@ -28,7 +27,7 @@ from metriclie.exact_linalg import Matrix, Signature, signature_of, unit_vector
 from metriclie.lie_core import LieAlgebra, abelian, bracket
 from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 
-from support import rational, rng, scale_doubles
+from support import dense_pairing, rational, rng, scale_doubles
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -92,7 +91,7 @@ def docstring_bracket(z, a, b):
     elif (pa, pb) == ("a", "x"):
         # [A, L] = <A, alpha(L, .)>
         sigma = [
-            pair_values(module.gram, unit_vector(m, i), z.alpha.value_at((j, k)))
+            dense_pairing(module.gram, unit_vector(m, i), z.alpha.value_at((j, k)))
             for k in range(n)
         ]
     return tuple(sigma + a_part + x_part)

@@ -14,7 +14,6 @@ from metriclie.exact_linalg import (
     kernel_basis,
     linear_combination,
     rank,
-    rref,
     signature_of,
     solve_affine,
     unit_vector,
@@ -70,13 +69,7 @@ def rectangular(max_side=4):
 
 def test_rref_known_matrix():
     m = Matrix.from_rows([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
-    reduced, pivots = rref(m)
-    assert pivots == (0, 1)
-    assert reduced.to_rows() == [
-        [Fraction(1), Fraction(0), Fraction(-1)],
-        [Fraction(0), Fraction(1), Fraction(2)],
-        [Fraction(0), Fraction(0), Fraction(0)],
-    ]
+    assert Subspace.span(3, m.to_rows()).basis == (vector([1, 0, -1]), vector([0, 1, 2]))
 
 
 def test_kernel_of_known_matrix():
@@ -240,7 +233,6 @@ def test_sparse_elimination_matches_the_dense_reference():
     for _ in range(2400):
         m = random_elimination_case(rg)
         reduced, pivots = dense_rref(m)
-        assert rref(m) == (reduced, pivots)
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == dense_kernel(m)
         assert Subspace.span(m.cols, [m.row(i) for i in range(m.rows)]).basis == tuple(
@@ -261,17 +253,15 @@ def test_sparse_elimination_matches_the_dense_reference():
 
 def test_elimination_edge_cases():
     empty = Matrix.from_rows([], cols=4)
-    assert rref(empty) == (empty, ())
     assert kernel_basis(empty) == [unit_vector(4, i) for i in range(4)]
     assert solve_affine(empty, ()) == ((Fraction(0),) * 4, kernel_basis(empty))
     flat = Matrix(3, 0, ())
-    assert rref(flat) == (flat, ()) and rank(flat) == 0 and kernel_basis(flat) == []
+    assert rank(flat) == 0 and kernel_basis(flat) == []
     assert solve_affine(flat, vector([0, 0, 0])) == ((), [])
     assert solve_affine(flat, vector([0, 1, 0])) is None
     # non-unit pivots, a duplicate row and a zero row
     m = Matrix.from_rows([[0, 3, 6], [0, 3, 6], [0, 0, 0], [2, 4, 1]])
-    assert rref(m) == dense_rref(m)
-    assert rref(m)[1] == (0, 1)
+    assert Subspace.span(3, m.to_rows()).basis == (vector([1, 0, "-7/2"]), vector([0, 1, 2]))
     assert Subspace.span(2, [vector([0, 0]), vector([0, 5])]).basis == (vector([0, 1]),)
     with pytest.raises(ValueError):
         Subspace.span(2, [vector([1, 0, 0])])
@@ -319,7 +309,6 @@ def test_subspace_coords_match_the_dense_reference():
             expected = None if solved is None else solved[0]
             sparse = sparse_row(v)
             assert space.coords(sparse) == expected and sparse == sparse_row(v)
-            assert space.contains(sparse) is (expected is not None)
             outside += expected is None
     assert outside > 300
 

@@ -63,6 +63,18 @@ def test_construction_validates_jacobi_eagerly():
     assert report.defect == unit_vector(3, 2)
 
 
+def test_a_jacobi_failure_names_its_triple_by_label_however_long_its_defect():
+    # the defect -b^2 e_1 at (X1, X2, X4) has about 6,000 digits, more than
+    # int -> str converts, so a message that wrote it could not be made
+    b = int("7" * 3000)
+    brackets = {(0, 1): (0, 0, b, 0), (2, 3): (b, 0, 0, 0)}
+    with pytest.raises(JacobiError) as failure:
+        LieAlgebra(4, brackets)
+    assert str(failure.value) == "Jacobi identity fails on (X1, X2, X4)"
+    report = validate_jacobi(LieAlgebra(4, brackets, validate=False))
+    assert report.triple == (0, 1, 3) and report.defect == (-b * b, 0, 0, 0)
+
+
 def test_bracket_normalization_and_lookup():
     l = g41()
     assert l.basis_bracket(0, 1) == unit_vector(4, 2)
@@ -149,8 +161,8 @@ def test_direct_sum_combines_structure():
 def test_subspace_coords_and_intersection():
     s = Subspace.span(3, [vector([1, 1, 0]), vector([0, 0, 2])])
     assert s.dim == 2
-    assert s.contains(sparse_row(vector([2, 2, 3])))
-    assert not s.contains(sparse_row(vector([1, 0, 0])))
+    assert s.coords(sparse_row(vector([2, 2, 3]))) is not None
+    assert s.coords(sparse_row(vector([1, 0, 0]))) is None
     assert s.coords(sparse_row(vector([3, 3, 1]))) is not None
     assert s.coords(sparse_row(vector([0, 1, 0]))) is None
     inside = Subspace.span(3, [vector([1, 1, 1])])

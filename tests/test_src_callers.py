@@ -1,0 +1,65 @@
+"""Every top-level function or class of ``src/metriclie`` has a caller outside
+the tests: another definition in ``src/metriclie`` (the package
+``__init__`` does not count, since it only re-exports), ``scripts/`` or
+``perfbench/``.  A few names wait for their callers; each one is listed
+with the ROADMAP item that reserves it."""
+
+import ast
+from pathlib import Path
+
+from test_support_helpers import referenced_names
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "metriclie"
+
+RESERVED = {
+    # item 4: the orbit solver for cocycle classes
+    "pullback": 4,
+    "is_lie_homomorphism": 4,
+    "is_isometry": 4,
+    "cq_identity": 4,
+    "cq_compose": 4,
+    "cq_inverse": 4,
+    "verify_equivalence_witness": 4,
+    # item 1: the test that recovers the summands of orthogonal sums
+    "direct_sum": 1,
+    # item 3: the report of which bases the scheme uses, read by paper item
+    "entries_for_item": 3,
+}
+
+
+def uncalled(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Top-level functions and classes of ``modules`` referenced neither by
+    ``callers`` nor by another top-level definition of ``modules``."""
+    outside = set().union(*map(referenced_names, callers))
+    definitions = [(node, referenced_names(node)) for tree in modules.values() for node in tree.body]
+    unused = []
+    for node, _ in definitions:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            rest = set().union(*(names for other, names in definitions if other is not node))
+            if node.name not in outside | rest:
+                unused.append(node.name)
+    return unused
+
+
+def test_the_checker_sees_a_definition_without_a_caller():
+    modules = {
+        "a": ast.parse("def f():\n    return g()\n\ndef h():\n    return h()\n"),
+        "b": ast.parse("def g():\n    return 1\n\nclass K:\n    pass\n\nclass L:\n    pass\n"),
+    }
+    callers = [ast.parse("from metriclie.b import K\n\nK()\n")]
+    assert uncalled(modules, callers) == ["f", "h", "L"]
+
+
+def test_every_src_definition_has_a_caller_or_a_roadmap_item():
+    modules = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    callers = [
+        ast.parse(path.read_text())
+        for folder in ("scripts", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert sorted(uncalled(modules, callers)) == sorted(RESERVED)
