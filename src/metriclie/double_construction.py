@@ -165,14 +165,13 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     nonzero form entries are multiplied.
     """
     n = g.algebra.dim
-    # nonzero (j, <e_j, e_t>) per t
-    support = [[(j, x) for j, x in enumerate(g.gram.row(t)) if x != 0] for t in range(n)]
+    support = g.gram.nonzero_rows  # {j: <e_j, e_t>} per t
     for i in range(n):
         # pairing[j, k] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[k, j]
         pairing: dict[tuple[int, int], Fraction] = {}
         for k, pairs in g.algebra.row(i).items():
             for t, c in pairs:
-                for j, x in support[t]:
+                for j, x in support[t].items():
                     key = (j, k)
                     term = x * c
                     pairing[key] = pairing[key] + term if key in pairing else term

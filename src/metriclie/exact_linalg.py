@@ -1,8 +1,9 @@
 """Exact rational linear algebra primitives.
 
 Vectors are tuples of :class:`fractions.Fraction` and matrices are immutable
-row-major grids of the same.  Every elimination runs over sparse rows that
-hold only their nonzero entries.  Row reduction returns the reduced row
+row-major grids of the same; a matrix reads the nonzero entries of its rows
+once (``Matrix.nonzero_rows``), and every elimination and restricted form
+runs over such sparse rows.  Row reduction returns the reduced row
 echelon form, which is unique for a given row space, so ranks, kernels,
 solution sets and the echelon basis of each :class:`Subspace` do not
 depend on the order in which rows are eliminated and are reproducible bit
@@ -164,10 +165,16 @@ class Matrix:
             raise ValueError("vector length %d does not match cols=%d" % (len(v), self.cols))
         return linear_combination(v, self.column, self.rows)
 
+    @cached_property
+    def nonzero_rows(self) -> tuple[dict[int, Fraction], ...]:
+        """Each row as its nonzero entries ``{column: entry}``, read once and
+        shared (only read)."""
+        return tuple({j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows))
+
     def is_symmetric(self) -> bool:
-        return self.rows == self.cols and all(
-            self.at(i, j) == self.at(j, i) for i in range(self.rows) for j in range(i + 1, self.cols)
-        )
+        # row i against column i as tuples: value equality without a Python loop per entry
+        n, e = self.rows, self.entries
+        return n == self.cols and all(e[i * n : (i + 1) * n] == e[i::n] for i in range(n))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -218,9 +225,8 @@ def _axpy(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction],
 
 
 def _sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
-    cols = m.cols
-    e = m.entries
-    return [{j: x for j, x in enumerate(e[i * cols : (i + 1) * cols]) if x} for i in range(m.rows)]
+    """Fresh copies of ``m.nonzero_rows``, for an elimination to consume."""
+    return [dict(row) for row in m.nonzero_rows]
 
 
 def _dense(row: dict[int, Fraction], length: int) -> Vector:
@@ -446,9 +452,15 @@ class Subspace:
     def form(self, gram: Matrix) -> Matrix:
         """The restriction of the form ``gram`` to this subspace: B G B^T for
         the echelon basis B, summed over the nonzero entries only."""
-        images = [linear_combination(u, gram.row, self.ambient_dim) for u in self.rows]  # B G
+        images = []  # B G, as sparse rows
+        for u in self.rows:
+            g: dict[int, Fraction] = {}
+            for k, c in u.items():
+                for j, x in gram.nonzero_rows[k].items():
+                    g[j] = g.get(j, _ZERO) + c * x
+            images.append(g)
         entries = (
-            sum((x * g[j] for j, x in v.items() if g[j]), _ZERO) for g in images for v in self.rows
+            sum((x * g[j] for j, x in v.items() if j in g), _ZERO) for g in images for v in self.rows
         )
         return Matrix(self.dim, self.dim, tuple(entries))
 

@@ -4,7 +4,9 @@ A Lie algebra is stored through its antisymmetric structure constants: a
 sparse map from index pairs ``(i, j)`` with ``i < j`` to the coordinate
 vector of ``[e_i, e_j]``.  The nonzero brackets are also kept row by row,
 each as its nonzero ``(t, c)`` pairs, so that ``[e_i, w]``, the Jacobi
-check, the lower central series and the center touch only stored entries.
+check, the lower central series and the center touch only stored entries:
+the series computes ``[e_i, w]`` only for the ``e_i`` that meet ``w``, and
+the Jacobi check visits only the triples with a term that can be nonzero.
 The Jacobi identity is checked eagerly on construction; a constructor flag
 disables the check so that tests can build deliberately broken tables.
 
@@ -178,21 +180,23 @@ def bracket(l: LieAlgebra, x: Vector, y: Vector) -> Vector:
 def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     """Check the Jacobi identity on basis triples i < j < k, in lexicographic order.
 
-    Only triples in which some pair has a stored bracket are visited: on the
-    others all three terms vanish, so an abelian algebra visits none.  Each
-    term [e_a, [e_b, e_c]] is summed over the stored entries of the brackets.
+    Only triples with a term [e_a, [e_b, e_c]] that can be nonzero are
+    visited: [e_b, e_c] is stored and e_a has a stored bracket with some e_t
+    in its support.  The others have zero defect, so an abelian algebra, or
+    a 2-step one, visits none.  Each term is summed over the stored entries.
     """
-    n = l.dim
+    n, stored = l.dim, l._rows
     triples = sorted(
         {
-            (a, b, c) if b < c else (a, c, b) if a < c else (c, a, b)
-            for a, b in l.brackets
-            for c in range(n)
-            if c != a and c != b
+            (a, b, c) if a < b else (b, a, c) if a < c else (b, c, a)
+            for b, c in l.brackets
+            for t, _ in stored[b][c]
+            for a in stored.get(t, ())
+            if a != b and a != c
         }
     )
     # indexed by basis element; a stored bracket already holds n coordinates
-    rows = [l._rows.get(i, _NO_BRACKETS) for i in range(n)] if triples else []
+    rows = [stored.get(i, _NO_BRACKETS) for i in range(n)] if triples else []
     for outer in triples:
         i, j, k = outer
         # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
@@ -229,12 +233,17 @@ def lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
-    # e_i without a stored bracket adds only zero generators; most images are
-    # zero, and filtering them here is cheaper than eliminating them
-    stored = sorted(l._rows)
+    # [e_i, w] vanishes unless e_i has a stored bracket with some e_j in the
+    # support of w; rows are stored both ways, so those i are keys of _rows[j]
+    stored = l._rows
     chain = [Subspace.full(l.dim)]
     while chain[-1].dim > 0:
-        chain.append(Subspace.of_rows(l.dim, filter(None, l.ad_rows(stored, chain[-1].rows))))
+        images = (
+            image
+            for w in chain[-1].rows
+            for image in l.ad_rows({i for j in w for i in stored.get(j, ())}, (w,))
+        )
+        chain.append(Subspace.of_rows(l.dim, images))
         if chain[-1].dim == chain[-2].dim:
             break  # stabilized, not nilpotent
     return tuple(chain)

@@ -323,6 +323,55 @@ def test_subspace_form_matches_the_dense_products():
         assert space.form(g) == b @ g @ b.transpose()
 
 
+def _dense_is_symmetric(m):
+    return m.rows == m.cols and all(
+        m.at(i, j) == m.at(j, i) for i in range(m.rows) for j in range(m.cols)
+    )
+
+
+def _dense_nonzero_rows(m):
+    return tuple({j: m.at(i, j) for j in range(m.cols) if m.at(i, j) != 0} for i in range(m.rows))
+
+
+def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
+    rg = rng(7073)
+    half, other_half = Fraction(1, 2), Fraction(1, 2)
+    assert half is not other_half
+    matrices = [
+        Matrix.from_rows([[0, half], [other_half, 0]]),  # equal values, distinct objects
+        Matrix.from_rows([[1, 2, 3], [2, 1, 0]]),  # not square
+        Matrix.zero(3, 0),
+        Matrix.zero(0, 3),
+        Matrix.zero(0, 0),
+    ]
+    for _ in range(600):
+        _, g = random_symmetric_case(rg)
+        n = g.rows
+        copy = Matrix(n, n, tuple(Fraction(x.numerator, x.denominator) for x in g.entries))
+        matrices += [g, copy, random_square_case(rg)]
+        if n > 1:
+            # one asymmetric entry in the last row
+            k = (n - 1) * n + rg.randrange(n - 1)
+            entries = g.entries[:k] + (g.entries[k] + 1,) + g.entries[k + 1 :]
+            matrices.append(Matrix(n, n, entries))
+    verdicts = {True: 0, False: 0}
+    for m in matrices:
+        expected = _dense_nonzero_rows(m)
+        assert m.is_symmetric() == _dense_is_symmetric(m), m.to_rows()
+        assert m.nonzero_rows == expected and m.nonzero_rows is m.nonzero_rows
+        assert all(x for row in m.nonzero_rows for x in row.values())
+        if m.rows == m.cols:
+            # the eliminations consume copies, never the cached rows
+            rank(m)
+            det(m)
+            if m.is_symmetric():
+                signature_of(m)
+        assert m.nonzero_rows == expected
+        verdicts[m.is_symmetric()] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 800
+    assert matrices[0].is_symmetric() and not matrices[1].is_symmetric()
+
+
 def test_sparse_signature_and_det_match_the_dense_reference():
     rg = rng(9090)
     kinds = set()

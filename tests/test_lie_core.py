@@ -332,18 +332,55 @@ def test_validate_jacobi_matches_a_brute_force_scan(scale_algebras):
     assert verdicts == {True, False}
 
 
-def test_validate_jacobi_visits_no_triple_of_an_abelian_algebra(monkeypatch):
-    calls = []
-    original = lie_core.linear_combination
+def _visited_triples(monkeypatch, l):
+    """The basis triples ``validate_jacobi(l)`` visits: the one list it sorts,
+    seen through a ``sorted`` shadowed in ``lie_core``'s namespace."""
+    lists = []
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def recording(iterable):
+        lists.append(sorted(iterable))
+        return lists[-1]
 
-    monkeypatch.setattr(lie_core, "linear_combination", counting)
-    l = abelian(60)
+    monkeypatch.setattr(lie_core, "sorted", recording, raising=False)
     assert validate_jacobi(l).ok
-    assert calls == []
+    monkeypatch.undo()
+    (triples,) = lists
+    return triples
+
+
+def test_validate_jacobi_visits_no_triple_of_an_abelian_algebra(monkeypatch):
+    assert _visited_triples(monkeypatch, abelian(60)) == []
+
+
+def test_validate_jacobi_visits_only_triples_with_a_term_that_can_be_nonzero(
+    monkeypatch, scale_algebras
+):
+    # T*h_15 is 2-step: every stored bracket lands in the center, so no
+    # [e_a, [e_b, e_c]] can be nonzero; of T*fil_12's 520 triples in which a
+    # pair has a stored bracket, 9 have such a term
+    h15, fil12 = scale_algebras
+    assert _visited_triples(monkeypatch, h15) == []
+    assert len(_visited_triples(monkeypatch, fil12)) == 9
+
+
+def test_series_computes_only_the_images_that_can_be_nonzero(monkeypatch, scale_algebras):
+    images = []
+    original = LieAlgebra.ad_rows
+
+    def counting(self, indices, ws):
+        for image in original(self, indices, ws):
+            images.append(len(image))  # the elimination then consumes the row
+            yield image
+
+    monkeypatch.setattr(LieAlgebra, "ad_rows", counting)
+    counts = []
+    for l in scale_algebras:
+        images.clear()
+        lie_core._lower_central_series(l)
+        assert all(images)
+        counts.append(len(images))
+    # a scan of every stored e_i against every row computed 705 and 3,066
+    assert counts == [42, 240]
 
 
 @pytest.fixture(scope="module")
