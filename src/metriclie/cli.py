@@ -227,7 +227,7 @@ def _check_provenance(metric: MetricLieAlgebra) -> None:
     if not is_nilpotent(metric.provenance.algebra):
         raise MathError("provenance: the algebra of the cocycle is not nilpotent")
     rebuilt = build_double(metric.provenance)
-    if rebuilt.algebra.brackets != metric.algebra.brackets or rebuilt.gram != metric.gram:
+    if rebuilt.algebra._rows != metric.algebra._rows or rebuilt.gram != metric.gram:
         raise MathError("provenance: the double of the cocycle differs from the document")
 
 

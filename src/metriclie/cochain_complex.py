@@ -233,10 +233,9 @@ def _bracket_targets(l: LieAlgebra) -> dict[int, list[tuple[int, int, Fraction]]
     """For each e_t, the stored brackets [e_i, e_j] (i < j) with a nonzero
     e_t component x, as ``(i, j, x)``."""
     hits: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for (i, j), w in l.brackets.items():
-        for t, x in enumerate(w):
-            if x:
-                hits.setdefault(t, []).append((i, j, x))
+    for i, j, pairs in l._upper():
+        for t, x in pairs:
+            hits.setdefault(t, []).append((i, j, x))
     return hits
 
 

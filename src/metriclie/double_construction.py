@@ -71,8 +71,8 @@ class MetricReport(NamedTuple):
 def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     """Assemble and fully validate the metric double of a quadratic cocycle.
 
-    The table is filled in one pass over the stored entries of gamma, alpha
-    and the brackets of ``l``, following the formulas in the module docstring.
+    The sparse table is filled in one pass over the stored entries of gamma,
+    alpha and the rows of ``l``, following the formulas in the module docstring.
     A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`;
     a result that fails its own re-check raises :class:`ConsistencyError`.
     """
@@ -83,12 +83,13 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     a_off = n
     x_off = n + m
 
-    table: dict[tuple[int, int], list[Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Fraction]] = {}
 
     def add(i: int, j: int, t: int, c: Fraction) -> None:
         """Add c e_t to [e_i, e_j], i < j."""
         if c:
-            table.setdefault((i, j), [_ZERO] * total)[t] += c
+            row = table.setdefault((i, j), {})
+            row[t] = row.get(t, _ZERO) + c
 
     # [X_i, X_j] picks up gamma(X_i, X_j, X_k) sigma^k for each ordering of a key
     for (i, j, k), (c,) in z.gamma.values.items():
@@ -103,16 +104,15 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
             add(a_off + s, x_off + i, j, c)
             add(a_off + s, x_off + j, i, -c)
     # [X_i, X_k] = [e_i, e_k]_l; [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k
-    for (i, k), v in l.brackets.items():
-        for t, c in enumerate(v):
-            add(x_off + i, x_off + k, x_off + t, c)
-            add(t, x_off + i, k, c)
-            add(t, x_off + k, i, -c)
+    for i in range(n):
+        for k, pairs in l.row(i).items():
+            for t, c in pairs:
+                if i < k:
+                    add(x_off + i, x_off + k, x_off + t, c)
+                add(t, x_off + i, k, c)
 
-    labels = (
-        tuple("%s*" % s for s in l.labels)
-        + tuple("A%d" % (t + 1) for t in range(m))
-        + tuple(l.labels)
+    labels = tuple(
+        ["%s*" % s for s in l.labels] + ["A%d" % (t + 1) for t in range(m)] + list(l.labels)
     )
     algebra = LieAlgebra(total, table, labels=labels, validate=False)
 
@@ -203,7 +203,7 @@ def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
     return Fingerprint(
         dim=g.algebra.dim,
         signature=signature_of(g.gram),
-        series_dims=tuple(s.dim for s in series),
+        series_dims=tuple([s.dim for s in series]),
         center_dim=z.dim,
         center_signature=signature_of(z.form(g.gram)),
         derived_signature=signature_of(derived.form(g.gram)),

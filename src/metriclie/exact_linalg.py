@@ -12,6 +12,11 @@ matter for determinants and signatures either: the determinant is unique,
 and inertia is additive over Schur complements (Haynsworth 1968), so every
 sequence of nonzero pivots counts the same signature.  No floating point
 appears anywhere in this package.
+
+Hot-path tuples are built from lists, never from generators.  A tuple built
+from a generator gets its size by a resize, which bypasses CPython's tuple
+free lists, but is freed into them (up to 2,000 per size below 20); only a
+full collection empties them, so code that triggers none piles up megabytes.
 """
 
 from __future__ import annotations
@@ -169,7 +174,7 @@ class Matrix:
     def nonzero_rows(self) -> tuple[dict[int, Fraction], ...]:
         """Each row as its nonzero entries ``{column: entry}``, read once and
         shared (only read)."""
-        return tuple({j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows))
+        return tuple([{j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows)])
 
     def is_symmetric(self) -> bool:
         # row i against column i as tuples: value equality without a Python loop per entry
@@ -396,7 +401,7 @@ class Subspace:
     @staticmethod
     def of_rows(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
         """The span of sparse rows ``{column: nonzero entry}``; the rows are consumed."""
-        return Subspace(ambient_dim, tuple(row for _, row in _reduce(rows)))
+        return Subspace(ambient_dim, tuple([row for _, row in _reduce(rows)]))
 
     @staticmethod
     def kernel(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
@@ -406,7 +411,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple({i: _ONE} for i in range(ambient_dim)))
+        return Subspace(ambient_dim, tuple([{i: _ONE} for i in range(ambient_dim)]))
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
@@ -418,11 +423,11 @@ class Subspace:
     @cached_property
     def basis(self) -> tuple[Vector, ...]:
         """The rows as dense vectors of length ``ambient_dim``."""
-        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
+        return tuple([_dense(row, self.ambient_dim) for row in self.rows])
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
-        return tuple(min(row) for row in self.rows)
+        return tuple([min(row) for row in self.rows])
 
     def coords(self, v: dict[int, Fraction]) -> Vector | None:
         """Coordinates of the sparse row ``v`` (only read) in the echelon rows:
@@ -447,7 +452,7 @@ class Subspace:
         rows = [{**u, **{j + n: x for j, x in u.items()}} for u in self.rows]
         rows += (dict(w) for w in other.rows)
         right = (row for p, row in _reduce(rows) if p >= n)
-        return Subspace(n, tuple({j - n: x for j, x in row.items()} for row in right))
+        return Subspace(n, tuple([{j - n: x for j, x in row.items()} for row in right]))
 
     def form(self, gram: Matrix) -> Matrix:
         """The restriction of the form ``gram`` to this subspace: B G B^T for
@@ -459,9 +464,9 @@ class Subspace:
                 for j, x in gram.nonzero_rows[k].items():
                     g[j] = g.get(j, _ZERO) + c * x
             images.append(g)
-        entries = (
+        entries = [
             sum((x * g[j] for j, x in v.items() if j in g), _ZERO) for g in images for v in self.rows
-        )
+        ]
         return Matrix(self.dim, self.dim, tuple(entries))
 
     def is_nondegenerate(self, gram: Matrix) -> bool:

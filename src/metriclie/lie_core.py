@@ -1,14 +1,14 @@
 """Finite dimensional Lie algebras over the rationals.
 
-A Lie algebra is stored through its antisymmetric structure constants: a
-sparse map from index pairs ``(i, j)`` with ``i < j`` to the coordinate
-vector of ``[e_i, e_j]``.  The nonzero brackets are also kept row by row,
-each as its nonzero ``(t, c)`` pairs, so that ``[e_i, w]``, the Jacobi
-check, the lower central series and the center touch only stored entries:
-the series computes ``[e_i, w]`` only for the ``e_i`` that meet ``w``, and
-the Jacobi check visits only the triples with a term that can be nonzero.
-The Jacobi identity is checked eagerly on construction; a constructor flag
-disables the check so that tests can build deliberately broken tables.
+A Lie algebra stores its antisymmetric structure constants once, as sparse
+rows: ``[e_i, e_j]`` as its nonzero ``(t, c)`` pairs, in both orientations.
+The dense ``brackets`` and ``basis_bracket`` are views derived from them.
+``[e_i, w]``, the Jacobi check, the lower central series and the center touch
+only stored entries: the series computes ``[e_i, w]`` only for the ``e_i``
+that meet ``w``, and the Jacobi check visits only the triples with a term
+that can be nonzero.  The Jacobi identity is checked eagerly on
+construction; a constructor flag disables the check so that tests can build
+deliberately broken tables.
 
 :class:`LieAlgebra` is immutable, so the lower central series and the center
 are computed at most once per instance and then reused.
@@ -20,10 +20,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact_linalg import Subspace, Vector, _dense, linear_combination, vector, zero_vector
+from .exact_linalg import Subspace, Vector, _dense, linear_combination, vector
 
 _ZERO = Fraction(0)
 _NO_BRACKETS: Mapping[int, tuple[tuple[int, Fraction], ...]] = MappingProxyType({})
+_Bracket = Sequence[int | str | Fraction] | Mapping[int, int | str | Fraction]
 
 
 class MathError(ValueError):
@@ -49,21 +50,21 @@ class JacobiReport(NamedTuple):
 class LieAlgebra:
     """A Lie algebra given by sparse antisymmetric structure constants.
 
-    Instances are immutable: ``brackets`` (keys ``i < j``) is a read-only
-    mapping and ``dim`` and ``labels`` cannot be reassigned.  Beside it,
-    ``_rows[i]`` maps each ``j`` with a nonzero ``[e_i, e_j]`` to the
-    nonzero ``(t, c)`` pairs of that bracket, in both orientations, so that
-    :meth:`ad` sums over the stored entries of the brackets of ``e_i`` only.
-    Storage grows with the brackets, not with ``dim``: only indices with a
-    stored bracket have a row, and default labels are made on demand.
+    The one store: ``_rows[i]`` maps each ``j`` with a nonzero [e_i, e_j] to
+    its nonzero ``(t, c)`` pairs (c the e_t coordinate), sorted by t, in both
+    orientations.  ``brackets[(i, j)]``, i < j, may be given as a dense
+    sequence of ``dim`` coordinates or as a sparse map ``{t: c}``.  Instances
+    are immutable, and storage grows with the brackets, not with ``dim``:
+    only indices with a stored bracket have a row, and default labels are
+    made on demand.
     """
 
-    __slots__ = ("_dim", "_labels", "_brackets", "_rows", "_hash", "_series", "_center")
+    __slots__ = ("_dim", "_labels", "_rows", "_hash", "_series", "_center")
 
     def __init__(
         self,
         dim: int,
-        brackets: Mapping[tuple[int, int], Sequence[int | str | Fraction]],
+        brackets: Mapping[tuple[int, int], _Bracket],
         labels: Sequence[str] | None = None,
         validate: bool = True,
     ) -> None:
@@ -73,22 +74,25 @@ class LieAlgebra:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("expected %d labels, got %d" % (dim, len(labels)))
-        table: dict[tuple[int, int], Vector] = {}
         rows: dict[int, dict[int, tuple[tuple[int, Fraction], ...]]] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
-            v = vector(value)
-            if len(v) != dim:
-                raise ValueError("bracket value for (%d, %d) has wrong length" % (i, j))
-            pairs = tuple((t, c) for t, c in enumerate(v) if c)
+            if isinstance(value, Mapping):
+                if not all(0 <= t < dim for t in value):
+                    raise ValueError("bracket value for (%d, %d) has an index out of range" % (i, j))
+                entries = [(t, Fraction(c)) for t, c in sorted(value.items())]
+            else:
+                v = vector(value)
+                if len(v) != dim:
+                    raise ValueError("bracket value for (%d, %d) has wrong length" % (i, j))
+                entries = enumerate(v)
+            pairs = tuple([(t, c) for t, c in entries if c])
             if pairs:
-                table[(i, j)] = v
                 rows.setdefault(i, {})[j] = pairs
-                rows.setdefault(j, {})[i] = tuple((t, -c) for t, c in pairs)
+                rows.setdefault(j, {})[i] = tuple([(t, -c) for t, c in pairs])
         self._dim = dim
         self._labels = labels
-        self._brackets = MappingProxyType(table)
         self._rows = rows
         self._hash: int | None = None
         self._series: tuple[Subspace, ...] | None = None
@@ -103,29 +107,30 @@ class LieAlgebra:
     @property
     def labels(self) -> tuple[str, ...]:
         if self._labels is None:
-            return tuple("X%d" % (i + 1) for i in range(self._dim))
+            return tuple(["X%d" % (i + 1) for i in range(self._dim)])
         return self._labels
 
     @property
     def brackets(self) -> Mapping[tuple[int, int], Vector]:
-        return self._brackets
+        """The nonzero [e_i, e_j], i < j, as dense vectors (a read-only view)."""
+        return MappingProxyType({(i, j): _dense(dict(p), self._dim) for i, j, p in self._upper()})
+
+    def _upper(self) -> Iterator[tuple[int, int, tuple[tuple[int, Fraction], ...]]]:
+        """The stored brackets [e_i, e_j] with i < j, as ``(i, j, pairs)``."""
+        return ((i, j, p) for i, row in self._rows.items() for j, p in row.items() if i < j)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LieAlgebra):
             return NotImplemented
-        return (
-            self._dim == other._dim
-            and self.labels == other.labels
-            and self._brackets == other._brackets
-        )
+        return (self._dim, self.labels, self._rows) == (other._dim, other.labels, other._rows)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._dim, self.labels, frozenset(self._brackets.items())))
+            self._hash = hash((self._dim, self.labels, frozenset(self._upper())))
         return self._hash
 
     def __repr__(self) -> str:
-        return "LieAlgebra(dim=%d, brackets=%d)" % (self._dim, len(self._brackets))
+        return "LieAlgebra(dim=%d, brackets=%d)" % (self._dim, len(list(self._upper())))
 
     def named(self, indices: Sequence[int]) -> str:
         """Basis elements by label, as in ``(X1, X3, X4)``."""
@@ -133,12 +138,8 @@ class LieAlgebra:
         return "(%s)" % ", ".join(labels[i] for i in indices)
 
     def basis_bracket(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for arbitrary basis indices."""
-        if i > j:
-            v = self._brackets.get((j, i))
-            return zero_vector(self._dim) if v is None else tuple(-c for c in v)
-        v = self._brackets.get((i, j))
-        return zero_vector(self._dim) if v is None else v
+        """[e_i, e_j] for arbitrary basis indices, as a dense vector read off the rows."""
+        return _dense(dict(self._rows.get(i, _NO_BRACKETS).get(j, ())), self._dim)
 
     def row(self, i: int) -> Mapping[int, tuple[tuple[int, Fraction], ...]]:
         """The nonzero brackets [e_i, e_j] of e_i as their nonzero ``(t, c)``
@@ -189,21 +190,19 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     triples = sorted(
         {
             (a, b, c) if a < b else (b, a, c) if a < c else (b, c, a)
-            for b, c in l.brackets
-            for t, _ in stored[b][c]
+            for b, c, pairs in l._upper()
+            for t, _ in pairs
             for a in stored.get(t, ())
             if a != b and a != c
         }
     )
-    # indexed by basis element; a stored bracket already holds n coordinates
-    rows = [stored.get(i, _NO_BRACKETS) for i in range(n)] if triples else []
     for outer in triples:
         i, j, k = outer
         # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
         defect: dict[int, Fraction] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            row_a = rows[a]
-            for t, x in rows[b].get(c, ()):
+            row_a = stored.get(a, _NO_BRACKETS)
+            for t, x in stored.get(b, _NO_BRACKETS).get(c, ()):
                 for u, y in row_a.get(t, ()):
                     defect[u] = defect.get(u, _ZERO) + x * y
         if any(defect.values()):
@@ -293,11 +292,8 @@ def filtration_spaces(l: LieAlgebra) -> list[Subspace]:
 
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
     """Direct sum of Lie algebras; labels are prefixed to stay unique."""
-    n1, n2 = l1.dim, l2.dim
-    table: dict[tuple[int, int], Vector] = {}
-    for (i, j), v in l1.brackets.items():
-        table[(i, j)] = tuple(v) + zero_vector(n2)
-    for (i, j), v in l2.brackets.items():
-        table[(i + n1, j + n1)] = zero_vector(n1) + tuple(v)
+    n1 = l1.dim
+    table = {(i, j): dict(p) for i, j, p in l1._upper()}
+    table.update(((i + n1, j + n1), {t + n1: c for t, c in p}) for i, j, p in l2._upper())
     labels = tuple("1.%s" % s for s in l1.labels) + tuple("2.%s" % s for s in l2.labels)
-    return LieAlgebra(n1 + n2, table, labels=labels, validate=False)
+    return LieAlgebra(n1 + l2.dim, table, labels=labels, validate=False)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from metriclie import cli, double_construction
+from metriclie import cli, double_construction, lie_core
 from metriclie.catalog import (
     entry_by_id,
     g41,
@@ -173,6 +173,29 @@ def test_scale_doubles_match_the_pinned_benchmark_fingerprints():
             fp.derived_signature.as_tuple(),
         )
         assert text == pinned[name], name
+
+
+def test_build_double_hands_the_constructor_sparse_rows(monkeypatch):
+    """No bracket of a double is filled densely: the constructor's one dense
+    path, ``vector()``, seen through a ``vector`` shadowed in ``lie_core``."""
+    calls = []
+    original = lie_core.vector
+
+    def counting(values):
+        calls.append(values)
+        return original(values)
+
+    cocycles = [
+        zero_cocycle(g.provenance.algebra, g.provenance.module) for g in scale_doubles().values()
+    ]
+    cocycles.append(g64_admissible_cocycle())
+    monkeypatch.setattr(lie_core, "vector", counting)
+    LieAlgebra(3, {(0, 1): (0, 0, 1)})
+    assert len(calls) == 1  # the shadow sees a dense construction
+    calls.clear()
+    for z in cocycles:
+        assert build_double(z).algebra.brackets
+    assert calls == []
 
 
 def test_signature_additivity_on_sample_entries():

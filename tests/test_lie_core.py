@@ -86,6 +86,52 @@ def test_bracket_normalization_and_lookup():
         LieAlgebra(3, {(0, 1): (1, 0)})
 
 
+def test_a_sparse_and_a_dense_construction_are_the_same_algebra():
+    dense = {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, "1/2")}
+    sparse = {(0, 2): {3: Fraction(1, 2)}, (0, 1): {2: 1}}
+    assert LieAlgebra(4, sparse) == LieAlgebra(4, dense)
+    assert hash(LieAlgebra(4, sparse)) == hash(LieAlgebra(4, dense))
+    assert LieAlgebra(4, sparse).brackets == LieAlgebra(4, dense).brackets
+    # the dense views read back the stored rows, and rebuild the same algebra
+    rg = rng(4041)
+    for l in [random_sparse_table(rg, rg.randint(3, 7)) for _ in range(100)]:
+        as_maps = {key: {t: c for t, c in enumerate(v) if c} for key, v in l.brackets.items()}
+        for table in (l.brackets, as_maps):
+            rebuilt = LieAlgebra(l.dim, table, validate=False)
+            assert rebuilt == l and hash(rebuilt) == hash(l)
+        for i in range(l.dim):
+            for j in range(l.dim):
+                assert l.basis_bracket(i, j) == dense_bracket(
+                    l, unit_vector(l.dim, i), unit_vector(l.dim, j)
+                )
+
+
+@pytest.mark.parametrize("index", [-1, 4, 10])
+def test_a_sparse_bracket_index_out_of_range_is_rejected(index):
+    with pytest.raises(ValueError, match="out of range"):
+        LieAlgebra(4, {(0, 1): {2: 1, index: 1}}, validate=False)
+
+
+def test_zero_and_cancelling_entries_are_not_stored():
+    third = Fraction(1, 3)
+    l = LieAlgebra(
+        4,
+        {
+            (0, 1): {2: 1, 3: third - third},
+            (0, 2): {1: 0, 3: "0"},
+            (1, 2): (0, 0, 0, "0"),
+            (1, 3): {},
+            (2, 3): (third, 0, -third + third, 0),
+        },
+        validate=False,
+    )
+    assert dict(l.row(0)) == {1: ((2, 1),)}
+    assert dict(l.row(2)) == {3: ((0, third),)}
+    assert set(l.brackets) == {(0, 1), (2, 3)}
+    assert repr(l) == "LieAlgebra(dim=4, brackets=2)"
+    assert LieAlgebra(3, {(0, 1): {2: 0}, (1, 2): (0, 0, 0)}) == abelian(3)
+
+
 def test_bracket_is_bilinear_and_antisymmetric():
     l = g52()
     rg = rng(11)
@@ -156,6 +202,8 @@ def test_direct_sum_combines_structure():
     x2 = unit_vector(6, 1)
     assert bracket(two, x1, x2) == unit_vector(6, 2)
     assert bracket(two, x1, unit_vector(6, 4)) == (0,) * 6
+    shifted = {(0, 1): unit_vector(6, 2), (3, 4): unit_vector(6, 5)}
+    assert two == LieAlgebra(6, shifted, labels=two.labels)
 
 
 def test_subspace_coords_and_intersection():
