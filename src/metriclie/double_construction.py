@@ -20,14 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_linalg import (
-    Matrix,
-    Signature,
-    rank,
-    signature_of,
-    unit_vector,
-    zero_vector,
-)
+from .exact_linalg import Matrix, Signature, rank, signature_of
 from .lie_core import (
     LieAlgebra,
     center,
@@ -38,7 +31,7 @@ from .lie_core import (
 )
 from .quadratic_cohomology import ConsistencyError, QuadraticCocycle
 
-_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,9 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     """Assemble and fully validate the metric double of a quadratic cocycle.
 
     The sparse table is filled in one pass over the stored entries of gamma,
-    alpha and the rows of ``l``, following the formulas in the module docstring.
+    alpha, the module form and the rows of ``l``, following the formulas in
+    the module docstring.  The Gram form is built from its 2n+m sparse rows,
+    which it keeps as its ``nonzero_rows``; no dense row is filled.
     A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`;
     a result that fails its own re-check raises :class:`ConsistencyError`.
     """
@@ -89,20 +84,23 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
         """Add c e_t to [e_i, e_j], i < j."""
         if c:
             row = table.setdefault((i, j), {})
-            row[t] = row.get(t, _ZERO) + c
+            row[t] = row[t] + c if t in row else c
 
     # [X_i, X_j] picks up gamma(X_i, X_j, X_k) sigma^k for each ordering of a key
     for (i, j, k), (c,) in z.gamma.values.items():
         add(x_off + i, x_off + j, k, c)
         add(x_off + i, x_off + k, j, -c)
         add(x_off + j, x_off + k, i, c)
-    # [X_i, X_j] picks up alpha(X_i, X_j); [A_s, X_i] = <A_s, alpha(X_i, X_j)> sigma^j
+    # [X_i, X_j] picks up alpha(X_i, X_j); [A_s, X_i] = <A_s, alpha(X_i, X_j)> sigma^j,
+    # summed over the nonzero <A_s, A_t> of row t (the module form is symmetric)
+    module_rows = module.gram.nonzero_rows
     for (i, j), v in z.alpha.values.items():
-        for s, c in enumerate(v):
-            add(x_off + i, x_off + j, a_off + s, c)
-        for s, c in enumerate(module.gram.apply(v)):
-            add(a_off + s, x_off + i, j, c)
-            add(a_off + s, x_off + j, i, -c)
+        for t, c in enumerate(v):
+            if c:
+                add(x_off + i, x_off + j, a_off + t, c)
+                for s, x in module_rows[t].items():
+                    add(a_off + s, x_off + i, j, x * c)
+                    add(a_off + s, x_off + j, i, -x * c)
     # [X_i, X_k] = [e_i, e_k]_l; [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k
     for i in range(n):
         for k, pairs in l.row(i).items():
@@ -116,10 +114,11 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     )
     algebra = LieAlgebra(total, table, labels=labels, validate=False)
 
-    gram_rows = [unit_vector(total, x_off + i) for i in range(n)]
-    gram_rows += [zero_vector(n) + module.gram.row(s) + zero_vector(n) for s in range(m)]
-    gram_rows += [unit_vector(total, i) for i in range(n)]
-    gram = Matrix.from_rows(gram_rows, cols=total)
+    # Z(L) pairs sigma^i with X_i both ways; the module block is <A_s, A_t>
+    gram_rows = [{x_off + i: _ONE} for i in range(n)]
+    gram_rows += [{a_off + t: x for t, x in row.items()} for row in module_rows]
+    gram_rows += [{i: _ONE} for i in range(n)]
+    gram = Matrix.of_rows(total, gram_rows)
 
     result = MetricLieAlgebra(algebra=algebra, gram=gram, provenance=z)
     report = verify_metric(result)

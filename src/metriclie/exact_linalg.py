@@ -1,9 +1,12 @@
 """Exact rational linear algebra primitives.
 
 Vectors are tuples of :class:`fractions.Fraction` and matrices are immutable
-row-major grids of the same; a matrix reads the nonzero entries of its rows
-once (``Matrix.nonzero_rows``), and every elimination and restricted form
-runs over such sparse rows.  Row reduction returns the reduced row
+row-major grids of the same.  A matrix holds the nonzero entries of its rows
+as ``Matrix.nonzero_rows``: one built from sparse rows (``Matrix.of_rows``,
+as the Gram form of a double and every restricted form are) keeps them, and
+one built from dense rows reads them once.  Every elimination and restricted
+form runs over such sparse rows, and a new pivot is eliminated only from the
+pivot rows that can hold its column.  Row reduction returns the reduced row
 echelon form, which is unique for a given row space, so ranks, kernels,
 solution sets and the echelon basis of each :class:`Subspace` do not
 depend on the order in which rows are eliminated and are reproducible bit
@@ -101,6 +104,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> "Matrix":
+        """The matrix of dense rows, each entry coerced to a Fraction."""
         rows = [list(r) for r in rows]
         if rows:
             width = len(rows[0])
@@ -114,6 +118,20 @@ class Matrix:
                 raise ValueError("ragged rows in matrix literal")
             flat.extend(x if type(x) is Fraction else Fraction(x) for x in r)
         return Matrix(len(rows), width, tuple(flat))
+
+    @staticmethod
+    def of_rows(cols: int, rows: Sequence[dict[int, Fraction]]) -> "Matrix":
+        """The matrix whose rows are the sparse maps ``{column: nonzero
+        Fraction}``; the entries are filled once and the maps are kept as
+        ``nonzero_rows`` (shared, only read)."""
+        flat = [_ZERO] * (len(rows) * cols)
+        for i, row in enumerate(rows):
+            base = i * cols
+            for j, x in row.items():
+                flat[base + j] = x
+        m = Matrix(len(rows), cols, tuple(flat))
+        m.__dict__["nonzero_rows"] = tuple(rows)
+        return m
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -172,8 +190,8 @@ class Matrix:
 
     @cached_property
     def nonzero_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """Each row as its nonzero entries ``{column: entry}``, read once and
-        shared (only read)."""
+        """Each row as its nonzero entries ``{column: entry}``, shared (only
+        read): kept by :meth:`of_rows`, else read once from the entries."""
         return tuple([{j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows)])
 
     def is_symmetric(self) -> bool:
@@ -191,12 +209,16 @@ def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fr
     Rows are sparse maps ``{column: nonzero entry}``; they are consumed (the
     maps are modified in place).  Each incoming row is reduced by the pivot
     rows found so far, normalized at its first nonzero column and subtracted
-    from the earlier pivot rows, so the pivot rows stay reduced against each
-    other and only stored entries are touched.  Returns ``(pivot, row)`` pairs
-    sorted by pivot column, each row with a 1 at its pivot.  Any totally
-    ordered column keys work, not only integers.
+    from the earlier pivot rows that hold that column, so the pivot rows stay
+    reduced against each other and only stored entries are touched.  The
+    columns the pivot rows have ever held are kept as a set, and a new pivot
+    column outside it is eliminated from no row: a run of rows that share no
+    column costs O(1) per row.  Returns ``(pivot, row)`` pairs sorted by
+    pivot column, each row with a 1 at its pivot.  Any totally ordered column
+    keys work, not only integers.
     """
     pivots: dict[int, dict[int, Fraction]] = {}
+    held: set[int] = set()  # a superset of the columns the pivot rows hold
     for row in rows:
         for p in [c for c in row if c in pivots]:
             _axpy(row, -row.pop(p), pivots[p], p)
@@ -206,10 +228,12 @@ def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fr
         pv = row[c]
         if pv != 1:
             row = {j: x / pv for j, x in row.items()}
-        for other in pivots.values():
-            f = other.pop(c, None)
-            if f is not None:
-                _axpy(other, -f, row, c)
+        if c in held:
+            for other in pivots.values():
+                f = other.pop(c, None)
+                if f is not None:
+                    _axpy(other, -f, row, c)
+        held.update(row)
         pivots[c] = row
     return sorted(pivots.items())
 
@@ -456,18 +480,29 @@ class Subspace:
 
     def form(self, gram: Matrix) -> Matrix:
         """The restriction of the form ``gram`` to this subspace: B G B^T for
-        the echelon basis B, summed over the nonzero entries only."""
-        images = []  # B G, as sparse rows
+        the echelon basis B, as sparse rows.  B G is summed over the nonzero
+        entries of B and G, and (B G) B^T over an index of the columns of B,
+        so only nonzero products are multiplied."""
+        by_column: dict[int, list[tuple[int, Fraction]]] = {}  # B^T, as sparse rows
+        for r, v in enumerate(self.rows):
+            for j, x in v.items():
+                by_column.setdefault(j, []).append((r, x))
+        support = gram.nonzero_rows
+        rows = []
         for u in self.rows:
-            g: dict[int, Fraction] = {}
+            image: dict[int, Fraction] = {}  # u G
             for k, c in u.items():
-                for j, x in gram.nonzero_rows[k].items():
-                    g[j] = g.get(j, _ZERO) + c * x
-            images.append(g)
-        entries = [
-            sum((x * g[j] for j, x in v.items() if j in g), _ZERO) for g in images for v in self.rows
-        ]
-        return Matrix(self.dim, self.dim, tuple(entries))
+                for j, x in support[k].items():
+                    term = c * x
+                    image[j] = image[j] + term if j in image else term
+            out: dict[int, Fraction] = {}  # u G B^T
+            for j, y in image.items():
+                if y:
+                    for r, x in by_column.get(j, ()):
+                        term = y * x
+                        out[r] = out[r] + term if r in out else term
+            rows.append({r: y for r, y in out.items() if y})
+        return Matrix.of_rows(self.dim, rows)
 
     def is_nondegenerate(self, gram: Matrix) -> bool:
         """Whether the restriction of ``gram`` is nondegenerate; the zero

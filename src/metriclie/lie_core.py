@@ -22,7 +22,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_linalg import Subspace, Vector, _dense, linear_combination, vector
 
-_ZERO = Fraction(0)
 _NO_BRACKETS: Mapping[int, tuple[tuple[int, Fraction], ...]] = MappingProxyType({})
 _Bracket = Sequence[int | str | Fraction] | Mapping[int, int | str | Fraction]
 
@@ -163,7 +162,8 @@ class LieAlgebra:
                 image: dict[int, Fraction] = {}
                 for j, x in w.items():
                     for t, c in row.get(j, ()):
-                        image[t] = image.get(t, _ZERO) + x * c
+                        term = x * c
+                        image[t] = image[t] + term if t in image else term
                 yield {t: y for t, y in image.items() if y}
 
 
@@ -204,7 +204,8 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
             row_a = stored.get(a, _NO_BRACKETS)
             for t, x in stored.get(b, _NO_BRACKETS).get(c, ()):
                 for u, y in row_a.get(t, ()):
-                    defect[u] = defect.get(u, _ZERO) + x * y
+                    term = x * y
+                    defect[u] = defect[u] + term if u in defect else term
         if any(defect.values()):
             return JacobiReport(ok=False, triple=outer, defect=_dense(defect, n))
     return JacobiReport(ok=True)

@@ -584,6 +584,11 @@ def sparse_row(v) -> dict:
     return {j: x for j, x in enumerate(v) if x}
 
 
+def dense_nonzero_rows(m: Matrix) -> tuple[dict, ...]:
+    """The nonzero entries of each row of ``m``, by a fresh scan of every entry."""
+    return tuple({j: m.at(i, j) for j in range(m.cols) if m.at(i, j) != 0} for i in range(m.rows))
+
+
 def dense_span(n: int, vectors) -> Subspace:
     """The subspace spanned by ``vectors``, its rows read off :func:`dense_rref`."""
     reduced, pivots = dense_rref(Matrix.from_rows(vectors, cols=n))

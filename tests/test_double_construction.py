@@ -27,7 +27,7 @@ from metriclie.exact_linalg import Matrix, Signature, signature_of, unit_vector
 from metriclie.lie_core import LieAlgebra, abelian, bracket
 from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 
-from support import dense_pairing, rational, rng, scale_doubles
+from support import dense_nonzero_rows, dense_pairing, rational, rng, scale_doubles
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -69,16 +69,27 @@ def ad_row(l, i, k):
     return [l.basis_bracket(i, j)[k] for j in range(l.dim)]
 
 
+def part(z, x):
+    """The block of basis index ``x`` in the double of z, and its index there."""
+    n, m = z.algebra.dim, z.module.dim
+    return ("sigma", x) if x < n else ("a", x - n) if x < n + m else ("x", x - n - m)
+
+
+def docstring_pairing(z, a, b):
+    """<e_a, e_b> in the double of z: <A1, A2>_a + Z1(L2) + Z2(L1)."""
+    (pa, i), (pb, j) = part(z, a), part(z, b)
+    if (pa, pb) == ("a", "a"):
+        return z.module.gram.at(i, j)
+    dual = {pa, pb} == {"sigma", "x"} and i == j  # Z(L) with Z = sigma^i, L = X_i
+    return Fraction(1) if dual else Fraction(0)
+
+
 def docstring_bracket(z, a, b):
     """[e_a, e_b] in the double of z, straight from the module docstring."""
     l, module = z.algebra, z.module
     n, m = l.dim, module.dim
     e = [unit_vector(n, i) for i in range(n)]
-
-    def part(x):
-        return ("sigma", x) if x < n else ("a", x - n) if x < n + m else ("x", x - n - m)
-
-    (pa, i), (pb, j) = part(a), part(b)
+    (pa, i), (pb, j) = part(z, a), part(z, b)
     sigma, a_part, x_part = [Fraction(0)] * n, [Fraction(0)] * m, [Fraction(0)] * n
     if (pa, pb) == ("x", "x"):
         # [L1, L2] = gamma(L1, L2, .) + alpha(L1, L2) + [L1, L2]_l
@@ -105,6 +116,9 @@ def test_every_catalog_double_matches_the_docstring_formulas():
         for a in range(g.algebra.dim):
             for b in range(a + 1, g.algebra.dim):
                 assert g.algebra.basis_bracket(a, b) == docstring_bracket(g.provenance, a, b)
+            for b in range(g.algebra.dim):
+                assert g.gram.at(a, b) == docstring_pairing(g.provenance, a, b)
+        assert g.gram.nonzero_rows == dense_nonzero_rows(g.gram)
 
 
 def test_item_eight_doubles():
@@ -175,6 +189,14 @@ def test_scale_doubles_match_the_pinned_benchmark_fingerprints():
         assert text == pinned[name], name
 
 
+def sparse_build_cocycles():
+    """The scale workload's cocycles and one with nonzero alpha and gamma."""
+    cocycles = [
+        zero_cocycle(g.provenance.algebra, g.provenance.module) for g in scale_doubles().values()
+    ]
+    return cocycles + [g64_admissible_cocycle()]
+
+
 def test_build_double_hands_the_constructor_sparse_rows(monkeypatch):
     """No bracket of a double is filled densely: the constructor's one dense
     path, ``vector()``, seen through a ``vector`` shadowed in ``lie_core``."""
@@ -185,16 +207,36 @@ def test_build_double_hands_the_constructor_sparse_rows(monkeypatch):
         calls.append(values)
         return original(values)
 
-    cocycles = [
-        zero_cocycle(g.provenance.algebra, g.provenance.module) for g in scale_doubles().values()
-    ]
-    cocycles.append(g64_admissible_cocycle())
+    cocycles = sparse_build_cocycles()
     monkeypatch.setattr(lie_core, "vector", counting)
     LieAlgebra(3, {(0, 1): (0, 0, 1)})
     assert len(calls) == 1  # the shadow sees a dense construction
     calls.clear()
     for z in cocycles:
         assert build_double(z).algebra.brackets
+    assert calls == []
+
+
+def test_build_double_fills_no_dense_gram_row(monkeypatch):
+    """The Gram form of a double, and the restricted forms of its
+    fingerprint, come from sparse rows: the dense constructor
+    ``Matrix.from_rows``, shadowed on the class, is never called."""
+    calls = []
+    original = Matrix.from_rows
+
+    def counting(rows, cols=None):
+        calls.append(rows)
+        return original(rows, cols)
+
+    cocycles = sparse_build_cocycles()
+    monkeypatch.setattr(Matrix, "from_rows", staticmethod(counting))
+    assert double_construction.Matrix.from_rows([[1]]) == Matrix.identity(1)
+    assert len(calls) == 1  # the shadow sees a dense construction
+    calls.clear()
+    for z in cocycles:
+        g = build_double(z)
+        assert g.gram.nonzero_rows == dense_nonzero_rows(g.gram)
+        fingerprint(g)
     assert calls == []
 
 

@@ -29,6 +29,7 @@ from support import (
     dense_det,
     dense_intersect,
     dense_kernel,
+    dense_nonzero_rows,
     dense_rref,
     dense_signature_of,
     dense_solve_affine,
@@ -263,6 +264,11 @@ def test_elimination_edge_cases():
     m = Matrix.from_rows([[0, 3, 6], [0, 3, 6], [0, 0, 0], [2, 4, 1]])
     assert Subspace.span(3, m.to_rows()).basis == (vector([1, 0, "-7/2"]), vector([0, 1, 2]))
     assert Subspace.span(2, [vector([0, 0]), vector([0, 5])]).basis == (vector([0, 1]),)
+    # pivot 1 is held by no earlier row (no back-elimination); pivot 2 is
+    # held by the first row, which must be back-eliminated
+    one = Fraction(1)
+    rows = [{0: one, 2: one}, {1: one}, {2: one}]
+    assert Subspace.of_rows(3, rows).rows == ({0: one}, {1: one}, {2: one})
     with pytest.raises(ValueError):
         Subspace.span(2, [vector([1, 0, 0])])
 
@@ -320,17 +326,16 @@ def test_subspace_form_matches_the_dense_products():
         n = g.rows
         space = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
         b = Matrix.from_rows(space.basis, cols=n)
-        assert space.form(g) == b @ g @ b.transpose()
+        form = space.form(g)
+        assert form == b @ g @ b.transpose()
+        # the kept sparse rows: no stored zero, no entry missing
+        assert form.nonzero_rows == dense_nonzero_rows(form)
 
 
 def _dense_is_symmetric(m):
     return m.rows == m.cols and all(
         m.at(i, j) == m.at(j, i) for i in range(m.rows) for j in range(m.cols)
     )
-
-
-def _dense_nonzero_rows(m):
-    return tuple({j: m.at(i, j) for j in range(m.cols) if m.at(i, j) != 0} for i in range(m.rows))
 
 
 def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
@@ -356,7 +361,7 @@ def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
             matrices.append(Matrix(n, n, entries))
     verdicts = {True: 0, False: 0}
     for m in matrices:
-        expected = _dense_nonzero_rows(m)
+        expected = dense_nonzero_rows(m)
         assert m.is_symmetric() == _dense_is_symmetric(m), m.to_rows()
         assert m.nonzero_rows == expected and m.nonzero_rows is m.nonzero_rows
         assert all(x for row in m.nonzero_rows for x in row.values())
