@@ -277,8 +277,7 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     out_degree = c1.degree + c2.degree
     if out_degree > n or not c1.values or not c2.values:
         return Cochain.zero(n, out_degree, 1, scalar=True)
-    gram, m = module.gram, module.dim
-    right = [(k2, linear_combination(v, gram.row, m)) for k2, v in c2.values.items()]
+    right = [(k2, module.gram.apply(v)) for k2, v in c2.values.items()]
     sums: dict[tuple[int, ...], Fraction] = {}
     for k1, u in c1.values.items():
         for k2, gv in right:
@@ -319,11 +318,11 @@ def differential_matrix(l: LieAlgebra, module: OrthogonalModule | None, p: int) 
     if p >= l.dim:
         return Matrix.zero(0, width)  # C^(p+1) = 0; nothing enumerated
     index = {bk: r for r, bk in enumerate(_basis_enumeration(l.dim, p + 1, value_dim))}
-    entries = [_ZERO] * (len(index) * width)
+    rows: list[dict[int, Fraction]] = [{} for _ in index]
     for c, column in enumerate(_differential_columns(l, module, p)):
         for bk, x in column.items():
-            entries[index[bk] * width + c] = x
-    return Matrix(len(index), width, tuple(entries))
+            rows[index[bk]][c] = x
+    return Matrix(width, tuple(rows))
 
 
 def cohomology_dim(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> int:

@@ -66,8 +66,8 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
 
     The sparse table is filled in one pass over the stored entries of gamma,
     alpha, the module form and the rows of ``l``, following the formulas in
-    the module docstring.  The Gram form is built from its 2n+m sparse rows,
-    which it keeps as its ``nonzero_rows``; no dense row is filled.
+    the module docstring.  The Gram form is stored as its 2n+m sparse rows,
+    handed to the constructor as they are; no dense row is filled.
     A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`;
     a result that fails its own re-check raises :class:`ConsistencyError`.
     """
@@ -118,7 +118,7 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     gram_rows = [{x_off + i: _ONE} for i in range(n)]
     gram_rows += [{a_off + t: x for t, x in row.items()} for row in module_rows]
     gram_rows += [{i: _ONE} for i in range(n)]
-    gram = Matrix.of_rows(total, gram_rows)
+    gram = Matrix(total, tuple(gram_rows))
 
     result = MetricLieAlgebra(algebra=algebra, gram=gram, provenance=z)
     report = verify_metric(result)

@@ -1,20 +1,19 @@
 """Exact rational linear algebra primitives.
 
-Vectors are tuples of :class:`fractions.Fraction` and matrices are immutable
-row-major grids of the same.  A matrix holds the nonzero entries of its rows
-as ``Matrix.nonzero_rows``: one built from sparse rows (``Matrix.of_rows``,
-as the Gram form of a double and every restricted form are) keeps them, and
-one built from dense rows reads them once.  Every elimination and restricted
-form runs over such sparse rows, and a new pivot is eliminated only from the
-pivot rows that can hold its column.  Row reduction returns the reduced row
-echelon form, which is unique for a given row space, so ranks, kernels,
-solution sets and the echelon basis of each :class:`Subspace` do not
-depend on the order in which rows are eliminated and are reproducible bit
-for bit.  The pivot order does not
-matter for determinants and signatures either: the determinant is unique,
-and inertia is additive over Schur complements (Haynsworth 1968), so every
-sequence of nonzero pivots counts the same signature.  No floating point
-appears anywhere in this package.
+Vectors are tuples of :class:`fractions.Fraction`.  A matrix stores only
+the nonzero entries of its rows, as ``{column: entry}`` maps; its dense
+rows, columns and entries are derived views.  Products, transposes and sums
+run over the stored entries, every restricted form is B G B^T through the
+one sparse product, and every elimination runs over copies of the sparse
+rows, eliminating a new pivot only from the pivot rows that can hold its
+column.  Row reduction returns the reduced row echelon form, which is
+unique for a given row space, so ranks, kernels, solution sets and the
+echelon basis of each :class:`Subspace` do not depend on the order in which
+rows are eliminated and are reproducible bit for bit.  The pivot order does
+not matter for determinants and signatures either: the determinant is
+unique, and inertia is additive over Schur complements (Haynsworth 1968),
+so every sequence of nonzero pivots counts the same signature.  No floating
+point appears anywhere in this package.
 
 Hot-path tuples are built from lists, never from generators.  A tuple built
 from a generator gets its size by a resize, which bypasses CPython's tuple
@@ -74,8 +73,8 @@ def linear_combination(
     """Sum of ``c_k * term(k)`` over the nonzero ``c_k``, as a vector of ``length``.
 
     ``coeffs`` is a dense sequence or a sparse row ``{k: c_k}``.  ``term`` is
-    called only for nonzero coefficients, so contracting a form or a bracket
-    with a sparse vector touches only its support.
+    called only for nonzero coefficients, so contracting a bracket or a
+    cochain with a sparse vector touches only its support.
     """
     out = [_ZERO] * length
     for k, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
@@ -88,119 +87,116 @@ def linear_combination(
 
 @dataclass(frozen=True)
 class Matrix:
-    """Immutable dense matrix with exact rational entries (row major)."""
+    """Immutable matrix with exact rational entries, stored as its sparse rows.
 
-    rows: int
+    ``nonzero_rows`` holds each row as ``{column: nonzero Fraction}`` (shared,
+    only read); ``rows`` is their number.  The constructor keeps the maps as
+    given, so none may hold a zero or a column outside ``0..cols-1``: equal
+    matrices then store equal maps.  ``from_rows`` coerces dense rows.
+    """
+
     cols: int
-    entries: tuple[Fraction, ...]
+    nonzero_rows: tuple[dict[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+        if self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                "expected %d entries, got %d" % (self.rows * self.cols, len(self.entries))
-            )
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> "Matrix":
-        """The matrix of dense rows, each entry coerced to a Fraction."""
+        """The matrix of dense rows, each entry coerced to a Fraction; zeros are not stored."""
         rows = [list(r) for r in rows]
-        if rows:
-            width = len(rows[0])
-        else:
-            width = cols if cols is not None else 0
-        if cols is not None and cols != width and rows:
+        width = len(rows[0]) if rows else cols if cols is not None else 0
+        if cols is not None and cols != width:
             raise ValueError("row width %d does not match cols=%d" % (width, cols))
-        flat: list[Fraction] = []
+        sparse = []
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged rows in matrix literal")
-            flat.extend(x if type(x) is Fraction else Fraction(x) for x in r)
-        return Matrix(len(rows), width, tuple(flat))
-
-    @staticmethod
-    def of_rows(cols: int, rows: Sequence[dict[int, Fraction]]) -> "Matrix":
-        """The matrix whose rows are the sparse maps ``{column: nonzero
-        Fraction}``; the entries are filled once and the maps are kept as
-        ``nonzero_rows`` (shared, only read)."""
-        flat = [_ZERO] * (len(rows) * cols)
-        for i, row in enumerate(rows):
-            base = i * cols
-            for j, x in row.items():
-                flat[base + j] = x
-        m = Matrix(len(rows), cols, tuple(flat))
-        m.__dict__["nonzero_rows"] = tuple(rows)
-        return m
+            dense = [x if type(x) is Fraction else Fraction(x) for x in r]
+            sparse.append({j: x for j, x in enumerate(dense) if x})
+        return Matrix(width, tuple(sparse))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(_ONE if i == j else _ZERO for i in range(n) for j in range(n)))
+        return Matrix.diagonal([_ONE] * n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, (_ZERO,) * (rows * cols))
+        if rows < 0:
+            raise ValueError("negative matrix dimensions")
+        return Matrix(cols, tuple([{} for _ in range(rows)]))
 
     @staticmethod
     def diagonal(values: Sequence[int | str | Fraction]) -> "Matrix":
         vals = [Fraction(v) for v in values]
-        n = len(vals)
-        return Matrix(n, n, tuple(vals[i] if i == j else _ZERO for i in range(n) for j in range(n)))
+        return Matrix(len(vals), tuple([{i: x} if x else {} for i, x in enumerate(vals)]))
+
+    def __hash__(self) -> int:
+        return hash((self.cols, tuple(frozenset(row.items()) for row in self.nonzero_rows)))
+
+    @property
+    def rows(self) -> int:
+        return len(self.nonzero_rows)
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return self.nonzero_rows[i].get(j, _ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return _dense(self.nonzero_rows[i], self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple([row.get(j, _ZERO) for row in self.nonzero_rows])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzero_rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix(self.rows, tuple(out))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix shape mismatch")
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        out = [dict(row) for row in self.nonzero_rows]
+        for row, source in zip(out, other.nonzero_rows):
+            _axpy(row, _ONE, source, -1)
+        return Matrix(self.cols, tuple(out))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix(self.cols, tuple([{j: -x for j, x in row.items()} for row in self.nonzero_rows]))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """The product, summed over the stored entries of both factors."""
         if self.cols != other.rows:
             raise ValueError("matrix product shape mismatch")
-        out: list[Fraction] = []
-        for i in range(self.rows):
-            out.extend(linear_combination(self.row(i), other.row, other.cols))
-        return Matrix(self.rows, other.cols, tuple(out))
+        out = []
+        for row in self.nonzero_rows:
+            acc: dict[int, Fraction] = {}
+            for k, c in row.items():
+                _axpy(acc, c, other.nonzero_rows[k], -1)
+            out.append(acc)
+        return Matrix(other.cols, tuple(out))
 
     def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product."""
+        """Matrix-vector product, over the stored entries that meet the support of ``v``."""
         if len(v) != self.cols:
             raise ValueError("vector length %d does not match cols=%d" % (len(v), self.cols))
-        return linear_combination(v, self.column, self.rows)
-
-    @cached_property
-    def nonzero_rows(self) -> tuple[dict[int, Fraction], ...]:
-        """Each row as its nonzero entries ``{column: entry}``, shared (only
-        read): kept by :meth:`of_rows`, else read once from the entries."""
-        return tuple([{j: x for j, x in enumerate(self.row(i)) if x} for i in range(self.rows)])
+        out = []
+        for row in self.nonzero_rows:
+            terms = [x * v[j] for j, x in row.items() if v[j]]
+            out.append(sum(terms[1:], terms[0]) if terms else _ZERO)
+        return tuple(out)
 
     def is_symmetric(self) -> bool:
-        # row i against column i as tuples: value equality without a Python loop per entry
-        n, e = self.rows, self.entries
-        return n == self.cols and all(e[i * n : (i + 1) * n] == e[i::n] for i in range(n))
+        # dict equality tries identity before Fraction.__eq__, so shared entries compare at C speed
+        return self.rows == self.cols and self.transpose() == self
 
     def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
+        return not any(self.nonzero_rows)
 
 
 def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
@@ -480,29 +476,9 @@ class Subspace:
 
     def form(self, gram: Matrix) -> Matrix:
         """The restriction of the form ``gram`` to this subspace: B G B^T for
-        the echelon basis B, as sparse rows.  B G is summed over the nonzero
-        entries of B and G, and (B G) B^T over an index of the columns of B,
-        so only nonzero products are multiplied."""
-        by_column: dict[int, list[tuple[int, Fraction]]] = {}  # B^T, as sparse rows
-        for r, v in enumerate(self.rows):
-            for j, x in v.items():
-                by_column.setdefault(j, []).append((r, x))
-        support = gram.nonzero_rows
-        rows = []
-        for u in self.rows:
-            image: dict[int, Fraction] = {}  # u G
-            for k, c in u.items():
-                for j, x in support[k].items():
-                    term = c * x
-                    image[j] = image[j] + term if j in image else term
-            out: dict[int, Fraction] = {}  # u G B^T
-            for j, y in image.items():
-                if y:
-                    for r, x in by_column.get(j, ()):
-                        term = y * x
-                        out[r] = out[r] + term if r in out else term
-            rows.append({r: y for r, y in out.items() if y})
-        return Matrix.of_rows(self.dim, rows)
+        the echelon basis B, by the sparse product."""
+        b = Matrix(self.ambient_dim, self.rows)
+        return b @ gram @ b.transpose()
 
     def is_nondegenerate(self, gram: Matrix) -> bool:
         """Whether the restriction of ``gram`` is nondegenerate; the zero

@@ -67,7 +67,7 @@ def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
     stored = [(key, frozenset(key), u) for key, u in alpha.values.items()]
     sums: dict[tuple[int, ...], Fraction] = {}
     for a, (k1, s1, u) in enumerate(stored):
-        gu = linear_combination(u, module.gram.row, m)
+        gu = module.gram.apply(u)
         for k2, s2, v in stored[a + 1 :]:
             if s1.isdisjoint(s2):
                 key, sign = sort_with_sign(k1 + k2)
@@ -268,7 +268,7 @@ def _stage_report(
             gamma_iw = ((u, sum((x * gb[t] for t, x in w.items() if t in gb), _ZERO))
                         for u, gb in gamma_stage)
             row = {u: y for u, y in gamma_iw if y}
-            g_alpha = linear_combination(alpha_iw, module.gram.row, m)
+            g_alpha = module.gram.apply(alpha_iw)
             row.update((d0 + t, y) for t, y in enumerate(g_alpha) if y)
             if image:
                 coords = series_term.coords(image)

@@ -465,14 +465,20 @@ def dense_signature_of(gram: Matrix) -> Signature:
 
 
 def random_symmetric_case(rg: random.Random) -> tuple[str, Matrix]:
-    """A random symmetric matrix whose diagonal is mostly zero, with its kind:
+    """The matrix of :func:`random_symmetric_grid`, with its kind."""
+    kind, grid = random_symmetric_grid(rg)
+    return kind, Matrix.from_rows(grid, cols=len(grid))
+
+
+def random_symmetric_grid(rg: random.Random) -> tuple[str, list[list[Fraction]]]:
+    """A random symmetric plain-list grid whose diagonal is mostly zero, with its kind:
     ``empty`` (0 x 0), ``witt`` (hyperbolic planes, definite and null lines,
     permuted), ``coupled`` (zero diagonal with sparse couplings), ``image``
     (S^T B S for a rank-deficient block form B and a random, possibly
     singular S) or ``sparse`` (rare diagonal entries)."""
     kind = rg.choice(("empty", "witt", "coupled", "image", "sparse"))
     if kind == "empty":
-        return kind, Matrix.from_rows([], cols=0)
+        return kind, []
     n = rg.randint(1, 9)
 
     def nonzero() -> Fraction:
@@ -496,11 +502,9 @@ def random_symmetric_case(rg: random.Random) -> tuple[str, Matrix]:
             rg.shuffle(perm)
             grid = [[grid[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
         else:
-            s = Matrix.from_rows(
-                [[rational(rg) if rg.random() < 0.4 else Fraction(0) for _ in range(n)]
+            s = [[rational(rg) if rg.random() < 0.4 else Fraction(0) for _ in range(n)]
                  for _ in range(n)]
-            )
-            grid = (s.transpose() @ Matrix.from_rows(grid) @ s).to_rows()
+            grid = plain_product(plain_product(plain_transpose(s, n), grid, n), s, n)
     else:
         density = rg.choice((0.15, 0.4, 0.8))
         for i in range(n):
@@ -509,12 +513,18 @@ def random_symmetric_case(rg: random.Random) -> tuple[str, Matrix]:
                     grid[i][j] = grid[j][i] = nonzero()
             if kind == "sparse" and rg.random() < 0.15:
                 grid[i][i] = nonzero()
-    return kind, Matrix.from_rows(grid, cols=n)
+    return kind, grid
 
 
 def random_square_case(rg: random.Random) -> Matrix:
-    """A random square matrix for the determinant, singular about half of
-    the time (a zero row, a repeated or scaled row, or a low-rank product)."""
+    """The matrix of :func:`random_square_grid`."""
+    grid = random_square_grid(rg)
+    return Matrix.from_rows(grid, cols=len(grid))
+
+
+def random_square_grid(rg: random.Random) -> list[list[Fraction]]:
+    """A random square plain-list grid for the determinant, singular about half
+    of the time (a zero row, a repeated or scaled row, or a low-rank product)."""
     n = rg.randint(0, 8)
     density = rg.choice((0.2, 0.5, 0.9))
     grid = [[rational(rg, 5, 4) if rg.random() < density else Fraction(0) for _ in range(n)]
@@ -529,9 +539,8 @@ def random_square_case(rg: random.Random) -> Matrix:
         k = rg.randint(0, n - 1)
         left = [[rational(rg) for _ in range(k)] for _ in range(n)]
         right = [[rational(rg) for _ in range(n)] for _ in range(k)]
-        grid = [[sum((left[i][t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(n)]
-                for i in range(n)]
-    return Matrix.from_rows(grid, cols=n)
+        grid = plain_product(left, right, n)
+    return grid
 
 
 def random_elimination_case(rg: random.Random) -> Matrix:
@@ -584,9 +593,40 @@ def sparse_row(v) -> dict:
     return {j: x for j, x in enumerate(v) if x}
 
 
-def dense_nonzero_rows(m: Matrix) -> tuple[dict, ...]:
-    """The nonzero entries of each row of ``m``, by a fresh scan of every entry."""
-    return tuple({j: m.at(i, j) for j in range(m.cols) if m.at(i, j) != 0} for i in range(m.rows))
+def dense_nonzero_rows(grid) -> tuple[dict, ...]:
+    """The nonzero entries of each row of a plain-list grid, by a scan of every entry."""
+    return tuple({j: x for j, x in enumerate(row) if x != 0} for row in grid)
+
+
+def stored_contract_violations(m: Matrix) -> list:
+    """Where ``m`` breaks the contract of the raw ``Matrix`` constructor: rows
+    as a tuple of dicts, keys in ``0..cols-1``, values nonzero Fractions."""
+    bad = [] if type(m.nonzero_rows) is tuple else [("rows", type(m.nonzero_rows))]
+    for i, row in enumerate(m.nonzero_rows):
+        if type(row) is not dict:
+            bad.append((i, type(row)))
+            continue
+        bad += [(i, j, x) for j, x in row.items()
+                if not (type(j) is int and 0 <= j < m.cols and type(x) is Fraction and x)]
+    return bad
+
+
+def plain_product(a, b, cols: int) -> list[list[Fraction]]:
+    """The product of plain-list grids ``a`` and ``b``, ``b`` with ``cols``
+    columns, summed over every entry."""
+    return [[sum((row[k] * b[k][j] for k in range(len(row))), Fraction(0)) for j in range(cols)]
+            for row in a]
+
+
+def plain_transpose(a, cols: int) -> list[list[Fraction]]:
+    """The transpose of a plain-list grid with ``cols`` columns."""
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def dense_form(basis, grid) -> list[list[Fraction]]:
+    """B G B^T for the dense basis vectors B and a plain-list Gram grid G."""
+    b = [list(v) for v in basis]
+    return plain_product(plain_product(b, grid, len(grid)), plain_transpose(b, len(grid)), len(b))
 
 
 def dense_span(n: int, vectors) -> Subspace:

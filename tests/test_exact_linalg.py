@@ -1,6 +1,7 @@
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,13 +21,25 @@ from metriclie.exact_linalg import (
     vec_is_zero,
     vector,
 )
-from metriclie.catalog import ENTRIES, g64, g65, heisenberg, instantiate
+from metriclie import schema
+from metriclie.catalog import (
+    ENTRIES,
+    MODULE_BUILDERS,
+    g64,
+    g65,
+    heisenberg,
+    instantiate,
+    module_for_tag,
+    run_catalog,
+)
+from metriclie.cochain_complex import differential_matrix
 from metriclie.double_construction import build_double
 from metriclie.lie_core import center, lower_central_series
 
 from support import (
     dense_bracket,
     dense_det,
+    dense_form,
     dense_intersect,
     dense_kernel,
     dense_nonzero_rows,
@@ -35,14 +48,19 @@ from support import (
     dense_solve_affine,
     dense_span,
     five_dim_three_step,
+    plain_product,
+    plain_transpose,
     random_cochain,
     random_elimination_case,
     random_square_case,
+    random_square_grid,
     random_symmetric_case,
+    random_symmetric_grid,
     rational,
     rng,
     scale_doubles,
     sparse_row,
+    stored_contract_violations,
 )
 
 fractions = st.fractions(
@@ -256,7 +274,7 @@ def test_elimination_edge_cases():
     empty = Matrix.from_rows([], cols=4)
     assert kernel_basis(empty) == [unit_vector(4, i) for i in range(4)]
     assert solve_affine(empty, ()) == ((Fraction(0),) * 4, kernel_basis(empty))
-    flat = Matrix(3, 0, ())
+    flat = Matrix.zero(3, 0)
     assert rank(flat) == 0 and kernel_basis(flat) == []
     assert solve_affine(flat, vector([0, 0, 0])) == ((), [])
     assert solve_affine(flat, vector([0, 1, 0])) is None
@@ -322,19 +340,19 @@ def test_subspace_coords_match_the_dense_reference():
 def test_subspace_form_matches_the_dense_products():
     rg = rng(7072)
     for _ in range(800):
-        _, g = random_symmetric_case(rg)
-        n = g.rows
+        _, grid = random_symmetric_grid(rg)
+        n = len(grid)
+        g = Matrix.from_rows(grid, cols=n)
         space = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
-        b = Matrix.from_rows(space.basis, cols=n)
         form = space.form(g)
-        assert form == b @ g @ b.transpose()
-        # the kept sparse rows: no stored zero, no entry missing
-        assert form.nonzero_rows == dense_nonzero_rows(form)
+        # the stored sparse rows: every entry of B G B^T, and no zero
+        assert form.cols == space.dim
+        assert form.nonzero_rows == dense_nonzero_rows(dense_form(space.basis, grid))
 
 
-def _dense_is_symmetric(m):
-    return m.rows == m.cols and all(
-        m.at(i, j) == m.at(j, i) for i in range(m.rows) for j in range(m.cols)
+def _grid_is_symmetric(grid, cols):
+    return len(grid) == cols and all(
+        grid[i][j] == grid[j][i] for i in range(cols) for j in range(cols)
     )
 
 
@@ -342,31 +360,32 @@ def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
     rg = rng(7073)
     half, other_half = Fraction(1, 2), Fraction(1, 2)
     assert half is not other_half
-    matrices = [
-        Matrix.from_rows([[0, half], [other_half, 0]]),  # equal values, distinct objects
-        Matrix.from_rows([[1, 2, 3], [2, 1, 0]]),  # not square
-        Matrix.zero(3, 0),
-        Matrix.zero(0, 3),
-        Matrix.zero(0, 0),
+    cases = [
+        ([[0, half], [other_half, 0]], 2),  # equal values, distinct objects
+        ([[1, 2, 3], [2, 1, 0]], 3),  # not square
     ]
     for _ in range(600):
-        _, g = random_symmetric_case(rg)
-        n = g.rows
-        copy = Matrix(n, n, tuple(Fraction(x.numerator, x.denominator) for x in g.entries))
-        matrices += [g, copy, random_square_case(rg)]
+        _, grid = random_symmetric_grid(rg)
+        n = len(grid)
+        copy = [[Fraction(x.numerator, x.denominator) for x in row] for row in grid]
+        square = random_square_grid(rg)
+        cases += [(grid, n), (copy, n), (square, len(square))]
         if n > 1:
             # one asymmetric entry in the last row
-            k = (n - 1) * n + rg.randrange(n - 1)
-            entries = g.entries[:k] + (g.entries[k] + 1,) + g.entries[k + 1 :]
-            matrices.append(Matrix(n, n, entries))
+            bumped = [list(row) for row in grid]
+            bumped[n - 1][rg.randrange(n - 1)] += 1
+            cases.append((bumped, n))
+    matrices = [(Matrix.from_rows(grid, cols=cols), grid, cols) for grid, cols in cases]
+    matrices += [(Matrix.zero(3, 0), [[], [], []], 0), (Matrix.zero(0, 3), [], 3)]
+    matrices.append((Matrix.zero(0, 0), [], 0))
     verdicts = {True: 0, False: 0}
-    for m in matrices:
-        expected = dense_nonzero_rows(m)
-        assert m.is_symmetric() == _dense_is_symmetric(m), m.to_rows()
-        assert m.nonzero_rows == expected and m.nonzero_rows is m.nonzero_rows
+    for m, grid, cols in matrices:
+        expected = dense_nonzero_rows(grid)
+        assert m.is_symmetric() == _grid_is_symmetric(grid, cols), grid
+        assert m.nonzero_rows == expected and m.cols == cols
         assert all(x for row in m.nonzero_rows for x in row.values())
         if m.rows == m.cols:
-            # the eliminations consume copies, never the cached rows
+            # the eliminations consume copies, never the stored rows
             rank(m)
             det(m)
             if m.is_symmetric():
@@ -374,7 +393,7 @@ def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
         assert m.nonzero_rows == expected
         verdicts[m.is_symmetric()] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 800
-    assert matrices[0].is_symmetric() and not matrices[1].is_symmetric()
+    assert matrices[0][0].is_symmetric() and not matrices[1][0].is_symmetric()
 
 
 def test_sparse_signature_and_det_match_the_dense_reference():
@@ -402,6 +421,91 @@ def test_signatures_of_the_catalog_doubles_match_the_dense_reference():
         assert signature_of(g) == dense_signature_of(g)
         for space in (center(metric.algebra), series[1]):
             gram = space.form(g)
-            b = Matrix.from_rows(space.basis, cols=g.cols)
-            assert gram == b @ g @ b.transpose()  # B G B^T by dense products
+            expected = dense_form(space.basis, g.to_rows())  # B G B^T by plain-list products
+            assert gram.cols == space.dim and gram.nonzero_rows == dense_nonzero_rows(expected)
             assert signature_of(gram) == dense_signature_of(gram)
+
+
+def _small_grid(rg, rows, cols):
+    """A plain-list grid of entries in {0, +-1, +-2, +-1/2}, so that sums and
+    products cancel often."""
+    density = rg.choice((0.0, 0.3, 0.6, 1.0))
+    values = [Fraction(x) for x in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))]
+    return [[rg.choice(values) if rg.random() < density else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_sparse_kernels_match_plain_list_references():
+    """Every operation on the stored sparse rows against a plain-list grid, on
+    square and rectangular matrices with 0 x n and n x 0 among them; each
+    result stores no zero and no column out of range."""
+    rg = rng(7075)
+    shapes, cancelled = set(), {"@": 0, "+": 0}
+    for _ in range(1500):
+        r, k, c = (rg.choice((0, 1, 2, 3, 4, 6)) for _ in range(3))
+        ga, gb = _small_grid(rg, r, k), _small_grid(rg, k, c)
+        # the second summand is often -a plus a little, so that sums cancel
+        gs = [[-x for x in row] for row in ga] if rg.random() < 0.5 else _small_grid(rg, r, k)
+        gs = [[x + y for x, y in zip(row, extra)] for row, extra in zip(gs, _small_grid(rg, r, k))]
+        a, b, s = Matrix.from_rows(ga, cols=k), Matrix.from_rows(gb, cols=c), Matrix.from_rows(gs, cols=k)
+        shapes.add((r == 0, k == 0, (r > k) - (r < k)))
+        # from_rows, to_rows and the raw constructor agree, and equal means equal hashes
+        assert a.to_rows() == ga and (a.rows, a.cols) == (r, k)
+        assert Matrix.from_rows(a.to_rows(), cols=k) == a
+        for rows in (dense_nonzero_rows(ga), [dict(reversed(row.items())) for row in dense_nonzero_rows(ga)]):
+            sparse = Matrix(k, tuple(rows))
+            assert sparse == a and hash(sparse) == hash(a)
+        if k:
+            assert Matrix.zero(r, k - 1) != Matrix.zero(r, k)
+        plain_sum = [[x + y for x, y in zip(row, other)] for row, other in zip(ga, gs)]
+        results = {
+            "@": (a @ b, plain_product(ga, gb, c), c),
+            "transpose": (a.transpose(), plain_transpose(ga, k), r),
+            "+": (a + s, plain_sum, k),
+            "-": (-a, [[-x for x in row] for row in ga], k),
+        }
+        for name, (m, grid, cols) in results.items():
+            assert stored_contract_violations(m) == [], name
+            assert m.cols == cols and m.nonzero_rows == dense_nonzero_rows(grid), name
+        cancelled["@"] += any(
+            not plain_product([ga[i]], [[gb[t][j]] for t in range(k)], 1)[0][0]
+            and sum(1 for t in range(k) if ga[i][t] and gb[t][j]) > 1
+            for i in range(r) for j in range(c)
+        )
+        cancelled["+"] += any(x and not x + y for row, other in zip(ga, gs) for x, y in zip(row, other))
+        v = tuple(_small_grid(rg, 1, k)[0])
+        assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in ga)
+        assert [a.column(j) for j in range(k)] == [tuple(row[j] for row in ga) for j in range(k)]
+        assert [a.row(i) for i in range(r)] == [tuple(row) for row in ga]
+    assert {(True, False, -1), (False, True, 1), (False, False, -1), (False, False, 1)} <= shapes
+    assert cancelled["@"] > 50 and cancelled["+"] > 50
+
+
+def test_every_matrix_the_package_builds_keeps_the_store_contract():
+    """``==`` and ``hash`` compare the stored maps, so every matrix must store
+    no zero and no column out of range: the Gram forms of the catalog and
+    scale doubles and their center and derived forms, the differentials of
+    the rejection study's algebra for every module tag, and every bundled
+    module form."""
+    matrices = {}
+    doubles = [g for g in run_catalog().doubles if g is not None]
+    for i, metric in enumerate([*doubles, *scale_doubles().values()]):
+        series = lower_central_series(metric.algebra)
+        matrices["gram %d" % i] = metric.gram
+        matrices["center %d" % i] = center(metric.algebra).form(metric.gram)
+        matrices["derived %d" % i] = series[1].form(metric.gram)
+    l = five_dim_three_step()
+    for tag in sorted(MODULE_BUILDERS):
+        matrices["module " + tag] = module_for_tag(tag).gram
+        for p in range(l.dim + 1):
+            matrices["d_%d %s" % (p, tag)] = differential_matrix(l, module_for_tag(tag), p)
+    for p in range(l.dim + 1):
+        matrices["d_%d scalar" % p] = differential_matrix(l, None, p)
+    data = Path(schema.__file__).resolve().parent / "data"
+    bundled = sorted(data.glob("modules/*.json")) + sorted(data.glob("doubles/*.json"))
+    for path in bundled:
+        kind, parsed = schema.loads_document(path.read_text())
+        matrices["bundled " + path.name] = parsed if kind == "module" else parsed.gram
+    assert len(doubles) == 95 and len(bundled) == 14
+    for name, m in matrices.items():
+        assert stored_contract_violations(m) == [], name
