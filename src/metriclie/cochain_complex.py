@@ -35,7 +35,6 @@ from .exact_linalg import (
     Vector,
     _reduce,
     det,
-    linear_combination,
     rank,
     unit_vector,
     vec_add,
@@ -165,17 +164,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return not self.values
 
-    def value_at(self, indices: Sequence[int]) -> Vector:
-        """Value on basis vectors in any order (alternating lookup)."""
-        sorted_sign = sort_with_sign(indices)
-        if sorted_sign is None:
-            return zero_vector(self.value_dim)
-        key, sign = sorted_sign
-        v = self.values.get(key)
-        if v is None:
-            return zero_vector(self.value_dim)
-        return v if sign == 1 else vec_scale(-1, v)
-
     def evaluate(self, args: Sequence[Vector]) -> Vector:
         """Multilinear evaluation on arbitrary coordinate vectors."""
         if len(args) != self.degree:
@@ -183,16 +171,13 @@ class Cochain:
         for a in args:
             if len(a) != self.n:
                 raise ValueError("argument does not live in the algebra")
-        # each stored value is weighted by the minor of the arguments on its key
-        coeffs = [
-            det(Matrix.from_rows([[args[c][r] for c in range(self.degree)] for r in key],
-                                 cols=self.degree))
-            if self.degree
-            else Fraction(1)
-            for key in self.values
-        ]
-        values = list(self.values.values())
-        return linear_combination(coeffs, values.__getitem__, self.value_dim)
+        # each value is weighted by the minor of the arguments on its key (1 in degree 0)
+        total = zero_vector(self.value_dim)
+        for key, v in self.values.items():
+            minor = det(Matrix.from_rows([[a[r] for a in args] for r in key], cols=self.degree))
+            if minor:
+                total = vec_add(total, vec_scale(minor, v))
+        return total
 
 
 def cochain_from_terms(
@@ -233,8 +218,8 @@ def _bracket_targets(l: LieAlgebra) -> dict[int, list[tuple[int, int, Fraction]]
     """For each e_t, the stored brackets [e_i, e_j] (i < j) with a nonzero
     e_t component x, as ``(i, j, x)``."""
     hits: dict[int, list[tuple[int, int, Fraction]]] = {}
-    for i, j, pairs in l._upper():
-        for t, x in pairs:
+    for i, j, p in l._upper():
+        for t, x in p.items():
             hits.setdefault(t, []).append((i, j, x))
     return hits
 
@@ -282,12 +267,22 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     for k1, u in c1.values.items():
         for k2, gv in right:
             sorted_sign = sort_with_sign(k1 + k2)
-            if sorted_sign is None:
-                continue
-            key, sign = sorted_sign
-            pairing = sum((x * y for x, y in zip(u, gv) if x), _ZERO)
-            sums[key] = sums.get(key, _ZERO) + (pairing if sign == 1 else -pairing)
+            if sorted_sign is not None:
+                _add_pairing(sums, *sorted_sign, u, gv)
     return Cochain(n, out_degree, 1, True, {key: (sums[key],) for key in sorted(sums)})
+
+
+def _add_pairing(sums: dict, key: tuple[int, ...], sign: int, u: Vector, v: Vector) -> None:
+    """sums[key] += sign * sum of u_t v_t, one nonzero product at a time; a key
+    whose sum vanishes is dropped, so no addition has a zero operand."""
+    for x, y in zip(u, v):
+        if x and y:
+            term = x * y if sign == 1 else -(x * y)
+            total = sums[key] + term if key in sums else term
+            if total:
+                sums[key] = total
+            else:
+                del sums[key]
 
 
 def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[int, ...], int]]:

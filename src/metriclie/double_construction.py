@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_linalg import Matrix, Signature, rank, signature_of
+from .exact_linalg import Matrix, Signature, _combine, rank, signature_of
 from .lie_core import (
     LieAlgebra,
     center,
@@ -103,8 +103,8 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
                     add(a_off + s, x_off + j, i, -x * c)
     # [X_i, X_k] = [e_i, e_k]_l; [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k
     for i in range(n):
-        for k, pairs in l.row(i).items():
-            for t, c in pairs:
+        for k, p in l.row(i).items():
+            for t, c in p.items():
                 if i < k:
                     add(x_off + i, x_off + k, x_off + t, c)
                 add(t, x_off + i, k, c)
@@ -161,21 +161,15 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     <e_j, [e_i, e_k]> does not vanish, or "" when the form is invariant.
 
     The form must be symmetric; only the stored brackets of each e_i and the
-    nonzero form entries are multiplied.
+    nonzero form entries are multiplied; a failing pair has a stored term.
     """
     n = g.algebra.dim
     support = g.gram.nonzero_rows  # {j: <e_j, e_t>} per t
     for i in range(n):
-        # pairing[j, k] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[k, j]
-        pairing: dict[tuple[int, int], Fraction] = {}
-        for k, pairs in g.algebra.row(i).items():
-            for t, c in pairs:
-                for j, x in support[t].items():
-                    key = (j, k)
-                    term = x * c
-                    pairing[key] = pairing[key] + term if key in pairing else term
-        for j, k in sorted({(min(key), max(key)) for key in pairing}):
-            if pairing.get((j, k), 0) + pairing.get((k, j), 0) != 0:
+        # pairing[k][j] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[j][k]
+        pairing = {k: _combine(p, support.__getitem__) for k, p in g.algebra.row(i).items()}
+        for j, k in sorted({(min(j, k), max(j, k)) for k, p in pairing.items() for j in p}):
+            if pairing.get(k, {}).get(j, 0) + pairing.get(j, {}).get(k, 0) != 0:
                 return "fails at triple %s" % g.algebra.named((i, j, k))
     return ""
 

@@ -1,15 +1,16 @@
 """Exact rational linear algebra primitives.
 
-Vectors are tuples of :class:`fractions.Fraction`.  A matrix stores only
-the nonzero entries of its rows, as ``{column: entry}`` maps; its dense
-rows, columns and entries are derived views.  Products, transposes and sums
-run over the stored entries, every restricted form is B G B^T through the
-one sparse product, and every elimination runs over copies of the sparse
-rows, eliminating a new pivot only from the pivot rows that can hold its
-column.  Row reduction returns the reduced row echelon form, which is
-unique for a given row space, so ranks, kernels, solution sets and the
-echelon basis of each :class:`Subspace` do not depend on the order in which
-rows are eliminated and are reproducible bit for bit.  The pivot order does
+Vectors are tuples of :class:`fractions.Fraction`.  The one sparse row
+format is the ``{column: nonzero entry}`` map: a matrix stores its rows so,
+and its dense rows and columns are derived views.  Every sum c_k * row_k of
+sparse rows outside the eliminations, the matrix product among them, goes
+through :func:`_combine`; every restricted form is B G B^T through that product, and
+every elimination runs over copies of the sparse rows, eliminating a new
+pivot only from the pivot rows that can hold its column.  Row reduction
+returns the reduced row echelon form, which is unique for a given row space,
+so ranks, kernels, solution sets and the echelon rows of each
+:class:`Subspace` do not depend on the order in which rows are eliminated
+and are reproducible bit for bit.  The pivot order does
 not matter for determinants and signatures either: the determinant is
 unique, and inertia is additive over Schur complements (Haynsworth 1968),
 so every sequence of nonzero pivots counts the same signature.  No floating
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Scalar = Fraction
 Vector = tuple[Fraction, ...]
@@ -65,24 +66,6 @@ def vec_scale(c: Fraction | int, v: Vector) -> Vector:
 
 def vec_is_zero(v: Vector) -> bool:
     return not any(v)
-
-
-def linear_combination(
-    coeffs: Iterable[Fraction] | dict[int, Fraction], term: Callable[[int], Vector], length: int
-) -> Vector:
-    """Sum of ``c_k * term(k)`` over the nonzero ``c_k``, as a vector of ``length``.
-
-    ``coeffs`` is a dense sequence or a sparse row ``{k: c_k}``.  ``term`` is
-    called only for nonzero coefficients, so contracting a bracket or a
-    cochain with a sparse vector touches only its support.
-    """
-    out = [_ZERO] * length
-    for k, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
-        if c:
-            for t, x in enumerate(term(k)):
-                if x:
-                    out[t] += c * x
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -139,9 +122,6 @@ class Matrix:
     def rows(self) -> int:
         return len(self.nonzero_rows)
 
-    def at(self, i: int, j: int) -> Fraction:
-        return self.nonzero_rows[i].get(j, _ZERO)
-
     def row(self, i: int) -> Vector:
         return _dense(self.nonzero_rows[i], self.cols)
 
@@ -158,28 +138,12 @@ class Matrix:
                 out[j][i] = x
         return Matrix(self.rows, tuple(out))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape mismatch")
-        out = [dict(row) for row in self.nonzero_rows]
-        for row, source in zip(out, other.nonzero_rows):
-            _axpy(row, _ONE, source, -1)
-        return Matrix(self.cols, tuple(out))
-
-    def __neg__(self) -> "Matrix":
-        return Matrix(self.cols, tuple([{j: -x for j, x in row.items()} for row in self.nonzero_rows]))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """The product, summed over the stored entries of both factors."""
         if self.cols != other.rows:
             raise ValueError("matrix product shape mismatch")
-        out = []
-        for row in self.nonzero_rows:
-            acc: dict[int, Fraction] = {}
-            for k, c in row.items():
-                _axpy(acc, c, other.nonzero_rows[k], -1)
-            out.append(acc)
-        return Matrix(other.cols, tuple(out))
+        return Matrix(other.cols, tuple([_combine(row, other.nonzero_rows.__getitem__)
+                                         for row in self.nonzero_rows]))
 
     def apply(self, v: Vector) -> Vector:
         """Matrix-vector product, over the stored entries that meet the support of ``v``."""
@@ -194,9 +158,6 @@ class Matrix:
     def is_symmetric(self) -> bool:
         # dict equality tries identity before Fraction.__eq__, so shared entries compare at C speed
         return self.rows == self.cols and self.transpose() == self
-
-    def is_zero(self) -> bool:
-        return not any(self.nonzero_rows)
 
 
 def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
@@ -247,6 +208,20 @@ def _axpy(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction],
                     target[j] = y
                 else:
                     del target[j]
+
+
+def _combine(
+    coeffs: Mapping[int, Fraction], row_of: Callable[[int], Mapping[int, Fraction] | None]
+) -> dict[int, Fraction]:
+    """The sum of c_k * row_of(k) over the sparse row ``coeffs`` {k: nonzero
+    c_k}, as a fresh sparse row without zeros.  ``row_of(k)`` is a sparse row, or
+    None for a zero one (so ``table.get`` serves); no input is modified."""
+    out: dict[int, Fraction] = {}
+    for k, c in coeffs.items():
+        row = row_of(k)
+        if row:
+            _axpy(out, c, row, -1)
+    return out
 
 
 def _sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
@@ -439,11 +414,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @cached_property
-    def basis(self) -> tuple[Vector, ...]:
-        """The rows as dense vectors of length ``ambient_dim``."""
-        return tuple([_dense(row, self.ambient_dim) for row in self.rows])
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:

@@ -1,12 +1,13 @@
 """Finite dimensional Lie algebras over the rationals.
 
 A Lie algebra stores its antisymmetric structure constants once, as sparse
-rows: ``[e_i, e_j]`` as its nonzero ``(t, c)`` pairs, in both orientations.
-The dense ``brackets`` and ``basis_bracket`` are views derived from them.
-``[e_i, w]``, the Jacobi check, the lower central series and the center touch
-only stored entries: the series computes ``[e_i, w]`` only for the ``e_i``
-that meet ``w``, and the Jacobi check visits only the triples with a term
-that can be nonzero.  The Jacobi identity is checked eagerly on
+rows: ``[e_i, e_j]`` as the ``{t: c}`` map of its nonzero coordinates, in
+both orientations.  The dense ``brackets`` and ``basis_bracket`` are views
+derived from them.  ``[e_i, w]`` is a sum of those rows through ``_combine``,
+and ``[x, y]`` a sum of the ``[e_i, y]``.  The Jacobi check, the series and
+the center touch only stored entries: the series computes ``[e_i, w]`` only
+for the ``e_i`` that meet ``w``, and the Jacobi check visits only the
+triples with a term that can be nonzero.  The Jacobi identity is checked eagerly on
 construction; a constructor flag disables the check so that tests can build
 deliberately broken tables.
 
@@ -20,9 +21,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact_linalg import Subspace, Vector, _dense, linear_combination, vector
+from .exact_linalg import Subspace, Vector, _axpy, _combine, _dense, vector
 
-_NO_BRACKETS: Mapping[int, tuple[tuple[int, Fraction], ...]] = MappingProxyType({})
+_EMPTY: Mapping = MappingProxyType({})  # no stored bracket: an empty row, or no rows
 _Bracket = Sequence[int | str | Fraction] | Mapping[int, int | str | Fraction]
 
 
@@ -50,9 +51,10 @@ class LieAlgebra:
     """A Lie algebra given by sparse antisymmetric structure constants.
 
     The one store: ``_rows[i]`` maps each ``j`` with a nonzero [e_i, e_j] to
-    its nonzero ``(t, c)`` pairs (c the e_t coordinate), sorted by t, in both
-    orientations.  ``brackets[(i, j)]``, i < j, may be given as a dense
-    sequence of ``dim`` coordinates or as a sparse map ``{t: c}``.  Instances
+    its sparse row ``{t: c}`` (c the nonzero e_t coordinate), in both
+    orientations; the rows are shared, and nothing may modify them.
+    ``brackets[(i, j)]``, i < j, may be given as a dense sequence of ``dim``
+    coordinates or as a sparse map ``{t: c}``.  Instances
     are immutable, and storage grows with the brackets, not with ``dim``:
     only indices with a stored bracket have a row, and default labels are
     made on demand.
@@ -73,7 +75,7 @@ class LieAlgebra:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("expected %d labels, got %d" % (dim, len(labels)))
-        rows: dict[int, dict[int, tuple[tuple[int, Fraction], ...]]] = {}
+        rows: dict[int, dict[int, dict[int, Fraction]]] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
@@ -86,10 +88,10 @@ class LieAlgebra:
                 if len(v) != dim:
                     raise ValueError("bracket value for (%d, %d) has wrong length" % (i, j))
                 entries = enumerate(v)
-            pairs = tuple([(t, c) for t, c in entries if c])
-            if pairs:
-                rows.setdefault(i, {})[j] = pairs
-                rows.setdefault(j, {})[i] = tuple([(t, -c) for t, c in pairs])
+            row = {t: c for t, c in entries if c}
+            if row:
+                rows.setdefault(i, {})[j] = row
+                rows.setdefault(j, {})[i] = {t: -c for t, c in row.items()}
         self._dim = dim
         self._labels = labels
         self._rows = rows
@@ -112,10 +114,10 @@ class LieAlgebra:
     @property
     def brackets(self) -> Mapping[tuple[int, int], Vector]:
         """The nonzero [e_i, e_j], i < j, as dense vectors (a read-only view)."""
-        return MappingProxyType({(i, j): _dense(dict(p), self._dim) for i, j, p in self._upper()})
+        return MappingProxyType({(i, j): _dense(p, self._dim) for i, j, p in self._upper()})
 
-    def _upper(self) -> Iterator[tuple[int, int, tuple[tuple[int, Fraction], ...]]]:
-        """The stored brackets [e_i, e_j] with i < j, as ``(i, j, pairs)``."""
+    def _upper(self) -> Iterator[tuple[int, int, dict[int, Fraction]]]:
+        """The stored brackets [e_i, e_j] with i < j, as ``(i, j, row)``."""
         return ((i, j, p) for i, row in self._rows.items() for j, p in row.items() if i < j)
 
     def __eq__(self, other: object) -> bool:
@@ -125,7 +127,8 @@ class LieAlgebra:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self._dim, self.labels, frozenset(self._upper())))
+            upper = frozenset((i, j, frozenset(p.items())) for i, j, p in self._upper())
+            self._hash = hash((self._dim, self.labels, upper))
         return self._hash
 
     def __repr__(self) -> str:
@@ -138,17 +141,12 @@ class LieAlgebra:
 
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[e_i, e_j] for arbitrary basis indices, as a dense vector read off the rows."""
-        return _dense(dict(self._rows.get(i, _NO_BRACKETS).get(j, ())), self._dim)
+        return _dense(self._rows.get(i, _EMPTY).get(j, _EMPTY), self._dim)
 
-    def row(self, i: int) -> Mapping[int, tuple[tuple[int, Fraction], ...]]:
-        """The nonzero brackets [e_i, e_j] of e_i as their nonzero ``(t, c)``
-        pairs (c the e_t coordinate), keyed by j (read-only)."""
-        return MappingProxyType(self._rows.get(i, _NO_BRACKETS))
-
-    def ad(self, i: int, w: Vector) -> Vector:
-        """[e_i, w] as a dense vector: a view over :meth:`ad_rows`."""
-        (image,) = self.ad_rows((i,), ({j: x for j, x in enumerate(w) if x},))
-        return _dense(image, self._dim)
+    def row(self, i: int) -> Mapping[int, dict[int, Fraction]]:
+        """The nonzero brackets [e_i, e_j] of e_i as sparse rows ``{t: c}``
+        (c the e_t coordinate), keyed by j: a read-only view of shared rows."""
+        return MappingProxyType(self._rows.get(i, _EMPTY))
 
     def ad_rows(
         self, indices: Iterable[int], ws: Sequence[Mapping[int, Fraction]]
@@ -157,14 +155,9 @@ class LieAlgebra:
         entry}`` in ``ws`` (only read), as fresh sparse rows, each summed over
         the stored brackets [e_i, e_j] on the support of w only."""
         for i in indices:
-            row = self._rows.get(i, _NO_BRACKETS)
+            row = self._rows.get(i, _EMPTY)
             for w in ws:
-                image: dict[int, Fraction] = {}
-                for j, x in w.items():
-                    for t, c in row.get(j, ()):
-                        term = x * c
-                        image[t] = image[t] + term if t in image else term
-                yield {t: y for t, y in image.items() if y}
+                yield _combine(w, row.get)
 
 
 def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
@@ -172,10 +165,13 @@ def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
 
 
 def bracket(l: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the structure constants: the sum of x_i [e_i, y]."""
+    """Bilinear extension of the structure constants: the sum of x_i [e_i, y]
+    over the support of x, each [e_i, y] from :meth:`LieAlgebra.ad_rows`."""
     if len(x) != l.dim or len(y) != l.dim:
         raise ValueError("argument does not live in the algebra")
-    return linear_combination(x, lambda i: l.ad(i, y), l.dim)
+    xs = {i: c for i, c in enumerate(x) if c}
+    images = dict(zip(xs, l.ad_rows(xs, ({j: c for j, c in enumerate(y) if c},))))
+    return _dense(_combine(xs, images.__getitem__), l.dim)
 
 
 def validate_jacobi(l: LieAlgebra) -> JacobiReport:
@@ -184,14 +180,15 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     Only triples with a term [e_a, [e_b, e_c]] that can be nonzero are
     visited: [e_b, e_c] is stored and e_a has a stored bracket with some e_t
     in its support.  The others have zero defect, so an abelian algebra, or
-    a 2-step one, visits none.  Each term is summed over the stored entries.
+    a 2-step one, visits none.  The terms are summed over the stored entries
+    into one sparse defect row.
     """
     n, stored = l.dim, l._rows
     triples = sorted(
         {
             (a, b, c) if a < b else (b, a, c) if a < c else (b, c, a)
-            for b, c, pairs in l._upper()
-            for t, _ in pairs
+            for b, c, p in l._upper()
+            for t in p
             for a in stored.get(t, ())
             if a != b and a != c
         }
@@ -201,12 +198,11 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
         # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
         defect: dict[int, Fraction] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            row_a = stored.get(a, _NO_BRACKETS)
-            for t, x in stored.get(b, _NO_BRACKETS).get(c, ()):
-                for u, y in row_a.get(t, ()):
-                    term = x * y
-                    defect[u] = defect[u] + term if u in defect else term
-        if any(defect.values()):
+            row_a = stored.get(a, _EMPTY)
+            for t, x in stored.get(b, _EMPTY).get(c, _EMPTY).items():
+                if t in row_a:
+                    _axpy(defect, x, row_a[t], -1)
+        if defect:
             return JacobiReport(ok=False, triple=outer, defect=_dense(defect, n))
     return JacobiReport(ok=True)
 
@@ -264,8 +260,8 @@ def _center(l: LieAlgebra) -> Subspace:
     # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
     rows: dict[tuple[int, int], dict[int, Fraction]] = {}
     for i, brackets in sorted(l._rows.items()):
-        for j, pairs in brackets.items():
-            for t, c in pairs:
+        for j, p in brackets.items():
+            for t, c in p.items():
                 rows.setdefault((i, t), {})[j] = c
     return Subspace.kernel(l.dim, rows.values())
 
@@ -294,7 +290,7 @@ def filtration_spaces(l: LieAlgebra) -> list[Subspace]:
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
     """Direct sum of Lie algebras; labels are prefixed to stay unique."""
     n1 = l1.dim
-    table = {(i, j): dict(p) for i, j, p in l1._upper()}
-    table.update(((i + n1, j + n1), {t + n1: c for t, c in p}) for i, j, p in l2._upper())
+    table = {(i, j): p for i, j, p in l1._upper()}
+    table.update(((i + n1, j + n1), {t + n1: c for t, c in p.items()}) for i, j, p in l2._upper())
     labels = tuple("1.%s" % s for s in l1.labels) + tuple("2.%s" % s for s in l2.labels)
     return LieAlgebra(n1 + l2.dim, table, labels=labels, validate=False)

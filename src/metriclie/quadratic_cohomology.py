@@ -32,11 +32,12 @@ from typing import NamedTuple
 from .cochain_complex import (
     Cochain,
     OrthogonalModule,
+    _add_pairing,
     differential,
     sort_with_sign,
     wedge_pair,
 )
-from .exact_linalg import Subspace, Vector, _axpy, _dense, _kernel, _reduce, linear_combination
+from .exact_linalg import Subspace, Vector, _combine, _dense, _kernel, _reduce
 from .lie_core import LieAlgebra, MathError, filtration_spaces, lower_central_series
 
 _ZERO = Fraction(0)
@@ -70,9 +71,7 @@ def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
         gu = module.gram.apply(u)
         for k2, s2, v in stored[a + 1 :]:
             if s1.isdisjoint(s2):
-                key, sign = sort_with_sign(k1 + k2)
-                pairing = sum((x * y for x, y in zip(v, gu) if x), _ZERO)
-                sums[key] = sums.get(key, _ZERO) + (pairing if sign == 1 else -pairing)
+                _add_pairing(sums, *sort_with_sign(k1 + k2), v, gu)
     return Cochain(alpha.n, 2 * p, 1, True, {key: (sums[key],) for key in sorted(sums)})
 
 
@@ -225,10 +224,12 @@ def _stage_report(
     k: int,
     stage: Subspace,
     series_term: Subspace,
+    alpha_at: dict[int, dict[int, dict[int, Fraction]]],
     gamma_at: dict[int, dict[int, dict[int, Fraction]]],
 ) -> ConditionKReport:
     """(A_k) and (B_k) in one pass over the tensor basis e_i (x) w_j of
-    l (x) l^(k+1), reading [e_i, w_j] and alpha(e_i, w_j) once each.
+    l (x) l^(k+1), reading [e_i, w_j] and alpha(e_i, w_j) once each; every
+    contraction is a sum of sparse rows through :func:`_combine`.
 
     (A_k): any L0 in the stage admitting compatible (A0, Z0) must be zero.
     The constraints are linear in (L0, A0, Z0) jointly, so the condition
@@ -241,35 +242,28 @@ def _stage_report(
     l, module = z.algebra, z.module
     n, m = l.dim, module.dim
     d0, d1 = stage.dim, series_term.dim
+    gram_rows = module.gram.nonzero_rows  # also its columns: the form is symmetric
     a_rows: list[dict[int, Fraction]] = []
     # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
     pairing: dict[int, dict[int, Fraction]] = {}
-    alpha_on_tensor: list[Vector] = []
+    alpha_on_tensor: list[dict[int, Fraction]] = []
     for i in range(n):
-        def alpha_i(t: int) -> Vector:
-            return z.alpha.value_at((i, t))
-
+        alpha_i, gamma_i = alpha_at.get(i, {}), gamma_at.get(i, {})
         # alpha(e_i, L0) = 0, one row per module coordinate
-        alpha_on_stage = [linear_combination(b, alpha_i, m) for b in stage.rows]
-        a_rows += ({u: a[t] for u, a in enumerate(alpha_on_stage) if a[t]} for t in range(m))
+        alpha_on_stage = [_combine(b, alpha_i.get) for b in stage.rows]
+        a_rows += ({u: a[t] for u, a in enumerate(alpha_on_stage) if t in a} for t in range(m))
         # gamma(e_i, b_u, .) for the stage rows b_u with a nonzero one
-        gamma_i, gamma_stage = gamma_at.get(i, {}), []
-        for u, b in enumerate(stage.rows):
-            gb: dict[int, Fraction] = {}
-            for s, x in b.items():
-                _axpy(gb, x, gamma_i.get(s, {}), -1)  # -1: no column skipped
-            if gb:
-                gamma_stage.append((u, gb))
+        gamma_stage = [(u, gb) for u, gb in enumerate(_combine(b, gamma_i.get) for b in stage.rows)
+                       if gb]
         # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
         images = l.ad_rows((i,), series_term.rows)
         for j, (w, image) in enumerate(zip(series_term.rows, images)):
-            alpha_iw = linear_combination(w, alpha_i, m)
+            alpha_iw = _combine(w, alpha_i.get)
             alpha_on_tensor.append(alpha_iw)
             gamma_iw = ((u, sum((x * gb[t] for t, x in w.items() if t in gb), _ZERO))
                         for u, gb in gamma_stage)
             row = {u: y for u, y in gamma_iw if y}
-            g_alpha = module.gram.apply(alpha_iw)
-            row.update((d0 + t, y) for t, y in enumerate(g_alpha) if y)
+            row.update((d0 + t, y) for t, y in _combine(alpha_iw, gram_rows.__getitem__).items())
             if image:
                 coords = series_term.coords(image)
                 if coords is None:
@@ -280,14 +274,14 @@ def _stage_report(
             a_rows.append(row)
     unknowns = d0 + m + d1
     a_kernel = _kernel(_reduce(a_rows), unknowns)
-    head = next((_dense(v, unknowns) for v in a_kernel if min(v) < d0), None)
+    v = next((v for v in a_kernel if min(v) < d0), None)
     a_witness = None
-    if head is not None:
-        l0 = linear_combination(head[:d0], stage.basis.__getitem__, n)
-        a_witness = (l0, head[d0 : d0 + m], head[d0 + m :])
+    if v is not None:
+        l0 = _combine({u: x for u, x in v.items() if u < d0}, stage.rows.__getitem__)
+        head = _dense(v, unknowns)
+        a_witness = (_dense(l0, n), head[d0 : d0 + m], head[d0 + m :])
     kernel = _kernel(_reduce(pairing.values()), n * d1)
-    images = [linear_combination(vec, alpha_on_tensor.__getitem__, m) for vec in kernel]
-    image = Subspace.span(m, images)
+    image = Subspace.of_rows(m, [_combine(vec, alpha_on_tensor.__getitem__) for vec in kernel])
     b_passed = image.is_nondegenerate(module.gram)
     b_witness = None
     if not b_passed:  # each kernel tensor as its n x d1 coefficient matrix
@@ -304,6 +298,11 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     A non-nilpotent algebra raises NotNilpotentError from the filtration.
     """
     stages, series = filtration_spaces(z.algebra), lower_central_series(z.algebra)
+    # alpha(e_i, e_s) as the sparse row alpha_at[i][s], each stored key both ways
+    alpha_at: dict[int, dict[int, dict[int, Fraction]]] = {}
+    for (a, b), v in z.alpha.values.items():
+        alpha_at.setdefault(a, {})[b] = {t: x for t, x in enumerate(v) if x}
+        alpha_at.setdefault(b, {})[a] = {t: -x for t, x in enumerate(v) if x}
     # gamma(e_i, e_s, e_t) as gamma_at[i][s][t], each stored key in its six orientations
     gamma_at: dict[int, dict[int, dict[int, Fraction]]] = {}
     for (a, b, c), (v,) in z.gamma.values.items():
@@ -311,7 +310,7 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
                            (a, c, b, -v), (b, a, c, -v), (c, b, a, -v)):
             gamma_at.setdefault(i, {}).setdefault(s, {})[t] = y
     conditions = tuple(
-        _stage_report(z, k, stage, series[k], gamma_at)  # series[k] = l^(k+1)
+        _stage_report(z, k, stage, series[k], alpha_at, gamma_at)  # series[k] = l^(k+1)
         for k, stage in enumerate(stages)
     )
     return AdmissibilityReport(

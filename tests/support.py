@@ -35,7 +35,6 @@ from metriclie.exact_linalg import (
     _kernel,
     _reduce,
     kernel_basis,
-    linear_combination,
     solve_affine,
     unit_vector,
     vec_add,
@@ -213,7 +212,7 @@ def _cochain_from_vector(
 def _random_span_element(rg: random.Random, basis, length: int):
     # One draw per basis vector, in order; only nonzero entries are summed.
     coeffs = [rational(rg) for _ in basis]
-    return linear_combination(coeffs, basis.__getitem__, length)
+    return dense_combination(coeffs, basis.__getitem__, length)
 
 
 def random_valid_cocycle(
@@ -276,6 +275,33 @@ def catalog_pairs() -> list[tuple[str, LieAlgebra, OrthogonalModule | None]]:
 # ---------------------------------------------------------------------------
 
 
+def dense_combination(coeffs, term, length: int) -> tuple[Fraction, ...]:
+    """The sum of c_k * term(k) over the nonzero c_k of a dense sequence or a
+    sparse row ``{k: c_k}``, as a dense vector of ``length``."""
+    out = [Fraction(0)] * length
+    for k, c in coeffs.items() if isinstance(coeffs, dict) else enumerate(coeffs):
+        if c:
+            for t, x in enumerate(term(k)):
+                if x:
+                    out[t] += c * x
+    return tuple(out)
+
+
+def alternating_value(c: Cochain, indices) -> tuple[Fraction, ...]:
+    """The value of ``c`` on basis vectors in any order, by sorting them."""
+    key = tuple(sorted(indices))
+    v = c.values.get(key) if len(set(key)) == len(key) else None
+    if v is None:
+        return (Fraction(0),) * c.value_dim
+    inversions = sum(a > b for a, b in combinations(indices, 2))
+    return v if inversions % 2 == 0 else _neg(v)
+
+
+def dense_ad(l: LieAlgebra, i: int, w) -> tuple[Fraction, ...]:
+    """[e_i, w] from :func:`dense_bracket`."""
+    return dense_bracket(l, unit_vector(l.dim, i), w)
+
+
 def dense_bracket(l: LieAlgebra, x, y) -> tuple[Fraction, ...]:
     """[x, y] summed over every stored bracket, c_ij = x_i y_j - x_j y_i."""
     out = (Fraction(0),) * l.dim
@@ -296,7 +322,7 @@ def dense_differential(l: LieAlgebra, c: Cochain) -> Cochain:
             for b in range(a + 1, out_degree):
                 w = l.basis_bracket(key[a], key[b])
                 rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
-                term = linear_combination(w, lambda k: c.value_at((k,) + rest), c.value_dim)
+                term = dense_combination(w, lambda k: alternating_value(c, (k,) + rest), c.value_dim)
                 if (a + b) % 2:
                     term = _neg(term)
                 total = vec_add(total, term)
@@ -307,7 +333,7 @@ def dense_differential(l: LieAlgebra, c: Cochain) -> Cochain:
 
 def dense_pairing(gram: Matrix, u, v) -> Fraction:
     """<u, v> summed over every entry of the Gram matrix."""
-    entries = (u[i] * gram.at(i, j) * v[j] for i in range(len(u)) for j in range(len(v)))
+    entries = (u[i] * gram.row(i)[j] * v[j] for i in range(len(u)) for j in range(len(v)))
     return sum(entries, Fraction(0))
 
 
@@ -361,7 +387,7 @@ def dense_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -reduced.at(r, f)
+            v[p] = -reduced.row(r)[f]
         basis.append(tuple(v))
     return basis
 
@@ -375,7 +401,7 @@ def dense_solve_affine(a: Matrix, b) -> tuple[tuple[Fraction, ...], list] | None
         return None
     particular = [Fraction(0)] * a.cols
     for r, p in enumerate(pivots):
-        particular[p] = reduced.at(r, a.cols)
+        particular[p] = reduced.row(r)[a.cols]
     return tuple(particular), dense_kernel(a)
 
 
@@ -643,20 +669,36 @@ def rows_snapshot(*spaces: Subspace):
     return lambda: [list(space.rows) for space in spaces] == before
 
 
+def dense_basis(space: Subspace) -> tuple[tuple[Fraction, ...], ...]:
+    """The echelon rows of ``space`` as dense vectors of its ambient length."""
+    return tuple(_dense(row, space.ambient_dim) for row in space.rows)
+
+
+def shared_rows_snapshot(l: LieAlgebra, gram: Matrix):
+    """Copy the bracket rows of ``l`` and the rows of ``gram`` now; the
+    returned check says whether both still hold exactly those entries."""
+    def copy():
+        rows = {i: {j: dict(p) for j, p in l.row(i).items()} for i in range(l.dim)}
+        return rows, [dict(row) for row in gram.nonzero_rows]
+
+    before = copy()
+    return lambda: copy() == before
+
+
 def dense_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """The intersection from the kernel of [B^T | -C^T], B and C the bases."""
     if s1.ambient_dim != s2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if s1.dim == 0 or s2.dim == 0:
         return Subspace(s1.ambient_dim, ())
-    n = s1.ambient_dim
+    n, b1, b2 = s1.ambient_dim, dense_basis(s1), dense_basis(s2)
     entries = []
     for i in range(n):
-        row = [s1.basis[u][i] for u in range(s1.dim)]
-        row += [-s2.basis[w][i] for w in range(s2.dim)]
+        row = [b1[u][i] for u in range(s1.dim)]
+        row += [-b2[w][i] for w in range(s2.dim)]
         entries.append(row)
     ker = dense_kernel(Matrix.from_rows(entries, cols=s1.dim + s2.dim))
-    vectors = [linear_combination(k[: s1.dim], s1.basis.__getitem__, n) for k in ker]
+    vectors = [dense_combination(k[: s1.dim], b1.__getitem__, n) for k in ker]
     return dense_span(n, vectors)
 
 
@@ -666,26 +708,27 @@ def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspa
     n, m = l.dim, module.dim
     d0 = stage.dim
     d1 = series_term.dim
+    stage_basis, series_basis = dense_basis(stage), dense_basis(series_term)
     if d0 == 0:
         return True, None
     rows = []
     for i in range(n):
         # alpha(e_i, L0) = 0, one scalar row per module coordinate
         alpha_cols = [
-            linear_combination(b, lambda t: z.alpha.value_at((i, t)), m) for b in stage.basis
+            dense_combination(b, lambda t: alternating_value(z.alpha, (i, t)), m) for b in stage_basis
         ]
         for t in range(m):
             rows.append([alpha_cols[u][t] for u in range(d0)] + [Fraction(0)] * (m + d1))
         # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
-        for w in series_term.basis:
-            gamma_iw = linear_combination(
-                w, lambda t: tuple(z.gamma.value_at((i, s, t))[0] for s in range(n)), n
+        for w in series_basis:
+            gamma_iw = dense_combination(
+                w, lambda t: tuple(alternating_value(z.gamma, (i, s, t))[0] for s in range(n)), n
             )
             support = [(s, y) for s, y in enumerate(gamma_iw) if y]
-            row = [sum((b[s] * y for s, y in support), Fraction(0)) for b in stage.basis]
-            alpha_iw = linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
+            row = [sum((b[s] * y for s, y in support), Fraction(0)) for b in stage_basis]
+            alpha_iw = dense_combination(w, lambda t: alternating_value(z.alpha, (i, t)), m)
             row += list(module.gram.apply(alpha_iw))
-            coords = series_term.coords(sparse_row(l.ad(i, w)))
+            coords = series_term.coords(sparse_row(dense_ad(l, i, w)))
             if coords is None:
                 raise ConsistencyError("bracket left the series term, series data corrupt")
             row += [-coords[t] for t in range(d1)]
@@ -693,7 +736,7 @@ def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspa
     for vec in kernel_basis(Matrix.from_rows(rows, cols=d0 + m + d1)):
         head = vec[:d0]
         if not vec_is_zero(head):
-            l0 = linear_combination(head, stage.basis.__getitem__, n)
+            l0 = dense_combination(head, stage_basis.__getitem__, n)
             return False, (l0, vec[d0 : d0 + m], vec[d0 + m :])
     return True, None
 
@@ -703,20 +746,21 @@ def _dense_condition_b(z: QuadraticCocycle, series_term: Subspace):
     l, module = z.algebra, z.module
     n, m = l.dim, module.dim
     d1 = series_term.dim
+    series_basis = dense_basis(series_term)
     rows = {}
     for i in range(n):
-        for j, w in enumerate(series_term.basis):
-            for t, x in enumerate(l.ad(i, w)):
+        for j, w in enumerate(series_basis):
+            for t, x in enumerate(dense_ad(l, i, w)):
                 if x:
                     rows.setdefault(t, {})[i * d1 + j] = x
     kernel = _kernel(_reduce(rows.values()), n * d1)
     alpha_on_tensor = [
-        linear_combination(w, lambda t: z.alpha.value_at((i, t)), m)
+        dense_combination(w, lambda t: alternating_value(z.alpha, (i, t)), m)
         for i in range(n)
-        for w in series_term.basis
+        for w in series_basis
     ]
     images = [
-        linear_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
+        dense_combination(vec.values(), [alpha_on_tensor[u] for u in vec].__getitem__, m)
         for vec in kernel
     ]
     # the echelon basis B of the image and the rank of B G B^T, all dense

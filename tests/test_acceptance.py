@@ -174,7 +174,7 @@ def test_criterion_5_differential_suite():
                     dd = differential(algebra, differential(algebra, c))
                     assert dd.is_zero(), name
         assert pinned_expansion_failures() == []
-        assert differential_matrix(g41(), None, 3).is_zero()
+        assert not any(differential_matrix(g41(), None, 3).nonzero_rows)
 
 
 def test_criterion_6_group_action_suite():

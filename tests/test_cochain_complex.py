@@ -63,9 +63,7 @@ def gamma0(n=4):
 def test_cochain_normalizes_index_order():
     c = cochain_from_terms(4, 2, 1, [((2, 0), (Fraction(5),))], scalar=True)
     assert c.values == {(0, 2): (Fraction(-5),)}
-    assert c.value_at((2, 0)) == (Fraction(5),)
-    assert c.value_at((0, 2)) == (Fraction(-5),)
-    assert c.value_at((1, 1)) == (Fraction(0),)
+    assert cochain_from_terms(4, 2, 1, [((2, 0), (5,)), ((0, 2), (5,))], scalar=True).is_zero()
 
 
 def test_cochain_from_terms_rejects_a_repeated_index():
@@ -102,7 +100,7 @@ def test_pinned_differential_expansions():
 
 
 def test_every_3_cochain_on_g41_is_closed():
-    assert differential_matrix(g41(), None, 3).is_zero()
+    assert not any(differential_matrix(g41(), None, 3).nonzero_rows)
 
 
 def test_wedge_square_of_split_cocycle_vanishes():
@@ -119,7 +117,7 @@ def test_wedge_square_euclidean_counterexample():
         [((0, 1), (Fraction(1),)), ((2, 3), (Fraction(1),))],
     )
     square = wedge_pair(module, alpha, alpha)
-    assert square.value_at((0, 1, 2, 3)) == (Fraction(2),)
+    assert square.values == {(0, 1, 2, 3): (Fraction(2),)}
 
 
 def test_wedge_square_shuffle_expansion():

@@ -27,7 +27,14 @@ from metriclie.exact_linalg import Matrix, Signature, signature_of, unit_vector
 from metriclie.lie_core import LieAlgebra, abelian, bracket
 from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 
-from support import dense_nonzero_rows, dense_pairing, rational, rng, scale_doubles
+from support import (
+    alternating_value,
+    dense_nonzero_rows,
+    dense_pairing,
+    rational,
+    rng,
+    scale_doubles,
+)
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
 
@@ -60,8 +67,8 @@ def test_coadjoint_matrix_on_g41():
     )
     assert coadjoint_block(g41(), 0) == expected
     for i in range(3):
-        assert coadjoint_block(heisenberg(), i).transpose() == -(
-            Matrix.from_rows([ad_row(heisenberg(), i, k) for k in range(3)])
+        assert coadjoint_block(heisenberg(), i).transpose() == Matrix.from_rows(
+            [[-x for x in ad_row(heisenberg(), i, k)] for k in range(3)]
         )
 
 
@@ -79,7 +86,7 @@ def docstring_pairing(z, a, b):
     """<e_a, e_b> in the double of z: <A1, A2>_a + Z1(L2) + Z2(L1)."""
     (pa, i), (pb, j) = part(z, a), part(z, b)
     if (pa, pb) == ("a", "a"):
-        return z.module.gram.at(i, j)
+        return z.module.gram.row(i)[j]
     dual = {pa, pb} == {"sigma", "x"} and i == j  # Z(L) with Z = sigma^i, L = X_i
     return Fraction(1) if dual else Fraction(0)
 
@@ -99,8 +106,8 @@ def docstring_bracket(z, a, b):
     sigma, a_part, x_part = [Fraction(0)] * n, [Fraction(0)] * m, [Fraction(0)] * n
     if (pa, pb) == ("x", "x"):
         # [L1, L2] = gamma(L1, L2, .) + alpha(L1, L2) + [L1, L2]_l
-        sigma = [z.gamma.value_at((i, j, k))[0] for k in range(n)]
-        a_part = list(z.alpha.value_at((i, j)))
+        sigma = [alternating_value(z.gamma, (i, j, k))[0] for k in range(n)]
+        a_part = list(alternating_value(z.alpha, (i, j)))
         x_part = list(bracket(l, e[i], e[j]))
     elif (pa, pb) == ("sigma", "x"):
         # [Z, L] = -ad*(L)(Z), and (ad*(L) Z)(L') = -Z([L, L'])
@@ -108,7 +115,7 @@ def docstring_bracket(z, a, b):
     elif (pa, pb) == ("a", "x"):
         # [A, L] = <A, alpha(L, .)>
         sigma = [
-            dense_pairing(module.gram, unit_vector(m, i), z.alpha.value_at((j, k)))
+            dense_pairing(module.gram, unit_vector(m, i), alternating_value(z.alpha, (j, k)))
             for k in range(n)
         ]
     return tuple(sigma + a_part + x_part)
@@ -123,7 +130,7 @@ def test_every_catalog_double_matches_the_docstring_formulas():
             for b in range(a + 1, g.algebra.dim):
                 assert g.algebra.basis_bracket(a, b) == docstring_bracket(g.provenance, a, b)
         grid = docstring_gram(g.provenance)
-        assert [[g.gram.at(a, b) for b in range(len(grid))] for a in range(len(grid))] == grid
+        assert g.gram.to_rows() == grid
         assert g.gram.nonzero_rows == dense_nonzero_rows(grid) and g.gram.cols == len(grid)
 
 
@@ -268,18 +275,19 @@ def test_dual_block_is_isotropic_abelian_ideal():
     g = entry_double("T1.3a.r01.g1")
     n = g.provenance.algebra.dim
     m = g.provenance.module.dim
+    grid = g.gram.to_rows()
     for i in range(n):
         for j in range(n):
-            assert g.gram.at(i, j) == 0
+            assert grid[i][j] == 0
     for i in range(n + m):
         for j in range(i + 1, n + m):
             assert g.algebra.basis_bracket(i, j) == tuple([Fraction(0)] * g.algebra.dim)
     # pairing blocks: identity against the original basis, module gram inside
     for i in range(n):
-        assert g.gram.at(i, n + m + i) == 1
+        assert grid[i][n + m + i] == 1
     for s in range(m):
         for t in range(m):
-            assert g.gram.at(n + s, n + t) == g.provenance.module.gram.at(s, t)
+            assert grid[n + s][n + t] == g.provenance.module.gram.row(s)[t]
 
 
 def test_double_matches_hand_built_heisenberg_extension():

@@ -33,6 +33,8 @@ from metriclie.lie_core import (
 
 from support import (
     catalog_algebras,
+    dense_ad,
+    dense_basis,
     dense_bracket,
     dense_intersect,
     dense_kernel,
@@ -125,8 +127,10 @@ def test_zero_and_cancelling_entries_are_not_stored():
         },
         validate=False,
     )
-    assert dict(l.row(0)) == {1: ((2, 1),)}
-    assert dict(l.row(2)) == {3: ((0, third),)}
+    # each stored bracket is a {t: c} row, kept in both orientations
+    assert dict(l.row(0)) == {1: {2: 1}} and dict(l.row(1)) == {0: {2: -1}}
+    assert dict(l.row(2)) == {3: {0: third}} and dict(l.row(3)) == {2: {0: -third}}
+    assert all(type(c) is Fraction for i in range(4) for p in l.row(i).values() for c in p.values())
     assert set(l.brackets) == {(0, 1), (2, 3)}
     assert repr(l) == "LieAlgebra(dim=4, brackets=2)"
     assert LieAlgebra(3, {(0, 1): {2: 0}, (1, 2): (0, 0, 0)}) == abelian(3)
@@ -147,9 +151,9 @@ def test_bracket_is_bilinear_and_antisymmetric():
 
 def test_ad_matrix_columns_are_brackets():
     h = heisenberg()
-    assert h.ad(0, unit_vector(3, 1)) == unit_vector(3, 2)
-    assert h.ad(0, unit_vector(3, 0)) == (0, 0, 0)
-    assert h.ad(0, unit_vector(3, 2)) == (0, 0, 0)
+    columns = [sparse_row(unit_vector(3, j)) for j in range(3)]
+    assert list(h.ad_rows((0,), columns)) == [{}, {2: 1}, {}]
+    assert list(h.ad_rows((1,), columns)) == [{2: -1}, {}, {}]
 
 
 def series_dims(l):
@@ -178,17 +182,17 @@ def test_nilpotency_index_counts_filtration_stages():
 
 
 def test_center_of_known_algebras():
-    assert center(g52()).basis == (unit_vector(5, 3), unit_vector(5, 4))
-    assert center(g41()).basis == (unit_vector(4, 3),)
+    assert dense_basis(center(g52())) == (unit_vector(5, 3), unit_vector(5, 4))
+    assert dense_basis(center(g41())) == (unit_vector(4, 3),)
     assert center(abelian(2)).dim == 2
 
 
 def test_filtration_spaces_known_values():
     spaces = filtration_spaces(g41())
-    assert [s.basis for s in spaces] == [(unit_vector(4, 3),)] * 3
+    assert [dense_basis(s) for s in spaces] == [(unit_vector(4, 3),)] * 3
     spaces = filtration_spaces(g64())
     expected = (unit_vector(6, 4), unit_vector(6, 5))
-    assert [s.basis for s in spaces] == [expected, expected]
+    assert [dense_basis(s) for s in spaces] == [expected, expected]
 
 
 def test_direct_sum_combines_structure():
@@ -217,7 +221,7 @@ def test_subspace_coords_and_intersection():
     assert s.intersect(inside).dim == 1
     disjoint = Subspace.span(3, [vector([1, 0, 1])])
     assert s.intersect(disjoint).dim == 0
-    assert Subspace.full(3).intersect(s).basis == s.basis
+    assert dense_basis(Subspace.full(3).intersect(s)) == dense_basis(s)
     assert metriclie.Subspace is lie_core.Subspace is exact_linalg.Subspace
 
 
@@ -440,16 +444,19 @@ def reference_algebras(scale_algebras):
     return tables + catalog_algebras() + scale_algebras
 
 
-def _dense_ad(l, i, w):
-    return dense_bracket(l, unit_vector(l.dim, i), w)
-
-
 def test_ad_matches_the_dense_bracket(reference_algebras):
     rg = rng(3032)
+
+    def draw(n):
+        return tuple(rational(rg) if rg.random() < 0.5 else Fraction(0) for _ in range(n))
+
     for l in reference_algebras:
         for i in range(l.dim):
-            w = tuple(rational(rg) if rg.random() < 0.5 else Fraction(0) for _ in range(l.dim))
-            assert l.ad(i, w) == _dense_ad(l, i, w)
+            w = draw(l.dim)
+            (image,) = l.ad_rows((i,), (sparse_row(w),))
+            assert image == sparse_row(dense_ad(l, i, w))
+        x, y = draw(l.dim), draw(l.dim)
+        assert bracket(l, x, y) == dense_bracket(l, x, y)
 
 
 def test_center_is_the_kernel_of_the_dense_ad_matrices(reference_algebras):
@@ -458,7 +465,7 @@ def test_center_is_the_kernel_of_the_dense_ad_matrices(reference_algebras):
         # ad(e_i) has the columns [e_i, e_j]; stack the n matrices and take the kernel
         rows = []
         for i in range(n):
-            columns = [_dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
+            columns = [dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
             rows += [[column[t] for column in columns] for t in range(n)]
         dense = dense_span(n, dense_kernel(Matrix.from_rows(rows, cols=n)))
         assert lie_core._center(l) == dense
@@ -470,7 +477,7 @@ def _dense_series(l):
     current = dense_span(n, [unit_vector(n, i) for i in range(n)])
     chain = [current]
     while current.dim:
-        nxt = dense_span(n, [_dense_ad(l, i, w) for i in range(n) for w in current.basis])
+        nxt = dense_span(n, [dense_ad(l, i, w) for i in range(n) for w in dense_basis(current)])
         chain.append(nxt)
         if nxt.dim == current.dim:
             break

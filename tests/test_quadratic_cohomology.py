@@ -26,9 +26,16 @@ from metriclie.cochain_complex import (
     differential_matrix,
     wedge_pair,
 )
-from metriclie.double_construction import build_double
+from metriclie.double_construction import build_double, fingerprint, verify_metric
 from metriclie.exact_linalg import Matrix, kernel_basis, vec_is_zero
-from metriclie.lie_core import LieAlgebra, NotNilpotentError, abelian, is_nilpotent, validate_jacobi
+from metriclie.lie_core import (
+    LieAlgebra,
+    NotNilpotentError,
+    abelian,
+    bracket,
+    is_nilpotent,
+    validate_jacobi,
+)
 from metriclie.quadratic_cohomology import (
     CocycleError,
     QuadraticCocycle,
@@ -54,8 +61,11 @@ from support import (
     random_quadratic_cochain,
     random_sparse_table,
     random_valid_cocycle,
+    rational,
     rng,
     rows_snapshot,
+    shared_rows_snapshot,
+    sparse_row,
     seven_dim_two_step,
     six_dim_two_step,
 )
@@ -384,10 +394,10 @@ def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypa
             per_stage[-1] += 1
         return reduce(rows)
 
-    def checked_stage_report(z, k, stage, series_term, gamma_at):
+    def checked_stage_report(z, k, stage, series_term, alpha_at, gamma_at):
         per_stage.append(0)
         kept = rows_snapshot(stage, series_term)
-        report = stage_report(z, k, stage, series_term, gamma_at)
+        report = stage_report(z, k, stage, series_term, alpha_at, gamma_at)
         assert kept()
         return report
 
@@ -423,3 +433,63 @@ def test_half_wedge_square_matches_the_halved_wedge_pair():
         expected = wedge_pair(module, alpha, alpha).scale(Fraction(1, 2))
         assert got == expected
         assert list(got.values.items()) == list(expected.values.items())
+
+
+def test_half_wedge_square_adds_no_zero(monkeypatch):
+    """Every sum in half_wedge_square, the module form's product included,
+    starts at its first term and drops a key whose sum vanishes: over the
+    rejection sampler's alphas (seed 2026, the rejection tags in turn) and
+    the 95 catalog rows, no Fraction addition has a zero operand."""
+    rg = rng(2026)
+    l = five_dim_three_step()
+    forms = []
+    for tag in REJECTION_TAGS:
+        module = module_for_tag(tag)
+        d2 = differential_matrix(l, module, 2)
+        closed = kernel_basis(d2)
+        for _ in range(60):
+            total = _random_span_element(rg, closed, d2.cols)
+            forms.append((module, _cochain_from_vector(total, l.dim, 2, module.dim, False)))
+    for entry in ENTRIES:
+        for point in _sample_points(entry, default_samples()):
+            z = instantiate(entry, point)
+            forms.append((z.module, z.alpha))
+    assert len(forms) == 480 + 95
+    counts = {"added": 0, "zero": 0}
+    add = Fraction.__add__
+
+    def counting(a, b):
+        counts["added"] += 1
+        counts["zero"] += not a or not b
+        return add(a, b)
+
+    monkeypatch.setattr(Fraction, "__add__", counting)
+    for module, alpha in forms:
+        half_wedge_square(module, alpha)
+    monkeypatch.undo()
+    assert counts["zero"] == 0 and counts["added"] > 1000
+
+
+def test_no_kernel_modifies_the_shared_bracket_rows_or_the_module_form(rejection_study):
+    """Bracket rows and the module form are shared mutable maps: the adjoint
+    action, the Jacobi check, the bracket, the admissibility test and the
+    double leave them as they were, and verifying and fingerprinting the
+    double leave its own rows and form as they were."""
+    rg = rng(3036)
+    cocycles = list(rejection_study.cocycles[:16])
+    cocycles += [instantiate(entry, point) for entry in ENTRIES
+                 for point in _sample_points(entry, default_samples())]
+    for z in cocycles:
+        l, n = z.algebra, z.algebra.dim
+        kept = shared_rows_snapshot(l, z.module.gram)
+        x, y = (tuple(rational(rg) for _ in range(n)) for _ in range(2))
+        list(l.ad_rows(range(n), (sparse_row(x), sparse_row(y))))
+        validate_jacobi(l)
+        bracket(l, x, y)
+        check_admissible(z)
+        g = build_double(z)
+        assert kept()
+        kept = shared_rows_snapshot(g.algebra, g.gram)
+        verify_metric(g)
+        fingerprint(g)
+        assert kept()

@@ -2,9 +2,14 @@
 the tests: another definition in ``src/metriclie`` (the package
 ``__init__`` does not count, since it only re-exports), ``scripts/`` or
 ``perfbench/``.  A few names wait for their callers; each one is listed
-with the ROADMAP item that reserves it."""
+with the ROADMAP item that reserves it.  Every public method or property of
+a class in ``src/metriclie`` is used the same way: some attribute reference
+of that name in ``src/metriclie`` outside its own definition, ``scripts/``
+or ``perfbench/``.  Attribute names are not resolved to a class, so a name
+that two classes share counts as used for both."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from test_support_helpers import referenced_names
@@ -42,6 +47,28 @@ def uncalled(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[
     return unused
 
 
+def attribute_names(node: ast.AST) -> Counter:
+    """How often each attribute name is referenced in ``node``."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
+def unused_methods(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """The public methods and properties of the classes of ``modules``, as
+    ``Class.name``, whose name no attribute reference in ``callers`` or in
+    ``modules`` outside their own definition uses."""
+    outside = set().union(*map(attribute_names, callers))
+    inside = sum(map(attribute_names, modules.values()), Counter())
+    unused = []
+    for tree in modules.values():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    rest = inside[node.name] - attribute_names(node)[node.name]
+                    if node.name not in outside and not rest:
+                        unused.append("%s.%s" % (cls.name, node.name))
+    return unused
+
+
 def test_the_checker_sees_a_definition_without_a_caller():
     modules = {
         "a": ast.parse("def f():\n    return g()\n\ndef h():\n    return h()\n"),
@@ -63,3 +90,33 @@ def test_every_src_definition_has_a_caller_or_a_roadmap_item():
         for path in sorted((ROOT / folder).glob("*.py"))
     ]
     assert sorted(uncalled(modules, callers)) == sorted(RESERVED)
+
+
+def test_the_checker_sees_a_method_without_a_caller():
+    modules = {
+        "m": ast.parse(
+            "class Matrix:\n"
+            "    def at(self, i, j):\n        return self.at(j, i)\n\n"
+            "    def row(self, i):\n        return i\n\n"
+            "    @property\n    def rows(self):\n        return 0\n\n"
+            "    @staticmethod\n    def zero():\n        return Matrix()\n\n"
+            "    def _cols(self):\n        return 0\n\n"
+            "def f(m):\n    return m.row(0)\n"
+        ),
+    }
+    callers = [ast.parse("from metriclie.m import Matrix\n\nMatrix.zero().rows\n")]
+    assert unused_methods(modules, callers) == ["Matrix.at"]
+
+
+def test_every_src_method_has_a_caller():
+    modules = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    callers = [
+        ast.parse(path.read_text())
+        for folder in ("scripts", "perfbench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    assert unused_methods(modules, callers) == []
