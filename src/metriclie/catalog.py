@@ -225,7 +225,7 @@ def alpha_cochain(
     values = []
     for coeff, indices, target in terms:
         value = tuple(
-            _resolve(coeff, params) if k == target else Fraction(0) for k in range(m)
+            _resolve(coeff, params) if k == target else 0 for k in range(m)
         )
         values.append((indices, value))
     return cochain_from_terms(n, 2, m, values)

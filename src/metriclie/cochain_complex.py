@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
@@ -32,7 +31,12 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .exact_linalg import (
     Matrix,
+    Scalar,
     Vector,
+    _axpy,
+    _canon,
+    _dense,
+    _is_canon_vector,
     _reduce,
     det,
     rank,
@@ -44,8 +48,6 @@ from .exact_linalg import (
     zero_vector,
 )
 from .lie_core import LieAlgebra, MathError, bracket
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,8 @@ class Cochain:
     ``n`` is the dimension of the underlying algebra, ``value_dim`` the length
     of each stored value, and ``scalar`` marks forms with values in the ground
     field rather than in a module (relevant for serialization and pullbacks).
-    Keys are strictly increasing tuples; zero values are never stored.
+    Keys are strictly increasing tuples; zero values are never stored, and a
+    value that is not a tuple of canonical scalars is converted to one.
     Cochains are immutable: ``values`` is a read-only mapping.
     """
 
@@ -113,7 +116,7 @@ class Cochain:
                 raise ValueError("key %s out of range" % (key,))
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError("key %s is not strictly increasing" % (key,))
-            if type(value) is not tuple or not all(type(x) is Fraction for x in value):
+            if not _is_canon_vector(value):
                 value = vector(value)
             if len(value) != self.value_dim:
                 raise ValueError("value for %s has wrong length" % (key,))
@@ -149,9 +152,9 @@ class Cochain:
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
 
-    def scale(self, c: Fraction | int) -> "Cochain":
-        c = Fraction(c)
-        if c == 0:
+    def scale(self, c: Scalar) -> "Cochain":
+        c = _canon(c)
+        if not c:
             return Cochain.zero(self.n, self.degree, self.value_dim, self.scalar)
         return Cochain(
             self.n,
@@ -184,7 +187,7 @@ def cochain_from_terms(
     n: int,
     degree: int,
     value_dim: int,
-    terms: Iterable[tuple[Sequence[int], Sequence[int | str | Fraction]]],
+    terms: Iterable[tuple[Sequence[int], Sequence[int | str | Scalar]]],
     scalar: bool = False,
 ) -> Cochain:
     """Build a cochain from (indices, value) terms; indices may be unsorted and
@@ -214,21 +217,24 @@ def differential(l: LieAlgebra, c: Cochain) -> Cochain:
     return _differential(c, _bracket_targets(l) if c.values else {})
 
 
-def _bracket_targets(l: LieAlgebra) -> dict[int, list[tuple[int, int, Fraction]]]:
+def _bracket_targets(l: LieAlgebra) -> dict[int, list[tuple[int, int, Scalar]]]:
     """For each e_t, the stored brackets [e_i, e_j] (i < j) with a nonzero
     e_t component x, as ``(i, j, x)``."""
-    hits: dict[int, list[tuple[int, int, Fraction]]] = {}
+    hits: dict[int, list[tuple[int, int, Scalar]]] = {}
     for i, j, p in l._upper():
         for t, x in p.items():
             hits.setdefault(t, []).append((i, j, x))
     return hits
 
 
-def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Fraction]]]) -> Cochain:
-    """d c, given the :func:`_bracket_targets` of the algebra of ``c``."""
+def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Scalar]]]) -> Cochain:
+    """d c, given the :func:`_bracket_targets` of the algebra of ``c``.  Each
+    output value is summed as a sparse row from its first term, and a key
+    whose sum vanishes is dropped."""
     out_degree = c.degree + 1
-    sums: dict[tuple[int, ...], list[Fraction]] = {}
-    for key, v in c.values.items():
+    sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for key, value in c.values.items():
+        v = {k: y for k, y in enumerate(value) if y}
         for s, t in enumerate(key):
             rest = key[:s] + key[s + 1 :]
             for i, j, x in hits.get(t, ()):
@@ -238,13 +244,8 @@ def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Fraction]]]) 
                 a, b = bisect(rest, i), bisect(rest, j)
                 coeff = -x if (s + a + b + 1) % 2 else x
                 out = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
-                total = sums.get(out)
-                if total is None:
-                    total = sums[out] = [_ZERO] * c.value_dim
-                for k, y in enumerate(v):
-                    if y:
-                        total[k] += coeff * y
-    values = {key: tuple(sums[key]) for key in sorted(sums)}
+                _axpy(sums.setdefault(out, {}), coeff, v, -1)
+    values = {key: _dense(sums[key], c.value_dim) for key in sorted(sums) if sums[key]}
     return Cochain(c.n, out_degree, c.value_dim, c.scalar, values)
 
 
@@ -263,7 +264,7 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     if out_degree > n or not c1.values or not c2.values:
         return Cochain.zero(n, out_degree, 1, scalar=True)
     right = [(k2, module.gram.apply(v)) for k2, v in c2.values.items()]
-    sums: dict[tuple[int, ...], Fraction] = {}
+    sums: dict[tuple[int, ...], Scalar] = {}
     for k1, u in c1.values.items():
         for k2, gv in right:
             sorted_sign = sort_with_sign(k1 + k2)
@@ -274,7 +275,8 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
 
 def _add_pairing(sums: dict, key: tuple[int, ...], sign: int, u: Vector, v: Vector) -> None:
     """sums[key] += sign * sum of u_t v_t, one nonzero product at a time; a key
-    whose sum vanishes is dropped, so no addition has a zero operand."""
+    whose sum vanishes is dropped, so no addition has a zero operand.  The
+    sums need not be canonical: the :class:`Cochain` made of them converts them."""
     for x, y in zip(u, v):
         if x and y:
             term = x * y if sign == 1 else -(x * y)
@@ -293,7 +295,7 @@ def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[
 
 def _differential_columns(
     l: LieAlgebra, module: OrthogonalModule | None, p: int
-) -> Iterator[dict[tuple[tuple[int, ...], int], Fraction]]:
+) -> Iterator[dict[tuple[tuple[int, ...], int], Scalar]]:
     """d_p of each standard basis cochain of C^p, in order, as a sparse column
     keyed by the basis cochains ``(key, s)`` of C^(p+1)."""
     value_dim = 1 if module is None else module.dim
@@ -313,7 +315,7 @@ def differential_matrix(l: LieAlgebra, module: OrthogonalModule | None, p: int) 
     if p >= l.dim:
         return Matrix.zero(0, width)  # C^(p+1) = 0; nothing enumerated
     index = {bk: r for r, bk in enumerate(_basis_enumeration(l.dim, p + 1, value_dim))}
-    rows: list[dict[int, Fraction]] = [{} for _ in index]
+    rows: list[dict[int, Scalar]] = [{} for _ in index]
     for c, column in enumerate(_differential_columns(l, module, p)):
         for bk, x in column.items():
             rows[index[bk]][c] = x

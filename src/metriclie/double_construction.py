@@ -17,10 +17,9 @@ with ``l`` dually and restricts to the module form on ``a``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
-from .exact_linalg import Matrix, Signature, _combine, rank, signature_of
+from .exact_linalg import Matrix, Scalar, Signature, _combine, rank, signature_of
 from .lie_core import (
     LieAlgebra,
     center,
@@ -30,8 +29,6 @@ from .lie_core import (
     validate_jacobi,
 )
 from .quadratic_cohomology import ConsistencyError, QuadraticCocycle
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -78,9 +75,9 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     a_off = n
     x_off = n + m
 
-    table: dict[tuple[int, int], dict[int, Fraction]] = {}
+    table: dict[tuple[int, int], dict[int, Scalar]] = {}
 
-    def add(i: int, j: int, t: int, c: Fraction) -> None:
+    def add(i: int, j: int, t: int, c: Scalar) -> None:
         """Add c e_t to [e_i, e_j], i < j."""
         if c:
             row = table.setdefault((i, j), {})
@@ -115,9 +112,9 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     algebra = LieAlgebra(total, table, labels=labels, validate=False)
 
     # Z(L) pairs sigma^i with X_i both ways; the module block is <A_s, A_t>
-    gram_rows = [{x_off + i: _ONE} for i in range(n)]
+    gram_rows = [{x_off + i: 1} for i in range(n)]
     gram_rows += [{a_off + t: x for t, x in row.items()} for row in module_rows]
-    gram_rows += [{i: _ONE} for i in range(n)]
+    gram_rows += [{i: 1} for i in range(n)]
     gram = Matrix(total, tuple(gram_rows))
 
     result = MetricLieAlgebra(algebra=algebra, gram=gram, provenance=z)

@@ -1,6 +1,10 @@
 """Exact rational linear algebra primitives.
 
-Vectors are tuples of :class:`fractions.Fraction`.  The one sparse row
+A scalar is stored canonically: an ``int`` when integral, else a
+:class:`fractions.Fraction` with denominator > 1 (see :func:`_canon`; every
+division is :func:`_quo`).  The entries here are almost all small integers,
+and an int product costs a hundredth of a Fraction one; equal values compare
+and hash equal in either type.  Vectors are tuples of scalars.  The one sparse row
 format is the ``{column: nonzero entry}`` map: a matrix stores its rows so,
 and its dense rows and columns are derived views.  Every sum c_k * row_k of
 sparse rows outside the eliminations, the matrix product among them, goes
@@ -29,28 +33,54 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-Scalar = Fraction
-Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Scalar = int | Fraction  # canonical: an int when integral, else denominator > 1
+Vector = tuple[Scalar, ...]
 
 
-def scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, a ``p/q`` string or a Fraction to an exact scalar."""
-    return Fraction(value)
+def _canon(x: int | str | Fraction) -> Scalar:
+    """``x`` as a canonical scalar; a ``p/q`` string or a float is read exactly."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _is_canon_vector(v: object) -> bool:
+    """Whether ``v`` is a tuple of canonical scalars."""
+    return type(v) is tuple and all(
+        [type(x) is int or type(x) is Fraction and x.denominator > 1 for x in v])
+
+
+def _quo(x: Scalar, y: Scalar) -> Scalar:
+    """The exact quotient x / y as a canonical scalar.  It is the one division
+    in the package: a bare ``/`` of two ints gives a float."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        return Fraction(x, y) if r else q
+    return _canon(x / y)
+
+
+def _sum(terms: list[Scalar]) -> Scalar:
+    """The canonical sum of ``terms``, started at the first one (0 for none)."""
+    return _canon(sum(terms[1:], terms[0])) if terms else 0
+
+
+def scalar(value: int | str | Fraction) -> Scalar:
+    """Coerce an int, a ``p/q`` string or a Fraction to a canonical scalar."""
+    return _canon(value)
 
 
 def vector(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple([_canon(v) for v in values])
 
 
 def zero_vector(n: int) -> Vector:
-    return (_ZERO,) * n
+    return (0,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
-    return tuple(_ONE if k == i else _ZERO for k in range(n))
+    return tuple([1 if k == i else 0 for k in range(n)])
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -59,9 +89,9 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_scale(c: Fraction | int, v: Vector) -> Vector:
-    c = Fraction(c)
-    return tuple(c * a for a in v)
+def vec_scale(c: Scalar, v: Vector) -> Vector:
+    c = _canon(c)
+    return tuple([c * a for a in v])
 
 
 def vec_is_zero(v: Vector) -> bool:
@@ -72,14 +102,15 @@ def vec_is_zero(v: Vector) -> bool:
 class Matrix:
     """Immutable matrix with exact rational entries, stored as its sparse rows.
 
-    ``nonzero_rows`` holds each row as ``{column: nonzero Fraction}`` (shared,
+    ``nonzero_rows`` holds each row as ``{column: nonzero scalar}`` (shared,
     only read); ``rows`` is their number.  The constructor keeps the maps as
-    given, so none may hold a zero or a column outside ``0..cols-1``: equal
-    matrices then store equal maps.  ``from_rows`` coerces dense rows.
+    given, so none may hold a zero, a non-canonical scalar or a column outside
+    ``0..cols-1``: equal matrices then store equal maps.  ``from_rows``
+    coerces dense rows.
     """
 
     cols: int
-    nonzero_rows: tuple[dict[int, Fraction], ...]
+    nonzero_rows: tuple[dict[int, Scalar], ...]
 
     def __post_init__(self) -> None:
         if self.cols < 0:
@@ -87,7 +118,7 @@ class Matrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> "Matrix":
-        """The matrix of dense rows, each entry coerced to a Fraction; zeros are not stored."""
+        """The matrix of dense rows, each entry made canonical; zeros are not stored."""
         rows = [list(r) for r in rows]
         width = len(rows[0]) if rows else cols if cols is not None else 0
         if cols is not None and cols != width:
@@ -96,13 +127,13 @@ class Matrix:
         for r in rows:
             if len(r) != width:
                 raise ValueError("ragged rows in matrix literal")
-            dense = [x if type(x) is Fraction else Fraction(x) for x in r]
+            dense = [_canon(x) for x in r]
             sparse.append({j: x for j, x in enumerate(dense) if x})
         return Matrix(width, tuple(sparse))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix.diagonal([_ONE] * n)
+        return Matrix.diagonal([1] * n)
 
     @staticmethod
     def zero(rows: int, cols: int) -> "Matrix":
@@ -112,7 +143,7 @@ class Matrix:
 
     @staticmethod
     def diagonal(values: Sequence[int | str | Fraction]) -> "Matrix":
-        vals = [Fraction(v) for v in values]
+        vals = [_canon(v) for v in values]
         return Matrix(len(vals), tuple([{i: x} if x else {} for i, x in enumerate(vals)]))
 
     def __hash__(self) -> int:
@@ -126,13 +157,13 @@ class Matrix:
         return _dense(self.nonzero_rows[i], self.cols)
 
     def column(self, j: int) -> Vector:
-        return tuple([row.get(j, _ZERO) for row in self.nonzero_rows])
+        return tuple([row.get(j, 0) for row in self.nonzero_rows])
 
-    def to_rows(self) -> list[list[Fraction]]:
+    def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        out: list[dict[int, Scalar]] = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.nonzero_rows):
             for j, x in row.items():
                 out[j][i] = x
@@ -151,16 +182,15 @@ class Matrix:
             raise ValueError("vector length %d does not match cols=%d" % (len(v), self.cols))
         out = []
         for row in self.nonzero_rows:
-            terms = [x * v[j] for j, x in row.items() if v[j]]
-            out.append(sum(terms[1:], terms[0]) if terms else _ZERO)
+            out.append(_sum([x * v[j] for j, x in row.items() if v[j]]))
         return tuple(out)
 
     def is_symmetric(self) -> bool:
-        # dict equality tries identity before Fraction.__eq__, so shared entries compare at C speed
+        # dict equality tries identity before __eq__, so shared entries compare at C speed
         return self.rows == self.cols and self.transpose() == self
 
 
-def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fraction]]]:
+def _reduce(rows: Iterable[dict[int, Scalar]]) -> list[tuple[int, dict[int, Scalar]]]:
     """The nonzero rows of the reduced row echelon form of the span of ``rows``.
 
     Rows are sparse maps ``{column: nonzero entry}``; they are consumed (the
@@ -174,7 +204,7 @@ def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fr
     pivot column, each row with a 1 at its pivot.  Any totally ordered column
     keys work, not only integers.
     """
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, Scalar]] = {}
     held: set[int] = set()  # a superset of the columns the pivot rows hold
     for row in rows:
         for p in [c for c in row if c in pivots]:
@@ -184,7 +214,7 @@ def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fr
         c = min(row)
         pv = row[c]
         if pv != 1:
-            row = {j: x / pv for j, x in row.items()}
+            row = {j: _quo(x, pv) for j, x in row.items()}
         if c in held:
             for other in pivots.values():
                 f = other.pop(c, None)
@@ -195,28 +225,28 @@ def _reduce(rows: Iterable[dict[int, Fraction]]) -> list[tuple[int, dict[int, Fr
     return sorted(pivots.items())
 
 
-def _axpy(target: dict[int, Fraction], f: Fraction, source: dict[int, Fraction], skip: int) -> None:
-    """target += f * source on every column but ``skip``, dropping zeros."""
+def _axpy(target: dict[int, Scalar], f: Scalar, source: dict[int, Scalar], skip: int) -> None:
+    """target += f * source on every column but ``skip``, dropping zeros and
+    keeping each entry canonical."""
     for j, x in source.items():
         if j != skip:
             y = target.get(j)
-            if y is None:
-                target[j] = f * x
+            y = f * x if y is None else y + f * x
+            if type(y) is not int and y.denominator == 1:
+                y = y.numerator
+            if y:
+                target[j] = y
             else:
-                y += f * x
-                if y:
-                    target[j] = y
-                else:
-                    del target[j]
+                del target[j]  # a product of nonzeros is nonzero, so j was held
 
 
 def _combine(
-    coeffs: Mapping[int, Fraction], row_of: Callable[[int], Mapping[int, Fraction] | None]
-) -> dict[int, Fraction]:
+    coeffs: Mapping[int, Scalar], row_of: Callable[[int], Mapping[int, Scalar] | None]
+) -> dict[int, Scalar]:
     """The sum of c_k * row_of(k) over the sparse row ``coeffs`` {k: nonzero
     c_k}, as a fresh sparse row without zeros.  ``row_of(k)`` is a sparse row, or
     None for a zero one (so ``table.get`` serves); no input is modified."""
-    out: dict[int, Fraction] = {}
+    out: dict[int, Scalar] = {}
     for k, c in coeffs.items():
         row = row_of(k)
         if row:
@@ -224,13 +254,13 @@ def _combine(
     return out
 
 
-def _sparse_rows(m: Matrix) -> list[dict[int, Fraction]]:
+def _sparse_rows(m: Matrix) -> list[dict[int, Scalar]]:
     """Fresh copies of ``m.nonzero_rows``, for an elimination to consume."""
     return [dict(row) for row in m.nonzero_rows]
 
 
-def _dense(row: dict[int, Fraction], length: int) -> Vector:
-    out = [_ZERO] * length
+def _dense(row: dict[int, Scalar], length: int) -> Vector:
+    out = [0] * length
     for j, x in row.items():
         out[j] = x
     return tuple(out)
@@ -250,11 +280,11 @@ def kernel_basis(m: Matrix) -> list[Vector]:
     return [_dense(v, m.cols) for v in _kernel(_reduce(_sparse_rows(m)), m.cols)]
 
 
-def _kernel(reduced: list[tuple[int, dict[int, Fraction]]], cols: int) -> list[dict[int, Fraction]]:
+def _kernel(reduced: list[tuple[int, dict[int, Scalar]]], cols: int) -> list[dict[int, Scalar]]:
     """The kernel basis of :func:`kernel_basis` as sparse rows, read off the
     first ``cols`` columns of reduced rows whose pivots all lie among them."""
     pivot_set = {p for p, _ in reduced}
-    basis = {f: {f: _ONE} for f in range(cols) if f not in pivot_set}
+    basis = {f: {f: 1} for f in range(cols) if f not in pivot_set}
     for p, row in reduced:
         for j, x in row.items():
             if j != p and j < cols:
@@ -275,36 +305,36 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
     rows = _sparse_rows(a)
     for row, x in zip(rows, b):
         if x:
-            row[a.cols] = x
+            row[a.cols] = _canon(x)
     reduced = _reduce(rows)
     if reduced and reduced[-1][0] == a.cols:
         return None
-    particular = [_ZERO] * a.cols
+    particular = [0] * a.cols
     for p, row in reduced:
-        particular[p] = row.get(a.cols, _ZERO)
+        particular[p] = row.get(a.cols, 0)
     return tuple(particular), [_dense(v, a.cols) for v in _kernel(reduced, a.cols)]
 
 
-def det(m: Matrix) -> Fraction:
+def det(m: Matrix) -> Scalar:
     """Exact determinant by Gaussian elimination on sparse rows."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     rows = _sparse_rows(m)
-    result = _ONE
+    result = 1
     for c in range(m.rows):
         # pivot on the first row from c on with a nonzero entry in column c
         i = next((i for i in range(c, m.rows) if c in rows[i]), None)
         if i is None:
-            return _ZERO
+            return 0
         if i != c:
             rows[c], rows[i] = rows[i], rows[c]
             result = -result
         pivot = rows[c]
-        result *= pivot[c]
+        result = _canon(result * pivot[c])
         for other in rows[c + 1 :]:
             f = other.pop(c, None)
             if f is not None:
-                _axpy(other, -f / pivot[c], pivot, c)
+                _axpy(other, -_quo(f, pivot[c]), pivot, c)
     return result
 
 
@@ -344,7 +374,7 @@ def signature_of(gram: Matrix) -> Signature:
             pivot = rows.pop(k)
             d = pivot.pop(k)
             neg, pos = (neg, pos + 1) if d > 0 else (neg + 1, pos)
-            updates = [(i, -x / d, pivot) for i, x in pivot.items()]
+            updates = [(i, -_quo(x, d), pivot) for i, x in pivot.items()]
             pivots = (k,)
         else:
             k, row_k = next(iter(rows.items()))
@@ -353,8 +383,8 @@ def signature_of(gram: Matrix) -> Signature:
             b = row_k.pop(p)
             del rows[k], row_p[k]
             neg, pos = neg + 1, pos + 1
-            updates = [(i, -x / b, row_p) for i, x in row_k.items()]
-            updates += [(i, -x / b, row_k) for i, x in row_p.items()]
+            updates = [(i, -_quo(x, b), row_p) for i, x in row_k.items()]
+            updates += [(i, -_quo(x, b), row_k) for i, x in row_p.items()]
             pivots = (k, p)
         for i, f, source in updates:
             row = rows[i]
@@ -367,9 +397,9 @@ def signature_of(gram: Matrix) -> Signature:
     return Signature(neg=neg, pos=pos, null=gram.rows - neg - pos)
 
 
-def _sparse_vectors(vectors: Iterable[Vector], ambient_dim: int) -> Iterator[dict[int, Fraction]]:
+def _sparse_vectors(vectors: Iterable[Vector], ambient_dim: int) -> Iterator[dict[int, Scalar]]:
     for v in vectors:
-        row = {j: x for j, x in enumerate(v) if x}
+        row = {j: _canon(x) for j, x in enumerate(v) if x}
         if row and len(v) != ambient_dim:
             raise ValueError("vector length %d does not match ambient %d" % (len(v), ambient_dim))
         yield row
@@ -386,7 +416,7 @@ class Subspace:
     """
 
     ambient_dim: int
-    rows: tuple[dict[int, Fraction], ...]
+    rows: tuple[dict[int, Scalar], ...]
 
     @staticmethod
     def span(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
@@ -394,19 +424,19 @@ class Subspace:
         return Subspace.of_rows(ambient_dim, _sparse_vectors(vectors, ambient_dim))
 
     @staticmethod
-    def of_rows(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
+    def of_rows(ambient_dim: int, rows: Iterable[dict[int, Scalar]]) -> "Subspace":
         """The span of sparse rows ``{column: nonzero entry}``; the rows are consumed."""
         return Subspace(ambient_dim, tuple([row for _, row in _reduce(rows)]))
 
     @staticmethod
-    def kernel(ambient_dim: int, rows: Iterable[dict[int, Fraction]]) -> "Subspace":
+    def kernel(ambient_dim: int, rows: Iterable[dict[int, Scalar]]) -> "Subspace":
         """The common kernel of sparse rows over columns ``0..ambient_dim-1``;
         the rows are consumed."""
         return Subspace.of_rows(ambient_dim, _kernel(_reduce(rows), ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple([{i: _ONE} for i in range(ambient_dim)]))
+        return Subspace(ambient_dim, tuple([{i: 1} for i in range(ambient_dim)]))
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
@@ -419,14 +449,14 @@ class Subspace:
     def _pivots(self) -> tuple[int, ...]:
         return tuple([min(row) for row in self.rows])
 
-    def coords(self, v: dict[int, Fraction]) -> Vector | None:
+    def coords(self, v: dict[int, Scalar]) -> Vector | None:
         """Coordinates of the sparse row ``v`` (only read) in the echelon rows:
         its entries at their pivots, or None when a residual is left after
         subtracting the rows times them."""
         residual = dict(v)
         coeffs = []
         for p, row in zip(self._pivots, self.rows):
-            c = residual.pop(p, _ZERO)
+            c = residual.pop(p, 0)
             if c:
                 _axpy(residual, -c, row, p)
             coeffs.append(c)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .exact_linalg import Subspace, Vector, _axpy, _combine, _dense, vector
+from .exact_linalg import Scalar, Subspace, Vector, _axpy, _canon, _combine, _dense, vector
 
 _EMPTY: Mapping = MappingProxyType({})  # no stored bracket: an empty row, or no rows
 _Bracket = Sequence[int | str | Fraction] | Mapping[int, int | str | Fraction]
@@ -75,14 +75,14 @@ class LieAlgebra:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("expected %d labels, got %d" % (dim, len(labels)))
-        rows: dict[int, dict[int, dict[int, Fraction]]] = {}
+        rows: dict[int, dict[int, dict[int, Scalar]]] = {}
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
             if isinstance(value, Mapping):
                 if not all(0 <= t < dim for t in value):
                     raise ValueError("bracket value for (%d, %d) has an index out of range" % (i, j))
-                entries = [(t, Fraction(c)) for t, c in sorted(value.items())]
+                entries = [(t, _canon(c)) for t, c in sorted(value.items())]
             else:
                 v = vector(value)
                 if len(v) != dim:
@@ -116,7 +116,7 @@ class LieAlgebra:
         """The nonzero [e_i, e_j], i < j, as dense vectors (a read-only view)."""
         return MappingProxyType({(i, j): _dense(p, self._dim) for i, j, p in self._upper()})
 
-    def _upper(self) -> Iterator[tuple[int, int, dict[int, Fraction]]]:
+    def _upper(self) -> Iterator[tuple[int, int, dict[int, Scalar]]]:
         """The stored brackets [e_i, e_j] with i < j, as ``(i, j, row)``."""
         return ((i, j, p) for i, row in self._rows.items() for j, p in row.items() if i < j)
 
@@ -143,14 +143,14 @@ class LieAlgebra:
         """[e_i, e_j] for arbitrary basis indices, as a dense vector read off the rows."""
         return _dense(self._rows.get(i, _EMPTY).get(j, _EMPTY), self._dim)
 
-    def row(self, i: int) -> Mapping[int, dict[int, Fraction]]:
+    def row(self, i: int) -> Mapping[int, dict[int, Scalar]]:
         """The nonzero brackets [e_i, e_j] of e_i as sparse rows ``{t: c}``
         (c the e_t coordinate), keyed by j: a read-only view of shared rows."""
         return MappingProxyType(self._rows.get(i, _EMPTY))
 
     def ad_rows(
-        self, indices: Iterable[int], ws: Sequence[Mapping[int, Fraction]]
-    ) -> Iterator[dict[int, Fraction]]:
+        self, indices: Iterable[int], ws: Sequence[Mapping[int, Scalar]]
+    ) -> Iterator[dict[int, Scalar]]:
         """[e_i, w] for each i in ``indices``, then each sparse w ``{j: nonzero
         entry}`` in ``ws`` (only read), as fresh sparse rows, each summed over
         the stored brackets [e_i, e_j] on the support of w only."""
@@ -196,7 +196,7 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     for outer in triples:
         i, j, k = outer
         # [e_i, [e_j, e_k]] + [e_j, [e_k, e_i]] + [e_k, [e_i, e_j]]
-        defect: dict[int, Fraction] = {}
+        defect: dict[int, Scalar] = {}
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             row_a = stored.get(a, _EMPTY)
             for t, x in stored.get(b, _EMPTY).get(c, _EMPTY).items():
@@ -258,7 +258,7 @@ def center(l: LieAlgebra) -> Subspace:
 
 def _center(l: LieAlgebra) -> Subspace:
     # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
-    rows: dict[tuple[int, int], dict[int, Fraction]] = {}
+    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, brackets in sorted(l._rows.items()):
         for j, p in brackets.items():
             for t, c in p.items():

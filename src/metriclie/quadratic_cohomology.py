@@ -37,10 +37,9 @@ from .cochain_complex import (
     sort_with_sign,
     wedge_pair,
 )
-from .exact_linalg import Subspace, Vector, _combine, _dense, _kernel, _reduce
+from .exact_linalg import Scalar, Subspace, Vector, _combine, _dense, _kernel, _reduce, _sum
 from .lie_core import LieAlgebra, MathError, filtration_spaces, lower_central_series
 
-_ZERO = Fraction(0)
 _HALF = Fraction(1, 2)
 
 
@@ -66,7 +65,7 @@ def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
     if p % 2 or not p or 2 * p > alpha.n or alpha.value_dim != m:
         return wedge_pair(module, alpha, alpha).scale(_HALF)
     stored = [(key, frozenset(key), u) for key, u in alpha.values.items()]
-    sums: dict[tuple[int, ...], Fraction] = {}
+    sums: dict[tuple[int, ...], Scalar] = {}
     for a, (k1, s1, u) in enumerate(stored):
         gu = module.gram.apply(u)
         for k2, s2, v in stored[a + 1 :]:
@@ -224,8 +223,8 @@ def _stage_report(
     k: int,
     stage: Subspace,
     series_term: Subspace,
-    alpha_at: dict[int, dict[int, dict[int, Fraction]]],
-    gamma_at: dict[int, dict[int, dict[int, Fraction]]],
+    alpha_at: dict[int, dict[int, dict[int, Scalar]]],
+    gamma_at: dict[int, dict[int, dict[int, Scalar]]],
 ) -> ConditionKReport:
     """(A_k) and (B_k) in one pass over the tensor basis e_i (x) w_j of
     l (x) l^(k+1), reading [e_i, w_j] and alpha(e_i, w_j) once each; every
@@ -243,10 +242,10 @@ def _stage_report(
     n, m = l.dim, module.dim
     d0, d1 = stage.dim, series_term.dim
     gram_rows = module.gram.nonzero_rows  # also its columns: the form is symmetric
-    a_rows: list[dict[int, Fraction]] = []
+    a_rows: list[dict[int, Scalar]] = []
     # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
-    pairing: dict[int, dict[int, Fraction]] = {}
-    alpha_on_tensor: list[dict[int, Fraction]] = []
+    pairing: dict[int, dict[int, Scalar]] = {}
+    alpha_on_tensor: list[dict[int, Scalar]] = []
     for i in range(n):
         alpha_i, gamma_i = alpha_at.get(i, {}), gamma_at.get(i, {})
         # alpha(e_i, L0) = 0, one row per module coordinate
@@ -260,7 +259,7 @@ def _stage_report(
         for j, (w, image) in enumerate(zip(series_term.rows, images)):
             alpha_iw = _combine(w, alpha_i.get)
             alpha_on_tensor.append(alpha_iw)
-            gamma_iw = ((u, sum((x * gb[t] for t, x in w.items() if t in gb), _ZERO))
+            gamma_iw = ((u, _sum([x * gb[t] for t, x in w.items() if t in gb]))
                         for u, gb in gamma_stage)
             row = {u: y for u, y in gamma_iw if y}
             row.update((d0 + t, y) for t, y in _combine(alpha_iw, gram_rows.__getitem__).items())
@@ -286,7 +285,7 @@ def _stage_report(
     b_witness = None
     if not b_passed:  # each kernel tensor as its n x d1 coefficient matrix
         b_witness = tuple(
-            tuple(tuple(vec.get(i * d1 + j, _ZERO) for j in range(d1)) for i in range(n))
+            tuple(tuple(vec.get(i * d1 + j, 0) for j in range(d1)) for i in range(n))
             for vec in kernel
         )
     return ConditionKReport(k, a_witness is None, b_passed, image.dim, a_witness, b_witness)
@@ -299,12 +298,12 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     """
     stages, series = filtration_spaces(z.algebra), lower_central_series(z.algebra)
     # alpha(e_i, e_s) as the sparse row alpha_at[i][s], each stored key both ways
-    alpha_at: dict[int, dict[int, dict[int, Fraction]]] = {}
+    alpha_at: dict[int, dict[int, dict[int, Scalar]]] = {}
     for (a, b), v in z.alpha.values.items():
         alpha_at.setdefault(a, {})[b] = {t: x for t, x in enumerate(v) if x}
         alpha_at.setdefault(b, {})[a] = {t: -x for t, x in enumerate(v) if x}
     # gamma(e_i, e_s, e_t) as gamma_at[i][s][t], each stored key in its six orientations
-    gamma_at: dict[int, dict[int, dict[int, Fraction]]] = {}
+    gamma_at: dict[int, dict[int, dict[int, Scalar]]] = {}
     for (a, b, c), (v,) in z.gamma.values.items():
         for i, s, t, y in ((a, b, c, v), (b, c, a, v), (c, a, b, v),
                            (a, c, b, -v), (b, a, c, -v), (c, b, a, -v)):

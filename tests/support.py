@@ -369,7 +369,7 @@ def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        rows[r] = [Fraction(x) / pv for x in rows[r]]
         for i in range(m.rows):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -429,7 +429,7 @@ def dense_det(m: Matrix) -> Fraction:
         result *= pv
         for i in range(c + 1, n):
             if rows[i][c] != 0:
-                f = rows[i][c] / pv
+                f = Fraction(rows[i][c]) / pv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return sign * result
 
@@ -483,7 +483,7 @@ def dense_signature_of(gram: Matrix) -> Signature:
             neg += 1
         for i in range(k + 1, n):
             if rows[i][k] != 0:
-                f = rows[i][k] / pv
+                f = Fraction(rows[i][k]) / pv
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
                 for j in range(n):
                     rows[j][i] -= f * rows[j][k]
@@ -624,16 +624,23 @@ def dense_nonzero_rows(grid) -> tuple[dict, ...]:
     return tuple({j: x for j, x in enumerate(row) if x != 0} for row in grid)
 
 
+def is_canonical(x) -> bool:
+    """Whether ``x`` is a canonical scalar: an int, or a Fraction whose
+    denominator is not 1 (never a float, never an integral Fraction)."""
+    return type(x) is int or type(x) is Fraction and x.denominator > 1
+
+
 def stored_contract_violations(m: Matrix) -> list:
     """Where ``m`` breaks the contract of the raw ``Matrix`` constructor: rows
-    as a tuple of dicts, keys in ``0..cols-1``, values nonzero Fractions."""
+    as a tuple of dicts, keys in ``0..cols-1``, values canonical and nonzero:
+    a nonzero int, or a Fraction with denominator > 1."""
     bad = [] if type(m.nonzero_rows) is tuple else [("rows", type(m.nonzero_rows))]
     for i, row in enumerate(m.nonzero_rows):
         if type(row) is not dict:
             bad.append((i, type(row)))
             continue
         bad += [(i, j, x) for j, x in row.items()
-                if not (type(j) is int and 0 <= j < m.cols and type(x) is Fraction and x)]
+                if not (type(j) is int and 0 <= j < m.cols and is_canonical(x) and x)]
     return bad
 
 
@@ -831,7 +838,7 @@ def pinned_expansion_failures(seed: int = 2024, rounds: int = 12) -> list[str]:
         )
         check("dim5.a3", da.evaluate((x1, zz, x2)) == _neg(a.evaluate((yy, x2))))
         check("dim5.a4", da.evaluate((x1, zz, x3)) == _neg(a.evaluate((yy, x3))))
-        half = wedge_pair(module, a, a).evaluate((x1, x3, yy, zz))[0] / 2
+        half = Fraction(wedge_pair(module, a, a).evaluate((x1, x3, yy, zz))[0]) / 2
         expected = (
             dense_pairing(module.gram, a.evaluate((x1, x3)), a.evaluate((yy, zz)))
             + dense_pairing(module.gram, a.evaluate((x3, yy)), a.evaluate((x1, zz)))

@@ -451,7 +451,10 @@ def test_cochain_is_immutable():
     assert c == Cochain(4, 2, 2, False, {(0, 1): (Fraction(1), Fraction(2))})
 
 
-def test_cochain_converts_only_values_that_are_not_fraction_tuples(monkeypatch):
+def test_cochain_converts_only_values_that_are_not_canonical_tuples(monkeypatch):
+    """A tuple of canonical scalars (ints, and Fractions with denominator > 1)
+    is kept as given; anything else, an integral Fraction or a float among
+    them, is converted to one."""
     converted = []
     original = cochain_complex.vector
 
@@ -460,11 +463,17 @@ def test_cochain_converts_only_values_that_are_not_fraction_tuples(monkeypatch):
         return original(value)
 
     monkeypatch.setattr(cochain_complex, "vector", counting_vector)
-    exact = (Fraction(1), Fraction(-1, 2))
+    exact = (1, Fraction(-1, 2))
     c = Cochain(3, 1, 2, False, {(0,): exact, (1,): (0, Fraction(0)), (2,): [3, "1/3"]})
     assert converted == [(0, Fraction(0)), [3, "1/3"]]
     assert c.values[(0,)] is exact
-    assert c.values == {(0,): exact, (2,): (Fraction(3), Fraction(1, 3))}
+    assert c.values == {(0,): exact, (2,): (3, Fraction(1, 3))}
+    assert [type(x) for x in c.values[(2,)]] == [int, Fraction]
+    converted.clear()
+    c = Cochain(3, 1, 2, False, {(0,): (Fraction(4, 2), 0.5), (1,): (True, 0)})
+    assert converted == [(Fraction(4, 2), 0.5), (True, 0)]
+    assert c.values == {(0,): (2, Fraction(1, 2)), (1,): (1, 0)}
+    assert [type(x) for v in c.values.values() for x in v] == [int, Fraction, int, int]
     with pytest.raises(ValueError):
         Cochain(3, 1, 2, False, {(0,): (Fraction(1),)})
     with pytest.raises(ValueError):

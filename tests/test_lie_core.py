@@ -39,6 +39,7 @@ from support import (
     dense_intersect,
     dense_kernel,
     dense_span,
+    is_canonical,
     random_sparse_table,
     rational,
     rng,
@@ -130,7 +131,11 @@ def test_zero_and_cancelling_entries_are_not_stored():
     # each stored bracket is a {t: c} row, kept in both orientations
     assert dict(l.row(0)) == {1: {2: 1}} and dict(l.row(1)) == {0: {2: -1}}
     assert dict(l.row(2)) == {3: {0: third}} and dict(l.row(3)) == {2: {0: -third}}
-    assert all(type(c) is Fraction for i in range(4) for p in l.row(i).values() for c in p.values())
+    assert all(is_canonical(c) for i in range(4) for p in l.row(i).values() for c in p.values())
+    assert type(l.row(0)[1][2]) is int
+    # an integral Fraction or a float is stored as an int, in either branch
+    for value in ({2: Fraction(4, 2)}, (0, 0, 2.0)):
+        assert [type(c) for c in LieAlgebra(3, {(0, 1): value}).row(0)[1].values()] == [int]
     assert set(l.brackets) == {(0, 1), (2, 3)}
     assert repr(l) == "LieAlgebra(dim=4, brackets=2)"
     assert LieAlgebra(3, {(0, 1): {2: 0}, (1, 2): (0, 0, 0)}) == abelian(3)

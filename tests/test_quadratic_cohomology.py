@@ -470,6 +470,31 @@ def test_half_wedge_square_adds_no_zero(monkeypatch):
     assert counts["zero"] == 0 and counts["added"] > 1000
 
 
+def test_differential_and_admissibility_add_no_zero(monkeypatch, rejection_study):
+    """The sums of d alpha, d gamma and each gamma(e_i, b_u, w) of the
+    admissibility test start at their first term, and a key whose sum
+    vanishes is dropped: over the 50 rejection-study cocycles no Fraction
+    addition, from either side, has a zero operand."""
+    counts = {"added": 0, "zero": 0}
+
+    def counting(original):
+        def add(a, b):
+            counts["added"] += 1
+            counts["zero"] += not a or not b
+            return original(a, b)
+        return add
+
+    monkeypatch.setattr(Fraction, "__add__", counting(Fraction.__add__))
+    monkeypatch.setattr(Fraction, "__radd__", counting(Fraction.__radd__))
+    for z in rejection_study.cocycles:
+        differential(z.algebra, z.alpha)
+        differential(z.algebra, z.gamma)
+        check_admissible(z)
+    monkeypatch.undo()
+    assert len(rejection_study.cocycles) == 50
+    assert counts["zero"] == 0 and counts["added"] > 500, counts
+
+
 def test_no_kernel_modifies_the_shared_bracket_rows_or_the_module_form(rejection_study):
     """Bracket rows and the module form are shared mutable maps: the adjoint
     action, the Jacobi check, the bracket, the admissibility test and the
