@@ -34,7 +34,6 @@ from .lie_core import (
     NotNilpotentError,
     Subspace,
     abelian,
-    bracket,
     center,
     direct_sum,
     is_nilpotent,
@@ -98,7 +97,6 @@ __all__ = [
     "Subspace",
     "abelian",
     "act",
-    "bracket",
     "build_double",
     "center",
     "check_admissible",

@@ -15,16 +15,18 @@ and the scalar pairing of two module valued cochains is the plain shuffle sum
 
 with no factorial normalization.
 
-Both kernels visit stored entries only: the differential of ``c`` costs
-O(stored keys x p x brackets per target) and the wedge of ``c1`` and ``c2``
-O(|c1| |c2| m) for values in an ``m``-dimensional module.
+The kernels visit stored entries only: the differential of ``c`` costs
+O(stored keys x p x brackets per target), the wedge of ``c1`` and ``c2``
+O(|c1| |c2| m) for values in an ``m``-dimensional module, and the pullback
+of ``c`` one term per stored key and choice of stored entries of S on it.
+Every matrix-vector product is a sum of sparse rows through ``_combine``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -35,19 +37,17 @@ from .exact_linalg import (
     Vector,
     _axpy,
     _canon,
+    _combine,
     _dense,
     _is_canon_vector,
     _reduce,
-    det,
     rank,
     unit_vector,
     vec_add,
-    vec_is_zero,
     vec_scale,
     vector,
-    zero_vector,
 )
-from .lie_core import LieAlgebra, MathError, bracket
+from .lie_core import LieAlgebra, MathError
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class Cochain:
                 value = vector(value)
             if len(value) != self.value_dim:
                 raise ValueError("value for %s has wrong length" % (key,))
-            if not vec_is_zero(value):
+            if any(value):
                 clean[key] = value
         object.__setattr__(self, "values", MappingProxyType(clean))
 
@@ -166,21 +166,6 @@ class Cochain:
 
     def is_zero(self) -> bool:
         return not self.values
-
-    def evaluate(self, args: Sequence[Vector]) -> Vector:
-        """Multilinear evaluation on arbitrary coordinate vectors."""
-        if len(args) != self.degree:
-            raise ValueError("expected %d arguments" % self.degree)
-        for a in args:
-            if len(a) != self.n:
-                raise ValueError("argument does not live in the algebra")
-        # each value is weighted by the minor of the arguments on its key (1 in degree 0)
-        total = zero_vector(self.value_dim)
-        for key, v in self.values.items():
-            minor = det(Matrix.from_rows([[a[r] for a in args] for r in key], cols=self.degree))
-            if minor:
-                total = vec_add(total, vec_scale(minor, v))
-        return total
 
 
 def cochain_from_terms(
@@ -263,7 +248,7 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     out_degree = c1.degree + c2.degree
     if out_degree > n or not c1.values or not c2.values:
         return Cochain.zero(n, out_degree, 1, scalar=True)
-    right = [(k2, module.gram.apply(v)) for k2, v in c2.values.items()]
+    right = [(k2, _form_image(module, v)) for k2, v in c2.values.items()]
     sums: dict[tuple[int, ...], Scalar] = {}
     for k1, u in c1.values.items():
         for k2, gv in right:
@@ -273,12 +258,21 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     return Cochain(n, out_degree, 1, True, {key: (sums[key],) for key in sorted(sums)})
 
 
-def _add_pairing(sums: dict, key: tuple[int, ...], sign: int, u: Vector, v: Vector) -> None:
-    """sums[key] += sign * sum of u_t v_t, one nonzero product at a time; a key
-    whose sum vanishes is dropped, so no addition has a zero operand.  The
-    sums need not be canonical: the :class:`Cochain` made of them converts them."""
-    for x, y in zip(u, v):
-        if x and y:
+def _form_image(module: OrthogonalModule, v: Vector) -> dict[int, Scalar]:
+    """G v as a sparse row: the sum of v_t times row t of the symmetric form G."""
+    return _combine({t: y for t, y in enumerate(v) if y}, module.gram.nonzero_rows.__getitem__)
+
+
+def _add_pairing(
+    sums: dict, key: tuple[int, ...], sign: int, u: Vector, gv: dict[int, Scalar]
+) -> None:
+    """sums[key] += sign * sum of u_t (G v)_t over the sparse ``gv`` = G v, one
+    nonzero product at a time; a key whose sum vanishes is dropped, so no
+    addition has a zero operand.  The sums need not be canonical: the
+    :class:`Cochain` made of them converts them."""
+    for t, y in gv.items():
+        x = u[t]
+        if x:
             term = x * y if sign == 1 else -(x * y)
             total = sums[key] + term if key in sums else term
             if total:
@@ -345,13 +339,17 @@ class Isomap(NamedTuple):
 
 
 def is_lie_homomorphism(s: Matrix, source: LieAlgebra, target: LieAlgebra) -> bool:
-    """Whether S [x, y]_source = [S x, S y]_target on all basis pairs."""
+    """Whether S [e_i, e_j]_source = [S e_i, S e_j]_target on all basis pairs
+    i < j.  S e_i is row i of S^T, and both sides are sums of sparse rows:
+    [S e_i, S e_j] is the sum of S_ai [e_a, S e_j] over the entries of S e_i."""
     if s.rows != target.dim or s.cols != source.dim:
         raise ValueError("homomorphism matrix has wrong shape")
+    images = s.transpose().nonzero_rows
     for i in range(source.dim):
+        row_i = source.row(i)
         for j in range(i + 1, source.dim):
-            lhs = s.apply(source.basis_bracket(i, j))
-            rhs = bracket(target, s.column(i), s.column(j))
+            lhs = _combine(row_i.get(j, {}), images.__getitem__)
+            rhs = _combine(images[i], lambda a: _combine(images[j], target.row(a).get))
             if lhs != rhs:
                 return False
     return True
@@ -368,7 +366,10 @@ def pullback(iso: Isomap, c: Cochain) -> Cochain:
     """((S, U)* c)(x_1, ..., x_p) = U(c(S x_1, ..., S x_p)).
 
     For scalar cochains U is ignored; for module valued cochains it is
-    required.
+    required.  Each stored key (k_1, ..., k_p) of ``c`` with value v is
+    expanded through the rows k_r of S: every choice of nonzero S[k_r, j_r]
+    adds sign * prod S[k_r, j_r] * (U v) to the sorted key of (j_1, ..., j_p),
+    and a choice with a repeated j adds nothing.
     """
     if c.n != iso.s.rows:
         raise ValueError("cochain does not live on the target algebra")
@@ -381,14 +382,20 @@ def pullback(iso: Isomap, c: Cochain) -> Cochain:
         if iso.u.cols != c.value_dim:
             raise ValueError("value map does not match the cochain values")
         out_dim = iso.u.rows
-    values: dict[tuple[int, ...], Vector] = {}
-    if c.degree > n1:
-        return Cochain.zero(n1, c.degree, out_dim, c.scalar)
-    columns = [iso.s.column(j) for j in range(n1)]
-    for key in combinations(range(n1), c.degree):
-        v = c.evaluate([columns[t] for t in key])
-        if not c.scalar:
-            v = iso.u.apply(v)
-        if not vec_is_zero(v):
-            values[key] = v
+        u_columns = iso.u.transpose().nonzero_rows
+    s_rows = iso.s.nonzero_rows
+    sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
+    for key, value in c.values.items():
+        v = {t: y for t, y in enumerate(value) if y}
+        uv = v if c.scalar else _combine(v, u_columns.__getitem__)
+        if not uv:
+            continue
+        for choice in product(*[s_rows[k].items() for k in key]):
+            sorted_sign = sort_with_sign([j for j, _ in choice])
+            if sorted_sign is not None:
+                out, f = sorted_sign
+                for _, x in choice:
+                    f *= x
+                _axpy(sums.setdefault(out, {}), f, uv, -1)
+    values = {key: _dense(sums[key], out_dim) for key in sorted(sums) if sums[key]}
     return Cochain(n1, c.degree, out_dim, c.scalar, values)

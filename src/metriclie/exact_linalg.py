@@ -6,19 +6,19 @@ division is :func:`_quo`).  The entries here are almost all small integers,
 and an int product costs a hundredth of a Fraction one; equal values compare
 and hash equal in either type.  Vectors are tuples of scalars.  The one sparse row
 format is the ``{column: nonzero entry}`` map: a matrix stores its rows so,
-and its dense rows and columns are derived views.  Every sum c_k * row_k of
-sparse rows outside the eliminations, the matrix product among them, goes
-through :func:`_combine`; every restricted form is B G B^T through that product, and
+and its dense rows are a derived view.  :func:`_combine` is the one
+contraction: every sum c_k * row_k of sparse rows outside the eliminations,
+a matrix times a vector and the matrix product among them, goes through it;
+every restricted form is B G B^T through that product, and
 every elimination runs over copies of the sparse rows, eliminating a new
 pivot only from the pivot rows that can hold its column.  Row reduction
 returns the reduced row echelon form, which is unique for a given row space,
 so ranks, kernels, solution sets and the echelon rows of each
 :class:`Subspace` do not depend on the order in which rows are eliminated
-and are reproducible bit for bit.  The pivot order does
-not matter for determinants and signatures either: the determinant is
-unique, and inertia is additive over Schur complements (Haynsworth 1968),
-so every sequence of nonzero pivots counts the same signature.  No floating
-point appears anywhere in this package.
+and are reproducible bit for bit.  The pivot order does not matter for
+signatures either: inertia is additive over Schur complements (Haynsworth
+1968), so every sequence of nonzero pivots counts the same signature.  No
+floating point appears anywhere in this package.
 
 Hot-path tuples are built from lists, never from generators.  A tuple built
 from a generator gets its size by a resize, which bypasses CPython's tuple
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 Scalar = int | Fraction  # canonical: an int when integral, else denominator > 1
 Vector = tuple[Scalar, ...]
@@ -94,10 +94,6 @@ def vec_scale(c: Scalar, v: Vector) -> Vector:
     return tuple([c * a for a in v])
 
 
-def vec_is_zero(v: Vector) -> bool:
-    return not any(v)
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable matrix with exact rational entries, stored as its sparse rows.
@@ -156,9 +152,6 @@ class Matrix:
     def row(self, i: int) -> Vector:
         return _dense(self.nonzero_rows[i], self.cols)
 
-    def column(self, j: int) -> Vector:
-        return tuple([row.get(j, 0) for row in self.nonzero_rows])
-
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -175,15 +168,6 @@ class Matrix:
             raise ValueError("matrix product shape mismatch")
         return Matrix(other.cols, tuple([_combine(row, other.nonzero_rows.__getitem__)
                                          for row in self.nonzero_rows]))
-
-    def apply(self, v: Vector) -> Vector:
-        """Matrix-vector product, over the stored entries that meet the support of ``v``."""
-        if len(v) != self.cols:
-            raise ValueError("vector length %d does not match cols=%d" % (len(v), self.cols))
-        out = []
-        for row in self.nonzero_rows:
-            out.append(_sum([x * v[j] for j, x in row.items() if v[j]]))
-        return tuple(out)
 
     def is_symmetric(self) -> bool:
         # dict equality tries identity before __eq__, so shared entries compare at C speed
@@ -315,29 +299,6 @@ def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
     return tuple(particular), [_dense(v, a.cols) for v in _kernel(reduced, a.cols)]
 
 
-def det(m: Matrix) -> Scalar:
-    """Exact determinant by Gaussian elimination on sparse rows."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    rows = _sparse_rows(m)
-    result = 1
-    for c in range(m.rows):
-        # pivot on the first row from c on with a nonzero entry in column c
-        i = next((i for i in range(c, m.rows) if c in rows[i]), None)
-        if i is None:
-            return 0
-        if i != c:
-            rows[c], rows[i] = rows[i], rows[c]
-            result = -result
-        pivot = rows[c]
-        result = _canon(result * pivot[c])
-        for other in rows[c + 1 :]:
-            f = other.pop(c, None)
-            if f is not None:
-                _axpy(other, -_quo(f, pivot[c]), pivot, c)
-    return result
-
-
 class Signature(NamedTuple):
     """Inertia of a symmetric bilinear form: (negative, positive, null)."""
 
@@ -397,14 +358,6 @@ def signature_of(gram: Matrix) -> Signature:
     return Signature(neg=neg, pos=pos, null=gram.rows - neg - pos)
 
 
-def _sparse_vectors(vectors: Iterable[Vector], ambient_dim: int) -> Iterator[dict[int, Scalar]]:
-    for v in vectors:
-        row = {j: _canon(x) for j, x in enumerate(v) if x}
-        if row and len(v) != ambient_dim:
-            raise ValueError("vector length %d does not match ambient %d" % (len(v), ambient_dim))
-        yield row
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^n, stored as the rows :func:`_reduce` returns for it.
@@ -417,11 +370,6 @@ class Subspace:
 
     ambient_dim: int
     rows: tuple[dict[int, Scalar], ...]
-
-    @staticmethod
-    def span(ambient_dim: int, vectors: Iterable[Vector]) -> "Subspace":
-        """The span of dense vectors of length ``ambient_dim``."""
-        return Subspace.of_rows(ambient_dim, _sparse_vectors(vectors, ambient_dim))
 
     @staticmethod
     def of_rows(ambient_dim: int, rows: Iterable[dict[int, Scalar]]) -> "Subspace":

@@ -2,14 +2,13 @@
 
 A Lie algebra stores its antisymmetric structure constants once, as sparse
 rows: ``[e_i, e_j]`` as the ``{t: c}`` map of its nonzero coordinates, in
-both orientations.  The dense ``brackets`` and ``basis_bracket`` are views
-derived from them.  ``[e_i, w]`` is a sum of those rows through ``_combine``,
-and ``[x, y]`` a sum of the ``[e_i, y]``.  The Jacobi check, the series and
-the center touch only stored entries: the series computes ``[e_i, w]`` only
-for the ``e_i`` that meet ``w``, and the Jacobi check visits only the
-triples with a term that can be nonzero.  The Jacobi identity is checked eagerly on
-construction; a constructor flag disables the check so that tests can build
-deliberately broken tables.
+both orientations.  The dense ``brackets`` are a view derived from them,
+and ``[e_i, w]`` is a sum of those rows through ``_combine``.  The Jacobi
+check, the series and the center touch only stored entries: the series
+computes ``[e_i, w]`` only for the ``e_i`` that meet ``w``, and the Jacobi
+check visits only the triples with a term that can be nonzero.  The Jacobi
+identity is checked eagerly on construction; a constructor flag disables the
+check so that tests can build deliberately broken tables.
 
 :class:`LieAlgebra` is immutable, so the lower central series and the center
 are computed at most once per instance and then reused.
@@ -139,10 +138,6 @@ class LieAlgebra:
         labels = self.labels
         return "(%s)" % ", ".join(labels[i] for i in indices)
 
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        """[e_i, e_j] for arbitrary basis indices, as a dense vector read off the rows."""
-        return _dense(self._rows.get(i, _EMPTY).get(j, _EMPTY), self._dim)
-
     def row(self, i: int) -> Mapping[int, dict[int, Scalar]]:
         """The nonzero brackets [e_i, e_j] of e_i as sparse rows ``{t: c}``
         (c the e_t coordinate), keyed by j: a read-only view of shared rows."""
@@ -162,16 +157,6 @@ class LieAlgebra:
 
 def abelian(dim: int, labels: Sequence[str] | None = None) -> LieAlgebra:
     return LieAlgebra(dim, {}, labels=labels)
-
-
-def bracket(l: LieAlgebra, x: Vector, y: Vector) -> Vector:
-    """Bilinear extension of the structure constants: the sum of x_i [e_i, y]
-    over the support of x, each [e_i, y] from :meth:`LieAlgebra.ad_rows`."""
-    if len(x) != l.dim or len(y) != l.dim:
-        raise ValueError("argument does not live in the algebra")
-    xs = {i: c for i, c in enumerate(x) if c}
-    images = dict(zip(xs, l.ad_rows(xs, ({j: c for j, c in enumerate(y) if c},))))
-    return _dense(_combine(xs, images.__getitem__), l.dim)
 
 
 def validate_jacobi(l: LieAlgebra) -> JacobiReport:

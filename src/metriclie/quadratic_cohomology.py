@@ -33,6 +33,7 @@ from .cochain_complex import (
     Cochain,
     OrthogonalModule,
     _add_pairing,
+    _form_image,
     differential,
     sort_with_sign,
     wedge_pair,
@@ -67,7 +68,7 @@ def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
     stored = [(key, frozenset(key), u) for key, u in alpha.values.items()]
     sums: dict[tuple[int, ...], Scalar] = {}
     for a, (k1, s1, u) in enumerate(stored):
-        gu = module.gram.apply(u)
+        gu = _form_image(module, u)
         for k2, s2, v in stored[a + 1 :]:
             if s1.isdisjoint(s2):
                 _add_pairing(sums, *sort_with_sign(k1 + k2), v, gu)
@@ -320,4 +321,5 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
 def indecomposability_proxy(z: QuadraticCocycle) -> bool:
     """Necessary condition for indecomposability: the values of alpha span
     the whole module."""
-    return Subspace.span(z.module.dim, z.alpha.values.values()).dim == z.module.dim
+    values = [{t: x for t, x in enumerate(v) if x} for v in z.alpha.values.values()]
+    return Subspace.of_rows(z.module.dim, values).dim == z.module.dim

@@ -21,6 +21,7 @@ from metriclie.catalog import (
 )
 from metriclie.cochain_complex import (
     Cochain,
+    Isomap,
     OrthogonalModule,
     differential,
     differential_matrix,
@@ -38,7 +39,6 @@ from metriclie.exact_linalg import (
     solve_affine,
     unit_vector,
     vec_add,
-    vec_is_zero,
 )
 from metriclie.lie_core import (
     LieAlgebra,
@@ -174,7 +174,7 @@ def random_cochain(
         if rg.random() > density:
             continue
         value = tuple(rational(rg) for _ in range(value_dim))
-        if not vec_is_zero(value):
+        if any(value):
             values[key] = value
     return Cochain(n, degree, value_dim, scalar, values)
 
@@ -204,7 +204,7 @@ def _cochain_from_vector(
     for key in combinations(range(n), degree):
         value = tuple(vec[pos : pos + value_dim])
         pos += value_dim
-        if not vec_is_zero(value):
+        if any(value):
             values[key] = value
     return Cochain(n, degree, value_dim, scalar, values)
 
@@ -312,6 +312,55 @@ def dense_bracket(l: LieAlgebra, x, y) -> tuple[Fraction, ...]:
     return out
 
 
+def dense_basis_bracket(l: LieAlgebra, i: int, j: int) -> tuple:
+    """[e_i, e_j] for any basis indices, as a dense vector read off ``l.row(i)``."""
+    return _dense(l.row(i).get(j, {}), l.dim)
+
+
+def dense_apply(m: Matrix, v) -> tuple[Fraction, ...]:
+    """M v summed over every entry of M."""
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m.to_rows())
+
+
+def dense_evaluate(c: Cochain, args) -> tuple[Fraction, ...]:
+    """``c`` on arbitrary coordinate vectors: each stored value weighted by the
+    minor of the arguments on its key (:func:`dense_det`; 1 in degree 0)."""
+    if len(args) != c.degree:
+        raise ValueError("expected %d arguments" % c.degree)
+    total = (Fraction(0),) * c.value_dim
+    for key, v in c.values.items():
+        minor = dense_det(Matrix.from_rows([[a[r] for a in args] for r in key], cols=c.degree))
+        total = vec_add(total, tuple(minor * x for x in v))
+    return total
+
+
+def dense_pullback(iso: Isomap, c: Cochain) -> Cochain:
+    """(S, U)* c by evaluation: ``c`` on the columns of S for every increasing
+    tuple of source basis vectors, by minors, then U applied unless ``c`` is
+    scalar."""
+    n1 = iso.s.cols
+    columns = plain_transpose(iso.s.to_rows(), n1)
+    values = {}
+    for key in combinations(range(n1), c.degree):
+        v = dense_evaluate(c, [columns[t] for t in key])
+        if not c.scalar:
+            v = dense_apply(iso.u, v)
+        if any(v):
+            values[key] = v
+    return Cochain(n1, c.degree, 1 if c.scalar else iso.u.rows, c.scalar, values)
+
+
+def dense_is_lie_homomorphism(s: Matrix, source: LieAlgebra, target: LieAlgebra) -> bool:
+    """Whether S [e_i, e_j] = [S e_i, S e_j] for all i < j, with the columns of
+    S as dense vectors and the right side from :func:`dense_bracket`."""
+    columns = plain_transpose(s.to_rows(), s.cols)
+    return all(
+        dense_apply(s, dense_basis_bracket(source, i, j))
+        == dense_bracket(target, columns[i], columns[j])
+        for i, j in combinations(range(source.dim), 2)
+    )
+
+
 def dense_differential(l: LieAlgebra, c: Cochain) -> Cochain:
     """The differential evaluated on every increasing (p+1)-tuple of basis vectors."""
     out_degree = c.degree + 1
@@ -320,13 +369,13 @@ def dense_differential(l: LieAlgebra, c: Cochain) -> Cochain:
         total = (Fraction(0),) * c.value_dim
         for a in range(out_degree):
             for b in range(a + 1, out_degree):
-                w = l.basis_bracket(key[a], key[b])
+                w = dense_basis_bracket(l, key[a], key[b])
                 rest = key[:a] + key[a + 1 : b] + key[b + 1 :]
                 term = dense_combination(w, lambda k: alternating_value(c, (k,) + rest), c.value_dim)
                 if (a + b) % 2:
                     term = _neg(term)
                 total = vec_add(total, term)
-        if not vec_is_zero(total):
+        if any(total):
             values[key] = total
     return Cochain(l.dim, out_degree, c.value_dim, c.scalar, values)
 
@@ -734,7 +783,7 @@ def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspa
             support = [(s, y) for s, y in enumerate(gamma_iw) if y]
             row = [sum((b[s] * y for s, y in support), Fraction(0)) for b in stage_basis]
             alpha_iw = dense_combination(w, lambda t: alternating_value(z.alpha, (i, t)), m)
-            row += list(module.gram.apply(alpha_iw))
+            row += list(dense_apply(module.gram, alpha_iw))
             coords = series_term.coords(sparse_row(dense_ad(l, i, w)))
             if coords is None:
                 raise ConsistencyError("bracket left the series term, series data corrupt")
@@ -742,7 +791,7 @@ def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspa
             rows.append(row)
     for vec in kernel_basis(Matrix.from_rows(rows, cols=d0 + m + d1)):
         head = vec[:d0]
-        if not vec_is_zero(head):
+        if any(head):
             l0 = dense_combination(head, stage_basis.__getitem__, n)
             return False, (l0, vec[d0 : d0 + m], vec[d0 + m :])
     return True, None
@@ -830,24 +879,24 @@ def pinned_expansion_failures(seed: int = 2024, rounds: int = 12) -> list[str]:
     for _ in range(rounds):
         a = random_cochain(rg, 5, 2, 2)
         da = differential(l5, a)
-        check("dim5.a1", da.evaluate((x2, x3, zz)) == _neg(a.evaluate((yy, zz))))
+        check("dim5.a1", dense_evaluate(da, (x2, x3, zz)) == _neg(dense_evaluate(a, (yy, zz))))
         check(
             "dim5.a2",
-            da.evaluate((x1, x2, x3))
-            == _neg(vec_add(a.evaluate((zz, x3)), a.evaluate((yy, x1)))),
+            dense_evaluate(da, (x1, x2, x3))
+            == _neg(vec_add(dense_evaluate(a, (zz, x3)), dense_evaluate(a, (yy, x1)))),
         )
-        check("dim5.a3", da.evaluate((x1, zz, x2)) == _neg(a.evaluate((yy, x2))))
-        check("dim5.a4", da.evaluate((x1, zz, x3)) == _neg(a.evaluate((yy, x3))))
-        half = Fraction(wedge_pair(module, a, a).evaluate((x1, x3, yy, zz))[0]) / 2
+        check("dim5.a3", dense_evaluate(da, (x1, zz, x2)) == _neg(dense_evaluate(a, (yy, x2))))
+        check("dim5.a4", dense_evaluate(da, (x1, zz, x3)) == _neg(dense_evaluate(a, (yy, x3))))
+        half = Fraction(dense_evaluate(wedge_pair(module, a, a), (x1, x3, yy, zz))[0]) / 2
         expected = (
-            dense_pairing(module.gram, a.evaluate((x1, x3)), a.evaluate((yy, zz)))
-            + dense_pairing(module.gram, a.evaluate((x3, yy)), a.evaluate((x1, zz)))
-            + dense_pairing(module.gram, a.evaluate((yy, x1)), a.evaluate((x3, zz)))
+            dense_pairing(module.gram, dense_evaluate(a, (x1, x3)), dense_evaluate(a, (yy, zz)))
+            + dense_pairing(module.gram, dense_evaluate(a, (x3, yy)), dense_evaluate(a, (x1, zz)))
+            + dense_pairing(module.gram, dense_evaluate(a, (yy, x1)), dense_evaluate(a, (x3, zz)))
         )
         check("dim5.half_wedge", half == expected)
         g = random_cochain(rg, 5, 3, 1, scalar=True)
         dg = differential(l5, g)
-        check("dim5.dgamma_vanishes", dg.evaluate((x1, x3, yy, zz)) == (Fraction(0),))
+        check("dim5.dgamma_vanishes", dense_evaluate(dg, (x1, x3, yy, zz)) == (Fraction(0),))
 
     l7 = seven_dim_two_step()
     x1, x2, x3, x4, x5, yy, zz = (unit_vector(7, k) for k in range(7))
@@ -856,23 +905,23 @@ def pinned_expansion_failures(seed: int = 2024, rounds: int = 12) -> list[str]:
         da = differential(l7, a)
         check(
             "dim7.a1",
-            da.evaluate((x1, x2, x3))
+            dense_evaluate(da, (x1, x2, x3))
             == tuple(
                 p + q
-                for p, q in zip(_neg(a.evaluate((yy, x3))), a.evaluate((zz, x2)))
+                for p, q in zip(_neg(dense_evaluate(a, (yy, x3))), dense_evaluate(a, (zz, x2)))
             ),
         )
-        check("dim7.a2", da.evaluate((x2, x3, x4)) == _neg(a.evaluate((yy, x2))))
-        check("dim7.a3", da.evaluate((x2, x3, x5)) == _neg(a.evaluate((zz, x2))))
+        check("dim7.a2", dense_evaluate(da, (x2, x3, x4)) == _neg(dense_evaluate(a, (yy, x2))))
+        check("dim7.a3", dense_evaluate(da, (x2, x3, x5)) == _neg(dense_evaluate(a, (zz, x2))))
         check(
             "dim7.a4",
-            da.evaluate((x1, x3, x5))
-            == _neg(vec_add(a.evaluate((zz, x5)), a.evaluate((zz, x1)))),
+            dense_evaluate(da, (x1, x3, x5))
+            == _neg(vec_add(dense_evaluate(a, (zz, x5)), dense_evaluate(a, (zz, x1)))),
         )
         check(
             "dim7.a5",
-            da.evaluate((x1, x3, x4))
-            == _neg(vec_add(a.evaluate((zz, x4)), a.evaluate((yy, x1)))),
+            dense_evaluate(da, (x1, x3, x4))
+            == _neg(vec_add(dense_evaluate(a, (zz, x4)), dense_evaluate(a, (yy, x1)))),
         )
 
     l6 = six_dim_two_step()
@@ -882,37 +931,37 @@ def pinned_expansion_failures(seed: int = 2024, rounds: int = 12) -> list[str]:
         da = differential(l6, a)
         check(
             "dim6.a1",
-            da.evaluate((x1, x2, x3))
+            dense_evaluate(da, (x1, x2, x3))
             == tuple(
                 p + q
-                for p, q in zip(_neg(a.evaluate((yy, x3))), a.evaluate((zz, x2)))
+                for p, q in zip(_neg(dense_evaluate(a, (yy, x3))), dense_evaluate(a, (zz, x2)))
             ),
         )
-        check("dim6.a2", da.evaluate((x1, x2, x4)) == _neg(a.evaluate((yy, x4))))
+        check("dim6.a2", dense_evaluate(da, (x1, x2, x4)) == _neg(dense_evaluate(a, (yy, x4))))
         check(
             "dim6.a3",
-            da.evaluate((x1, x3, x4))
-            == _neg(vec_add(a.evaluate((zz, x4)), a.evaluate((zz, x1)))),
+            dense_evaluate(da, (x1, x3, x4))
+            == _neg(vec_add(dense_evaluate(a, (zz, x4)), dense_evaluate(a, (zz, x1)))),
         )
-        check("dim6.a4", da.evaluate((x2, x3, x4)) == _neg(a.evaluate((zz, x2))))
+        check("dim6.a4", dense_evaluate(da, (x2, x3, x4)) == _neg(dense_evaluate(a, (zz, x2))))
         g = random_cochain(rg, 6, 3, 1, scalar=True)
         dg = differential(l6, g)
         check(
             "dim6.g1",
-            dg.evaluate((zz, x1, x2, x3)) == _neg(g.evaluate((yy, zz, x3))),
+            dense_evaluate(dg, (zz, x1, x2, x3)) == _neg(dense_evaluate(g, (yy, zz, x3))),
         )
         check(
             "dim6.g2",
-            dg.evaluate((zz, x1, x2, x4)) == _neg(g.evaluate((yy, zz, x4))),
+            dense_evaluate(dg, (zz, x1, x2, x4)) == _neg(dense_evaluate(g, (yy, zz, x4))),
         )
         check(
             "dim6.g3",
-            dg.evaluate((yy, x1, x3, x4))
-            == vec_add(g.evaluate((yy, zz, x4)), g.evaluate((yy, zz, x1))),
+            dense_evaluate(dg, (yy, x1, x3, x4))
+            == vec_add(dense_evaluate(g, (yy, zz, x4)), dense_evaluate(g, (yy, zz, x1))),
         )
         check(
             "dim6.g4",
-            dg.evaluate((yy, x2, x3, x4)) == g.evaluate((yy, zz, x2)),
+            dense_evaluate(dg, (yy, x2, x3, x4)) == dense_evaluate(g, (yy, zz, x2)),
         )
 
     return failures

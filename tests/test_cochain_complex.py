@@ -28,13 +28,16 @@ from metriclie.cochain_complex import (
     pullback,
     wedge_pair,
 )
-from metriclie.exact_linalg import Matrix, rank, unit_vector
-from metriclie.lie_core import LieAlgebra, abelian
+from metriclie.exact_linalg import Matrix, Subspace, rank, unit_vector
+from metriclie.lie_core import LieAlgebra, abelian, center, lower_central_series
 
 from support import (
     catalog_algebras,
     dense_differential,
+    dense_evaluate,
+    dense_is_lie_homomorphism,
     dense_pairing,
+    dense_pullback,
     dense_wedge_pair,
     five_dim_three_step,
     pinned_expansion_failures,
@@ -84,8 +87,8 @@ def test_evaluate_is_multilinear_alternating():
     x = tuple(rational(rg) for _ in range(5))
     y = tuple(rational(rg) for _ in range(5))
     z = tuple(rational(rg) for _ in range(5))
-    assert c.evaluate((x, y, z)) == tuple(-v for v in c.evaluate((y, x, z)))
-    assert c.evaluate((x, x, z)) == (Fraction(0), Fraction(0))
+    assert dense_evaluate(c, (x, y, z)) == tuple(-v for v in dense_evaluate(c, (y, x, z)))
+    assert dense_evaluate(c, (x, x, z)) == (Fraction(0), Fraction(0))
 
 
 def test_module_validation_errors():
@@ -130,11 +133,11 @@ def test_wedge_square_shuffle_expansion():
         args = tuple(tuple(rational(rg) for _ in range(5)) for _ in range(4))
         x1, x2, x3, x4 = args
         expected = 2 * (
-            dense_pairing(gram, a.evaluate((x1, x2)), a.evaluate((x3, x4)))
-            - dense_pairing(gram, a.evaluate((x1, x3)), a.evaluate((x2, x4)))
-            + dense_pairing(gram, a.evaluate((x1, x4)), a.evaluate((x2, x3)))
+            dense_pairing(gram, dense_evaluate(a, (x1, x2)), dense_evaluate(a, (x3, x4)))
+            - dense_pairing(gram, dense_evaluate(a, (x1, x3)), dense_evaluate(a, (x2, x4)))
+            + dense_pairing(gram, dense_evaluate(a, (x1, x4)), dense_evaluate(a, (x2, x3)))
         )
-        assert square.evaluate(args) == (expected,)
+        assert dense_evaluate(square, args) == (expected,)
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 2), (2, 1)])
@@ -327,6 +330,106 @@ def test_non_automorphism_is_detected():
     assert not is_lie_homomorphism(s, l, l)
 
 
+def random_grid(rg, rows, cols, density):
+    """A plain-list grid with a zero row about a third of the time."""
+    grid = [[rational(rg) if rg.random() < density else Fraction(0) for _ in range(cols)]
+            for _ in range(rows)]
+    if rows and rg.random() < 0.3:
+        grid[rg.randrange(rows)] = [Fraction(0)] * cols
+    return grid
+
+
+def test_pullback_matches_the_dense_reference():
+    """600 seeded (S, U, c) of degree 0 to 4: the expansion of the stored keys
+    through the rows of S equals the evaluation of c by minors on the
+    columns of S, keys in the same order."""
+    rg = rng(6060)
+    seen = set()
+    for _ in range(600):
+        n, n1 = rg.randint(0, 5), rg.randint(0, 5)
+        s = Matrix.from_rows(random_grid(rg, n, n1, rg.choice((0.2, 0.5, 0.9))), cols=n1)
+        scalar = rg.random() < 0.3
+        value_dim = 1 if scalar else rg.randint(1, 3)
+        degree = rg.randint(0, min(4, n))
+        c = random_cochain(rg, n, degree, value_dim, scalar, density=rg.choice((0.3, 0.8)))
+        u = None
+        if not scalar or rg.random() < 0.5:
+            u = Matrix.from_rows(random_grid(rg, rg.randint(1, 3), value_dim, 0.6), cols=value_dim)
+        got, expected = pullback(Isomap(s, u), c), dense_pullback(Isomap(s, u), c)
+        assert got == expected and list(got.values) == list(expected.values)
+        if c.values:
+            seen.add("degree 0" if degree == 0 else "degree > n1" if degree > n1 else "degree <= n1")
+            seen.add("square" if n == n1 else "non-square")
+            seen.add("nonzero" if got.values else "zero")
+            if not all(s.nonzero_rows):
+                seen.add("zero row of S")
+            if u is not None and not all(u.nonzero_rows):
+                seen.add("zero row of U")
+            if scalar:
+                seen.add("scalar without U" if u is None else "scalar with U")
+    assert seen == {
+        "degree 0", "degree > n1", "degree <= n1", "square", "non-square", "nonzero", "zero",
+        "zero row of S", "zero row of U", "scalar without U", "scalar with U",
+    }
+
+
+def test_pullback_along_the_identity_visits_one_choice(monkeypatch):
+    """A one-key 3-form on a 64-dimensional algebra, pulled back along the
+    identity: one choice of entries of S, where evaluating the form on
+    every 3-tuple of columns would take C(64, 3) = 41,664 minors."""
+    calls = []
+    sort_with_sign = cochain_complex.sort_with_sign
+
+    def counting_sort(indices):
+        calls.append(tuple(indices))
+        return sort_with_sign(indices)
+
+    monkeypatch.setattr(cochain_complex, "sort_with_sign", counting_sort)
+    c = Cochain(64, 3, 2, False, {(3, 17, 60): (1, Fraction(-1, 2))})
+    assert pullback(Isomap(Matrix.identity(64), Matrix.identity(2)), c) == c
+    assert calls == [(3, 17, 60)]
+
+
+def central_map(rg, source, target):
+    """A homomorphism S = S0 + N: S0 the identity when source is target, else
+    zero, and N a random map into the center of target that kills the
+    derived algebra of source, so every [S e_i, S e_j] = S0 [e_i, e_j]."""
+    n, n1 = target.dim, source.dim
+    grid = [[Fraction(int(i == j and source is target)) for j in range(n1)] for i in range(n)]
+    derived = [dict(row) for row in lower_central_series(source)[1].rows]
+    for z in center(target).rows:
+        for phi in Subspace.kernel(n1, derived).rows:  # functionals that vanish on [l, l]
+            c = rational(rg)
+            for t, x in z.items():
+                for j, y in phi.items():
+                    grid[t][j] += c * x * y
+    return grid
+
+
+def test_is_lie_homomorphism_matches_the_dense_reference():
+    """600 seeded maps between g41, g64 and h1R: random ones, homomorphisms
+    into the center (plus the identity on an algebra) and those maps with one
+    entry changed.  The sparse check agrees with the dense brackets."""
+    rg = rng(6061)
+    algebras = [g41(), g64(), heisenberg_line()]
+    verdicts = {True: 0, False: 0}
+    for _ in range(600):
+        source, target = rg.choice(algebras), rg.choice(algebras)
+        kind = rg.choice(("random", "central", "changed"))
+        if kind == "random":
+            grid = random_grid(rg, target.dim, source.dim, rg.choice((0.2, 0.6)))
+        else:
+            grid = central_map(rg, source, target)
+            if kind == "changed":
+                grid[rg.randrange(target.dim)][rg.randrange(source.dim)] += rational(rg) or 1
+        s = Matrix.from_rows(grid, cols=source.dim)
+        verdict = is_lie_homomorphism(s, source, target)
+        assert verdict == dense_is_lie_homomorphism(s, source, target)
+        assert verdict or kind != "central"
+        verdicts[verdict] += 1
+    assert verdicts[True] > 150 and verdicts[False] > 150
+
+
 # ---------------------------------------------------------------------------
 # the sparse kernels against the dense references in support.py
 # ---------------------------------------------------------------------------
@@ -383,20 +486,20 @@ def test_wedge_pair_matches_the_dense_reference(kernel_algebras):
 def test_differential_of_an_empty_cochain_does_no_work(monkeypatch):
     calls = []
     sort_with_sign = cochain_complex.sort_with_sign
-    basis_bracket = LieAlgebra.basis_bracket
+    targets = cochain_complex._bracket_targets
 
     def counting_sort(indices):
         calls.append(indices)
         return sort_with_sign(indices)
 
-    def counting_bracket(self, i, j):
-        calls.append((i, j))
-        return basis_bracket(self, i, j)
+    def counting_targets(l):
+        calls.append(l)
+        return targets(l)
 
     h15 = LieAlgebra(15, {(i, 7 + i): unit_vector(15, 14) for i in range(7)})
     cases = ((abelian(60), 2), (h15, 3))
     monkeypatch.setattr(cochain_complex, "sort_with_sign", counting_sort)
-    monkeypatch.setattr(LieAlgebra, "basis_bracket", counting_bracket)
+    monkeypatch.setattr(cochain_complex, "_bracket_targets", counting_targets)
     for l, degree in cases:
         d = differential(l, Cochain.zero(l.dim, degree, 1, scalar=True))
         assert d == Cochain.zero(l.dim, degree + 1, 1, scalar=True)

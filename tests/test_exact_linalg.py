@@ -11,13 +11,11 @@ from metriclie.exact_linalg import (
     Signature,
     Subspace,
     _combine,
-    det,
     kernel_basis,
     rank,
     signature_of,
     solve_affine,
     unit_vector,
-    vec_is_zero,
     vector,
 )
 from metriclie import schema
@@ -37,9 +35,11 @@ from metriclie.lie_core import center, lower_central_series
 
 from support import (
     alternating_value,
+    dense_apply,
     dense_basis,
     dense_bracket,
     dense_det,
+    dense_evaluate,
     dense_form,
     dense_intersect,
     dense_kernel,
@@ -53,7 +53,6 @@ from support import (
     plain_transpose,
     random_cochain,
     random_elimination_case,
-    random_square_case,
     random_square_grid,
     random_symmetric_case,
     random_symmetric_grid,
@@ -87,6 +86,11 @@ def rectangular(max_side=4):
     )
 
 
+def span(n, vectors):
+    """The span of dense vectors, through ``Subspace.of_rows``."""
+    return Subspace.of_rows(n, [sparse_row(vector(v)) for v in vectors])
+
+
 def symmetrized(m):
     """M + M^T, summed entry by entry on plain lists."""
     grid = m.to_rows()
@@ -95,7 +99,7 @@ def symmetrized(m):
 
 def test_rref_known_matrix():
     m = Matrix.from_rows([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
-    assert dense_basis(Subspace.span(3, m.to_rows())) == (vector([1, 0, -1]), vector([0, 1, 2]))
+    assert dense_basis(span(3, m.to_rows())) == (vector([1, 0, -1]), vector([0, 1, 2]))
 
 
 def test_kernel_of_known_matrix():
@@ -109,15 +113,17 @@ def test_solve_affine_particular_and_kernel():
     solution = solve_affine(a, vector([3, 6]))
     assert solution is not None
     particular, kernel = solution
-    assert a.apply(particular) == vector([3, 6])
+    assert dense_apply(a, particular) == vector([3, 6])
     assert len(kernel) == 1
     assert solve_affine(a, vector([3, 5])) is None
 
 
 def test_det_examples():
-    assert det(Matrix.identity(3)) == 1
-    assert det(Matrix.from_rows([[0, 1], [1, 0]])) == -1
-    assert det(Matrix.from_rows([[2, 0], [7, 3]])) == 6
+    # the reference determinant behind dense_evaluate and dense_pullback
+    assert dense_det(Matrix.identity(3)) == 1
+    assert dense_det(Matrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert dense_det(Matrix.from_rows([[2, 0], [7, 3]])) == 6
+    assert dense_det(Matrix.zero(0, 0)) == 1
 
 
 def test_signature_orders_negatives_first():
@@ -142,17 +148,17 @@ def test_signature_handles_coupled_zero_diagonal():
 
 
 def test_subspace_span_canonicalizes():
-    basis = dense_basis(Subspace.span(3, [vector([2, 2, 0]), vector([1, 1, 1])]))
+    basis = dense_basis(span(3, [vector([2, 2, 0]), vector([1, 1, 1])]))
     assert basis == (vector([1, 1, 0]), vector([0, 0, 1]))
 
 
 def test_subspace_form_restricts_the_form():
     gram = Matrix.diagonal([1, 1, -1])
-    null_line = Subspace.span(3, [vector([1, 0, 1])])
+    null_line = span(3, [vector([1, 0, 1])])
     assert null_line.form(gram).to_rows() == [[Fraction(0)]]
     assert not null_line.is_nondegenerate(gram)
-    assert Subspace.span(3, []).is_nondegenerate(gram)
-    assert Subspace.span(3, [vector([1, 0, 0])]).is_nondegenerate(gram)
+    assert span(3, []).is_nondegenerate(gram)
+    assert span(3, [vector([1, 0, 0])]).is_nondegenerate(gram)
 
 
 def test_matrix_shape_mismatch_rejected():
@@ -170,33 +176,33 @@ def test_rank_plus_nullity(m):
 @given(rectangular())
 def test_kernel_vectors_annihilated(m):
     for vec in kernel_basis(m):
-        assert vec_is_zero(m.apply(vec))
+        assert not any(dense_apply(m, vec))
 
 
 @settings(max_examples=60)
 @given(rectangular(), st.lists(fractions, min_size=1, max_size=4))
 def test_solve_affine_solutions_check_out(m, coeffs):
     coeffs = (coeffs * m.cols)[: m.cols]
-    b = m.apply(tuple(coeffs))
+    b = dense_apply(m, tuple(coeffs))
     solution = solve_affine(m, b)
     assert solution is not None
     particular, kernel = solution
-    assert m.apply(particular) == b
+    assert dense_apply(m, particular) == b
     for vec in kernel:
-        assert vec_is_zero(m.apply(vec))
+        assert not any(dense_apply(m, vec))
 
 
 @settings(max_examples=40)
 @given(square(3), square(3))
 def test_det_is_multiplicative(a, b):
-    assert det(a @ b) == det(a) * det(b)
+    assert dense_det(a @ b) == dense_det(a) * dense_det(b)
 
 
 @settings(max_examples=40)
 @given(square(3), square(3))
 def test_signature_is_congruence_invariant(g, s):
     sym = symmetrized(g)
-    if det(s) == 0:
+    if rank(s) < 3:
         return
     transported = s.transpose() @ sym @ s
     assert signature_of(transported).as_tuple() == signature_of(sym).as_tuple()
@@ -246,7 +252,7 @@ def test_combine_matches_reference_contractions():
         c = random_cochain(rg, n, degree, 2)
         for rest in combinations(range(n), degree - 1):
             v = sparse_vector(n)
-            expected = c.evaluate([v] + [unit_vector(n, r) for r in rest])
+            expected = dense_evaluate(c, [v] + [unit_vector(n, r) for r in rest])
             got = _combine(sparse_row(v), lambda k: sparse_row(alternating_value(c, (k,) + rest)))
             assert got == sparse_row(expected)
 
@@ -293,12 +299,12 @@ def test_sparse_elimination_matches_the_dense_reference():
         reduced, pivots = dense_rref(m)
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == dense_kernel(m)
-        assert dense_basis(Subspace.span(m.cols, [m.row(i) for i in range(m.rows)])) == tuple(
+        assert dense_basis(span(m.cols, [m.row(i) for i in range(m.rows)])) == tuple(
             reduced.row(r) for r in range(len(pivots))
         )
         # one consistent right hand side and one drawn at random
         x = tuple(rational(rg) for _ in range(m.cols))
-        for b in (m.apply(x), tuple(rational(rg) for _ in range(m.rows))):
+        for b in (dense_apply(m, x), tuple(rational(rg) for _ in range(m.rows))):
             expected = dense_solve_affine(m, b)
             assert solve_affine(m, b) == expected
             inconsistent += expected is None
@@ -319,15 +325,13 @@ def test_elimination_edge_cases():
     assert solve_affine(flat, vector([0, 1, 0])) is None
     # non-unit pivots, a duplicate row and a zero row
     m = Matrix.from_rows([[0, 3, 6], [0, 3, 6], [0, 0, 0], [2, 4, 1]])
-    assert dense_basis(Subspace.span(3, m.to_rows())) == (vector([1, 0, "-7/2"]), vector([0, 1, 2]))
-    assert dense_basis(Subspace.span(2, [vector([0, 0]), vector([0, 5])])) == (vector([0, 1]),)
+    assert dense_basis(span(3, m.to_rows())) == (vector([1, 0, "-7/2"]), vector([0, 1, 2]))
+    assert dense_basis(span(2, [vector([0, 0]), vector([0, 5])])) == (vector([0, 1]),)
     # pivot 1 is held by no earlier row (no back-elimination); pivot 2 is
     # held by the first row, which must be back-eliminated
     one = Fraction(1)
     rows = [{0: one, 2: one}, {1: one}, {2: one}]
     assert Subspace.of_rows(3, rows).rows == ({0: one}, {1: one}, {2: one})
-    with pytest.raises(ValueError):
-        Subspace.span(2, [vector([1, 0, 0])])
 
 
 def _random_vectors(rg, n, count):
@@ -345,9 +349,8 @@ def test_every_subspace_constructor_stores_the_dense_reference_rows():
         expected = dense_span(n, vectors)
         sparse = [sparse_row(v) for v in vectors]
         kernel = dense_span(n, dense_kernel(m))
-        other = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, 4)))
+        other = span(n, _random_vectors(rg, n, rg.randint(0, 4)))
         built = {
-            "span": (Subspace.span(n, vectors), expected),
             "of_rows": (Subspace.of_rows(n, sparse), expected),
             "kernel": (Subspace.kernel(n, [dict(row) for row in sparse]), kernel),
             "full": (Subspace.full(n), dense_span(n, [unit_vector(n, i) for i in range(n)])),
@@ -364,9 +367,9 @@ def test_subspace_coords_match_the_dense_reference():
     outside = 0
     for _ in range(800):
         n = rg.randint(0, 8)
-        space = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
+        space = span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
         transpose = Matrix.from_rows([[b[j] for b in dense_basis(space)] for j in range(n)], cols=space.dim)
-        inside = transpose.apply(tuple(rational(rg) for _ in range(space.dim)))
+        inside = dense_apply(transpose, tuple(rational(rg) for _ in range(space.dim)))
         for v in (inside, *_random_vectors(rg, n, 2)):
             solved = dense_solve_affine(transpose, v)  # B^T c = v, c unique when solvable
             expected = None if solved is None else solved[0]
@@ -382,7 +385,7 @@ def test_subspace_form_matches_the_dense_products():
         _, grid = random_symmetric_grid(rg)
         n = len(grid)
         g = Matrix.from_rows(grid, cols=n)
-        space = Subspace.span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
+        space = span(n, _random_vectors(rg, n, rg.randint(0, n + 1)))
         form = space.form(g)
         # the stored sparse rows: every entry of B G B^T, and no zero
         assert form.cols == space.dim
@@ -426,7 +429,6 @@ def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
         if m.rows == m.cols:
             # the eliminations consume copies, never the stored rows
             rank(m)
-            det(m)
             if m.is_symmetric():
                 signature_of(m)
         assert m.nonzero_rows == expected
@@ -435,20 +437,14 @@ def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
     assert matrices[0][0].is_symmetric() and not matrices[1][0].is_symmetric()
 
 
-def test_sparse_signature_and_det_match_the_dense_reference():
+def test_sparse_signature_matches_the_dense_reference():
     rg = rng(9090)
     kinds = set()
-    singular = 0
     for _ in range(2400):
         kind, g = random_symmetric_case(rg)
         assert signature_of(g) == dense_signature_of(g), (kind, g.to_rows())
         kinds.add(kind)
-        m = random_square_case(rg)
-        expected = dense_det(m)
-        assert det(m) == expected, m.to_rows()
-        singular += expected == 0
     assert kinds == {"empty", "witt", "coupled", "image", "sparse"}
-    assert 500 < singular < 2000
 
 
 def test_signatures_of_the_catalog_doubles_match_the_dense_reference():
@@ -505,9 +501,10 @@ def test_sparse_kernels_match_plain_list_references():
             and sum(1 for t in range(k) if ga[i][t] and gb[t][j]) > 1
             for i in range(r) for j in range(c)
         )
+        # A v as the sum of v_j times column j, the rows of the transpose
         v = tuple(_small_grid(rg, 1, k)[0])
-        assert a.apply(v) == tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in ga)
-        assert [a.column(j) for j in range(k)] == [tuple(row[j] for row in ga) for j in range(k)]
+        av = _combine(sparse_row(v), a.transpose().nonzero_rows.__getitem__)
+        assert av == sparse_row([sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in ga])
         assert [a.row(i) for i in range(r)] == [tuple(row) for row in ga]
     assert {(True, False, -1), (False, True, 1), (False, False, -1), (False, False, 1)} <= shapes
     assert cancelled > 50

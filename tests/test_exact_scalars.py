@@ -10,7 +10,7 @@ import pytest
 
 from metriclie import exact_linalg
 from metriclie.catalog import ENTRIES, _sample_points, default_samples, instantiate, run_catalog
-from metriclie.exact_linalg import Matrix, _reduce, _sparse_rows, det, signature_of
+from metriclie.exact_linalg import Matrix, _reduce, _sparse_rows, signature_of
 from metriclie.lie_core import center, lower_central_series
 from metriclie.quadratic_cohomology import check_admissible
 
@@ -45,7 +45,7 @@ def stored_scalars():
     """Every scalar stored by the Gram forms, bracket rows, series and
     centers of the 95 catalog doubles and the two scale doubles, by the
     forms restricted to their centers and derived algebras, and returned by
-    ``_reduce``, ``det`` and ``signature_of`` on those forms and on seeded
+    ``_reduce`` and ``signature_of`` on those forms and on seeded
     random symmetric and square matrices, as ``(where, scalar)`` pairs."""
     doubles = [g for g in run_catalog().doubles if g is not None]
     assert len(doubles) == 95
@@ -67,7 +67,6 @@ def stored_scalars():
             out += [("random %d matrix" % t, x) for x in _matrix_scalars(m)]
             out += [("random %d reduce" % t, x)
                     for _, row in _reduce(_sparse_rows(m)) for x in row.values()]
-        out += [("random %d det" % t, det(square)), ("random %d det" % t, det(sym))]
         out += [("random %d signature" % t, x) for x in signature_of(sym)]
     return out
 

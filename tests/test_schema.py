@@ -85,7 +85,7 @@ def test_algebra_payload_swaps_reversed_brackets():
         "brackets": [{"i": 2, "j": 1, "value": ["0", "0", "1"]}],
     }
     parsed = parse_algebra_payload(payload)
-    assert parsed.basis_bracket(0, 1) == (Fraction(0), Fraction(0), Fraction(-1))
+    assert parsed.row(0)[1] == {2: -1}
 
 
 def test_algebra_payload_rejects_conflicting_orders():

@@ -6,7 +6,9 @@ with the ROADMAP item that reserves it.  Every public method or property of
 a class in ``src/metriclie`` is used the same way: some attribute reference
 of that name in ``src/metriclie`` outside its own definition, ``scripts/``
 or ``perfbench/``.  Attribute names are not resolved to a class, so a name
-that two classes share counts as used for both."""
+that two classes share counts as used for both.  The names whose only caller
+outside the tests is in ``perfbench/`` are pinned too: they are the
+candidates of ROADMAP item 7(a)/(b), and the list fails when it changes."""
 
 import ast
 from collections import Counter
@@ -30,6 +32,17 @@ RESERVED = {
     "direct_sum": 1,
     # item 3: the report of which bases the scheme uses, read by paper item
     "entries_for_item": 3,
+}
+
+# called outside the tests by perfbench/ alone (ROADMAP 7(b): keep them, or
+# move them into the harness in a benchmark change)
+PERFBENCH_ONLY = {
+    "differential_matrix",
+    "kernel_basis",
+    "solve_affine",
+    "zero_cocycle",
+    "zero_vector",
+    "AdmissibilityReport.condition",
 }
 
 
@@ -90,6 +103,40 @@ def test_every_src_definition_has_a_caller_or_a_roadmap_item():
         for path in sorted((ROOT / folder).glob("*.py"))
     ]
     assert sorted(uncalled(modules, callers)) == sorted(RESERVED)
+
+
+def perfbench_only(modules: dict[str, ast.Module], scripts: list[ast.Module],
+                   perfbench: list[ast.Module]) -> set[str]:
+    """Definitions and methods of ``modules`` that only ``perfbench`` uses:
+    unused without it, used with it."""
+    without = set(uncalled(modules, scripts)) | set(unused_methods(modules, scripts))
+    used = set(uncalled(modules, scripts + perfbench)) | set(unused_methods(modules, scripts + perfbench))
+    return without - used
+
+
+def test_the_checker_sees_a_name_only_perfbench_uses():
+    modules = {
+        "m": ast.parse(
+            "def f():\n    return 1\n\ndef g():\n    return 2\n\ndef h():\n    return f()\n\n"
+            "class K:\n    def run(self):\n        return 0\n"
+        ),
+    }
+    scripts = [ast.parse("from metriclie.m import g\n\ng()\n")]
+    perfbench = [ast.parse("from metriclie.m import K, g, h\n\nh(), g(), K().run()\n")]
+    assert perfbench_only(modules, scripts, perfbench) == {"h", "K", "K.run"}
+
+
+def test_the_names_only_perfbench_calls_are_pinned():
+    modules = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    scripts, perfbench = (
+        [ast.parse(path.read_text()) for path in sorted((ROOT / folder).glob("*.py"))]
+        for folder in ("scripts", "perfbench")
+    )
+    assert perfbench_only(modules, scripts, perfbench) == PERFBENCH_ONLY
 
 
 def test_the_checker_sees_a_method_without_a_caller():
