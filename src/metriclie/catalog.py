@@ -11,14 +11,13 @@ construction, recording metric fingerprints along the way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
 from .double_construction import Fingerprint, MetricLieAlgebra, build_double, fingerprint
-from .exact_linalg import Matrix, scalar, unit_vector
+from .exact_linalg import Matrix, _Record, scalar, unit_vector
 from .lie_core import LieAlgebra, abelian
 from .quadratic_cohomology import (
     CocycleError,
@@ -199,8 +198,7 @@ GAMMA124_TERMS: tuple[GammaTerm, ...] = ((1, (0, 1, 3)),)
 PARAM_DOMAINS = {"s": "rational", "r": "positive"}
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One classified cocycle, possibly depending on rational parameters."""
 
     id: str
@@ -507,8 +505,7 @@ def default_samples() -> dict[str, tuple[Fraction, ...]]:
     }
 
 
-@dataclass(frozen=True)
-class CatalogRow:
+class CatalogRow(NamedTuple):
     """Outcome of instantiating and processing one entry at one sample point."""
 
     entry_id: str
@@ -530,20 +527,47 @@ class CatalogRow:
         )
 
 
-@dataclass(frozen=True)
-class CatalogReport:
+class CatalogReport(_Record):
     """Rows of a catalog run and their aggregates.
 
     ``doubles[i]`` is the metric double that ``rows[i]`` was fingerprinted
     from, or None where none was built.  The doubles stay with the report, so
     a caller that keeps only rows keeps no doubles; they take no part in
-    comparing reports.
+    comparing, hashing or printing reports.
     """
 
+    __slots__ = _fields = ("rows", "collisions", "family_splits", "doubles")
     rows: tuple[CatalogRow, ...]
     collisions: tuple[tuple[tuple, tuple[str, ...]], ...]
     family_splits: tuple[tuple[str, int], ...]
-    doubles: tuple[MetricLieAlgebra | None, ...] = field(compare=False, repr=False)
+    doubles: tuple[MetricLieAlgebra | None, ...]
+
+    def __init__(
+        self,
+        rows: tuple[CatalogRow, ...],
+        collisions: tuple[tuple[tuple, tuple[str, ...]], ...],
+        family_splits: tuple[tuple[str, int], ...],
+        doubles: tuple[MetricLieAlgebra | None, ...],
+    ) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "collisions", collisions)
+        object.__setattr__(self, "family_splits", family_splits)
+        object.__setattr__(self, "doubles", doubles)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.collisions, self.family_splits) == (
+            other.rows, other.collisions, other.family_splits
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.collisions, self.family_splits))
+
+    def __repr__(self) -> str:
+        return "CatalogReport(rows=%r, collisions=%r, family_splits=%r)" % (
+            self.rows, self.collisions, self.family_splits
+        )
 
     @property
     def all_ok(self) -> bool:

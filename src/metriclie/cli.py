@@ -23,7 +23,6 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from importlib import resources
 from math import comb
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Sequence
@@ -82,9 +81,9 @@ def resolve_path(name: str) -> Path:
         candidate = Path(override) / name
         if candidate.is_file():
             return candidate
-    bundled = resources.files("metriclie") / "data" / name
+    bundled = Path(__file__).with_name("data") / name
     if bundled.is_file():
-        return Path(str(bundled))
+        return bundled
     raise SchemaError(f"cannot find document {name!r}")
 
 

@@ -18,15 +18,15 @@ with no factorial normalization.
 The kernels visit stored entries only: the differential of ``c`` costs
 O(stored keys x p x brackets per target), the wedge of ``c1`` and ``c2``
 O(|c1| |c2| m) for values in an ``m``-dimensional module, and the pullback
-of ``c`` one term per stored key and choice of stored entries of S on it.
+of ``c`` one term per stored key and choice of stored entries of S on it
+in distinct columns.
 Every matrix-vector product is a sum of sparse rows through ``_combine``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -35,6 +35,7 @@ from .exact_linalg import (
     Matrix,
     Scalar,
     Vector,
+    _Record,
     _axpy,
     _canon,
     _combine,
@@ -50,18 +51,27 @@ from .exact_linalg import (
 from .lie_core import LieAlgebra, MathError
 
 
-@dataclass(frozen=True)
-class OrthogonalModule:
+class OrthogonalModule(_Record):
     """A vector space with a nondegenerate symmetric form; any other form
     raises :class:`~metriclie.lie_core.MathError`."""
 
+    __slots__ = _fields = ("gram",)
     gram: Matrix
 
-    def __post_init__(self) -> None:
-        if not self.gram.is_symmetric():
+    def __init__(self, gram: Matrix) -> None:
+        if not gram.is_symmetric():
             raise MathError("module form must be symmetric")
-        if rank(self.gram) != self.gram.rows:
+        if rank(gram) != gram.rows:
             raise MathError("module form must be nondegenerate")
+        object.__setattr__(self, "gram", gram)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.gram == other.gram
+
+    def __hash__(self) -> int:
+        return hash((self.gram,))
 
     @property
     def dim(self) -> int:
@@ -85,8 +95,7 @@ def sort_with_sign(indices: Sequence[int]) -> tuple[tuple[int, ...], int] | None
     return tuple(idx), sign
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Record):
     """A sparse alternating form with vector values.
 
     ``n`` is the dimension of the underlying algebra, ``value_dim`` the length
@@ -94,35 +103,59 @@ class Cochain:
     field rather than in a module (relevant for serialization and pullbacks).
     Keys are strictly increasing tuples; zero values are never stored, and a
     value that is not a tuple of canonical scalars is converted to one.
-    Cochains are immutable: ``values`` is a read-only mapping.
+    Cochains are immutable: ``values`` is a read-only mapping of its own
+    (``None`` stands for no values).
     """
 
+    __slots__ = _fields = ("n", "degree", "value_dim", "scalar", "values")
     n: int
     degree: int
     value_dim: int
-    scalar: bool = False
-    values: Mapping[tuple[int, ...], Vector] = field(default_factory=dict)
+    scalar: bool
+    values: Mapping[tuple[int, ...], Vector]
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(
+        self,
+        n: int,
+        degree: int,
+        value_dim: int,
+        scalar: bool = False,
+        values: Mapping[tuple[int, ...], Vector] | None = None,
+    ) -> None:
+        if degree < 0:
             raise ValueError("negative degree")
-        if self.scalar and self.value_dim != 1:
+        if scalar and value_dim != 1:
             raise ValueError("scalar cochains carry single component values")
         clean: dict[tuple[int, ...], Vector] = {}
-        for key, value in self.values.items():
-            if len(key) != self.degree:
-                raise ValueError("key %s has wrong length for degree %d" % (key, self.degree))
-            if any(not (0 <= i < self.n) for i in key):
+        for key, value in (values or {}).items():
+            if len(key) != degree:
+                raise ValueError("key %s has wrong length for degree %d" % (key, degree))
+            if any(not (0 <= i < n) for i in key):
                 raise ValueError("key %s out of range" % (key,))
             if any(a >= b for a, b in zip(key, key[1:])):
                 raise ValueError("key %s is not strictly increasing" % (key,))
             if not _is_canon_vector(value):
                 value = vector(value)
-            if len(value) != self.value_dim:
+            if len(value) != value_dim:
                 raise ValueError("value for %s has wrong length" % (key,))
             if any(value):
                 clean[key] = value
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "value_dim", value_dim)
+        object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "values", MappingProxyType(clean))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.degree == other.degree
+            and self.value_dim == other.value_dim
+            and self.scalar == other.scalar
+            and self.values == other.values
+        )
 
     def __hash__(self) -> int:
         return hash(
@@ -368,8 +401,9 @@ def pullback(iso: Isomap, c: Cochain) -> Cochain:
     For scalar cochains U is ignored; for module valued cochains it is
     required.  Each stored key (k_1, ..., k_p) of ``c`` with value v is
     expanded through the rows k_r of S: every choice of nonzero S[k_r, j_r]
-    adds sign * prod S[k_r, j_r] * (U v) to the sorted key of (j_1, ..., j_p),
-    and a choice with a repeated j adds nothing.
+    with distinct j_r adds sign * prod S[k_r, j_r] * (U v) to the sorted key
+    of (j_1, ..., j_p); a choice with a repeated j would add nothing, and
+    :func:`_distinct_choices` builds none.
     """
     if c.n != iso.s.rows:
         raise ValueError("cochain does not live on the target algebra")
@@ -390,12 +424,21 @@ def pullback(iso: Isomap, c: Cochain) -> Cochain:
         uv = v if c.scalar else _combine(v, u_columns.__getitem__)
         if not uv:
             continue
-        for choice in product(*[s_rows[k].items() for k in key]):
-            sorted_sign = sort_with_sign([j for j, _ in choice])
-            if sorted_sign is not None:
-                out, f = sorted_sign
-                for _, x in choice:
-                    f *= x
-                _axpy(sums.setdefault(out, {}), f, uv, -1)
+        for columns, f in _distinct_choices([s_rows[k] for k in key]):
+            out, sign = sort_with_sign(columns)
+            _axpy(sums.setdefault(out, {}), f if sign == 1 else -f, uv, -1)
     values = {key: _dense(sums[key], out_dim) for key in sorted(sums) if sums[key]}
     return Cochain(n1, c.degree, out_dim, c.scalar, values)
+
+
+def _distinct_choices(rows: list[dict[int, Scalar]]) -> list[tuple[list[int], Scalar]]:
+    """Every choice of one stored entry x_r at column j_r from each sparse row
+    in ``rows``, with no column chosen twice, as ``([j_1, ..., j_p], prod x_r)``
+    in lexicographic order.  A partial choice is extended only by columns it
+    has not taken, so no choice with a repeated column is ever built."""
+    choices: list[tuple[list[int], Scalar]] = [([], 1)]
+    for row in rows:
+        choices = [
+            (cols + [j], f * x) for cols, f in choices for j, x in row.items() if j not in cols
+        ]
+    return choices

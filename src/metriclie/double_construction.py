@@ -16,10 +16,9 @@ with ``l`` dually and restricts to the module form on ``a``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exact_linalg import Matrix, Scalar, Signature, _combine, rank, signature_of
+from .exact_linalg import Matrix, Scalar, Signature, _combine, _Record, rank, signature_of
 from .lie_core import (
     LieAlgebra,
     center,
@@ -31,17 +30,34 @@ from .lie_core import (
 from .quadratic_cohomology import ConsistencyError, QuadraticCocycle
 
 
-@dataclass(frozen=True)
-class MetricLieAlgebra:
+class MetricLieAlgebra(_Record):
     """An immutable Lie algebra with an invariant nondegenerate symmetric form.
 
     ``provenance`` is the quadratic cocycle the algebra was built from as a
     double, if any.
     """
 
+    __slots__ = _fields = ("algebra", "gram", "provenance")
     algebra: LieAlgebra
     gram: Matrix
-    provenance: QuadraticCocycle | None = None
+    provenance: QuadraticCocycle | None
+
+    def __init__(
+        self, algebra: LieAlgebra, gram: Matrix, provenance: QuadraticCocycle | None = None
+    ) -> None:
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "gram", gram)
+        object.__setattr__(self, "provenance", provenance)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.gram, self.provenance) == (
+            other.algebra, other.gram, other.provenance
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.gram, self.provenance))
 
 
 class MetricCheck(NamedTuple):

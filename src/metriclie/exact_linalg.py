@@ -28,8 +28,6 @@ full collection empties them, so code that triggers none piles up megabytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -94,8 +92,37 @@ def vec_scale(c: Scalar, v: Vector) -> Vector:
     return tuple([c * a for a in v])
 
 
-@dataclass(frozen=True)
-class Matrix:
+class _Record:
+    """Base of the package's immutable records, plain ``__slots__`` classes.
+
+    A subclass names its constructor arguments, in order, in ``_fields`` and
+    stores each in a slot of the same name.  Its ``__init__`` validates them
+    and writes each slot once with ``object.__setattr__``; after that, no
+    attribute can be assigned or deleted.  It defines ``__eq__`` (by class
+    and field values) and ``__hash__`` itself, reading its slots by name: a
+    loop over ``_fields`` would make every comparison slower.  ``repr``
+    lists ``_fields``, and a copy or an unpickled record is built again by
+    the constructor from them.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(["%s=%r" % (f, getattr(self, f)) for f in self._fields])
+        return "%s(%s)" % (type(self).__name__, fields)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, f) for f in self._fields])
+
+
+class Matrix(_Record):
     """Immutable matrix with exact rational entries, stored as its sparse rows.
 
     ``nonzero_rows`` holds each row as ``{column: nonzero scalar}`` (shared,
@@ -105,12 +132,20 @@ class Matrix:
     coerces dense rows.
     """
 
+    __slots__ = _fields = ("cols", "nonzero_rows")
     cols: int
     nonzero_rows: tuple[dict[int, Scalar], ...]
 
-    def __post_init__(self) -> None:
-        if self.cols < 0:
+    def __init__(self, cols: int, nonzero_rows: tuple[dict[int, Scalar], ...]) -> None:
+        if cols < 0:
             raise ValueError("negative matrix dimensions")
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nonzero_rows", nonzero_rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cols == other.cols and self.nonzero_rows == other.nonzero_rows
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> "Matrix":
@@ -358,18 +393,29 @@ def signature_of(gram: Matrix) -> Signature:
     return Signature(neg=neg, pos=pos, null=gram.rows - neg - pos)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """A subspace of Q^n, stored as the rows :func:`_reduce` returns for it.
 
     ``rows`` are the reduced echelon rows of the span as sparse ``{column:
     entry}`` maps, sorted by pivot.  They are unique, so two subspaces are
     equal exactly when they span the same space.  They are shared: callers
-    hand copies of them to :func:`_reduce`, which consumes its input.
+    hand copies of them to :func:`_reduce`, which consumes its input.  The
+    slot ``_pivots`` holds their pivot columns once :meth:`coords` needs them.
     """
 
+    _fields = ("ambient_dim", "rows")
+    __slots__ = _fields + ("_pivots",)
     ambient_dim: int
     rows: tuple[dict[int, Scalar], ...]
+
+    def __init__(self, ambient_dim: int, rows: tuple[dict[int, Scalar], ...]) -> None:
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     @staticmethod
     def of_rows(ambient_dim: int, rows: Iterable[dict[int, Scalar]]) -> "Subspace":
@@ -393,17 +439,18 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        return tuple([min(row) for row in self.rows])
-
     def coords(self, v: dict[int, Scalar]) -> Vector | None:
         """Coordinates of the sparse row ``v`` (only read) in the echelon rows:
         its entries at their pivots, or None when a residual is left after
         subtracting the rows times them."""
+        try:
+            pivots = self._pivots
+        except AttributeError:
+            pivots = tuple([min(row) for row in self.rows])
+            object.__setattr__(self, "_pivots", pivots)
         residual = dict(v)
         coeffs = []
-        for p, row in zip(self._pivots, self.rows):
+        for p, row in zip(pivots, self.rows):
             c = residual.pop(p, 0)
             if c:
                 _axpy(residual, -c, row, p)

@@ -25,7 +25,6 @@ condition for that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -38,7 +37,17 @@ from .cochain_complex import (
     sort_with_sign,
     wedge_pair,
 )
-from .exact_linalg import Scalar, Subspace, Vector, _combine, _dense, _kernel, _reduce, _sum
+from .exact_linalg import (
+    Scalar,
+    Subspace,
+    Vector,
+    _combine,
+    _dense,
+    _kernel,
+    _Record,
+    _reduce,
+    _sum,
+)
 from .lie_core import LieAlgebra, MathError, filtration_spaces, lower_central_series
 
 _HALF = Fraction(1, 2)
@@ -93,47 +102,74 @@ def cocycle_defect(
     return None
 
 
-@dataclass(frozen=True)
-class QuadraticCochain:
+class QuadraticCochain(_Record):
     """A pair (tau, sigma): module valued 1-form and scalar 2-form."""
 
+    __slots__ = _fields = ("algebra", "module", "tau", "sigma")
     algebra: LieAlgebra
     module: OrthogonalModule
     tau: Cochain
     sigma: Cochain
 
-    def __post_init__(self) -> None:
-        n, m = self.algebra.dim, self.module.dim
-        if (self.tau.n, self.tau.degree, self.tau.value_dim, self.tau.scalar) != (n, 1, m, False):
+    def __init__(
+        self, algebra: LieAlgebra, module: OrthogonalModule, tau: Cochain, sigma: Cochain
+    ) -> None:
+        n, m = algebra.dim, module.dim
+        if (tau.n, tau.degree, tau.value_dim, tau.scalar) != (n, 1, m, False):
             raise ValueError("tau must be a module valued 1-form on the algebra")
-        if (self.sigma.n, self.sigma.degree, self.sigma.scalar) != (n, 2, True):
+        if (sigma.n, sigma.degree, sigma.scalar) != (n, 2, True):
             raise ValueError("sigma must be a scalar 2-form on the algebra")
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "sigma", sigma)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.module, self.tau, self.sigma) == (
+            other.algebra, other.module, other.tau, other.sigma
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.module, self.tau, self.sigma))
 
 
-@dataclass(frozen=True)
-class QuadraticCocycle:
+class QuadraticCocycle(_Record):
     """A validated quadratic cocycle (alpha, gamma)."""
 
+    __slots__ = _fields = ("algebra", "module", "alpha", "gamma")
     algebra: LieAlgebra
     module: OrthogonalModule
     alpha: Cochain
     gamma: Cochain
 
-    def __post_init__(self) -> None:
-        n, m = self.algebra.dim, self.module.dim
-        if (self.alpha.n, self.alpha.degree, self.alpha.value_dim, self.alpha.scalar) != (
-            n,
-            2,
-            m,
-            False,
-        ):
+    def __init__(
+        self, algebra: LieAlgebra, module: OrthogonalModule, alpha: Cochain, gamma: Cochain
+    ) -> None:
+        n, m = algebra.dim, module.dim
+        if (alpha.n, alpha.degree, alpha.value_dim, alpha.scalar) != (n, 2, m, False):
             raise ValueError("alpha must be a module valued 2-form on the algebra")
-        if (self.gamma.n, self.gamma.degree, self.gamma.scalar) != (n, 3, True):
+        if (gamma.n, gamma.degree, gamma.scalar) != (n, 3, True):
             raise ValueError("gamma must be a scalar 3-form on the algebra")
-        defect = cocycle_defect(self.algebra, self.module, self.alpha, self.gamma)
+        defect = cocycle_defect(algebra, module, alpha, gamma)
         if defect is not None:
             kind, key = defect
-            raise CocycleError("%s fails at basis tuple %s" % (kind, self.algebra.named(key)))
+            raise CocycleError("%s fails at basis tuple %s" % (kind, algebra.named(key)))
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "module", module)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "gamma", gamma)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.algebra, self.module, self.alpha, self.gamma) == (
+            other.algebra, other.module, other.alpha, other.gamma
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.module, self.alpha, self.gamma))
 
 
 def zero_cocycle(l: LieAlgebra, module: OrthogonalModule) -> QuadraticCocycle:

@@ -27,8 +27,7 @@ PACKAGE = Path(exact_linalg.__file__).resolve().parent
 # pathlib joins in cli.py, the only other uses of ``/`` in the package
 DIVISION_EXEMPT = {
     ("cli.py", "Path(override) / name"),
-    ("cli.py", "resources.files('metriclie') / 'data'"),
-    ("cli.py", "resources.files('metriclie') / 'data' / name"),
+    ("cli.py", "Path(__file__).with_name('data') / name"),
     ("cli.py", "out_dir / name"),
 }
 

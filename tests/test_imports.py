@@ -1,6 +1,8 @@
 """Every name a module imports is used in that module.
 
-Checked over the package modules, the test files and the scripts.
+Checked over the package modules, the test files and the scripts.  The
+package also imports no ``dataclasses``: its records are plain ``__slots__``
+classes, so no start-up pays for ``dataclasses`` and ``inspect``.
 """
 
 import ast
@@ -63,3 +65,26 @@ def test_no_unused_imports(path):
         path.name,
         ", ".join("%s (line %d)" % (name, imported[name]) for name in unused),
     )
+
+
+def dataclass_imports(tree: ast.Module) -> list[int]:
+    """Lines of every ``import dataclasses`` or ``from dataclasses import ...``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+
+
+def test_the_checker_sees_a_dataclasses_import():
+    tree = ast.parse(
+        "import json, dataclasses as dc\nfrom typing import NamedTuple\n"
+        "def f():\n    from dataclasses import field\n"
+    )
+    assert dataclass_imports(tree) == [1, 4]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_imports_no_dataclasses(path):
+    assert dataclass_imports(ast.parse(path.read_text())) == []

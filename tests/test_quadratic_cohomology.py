@@ -1,6 +1,5 @@
 import sys
 import tracemalloc
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -117,8 +116,10 @@ def test_cocycles_and_cochain_pairs_are_frozen_and_hash_by_value():
     z = g64_admissible_cocycle()
     c = cq_identity(z.algebra, z.module)
     for value, name, replacement in ((z, "alpha", z.alpha.scale(2)), (c, "sigma", c.sigma)):
-        with pytest.raises(FrozenInstanceError):
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
             setattr(value, name, replacement)
+        assert getattr(value, name) is before
     assert z.alpha == g64_admissible_cocycle().alpha
     twin = build_double(g64_admissible_cocycle())
     assert build_double(z) == twin and hash(build_double(z)) == hash(twin)
@@ -359,21 +360,21 @@ def test_check_admissible_builds_no_dense_system(monkeypatch):
     cocycles = (g64_admissible_cocycle(), zero_cocycle(g41(), orthonormal_module([1])))
     calls = []
     widths = []
-    post_init = Matrix.__post_init__
+    init = Matrix.__init__
 
     def counting_kernel_basis(m):
         calls.append(m.cols)
         return kernel_basis(m)
 
-    def recording_post_init(self):
-        widths.append(self.cols)
-        post_init(self)
+    def recording_init(self, cols, nonzero_rows):
+        widths.append(cols)
+        init(self, cols, nonzero_rows)
 
     # every metriclie namespace that holds kernel_basis, as a from-import binds it
     for name, module in list(sys.modules.items()):
         if name.startswith("metriclie") and getattr(module, "kernel_basis", None) is kernel_basis:
             monkeypatch.setattr(module, "kernel_basis", counting_kernel_basis)
-    monkeypatch.setattr(Matrix, "__post_init__", recording_post_init)
+    monkeypatch.setattr(Matrix, "__init__", recording_init)
     for z in cocycles:
         widths.clear()
         report = check_admissible(z)

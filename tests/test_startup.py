@@ -1,5 +1,7 @@
 """What importing the package builds: the catalog is loaded on first use
-only, and the plain records are read-only tuples with named fields."""
+only, no import loads ``dataclasses`` or ``inspect`` (the immutable records
+are plain ``__slots__`` classes, tests/test_records.py), and the plain
+records are read-only tuples with named fields."""
 
 import os
 import subprocess
@@ -58,16 +60,40 @@ print("ok")
 """ % (CATALOG_NAMES,)
 
 
-def test_importing_the_cli_leaves_the_catalog_unloaded():
+NOT_LOADED = """
+import sys
+import %s
+loaded = sorted({"dataclasses", "inspect"} & set(sys.modules))
+assert not loaded, loaded
+print("ok")
+"""
+
+
+def run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this package; it must print ok."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(metriclie.__file__).parents[1]), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, "-c", FRESH_PROCESS], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "ok\n"
+
+
+def test_importing_the_cli_leaves_the_catalog_unloaded():
+    run_fresh(FRESH_PROCESS)
+
+
+@pytest.mark.parametrize("module", ["metriclie.cli", "metriclie.catalog"])
+def test_importing_loads_neither_dataclasses_nor_inspect(module):
+    run_fresh(NOT_LOADED % module)
+
+
+def test_the_fresh_process_check_sees_a_loaded_module():
+    with pytest.raises(AssertionError, match="dataclasses"):
+        run_fresh(NOT_LOADED % "dataclasses")
 
 
 def test_plain_records_are_read_only_named_tuples():
