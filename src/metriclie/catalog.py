@@ -537,37 +537,11 @@ class CatalogReport(_Record):
     """
 
     __slots__ = _fields = ("rows", "collisions", "family_splits", "doubles")
+    _compared_fields = ("rows", "collisions", "family_splits")
     rows: tuple[CatalogRow, ...]
     collisions: tuple[tuple[tuple, tuple[str, ...]], ...]
     family_splits: tuple[tuple[str, int], ...]
     doubles: tuple[MetricLieAlgebra | None, ...]
-
-    def __init__(
-        self,
-        rows: tuple[CatalogRow, ...],
-        collisions: tuple[tuple[tuple, tuple[str, ...]], ...],
-        family_splits: tuple[tuple[str, int], ...],
-        doubles: tuple[MetricLieAlgebra | None, ...],
-    ) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "collisions", collisions)
-        object.__setattr__(self, "family_splits", family_splits)
-        object.__setattr__(self, "doubles", doubles)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.collisions, self.family_splits) == (
-            other.rows, other.collisions, other.family_splits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.collisions, self.family_splits))
-
-    def __repr__(self) -> str:
-        return "CatalogReport(rows=%r, collisions=%r, family_splits=%r)" % (
-            self.rows, self.collisions, self.family_splits
-        )
 
     @property
     def all_ok(self) -> bool:

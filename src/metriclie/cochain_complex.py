@@ -63,15 +63,7 @@ class OrthogonalModule(_Record):
             raise MathError("module form must be symmetric")
         if rank(gram) != gram.rows:
             raise MathError("module form must be nondegenerate")
-        object.__setattr__(self, "gram", gram)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.gram == other.gram
-
-    def __hash__(self) -> int:
-        return hash((self.gram,))
+        _Record.__init__(self, gram)
 
     @property
     def dim(self) -> int:
@@ -104,7 +96,8 @@ class Cochain(_Record):
     Keys are strictly increasing tuples; zero values are never stored, and a
     value that is not a tuple of canonical scalars is converted to one.
     Cochains are immutable: ``values`` is a read-only mapping of its own
-    (``None`` stands for no values).
+    (``None`` stands for no values), and a copy or an unpickled cochain gets
+    a fresh one.
     """
 
     __slots__ = _fields = ("n", "degree", "value_dim", "scalar", "values")
@@ -140,22 +133,11 @@ class Cochain(_Record):
                 raise ValueError("value for %s has wrong length" % (key,))
             if any(value):
                 clean[key] = value
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "value_dim", value_dim)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "values", MappingProxyType(clean))
+        _Record.__init__(self, n, degree, value_dim, scalar, MappingProxyType(clean))
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.degree == other.degree
-            and self.value_dim == other.value_dim
-            and self.scalar == other.scalar
-            and self.values == other.values
-        )
+    def __reduce__(self) -> tuple:
+        # a read-only mapping cannot be pickled; the constructor wraps a fresh one
+        return Cochain, (self.n, self.degree, self.value_dim, self.scalar, dict(self.values))
 
     def __hash__(self) -> int:
         return hash(

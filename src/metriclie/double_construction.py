@@ -45,19 +45,7 @@ class MetricLieAlgebra(_Record):
     def __init__(
         self, algebra: LieAlgebra, gram: Matrix, provenance: QuadraticCocycle | None = None
     ) -> None:
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "provenance", provenance)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.gram, self.provenance) == (
-            other.algebra, other.gram, other.provenance
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.gram, self.provenance))
+        _Record.__init__(self, algebra, gram, provenance)
 
 
 class MetricCheck(NamedTuple):

@@ -119,20 +119,7 @@ class QuadraticCochain(_Record):
             raise ValueError("tau must be a module valued 1-form on the algebra")
         if (sigma.n, sigma.degree, sigma.scalar) != (n, 2, True):
             raise ValueError("sigma must be a scalar 2-form on the algebra")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "sigma", sigma)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.module, self.tau, self.sigma) == (
-            other.algebra, other.module, other.tau, other.sigma
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.module, self.tau, self.sigma))
+        _Record.__init__(self, algebra, module, tau, sigma)
 
 
 class QuadraticCocycle(_Record):
@@ -156,20 +143,7 @@ class QuadraticCocycle(_Record):
         if defect is not None:
             kind, key = defect
             raise CocycleError("%s fails at basis tuple %s" % (kind, algebra.named(key)))
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "module", module)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.algebra, self.module, self.alpha, self.gamma) == (
-            other.algebra, other.module, other.alpha, other.gamma
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.module, self.alpha, self.gamma))
+        _Record.__init__(self, algebra, module, alpha, gamma)
 
 
 def zero_cocycle(l: LieAlgebra, module: OrthogonalModule) -> QuadraticCocycle:

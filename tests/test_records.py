@@ -2,12 +2,17 @@
 two field-only catalog records, which are ``typing.NamedTuple``s.
 
 Each compares, hashes and prints by its field values, refuses assignment
-and deletion, and survives the copies and pickles that worked when they
-were frozen dataclasses."""
+and deletion, and survives ``copy.copy``, ``copy.deepcopy`` and ``pickle``.
+The eight ``__slots__`` classes take construction, equality, hashing and
+immutability from ``exact_linalg._Record``: an AST check over the package
+keeps them from writing those out again."""
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -36,7 +41,7 @@ SLOT_CLASSES = (
     Matrix, Subspace, Cochain, OrthogonalModule, QuadraticCochain, QuadraticCocycle,
     MetricLieAlgebra, CatalogReport,
 )
-PICKLED = (Matrix, Subspace, OrthogonalModule, CatalogEntry, CatalogRow)
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "metriclie"
 
 
 def instances():
@@ -145,11 +150,98 @@ def test_defaults_and_the_lazy_pivots():
     assert space.coords({2: 1}) is None
 
 
+def test_the_generic_constructor_takes_every_field_once():
+    with pytest.raises(TypeError):
+        Subspace(3)
+    with pytest.raises(TypeError):
+        Subspace(3, (), ())
+    with pytest.raises(TypeError):
+        Subspace(ambient_dim=3, rows=())
+    space = Subspace(2, ({0: 1},))
+    assert (space.ambient_dim, space.rows) == (2, ({0: 1},))
+
+
 def test_copies_and_pickles_round_trip(pairs):
     for cls, (value, twin) in pairs.items():
         copied = copy.copy(value)
         assert type(copied) is cls and copied == twin
-    for cls in PICKLED:
-        value, twin = pairs[cls]
         for made in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert type(made) is cls and made == twin and made is not value
+    cochain = pairs[Cochain][0]
+    for made in (copy.copy(cochain), copy.deepcopy(cochain), pickle.loads(pickle.dumps(cochain))):
+        assert type(made.values) is MappingProxyType and made.values is not cochain.values
+
+
+def test_copied_and_pickled_reports_keep_their_doubles(pairs):
+    report, twin = pairs[CatalogReport]
+    for made in (copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert len(made.doubles) == len(report.doubles) == len(report.rows)
+        assert made.doubles == twin.doubles and made.doubles[0] is not report.doubles[0]
+        assert made.doubles[0].provenance == twin.doubles[0].provenance
+
+
+def is_object_setattr(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    )
+
+
+def record_definitions(tree: ast.Module) -> tuple[dict[str, set[str]], list[tuple]]:
+    """The names each direct ``_Record`` subclass binds in its body, and each
+    ``object.__setattr__`` call as ``(class, method, attribute)``: the
+    attribute is None unless it is a string literal, and a call outside a
+    method is ``(None, None, None)``."""
+    defined: dict[str, set[str]] = {}
+    writes: list[tuple] = []
+    for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+        if any(isinstance(base, ast.Name) and base.id == "_Record" for base in cls.bases):
+            names = defined[cls.name] = set()
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names.add(node.name)
+                elif isinstance(node, ast.Assign):
+                    names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for method in [node for node in cls.body if isinstance(node, ast.FunctionDef)]:
+            for call in filter(is_object_setattr, ast.walk(method)):
+                name = call.args[1] if len(call.args) == 3 else None
+                name = name.value if isinstance(name, ast.Constant) else None
+                writes.append((cls.name, method.name, name))
+    outside = sum(map(is_object_setattr, ast.walk(tree))) - len(writes)
+    return defined, writes + [(None, None, None)] * outside
+
+
+def test_the_checker_sees_hand_written_record_methods():
+    tree = ast.parse(
+        "class A(_Record):\n    __slots__ = _fields = ('x',)\n    __hash__ = None\n"
+        "    def __eq__(self, other):\n        object.__setattr__(self, 'x', 1)\n"
+        "class B:\n    def f(self, n):\n        object.__setattr__(self, n, 2)\n"
+        "object.__setattr__(B(), 'y', 3)\n"
+    )
+    defined, writes = record_definitions(tree)
+    assert defined == {"A": {"__slots__", "_fields", "__hash__", "__eq__"}}
+    assert writes == [("A", "__eq__", "x"), ("B", "f", None), (None, None, None)]
+
+
+def test_the_record_base_is_the_one_implementation():
+    defined: dict[str, set[str]] = {}
+    writes: list[tuple] = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found, sites = record_definitions(ast.parse(path.read_text()))
+        defined.update(found)
+        writes += sites
+    assert set(defined) == {cls.__name__ for cls in SLOT_CLASSES}
+    for name, names in defined.items():
+        assert not names & {"__eq__", "__setattr__", "__delattr__"}, name
+    # the one exception: a read-only mapping cannot be pickled, so the
+    # cochain hands its constructor a plain dict
+    assert {name for name, names in defined.items() if "__reduce__" in names} == {"Cochain"}
+    # only these hold dicts, which the generic field hash cannot hash
+    hashed = {name for name, names in defined.items() if "__hash__" in names}
+    assert hashed == {"Matrix", "Subspace", "Cochain"}
+    # the base writes fields through their slot descriptors; the one
+    # object.__setattr__ left fills the lazy pivots
+    assert writes == [("Subspace", "coords", "_pivots")]
