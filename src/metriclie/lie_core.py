@@ -4,11 +4,10 @@ A Lie algebra stores its antisymmetric structure constants once, as sparse
 rows: ``[e_i, e_j]`` as the ``{t: c}`` map of its nonzero coordinates, in
 both orientations.  The dense ``brackets`` are a view derived from them,
 and ``[e_i, w]`` is a sum of those rows through ``_combine``.  The Jacobi
-check, the series and the center touch only stored entries: the series
-computes ``[e_i, w]`` only for the ``e_i`` that meet ``w``, and the Jacobi
-check visits only the triples with a term that can be nonzero.  The Jacobi
-identity is checked eagerly on construction; a constructor flag disables the
-check so that tests can build deliberately broken tables.
+check, the series and the center touch only stored entries: the series of a
+nilpotent Lie algebra brackets layers with a complement of l^2 only, and the
+Jacobi check visits only the triples with a term that can be nonzero.  It runs
+on construction, keeping its verdict; a flag skips it for broken test tables.
 
 :class:`LieAlgebra` is immutable, so the lower central series and the center
 are computed at most once per instance and then reused.
@@ -16,9 +15,10 @@ are computed at most once per instance and then reused.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .exact_linalg import Scalar, Subspace, Vector, _axpy, _canon, _combine, _dense, vector
 
@@ -59,7 +59,7 @@ class LieAlgebra:
     made on demand.
     """
 
-    __slots__ = ("_dim", "_labels", "_rows", "_hash", "_series", "_center")
+    __slots__ = ("_dim", "_labels", "_rows", "_hash", "_series", "_center", "_jacobi")
 
     def __init__(
         self,
@@ -97,6 +97,7 @@ class LieAlgebra:
         self._hash: int | None = None
         self._series: tuple[Subspace, ...] | None = None
         self._center: Subspace | None = None
+        self._jacobi: bool | None = None  # validate_jacobi's verdict, once run
         if validate:
             require_jacobi(self)
 
@@ -188,7 +189,9 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
                 if t in row_a:
                     _axpy(defect, x, row_a[t], -1)
         if defect:
+            l._jacobi = False
             return JacobiReport(ok=False, triple=outer, defect=_dense(defect, n))
+    l._jacobi = True
     return JacobiReport(ok=True)
 
 
@@ -205,8 +208,9 @@ def lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
     """Terms l^1 = l, l^2, ... of the lower central series (``series[k]`` is l^(k+1)).
 
     The terms end with the zero subspace for nilpotent algebras and with a
-    repeated term when the series stabilizes at a nonzero ideal.  Computed
-    on the first call and reused for the lifetime of ``l``.
+    repeated term when the series stabilizes at a nonzero ideal.  A nilpotent
+    Lie algebra sums them from the layers V, [V, V], [V, [V, V]], ... of a
+    complement V of l^2.  Computed on the first call, reused for ``l``'s life.
     """
     if l._series is None:
         l._series = _lower_central_series(l)
@@ -214,20 +218,42 @@ def lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
 
 
 def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
-    # [e_i, w] vanishes unless e_i has a stored bracket with some e_j in the
-    # support of w; rows are stored both ways, so those i are keys of _rows[j]
-    stored = l._rows
-    chain = [Subspace.full(l.dim)]
+    """The series summed from layers.  V is the e_v off the pivots of D = l^2
+    (the span of the stored brackets), W_1 = span V, W_(j+1) = span [e_v, w]
+    (v in V, w a row of W_j; so W_2 is spanned by stored rows) and T_k = W_k +
+    T_(k+1).  By Jacobi, [W_a, W_b] lies in W_(a+b) (induction on a), so S =
+    sum W_j is a subalgebra; if the layers vanish within dim l steps and T_2 =
+    D, S contains V + D = l, and l^k = S^k lies in T_k, which lies in l^k.  A
+    nilpotent Lie algebra never declines, as V generates it (de Graaf 2000).
+    Others, as gl(2) (T_2 < D), [x1, x2] = y, [x1, y] = y (no layer vanishes)
+    and tables that break Jacobi, take the direct loop over every e_i."""
+    n, upper = l.dim, list(l._upper())
+    derived = Subspace.of_rows(n, [dict(p) for _, _, p in upper])  # D
+    gens = set(range(n)).difference([min(row) for row in derived.rows])  # V
+    if l._jacobi or l._jacobi is None and validate_jacobi(l).ok:
+        layers = [Subspace.of_rows(n, [dict(p) for u, v, p in upper if u in gens and v in gens])]
+        while layers[-1].dim and len(layers) < n:
+            layers.append(_bracket_span(l, gens, layers[-1]))
+        sums = [layers.pop()]  # T_(c+1), then T_c = W_c, ..., T_2
+        for layer in reversed(layers):
+            rows = sums[-1].rows + layer.rows
+            sums.append(Subspace.of_rows(n, [dict(w) for w in rows]) if sums[-1].dim else layer)
+        if not sums[0].dim and sums[-1] == derived:
+            return (Subspace.full(n), *reversed(sums)) if n else (derived,)
+    everything, chain = set(range(n)), [Subspace.full(n)]
     while chain[-1].dim > 0:
-        images = (
-            image
-            for w in chain[-1].rows
-            for image in l.ad_rows({i for j in w for i in stored.get(j, ())}, (w,))
-        )
-        chain.append(Subspace.of_rows(l.dim, images))
+        chain.append(_bracket_span(l, everything, chain[-1]))
         if chain[-1].dim == chain[-2].dim:
             break  # stabilized, not nilpotent
     return tuple(chain)
+
+
+def _bracket_span(l: LieAlgebra, among: set[int], s: Subspace) -> Subspace:
+    """The span of the [e_i, w], w a row of ``s``, over the i in ``among`` that
+    meet w: the keys of ``_rows[j]``, j in the support of w; the rest vanish."""
+    stored = l._rows
+    meet = [(among.intersection([i for j in w for i in stored.get(j, ())]), w) for w in s.rows]
+    return Subspace.of_rows(l.dim, [image for ids, w in meet for image in l.ad_rows(ids, (w,))])
 
 
 def is_nilpotent(l: LieAlgebra) -> bool:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from typing import Any, Mapping, NamedTuple
 
 from .cochain_complex import Cochain, OrthogonalModule, sort_with_sign
 from .double_construction import MetricLieAlgebra
-from .exact_linalg import Matrix, Vector
+from .exact_linalg import Matrix, Scalar, Vector, _quo
 from .lie_core import LieAlgebra
 from .quadratic_cohomology import QuadraticCocycle
 
@@ -42,7 +41,7 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value: Scalar) -> str:
     try:
         if value.denominator == 1:
             return str(value.numerator)
@@ -54,22 +53,22 @@ def format_scalar(value: Fraction) -> str:
         raise SchemaError(f"a scalar with {digits} digits is too long to write") from None
 
 
-def parse_scalar(obj: Any, where: str = "scalar") -> Fraction:
-    if isinstance(obj, bool):
-        raise SchemaError(f"{where}: expected a rational string, got a boolean")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        if not SCALAR_RE.match(obj):
-            raise SchemaError(
-                f"{where}: {obj!r} is not an exact rational (use 'p' or 'p/q')"
-            )
+def parse_scalar(obj: Any, where: str = "scalar") -> Scalar:
+    """A ``p`` or ``p/q`` string or an int as a canonical scalar (an int if integral)."""
+    if isinstance(obj, str) and SCALAR_RE.match(obj):
+        num, _, den = obj.partition("/")
         try:
-            return Fraction(obj)
+            return _quo(int(num), int(den)) if den else int(num)
         except ZeroDivisionError:
             raise SchemaError(f"{where}: {obj!r} has a zero denominator") from None
         except ValueError:  # over the digit limit of int(), a guard kept
             raise SchemaError(f"{where}: a scalar of {len(obj)} characters is too long") from None
+    if isinstance(obj, bool):
+        raise SchemaError(f"{where}: expected a rational string, got a boolean")
+    if isinstance(obj, int):
+        return int(obj)
+    if isinstance(obj, str):
+        raise SchemaError(f"{where}: {obj!r} is not an exact rational (use 'p' or 'p/q')")
     raise SchemaError(f"{where}: expected a rational string, got {type(obj).__name__}")
 
 
@@ -78,7 +77,12 @@ def parse_vector(obj: Any, length: int, where: str = "vector") -> Vector:
         raise SchemaError(f"{where}: expected a list of scalars")
     if len(obj) != length:
         raise SchemaError(f"{where}: expected {length} entries, got {len(obj)}")
-    return tuple(parse_scalar(entry, f"{where}[{k}]") for k, entry in enumerate(obj))
+    try:
+        return tuple([parse_scalar(entry) for entry in obj])
+    except SchemaError:  # parse again up to the bad entry, to name its location
+        for k, entry in enumerate(obj):
+            parse_scalar(entry, f"{where}[{k}]")
+        raise
 
 
 def format_vector(vector: Vector) -> list[str]:

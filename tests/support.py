@@ -143,6 +143,33 @@ def catalog_algebras() -> list[LieAlgebra]:
     return algebras
 
 
+def random_unimodular_basis_change(rg: random.Random, l: LieAlgebra, steps: int) -> LieAlgebra:
+    """``l`` in the basis f_i = sum_a P[i][a] e_a, for P a product of ``steps``
+    random integral row additions (f_b += c f_a, c = +-1), so P and P^-1 are
+    integral and the new structure constants are too.  The table is built
+    with ``validate=False``, so its Jacobi verdict is not known in advance."""
+    n = l.dim
+    p = [[int(a == b) for b in range(n)] for a in range(n)]
+    q = [row[:] for row in p]  # P^-1: each step subtracts c * column b from column a
+    for _ in range(steps if n > 1 else 0):
+        a, b = rg.sample(range(n), 2)
+        c = rg.choice((-1, 1))
+        p[b] = [x + c * y for x, y in zip(p[b], p[a])]
+        for row in q:
+            row[a] -= c * row[b]
+    assert all(sum(p[i][k] * q[k][j] for k in range(n)) == (i == j) for i in range(n) for j in range(n))
+    table = {}
+    for i, j in combinations(range(n), 2):
+        v = [0] * n  # [f_i, f_j] in the e basis, summed over the stored [e_a, e_b]
+        for a, x in enumerate(p[i]):
+            for b, row in l.row(a).items() if x else ():
+                for t, z in row.items():
+                    v[t] += x * p[j][b] * z
+        # its f-coordinates are v P^-1
+        table[(i, j)] = tuple(sum(v[a] * q[a][t] for a in range(n) if v[a]) for t in range(n))
+    return LieAlgebra(n, table, labels=l.labels, validate=False)
+
+
 def scale_doubles() -> dict[str, MetricLieAlgebra]:
     """The doubles of the benchmark's scale workload: the zero cocycle on
     h_15 ([X_i, Y_i] = Z) and on the standard filiform algebra of dimension

@@ -60,6 +60,15 @@ def test_verify_bundled_algebra(capsys):
     assert doc["payload"]["series_dims"] == [6, 2, 0]
 
 
+def test_verify_of_the_zero_algebra_reports_its_one_term_series(tmp_path, capsys):
+    # the series of the zero algebra is (l,): l itself is already the zero term
+    doc = {"kind": "lie_algebra", "payload": {"dim": 0, "brackets": []}}
+    code, out = run(capsys, "verify", write_doc(tmp_path, "zero.json", doc))
+    assert code == 0
+    assert out["payload"]["nilpotent"] is True
+    assert out["payload"]["series_dims"] == [0]
+
+
 def test_verify_bundled_module(capsys):
     code, doc = run(capsys, "verify", "modules/r22w.json")
     assert code == 0

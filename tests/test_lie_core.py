@@ -41,6 +41,7 @@ from support import (
     dense_span,
     is_canonical,
     random_sparse_table,
+    random_unimodular_basis_change,
     rational,
     rng,
     rows_snapshot,
@@ -172,12 +173,27 @@ def test_lower_central_series_profiles():
     assert series_dims(abelian(4)) == (4, 0)
 
 
+def _tables_the_layers_decline():
+    """A table that breaks Jacobi, gl(2) = sl(2) + R on (h, e, f, z), whose
+    layers vanish but sum to less than l^2, and the solvable [x1, x2] = y,
+    [x1, y] = y, whose layers never vanish."""
+    return [
+        LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}, (2, 3): {2: 1}}, validate=False),
+        LieAlgebra(4, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
+        LieAlgebra(3, {(0, 1): {2: 1}, (0, 2): {2: 1}}),
+    ]
+
+
 def test_non_nilpotent_series_stabilizes():
     solvable = LieAlgebra(2, {(0, 1): unit_vector(2, 1)})
     assert series_dims(solvable) == (2, 1, 1)
     assert not is_nilpotent(solvable)
     with pytest.raises(NotNilpotentError):
         nilpotency_index(solvable)
+    # the direct loop's series, where the layers decline
+    non_lie, gl2, solvable = _tables_the_layers_decline()
+    assert not validate_jacobi(non_lie).ok
+    assert [series_dims(l) for l in (non_lie, gl2, solvable)] == [(4, 2, 2), (4, 3, 3), (3, 1, 1)]
 
 
 def test_nilpotency_index_counts_filtration_stages():
@@ -436,17 +452,26 @@ def test_series_computes_only_the_images_that_can_be_nonzero(monkeypatch, scale_
         lie_core._lower_central_series(l)
         assert all(images)
         counts.append(len(images))
-    # a scan of every stored e_i against every row computed 705 and 3,066
-    assert counts == [42, 240]
+    # the layers: T*h_15's [V, V] is read off its stored brackets and no
+    # generator meets it; T*fil_12's layers from W_3 on bracket each of their
+    # rows (two or three a layer) with only the generators among X1, X2 and
+    # X12* that meet it (the direct loop, kept for the tables the layers
+    # decline, makes 42 and 240 images here)
+    assert counts == [0, 20]
 
 
 @pytest.fixture(scope="module")
 def reference_algebras(scale_algebras):
     """Random sparse tables (Lie or not), every catalog base and every double,
-    and the two large doubles of the benchmark."""
+    the two large doubles of the benchmark, the zero algebra, the tables whose
+    series the layers decline, and every base and large double again in a
+    seeded random integral basis, where the series is not graded."""
     rg = rng(3031)
     tables = [random_sparse_table(rg, rg.randint(3, 7)) for _ in range(150)]
-    return tables + catalog_algebras() + scale_algebras
+    bases = [base_algebra(name) for name in sorted(BASE_BUILDERS)]
+    changed = [random_unimodular_basis_change(rg, l, l.dim) for l in bases + scale_algebras]
+    special = [abelian(0), *_tables_the_layers_decline()]
+    return tables + catalog_algebras() + scale_algebras + special + changed
 
 
 def test_ad_matches_the_dense_bracket(reference_algebras):
