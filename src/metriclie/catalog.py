@@ -5,7 +5,9 @@ coefficient space and a quadratic cocycle (alpha, gamma).  Instantiating an
 entry (after substituting any free rational parameters) yields a validated
 :class:`~metriclie.quadratic_cohomology.QuadraticCocycle`, and running the
 catalog pushes each instance through the admissibility test and the double
-construction, recording metric fingerprints along the way.
+construction, recording metric fingerprints along the way.  Base brackets
+and cocycle values are written as sparse ``{t: c}`` maps, the package's one
+vector format.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
 from .double_construction import Fingerprint, MetricLieAlgebra, build_double, fingerprint
-from .exact_linalg import Matrix, _Record, scalar, unit_vector
+from .exact_linalg import Matrix, _Record, scalar
 from .lie_core import LieAlgebra, abelian
 from .quadratic_cohomology import (
     CocycleError,
@@ -33,56 +35,38 @@ from .quadratic_cohomology import (
 
 def heisenberg() -> LieAlgebra:
     """Three dimensional algebra with [X1, X2] = Y."""
-    return LieAlgebra(3, {(0, 1): unit_vector(3, 2)}, labels=("X1", "X2", "Y"))
+    return LieAlgebra(3, {(0, 1): {2: 1}}, labels=("X1", "X2", "Y"))
 
 
 def heisenberg_line() -> LieAlgebra:
     """Heisenberg algebra extended by a central line: [X1, X2] = X3."""
-    return LieAlgebra(4, {(0, 1): unit_vector(4, 2)}, labels=("X1", "X2", "X3", "X4"))
+    return LieAlgebra(4, {(0, 1): {2: 1}}, labels=("X1", "X2", "X3", "X4"))
 
 
 def g41() -> LieAlgebra:
     """Filiform algebra on (X1, X2, Z, Y) with [X1, X2] = Z, [X1, Z] = Y."""
-    return LieAlgebra(
-        4,
-        {(0, 1): unit_vector(4, 2), (0, 2): unit_vector(4, 3)},
-        labels=("X1", "X2", "Z", "Y"),
-    )
+    return LieAlgebra(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}, labels=("X1", "X2", "Z", "Y"))
 
 
 def g52() -> LieAlgebra:
     """Five dimensional algebra with [X1, X2] = Y and [X1, X3] = Z."""
-    return LieAlgebra(
-        5,
-        {(0, 1): unit_vector(5, 3), (0, 2): unit_vector(5, 4)},
-        labels=("X1", "X2", "X3", "Y", "Z"),
-    )
+    return LieAlgebra(5, {(0, 1): {3: 1}, (0, 2): {4: 1}}, labels=("X1", "X2", "X3", "Y", "Z"))
 
 
 def g64() -> LieAlgebra:
     """Six dimensional algebra: [X1, X2] = Y, [X1, X3] = Z, [X3, X4] = Y."""
     return LieAlgebra(
         6,
-        {
-            (0, 1): unit_vector(6, 4),
-            (0, 2): unit_vector(6, 5),
-            (2, 3): unit_vector(6, 4),
-        },
+        {(0, 1): {4: 1}, (0, 2): {5: 1}, (2, 3): {4: 1}},
         labels=("X1", "X2", "X3", "X4", "Y", "Z"),
     )
 
 
 def g65() -> LieAlgebra:
     """Six dimensional algebra: [X1, X2] = Y, [X1, X3] = Z, [X2, X4] = Z, [X3, X4] = -Y."""
-    neg_y = tuple(-c for c in unit_vector(6, 4))
     return LieAlgebra(
         6,
-        {
-            (0, 1): unit_vector(6, 4),
-            (0, 2): unit_vector(6, 5),
-            (1, 3): unit_vector(6, 5),
-            (2, 3): neg_y,
-        },
+        {(0, 1): {4: 1}, (0, 2): {5: 1}, (1, 3): {5: 1}, (2, 3): {4: -1}},
         labels=("X1", "X2", "X3", "X4", "Y", "Z"),
     )
 
@@ -219,13 +203,9 @@ def _resolve(coeff: object, params: Mapping[str, Fraction]) -> Fraction:
 def alpha_cochain(
     terms: Sequence[AlphaTerm], n: int, m: int, params: Mapping[str, Fraction]
 ) -> Cochain:
-    """The module valued 2-form of ``terms`` on an ``n``-dimensional base."""
-    values = []
-    for coeff, indices, target in terms:
-        value = tuple(
-            _resolve(coeff, params) if k == target else 0 for k in range(m)
-        )
-        values.append((indices, value))
+    """The module valued 2-form of ``terms`` on an ``n``-dimensional base,
+    each term's value the sparse row of its one module coordinate."""
+    values = [(indices, {target: _resolve(coeff, params)}) for coeff, indices, target in terms]
     return cochain_from_terms(n, 2, m, values)
 
 
@@ -233,7 +213,7 @@ def gamma_cochain(
     terms: Sequence[GammaTerm], n: int, params: Mapping[str, Fraction]
 ) -> Cochain:
     """The scalar 3-form of ``terms`` on an ``n``-dimensional base."""
-    values = [(indices, (_resolve(coeff, params),)) for coeff, indices in terms]
+    values = [(indices, {0: _resolve(coeff, params)}) for coeff, indices in terms]
     return cochain_from_terms(n, 3, 1, values, scalar=True)
 
 

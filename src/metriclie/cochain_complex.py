@@ -4,7 +4,8 @@ The module is trivial, as the module of a quadratic extension of a nilpotent
 metric Lie algebra always is (Kath-Olbrich): a vector space with a
 nondegenerate symmetric form on which the algebra acts by zero.  Cochains
 are sparse: only strictly increasing index tuples are stored, and only with
-nonzero values.  The differential follows the convention
+nonzero values, each value as the package's one sparse row ``{t: c}``.  The
+differential follows the convention
 
     (d w)(x_0, ..., x_p) = sum_{i<j} (-1)^(i+j) w([x_i, x_j], ..., ^i, ..., ^j, ...),
 
@@ -17,10 +18,10 @@ with no factorial normalization.
 
 The kernels visit stored entries only: the differential of ``c`` costs
 O(stored keys x p x brackets per target), the wedge of ``c1`` and ``c2``
-O(|c1| |c2| m) for values in an ``m``-dimensional module, and the pullback
-of ``c`` one term per stored key and choice of stored entries of S on it
-in distinct columns.
-Every matrix-vector product is a sum of sparse rows through ``_combine``.
+O(|c1| |c2|) pairings of stored rows, and the pullback of ``c`` one term per
+stored key and choice of stored entries of S on it in distinct columns.
+They read and write the stored rows: every sum of rows is an ``_axpy``, and
+every matrix-vector product a sum of sparse rows through ``_combine``.
 """
 
 from __future__ import annotations
@@ -40,15 +41,13 @@ from .exact_linalg import (
     _canon,
     _combine,
     _dense,
-    _is_canon_vector,
     _reduce,
     rank,
-    unit_vector,
-    vec_add,
-    vec_scale,
-    vector,
 )
 from .lie_core import LieAlgebra, MathError
+
+_Row = dict[int, Scalar]
+_Value = Sequence[int | str | Scalar] | Mapping[int, int | str | Scalar]
 
 
 class OrthogonalModule(_Record):
@@ -91,118 +90,124 @@ class Cochain(_Record):
     """A sparse alternating form with vector values.
 
     ``n`` is the dimension of the underlying algebra, ``value_dim`` the length
-    of each stored value, and ``scalar`` marks forms with values in the ground
-    field rather than in a module (relevant for serialization and pullbacks).
-    Keys are strictly increasing tuples; zero values are never stored, and a
-    value that is not a tuple of canonical scalars is converted to one.
-    Cochains are immutable: ``values`` is a read-only mapping of its own
-    (``None`` stands for no values), and a copy or an unpickled cochain gets
-    a fresh one.
+    of each value, and ``scalar`` marks forms with values in the ground field
+    rather than in a module (relevant for serialization and pullbacks).
+    The one store: ``rows[key]`` is the value on a strictly increasing key
+    as a sparse row ``{t: c}`` of canonical nonzero scalars (shared, only
+    read); a key with a zero value is not stored.  The constructor takes
+    each value as a dense sequence of ``value_dim`` scalars or as a sparse
+    map ``{t: c}`` and converts it; ``values`` is the dense view.
+    Cochains are immutable: ``rows`` is a read-only mapping of its own,
+    and a copy or an unpickled cochain gets a fresh one.
     """
 
-    __slots__ = _fields = ("n", "degree", "value_dim", "scalar", "values")
+    __slots__ = _fields = ("n", "degree", "value_dim", "scalar", "rows")
     n: int
     degree: int
     value_dim: int
     scalar: bool
-    values: Mapping[tuple[int, ...], Vector]
+    rows: Mapping[tuple[int, ...], _Row]
 
-    def __init__(
-        self,
-        n: int,
-        degree: int,
-        value_dim: int,
-        scalar: bool = False,
-        values: Mapping[tuple[int, ...], Vector] | None = None,
-    ) -> None:
+    def __init__(self, n: int, degree: int, value_dim: int, scalar: bool = False,
+                 values: Mapping[tuple[int, ...], _Value] | None = None) -> None:
         if degree < 0:
             raise ValueError("negative degree")
         if scalar and value_dim != 1:
             raise ValueError("scalar cochains carry single component values")
-        clean: dict[tuple[int, ...], Vector] = {}
+        rows: dict[tuple[int, ...], _Row] = {}
         for key, value in (values or {}).items():
-            if len(key) != degree:
-                raise ValueError("key %s has wrong length for degree %d" % (key, degree))
-            if any(not (0 <= i < n) for i in key):
-                raise ValueError("key %s out of range" % (key,))
-            if any(a >= b for a, b in zip(key, key[1:])):
-                raise ValueError("key %s is not strictly increasing" % (key,))
-            if not _is_canon_vector(value):
-                value = vector(value)
-            if len(value) != value_dim:
-                raise ValueError("value for %s has wrong length" % (key,))
-            if any(value):
-                clean[key] = value
-        _Record.__init__(self, n, degree, value_dim, scalar, MappingProxyType(clean))
+            row = _stored_row(key, value, n, degree, value_dim)
+            if row:
+                rows[key] = row
+        _Record.__init__(self, n, degree, value_dim, scalar, MappingProxyType(rows))
+
+    @staticmethod
+    def _of(n: int, degree: int, value_dim: int, scalar: bool, rows: dict) -> "Cochain":
+        """The cochain of ``rows`` as given, unchecked: the kernels sum
+        canonical rows without zeros with ``_axpy``, on valid keys."""
+        c = Cochain.__new__(Cochain)
+        _Record.__init__(c, n, degree, value_dim, scalar, MappingProxyType(rows))
+        return c
 
     def __reduce__(self) -> tuple:
         # a read-only mapping cannot be pickled; the constructor wraps a fresh one
-        return Cochain, (self.n, self.degree, self.value_dim, self.scalar, dict(self.values))
+        return Cochain, (self.n, self.degree, self.value_dim, self.scalar, dict(self.rows))
 
     def __hash__(self) -> int:
-        return hash(
-            (self.n, self.degree, self.value_dim, self.scalar, frozenset(self.values.items()))
-        )
+        rows = frozenset([(key, frozenset(row.items())) for key, row in self.rows.items()])
+        return hash((self.n, self.degree, self.value_dim, self.scalar, rows))
+
+    @property
+    def values(self) -> Mapping[tuple[int, ...], Vector]:
+        """Each stored value as a dense tuple of ``value_dim`` scalars (a read-only view)."""
+        dim = self.value_dim
+        return MappingProxyType({key: _dense(row, dim) for key, row in self.rows.items()})
 
     @staticmethod
     def zero(n: int, degree: int, value_dim: int, scalar: bool = False) -> "Cochain":
         return Cochain(n, degree, value_dim, scalar, {})
 
-    def _compat(self, other: "Cochain") -> None:
-        if (self.n, self.degree, self.value_dim, self.scalar) != (
-            other.n,
-            other.degree,
-            other.value_dim,
-            other.scalar,
-        ):
-            raise ValueError("cochain shape mismatch")
-
     def __add__(self, other: "Cochain") -> "Cochain":
-        self._compat(other)
-        values = dict(self.values)
-        for key, v in other.values.items():
-            values[key] = vec_add(values[key], v) if key in values else v
-        return Cochain(self.n, self.degree, self.value_dim, self.scalar, values)
+        if (self.n, self.degree, self.value_dim, self.scalar) != (
+                other.n, other.degree, other.value_dim, other.scalar):
+            raise ValueError("cochain shape mismatch")
+        return self._summed([(key, 1, row) for c in (self, other) for key, row in c.rows.items()])
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
 
     def scale(self, c: Scalar) -> "Cochain":
         c = _canon(c)
-        if not c:
-            return Cochain.zero(self.n, self.degree, self.value_dim, self.scalar)
-        return Cochain(
-            self.n,
-            self.degree,
-            self.value_dim,
-            self.scalar,
-            {k: vec_scale(c, v) for k, v in self.values.items()},
-        )
+        return self._summed([(key, c, row) for key, row in self.rows.items()] if c else [])
+
+    def _summed(self, terms: Iterable[tuple[tuple[int, ...], Scalar, _Row]]) -> "Cochain":
+        """The cochain of this shape whose value on each key is the sum of
+        f * row over the ``terms`` (key, nonzero f, row) on it; a key whose sum
+        vanishes is dropped, and the keys keep the order they first appear in."""
+        rows: dict[tuple[int, ...], _Row] = {}
+        for key, f, row in terms:
+            _axpy(rows.setdefault(key, {}), f, row, -1)
+        rows = {key: row for key, row in rows.items() if row}
+        return Cochain._of(self.n, self.degree, self.value_dim, self.scalar, rows)
 
     def is_zero(self) -> bool:
-        return not self.values
+        return not self.rows
 
 
-def cochain_from_terms(
-    n: int,
-    degree: int,
-    value_dim: int,
-    terms: Iterable[tuple[Sequence[int], Sequence[int | str | Scalar]]],
-    scalar: bool = False,
-) -> Cochain:
-    """Build a cochain from (indices, value) terms; indices may be unsorted and
-    the values of terms on the same key add up.  A repeated index is an error."""
-    values: dict[tuple[int, ...], Vector] = {}
+def _stored_row(key: tuple[int, ...], value: _Value, n: int, degree: int, value_dim: int) -> _Row:
+    """The row stored for ``value`` on ``key``, checked against the shape:
+    a dense sequence or a sparse map made canonical, without zeros."""
+    if len(key) != degree:
+        raise ValueError("key %s has wrong length for degree %d" % (key, degree))
+    if any(not (0 <= i < n) for i in key):
+        raise ValueError("key %s out of range" % (key,))
+    if any(a >= b for a, b in zip(key, key[1:])):
+        raise ValueError("key %s is not strictly increasing" % (key,))
+    if type(value) is tuple or not isinstance(value, Mapping):
+        if len(value) != value_dim:
+            raise ValueError("value for %s has wrong length" % (key,))
+        coords, entries = range(value_dim), value
+    else:
+        if not all(0 <= t < value_dim for t in value):
+            raise ValueError("value for %s has an index out of range" % (key,))
+        coords, entries = value, value.values()
+    return {t: x for t, x in zip(coords, map(_canon, entries)) if x}
+
+
+def cochain_from_terms(n: int, degree: int, value_dim: int,
+                       terms: Iterable[tuple[Sequence[int], _Value]],
+                       scalar: bool = False) -> Cochain:
+    """Build a cochain from (indices, value) terms, each value dense or sparse
+    as in :class:`Cochain`; indices may be unsorted and the values of terms
+    on the same key add up.  A repeated index is an error."""
+    summands: list[tuple[tuple[int, ...], Scalar, _Row]] = []
     for indices, value in terms:
         sorted_sign = sort_with_sign(indices)
         if sorted_sign is None:
             raise ValueError("the term on %s has a repeated index" % (tuple(indices),))
         key, sign = sorted_sign
-        v = vector(value)
-        if sign == -1:
-            v = vec_scale(-1, v)
-        values[key] = vec_add(values[key], v) if key in values else v
-    return Cochain(n, degree, value_dim, scalar, values)
+        summands.append((key, sign, _stored_row(key, value, n, degree, value_dim)))
+    return Cochain.zero(n, degree, value_dim, scalar)._summed(summands)
 
 
 def differential(l: LieAlgebra, c: Cochain) -> Cochain:
@@ -214,7 +219,7 @@ def differential(l: LieAlgebra, c: Cochain) -> Cochain:
     """
     if c.n != l.dim:
         raise ValueError("cochain does not live on this algebra")
-    return _differential(c, _bracket_targets(l) if c.values else {})
+    return _differential(c, _bracket_targets(l) if c.rows else {})
 
 
 def _bracket_targets(l: LieAlgebra) -> dict[int, list[tuple[int, int, Scalar]]]:
@@ -229,12 +234,10 @@ def _bracket_targets(l: LieAlgebra) -> dict[int, list[tuple[int, int, Scalar]]]:
 
 def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Scalar]]]) -> Cochain:
     """d c, given the :func:`_bracket_targets` of the algebra of ``c``.  Each
-    output value is summed as a sparse row from its first term, and a key
-    whose sum vanishes is dropped."""
-    out_degree = c.degree + 1
-    sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for key, value in c.values.items():
-        v = {k: y for k, y in enumerate(value) if y}
+    output row is summed from its first term, and a key whose sum vanishes
+    is dropped."""
+    sums: dict[tuple[int, ...], _Row] = {}
+    for key, v in c.rows.items():
         for s, t in enumerate(key):
             rest = key[:s] + key[s + 1 :]
             for i, j, x in hits.get(t, ()):
@@ -245,15 +248,15 @@ def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Scalar]]]) ->
                 coeff = -x if (s + a + b + 1) % 2 else x
                 out = rest[:a] + (i,) + rest[a:b] + (j,) + rest[b:]
                 _axpy(sums.setdefault(out, {}), coeff, v, -1)
-    values = {key: _dense(sums[key], c.value_dim) for key in sorted(sums) if sums[key]}
-    return Cochain(c.n, out_degree, c.value_dim, c.scalar, values)
+    rows = {key: sums[key] for key in sorted(sums) if sums[key]}
+    return Cochain._of(c.n, c.degree + 1, c.value_dim, c.scalar, rows)
 
 
 def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     """Scalar valued wedge of two module valued cochains via the module form.
 
     Runs over the pairs of stored keys with disjoint supports; each right
-    value is multiplied by the form once.
+    row is multiplied by the form once.
     """
     if c1.n != c2.n:
         raise ValueError("cochains live on different algebras")
@@ -261,39 +264,38 @@ def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
         raise ValueError("cochain values do not match the module")
     n = c1.n
     out_degree = c1.degree + c2.degree
-    if out_degree > n or not c1.values or not c2.values:
+    if out_degree > n or not c1.rows or not c2.rows:
         return Cochain.zero(n, out_degree, 1, scalar=True)
-    right = [(k2, _form_image(module, v)) for k2, v in c2.values.items()]
+    gram = module.gram.nonzero_rows.__getitem__  # also its columns: the form is symmetric
+    right = [(k2, _combine(v, gram)) for k2, v in c2.rows.items()]
     sums: dict[tuple[int, ...], Scalar] = {}
-    for k1, u in c1.values.items():
+    for k1, u in c1.rows.items():
         for k2, gv in right:
             sorted_sign = sort_with_sign(k1 + k2)
             if sorted_sign is not None:
                 _add_pairing(sums, *sorted_sign, u, gv)
-    return Cochain(n, out_degree, 1, True, {key: (sums[key],) for key in sorted(sums)})
+    return _scalar_form(n, out_degree, sums)
 
 
-def _form_image(module: OrthogonalModule, v: Vector) -> dict[int, Scalar]:
-    """G v as a sparse row: the sum of v_t times row t of the symmetric form G."""
-    return _combine({t: y for t, y in enumerate(v) if y}, module.gram.nonzero_rows.__getitem__)
-
-
-def _add_pairing(
-    sums: dict, key: tuple[int, ...], sign: int, u: Vector, gv: dict[int, Scalar]
-) -> None:
-    """sums[key] += sign * sum of u_t (G v)_t over the sparse ``gv`` = G v, one
-    nonzero product at a time; a key whose sum vanishes is dropped, so no
-    addition has a zero operand.  The sums need not be canonical: the
-    :class:`Cochain` made of them converts them."""
-    for t, y in gv.items():
-        x = u[t]
-        if x:
+def _add_pairing(sums: dict, key: tuple[int, ...], sign: int, u: _Row, gv: _Row) -> None:
+    """sums[key] += sign * sum of u_t (G v)_t over the stored entries of the
+    sparse ``u`` and ``gv`` = G v, one nonzero product at a time; a key whose
+    sum vanishes is dropped, so no addition has a zero operand.  The sums
+    need not be canonical: :func:`_scalar_form` converts them."""
+    for t, x in u.items():
+        y = gv.get(t)
+        if y is not None:
             term = x * y if sign == 1 else -(x * y)
             total = sums[key] + term if key in sums else term
             if total:
                 sums[key] = total
             else:
                 del sums[key]
+
+
+def _scalar_form(n: int, degree: int, sums: dict[tuple[int, ...], Scalar]) -> Cochain:
+    """The scalar cochain with the nonzero values ``sums``, made canonical, on sorted keys."""
+    return Cochain._of(n, degree, 1, True, {key: {0: _canon(sums[key])} for key in sorted(sums)})
 
 
 def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[int, ...], int]]:
@@ -310,9 +312,9 @@ def _differential_columns(
     value_dim = 1 if module is None else module.dim
     hits = _bracket_targets(l)
     for key, t in _basis_enumeration(l.dim, p, value_dim):
-        unit = Cochain(l.dim, p, value_dim, module is None, {key: unit_vector(value_dim, t)})
-        values = _differential(unit, hits).values
-        yield {(out_key, s): x for out_key, v in values.items() for s, x in enumerate(v) if x}
+        unit = Cochain._of(l.dim, p, value_dim, module is None, {key: {t: 1}})
+        rows = _differential(unit, hits).rows
+        yield {(out_key, s): x for out_key, row in rows.items() for s, x in row.items()}
 
 
 def differential_matrix(l: LieAlgebra, module: OrthogonalModule | None, p: int) -> Matrix:
@@ -400,17 +402,16 @@ def pullback(iso: Isomap, c: Cochain) -> Cochain:
         out_dim = iso.u.rows
         u_columns = iso.u.transpose().nonzero_rows
     s_rows = iso.s.nonzero_rows
-    sums: dict[tuple[int, ...], dict[int, Scalar]] = {}
-    for key, value in c.values.items():
-        v = {t: y for t, y in enumerate(value) if y}
+    sums: dict[tuple[int, ...], _Row] = {}
+    for key, v in c.rows.items():
         uv = v if c.scalar else _combine(v, u_columns.__getitem__)
         if not uv:
             continue
         for columns, f in _distinct_choices([s_rows[k] for k in key]):
             out, sign = sort_with_sign(columns)
             _axpy(sums.setdefault(out, {}), f if sign == 1 else -f, uv, -1)
-    values = {key: _dense(sums[key], out_dim) for key in sorted(sums) if sums[key]}
-    return Cochain(n1, c.degree, out_dim, c.scalar, values)
+    rows = {key: sums[key] for key in sorted(sums) if sums[key]}
+    return Cochain._of(n1, c.degree, out_dim, c.scalar, rows)
 
 
 def _distinct_choices(rows: list[dict[int, Scalar]]) -> list[tuple[list[int], Scalar]]:

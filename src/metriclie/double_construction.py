@@ -88,20 +88,20 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
             row[t] = row[t] + c if t in row else c
 
     # [X_i, X_j] picks up gamma(X_i, X_j, X_k) sigma^k for each ordering of a key
-    for (i, j, k), (c,) in z.gamma.values.items():
+    for (i, j, k), row in z.gamma.rows.items():
+        c = row[0]
         add(x_off + i, x_off + j, k, c)
         add(x_off + i, x_off + k, j, -c)
         add(x_off + j, x_off + k, i, c)
     # [X_i, X_j] picks up alpha(X_i, X_j); [A_s, X_i] = <A_s, alpha(X_i, X_j)> sigma^j,
     # summed over the nonzero <A_s, A_t> of row t (the module form is symmetric)
     module_rows = module.gram.nonzero_rows
-    for (i, j), v in z.alpha.values.items():
-        for t, c in enumerate(v):
-            if c:
-                add(x_off + i, x_off + j, a_off + t, c)
-                for s, x in module_rows[t].items():
-                    add(a_off + s, x_off + i, j, x * c)
-                    add(a_off + s, x_off + j, i, -x * c)
+    for (i, j), v in z.alpha.rows.items():
+        for t, c in v.items():
+            add(x_off + i, x_off + j, a_off + t, c)
+            for s, x in module_rows[t].items():
+                add(a_off + s, x_off + i, j, x * c)
+                add(a_off + s, x_off + j, i, -x * c)
     # [X_i, X_k] = [e_i, e_k]_l; [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k
     for i in range(n):
         for k, p in l.row(i).items():

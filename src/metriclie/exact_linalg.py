@@ -6,7 +6,8 @@ division is :func:`_quo`).  The entries here are almost all small integers,
 and an int product costs a hundredth of a Fraction one; equal values compare
 and hash equal in either type.  Vectors are tuples of scalars.  The one sparse row
 format is the ``{column: nonzero entry}`` map: a matrix stores its rows so,
-and its dense rows are a derived view.  :func:`_combine` is the one
+as a Lie algebra its brackets and a cochain its values, and their dense
+rows, brackets and values are derived views.  :func:`_combine` is the one
 contraction: every sum c_k * row_k of sparse rows outside the eliminations,
 a matrix times a vector and the matrix product among them, goes through it;
 every restricted form is B G B^T through that product, and
@@ -43,12 +44,6 @@ def _canon(x: int | str | Fraction) -> Scalar:
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
-
-
-def _is_canon_vector(v: object) -> bool:
-    """Whether ``v`` is a tuple of canonical scalars."""
-    return type(v) is tuple and all(
-        [type(x) is int or type(x) is Fraction and x.denominator > 1 for x in v])
 
 
 def _quo(x: Scalar, y: Scalar) -> Scalar:

@@ -18,7 +18,8 @@ filtration, a linear condition (A_k) ruling out central directions that
 alpha and gamma cannot see, and a nondegeneracy condition (B_k) on the
 alpha-image of the kernel of the bracket pairing.  Both are read off one
 pass over the tensor basis of l (x) l^(k+1) per stage, and both kernels
-come from the sparse elimination.  Admissibility does not make the double
+come from the sparse elimination.  Every kernel here reads alpha and gamma
+from their stored rows ``{t: c}``.  Admissibility does not make the double
 indecomposable; :func:`indecomposability_proxy` checks only a necessary
 condition for that.
 """
@@ -32,7 +33,7 @@ from .cochain_complex import (
     Cochain,
     OrthogonalModule,
     _add_pairing,
-    _form_image,
+    _scalar_form,
     differential,
     sort_with_sign,
     wedge_pair,
@@ -74,14 +75,15 @@ def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
     p, m = alpha.degree, module.dim
     if p % 2 or not p or 2 * p > alpha.n or alpha.value_dim != m:
         return wedge_pair(module, alpha, alpha).scale(_HALF)
-    stored = [(key, frozenset(key), u) for key, u in alpha.values.items()]
+    stored = [(key, frozenset(key), u) for key, u in alpha.rows.items()]
+    gram = module.gram.nonzero_rows.__getitem__  # also its columns: the form is symmetric
     sums: dict[tuple[int, ...], Scalar] = {}
     for a, (k1, s1, u) in enumerate(stored):
-        gu = _form_image(module, u)
+        gu = _combine(u, gram)
         for k2, s2, v in stored[a + 1 :]:
             if s1.isdisjoint(s2):
                 _add_pairing(sums, *sort_with_sign(k1 + k2), v, gu)
-    return Cochain(alpha.n, 2 * p, 1, True, {key: (sums[key],) for key in sorted(sums)})
+    return _scalar_form(alpha.n, 2 * p, sums)
 
 
 def cocycle_defect(
@@ -95,10 +97,10 @@ def cocycle_defect(
     """
     d_alpha = differential(l, alpha)
     if not d_alpha.is_zero():
-        return ("d_alpha", min(d_alpha.values))
+        return ("d_alpha", min(d_alpha.rows))
     residual = differential(l, gamma) - half_wedge_square(module, alpha)
     if not residual.is_zero():
-        return ("gamma_equation", min(residual.values))
+        return ("gamma_equation", min(residual.rows))
     return None
 
 
@@ -308,14 +310,15 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     A non-nilpotent algebra raises NotNilpotentError from the filtration.
     """
     stages, series = filtration_spaces(z.algebra), lower_central_series(z.algebra)
-    # alpha(e_i, e_s) as the sparse row alpha_at[i][s], each stored key both ways
+    # alpha(e_i, e_s) as the sparse row alpha_at[i][s] (a stored row is shared), both ways
     alpha_at: dict[int, dict[int, dict[int, Scalar]]] = {}
-    for (a, b), v in z.alpha.values.items():
-        alpha_at.setdefault(a, {})[b] = {t: x for t, x in enumerate(v) if x}
-        alpha_at.setdefault(b, {})[a] = {t: -x for t, x in enumerate(v) if x}
+    for (a, b), v in z.alpha.rows.items():
+        alpha_at.setdefault(a, {})[b] = v
+        alpha_at.setdefault(b, {})[a] = {t: -x for t, x in v.items()}
     # gamma(e_i, e_s, e_t) as gamma_at[i][s][t], each stored key in its six orientations
     gamma_at: dict[int, dict[int, dict[int, Scalar]]] = {}
-    for (a, b, c), (v,) in z.gamma.values.items():
+    for (a, b, c), row in z.gamma.rows.items():
+        v = row[0]
         for i, s, t, y in ((a, b, c, v), (b, c, a, v), (c, a, b, v),
                            (a, c, b, -v), (b, a, c, -v), (c, b, a, -v)):
             gamma_at.setdefault(i, {}).setdefault(s, {})[t] = y
@@ -331,5 +334,5 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
 def indecomposability_proxy(z: QuadraticCocycle) -> bool:
     """Necessary condition for indecomposability: the values of alpha span
     the whole module."""
-    values = [{t: x for t, x in enumerate(v) if x} for v in z.alpha.values.values()]
+    values = [dict(v) for v in z.alpha.rows.values()]  # of_rows consumes its rows
     return Subspace.of_rows(z.module.dim, values).dim == z.module.dim

@@ -13,6 +13,8 @@ may come in any order, and a term given twice, in the same or another order,
 is an error rather than a sum.  Every error names its JSON position, as in
 ``metric_lie_algebra.provenance.alpha[0].i: index 9 out of range 1..2``.
 A cocycle's terms are read only once its algebra and module are known.
+Files hold each value as a dense list: a cochain is written from its dense
+``values`` view, which no other module of the package reads.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .exact_linalg import Matrix, Scalar, Vector, _quo
 from .lie_core import LieAlgebra
 from .quadratic_cohomology import QuadraticCocycle
 
-SCALAR_RE = re.compile(r"^-?\d+(/\d+)?$")
+SCALAR_RE = re.compile(r"-?\d+(/\d+)?")  # the whole string: fullmatch
 
 KINDS = ("lie_algebra", "module", "cocycle", "metric_lie_algebra", "report")
 
@@ -55,7 +57,7 @@ def format_scalar(value: Scalar) -> str:
 
 def parse_scalar(obj: Any, where: str = "scalar") -> Scalar:
     """A ``p`` or ``p/q`` string or an int as a canonical scalar (an int if integral)."""
-    if isinstance(obj, str) and SCALAR_RE.match(obj):
+    if isinstance(obj, str) and SCALAR_RE.fullmatch(obj):
         num, _, den = obj.partition("/")
         try:
             return _quo(int(num), int(den)) if den else int(num)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from metriclie.catalog import (
@@ -216,8 +217,9 @@ def random_quadratic_cochain(
 
 def _vectorize(c: Cochain) -> tuple[Fraction, ...]:
     out = []
+    values = c.values  # the dense view, built once
     for key in combinations(range(c.n), c.degree):
-        value = c.values.get(key)
+        value = values.get(key)
         for t in range(c.value_dim):
             out.append(value[t] if value is not None else Fraction(0))
     return tuple(out)
@@ -315,11 +317,13 @@ def dense_combination(coeffs, term, length: int) -> tuple[Fraction, ...]:
 
 
 def alternating_value(c: Cochain, indices) -> tuple[Fraction, ...]:
-    """The value of ``c`` on basis vectors in any order, by sorting them."""
+    """The value of ``c`` on basis vectors in any order, by sorting them, as
+    a dense vector made of the one stored row it reads."""
     key = tuple(sorted(indices))
-    v = c.values.get(key) if len(set(key)) == len(key) else None
-    if v is None:
+    row = c.rows.get(key) if len(set(key)) == len(key) else None
+    if row is None:
         return (Fraction(0),) * c.value_dim
+    v = tuple(row.get(t, Fraction(0)) for t in range(c.value_dim))
     inversions = sum(a > b for a, b in combinations(indices, 2))
     return v if inversions % 2 == 0 else _neg(v)
 
@@ -329,14 +333,23 @@ def dense_ad(l: LieAlgebra, i: int, w) -> tuple[Fraction, ...]:
     return dense_bracket(l, unit_vector(l.dim, i), w)
 
 
+@cache
+def dense_table(l: LieAlgebra) -> tuple[tuple[int, int, tuple], ...]:
+    """The dense view ``l.brackets`` as ``(i, j, [e_i, e_j])``, built once per algebra."""
+    return tuple([(i, j, v) for (i, j), v in l.brackets.items()])
+
+
 def dense_bracket(l: LieAlgebra, x, y) -> tuple[Fraction, ...]:
-    """[x, y] summed over every stored bracket, c_ij = x_i y_j - x_j y_i."""
-    out = (Fraction(0),) * l.dim
-    for (i, j), v in l.brackets.items():
+    """[x, y] summed over every stored bracket, c_ij = x_i y_j - x_j y_i,
+    entry by entry on dense vectors."""
+    out = [0] * l.dim
+    for i, j, v in dense_table(l):
         c = x[i] * y[j] - x[j] * y[i]
         if c != 0:
-            out = vec_add(out, tuple(c * a for a in v))
-    return out
+            for t, a in enumerate(v):
+                if a:
+                    out[t] += c * a
+    return tuple(out)
 
 
 def dense_basis_bracket(l: LieAlgebra, i: int, j: int) -> tuple:
@@ -416,12 +429,13 @@ def dense_pairing(gram: Matrix, u, v) -> Fraction:
 def dense_wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     """The wedge pairing summed over every (p, q)-split of every increasing tuple."""
     p, q = c1.degree, c2.degree
+    values1, values2 = c1.values, c2.values  # the dense views, built once
     values = {}
     for key in combinations(range(c1.n), p + q):
         total = Fraction(0)
         for positions in combinations(range(p + q), p):
-            u = c1.values.get(tuple(key[s] for s in positions))
-            v = c2.values.get(tuple(key[s] for s in range(p + q) if s not in positions))
+            u = values1.get(tuple(key[s] for s in positions))
+            v = values2.get(tuple(key[s] for s in range(p + q) if s not in positions))
             if u is None or v is None:
                 continue
             sign = -1 if sum(positions) % 2 != (p * (p - 1) // 2) % 2 else 1

@@ -1,6 +1,8 @@
+import ast
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,7 @@ from metriclie.cochain_complex import (
     pullback,
     wedge_pair,
 )
-from metriclie.exact_linalg import Matrix, Subspace, rank, unit_vector
+from metriclie.exact_linalg import Matrix, Subspace, _dense, rank, unit_vector
 from metriclie.lie_core import LieAlgebra, abelian, center, lower_central_series
 
 from support import (
@@ -41,6 +43,7 @@ from support import (
     dense_pullback,
     dense_wedge_pair,
     five_dim_three_step,
+    is_canonical,
     pinned_expansion_failures,
     random_cochain,
     random_sparse_table,
@@ -554,55 +557,55 @@ def test_wedge_pair_visits_only_pairs_of_stored_keys(monkeypatch):
     module = module_for_tag("r11w")
     c1 = random_cochain(rg, 12, 2, 2, density=0.06)
     c2 = random_cochain(rg, 12, 2, 2, density=0.06)
-    assert c1.values and c2.values
+    assert c1.rows and c2.rows
     expected = dense_wedge_pair(module, c1, c2)
     for c in (c1, c2):  # Cochain is frozen: install the probes past its __setattr__
-        object.__setattr__(c, "values", Probed(c.values))
+        object.__setattr__(c, "rows", Probed(c.rows))
     monkeypatch.setattr(cochain_complex, "sort_with_sign", counting_sort)
     assert wedge_pair(module, c1, c2) == expected
-    assert 0 < len(probes) <= len(c1.values) * len(c2.values)
+    assert 0 < len(probes) <= len(c1.rows) * len(c2.rows)
 
 
 def test_cochain_is_immutable():
     c = Cochain(4, 2, 2, False, {(0, 1): (1, 2)})
     with pytest.raises(TypeError):
-        c.values[(0, 1)] = (Fraction(5), Fraction(5))
+        c.rows[(0, 1)] = {0: 5, 1: 5}
     with pytest.raises(TypeError):
-        c.values[(2, 3)] = (Fraction(1), Fraction(0))
-    values = c.values
-    with pytest.raises(AttributeError):
-        c.values = {}
-    with pytest.raises(AttributeError):
-        c.degree = 3
-    assert c.values is values and c.degree == 2
+        c.rows[(2, 3)] = {0: 1}
+    with pytest.raises(TypeError):
+        c.values[(0, 1)] = (5, 5)  # the dense view is read-only too
+    rows = c.rows
+    for name in ("rows", "values", "degree"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, {})
+    assert c.rows is rows and c.rows == {(0, 1): {0: 1, 1: 2}} and c.degree == 2
     assert c == Cochain(4, 2, 2, False, {(0, 1): (Fraction(1), Fraction(2))})
 
 
-def test_cochain_converts_only_values_that_are_not_canonical_tuples(monkeypatch):
-    """A tuple of canonical scalars (ints, and Fractions with denominator > 1)
-    is kept as given; anything else, an integral Fraction or a float among
-    them, is converted to one."""
-    converted = []
-    original = cochain_complex.vector
-
-    def counting_vector(value):
-        converted.append(value)
-        return original(value)
-
-    monkeypatch.setattr(cochain_complex, "vector", counting_vector)
+def test_cochain_stores_dense_and_sparse_values_as_the_same_canonical_rows():
+    """Each value, dense or the sparse map of its nonzero entries, is stored as
+    the same row: canonical scalars (ints, and Fractions with denominator
+    > 1) and no zero; an all-zero value stores no key."""
     exact = (1, Fraction(-1, 2))
-    c = Cochain(3, 1, 2, False, {(0,): exact, (1,): (0, Fraction(0)), (2,): [3, "1/3"]})
-    assert converted == [(0, Fraction(0)), [3, "1/3"]]
-    assert c.values[(0,)] is exact
-    assert c.values == {(0,): exact, (2,): (3, Fraction(1, 3))}
-    assert [type(x) for x in c.values[(2,)]] == [int, Fraction]
-    converted.clear()
-    c = Cochain(3, 1, 2, False, {(0,): (Fraction(4, 2), 0.5), (1,): (True, 0)})
-    assert converted == [(Fraction(4, 2), 0.5), (True, 0)]
-    assert c.values == {(0,): (2, Fraction(1, 2)), (1,): (1, 0)}
-    assert [type(x) for v in c.values.values() for x in v] == [int, Fraction, int, int]
-    with pytest.raises(ValueError):
-        Cochain(3, 1, 2, False, {(0,): (Fraction(1),)})
+    dense = {(0,): exact, (1,): (0, Fraction(0)), (2,): [3, "1/3"]}
+    loose = {(0,): (Fraction(4, 2), 0.5), (1,): (True, 0)}
+    for values, rows in (
+        (dense, {(0,): {0: 1, 1: Fraction(-1, 2)}, (2,): {0: 3, 1: Fraction(1, 3)}}),
+        (loose, {(0,): {0: 2, 1: Fraction(1, 2)}, (1,): {0: 1}}),
+    ):
+        sparse = {key: {t: x for t, x in enumerate(v) if x} for key, v in values.items()}
+        made = [Cochain(3, 1, 2, False, values), Cochain(3, 1, 2, False, sparse)]
+        for c in made:
+            assert c == made[0] and hash(c) == hash(made[0])
+            assert c.rows == rows and all(row for row in c.rows.values())
+            assert all(is_canonical(x) for row in c.rows.values() for x in row.values())
+            assert [type(x) for row in c.rows.values() for x in row.values()] == [
+                type(x) for row in rows.values() for x in row.values()
+            ]
+            assert c.values == {key: _dense(row, 2) for key, row in rows.items()}
+    for bad in ({(0,): (Fraction(1),)}, {(0,): {2: 1}}, {(0,): {-1: 1}}):
+        with pytest.raises(ValueError):
+            Cochain(3, 1, 2, False, bad)
     with pytest.raises(ValueError):
         Cochain(3, 2, 1, True, {(1, 0): (Fraction(1),)})
 
@@ -622,3 +625,27 @@ def test_differential_columns_index_the_brackets_once(monkeypatch):
     builds.clear()
     differential_matrix(g64(), None, 2)
     assert len(builds) == 1
+
+
+def uncalled_values_reads(tree: ast.Module) -> list[int]:
+    """The lines of ``tree`` that read an attribute ``values`` other than as
+    the callee of a call (so ``row.values()`` does not count)."""
+    callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "values"
+                  and id(node) not in callees)
+
+
+def test_the_guard_sees_a_read_of_the_dense_view():
+    tree = ast.parse("a = c.values\nb = row.values()\nd = c.values.get(k)\nf(c.values)\n")
+    assert uncalled_values_reads(tree) == [1, 3, 4]
+
+
+def test_only_the_serializer_reads_the_dense_values_view():
+    """Outside ``schema.py`` the package reads a cochain through its sparse
+    ``rows``: the dense ``values`` view stays at the file boundary."""
+    package = Path(cochain_complex.__file__).resolve().parent
+    reads = {path.name: uncalled_values_reads(ast.parse(path.read_text()))
+             for path in sorted(package.glob("*.py"))}
+    assert reads.pop("schema.py")
+    assert {name: lines for name, lines in reads.items() if lines} == {}

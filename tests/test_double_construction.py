@@ -184,7 +184,7 @@ def test_metric_lie_algebra_is_immutable():
             setattr(g, name, value)
         assert getattr(g, name) is before
     with pytest.raises(TypeError):
-        g.provenance.alpha.values[(0, 1)] = (Fraction(1),)
+        g.provenance.alpha.rows[(0, 1)] = {0: 1}
     assert verify_metric(g).ok
 
 

@@ -10,9 +10,10 @@ import pytest
 
 from metriclie import exact_linalg
 from metriclie.catalog import ENTRIES, _sample_points, default_samples, instantiate, run_catalog
+from metriclie.cochain_complex import differential
 from metriclie.exact_linalg import Matrix, _reduce, _sparse_rows, signature_of
 from metriclie.lie_core import center, lower_central_series
-from metriclie.quadratic_cohomology import check_admissible
+from metriclie.quadratic_cohomology import check_admissible, half_wedge_square
 
 from support import (
     is_canonical,
@@ -43,9 +44,11 @@ def _row_scalars(rows):
 def stored_scalars():
     """Every scalar stored by the Gram forms, bracket rows, series and
     centers of the 95 catalog doubles and the two scale doubles, by the
-    forms restricted to their centers and derived algebras, and returned by
-    ``_reduce`` and ``signature_of`` on those forms and on seeded
-    random symmetric and square matrices, as ``(where, scalar)`` pairs."""
+    forms restricted to their centers and derived algebras, by the cochain
+    rows of the catalog cocycles, their differentials and half wedge
+    squares, and returned by ``_reduce`` and ``signature_of`` on those forms
+    and on seeded random symmetric and square matrices, as ``(where,
+    scalar)`` pairs."""
     doubles = [g for g in run_catalog().doubles if g is not None]
     assert len(doubles) == 95
     out = []
@@ -58,6 +61,11 @@ def stored_scalars():
                 for i in range(l.dim) for p in l.row(i).values() for x in p.values()]
         out += [("double %d span" % k, x) for s in (*series, z) for x in _row_scalars(s.rows)]
         out += [("double %d signature" % k, x) for f in forms for x in signature_of(f)]
+    for k, z in enumerate(g.provenance for g in doubles):
+        cochains = [z.alpha, z.gamma, differential(z.algebra, z.alpha),
+                    differential(z.algebra, z.gamma), half_wedge_square(z.module, z.alpha)]
+        out += [("cocycle %d rows" % k, x)
+                for c in cochains for row in c.rows.values() for x in row.values()]
     rg = rng(2207)
     for t in range(300):
         _, sym = random_symmetric_case(rg)

@@ -118,7 +118,7 @@ def test_repr_keeps_the_dataclass_form(pairs):
     assert repr(Matrix.identity(2)) == "Matrix(cols=2, nonzero_rows=({0: 1}, {1: 1}))"
     assert repr(Cochain(3, 1, 1, True, {(2,): (Fraction(1, 2),)})) == (
         "Cochain(n=3, degree=1, value_dim=1, scalar=True, "
-        "values=mappingproxy({(2,): (Fraction(1, 2),)}))"
+        "rows=mappingproxy({(2,): {0: Fraction(1, 2)}}))"
     )
     for cls, (value, twin) in pairs.items():
         shown = [f for f in value._fields if not (cls is CatalogReport and f == "doubles")]
@@ -136,7 +136,7 @@ def test_catalog_report_equality_ignores_the_doubles(pairs):
 
 def test_defaults_and_the_lazy_pivots():
     first, second = Cochain(3, 1, 1), Cochain(3, 1, 1)
-    assert first.values == {} and first.values is not second.values and not first.scalar
+    assert first.rows == {} and first.rows is not second.rows and not first.scalar
     assert Cochain(3, 1, 1, values=None) == first
     g = MetricLieAlgebra(abelian(2), Matrix.identity(2))
     assert g.provenance is None and g == MetricLieAlgebra(abelian(2), Matrix.identity(2), None)
@@ -169,7 +169,7 @@ def test_copies_and_pickles_round_trip(pairs):
             assert type(made) is cls and made == twin and made is not value
     cochain = pairs[Cochain][0]
     for made in (copy.copy(cochain), copy.deepcopy(cochain), pickle.loads(pickle.dumps(cochain))):
-        assert type(made.values) is MappingProxyType and made.values is not cochain.values
+        assert type(made.rows) is MappingProxyType and made.rows is not cochain.rows
 
 
 def test_copied_and_pickled_reports_keep_their_doubles(pairs):

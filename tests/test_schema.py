@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from metriclie.catalog import g41, module_for_tag
-from metriclie.cli import assemble_cocycle
+from metriclie.cli import assemble_cocycle, main
 from metriclie.cochain_complex import OrthogonalModule
 from metriclie.double_construction import MetricLieAlgebra
 from metriclie.schema import (
@@ -69,6 +69,21 @@ def test_scalar_formats():
 def test_scalar_rejects_inexact_and_malformed(bad):
     with pytest.raises(SchemaError):
         parse_scalar(bad)
+
+
+@pytest.mark.parametrize("token", ["3\n", "1/2\n", "3 "])
+def test_a_scalar_with_trailing_whitespace_is_rejected_at_its_position(token, tmp_path, capsys):
+    """The whole string must be ``p`` or ``p/q``: a final newline is not
+    read past, as ``$`` alone would allow."""
+    with pytest.raises(SchemaError, match=r"^cocycle\.gamma\[0\]\.value: "):
+        parse_scalar(token, "cocycle.gamma[0].value")
+    brackets = [{"i": 1, "j": 2, "value": ["0", token]}]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(wrap("lie_algebra", {"dim": 2, "brackets": brackets})))
+    assert main(["verify", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["kind"] == "report" and report["payload"]["ok"] is False
+    assert report["payload"]["error"].startswith("lie_algebra.brackets[0].value[1]: ")
 
 
 def test_algebra_payload_round_trip():

@@ -40,6 +40,9 @@ PERFBENCH_ONLY = {
     "differential_matrix",
     "kernel_basis",
     "solve_affine",
+    "unit_vector",
+    "vec_add",
+    "vec_scale",
     "zero_cocycle",
     "zero_vector",
     "AdmissibilityReport.condition",
