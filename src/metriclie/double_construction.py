@@ -162,16 +162,19 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     <e_j, [e_i, e_k]> does not vanish, or "" when the form is invariant.
 
     The form must be symmetric; only the stored brackets of each e_i and the
-    nonzero form entries are multiplied; a failing pair has a stored term.
+    nonzero form entries are multiplied; a failing pair has a stored term,
+    so one pass over the stored terms finds whether e_i fails, and only a
+    failing e_i has its pairs sorted to name the first.
     """
-    n = g.algebra.dim
     support = g.gram.nonzero_rows  # {j: <e_j, e_t>} per t
-    for i in range(n):
+    for i, row in sorted(g.algebra._rows.items()):
         # pairing[k][j] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[j][k]
-        pairing = {k: _combine(p, support.__getitem__) for k, p in g.algebra.row(i).items()}
-        for j, k in sorted({(min(j, k), max(j, k)) for k, p in pairing.items() for j in p}):
-            if pairing.get(k, {}).get(j, 0) + pairing.get(j, {}).get(k, 0) != 0:
-                return "fails at triple %s" % g.algebra.named((i, j, k))
+        pairing = {k: _combine(p, support.__getitem__) for k, p in row.items()}
+        if any(x + pairing.get(j, {}).get(k, 0) for k, p in pairing.items()
+               for j, x in p.items()):
+            for j, k in sorted({(min(j, k), max(j, k)) for k, p in pairing.items() for j in p}):
+                if pairing.get(k, {}).get(j, 0) + pairing.get(j, {}).get(k, 0) != 0:
+                    return "fails at triple %s" % g.algebra.named((i, j, k))
     return ""
 
 

@@ -9,8 +9,10 @@ nilpotent Lie algebra brackets layers with a complement of l^2 only, and the
 Jacobi check visits only the triples with a term that can be nonzero.  It runs
 on construction, keeping its verdict; a flag skips it for broken test tables.
 
-:class:`LieAlgebra` is immutable, so the lower central series and the center
-are computed at most once per instance and then reused.
+:class:`LieAlgebra` is immutable, so the lower central series, the center
+and the admissibility test's per-stage data (built by
+:mod:`~metriclie.quadratic_cohomology`) are computed at most once per
+instance and then reused.
 """
 
 from __future__ import annotations
@@ -56,10 +58,13 @@ class LieAlgebra:
     coordinates or as a sparse map ``{t: c}``.  Instances
     are immutable, and storage grows with the brackets, not with ``dim``:
     only indices with a stored bracket have a row, and default labels are
-    made on demand.
+    made on demand.  What is derived from the brackets alone is kept in a
+    slot filled on first use: the series (``_series``), the center
+    (``_center``), the Jacobi verdict (``_jacobi``) and the admissibility
+    test's per-stage data (``_stages``, filled by ``quadratic_cohomology``).
     """
 
-    __slots__ = ("_dim", "_labels", "_rows", "_hash", "_series", "_center", "_jacobi")
+    __slots__ = ("_dim", "_labels", "_rows", "_hash", "_series", "_center", "_jacobi", "_stages")
 
     def __init__(
         self,
@@ -98,6 +103,7 @@ class LieAlgebra:
         self._series: tuple[Subspace, ...] | None = None
         self._center: Subspace | None = None
         self._jacobi: bool | None = None  # validate_jacobi's verdict, once run
+        self._stages: tuple | None = None  # quadratic_cohomology's per-stage data, once built
         if validate:
             require_jacobi(self)
 
@@ -222,9 +228,10 @@ def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
     (the span of the stored brackets), W_1 = span V, W_(j+1) = span [e_v, w]
     (v in V, w a row of W_j; so W_2 is spanned by stored rows) and T_k = W_k +
     T_(k+1).  By Jacobi, [W_a, W_b] lies in W_(a+b) (induction on a), so S =
-    sum W_j is a subalgebra; if the layers vanish within dim l steps and T_2 =
+    sum W_j is a subalgebra; if W_(c+1) = 0 for some c <= dim D + 1 and T_2 =
     D, S contains V + D = l, and l^k = S^k lies in T_k, which lies in l^k.  A
-    nilpotent Lie algebra never declines, as V generates it (de Graaf 2000).
+    nilpotent Lie algebra never declines, as V generates it (de Graaf 2000)
+    and its class c is at most dim D + 1 (l^2 > ... > l^c > 0 in D).
     Others, as gl(2) (T_2 < D), [x1, x2] = y, [x1, y] = y (no layer vanishes)
     and tables that break Jacobi, take the direct loop over every e_i."""
     n, upper = l.dim, list(l._upper())
@@ -232,7 +239,7 @@ def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
     gens = set(range(n)).difference([min(row) for row in derived.rows])  # V
     if l._jacobi or l._jacobi is None and validate_jacobi(l).ok:
         layers = [Subspace.of_rows(n, [dict(p) for u, v, p in upper if u in gens and v in gens])]
-        while layers[-1].dim and len(layers) < n:
+        while layers[-1].dim and len(layers) <= derived.dim:  # layers[j] is W_(j+2)
             layers.append(_bracket_span(l, gens, layers[-1]))
         sums = [layers.pop()]  # T_(c+1), then T_c = W_c, ..., T_2
         for layer in reversed(layers):

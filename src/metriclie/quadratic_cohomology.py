@@ -16,10 +16,13 @@ Admissibility is Kath-Olbrich's condition on the data that their
 classification scheme uses.  It checks, for every stage k of the central
 filtration, a linear condition (A_k) ruling out central directions that
 alpha and gamma cannot see, and a nondegeneracy condition (B_k) on the
-alpha-image of the kernel of the bracket pairing.  Both are read off one
-pass over the tensor basis of l (x) l^(k+1) per stage, and both kernels
-come from the sparse elimination.  Every kernel here reads alpha and gamma
-from their stored rows ``{t: c}``.  Admissibility does not make the double
+alpha-image of the kernel of the bracket pairing.  What they need of ``l``
+alone (the stages, the series terms, the coordinates of each [e_i, w_j] in
+l^(k+1) and the kernel of the bracket pairing) is built in one pass over
+the tensor basis of l (x) l^(k+1) per stage, once per ``LieAlgebra``
+instance, and kept on it; each test then adds only alpha and gamma, in one
+more pass.  Both kernels come from the sparse elimination.  Every kernel
+here reads alpha and gamma from their stored rows ``{t: c}``.  Admissibility does not make the double
 indecomposable; :func:`indecomposability_proxy` checks only a necessary
 condition for that.
 """
@@ -231,17 +234,63 @@ class AdmissibilityReport(NamedTuple):
         return self.conditions[k]
 
 
+class _Stage(NamedTuple):
+    """What stage k of the admissibility test reads from ``l`` alone.
+
+    ``z_rows[i * d1 + j]`` is minus the coordinates {t: -c} of a nonzero
+    [e_i, w_j] in the echelon rows w of the series term l^(k+1), d1 = its
+    dimension; ``kernel`` is the sparse kernel of the bracket pairing
+    l (x) l^(k+1) -> l over the same tensor indices.  Every cocycle on ``l``
+    shares the rows, so nothing may modify them.
+    """
+
+    stage: Subspace
+    series_term: Subspace
+    z_rows: dict[int, dict[int, Scalar]]
+    kernel: tuple[dict[int, Scalar], ...]
+
+
+def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
+    """The algebra's half of the admissibility test for each stage k = 0..m
+    of the central filtration, built on the first call and kept on ``l``:
+    one pass over the tensor basis e_i (x) w_j of l (x) l^(k+1) reads each
+    [e_i, w_j] once, for its coordinates and for the bracket pairing.
+
+    A non-nilpotent algebra raises NotNilpotentError from the filtration,
+    and a bracket outside its series term raises ConsistencyError; neither
+    is kept, so every call raises it again.
+    """
+    if l._stages is None:
+        n, series, stages = l.dim, lower_central_series(l), []
+        for k, stage in enumerate(filtration_spaces(l)):
+            series_term = series[k]  # l^(k+1)
+            z_rows: dict[int, dict[int, Scalar]] = {}
+            # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
+            pairing: dict[int, dict[int, Scalar]] = {}
+            for u, image in enumerate(l.ad_rows(range(n), series_term.rows)):
+                if image:
+                    coords = series_term.coords(image)
+                    if coords is None:
+                        raise ConsistencyError("bracket left the series term, series data corrupt")
+                    z_rows[u] = {t: -y for t, y in enumerate(coords) if y}
+                    for t, x in image.items():
+                        pairing.setdefault(t, {})[u] = x
+            kernel = _kernel(_reduce(pairing.values()), n * series_term.dim)
+            stages.append(_Stage(stage, series_term, z_rows, tuple(kernel)))
+        l._stages = tuple(stages)
+    return l._stages
+
+
 def _stage_report(
     z: QuadraticCocycle,
     k: int,
-    stage: Subspace,
-    series_term: Subspace,
+    half: _Stage,
     alpha_at: dict[int, dict[int, dict[int, Scalar]]],
     gamma_at: dict[int, dict[int, dict[int, Scalar]]],
 ) -> ConditionKReport:
-    """(A_k) and (B_k) in one pass over the tensor basis e_i (x) w_j of
-    l (x) l^(k+1), reading [e_i, w_j] and alpha(e_i, w_j) once each; every
-    contraction is a sum of sparse rows through :func:`_combine`.
+    """(A_k) and (B_k) from the algebra's half of stage k, reading alpha(e_i,
+    w_j) once per tensor e_i (x) w_j of l (x) l^(k+1); every contraction is a
+    sum of sparse rows through :func:`_combine`.
 
     (A_k): any L0 in the stage admitting compatible (A0, Z0) must be zero.
     The constraints are linear in (L0, A0, Z0) jointly, so the condition
@@ -252,12 +301,12 @@ def _stage_report(
     onto a nondegenerate subspace of the module.
     """
     l, module = z.algebra, z.module
+    stage, series_term, z_rows, kernel = half
     n, m = l.dim, module.dim
     d0, d1 = stage.dim, series_term.dim
+    z_off = d0 + m
     gram_rows = module.gram.nonzero_rows  # also its columns: the form is symmetric
     a_rows: list[dict[int, Scalar]] = []
-    # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
-    pairing: dict[int, dict[int, Scalar]] = {}
     alpha_on_tensor: list[dict[int, Scalar]] = []
     for i in range(n):
         alpha_i, gamma_i = alpha_at.get(i, {}), gamma_at.get(i, {})
@@ -268,31 +317,24 @@ def _stage_report(
         gamma_stage = [(u, gb) for u, gb in enumerate(_combine(b, gamma_i.get) for b in stage.rows)
                        if gb]
         # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
-        images = l.ad_rows((i,), series_term.rows)
-        for j, (w, image) in enumerate(zip(series_term.rows, images)):
+        for j, w in enumerate(series_term.rows):
             alpha_iw = _combine(w, alpha_i.get)
             alpha_on_tensor.append(alpha_iw)
             gamma_iw = ((u, _sum([x * gb[t] for t, x in w.items() if t in gb]))
                         for u, gb in gamma_stage)
             row = {u: y for u, y in gamma_iw if y}
             row.update((d0 + t, y) for t, y in _combine(alpha_iw, gram_rows.__getitem__).items())
-            if image:
-                coords = series_term.coords(image)
-                if coords is None:
-                    raise ConsistencyError("bracket left the series term, series data corrupt")
-                row.update((d0 + m + t, -y) for t, y in enumerate(coords) if y)
-                for t, x in image.items():
-                    pairing.setdefault(t, {})[i * d1 + j] = x
+            if i * d1 + j in z_rows:
+                row.update((z_off + t, y) for t, y in z_rows[i * d1 + j].items())
             a_rows.append(row)
-    unknowns = d0 + m + d1
+    unknowns = z_off + d1
     a_kernel = _kernel(_reduce(a_rows), unknowns)
     v = next((v for v in a_kernel if min(v) < d0), None)
     a_witness = None
     if v is not None:
         l0 = _combine({u: x for u, x in v.items() if u < d0}, stage.rows.__getitem__)
         head = _dense(v, unknowns)
-        a_witness = (_dense(l0, n), head[d0 : d0 + m], head[d0 + m :])
-    kernel = _kernel(_reduce(pairing.values()), n * d1)
+        a_witness = (_dense(l0, n), head[d0:z_off], head[z_off:])
     image = Subspace.of_rows(m, [_combine(vec, alpha_on_tensor.__getitem__) for vec in kernel])
     b_passed = image.is_nondegenerate(module.gram)
     b_witness = None
@@ -307,9 +349,11 @@ def _stage_report(
 def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
     """Run (A_k) and (B_k) for every stage k = 0..m of the central filtration.
 
-    A non-nilpotent algebra raises NotNilpotentError from the filtration.
+    What depends on the algebra alone is built once per ``LieAlgebra``
+    instance (:func:`_stages`); each call adds alpha and gamma.  A
+    non-nilpotent algebra raises NotNilpotentError from the filtration.
     """
-    stages, series = filtration_spaces(z.algebra), lower_central_series(z.algebra)
+    stages = _stages(z.algebra)
     # alpha(e_i, e_s) as the sparse row alpha_at[i][s] (a stored row is shared), both ways
     alpha_at: dict[int, dict[int, dict[int, Scalar]]] = {}
     for (a, b), v in z.alpha.rows.items():
@@ -323,8 +367,7 @@ def check_admissible(z: QuadraticCocycle) -> AdmissibilityReport:
                            (a, c, b, -v), (b, a, c, -v), (c, b, a, -v)):
             gamma_at.setdefault(i, {}).setdefault(s, {})[t] = y
     conditions = tuple(
-        _stage_report(z, k, stage, series[k], alpha_at, gamma_at)  # series[k] = l^(k+1)
-        for k, stage in enumerate(stages)
+        _stage_report(z, k, half, alpha_at, gamma_at) for k, half in enumerate(stages)
     )
     return AdmissibilityReport(
         overall=all(c.a_passed and c.b_passed for c in conditions), conditions=conditions

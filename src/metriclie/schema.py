@@ -29,7 +29,7 @@ from .exact_linalg import Matrix, Scalar, Vector, _quo
 from .lie_core import LieAlgebra
 from .quadratic_cohomology import QuadraticCocycle
 
-SCALAR_RE = re.compile(r"-?\d+(/\d+)?")  # the whole string: fullmatch
+SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the whole string, ASCII digits only: fullmatch
 
 KINDS = ("lie_algebra", "module", "cocycle", "metric_lie_algebra", "report")
 

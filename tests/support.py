@@ -33,6 +33,7 @@ from metriclie.exact_linalg import (
     Matrix,
     Signature,
     Subspace,
+    _combine,
     _dense,
     _kernel,
     _reduce,
@@ -176,12 +177,30 @@ def scale_doubles() -> dict[str, MetricLieAlgebra]:
     h_15 ([X_i, Y_i] = Z) and on the standard filiform algebra of dimension
     12 ([X1, X_i] = X_(i+1)), with the module diag(1, 1)."""
     h15 = LieAlgebra(15, {(i, 7 + i): unit_vector(15, 14) for i in range(7)})
-    fil12 = LieAlgebra(12, {(0, i): unit_vector(12, i + 1) for i in range(1, 11)})
     module = orthonormal_module([1, 1])
     return {
         "T*h_15": build_double(zero_cocycle(h15, module)),
-        "T*fil_12": build_double(zero_cocycle(fil12, module)),
+        "T*fil_12": build_double(zero_cocycle(standard_filiform(12), module)),
     }
+
+
+def standard_filiform(n: int) -> LieAlgebra:
+    """The standard filiform algebra [X1, X_i] = X_(i+1), 1 < i < n, of class
+    n - 1 = dim l^2 + 1, the most a nilpotent algebra allows."""
+    return LieAlgebra(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
+
+
+def sorted_invariance_failure(g: MetricLieAlgebra) -> str:
+    """The sparse invariance scan that sorts the stored pairs of every e_i,
+    i in range(dim), before it tests them: the reference for the first
+    failing triple of ``double_construction._invariance_failure``."""
+    support = g.gram.nonzero_rows
+    for i in range(g.algebra.dim):
+        pairing = {k: _combine(p, support.__getitem__) for k, p in g.algebra.row(i).items()}
+        for j, k in sorted({(min(j, k), max(j, k)) for k, p in pairing.items() for j in p}):
+            if pairing.get(k, {}).get(j, 0) + pairing.get(j, {}).get(k, 0) != 0:
+                return "fails at triple %s" % g.algebra.named((i, j, k))
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from support import (
     rational,
     rng,
     scale_doubles,
+    sorted_invariance_failure,
 )
 
 EXPECTED = Path(__file__).resolve().parent.parent / "perfbench" / "expected.json"
@@ -382,6 +383,36 @@ def test_invariance_scan_matches_brute_force_triples():
     assert details == [brute_invariance_failure(g) for g in cases]
     assert all(d == "" for d in details[80::2])  # the catalog doubles themselves
     assert sum(1 for d in details if d) >= 80
+
+
+def test_the_summing_pass_names_the_triple_of_the_sorted_scan():
+    """Each e_i's stored terms are summed in one pass, and only an e_i that
+    fails has its pairs sorted: the first failing triple is the one the scan
+    that sorts every e_i's pairs names, on each catalog and scale double as
+    built, with one bracket entry moved by one, and with one form entry
+    moved by one symmetrically."""
+    rg = rng(2828)
+    cases = []
+    for g in [*run_catalog().doubles, *scale_doubles().values()]:
+        l, n = g.algebra, g.algebra.dim
+        table = {(i, j): dict(p) for i in range(n) for j, p in l.row(i).items() if i < j}
+        i, j = sorted(rg.sample(range(n), 2))
+        t = rg.randrange(n)
+        table.setdefault((i, j), {})[t] = table.get((i, j), {}).get(t, 0) + 1
+        rows = g.gram.to_rows()
+        a, b = rg.randrange(n), rg.randrange(n)
+        rows[a][b] += 1
+        if a != b:
+            rows[b][a] += 1
+        cases += [
+            g,
+            MetricLieAlgebra(LieAlgebra(n, table, labels=l.labels, validate=False), g.gram),
+            MetricLieAlgebra(l, Matrix.from_rows(rows, cols=n)),
+        ]
+    details = [double_construction._invariance_failure(g) for g in cases]
+    assert details == [sorted_invariance_failure(g) for g in cases]
+    assert all(d == "" for d in details[::3])  # the doubles themselves
+    assert sum(1 for d in details[1::3] if d) >= 80 and sum(1 for d in details[2::3] if d) >= 80
 
 
 def test_verify_metric_catches_degenerate_form():

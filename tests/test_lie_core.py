@@ -47,6 +47,7 @@ from support import (
     rows_snapshot,
     scale_doubles,
     sparse_row,
+    standard_filiform,
 )
 
 
@@ -458,6 +459,54 @@ def test_series_computes_only_the_images_that_can_be_nonzero(monkeypatch, scale_
     # X12* that meet it (the direct loop, kept for the tables the layers
     # decline, makes 42 and 240 images here)
     assert counts == [0, 20]
+
+
+def counting_bracket_spans(monkeypatch) -> list[int]:
+    """The size of ``among`` of each ``_bracket_span`` call from now on: the
+    generators on the layered path, every index in the direct loop."""
+    sizes = []
+    original = lie_core._bracket_span
+
+    def counting(l, among, s):
+        sizes.append(len(among))
+        return original(l, among, s)
+
+    monkeypatch.setattr(lie_core, "_bracket_span", counting)
+    return sizes
+
+
+def test_the_layers_reach_the_class_bound_of_filiform_algebras(monkeypatch):
+    """The standard filiform algebra of dimension n has class n - 1 = dim
+    l^2 + 1, the largest class a nilpotent algebra allows: its series still
+    comes from the layers, one bracket span with X1, X2 per layer W_3, ...,
+    W_n, and the direct loop never runs."""
+    sizes = counting_bracket_spans(monkeypatch)
+    for n in range(3, 31):
+        l = standard_filiform(n)
+        sizes.clear()
+        series = lie_core._lower_central_series(l)
+        assert sizes == [2] * (n - 2), n
+        assert [s.dim for s in series] == [n, *range(n - 2, -1, -1)]  # class n - 1
+
+
+def test_a_declined_series_builds_at_most_dim_l2_layers(monkeypatch):
+    """Where the layers decline, the direct loop runs after at most dim l^2
+    layer spans: on filiform 30 + the solvable [x, y] = y the layers of X1,
+    X2 and x vanish after 28 without reaching y, and on the tables of
+    :func:`_tables_the_layers_decline` the solvable one stops after
+    1 = dim l^2 layer span although its layers never vanish."""
+    sizes = counting_bracket_spans(monkeypatch)
+    l = direct_sum(standard_filiform(30), LieAlgebra(2, {(0, 1): {1: 1}}))
+    spans = []
+    for algebra in (l, *_tables_the_layers_decline()):
+        sizes.clear()
+        series = lie_core._lower_central_series(algebra)
+        first_direct = sizes.index(algebra.dim)
+        assert first_direct <= series[1].dim and set(sizes[first_direct:]) == {algebra.dim}
+        spans.append(first_direct)
+    assert [s.dim for s in series] == [3, 1, 1]  # the solvable table
+    assert [s.dim for s in lie_core._lower_central_series(l)] == [32, *range(29, 0, -1), 1]
+    assert spans == [28, 0, 0, 1]
 
 
 @pytest.fixture(scope="module")

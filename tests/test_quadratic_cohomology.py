@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -27,11 +29,12 @@ from metriclie.cochain_complex import (
     wedge_pair,
 )
 from metriclie.double_construction import build_double, fingerprint, verify_metric
-from metriclie.exact_linalg import Matrix, kernel_basis
+from metriclie.exact_linalg import Matrix, Subspace, kernel_basis
 from metriclie.lie_core import (
     LieAlgebra,
     NotNilpotentError,
     abelian,
+    filtration_spaces,
     is_nilpotent,
     validate_jacobi,
 )
@@ -395,10 +398,10 @@ def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypa
             per_stage[-1] += 1
         return reduce(rows)
 
-    def checked_stage_report(z, k, stage, series_term, alpha_at, gamma_at):
+    def checked_stage_report(z, k, half, alpha_at, gamma_at):
         per_stage.append(0)
-        kept = rows_snapshot(stage, series_term)
-        report = stage_report(z, k, stage, series_term, alpha_at, gamma_at)
+        kept = rows_snapshot(half.stage, half.series_term)
+        report = stage_report(z, k, half, alpha_at, gamma_at)
         assert kept()
         return report
 
@@ -408,6 +411,73 @@ def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypa
         per_stage.clear()
         report = check_admissible(z)
         assert per_stage == [2] * len(report.conditions)
+
+
+def fresh_algebra(l: LieAlgebra) -> LieAlgebra:
+    """An algebra equal to ``l``, built anew, so nothing computed on ``l`` is kept on it."""
+    table = {(i, j): dict(p) for i in range(l.dim) for j, p in l.row(i).items() if i < j}
+    return LieAlgebra(l.dim, table, labels=l.labels)
+
+
+def test_the_algebras_half_is_built_once_and_matches_a_fresh_instance(
+    monkeypatch, rejection_study
+):
+    """Every catalog cocycle (8 shared bases) and the 50 rejection-study
+    cocycles (one shared base): two reports on the shared algebra equal two
+    on a fresh equal algebra, verdicts, b_image_dim and both witnesses
+    included.  Only the first call on the fresh algebra brackets and takes
+    coordinates, and the cached stages, series terms, coordinate rows and
+    kernel rows stay as they were built."""
+    calls = []
+
+    def counting(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(LieAlgebra, "ad_rows", counting("ad_rows", LieAlgebra.ad_rows))
+    monkeypatch.setattr(Subspace, "coords", counting("coords", Subspace.coords))
+    cocycles = [instantiate(entry, point) for entry in ENTRIES
+                for point in _sample_points(entry, default_samples())]
+    assert len(cocycles) == 95 and len({id(z.algebra) for z in cocycles}) == 8
+    cocycles += rejection_study.cocycles
+    for z in cocycles:
+        stages = quadratic_cohomology._stages(z.algebra)
+
+        def cached_rows():
+            return [({u: dict(r) for u, r in half.z_rows.items()}, [dict(v) for v in half.kernel])
+                    for half in stages]
+
+        kept, rows = rows_snapshot(*[s for half in stages for s in half[:2]]), cached_rows()
+        shared = [check_admissible(z), check_admissible(z)]
+        assert quadratic_cohomology._stages(z.algebra) is stages
+        assert kept() and cached_rows() == rows
+        fresh = QuadraticCocycle(fresh_algebra(z.algebra), z.module, z.alpha, z.gamma)
+        calls.clear()
+        reports = [check_admissible(fresh)]
+        assert "ad_rows" in calls
+        assert ("coords" in calls) == any(half.z_rows for half in stages)  # not if abelian
+        calls.clear()
+        reports.append(check_admissible(fresh))
+        assert calls == []
+        assert reports == shared and shared[0] == shared[1]
+    # the filtration is still a fresh list, and emptying one changes no report
+    spaces = filtration_spaces(z.algebra)
+    assert spaces == [half.stage for half in quadratic_cohomology._stages(z.algebra)]
+    assert spaces is not filtration_spaces(z.algebra)
+    spaces.clear()
+    assert check_admissible(z) == shared[0]
+
+
+def test_an_algebra_with_its_stages_built_copies_and_pickles():
+    for z in (g64_admissible_cocycle(), zero_cocycle(g41(), orthonormal_module([1]))):
+        report, l = check_admissible(z), z.algebra
+        assert l._stages is not None
+        for made in (copy.copy(l), copy.deepcopy(l), pickle.loads(pickle.dumps(l))):
+            assert made == l and hash(made) == hash(l)
+            assert filtration_spaces(made) == filtration_spaces(l)
+            assert check_admissible(QuadraticCocycle(made, z.module, z.alpha, z.gamma)) == report
 
 
 def test_half_wedge_square_matches_the_halved_wedge_pair():

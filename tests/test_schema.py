@@ -71,10 +71,11 @@ def test_scalar_rejects_inexact_and_malformed(bad):
         parse_scalar(bad)
 
 
-@pytest.mark.parametrize("token", ["3\n", "1/2\n", "3 "])
+@pytest.mark.parametrize("token", ["3\n", "1/2\n", "3 ", "\u0663", "1/\u0662", "\uff13"])
 def test_a_scalar_with_trailing_whitespace_is_rejected_at_its_position(token, tmp_path, capsys):
-    """The whole string must be ``p`` or ``p/q``: a final newline is not
-    read past, as ``$`` alone would allow."""
+    """The whole string must be ``p`` or ``p/q`` in ASCII digits: a final
+    newline is not read past, as ``$`` alone would allow, and an Arabic-Indic
+    or fullwidth digit, which ``\\d`` and ``int()`` would read, is refused."""
     with pytest.raises(SchemaError, match=r"^cocycle\.gamma\[0\]\.value: "):
         parse_scalar(token, "cocycle.gamma[0].value")
     brackets = [{"i": 1, "j": 2, "value": ["0", token]}]
