@@ -88,7 +88,7 @@ BASE_BUILDERS = {
 @cache
 def base_algebra(name: str) -> LieAlgebra:
     """The base algebra ``name``, one shared instance per name, so its
-    series and center are computed once for every entry on it."""
+    series and admissibility stages are computed once for every entry on it."""
     try:
         builder = BASE_BUILDERS[name]
     except KeyError:

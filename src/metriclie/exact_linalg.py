@@ -420,12 +420,11 @@ class Subspace(_Record):
     ``rows`` are the reduced echelon rows of the span as sparse ``{column:
     entry}`` maps, sorted by pivot.  They are unique, so two subspaces are
     equal exactly when they span the same space.  They are shared: callers
-    hand copies of them to :func:`_reduce`, which consumes its input.  The
-    slot ``_pivots`` holds their pivot columns once :meth:`coords` needs them.
+    hand copies of them to :func:`_reduce`, which consumes its input.  A
+    subspace cut out by linear conditions, as an intersection, is a kernel.
     """
 
-    _fields = ("ambient_dim", "rows")
-    __slots__ = _fields + ("_pivots",)
+    __slots__ = _fields = ("ambient_dim", "rows")
     ambient_dim: int
     rows: tuple[dict[int, Scalar], ...]
 
@@ -452,33 +451,17 @@ class Subspace(_Record):
 
     def coords(self, v: dict[int, Scalar]) -> Vector | None:
         """Coordinates of the sparse row ``v`` (only read) in the echelon rows:
-        its entries at their pivots, or None when a residual is left after
-        subtracting the rows times them."""
-        try:
-            pivots = self._pivots
-        except AttributeError:
-            pivots = tuple([min(row) for row in self.rows])
-            object.__setattr__(self, "_pivots", pivots)
+        its entries at their pivots (each row's first column), or None when a
+        residual is left after subtracting the rows times them."""
         residual = dict(v)
         coeffs = []
-        for p, row in zip(pivots, self.rows):
+        for row in self.rows:
+            p = min(row)
             c = residual.pop(p, 0)
             if c:
                 _axpy(residual, -c, row, p)
             coeffs.append(c)
         return None if residual else tuple(coeffs)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        # Zassenhaus: reduce [u | u] for u in self and [w | 0] for w in other;
-        # the reduced rows with a pivot in the right half are [0 | v], and
-        # their v are the reduced echelon rows of the intersection.
-        n = self.ambient_dim
-        rows = [{**u, **{j + n: x for j, x in u.items()}} for u in self.rows]
-        rows += (dict(w) for w in other.rows)
-        right = (row for p, row in _reduce(rows) if p >= n)
-        return Subspace(n, tuple([{j - n: x for j, x in row.items()} for row in right]))
 
     def form(self, gram: Matrix) -> Matrix:
         """The restriction of the form ``gram`` to this subspace: B G B^T for

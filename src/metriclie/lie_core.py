@@ -9,10 +9,12 @@ nilpotent Lie algebra brackets layers with a complement of l^2 only, and the
 Jacobi check visits only the triples with a term that can be nonzero.  It runs
 on construction, keeping its verdict; a flag skips it for broken test tables.
 
-:class:`LieAlgebra` is immutable, so the lower central series, the center
-and the admissibility test's per-stage data (built by
-:mod:`~metriclie.quadratic_cohomology`) are computed at most once per
-instance and then reused.
+:class:`LieAlgebra` is immutable, so the lower central series and the
+admissibility test's per-stage data (built by
+:mod:`~metriclie.quadratic_cohomology`, the central filtration among them)
+are computed at most once per instance and then reused.  The center is
+computed on each call: its one caller in the package, the fingerprint of a
+double, asks once per algebra.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ class LieAlgebra:
     are immutable, and storage grows with the brackets, not with ``dim``:
     only indices with a stored bracket have a row, and default labels are
     made on demand.  What is derived from the brackets alone is kept in a
-    slot filled on first use: the series (``_series``), the center
-    (``_center``), the Jacobi verdict (``_jacobi``) and the admissibility
-    test's per-stage data (``_stages``, filled by ``quadratic_cohomology``).
+    slot filled on first use: the series (``_series``), the Jacobi verdict
+    (``_jacobi``) and the admissibility test's per-stage data (``_stages``,
+    filled by ``quadratic_cohomology``).
     """
 
-    __slots__ = ("_dim", "_labels", "_rows", "_hash", "_series", "_center", "_jacobi", "_stages")
+    __slots__ = ("_dim", "_labels", "_rows", "_hash", "_series", "_jacobi", "_stages")
 
     def __init__(
         self,
@@ -101,7 +103,6 @@ class LieAlgebra:
         self._rows = rows
         self._hash: int | None = None
         self._series: tuple[Subspace, ...] | None = None
-        self._center: Subspace | None = None
         self._jacobi: bool | None = None  # validate_jacobi's verdict, once run
         self._stages: tuple | None = None  # quadratic_cohomology's per-stage data, once built
         if validate:
@@ -268,13 +269,7 @@ def is_nilpotent(l: LieAlgebra) -> bool:
 
 
 def center(l: LieAlgebra) -> Subspace:
-    """Kernel of the adjoint representation, canonicalized; computed once per ``l``."""
-    if l._center is None:
-        l._center = _center(l)
-    return l._center
-
-
-def _center(l: LieAlgebra) -> Subspace:
+    """Kernel of the adjoint representation, canonicalized."""
     # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
     rows: dict[tuple[int, int], dict[int, Scalar]] = {}
     for i, brackets in sorted(l._rows.items()):
@@ -291,18 +286,6 @@ def nilpotency_index(l: LieAlgebra) -> int:
     if series[-1].dim:
         raise NotNilpotentError("algebra is not nilpotent")
     return len(series) - 2  # series[-1] = l^(m+2) = 0
-
-
-def filtration_spaces(l: LieAlgebra) -> list[Subspace]:
-    """Central filtration used by the admissibility test.
-
-    Returns ``[l_(0), ..., l_(m)]`` where ``l_(0)`` is the center and
-    ``l_(k)`` is the intersection of the center with the (k+1)-st lower
-    central series term, with m minimal such that l^(m+2) = 0.
-    """
-    m = nilpotency_index(l)
-    series, z = lower_central_series(l), center(l)
-    return [z] + [z.intersect(series[k]) for k in range(1, m + 1)]
 
 
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:

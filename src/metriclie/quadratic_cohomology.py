@@ -17,14 +17,15 @@ classification scheme uses.  It checks, for every stage k of the central
 filtration, a linear condition (A_k) ruling out central directions that
 alpha and gamma cannot see, and a nondegeneracy condition (B_k) on the
 alpha-image of the kernel of the bracket pairing.  What they need of ``l``
-alone (the stages, the series terms, the coordinates of each [e_i, w_j] in
-l^(k+1) and the kernel of the bracket pairing) is built in one pass over
-the tensor basis of l (x) l^(k+1) per stage, once per ``LieAlgebra``
-instance, and kept on it; each test then adds only alpha and gamma, in one
-more pass.  Both kernels come from the sparse elimination.  Every kernel
-here reads alpha and gamma from their stored rows ``{t: c}``.  Admissibility does not make the double
-indecomposable; :func:`indecomposability_proxy` checks only a necessary
-condition for that.
+alone (the series terms, the coordinates of each [e_i, w_j] in l^(k+1),
+the kernel of the bracket pairing and the stage, the center met with
+l^(k+1), as the kernel of ad on l^(k+1)) is built in one pass over the
+tensor basis of l (x) l^(k+1) per stage, once per ``LieAlgebra`` instance,
+and kept on it; each test then adds only alpha and gamma, in one more pass.
+Every kernel comes from the sparse elimination, and every kernel here reads
+alpha and gamma from their stored rows ``{t: c}``.  Admissibility does not
+make the double indecomposable; :func:`indecomposability_proxy` checks only
+a necessary condition for that.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .exact_linalg import (
     _reduce,
     _sum,
 )
-from .lie_core import LieAlgebra, MathError, filtration_spaces, lower_central_series
+from .lie_core import LieAlgebra, MathError, lower_central_series, nilpotency_index
 
 _HALF = Fraction(1, 2)
 
@@ -254,28 +255,38 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
     """The algebra's half of the admissibility test for each stage k = 0..m
     of the central filtration, built on the first call and kept on ``l``:
     one pass over the tensor basis e_i (x) w_j of l (x) l^(k+1) reads each
-    [e_i, w_j] once, for its coordinates and for the bracket pairing.
+    [e_i, w_j] once, for its coordinates, for the bracket pairing and for
+    the stage.  The stage l_(k), the center met with l^(k+1), is the
+    w = sum c_j w_j with [e_i, w] = 0 for every i: the kernel of the rows
+    (i, t) whose entry j is [e_i, w_j]_t, mapped through the echelon rows w_j.
 
-    A non-nilpotent algebra raises NotNilpotentError from the filtration,
-    and a bracket outside its series term raises ConsistencyError; neither
-    is kept, so every call raises it again.
+    A non-nilpotent algebra raises NotNilpotentError from
+    :func:`nilpotency_index`, and a bracket outside its series term raises
+    ConsistencyError; neither is kept, so every call raises it again.
     """
     if l._stages is None:
         n, series, stages = l.dim, lower_central_series(l), []
-        for k, stage in enumerate(filtration_spaces(l)):
+        for k in range(nilpotency_index(l) + 1):
             series_term = series[k]  # l^(k+1)
+            d1 = series_term.dim
             z_rows: dict[int, dict[int, Scalar]] = {}
             # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
             pairing: dict[int, dict[int, Scalar]] = {}
+            ad: dict[tuple[int, int], dict[int, Scalar]] = {}  # row (i, t): entry j likewise
             for u, image in enumerate(l.ad_rows(range(n), series_term.rows)):
                 if image:
                     coords = series_term.coords(image)
                     if coords is None:
                         raise ConsistencyError("bracket left the series term, series data corrupt")
                     z_rows[u] = {t: -y for t, y in enumerate(coords) if y}
+                    i, j = divmod(u, d1)
                     for t, x in image.items():
                         pairing.setdefault(t, {})[u] = x
-            kernel = _kernel(_reduce(pairing.values()), n * series_term.dim)
+                        ad.setdefault((i, t), {})[j] = x
+            kernel = _kernel(_reduce(pairing.values()), n * d1)
+            central = _kernel(_reduce(ad.values()), d1)
+            w_of = series_term.rows.__getitem__
+            stage = Subspace.of_rows(n, [_combine(c, w_of) for c in central])
             stages.append(_Stage(stage, series_term, z_rows, tuple(kernel)))
         l._stages = tuple(stages)
     return l._stages
@@ -336,7 +347,8 @@ def _stage_report(
         head = _dense(v, unknowns)
         a_witness = (_dense(l0, n), head[d0:z_off], head[z_off:])
     image = Subspace.of_rows(m, [_combine(vec, alpha_on_tensor.__getitem__) for vec in kernel])
-    b_passed = image.is_nondegenerate(module.gram)
+    # the whole module is nondegenerate: OrthogonalModule refuses a degenerate form
+    b_passed = image.dim == m or image.is_nondegenerate(module.gram)
     b_witness = None
     if not b_passed:  # each kernel tensor as its n x d1 coefficient matrix
         b_witness = tuple(

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from metriclie import lie_core
+from metriclie import double_construction, lie_core
 from metriclie.catalog import (
     ENTRIES,
     CatalogEntry,
@@ -168,14 +168,17 @@ def test_catalog_row_builds_each_series_and_center_once(monkeypatch):
     monkeypatch.setattr(
         lie_core, "_lower_central_series", counting("series", lie_core._lower_central_series)
     )
-    monkeypatch.setattr(lie_core, "_center", counting("center", lie_core._center))
+    # the center is computed on each call: count every binding of it
+    center = counting("center", lie_core.center)
+    monkeypatch.setattr(lie_core, "center", center)
+    monkeypatch.setattr(double_construction, "center", center)
     entries = [entry_by_id("T1.3a.r01.g1"), entry_by_id("T1.3a.r01.g2")]
     report = run_catalog(entries=entries)
     assert report.all_ok and len(report.doubles) == 2
     base = base_algebra("g41")
     assert all(instantiate(entry).algebra is base for entry in entries)
-    for kind in ("series", "center"):
-        # the shared base once, then each double once
-        assert len(built[kind]) == 3, kind
-        assert built[kind][0] is base
-        assert built[kind][1:] == [double.algebra for double in report.doubles]
+    doubles = [double.algebra for double in report.doubles]
+    # the series of the shared base once, then of each double once
+    assert built["series"] == [base, *doubles]
+    # the admissibility stages need no center, so only each double's fingerprint builds one
+    assert built["center"] == doubles

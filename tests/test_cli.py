@@ -24,7 +24,6 @@ from metriclie.lie_core import (
     LieAlgebra,
     MathError,
     NotNilpotentError,
-    filtration_spaces,
 )
 from metriclie.quadratic_cohomology import (
     CocycleError,
@@ -344,8 +343,6 @@ def test_admissible_reports_witness_for_zero_cocycle(tmp_path, capsys):
 def test_a_non_nilpotent_algebra_fails_in_the_library_and_exits_1(tmp_path, capsys):
     # [X1, X2] = X1: the lower central series stops at span(X1)
     z = zero_cocycle(LieAlgebra(2, {(0, 1): (1, 0)}), module_for_tag("r01"))
-    with pytest.raises(NotNilpotentError):
-        filtration_spaces(z.algebra)
     with pytest.raises(NotNilpotentError):
         check_admissible(z)
     with pytest.raises(NotNilpotentError):

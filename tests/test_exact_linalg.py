@@ -41,7 +41,6 @@ from support import (
     dense_det,
     dense_evaluate,
     dense_form,
-    dense_intersect,
     dense_kernel,
     dense_nonzero_rows,
     dense_rref,
@@ -349,12 +348,10 @@ def test_every_subspace_constructor_stores_the_dense_reference_rows():
         expected = dense_span(n, vectors)
         sparse = [sparse_row(v) for v in vectors]
         kernel = dense_span(n, dense_kernel(m))
-        other = span(n, _random_vectors(rg, n, rg.randint(0, 4)))
         built = {
             "of_rows": (Subspace.of_rows(n, sparse), expected),
             "kernel": (Subspace.kernel(n, [dict(row) for row in sparse]), kernel),
             "full": (Subspace.full(n), dense_span(n, [unit_vector(n, i) for i in range(n)])),
-            "intersect": (expected.intersect(other), dense_intersect(expected, other)),
         }
         for name, (space, reference) in built.items():
             assert space.rows == reference.rows, name

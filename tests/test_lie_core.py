@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import metriclie
-from metriclie import exact_linalg, lie_core
+from metriclie import exact_linalg, lie_core, quadratic_cohomology
 from metriclie.catalog import (
     BASE_BUILDERS,
     base_algebra,
@@ -12,6 +12,7 @@ from metriclie.catalog import (
     g52,
     g64,
     heisenberg,
+    orthonormal_module,
 )
 from metriclie.exact_linalg import Matrix, _combine, unit_vector, vector
 from metriclie.lie_core import (
@@ -23,12 +24,12 @@ from metriclie.lie_core import (
     abelian,
     center,
     direct_sum,
-    filtration_spaces,
     is_nilpotent,
     lower_central_series,
     nilpotency_index,
     validate_jacobi,
 )
+from metriclie.quadratic_cohomology import check_admissible, zero_cocycle
 
 from support import (
     catalog_algebras,
@@ -210,11 +211,34 @@ def test_center_of_known_algebras():
 
 
 def test_filtration_spaces_known_values():
-    spaces = filtration_spaces(g41())
+    # the stages of the admissibility test: the center met with each series term
+    spaces = [half.stage for half in quadratic_cohomology._stages(g41())]
     assert [dense_basis(s) for s in spaces] == [(unit_vector(4, 3),)] * 3
-    spaces = filtration_spaces(g64())
+    spaces = [half.stage for half in quadratic_cohomology._stages(g64())]
     expected = (unit_vector(6, 4), unit_vector(6, 5))
     assert [dense_basis(s) for s in spaces] == [expected, expected]
+
+
+def test_the_stages_are_the_center_met_with_each_series_term(scale_algebras):
+    """Each stage, a kernel of ad on the series term, holds the echelon rows
+    of the dense intersection of the center with that term: over the catalog
+    bases, h_15 and filiform 12 and their doubles, and 30 seeded random
+    integral basis changes of the bases.  Building the stages and testing a
+    cocycle leave the series and the stages as they were."""
+    rg = rng(2929)
+    h15 = LieAlgebra(15, {(i, 7 + i): {14: 1} for i in range(7)})
+    bases = [base_algebra(name) for name in sorted(BASE_BUILDERS)] + [h15, standard_filiform(12)]
+    changed = [random_unimodular_basis_change(rg, rg.choice(bases), 12) for _ in range(30)]
+    for l in bases + scale_algebras + changed:
+        series = lower_central_series(l)
+        kept = rows_snapshot(*series)
+        stages = quadratic_cohomology._stages(l)
+        assert kept() and [half.series_term for half in stages] == list(series[:-1])
+        z = center(l)
+        assert [half.stage for half in stages] == [dense_intersect(z, s) for s in series[:-1]]
+        kept = rows_snapshot(*series, *[half.stage for half in stages])
+        check_admissible(zero_cocycle(l, orthonormal_module([1])))
+        assert kept() and quadratic_cohomology._stages(l) is stages
 
 
 def test_direct_sum_combines_structure():
@@ -232,69 +256,14 @@ def test_direct_sum_combines_structure():
     assert two == LieAlgebra(6, shifted, labels=two.labels)
 
 
-def test_subspace_coords_and_intersection():
+def test_subspace_coords_of_known_rows():
     s = Subspace.of_rows(3, [{0: 1, 1: 1}, {2: 2}])
     assert s.dim == 2
-    assert s.coords(sparse_row(vector([2, 2, 3]))) is not None
+    assert s.coords(sparse_row(vector([2, 2, 3]))) == (2, 3)
     assert s.coords(sparse_row(vector([1, 0, 0]))) is None
-    assert s.coords(sparse_row(vector([3, 3, 1]))) is not None
+    assert s.coords(sparse_row(vector([3, 3, 1]))) == (3, 1)
     assert s.coords(sparse_row(vector([0, 1, 0]))) is None
-    inside = Subspace.of_rows(3, [{0: 1, 1: 1, 2: 1}])
-    assert s.intersect(inside).dim == 1
-    disjoint = Subspace.of_rows(3, [{0: 1, 2: 1}])
-    assert s.intersect(disjoint).dim == 0
-    assert dense_basis(Subspace.full(3).intersect(s)) == dense_basis(s)
     assert metriclie.Subspace is lie_core.Subspace is exact_linalg.Subspace
-
-
-def test_intersect_and_the_series_leave_their_subspaces_unchanged():
-    # the shared sparse rows are read by the elimination, never consumed
-    rg = rng(3034)
-    for _ in range(200):
-        s1, s2 = _random_subspace_pair(rg)
-        kept = rows_snapshot(s1, s2)
-        s1.intersect(s2)
-        assert kept()
-    for l in catalog_algebras():
-        # each term's rows span the next; once built, every term is still
-        # the one the dense reference gives
-        series = lower_central_series(l)
-        assert series == _dense_series(l)
-        kept = rows_snapshot(*series, center(l))
-        filtration_spaces(l)  # the center met with each term
-        assert kept()
-
-
-def _random_subspace_pair(rg):
-    """Two random subspaces of Q^n, 0 <= n <= 7, sharing a random number of
-    spanning vectors (possibly none), with zero, repeated and scaled vectors."""
-    n = rg.randint(0, 7)
-
-    def vec():
-        density = rg.choice((0.2, 0.5, 0.9))
-        return tuple(rational(rg) if rg.random() < density else Fraction(0) for _ in range(n))
-
-    shared = [vec() for _ in range(rg.randint(0, 3))]
-    spans = []
-    for _ in range(2):
-        vectors = shared + [vec() for _ in range(rg.randint(0, 4))]
-        if vectors and rg.random() < 0.3:
-            vectors.append(tuple(rational(rg) * x for x in rg.choice(vectors)))
-        rg.shuffle(vectors)
-        spans.append(Subspace.of_rows(n, [sparse_row(vector(v)) for v in vectors]))
-    return spans
-
-
-def test_intersect_matches_the_dense_reference():
-    rg = rng(3033)
-    nonzero = 0
-    for _ in range(2000):
-        s1, s2 = _random_subspace_pair(rg)
-        meet = s1.intersect(s2)
-        assert meet == dense_intersect(s1, s2)
-        assert meet == s2.intersect(s1)
-        nonzero += meet.dim > 0
-    assert nonzero > 1000
 
 
 def test_derived_subalgebra_codimension_at_least_two():
@@ -333,13 +302,15 @@ def test_jacobi_holds_for_random_vectors():
 
 
 def test_cached_series_and_center_match_a_fresh_computation():
+    # the series is kept on the algebra; the center is computed on each call
     for l in catalog_algebras():
         series, center_space = lower_central_series(l), center(l)
-        assert lower_central_series(l) is series and center(l) is center_space
+        assert lower_central_series(l) is series
+        assert center(l) == center_space and center(l) is not center_space
         fresh = LieAlgebra(l.dim, dict(l.brackets), labels=l.labels, validate=False)
         assert fresh == l and fresh is not l
         assert lie_core._lower_central_series(fresh) == series
-        assert lie_core._center(fresh) == center_space
+        assert center(fresh) == center_space
 
 
 def test_basis_bracket_is_antisymmetric_on_all_pairs():
@@ -549,7 +520,7 @@ def test_center_is_the_kernel_of_the_dense_ad_matrices(reference_algebras):
             columns = [dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
             rows += [[column[t] for column in columns] for t in range(n)]
         dense = dense_span(n, dense_kernel(Matrix.from_rows(rows, cols=n)))
-        assert lie_core._center(l) == dense
+        assert center(l) == dense
 
 
 def _dense_series(l):

@@ -134,7 +134,7 @@ def test_catalog_report_equality_ignores_the_doubles(pairs):
     assert CatalogReport(report.rows[:1], report.collisions, report.family_splits, ()) != report
 
 
-def test_defaults_and_the_lazy_pivots():
+def test_defaults_and_coords_at_the_pivots():
     first, second = Cochain(3, 1, 1), Cochain(3, 1, 1)
     assert first.rows == {} and first.rows is not second.rows and not first.scalar
     assert Cochain(3, 1, 1, values=None) == first
@@ -143,9 +143,6 @@ def test_defaults_and_the_lazy_pivots():
     space = Subspace.of_rows(3, [{0: 2, 2: 4}, {1: 1}])
     twin = Subspace.of_rows(3, [{1: 1}, {0: 1, 2: 2}])
     assert space.coords({0: 3, 1: 1, 2: 6}) == (3, 1)
-    assert space._pivots == (0, 1)
-    with pytest.raises(AttributeError):
-        twin._pivots  # filled on the first coords only
     assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
     assert space.coords({2: 1}) is None
 
@@ -242,6 +239,6 @@ def test_the_record_base_is_the_one_implementation():
     # only these hold dicts, which the generic field hash cannot hash
     hashed = {name for name, names in defined.items() if "__hash__" in names}
     assert hashed == {"Matrix", "Subspace", "Cochain"}
-    # the base writes fields through their slot descriptors; the one
-    # object.__setattr__ left fills the lazy pivots
-    assert writes == [("Subspace", "coords", "_pivots")]
+    # the base writes fields through their slot descriptors, and nothing
+    # writes into a record after its construction
+    assert writes == []
