@@ -11,7 +11,9 @@ The size limits bound the enumerated work and are checked before it starts:
 ``verify``, ``admissible`` and ``double`` enumerate the lower central series,
 the center, the central filtration and the tensor basis l (x) l^(k+1) of the
 algebra, so they take dimension at most ``MAX_DIM`` (``admissible`` on the
-64-dim abelian zero cocycle: about 0.3 s on a 2-core Xeon); ``cohomology``
+64-dim abelian zero cocycle: about 0.3 s on a 2-core Xeon).  A failing (B_k)
+reports at most dim a kernel tensors, each a dim l x dim l^(k+1) matrix,
+never the whole kernel of the bracket pairing; ``cohomology``
 eliminates the nonzero entries of d on the bases of C^(p-1) and C^p, whose
 two matrices may have at most ``MAX_COHOMOLOGY_CELLS`` entries together
 (``--degree 3`` on the 17-dim abelian algebra: about 0.02 s).
@@ -231,14 +233,8 @@ def _check_provenance(metric: MetricLieAlgebra) -> None:
 
 
 def _fingerprint_payload(fp) -> dict:
-    return {
-        "dim": fp.dim,
-        "signature": list(fp.signature.as_tuple()),
-        "series_dims": list(fp.series_dims),
-        "center_dim": fp.center_dim,
-        "center_signature": list(fp.center_signature.as_tuple()),
-        "derived_signature": list(fp.derived_signature.as_tuple()),
-    }
+    """The fields of a fingerprint by name, each tuple as a list."""
+    return {name: list(x) if type(x) is tuple else x for name, x in zip(fp._fields, fp.as_tuple())}
 
 
 def cmd_admissible(args: argparse.Namespace) -> int:

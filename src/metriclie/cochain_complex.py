@@ -42,6 +42,7 @@ from .exact_linalg import (
     _combine,
     _dense,
     _reduce,
+    _row_of,
     rank,
 )
 from .lie_core import LieAlgebra, MathError
@@ -96,9 +97,10 @@ class Cochain(_Record):
     as a sparse row ``{t: c}`` of canonical nonzero scalars (shared, only
     read); a key with a zero value is not stored.  The constructor takes
     each value as a dense sequence of ``value_dim`` scalars or as a sparse
-    map ``{t: c}`` and converts it; ``values`` is the dense view.
-    Cochains are immutable: ``rows`` is a read-only mapping of its own,
-    and a copy or an unpickled cochain gets a fresh one.
+    map ``{t: c}`` and converts it through :func:`_row_of`.  ``values`` is
+    a dense view that no module of the package reads; the files are written
+    from ``rows``.  Cochains are immutable: ``rows`` is a read-only mapping
+    of its own, and a copy or an unpickled cochain gets a fresh one.
     """
 
     __slots__ = _fields = ("n", "degree", "value_dim", "scalar", "rows")
@@ -176,22 +178,14 @@ class Cochain(_Record):
 
 def _stored_row(key: tuple[int, ...], value: _Value, n: int, degree: int, value_dim: int) -> _Row:
     """The row stored for ``value`` on ``key``, checked against the shape:
-    a dense sequence or a sparse map made canonical, without zeros."""
+    the key here, the value by :func:`_row_of`."""
     if len(key) != degree:
         raise ValueError("key %s has wrong length for degree %d" % (key, degree))
     if any(not (0 <= i < n) for i in key):
         raise ValueError("key %s out of range" % (key,))
     if any(a >= b for a, b in zip(key, key[1:])):
         raise ValueError("key %s is not strictly increasing" % (key,))
-    if type(value) is tuple or not isinstance(value, Mapping):
-        if len(value) != value_dim:
-            raise ValueError("value for %s has wrong length" % (key,))
-        coords, entries = range(value_dim), value
-    else:
-        if not all(0 <= t < value_dim for t in value):
-            raise ValueError("value for %s has an index out of range" % (key,))
-        coords, entries = value, value.values()
-    return {t: x for t, x in zip(coords, map(_canon, entries)) if x}
+    return _row_of(value, value_dim, "value for %s" % (key,))
 
 
 def cochain_from_terms(n: int, degree: int, value_dim: int,

@@ -6,8 +6,8 @@ division is :func:`_quo`).  The entries here are almost all small integers,
 and an int product costs a hundredth of a Fraction one; equal values compare
 and hash equal in either type.  Vectors are tuples of scalars.  The one sparse row
 format is the ``{column: nonzero entry}`` map: a matrix stores its rows so,
-as a Lie algebra its brackets and a cochain its values, and their dense
-rows, brackets and values are derived views.  :func:`_combine` is the one
+as a Lie algebra its brackets and a cochain its values, each read from a
+dense list or a sparse map by :func:`_row_of`.  :func:`_combine` is the one
 contraction: every sum c_k * row_k of sparse rows outside the eliminations,
 a matrix times a vector and the matrix product among them, goes through it;
 every restricted form is B G B^T through that product, and
@@ -65,16 +65,27 @@ def scalar(value: int | str | Fraction) -> Scalar:
     return _canon(value)
 
 
-def vector(values: Iterable[int | str | Fraction]) -> Vector:
-    return tuple([_canon(v) for v in values])
-
-
 def zero_vector(n: int) -> Vector:
     return (0,) * n
 
 
 def unit_vector(n: int, i: int) -> Vector:
     return tuple([1 if k == i else 0 for k in range(n)])
+
+
+def _row_of(value: Sequence | Mapping, length: int, what: str) -> dict[int, Scalar]:
+    """The stored row of ``value``, a dense sequence of ``length`` entries or a
+    sparse map ``{t: entry}`` with 0 <= t < length: its nonzero entries made
+    canonical.  A bad length or index is a ValueError naming ``what``."""
+    if type(value) is tuple or not isinstance(value, Mapping):
+        if len(value) != length:
+            raise ValueError("%s has wrong length" % what)
+        items = enumerate(value)
+    else:
+        if value and not (0 <= min(value) and max(value) < length):
+            raise ValueError("%s has an index out of range" % what)
+        items = value.items()
+    return {t: x for t, c in items if (x := _canon(c))}
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -154,7 +165,7 @@ class Matrix(_Record):
     only read); ``rows`` is their number.  The constructor keeps the maps as
     given, so none may hold a zero, a non-canonical scalar or a column outside
     ``0..cols-1``: equal matrices then store equal maps.  ``from_rows``
-    coerces dense rows.
+    reads dense rows through :func:`_row_of`.
     """
 
     __slots__ = _fields = ("cols", "nonzero_rows")
@@ -169,17 +180,11 @@ class Matrix(_Record):
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]], cols: int | None = None) -> "Matrix":
         """The matrix of dense rows, each entry made canonical; zeros are not stored."""
-        rows = [list(r) for r in rows]
+        rows = list(rows)
         width = len(rows[0]) if rows else cols if cols is not None else 0
         if cols is not None and cols != width:
             raise ValueError("row width %d does not match cols=%d" % (width, cols))
-        sparse = []
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("ragged rows in matrix literal")
-            dense = [_canon(x) for x in r]
-            sparse.append({j: x for j, x in enumerate(dense) if x})
-        return Matrix(width, tuple(sparse))
+        return Matrix(width, tuple([_row_of(r, width, "a matrix row") for r in rows]))
 
     @staticmethod
     def identity(n: int) -> "Matrix":
@@ -193,8 +198,8 @@ class Matrix(_Record):
 
     @staticmethod
     def diagonal(values: Sequence[int | str | Fraction]) -> "Matrix":
-        vals = [_canon(v) for v in values]
-        return Matrix(len(vals), tuple([{i: x} if x else {} for i, x in enumerate(vals)]))
+        n = len(values)
+        return Matrix(n, tuple([_row_of({i: x}, n, "an entry") for i, x in enumerate(values)]))
 
     def __hash__(self) -> int:
         # the rows are dicts; Subspace shares this hash of (width, sparse rows)
@@ -204,12 +209,6 @@ class Matrix(_Record):
     @property
     def rows(self) -> int:
         return len(self.nonzero_rows)
-
-    def row(self, i: int) -> Vector:
-        return _dense(self.nonzero_rows[i], self.cols)
-
-    def to_rows(self) -> list[list[Scalar]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         out: list[dict[int, Scalar]] = [{} for _ in range(self.cols)]
@@ -449,19 +448,20 @@ class Subspace(_Record):
     def dim(self) -> int:
         return len(self.rows)
 
-    def coords(self, v: dict[int, Scalar]) -> Vector | None:
-        """Coordinates of the sparse row ``v`` (only read) in the echelon rows:
-        its entries at their pivots (each row's first column), or None when a
-        residual is left after subtracting the rows times them."""
+    def coords(self, v: dict[int, Scalar]) -> dict[int, Scalar] | None:
+        """Coordinates of the sparse row ``v`` (only read) in the echelon rows,
+        as a sparse row ``{u: c}`` over them: its entries at their pivots (each
+        row's first column), or None when a residual is left after
+        subtracting the rows times them."""
         residual = dict(v)
-        coeffs = []
-        for row in self.rows:
+        coeffs = {}
+        for u, row in enumerate(self.rows):
             p = min(row)
             c = residual.pop(p, 0)
             if c:
                 _axpy(residual, -c, row, p)
-            coeffs.append(c)
-        return None if residual else tuple(coeffs)
+                coeffs[u] = c
+        return None if residual else coeffs
 
     def form(self, gram: Matrix) -> Matrix:
         """The restriction of the form ``gram`` to this subspace: B G B^T for

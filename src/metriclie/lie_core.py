@@ -2,8 +2,8 @@
 
 A Lie algebra stores its antisymmetric structure constants once, as sparse
 rows: ``[e_i, e_j]`` as the ``{t: c}`` map of its nonzero coordinates, in
-both orientations.  The dense ``brackets`` are a view derived from them,
-and ``[e_i, w]`` is a sum of those rows through ``_combine``.  The Jacobi
+both orientations, read by ``_row_of``, and no dense view of them is kept;
+``[e_i, w]`` is a sum of those rows through ``_combine``.  The Jacobi
 check, the series and the center touch only stored entries: the series of a
 nilpotent Lie algebra brackets layers with a complement of l^2 only, and the
 Jacobi check visits only the triples with a term that can be nonzero.  It runs
@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .exact_linalg import Scalar, Subspace, Vector, _axpy, _canon, _combine, _dense, vector
+from .exact_linalg import Scalar, Subspace, Vector, _axpy, _combine, _dense, _row_of
 
 _EMPTY: Mapping = MappingProxyType({})  # no stored bracket: an empty row, or no rows
 _Bracket = Sequence[int | str | Fraction] | Mapping[int, int | str | Fraction]
@@ -57,7 +57,7 @@ class LieAlgebra:
     its sparse row ``{t: c}`` (c the nonzero e_t coordinate), in both
     orientations; the rows are shared, and nothing may modify them.
     ``brackets[(i, j)]``, i < j, may be given as a dense sequence of ``dim``
-    coordinates or as a sparse map ``{t: c}``.  Instances
+    coordinates or as a sparse map ``{t: c}``; ``row`` reads them back.  Instances
     are immutable, and storage grows with the brackets, not with ``dim``:
     only indices with a stored bracket have a row, and default labels are
     made on demand.  What is derived from the brackets alone is kept in a
@@ -85,16 +85,7 @@ class LieAlgebra:
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
-            if isinstance(value, Mapping):
-                if not all(0 <= t < dim for t in value):
-                    raise ValueError("bracket value for (%d, %d) has an index out of range" % (i, j))
-                entries = [(t, _canon(c)) for t, c in sorted(value.items())]
-            else:
-                v = vector(value)
-                if len(v) != dim:
-                    raise ValueError("bracket value for (%d, %d) has wrong length" % (i, j))
-                entries = enumerate(v)
-            row = {t: c for t, c in entries if c}
+            row = _row_of(value, dim, "bracket value for (%d, %d)" % (i, j))
             if row:
                 rows.setdefault(i, {})[j] = row
                 rows.setdefault(j, {})[i] = {t: -c for t, c in row.items()}
@@ -117,11 +108,6 @@ class LieAlgebra:
         if self._labels is None:
             return tuple(["X%d" % (i + 1) for i in range(self._dim)])
         return self._labels
-
-    @property
-    def brackets(self) -> Mapping[tuple[int, int], Vector]:
-        """The nonzero [e_i, e_j], i < j, as dense vectors (a read-only view)."""
-        return MappingProxyType({(i, j): _dense(p, self._dim) for i, j, p in self._upper()})
 
     def _upper(self) -> Iterator[tuple[int, int, dict[int, Scalar]]]:
         """The stored brackets [e_i, e_j] with i < j, as ``(i, j, row)``."""

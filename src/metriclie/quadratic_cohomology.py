@@ -216,7 +216,8 @@ class ConditionKReport(NamedTuple):
     direction L0 together with compatible module and functional parts (Z0 is
     given by its values on the echelon basis of the (k+1)-st series term).
     ``b_witness`` lists kernel tensors (as coefficient matrices over the
-    tensor basis) whose alpha-image spans a degenerate subspace.
+    tensor basis) whose alpha-images are independent and span the degenerate
+    image: the first such tensors in kernel order, so at most dim a of them.
     """
 
     k: int
@@ -278,7 +279,7 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
                     coords = series_term.coords(image)
                     if coords is None:
                         raise ConsistencyError("bracket left the series term, series data corrupt")
-                    z_rows[u] = {t: -y for t, y in enumerate(coords) if y}
+                    z_rows[u] = {t: -y for t, y in coords.items()}
                     i, j = divmod(u, d1)
                     for t, x in image.items():
                         pairing.setdefault(t, {})[u] = x
@@ -350,10 +351,16 @@ def _stage_report(
     # the whole module is nondegenerate: OrthogonalModule refuses a degenerate form
     b_passed = image.dim == m or image.is_nondegenerate(module.gram)
     b_witness = None
-    if not b_passed:  # each kernel tensor as its n x d1 coefficient matrix
-        b_witness = tuple(
-            tuple(tuple(vec.get(i * d1 + j, 0) for j in range(d1)) for i in range(n))
-            for vec in kernel
+    if not b_passed:
+        # row t: entry u is the e_t component of the image of kernel tensor u, so the
+        # pivots are the tensors, in kernel order, whose images are independent
+        images: dict[int, dict[int, Scalar]] = {}
+        for u, vec in enumerate(kernel):
+            for t, x in _combine(vec, alpha_on_tensor.__getitem__).items():
+                images.setdefault(t, {})[u] = x
+        b_witness = tuple(  # each as its n x d1 coefficient matrix
+            tuple(tuple(kernel[u].get(i * d1 + j, 0) for j in range(d1)) for i in range(n))
+            for u, _ in _reduce(images.values())
         )
     return ConditionKReport(k, a_witness is None, b_passed, image.dim, a_witness, b_witness)
 

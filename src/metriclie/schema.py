@@ -13,15 +13,16 @@ may come in any order, and a term given twice, in the same or another order,
 is an error rather than a sum.  Every error names its JSON position, as in
 ``metric_lie_algebra.provenance.alpha[0].i: index 9 out of range 1..2``.
 A cocycle's terms are read only once its algebra and module are known.
-Files hold each value as a dense list: a cochain is written from its dense
-``values`` view, which no other module of the package reads.
+Files hold each value as a dense list.  A list read is handed to the
+constructors as it is, and each list written is made from a stored sparse
+row by :func:`format_row`, so no dense view of the package is read.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .cochain_complex import Cochain, OrthogonalModule, sort_with_sign
 from .double_construction import MetricLieAlgebra
@@ -91,6 +92,11 @@ def format_vector(vector: Vector) -> list[str]:
     return [format_scalar(c) for c in vector]
 
 
+def format_row(row: Mapping[int, Scalar], length: int) -> list[str]:
+    """The stored sparse row ``{t: c}`` as the file's dense list of ``length`` scalars."""
+    return [format_scalar(row.get(t, 0)) for t in range(length)]
+
+
 def parse_square_matrix(obj: Any, where: str = "matrix") -> Matrix:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SchemaError(f"{where}: expected a list of rows")
@@ -100,7 +106,7 @@ def parse_square_matrix(obj: Any, where: str = "matrix") -> Matrix:
 
 
 def format_matrix(matrix: Matrix) -> list[list[str]]:
-    return [format_vector(row) for row in matrix.to_rows()]
+    return [format_row(row, matrix.cols) for row in matrix.nonzero_rows]
 
 
 def _expect_object(obj: Any, where: str) -> dict:
@@ -167,17 +173,18 @@ def _parse_terms(
 
 
 def _format_terms(
-    values: Mapping[tuple[int, ...], Vector], fields: tuple[str, ...], scalar: bool = False
+    rows: Iterable[tuple[tuple[int, ...], Mapping]], fields: tuple[str, ...], length: int | None
 ) -> list[dict]:
-    """The terms ``{i, j[, k], value}`` of an alternating form, sorted by key:
-    the mirror of :func:`_parse_terms`.  The value is a list of scalars, or
-    its one scalar when ``scalar`` is set."""
+    """The terms ``{i, j[, k], value}`` of an alternating form from its stored
+    ``(key, row)`` pairs, sorted by key: the mirror of :func:`_parse_terms`.
+    The value is a list of ``length`` scalars, or one scalar when ``length``
+    is None."""
     return [
         {
             **{name: index + 1 for name, index in zip(fields, key)},
-            "value": format_scalar(value[0]) if scalar else format_vector(value),
+            "value": format_scalar(row[0]) if length is None else format_row(row, length),
         }
-        for key, value in sorted(values.items())
+        for key, row in sorted(rows)  # the keys differ, so no two rows are compared
     ]
 
 
@@ -190,7 +197,9 @@ def algebra_to_payload(algebra: LieAlgebra) -> dict:
     return {
         "dim": algebra.dim,
         "labels": list(algebra.labels),
-        "brackets": _format_terms(algebra.brackets, ("i", "j")),
+        "brackets": _format_terms(
+            [((i, j), p) for i, j, p in algebra._upper()], ("i", "j"), algebra.dim
+        ),
     }
 
 
@@ -243,8 +252,8 @@ def parse_module_payload(payload: Any, where: str = "module") -> Matrix:
 def cochains_to_payload(alpha: Cochain, gamma: Cochain) -> dict:
     """Payload of a context-free cocycle document: the terms of both forms."""
     return {
-        "alpha": _format_terms(alpha.values, ("i", "j")),
-        "gamma": _format_terms(gamma.values, ("i", "j", "k"), scalar=True),
+        "alpha": _format_terms(alpha.rows.items(), ("i", "j"), alpha.value_dim),
+        "gamma": _format_terms(gamma.rows.items(), ("i", "j", "k"), None),
     }
 
 

@@ -38,6 +38,7 @@ from metriclie.exact_linalg import (
     _kernel,
     _reduce,
     kernel_basis,
+    scalar,
     solve_affine,
     unit_vector,
     vec_add,
@@ -236,7 +237,7 @@ def random_quadratic_cochain(
 
 def _vectorize(c: Cochain) -> tuple[Fraction, ...]:
     out = []
-    values = c.values  # the dense view, built once
+    values = dense_values(c)
     for key in combinations(range(c.n), c.degree):
         value = values.get(key)
         for t in range(c.value_dim):
@@ -319,6 +320,36 @@ def catalog_pairs() -> list[tuple[str, LieAlgebra, OrthogonalModule | None]]:
 
 
 # ---------------------------------------------------------------------------
+# dense views of the stored rows (the package keeps none)
+# ---------------------------------------------------------------------------
+
+
+def dense_vector(values) -> tuple:
+    """``values`` as a tuple of canonical scalars."""
+    return tuple([scalar(v) for v in values])
+
+
+def dense_brackets(l: LieAlgebra) -> dict[tuple[int, int], tuple]:
+    """The stored [e_i, e_j], i < j, as dense vectors, in the store's order."""
+    return {(i, j): _dense(p, l.dim) for i, j, p in l._upper()}
+
+
+def dense_grid(m: Matrix) -> list[list]:
+    """The rows of ``m`` as plain lists of its ``cols`` entries."""
+    return [list(_dense(row, m.cols)) for row in m.nonzero_rows]
+
+
+def dense_matrix_row(m: Matrix, i: int) -> tuple:
+    """Row ``i`` of ``m`` as a dense vector."""
+    return _dense(m.nonzero_rows[i], m.cols)
+
+
+def dense_values(c: Cochain) -> dict[tuple[int, ...], tuple]:
+    """Each stored value of ``c`` as a dense vector of ``value_dim`` entries."""
+    return {key: _dense(row, c.value_dim) for key, row in c.rows.items()}
+
+
+# ---------------------------------------------------------------------------
 # dense reference kernels: every basis tuple, every slot split
 # ---------------------------------------------------------------------------
 
@@ -354,8 +385,8 @@ def dense_ad(l: LieAlgebra, i: int, w) -> tuple[Fraction, ...]:
 
 @cache
 def dense_table(l: LieAlgebra) -> tuple[tuple[int, int, tuple], ...]:
-    """The dense view ``l.brackets`` as ``(i, j, [e_i, e_j])``, built once per algebra."""
-    return tuple([(i, j, v) for (i, j), v in l.brackets.items()])
+    """:func:`dense_brackets` as ``(i, j, [e_i, e_j])``, built once per algebra."""
+    return tuple([(i, j, v) for (i, j), v in dense_brackets(l).items()])
 
 
 def dense_bracket(l: LieAlgebra, x, y) -> tuple[Fraction, ...]:
@@ -378,7 +409,7 @@ def dense_basis_bracket(l: LieAlgebra, i: int, j: int) -> tuple:
 
 def dense_apply(m: Matrix, v) -> tuple[Fraction, ...]:
     """M v summed over every entry of M."""
-    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m.to_rows())
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in dense_grid(m))
 
 
 def dense_evaluate(c: Cochain, args) -> tuple[Fraction, ...]:
@@ -387,7 +418,7 @@ def dense_evaluate(c: Cochain, args) -> tuple[Fraction, ...]:
     if len(args) != c.degree:
         raise ValueError("expected %d arguments" % c.degree)
     total = (Fraction(0),) * c.value_dim
-    for key, v in c.values.items():
+    for key, v in dense_values(c).items():
         minor = dense_det(Matrix.from_rows([[a[r] for a in args] for r in key], cols=c.degree))
         total = vec_add(total, tuple(minor * x for x in v))
     return total
@@ -398,7 +429,7 @@ def dense_pullback(iso: Isomap, c: Cochain) -> Cochain:
     tuple of source basis vectors, by minors, then U applied unless ``c`` is
     scalar."""
     n1 = iso.s.cols
-    columns = plain_transpose(iso.s.to_rows(), n1)
+    columns = plain_transpose(dense_grid(iso.s), n1)
     values = {}
     for key in combinations(range(n1), c.degree):
         v = dense_evaluate(c, [columns[t] for t in key])
@@ -412,7 +443,7 @@ def dense_pullback(iso: Isomap, c: Cochain) -> Cochain:
 def dense_is_lie_homomorphism(s: Matrix, source: LieAlgebra, target: LieAlgebra) -> bool:
     """Whether S [e_i, e_j] = [S e_i, S e_j] for all i < j, with the columns of
     S as dense vectors and the right side from :func:`dense_bracket`."""
-    columns = plain_transpose(s.to_rows(), s.cols)
+    columns = plain_transpose(dense_grid(s), s.cols)
     return all(
         dense_apply(s, dense_basis_bracket(source, i, j))
         == dense_bracket(target, columns[i], columns[j])
@@ -441,14 +472,15 @@ def dense_differential(l: LieAlgebra, c: Cochain) -> Cochain:
 
 def dense_pairing(gram: Matrix, u, v) -> Fraction:
     """<u, v> summed over every entry of the Gram matrix."""
-    entries = (u[i] * gram.row(i)[j] * v[j] for i in range(len(u)) for j in range(len(v)))
+    grid = dense_grid(gram)
+    entries = (u[i] * grid[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
     return sum(entries, Fraction(0))
 
 
 def dense_wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
     """The wedge pairing summed over every (p, q)-split of every increasing tuple."""
     p, q = c1.degree, c2.degree
-    values1, values2 = c1.values, c2.values  # the dense views, built once
+    values1, values2 = dense_values(c1), dense_values(c2)
     values = {}
     for key in combinations(range(c1.n), p + q):
         total = Fraction(0)
@@ -467,7 +499,7 @@ def dense_wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Coch
 def dense_rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form by a dense column scan: for each column, left
     to right, the first remaining row with a nonzero entry becomes the pivot."""
-    rows = m.to_rows()
+    rows = dense_grid(m)
     pivots: list[int] = []
     r = 0
     for c in range(m.cols):
@@ -496,7 +528,7 @@ def dense_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for r, p in enumerate(pivots):
-            v[p] = -reduced.row(r)[f]
+            v[p] = -dense_matrix_row(reduced, r)[f]
         basis.append(tuple(v))
     return basis
 
@@ -504,13 +536,13 @@ def dense_kernel(m: Matrix) -> list[tuple[Fraction, ...]]:
 def dense_solve_affine(a: Matrix, b) -> tuple[tuple[Fraction, ...], list] | None:
     """Particular solution (free variables 0) and kernel, from ``dense_rref(a)``
     and ``dense_rref([a | b])``; None when the system is inconsistent."""
-    augmented = Matrix.from_rows([list(a.row(i)) + [b[i]] for i in range(a.rows)], cols=a.cols + 1)
+    augmented = Matrix.from_rows([row + [b[i]] for i, row in enumerate(dense_grid(a))], cols=a.cols + 1)
     reduced, pivots = dense_rref(augmented)
     if a.cols in pivots:
         return None
     particular = [Fraction(0)] * a.cols
     for r, p in enumerate(pivots):
-        particular[p] = reduced.row(r)[a.cols]
+        particular[p] = dense_matrix_row(reduced, r)[a.cols]
     return tuple(particular), dense_kernel(a)
 
 
@@ -519,7 +551,7 @@ def dense_det(m: Matrix) -> Fraction:
     remaining row with a nonzero entry becomes the pivot."""
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    rows = m.to_rows()
+    rows = dense_grid(m)
     n = m.rows
     sign = Fraction(1)
     result = Fraction(1)
@@ -554,7 +586,7 @@ def dense_signature_of(gram: Matrix) -> Signature:
     if not gram.is_symmetric():
         raise ValueError("signature_of requires a symmetric matrix")
     n = gram.rows
-    rows = gram.to_rows()
+    rows = dense_grid(gram)
 
     def add_row_col(dst: int, src: int) -> None:
         rows[dst] = [a + b for a, b in zip(rows[dst], rows[src])]
@@ -774,7 +806,7 @@ def dense_form(basis, grid) -> list[list[Fraction]]:
 def dense_span(n: int, vectors) -> Subspace:
     """The subspace spanned by ``vectors``, its rows read off :func:`dense_rref`."""
     reduced, pivots = dense_rref(Matrix.from_rows(vectors, cols=n))
-    rows = (reduced.row(r) for r in range(len(pivots)))
+    rows = dense_grid(reduced)[: len(pivots)]
     return Subspace(n, tuple(sparse_row(row) for row in rows))
 
 
@@ -847,7 +879,7 @@ def _dense_condition_a(z: QuadraticCocycle, stage: Subspace, series_term: Subspa
             coords = series_term.coords(sparse_row(dense_ad(l, i, w)))
             if coords is None:
                 raise ConsistencyError("bracket left the series term, series data corrupt")
-            row += [-coords[t] for t in range(d1)]
+            row += [-coords.get(t, 0) for t in range(d1)]
             rows.append(row)
     for vec in kernel_basis(Matrix.from_rows(rows, cols=d0 + m + d1)):
         head = vec[:d0]
@@ -881,12 +913,17 @@ def _dense_condition_b(z: QuadraticCocycle, series_term: Subspace):
     ]
     # the echelon basis B of the image and the rank of B G B^T, all dense
     reduced, pivots = dense_rref(Matrix.from_rows(images, cols=m))
-    b = Matrix.from_rows([reduced.row(r) for r in range(len(pivots))], cols=m)
+    b = Matrix.from_rows(dense_grid(reduced)[: len(pivots)], cols=m)
     image_dim = len(pivots)
     if len(dense_rref(b @ module.gram @ b.transpose())[1]) == image_dim:
         return True, image_dim, None
-    dense = [_dense(vec, n * d1) for vec in kernel]
-    witness = tuple(tuple(v[i * d1 : (i + 1) * d1] for i in range(n)) for v in dense)
+    # the kernel tensors, in order, whose image raises the dense rank of those before
+    picked, basis = [], []
+    for vec, image in zip(kernel, images):
+        if len(dense_rref(Matrix.from_rows(basis + [image], cols=m))[1]) > len(basis):
+            basis.append(image)
+            picked.append(_dense(vec, n * d1))
+    witness = tuple(tuple(v[i * d1 : (i + 1) * d1] for i in range(n)) for v in picked)
     return False, image_dim, witness
 
 

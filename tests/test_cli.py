@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 import metriclie
 from metriclie import catalog as cat
 from metriclie import cli, schema
-from metriclie.catalog import g41, g64, module_for_tag
+from metriclie.catalog import g41, g64, g64_admissible_cocycle, module_for_tag
 from metriclie.cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
-from metriclie.double_construction import build_double
-from metriclie.exact_linalg import Matrix
+from metriclie.double_construction import Fingerprint, build_double, fingerprint
+from metriclie.exact_linalg import Matrix, Subspace
 from metriclie.lie_core import (
     JacobiError,
     LieAlgebra,
@@ -34,6 +34,7 @@ from metriclie.quadratic_cohomology import (
 )
 from metriclie.schema import algebra_to_payload, cocycle_to_payload, module_to_payload
 
+from support import alternating_value, dense_combination, sparse_row
 from test_golden import golden_commands
 
 
@@ -388,6 +389,17 @@ def test_double_writes_document(tmp_path, capsys):
     code, doc = run(capsys, "verify", str(out_file))
     assert code == 0
     assert doc["payload"]["fingerprint"]["signature"] == [8, 8, 0]
+    # the fields listed by hand, in the order of Fingerprint._fields
+    fp = fingerprint(build_double(g64_admissible_cocycle()))
+    assert doc["payload"]["fingerprint"] == {
+        "dim": fp.dim,
+        "signature": list(fp.signature.as_tuple()),
+        "series_dims": list(fp.series_dims),
+        "center_dim": fp.center_dim,
+        "center_signature": list(fp.center_signature.as_tuple()),
+        "derived_signature": list(fp.derived_signature.as_tuple()),
+    }
+    assert list(doc["payload"]["fingerprint"]) == list(Fingerprint._fields)
 
 
 def test_double_prints_document_without_out(capsys):
@@ -697,6 +709,37 @@ def test_admissible_reports_b_witness_from_the_rejection_study(rejection_study, 
                 [schema.format_vector(row) for row in tensor] for tensor in cond.b_witness
             ]
             assert got["b_witness"]
+
+
+def test_a_b_witness_keeps_a_basis_of_the_image_among_the_kernel_tensors(tmp_path, capsys):
+    """alpha(X1, X2) = A1 on the 32-dim abelian algebra, module r11w: all
+    32 * 32 tensors are in the kernel of the bracket pairing, and their image
+    is the null line of A1.  The witness keeps the tensors, in kernel order,
+    whose images are independent, so the report stays small."""
+    n, module = 32, module_for_tag("r11w")
+    alpha = Cochain(n, 2, 2, False, {(0, 1): (1, 0)})
+    z = QuadraticCocycle(LieAlgebra(n, {}), module, alpha, Cochain.zero(n, 3, 1, True))
+    doc = schema.wrap("cocycle", schema.cocycle_to_payload(z))
+    code = cli.main(["admissible", write_doc(tmp_path, "abelian32.json", doc)])
+    text = capsys.readouterr().out
+    assert code == 1 and len(text.encode()) < 1_000_000
+    (got,) = json.loads(text)["payload"]["conditions"]
+    (cond,) = check_admissible(z).conditions
+    assert got["b_passed"] is cond.b_passed is False and got["b_image_dim"] == 1
+    assert got["b_witness"] == [
+        [schema.format_vector(row) for row in tensor] for tensor in cond.b_witness
+    ]
+    # l^1 = l, so tensor entry (i, j) is the coefficient of e_i (x) e_j
+    images = [
+        dense_combination(
+            {(i, j): c for i, row in enumerate(tensor) for j, c in enumerate(row) if c},
+            lambda ij: alternating_value(alpha, ij), module.dim,
+        )
+        for tensor in cond.b_witness
+    ]
+    span = Subspace.of_rows(module.dim, [sparse_row(v) for v in images])
+    assert 1 <= len(images) <= module.dim and span.dim == len(images) == cond.b_image_dim
+    assert not span.is_nondegenerate(module.gram)
 
 
 # ---------------------------------------------------------------------------

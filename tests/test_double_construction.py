@@ -1,4 +1,5 @@
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +30,9 @@ from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
 from support import (
     alternating_value,
     dense_basis_bracket,
+    dense_brackets,
+    dense_grid,
+    dense_matrix_row,
     dense_nonzero_rows,
     dense_pairing,
     rational,
@@ -87,7 +91,7 @@ def docstring_pairing(z, a, b):
     """<e_a, e_b> in the double of z: <A1, A2>_a + Z1(L2) + Z2(L1)."""
     (pa, i), (pb, j) = part(z, a), part(z, b)
     if (pa, pb) == ("a", "a"):
-        return z.module.gram.row(i)[j]
+        return dense_matrix_row(z.module.gram, i)[j]
     dual = {pa, pb} == {"sigma", "x"} and i == j  # Z(L) with Z = sigma^i, L = X_i
     return Fraction(1) if dual else Fraction(0)
 
@@ -130,7 +134,7 @@ def test_every_catalog_double_matches_the_docstring_formulas():
             for b in range(a + 1, g.algebra.dim):
                 assert dense_basis_bracket(g.algebra, a, b) == docstring_bracket(g.provenance, a, b)
         grid = docstring_gram(g.provenance)
-        assert g.gram.to_rows() == grid
+        assert dense_grid(g.gram) == grid
         assert g.gram.nonzero_rows == dense_nonzero_rows(grid) and g.gram.cols == len(grid)
 
 
@@ -213,23 +217,24 @@ def sparse_build_cocycles():
 
 
 def test_build_double_hands_the_constructor_sparse_rows(monkeypatch):
-    """No bracket of a double is filled densely: the constructor's one dense
-    path, ``vector()``, seen through a ``vector`` shadowed in ``lie_core``."""
-    calls = []
-    original = lie_core.vector
+    """No bracket of a double is filled densely: every bracket the constructor
+    reads goes through ``_row_of``, shadowed in ``lie_core``, and none is a
+    dense sequence."""
+    dense, read = [], []
+    original = lie_core._row_of
 
-    def counting(values):
-        calls.append(values)
-        return original(values)
+    def counting(value, length, what):
+        (read if isinstance(value, Mapping) else dense).append(value)
+        return original(value, length, what)
 
     cocycles = sparse_build_cocycles()
-    monkeypatch.setattr(lie_core, "vector", counting)
+    monkeypatch.setattr(lie_core, "_row_of", counting)
     LieAlgebra(3, {(0, 1): (0, 0, 1)})
-    assert len(calls) == 1  # the shadow sees a dense construction
-    calls.clear()
+    assert len(dense) == 1  # the shadow sees a dense construction
+    dense.clear()
     for z in cocycles:
-        assert build_double(z).algebra.brackets
-    assert calls == []
+        assert list(build_double(z).algebra._upper())
+    assert dense == [] and read
 
 
 def test_build_double_fills_no_dense_gram_row(monkeypatch):
@@ -277,7 +282,7 @@ def test_dual_block_is_isotropic_abelian_ideal():
     g = entry_double("T1.3a.r01.g1")
     n = g.provenance.algebra.dim
     m = g.provenance.module.dim
-    grid = g.gram.to_rows()
+    grid = dense_grid(g.gram)
     for i in range(n):
         for j in range(n):
             assert grid[i][j] == 0
@@ -289,7 +294,7 @@ def test_dual_block_is_isotropic_abelian_ideal():
         assert grid[i][n + m + i] == 1
     for s in range(m):
         for t in range(m):
-            assert grid[n + s][n + t] == g.provenance.module.gram.row(s)[t]
+            assert grid[n + s][n + t] == dense_matrix_row(g.provenance.module.gram, s)[t]
 
 
 def test_double_matches_hand_built_heisenberg_extension():
@@ -311,10 +316,10 @@ def test_double_matches_hand_built_heisenberg_extension():
 
 def test_verify_metric_catches_flipped_coefficient():
     g = entry_double("T1.1")
-    key, value = sorted(g.algebra.brackets.items())[0]
+    table = dense_brackets(g.algebra)
+    key, value = sorted(table.items())[0]
     slot = next(t for t, c in enumerate(value) if c != 0)
     mutated_value = tuple(-c if t == slot else c for t, c in enumerate(value))
-    table = dict(g.algebra.brackets)
     table[key] = mutated_value
     mutated = MetricLieAlgebra(
         algebra=LieAlgebra(g.algebra.dim, table, labels=g.algebra.labels, validate=False),
@@ -329,7 +334,7 @@ def test_verify_metric_catches_flipped_coefficient():
 def brute_invariance_failure(g: MetricLieAlgebra) -> str:
     """Reference scan of every basis triple (i, j, k), j <= k, in order."""
     n = g.algebra.dim
-    gram = g.gram.to_rows()
+    gram = dense_grid(g.gram)
     for i in range(n):
         # m[j][k] = <[e_i, e_j], e_k>, so <e_j, [e_i, e_k]> = m[k][j]
         m = []
@@ -374,7 +379,7 @@ def test_invariance_scan_matches_brute_force_triples():
         # a symmetric change of one form entry usually breaks invariance
         n = g.algebra.dim
         a, b = rg.randrange(n), rg.randrange(n)
-        rows = g.gram.to_rows()
+        rows = dense_grid(g.gram)
         rows[a][b] += 1
         if a != b:
             rows[b][a] += 1
@@ -399,7 +404,7 @@ def test_the_summing_pass_names_the_triple_of_the_sorted_scan():
         i, j = sorted(rg.sample(range(n), 2))
         t = rg.randrange(n)
         table.setdefault((i, j), {})[t] = table.get((i, j), {}).get(t, 0) + 1
-        rows = g.gram.to_rows()
+        rows = dense_grid(g.gram)
         a, b = rg.randrange(n), rg.randrange(n)
         rows[a][b] += 1
         if a != b:

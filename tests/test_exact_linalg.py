@@ -11,12 +11,12 @@ from metriclie.exact_linalg import (
     Signature,
     Subspace,
     _combine,
+    _row_of,
     kernel_basis,
     rank,
     signature_of,
     solve_affine,
     unit_vector,
-    vector,
 )
 from metriclie import schema
 from metriclie.catalog import (
@@ -29,9 +29,9 @@ from metriclie.catalog import (
     module_for_tag,
     run_catalog,
 )
-from metriclie.cochain_complex import differential_matrix
+from metriclie.cochain_complex import Cochain, differential_matrix
 from metriclie.double_construction import build_double
-from metriclie.lie_core import center, lower_central_series
+from metriclie.lie_core import LieAlgebra, center, lower_central_series
 
 from support import (
     alternating_value,
@@ -41,12 +41,15 @@ from support import (
     dense_det,
     dense_evaluate,
     dense_form,
+    dense_grid,
     dense_kernel,
+    dense_matrix_row,
     dense_nonzero_rows,
     dense_rref,
     dense_signature_of,
     dense_solve_affine,
     dense_span,
+    dense_vector,
     five_dim_three_step,
     plain_product,
     plain_transpose,
@@ -87,34 +90,34 @@ def rectangular(max_side=4):
 
 def span(n, vectors):
     """The span of dense vectors, through ``Subspace.of_rows``."""
-    return Subspace.of_rows(n, [sparse_row(vector(v)) for v in vectors])
+    return Subspace.of_rows(n, [sparse_row(dense_vector(v)) for v in vectors])
 
 
 def symmetrized(m):
     """M + M^T, summed entry by entry on plain lists."""
-    grid = m.to_rows()
+    grid = dense_grid(m)
     return Matrix.from_rows([[x + grid[j][i] for j, x in enumerate(row)] for i, row in enumerate(grid)])
 
 
 def test_rref_known_matrix():
     m = Matrix.from_rows([[0, 2, 4], [1, 1, 1], [1, 3, 5]])
-    assert dense_basis(span(3, m.to_rows())) == (vector([1, 0, -1]), vector([0, 1, 2]))
+    assert dense_basis(span(3, dense_grid(m))) == (dense_vector([1, 0, -1]), dense_vector([0, 1, 2]))
 
 
 def test_kernel_of_known_matrix():
     m = Matrix.from_rows([[1, 1, 0], [0, 0, 1]])
     basis = kernel_basis(m)
-    assert basis == [vector([-1, 1, 0])]
+    assert basis == [dense_vector([-1, 1, 0])]
 
 
 def test_solve_affine_particular_and_kernel():
     a = Matrix.from_rows([[1, 1], [2, 2]])
-    solution = solve_affine(a, vector([3, 6]))
+    solution = solve_affine(a, dense_vector([3, 6]))
     assert solution is not None
     particular, kernel = solution
-    assert dense_apply(a, particular) == vector([3, 6])
+    assert dense_apply(a, particular) == dense_vector([3, 6])
     assert len(kernel) == 1
-    assert solve_affine(a, vector([3, 5])) is None
+    assert solve_affine(a, dense_vector([3, 5])) is None
 
 
 def test_det_examples():
@@ -147,22 +150,50 @@ def test_signature_handles_coupled_zero_diagonal():
 
 
 def test_subspace_span_canonicalizes():
-    basis = dense_basis(span(3, [vector([2, 2, 0]), vector([1, 1, 1])]))
-    assert basis == (vector([1, 1, 0]), vector([0, 0, 1]))
+    basis = dense_basis(span(3, [dense_vector([2, 2, 0]), dense_vector([1, 1, 1])]))
+    assert basis == (dense_vector([1, 1, 0]), dense_vector([0, 0, 1]))
 
 
 def test_subspace_form_restricts_the_form():
     gram = Matrix.diagonal([1, 1, -1])
-    null_line = span(3, [vector([1, 0, 1])])
-    assert null_line.form(gram).to_rows() == [[Fraction(0)]]
+    null_line = span(3, [dense_vector([1, 0, 1])])
+    assert dense_grid(null_line.form(gram)) == [[Fraction(0)]]
     assert not null_line.is_nondegenerate(gram)
     assert span(3, []).is_nondegenerate(gram)
-    assert span(3, [vector([1, 0, 0])]).is_nondegenerate(gram)
+    assert span(3, [dense_vector([1, 0, 0])]).is_nondegenerate(gram)
 
 
 def test_matrix_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^a matrix row has wrong length$"):
         Matrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="does not match cols"):
+        Matrix.from_rows([[1, 2]], cols=3)
+
+
+def test_the_row_reader_is_the_one_way_from_a_value_to_a_stored_row():
+    """``_row_of`` reads a dense sequence or a sparse map into the canonical
+    row without zeros, and every constructor that takes values reports its
+    errors through it, with the messages of the readers it replaced."""
+    half = Fraction(1, 2)
+    for value in ((0, "1/2", Fraction(4, 2), 0.0), [0, half, 2, 0], {1: "1/2", 2: 2.0, 3: 0}):
+        row = _row_of(value, 4, "v")
+        assert row == {1: half, 2: 2} and type(row[2]) is int
+    assert _row_of({}, 0, "v") == {} and _row_of((), 0, "v") == {}
+    for value, message in (((1, 2), "v has wrong length"), ({4: 1}, "v has an index out of range"),
+                           ({-1: 1}, "v has an index out of range")):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            _row_of(value, 3, "v")
+    rejected = [
+        (lambda: LieAlgebra(3, {(0, 1): (0, 1)}), "bracket value for (0, 1) has wrong length"),
+        (lambda: LieAlgebra(3, {(0, 1): {3: 1}}), "bracket value for (0, 1) has an index out of range"),
+        (lambda: Cochain(3, 2, 2, False, {(0, 1): (1,)}), "value for (0, 1) has wrong length"),
+        (lambda: Cochain(3, 2, 2, False, {(0, 1): {2: 1}}), "value for (0, 1) has an index out of range"),
+    ]
+    for build, message in rejected:
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+    assert Matrix.diagonal([half, 0, "3"]).nonzero_rows == ({0: half}, {}, {2: 3})
 
 
 @settings(max_examples=60)
@@ -213,9 +244,9 @@ def test_signature_additive_on_blocks(a, b):
     sa, sb = symmetrized(a), symmetrized(b)
     rows = []
     for i in range(2):
-        rows.append(list(sa.row(i)) + [0] * 3)
+        rows.append(list(dense_matrix_row(sa, i)) + [0] * 3)
     for i in range(3):
-        rows.append([0] * 2 + list(sb.row(i)))
+        rows.append([0] * 2 + list(dense_matrix_row(sb, i)))
     combined = signature_of(Matrix.from_rows(rows))
     pa, pb = signature_of(sa), signature_of(sb)
     assert combined.as_tuple() == (
@@ -298,8 +329,8 @@ def test_sparse_elimination_matches_the_dense_reference():
         reduced, pivots = dense_rref(m)
         assert rank(m) == len(pivots)
         assert kernel_basis(m) == dense_kernel(m)
-        assert dense_basis(span(m.cols, [m.row(i) for i in range(m.rows)])) == tuple(
-            reduced.row(r) for r in range(len(pivots))
+        assert dense_basis(span(m.cols, [dense_matrix_row(m, i) for i in range(m.rows)])) == tuple(
+            dense_matrix_row(reduced, r) for r in range(len(pivots))
         )
         # one consistent right hand side and one drawn at random
         x = tuple(rational(rg) for _ in range(m.cols))
@@ -320,12 +351,12 @@ def test_elimination_edge_cases():
     assert solve_affine(empty, ()) == ((Fraction(0),) * 4, kernel_basis(empty))
     flat = Matrix.zero(3, 0)
     assert rank(flat) == 0 and kernel_basis(flat) == []
-    assert solve_affine(flat, vector([0, 0, 0])) == ((), [])
-    assert solve_affine(flat, vector([0, 1, 0])) is None
+    assert solve_affine(flat, dense_vector([0, 0, 0])) == ((), [])
+    assert solve_affine(flat, dense_vector([0, 1, 0])) is None
     # non-unit pivots, a duplicate row and a zero row
     m = Matrix.from_rows([[0, 3, 6], [0, 3, 6], [0, 0, 0], [2, 4, 1]])
-    assert dense_basis(span(3, m.to_rows())) == (vector([1, 0, "-7/2"]), vector([0, 1, 2]))
-    assert dense_basis(span(2, [vector([0, 0]), vector([0, 5])])) == (vector([0, 1]),)
+    assert dense_basis(span(3, dense_grid(m))) == (dense_vector([1, 0, "-7/2"]), dense_vector([0, 1, 2]))
+    assert dense_basis(span(2, [dense_vector([0, 0]), dense_vector([0, 5])])) == (dense_vector([0, 1]),)
     # pivot 1 is held by no earlier row (no back-elimination); pivot 2 is
     # held by the first row, which must be back-eliminated
     one = Fraction(1)
@@ -344,7 +375,7 @@ def test_every_subspace_constructor_stores_the_dense_reference_rows():
     for _ in range(800):
         m = random_elimination_case(rg)
         n = m.cols
-        vectors = [m.row(i) for i in range(m.rows)]
+        vectors = [dense_matrix_row(m, i) for i in range(m.rows)]
         expected = dense_span(n, vectors)
         sparse = [sparse_row(v) for v in vectors]
         kernel = dense_span(n, dense_kernel(m))
@@ -369,7 +400,7 @@ def test_subspace_coords_match_the_dense_reference():
         inside = dense_apply(transpose, tuple(rational(rg) for _ in range(space.dim)))
         for v in (inside, *_random_vectors(rg, n, 2)):
             solved = dense_solve_affine(transpose, v)  # B^T c = v, c unique when solvable
-            expected = None if solved is None else solved[0]
+            expected = None if solved is None else sparse_row(solved[0])
             sparse = sparse_row(v)
             assert space.coords(sparse) == expected and sparse == sparse_row(v)
             outside += expected is None
@@ -439,7 +470,7 @@ def test_sparse_signature_matches_the_dense_reference():
     kinds = set()
     for _ in range(2400):
         kind, g = random_symmetric_case(rg)
-        assert signature_of(g) == dense_signature_of(g), (kind, g.to_rows())
+        assert signature_of(g) == dense_signature_of(g), (kind, dense_grid(g))
         kinds.add(kind)
     assert kinds == {"empty", "witt", "coupled", "image", "sparse"}
 
@@ -453,7 +484,7 @@ def test_signatures_of_the_catalog_doubles_match_the_dense_reference():
         assert signature_of(g) == dense_signature_of(g)
         for space in (center(metric.algebra), series[1]):
             gram = space.form(g)
-            expected = dense_form(dense_basis(space), g.to_rows())  # B G B^T by plain-list products
+            expected = dense_form(dense_basis(space), dense_grid(g))  # B G B^T by plain-list products
             assert gram.cols == space.dim and gram.nonzero_rows == dense_nonzero_rows(expected)
             assert signature_of(gram) == dense_signature_of(gram)
 
@@ -478,9 +509,9 @@ def test_sparse_kernels_match_plain_list_references():
         ga, gb = _small_grid(rg, r, k), _small_grid(rg, k, c)
         a, b = Matrix.from_rows(ga, cols=k), Matrix.from_rows(gb, cols=c)
         shapes.add((r == 0, k == 0, (r > k) - (r < k)))
-        # from_rows, to_rows and the raw constructor agree, and equal means equal hashes
-        assert a.to_rows() == ga and (a.rows, a.cols) == (r, k)
-        assert Matrix.from_rows(a.to_rows(), cols=k) == a
+        # from_rows, the dense grid of its rows and the raw constructor agree, and equal means equal hashes
+        assert dense_grid(a) == ga and (a.rows, a.cols) == (r, k)
+        assert Matrix.from_rows(dense_grid(a), cols=k) == a
         for rows in (dense_nonzero_rows(ga), [dict(reversed(row.items())) for row in dense_nonzero_rows(ga)]):
             sparse = Matrix(k, tuple(rows))
             assert sparse == a and hash(sparse) == hash(a)
@@ -502,7 +533,7 @@ def test_sparse_kernels_match_plain_list_references():
         v = tuple(_small_grid(rg, 1, k)[0])
         av = _combine(sparse_row(v), a.transpose().nonzero_rows.__getitem__)
         assert av == sparse_row([sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in ga])
-        assert [a.row(i) for i in range(r)] == [tuple(row) for row in ga]
+        assert [dense_matrix_row(a, i) for i in range(r)] == [tuple(row) for row in ga]
     assert {(True, False, -1), (False, True, 1), (False, False, -1), (False, False, 1)} <= shapes
     assert cancelled > 50
 

@@ -14,7 +14,7 @@ from metriclie.catalog import (
     heisenberg,
     orthonormal_module,
 )
-from metriclie.exact_linalg import Matrix, _combine, unit_vector, vector
+from metriclie.exact_linalg import Matrix, _combine, unit_vector
 from metriclie.lie_core import (
     JacobiError,
     JacobiReport,
@@ -37,9 +37,11 @@ from support import (
     dense_basis,
     dense_basis_bracket,
     dense_bracket,
+    dense_brackets,
     dense_intersect,
     dense_kernel,
     dense_span,
+    dense_vector,
     is_canonical,
     random_sparse_table,
     random_unimodular_basis_change,
@@ -97,12 +99,13 @@ def test_a_sparse_and_a_dense_construction_are_the_same_algebra():
     sparse = {(0, 2): {3: Fraction(1, 2)}, (0, 1): {2: 1}}
     assert LieAlgebra(4, sparse) == LieAlgebra(4, dense)
     assert hash(LieAlgebra(4, sparse)) == hash(LieAlgebra(4, dense))
-    assert LieAlgebra(4, sparse).brackets == LieAlgebra(4, dense).brackets
-    # the dense views read back the stored rows, and rebuild the same algebra
+    assert dense_brackets(LieAlgebra(4, sparse)) == dense_brackets(LieAlgebra(4, dense))
+    # the dense lists read back from the stored rows rebuild the same algebra
     rg = rng(4041)
     for l in [random_sparse_table(rg, rg.randint(3, 7)) for _ in range(100)]:
-        as_maps = {key: {t: c for t, c in enumerate(v) if c} for key, v in l.brackets.items()}
-        for table in (l.brackets, as_maps):
+        dense = dense_brackets(l)
+        as_maps = {key: {t: c for t, c in enumerate(v) if c} for key, v in dense.items()}
+        for table in (dense, as_maps):
             rebuilt = LieAlgebra(l.dim, table, validate=False)
             assert rebuilt == l and hash(rebuilt) == hash(l)
         for i in range(l.dim):
@@ -139,7 +142,7 @@ def test_zero_and_cancelling_entries_are_not_stored():
     # an integral Fraction or a float is stored as an int, in either branch
     for value in ({2: Fraction(4, 2)}, (0, 0, 2.0)):
         assert [type(c) for c in LieAlgebra(3, {(0, 1): value}).row(0)[1].values()] == [int]
-    assert set(l.brackets) == {(0, 1), (2, 3)}
+    assert set(dense_brackets(l)) == {(0, 1), (2, 3)}
     assert repr(l) == "LieAlgebra(dim=4, brackets=2)"
     assert LieAlgebra(3, {(0, 1): {2: 0}, (1, 2): (0, 0, 0)}) == abelian(3)
 
@@ -259,10 +262,10 @@ def test_direct_sum_combines_structure():
 def test_subspace_coords_of_known_rows():
     s = Subspace.of_rows(3, [{0: 1, 1: 1}, {2: 2}])
     assert s.dim == 2
-    assert s.coords(sparse_row(vector([2, 2, 3]))) == (2, 3)
-    assert s.coords(sparse_row(vector([1, 0, 0]))) is None
-    assert s.coords(sparse_row(vector([3, 3, 1]))) == (3, 1)
-    assert s.coords(sparse_row(vector([0, 1, 0]))) is None
+    assert s.coords(sparse_row(dense_vector([2, 2, 3]))) == {0: 2, 1: 3}
+    assert s.coords(sparse_row(dense_vector([1, 0, 0]))) is None
+    assert s.coords(sparse_row(dense_vector([3, 3, 1]))) == {0: 3, 1: 1}
+    assert s.coords(sparse_row(dense_vector([0, 1, 0]))) is None
     assert metriclie.Subspace is lie_core.Subspace is exact_linalg.Subspace
 
 
@@ -282,7 +285,7 @@ def test_structural_equality_includes_labels():
         labels=("a", "b", "c", "d"),
     )
     assert relabeled != g41()
-    assert relabeled.brackets == g41().brackets
+    assert dense_brackets(relabeled) == dense_brackets(g41())
 
 
 def test_jacobi_holds_for_random_vectors():
@@ -307,7 +310,7 @@ def test_cached_series_and_center_match_a_fresh_computation():
         series, center_space = lower_central_series(l), center(l)
         assert lower_central_series(l) is series
         assert center(l) == center_space and center(l) is not center_space
-        fresh = LieAlgebra(l.dim, dict(l.brackets), labels=l.labels, validate=False)
+        fresh = LieAlgebra(l.dim, dense_brackets(l), labels=l.labels, validate=False)
         assert fresh == l and fresh is not l
         assert lie_core._lower_central_series(fresh) == series
         assert center(fresh) == center_space
@@ -324,9 +327,11 @@ def test_basis_bracket_is_antisymmetric_on_all_pairs():
 def test_algebra_is_read_only():
     l = g41()
     with pytest.raises(TypeError):
-        l.brackets[(0, 1)] = unit_vector(4, 3)
+        l.row(0)[1] = {3: 1}
     with pytest.raises(TypeError):
-        l.brackets[(1, 2)] = unit_vector(4, 3)
+        l.row(1)[2] = {3: 1}
+    with pytest.raises(AttributeError):
+        l.brackets = {(1, 2): unit_vector(4, 3)}
     with pytest.raises(AttributeError):
         l.dim = 5
     with pytest.raises(AttributeError):
@@ -337,11 +342,11 @@ def test_algebra_is_read_only():
 def test_equal_algebras_hash_equal():
     assert hash(g41()) == hash(g41())
     assert len({g41(), g41(), g52(), abelian(4)}) == 3
-    swapped = LieAlgebra(4, dict(reversed(list(g41().brackets.items()))), labels=g41().labels)
+    swapped = LieAlgebra(4, dict(reversed(list(dense_brackets(g41()).items()))), labels=g41().labels)
     assert swapped == g41() and hash(swapped) == hash(g41())
     # default labels are made on demand, yet equal the same labels given explicitly
-    named = LieAlgebra(4, g41().brackets, labels=("X1", "X2", "X3", "X4"))
-    default = LieAlgebra(4, g41().brackets)
+    named = LieAlgebra(4, dense_brackets(g41()), labels=("X1", "X2", "X3", "X4"))
+    default = LieAlgebra(4, dense_brackets(g41()))
     assert default.labels == named.labels
     assert default == named and hash(default) == hash(named)
     assert abelian(3) == LieAlgebra(3, {}, labels=("X1", "X2", "X3"))

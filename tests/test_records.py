@@ -142,7 +142,7 @@ def test_defaults_and_coords_at_the_pivots():
     assert g.provenance is None and g == MetricLieAlgebra(abelian(2), Matrix.identity(2), None)
     space = Subspace.of_rows(3, [{0: 2, 2: 4}, {1: 1}])
     twin = Subspace.of_rows(3, [{1: 1}, {0: 1, 2: 2}])
-    assert space.coords({0: 3, 1: 1, 2: 6}) == (3, 1)
+    assert space.coords({0: 3, 1: 1, 2: 6}) == {0: 3, 1: 1}
     assert space == twin and hash(space) == hash(twin) and repr(space) == repr(twin)
     assert space.coords({2: 1}) is None
 

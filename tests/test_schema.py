@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from metriclie.catalog import g41, module_for_tag
+from metriclie.catalog import g41, module_for_tag, run_catalog
 from metriclie.cli import assemble_cocycle, main
 from metriclie.cochain_complex import OrthogonalModule
 from metriclie.double_construction import MetricLieAlgebra
@@ -29,6 +29,8 @@ from metriclie.schema import (
     parse_scalar,
     wrap,
 )
+
+from support import dense_brackets, dense_grid, dense_values, scale_doubles
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "metriclie" / "data"
@@ -227,6 +229,30 @@ def test_metric_document_round_trip_in_memory():
 def shipped_documents():
     for path in sorted(DATA.rglob("*.json")):
         yield path
+
+
+def test_the_files_are_written_from_the_stored_rows():
+    """Every list the serializer writes for the catalog and scale doubles
+    equals the one formatted from the dense reference views: the brackets
+    of the double and of its base, alpha, gamma and both Gram forms."""
+    def terms(dense, fields):
+        return [{**{f: k + 1 for f, k in zip(fields, key)}, "value": [format_scalar(c) for c in v]}
+                for key, v in sorted(dense.items())]
+
+    def grid(m):
+        return [[format_scalar(x) for x in row] for row in dense_grid(m)]
+
+    doubles = [g for g in run_catalog().doubles if g is not None] + list(scale_doubles().values())
+    for g in doubles:
+        payload, z = metric_to_payload(g), g.provenance
+        cocycle = payload["provenance"]
+        assert payload["algebra"]["brackets"] == terms(dense_brackets(g.algebra), "ij")
+        assert cocycle["algebra"]["brackets"] == terms(dense_brackets(z.algebra), "ij")
+        assert cocycle["alpha"] == terms(dense_values(z.alpha), "ij")
+        gamma = terms(dense_values(z.gamma), "ijk")
+        assert cocycle["gamma"] == [{**t, "value": t["value"][0]} for t in gamma]
+        assert payload["gram"] == grid(g.gram) and cocycle["module"]["gram"] == grid(z.module.gram)
+    assert any(g.provenance.gamma.rows and g.provenance.alpha.rows for g in doubles)
 
 
 def test_data_tree_is_present():
