@@ -14,7 +14,11 @@ summary gives the median and quartiles of the untraced runs
 (``statistics.quantiles(n=4, method="inclusive")``), the pairs the change
 wins (ties count for neither side), the ratio of the medians, and whether
 the medians differ by more than the parent's interquartile range (null for
-a single parent run, which has no spread).  Traced
+a single parent run, which has no spread), and whether the change's median
+is within the metric's ``bound`` of the parent's in the worse direction
+(``within_bound``).  The median operations attempted per run go beside
+``peak_rss_mb``, since the harness keeps every operation it runs, and are
+printed with it.  Traced
 runs are listed apart and left out of the summary.  Runs are listed in the
 order of their file names, so name the files in the order the runs were made.
 
@@ -100,6 +104,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             if not sides["parent"] or not sides["change"]:
                 continue
             parent, change = quartiles(sides["parent"]), quartiles(sides["change"])
+            worst = parent[1] * (1 + metric["bound"] if lower else 1 - metric["bound"])
             wins = sum(
                 (value(c) < value(p)) if lower else (value(c) > value(p)) for p, c in pairs
             )
@@ -114,7 +119,14 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                     abs(change[1] - parent[1]) > parent[2] - parent[0]
                     if len(sides["parent"]) > 1 else None  # one run has no spread
                 ),
+                "within_bound": change[1] <= worst if lower else change[1] >= worst,
             }
+            if name == "peak_rss_mb":
+                entry[name]["attempted_median"] = {
+                    side: statistics.median([run["result"]["attempted"] for run in measured
+                                             if run["side"] == side])
+                    for side in ("parent", "change")
+                }
         for key in ("attempted", "failed"):
             entry[key] = {
                 side: sum(run["result"][key] for run in mine if run["side"] == side)
@@ -152,6 +164,12 @@ def main(argv: list[str] | None = None) -> int:
     path = args.out or ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path} from {len(runs)} runs")
+    for workload, entry in out["summary"].items():
+        rss = entry.get("peak_rss_mb")
+        if rss:
+            print("%s: peak_rss_mb median %s -> %s MB at median attempted %s -> %s ops" % (
+                workload, rss["parent_q1_median_q3"][1], rss["change_q1_median_q3"][1],
+                rss["attempted_median"]["parent"], rss["attempted_median"]["change"]))
     return 0
 
 

@@ -185,7 +185,7 @@ def _stored_row(key: tuple[int, ...], value: _Value, n: int, degree: int, value_
         raise ValueError("key %s out of range" % (key,))
     if any(a >= b for a, b in zip(key, key[1:])):
         raise ValueError("key %s is not strictly increasing" % (key,))
-    return _row_of(value, value_dim, "value for %s" % (key,))
+    return _row_of(value, value_dim, "value for %s", key)
 
 
 def cochain_from_terms(n: int, degree: int, value_dim: int,

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact_linalg import Matrix, Scalar, Signature, _combine, _Record, rank, signature_of
+from .exact_linalg import Matrix, Scalar, Signature, Subspace, _combine, _Record, rank, signature_of
 from .lie_core import (
     LieAlgebra,
-    center,
     is_nilpotent,
     lower_central_series,
     nilpotency_index,
@@ -194,14 +193,35 @@ class Fingerprint(NamedTuple):
 
 
 def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
+    """Cheap isometry invariants of ``g``, which must pass :func:`verify_metric`
+    (every caller in the package checks that first); a form with a null
+    part raises ValueError.
+
+    The form being invariant and nondegenerate, <[x, y], c> = <x, [y, c]>
+    makes the center z the orthogonal complement of l^2: the kernel of the
+    echelon rows of l^2 times G.  Then rad l^2 = l^2 meet z = rad z, of
+    dimension r (the null part of z's signature), and l^2/rad and z/rad are
+    orthogonal and fill rad^perp/rad, whose signature is (neg - r, pos - r).
+    So l^2 has signature (neg - neg_z - r, pos - pos_z - r, r), from the
+    signatures of G and of z's form, with no form restricted to l^2.
+    """
+    gram = g.gram
+    signature = signature_of(gram)
+    if signature.null:
+        raise ValueError("fingerprint needs a nondegenerate form")
     series = lower_central_series(g.algebra)
-    z = center(g.algebra)
-    derived = series[1] if len(series) > 1 else z  # l^2; fallback unused for dim > 0
+    derived = series[1] if len(series) > 1 else series[0]  # l^2; dim 0 has one term
+    rows = gram.nonzero_rows
+    z = Subspace.kernel(gram.cols, [_combine(w, rows.__getitem__) for w in derived.rows])
+    center_signature = signature_of(z.form(gram))
+    r = center_signature.null
     return Fingerprint(
         dim=g.algebra.dim,
-        signature=signature_of(g.gram),
+        signature=signature,
         series_dims=tuple([s.dim for s in series]),
         center_dim=z.dim,
-        center_signature=signature_of(z.form(g.gram)),
-        derived_signature=signature_of(derived.form(g.gram)),
+        center_signature=center_signature,
+        derived_signature=Signature(
+            signature.neg - center_signature.neg - r, signature.pos - center_signature.pos - r, r
+        ),
     )

@@ -29,9 +29,10 @@ full collection empties them, so code that triggers none piles up megabytes.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 Scalar = int | Fraction  # canonical: an int when integral, else denominator > 1
 Vector = tuple[Scalar, ...]
@@ -73,18 +74,19 @@ def unit_vector(n: int, i: int) -> Vector:
     return tuple([1 if k == i else 0 for k in range(n)])
 
 
-def _row_of(value: Sequence | Mapping, length: int, what: str) -> dict[int, Scalar]:
+def _row_of(value: Sequence | Mapping, length: int, what: str, *args: object) -> dict[int, Scalar]:
     """The stored row of ``value``, a dense sequence of ``length`` entries or a
     sparse map ``{t: entry}`` with 0 <= t < length: its nonzero entries made
-    canonical.  A bad length or index is a ValueError naming ``what``."""
-    if type(value) is tuple or not isinstance(value, Mapping):
-        if len(value) != length:
-            raise ValueError("%s has wrong length" % what)
-        items = enumerate(value)
-    else:
+    canonical.  A bad length or index is a ValueError naming ``what % args``,
+    a label formatted only then."""
+    if type(value) is dict or isinstance(value, Mapping):
         if value and not (0 <= min(value) and max(value) < length):
-            raise ValueError("%s has an index out of range" % what)
+            raise ValueError("%s has an index out of range" % (what % args))
         items = value.items()
+    else:
+        if len(value) != length:
+            raise ValueError("%s has wrong length" % (what % args))
+        items = enumerate(value)
     return {t: x for t, c in items if (x := _canon(c))}
 
 
@@ -229,7 +231,9 @@ class Matrix(_Record):
         return self.rows == self.cols and self.transpose() == self
 
 
-def _reduce(rows: Iterable[dict[int, Scalar]]) -> list[tuple[int, dict[int, Scalar]]]:
+def _reduce(
+    rows: Iterable[dict[int, Scalar]], pivots: dict[int, dict[int, Scalar]] | None = None
+) -> list[tuple[int, dict[int, Scalar]]]:
     """The nonzero rows of the reduced row echelon form of the span of ``rows``.
 
     Rows are sparse maps ``{column: nonzero entry}``; they are consumed (the
@@ -239,12 +243,16 @@ def _reduce(rows: Iterable[dict[int, Scalar]]) -> list[tuple[int, dict[int, Scal
     reduced against each other and only stored entries are touched.  The
     columns the pivot rows have ever held are kept as a set, and a new pivot
     column outside it is eliminated from no row: a run of rows that share no
-    column costs O(1) per row.  Returns ``(pivot, row)`` pairs sorted by
-    pivot column, each row with a 1 at its pivot.  Any totally ordered column
-    keys work, not only integers.
+    column costs O(1) per row.  ``pivots``, if given, maps each pivot column
+    to its row from an earlier call, and is extended in place (its rows
+    too), so a span grown by batches of rows is eliminated once.  Returns
+    ``(pivot, row)`` pairs sorted by pivot column, each row with a 1 at its
+    pivot.  Any totally ordered column keys work, not only integers.
     """
-    pivots: dict[int, dict[int, Scalar]] = {}
-    held: set[int] = set()  # a superset of the columns the pivot rows hold
+    if pivots is None:
+        pivots = {}
+    # a superset of the columns the pivot rows hold
+    held: set[int] = set().union(*pivots.values())
     for row in rows:
         for p in [c for c in row if c in pivots]:
             _axpy(row, -row.pop(p), pivots[p], p)
@@ -378,15 +386,18 @@ def signature_of(gram: Matrix) -> Signature:
     nonzero entry b = a_kp is a 2x2 pivot [[0, b], [b, 0]]: it counts one
     negative and one positive direction, and the rest becomes
     a_ij - (a_ik a_pj + a_ip a_kj) / b.  Indices whose rows become zero are
-    null directions.
+    null directions.  The remaining indices with a nonzero diagonal entry
+    are kept as a set, updated for the rows each pivot touches, so finding a
+    pivot scans no row; which one is taken does not change the signature.
     """
     if not gram.is_symmetric():
         raise ValueError("signature_of requires a symmetric matrix")
     rows = {i: row for i, row in enumerate(_sparse_rows(gram)) if row}
+    diagonal = {i for i, row in rows.items() if i in row}
     neg = pos = 0
     while rows:
-        k = next((i for i, row in rows.items() if i in row), None)
-        if k is not None:
+        if diagonal:
+            k = diagonal.pop()
             pivot = rows.pop(k)
             d = pivot.pop(k)
             neg, pos = (neg, pos + 1) if d > 0 else (neg + 1, pos)
@@ -408,8 +419,13 @@ def signature_of(gram: Matrix) -> Signature:
                 row.pop(c, None)
             _axpy(row, f, source, k)  # no source holds a pivot column
         for i in {i for i, _, _ in updates}:
-            if not rows[i]:
-                del rows[i]  # a null direction
+            row = rows[i]
+            if i in row:
+                diagonal.add(i)
+            else:
+                diagonal.discard(i)
+                if not row:
+                    del rows[i]  # a null direction
     return Signature(neg=neg, pos=pos, null=gram.rows - neg - pos)
 
 

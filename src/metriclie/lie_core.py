@@ -13,8 +13,8 @@ on construction, keeping its verdict; a flag skips it for broken test tables.
 admissibility test's per-stage data (built by
 :mod:`~metriclie.quadratic_cohomology`, the central filtration among them)
 are computed at most once per instance and then reused.  The center is
-computed on each call: its one caller in the package, the fingerprint of a
-double, asks once per algebra.
+computed on each call; no module of the package asks for it, since the
+fingerprint of a double reads the center off its form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .exact_linalg import Scalar, Subspace, Vector, _axpy, _combine, _dense, _row_of
+from .exact_linalg import Scalar, Subspace, Vector, _axpy, _combine, _dense, _reduce, _row_of
 
 _EMPTY: Mapping = MappingProxyType({})  # no stored bracket: an empty row, or no rows
 _Bracket = Sequence[int | str | Fraction] | Mapping[int, int | str | Fraction]
@@ -85,7 +85,7 @@ class LieAlgebra:
         for (i, j), value in brackets.items():
             if not (0 <= i < j < dim):
                 raise ValueError("bracket key (%d, %d) must satisfy 0 <= i < j < dim" % (i, j))
-            row = _row_of(value, dim, "bracket value for (%d, %d)" % (i, j))
+            row = _row_of(value, dim, "bracket value for (%d, %d)", i, j)
             if row:
                 rows.setdefault(i, {})[j] = row
                 rows.setdefault(j, {})[i] = {t: -c for t, c in row.items()}
@@ -214,9 +214,10 @@ def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
     """The series summed from layers.  V is the e_v off the pivots of D = l^2
     (the span of the stored brackets), W_1 = span V, W_(j+1) = span [e_v, w]
     (v in V, w a row of W_j; so W_2 is spanned by stored rows) and T_k = W_k +
-    T_(k+1).  By Jacobi, [W_a, W_b] lies in W_(a+b) (induction on a), so S =
-    sum W_j is a subalgebra; if W_(c+1) = 0 for some c <= dim D + 1 and T_2 =
-    D, S contains V + D = l, and l^k = S^k lies in T_k, which lies in l^k.  A
+    T_(k+1), each layer fed once to one running elimination.  By Jacobi,
+    [W_a, W_b] lies in W_(a+b) (induction on a), so S = sum W_j is a
+    subalgebra; if W_(c+1) = 0 for some c <= dim D + 1 and T_2 = D, S
+    contains V + D = l, and l^k = S^k lies in T_k, which lies in l^k.  A
     nilpotent Lie algebra never declines, as V generates it (de Graaf 2000)
     and its class c is at most dim D + 1 (l^2 > ... > l^c > 0 in D).
     Others, as gl(2) (T_2 < D), [x1, x2] = y, [x1, y] = y (no layer vanishes)
@@ -228,10 +229,13 @@ def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
         layers = [Subspace.of_rows(n, [dict(p) for u, v, p in upper if u in gens and v in gens])]
         while layers[-1].dim and len(layers) <= derived.dim:  # layers[j] is W_(j+2)
             layers.append(_bracket_span(l, gens, layers[-1]))
-        sums = [layers.pop()]  # T_(c+1), then T_c = W_c, ..., T_2
+        # T_(c+1), then T_c, ..., T_2: one running elimination takes each layer
+        # into the pivot rows of the sum above it, and each term keeps copies
+        # of the pivot rows, since the layers below back-eliminate into them
+        sums, pivots = [layers.pop()], {}
         for layer in reversed(layers):
-            rows = sums[-1].rows + layer.rows
-            sums.append(Subspace.of_rows(n, [dict(w) for w in rows]) if sums[-1].dim else layer)
+            reduced = _reduce([dict(w) for w in layer.rows], pivots)
+            sums.append(Subspace(n, tuple([dict(w) for _, w in reduced])))
         if not sums[0].dim and sums[-1] == derived:
             return (Subspace.full(n), *reversed(sums)) if n else (derived,)
     everything, chain = set(range(n)), [Subspace.full(n)]

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
+from metriclie import lie_core
 from metriclie.catalog import (
     BASE_BUILDERS,
     ENTRIES,
@@ -28,7 +29,7 @@ from metriclie.cochain_complex import (
     differential_matrix,
     wedge_pair,
 )
-from metriclie.double_construction import MetricLieAlgebra, build_double
+from metriclie.double_construction import Fingerprint, MetricLieAlgebra, build_double
 from metriclie.exact_linalg import (
     Matrix,
     Signature,
@@ -39,6 +40,7 @@ from metriclie.exact_linalg import (
     _reduce,
     kernel_basis,
     scalar,
+    signature_of,
     solve_affine,
     unit_vector,
     vec_add,
@@ -146,11 +148,17 @@ def catalog_algebras() -> list[LieAlgebra]:
     return algebras
 
 
-def random_unimodular_basis_change(rg: random.Random, l: LieAlgebra, steps: int) -> LieAlgebra:
+def random_unimodular_basis_change(rg: random.Random, l, steps: int):
     """``l`` in the basis f_i = sum_a P[i][a] e_a, for P a product of ``steps``
     random integral row additions (f_b += c f_a, c = +-1), so P and P^-1 are
     integral and the new structure constants are too.  The table is built
-    with ``validate=False``, so its Jacobi verdict is not known in advance."""
+    with ``validate=False``, so its Jacobi verdict is not known in advance.
+    A :class:`MetricLieAlgebra` comes back as one, its form G mapped to
+    P G P^T (<f_i, f_j> summed over the nonzero entries of G)."""
+    if isinstance(l, MetricLieAlgebra):
+        metric, l = l, l.algebra
+    else:
+        metric = None
     n = l.dim
     p = [[int(a == b) for b in range(n)] for a in range(n)]
     q = [row[:] for row in p]  # P^-1: each step subtracts c * column b from column a
@@ -170,7 +178,41 @@ def random_unimodular_basis_change(rg: random.Random, l: LieAlgebra, steps: int)
                     v[t] += x * p[j][b] * z
         # its f-coordinates are v P^-1
         table[(i, j)] = tuple(sum(v[a] * q[a][t] for a in range(n) if v[a]) for t in range(n))
-    return LieAlgebra(n, table, labels=l.labels, validate=False)
+    changed = LieAlgebra(n, table, labels=l.labels, validate=False)
+    if metric is None:
+        return changed
+    rows = metric.gram.nonzero_rows
+    gram = [[sum(p[i][a] * x * p[j][b] for a, row in enumerate(rows) for b, x in row.items())
+             for j in range(n)] for i in range(n)]
+    return MetricLieAlgebra(changed, Matrix.from_rows(gram, cols=n))
+
+
+def direct_fingerprint(g: MetricLieAlgebra) -> Fingerprint:
+    """The fingerprint from its definitions: the center as the kernel of ad
+    (``lie_core.center``) and each signature by its own elimination, l^2's
+    of the form restricted to it."""
+    series = lower_central_series(g.algebra)
+    z = center(g.algebra)
+    return Fingerprint(
+        dim=g.algebra.dim,
+        signature=signature_of(g.gram),
+        series_dims=tuple(s.dim for s in series),
+        center_dim=z.dim,
+        center_signature=signature_of(z.form(g.gram)),
+        derived_signature=signature_of(series[1].form(g.gram)),
+    )
+
+
+def direct_series(l: LieAlgebra) -> tuple[Subspace, ...]:
+    """The lower central series by the direct loop: each term the span of
+    [e_i, w] over every e_i and every row w of the term before, up to the
+    zero term or a repeated one."""
+    everything, chain = set(range(l.dim)), [Subspace.full(l.dim)]
+    while chain[-1].dim:
+        chain.append(lie_core._bracket_span(l, everything, chain[-1]))
+        if chain[-1].dim == chain[-2].dim:
+            break
+    return tuple(chain)
 
 
 def scale_doubles() -> dict[str, MetricLieAlgebra]:
@@ -183,6 +225,13 @@ def scale_doubles() -> dict[str, MetricLieAlgebra]:
         "T*h_15": build_double(zero_cocycle(h15, module)),
         "T*fil_12": build_double(zero_cocycle(standard_filiform(12), module)),
     }
+
+
+@cache
+def filiform_double(n: int) -> MetricLieAlgebra:
+    """The double of the zero cocycle on the standard filiform algebra of
+    dimension ``n`` with the module diag(1, -1), built once per ``n``."""
+    return build_double(zero_cocycle(standard_filiform(n), orthonormal_module([1, -1])))
 
 
 def standard_filiform(n: int) -> LieAlgebra:

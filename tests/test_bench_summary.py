@@ -9,15 +9,16 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_summary.py"
 
 
-def run_output(workload, seed, ops_per_s, trace=0, failed=0, cpu="Test CPU"):
+def run_output(workload, seed, ops_per_s, trace=0, failed=0, cpu="Test CPU", rss=24.0,
+               attempted=40):
     metrics = {
         "setup_s": {"value": 0.04, "unit": "s"},
         "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
         "op_p50_ms": {"value": 1000 / ops_per_s, "unit": "ms"},
         "op_p90_ms": {"value": 1500 / ops_per_s, "unit": "ms"},
-        "peak_rss_mb": {"value": 24.0, "unit": "MB"},
+        "peak_rss_mb": {"value": rss, "unit": "MB"},
     }
-    result = {"correct": failed == 0, "attempted": 40, "failed": failed, "metrics": metrics}
+    result = {"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics}
     return (
         f"# cpu: {cpu}\n# nproc: 2\n# python: 3.11.7\n# workload: {workload}\n"
         f"# seed: {seed}\n# seconds: 15.0\n# trace: {trace}\n# 4 cycles of 1 1 1 1 s (wall)\n"
@@ -69,6 +70,34 @@ def test_pairs_runs_and_summarizes_each_metric(tmp_path):
     reject = bench["summary"]["reject"]["ops_per_s"]
     assert reject["pairs"] == 1 and reject["change_wins"] == 0  # a tie counts for neither
     assert reject["medians_differ_beyond_parent_iqr"] is None
+
+
+def test_marks_each_metric_within_its_bound_in_the_worse_direction(tmp_path):
+    """BENCHMARK.json bounds ops_per_s by 0.2 (higher is better), op_p50_ms
+    by 0.2 and peak_rss_mb by 0.1 (lower is better)."""
+    runs = []
+    for seed, (parent, change) in enumerate([(10.0, 7.5), (10.0, 8.5), (10.0, 8.0)]):
+        runs += [("parent", run_output("scale", seed, parent, rss=20.0, attempted=100)),
+                 ("change", run_output("scale", seed, change, rss=21.0 + seed,
+                                       attempted=130 + seed))]
+    for seed, (parent, change) in enumerate([(10.0, 13.0), (10.0, 14.0)], start=5):
+        runs += [("parent", run_output("catalog", seed, parent, rss=20.0)),
+                 ("change", run_output("catalog", seed, change, rss=23.0))]
+    done, bench = summarize(tmp_path, runs)
+    assert done.returncode == 0, done.stderr
+    scale, catalog = bench["summary"]["scale"], bench["summary"]["catalog"]
+    # median 8.0 is 20% below 10.0, on the bound; op_p50 125 ms is 25% above 100 ms
+    assert scale["ops_per_s"]["within_bound"] is True
+    assert scale["op_p50_ms"]["within_bound"] is False
+    # median 22 MB is 10% above 20 MB, on the bound; 23 MB is 15% above it
+    assert scale["peak_rss_mb"]["within_bound"] is True
+    assert catalog["peak_rss_mb"]["within_bound"] is False
+    assert catalog["ops_per_s"]["within_bound"] is True
+    assert catalog["op_p50_ms"]["within_bound"] is True
+    assert scale["peak_rss_mb"]["attempted_median"] == {"parent": 100, "change": 131}
+    lines = done.stdout.splitlines()
+    assert "scale: peak_rss_mb median 20.0 -> 22.0 MB at median attempted 100 -> 131 ops" in lines
+    assert "catalog: peak_rss_mb median 20.0 -> 23.0 MB at median attempted 40.0 -> 40.0 ops" in lines
 
 
 def test_refuses_runs_from_different_machines_and_foreign_files(tmp_path):

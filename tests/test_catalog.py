@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from metriclie import double_construction, lie_core
+from metriclie import lie_core
 from metriclie.catalog import (
     ENTRIES,
     CatalogEntry,
@@ -154,7 +154,7 @@ def test_catalog_bases_are_small_and_nilpotent():
         assert 2 * z.algebra.dim + z.module.dim <= 10
 
 
-def test_catalog_row_builds_each_series_and_center_once(monkeypatch):
+def test_catalog_row_builds_each_series_once_and_no_center(monkeypatch):
     base_algebra.cache_clear()
     built = {"series": [], "center": []}
 
@@ -168,10 +168,7 @@ def test_catalog_row_builds_each_series_and_center_once(monkeypatch):
     monkeypatch.setattr(
         lie_core, "_lower_central_series", counting("series", lie_core._lower_central_series)
     )
-    # the center is computed on each call: count every binding of it
-    center = counting("center", lie_core.center)
-    monkeypatch.setattr(lie_core, "center", center)
-    monkeypatch.setattr(double_construction, "center", center)
+    monkeypatch.setattr(lie_core, "center", counting("center", lie_core.center))
     entries = [entry_by_id("T1.3a.r01.g1"), entry_by_id("T1.3a.r01.g2")]
     report = run_catalog(entries=entries)
     assert report.all_ok and len(report.doubles) == 2
@@ -180,5 +177,6 @@ def test_catalog_row_builds_each_series_and_center_once(monkeypatch):
     doubles = [double.algebra for double in report.doubles]
     # the series of the shared base once, then of each double once
     assert built["series"] == [base, *doubles]
-    # the admissibility stages need no center, so only each double's fingerprint builds one
-    assert built["center"] == doubles
+    # the admissibility stages need no center, and a fingerprint reads the
+    # center of a double off its form as the orthogonal complement of l^2
+    assert built["center"] == []

@@ -10,12 +10,14 @@ from metriclie.catalog import (
     entry_by_id,
     g41,
     g64_admissible_cocycle,
+    g65_admissible_cocycle,
     heisenberg,
     instantiate,
     module_for_tag,
     run_catalog,
 )
 from metriclie.double_construction import (
+    Fingerprint,
     MetricCheck,
     MetricLieAlgebra,
     MetricReport,
@@ -35,6 +37,9 @@ from support import (
     dense_matrix_row,
     dense_nonzero_rows,
     dense_pairing,
+    direct_fingerprint,
+    filiform_double,
+    random_unimodular_basis_change,
     rational,
     rng,
     scale_doubles,
@@ -208,6 +213,50 @@ def test_scale_doubles_match_the_pinned_benchmark_fingerprints():
         assert text == pinned[name], name
 
 
+def gl2_with_its_trace_form():
+    """gl(2) on (e11, e12, e21, e22) with tr(XY): metric, not nilpotent, of
+    signature (1, 3, 0); l^2 = sl(2) has (1, 2, 0) and the center, the
+    scalars, (0, 1, 0)."""
+    brackets = {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {0: 1, 3: -1},
+                (1, 3): {1: 1}, (2, 3): {2: -1}}
+    gram = Matrix.from_rows([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    return MetricLieAlgebra(LieAlgebra(4, brackets), gram)
+
+
+def test_fingerprint_matches_its_definitions():
+    """The center read off the form as (l^2)^perp and l^2's signature read off
+    the signatures of G and of the center agree with ``lie_core.center`` and
+    the signature of l^2's own form, on the 95 catalog doubles, the scale
+    doubles, the g64 and g65 doubles and the filiform doubles of n = 3..13
+    with the module diag(1, -1), each also in a random unimodular basis,
+    where l^2 and the center are not spanned by basis vectors, and on gl(2)
+    with its trace form."""
+    rg = rng(3131)
+    doubles = [g for g in run_catalog().doubles if g is not None]
+    doubles += [*scale_doubles().values(), build_double(g64_admissible_cocycle()),
+                build_double(g65_admissible_cocycle())]
+    doubles += [filiform_double(n) for n in range(3, 14)]
+    assert len(doubles) == 95 + 2 + 2 + 11
+    cases = doubles + [random_unimodular_basis_change(rg, g, g.algebra.dim) for g in doubles]
+    gl2 = gl2_with_its_trace_form()
+    cases.append(gl2)
+    derived_kinds = set()
+    for g in cases:
+        assert verify_metric(g).ok
+        fp = fingerprint(g)
+        assert fp == direct_fingerprint(g)
+        derived_kinds.add(fp.derived_signature.neg == fp.derived_signature.pos)
+    assert derived_kinds == {True, False}  # a swap of neg and pos shows
+    assert fingerprint(gl2) == Fingerprint(4, Signature(1, 3, 0), (4, 3, 3), 1, Signature(0, 1, 0),
+                                           Signature(1, 2, 0))
+
+
+def test_fingerprint_refuses_a_degenerate_form():
+    for gram in (Matrix.zero(3, 3), Matrix.diagonal([1, 0, -1])):
+        with pytest.raises(ValueError, match="nondegenerate"):
+            fingerprint(MetricLieAlgebra(abelian(3), gram))
+
+
 def sparse_build_cocycles():
     """The scale workload's cocycles and one with nonzero alpha and gamma."""
     cocycles = [
@@ -223,9 +272,9 @@ def test_build_double_hands_the_constructor_sparse_rows(monkeypatch):
     dense, read = [], []
     original = lie_core._row_of
 
-    def counting(value, length, what):
+    def counting(value, length, what, *args):
         (read if isinstance(value, Mapping) else dense).append(value)
-        return original(value, length, what)
+        return original(value, length, what, *args)
 
     cocycles = sparse_build_cocycles()
     monkeypatch.setattr(lie_core, "_row_of", counting)

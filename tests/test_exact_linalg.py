@@ -23,7 +23,9 @@ from metriclie.catalog import (
     ENTRIES,
     MODULE_BUILDERS,
     g64,
+    g64_admissible_cocycle,
     g65,
+    g65_admissible_cocycle,
     heisenberg,
     instantiate,
     module_for_tag,
@@ -50,6 +52,7 @@ from support import (
     dense_solve_affine,
     dense_span,
     dense_vector,
+    filiform_double,
     five_dim_three_step,
     plain_product,
     plain_transpose,
@@ -183,6 +186,16 @@ def test_the_row_reader_is_the_one_way_from_a_value_to_a_stored_row():
                            ({-1: 1}, "v has an index out of range")):
         with pytest.raises(ValueError, match="^%s$" % message):
             _row_of(value, 3, "v")
+
+    class Unprintable:
+        def __str__(self):
+            raise AssertionError("the label was formatted")
+
+    # the label is a format and its arguments, formatted only for an error
+    for value in ((1, 0), {0: 1}):
+        assert _row_of(value, 2, "v%s", Unprintable()) == {0: 1}
+    with pytest.raises(ValueError, match=r"^value for \(0, 1\) has wrong length$"):
+        _row_of((1,), 2, "value for %s", (0, 1))
     rejected = [
         (lambda: LieAlgebra(3, {(0, 1): (0, 1)}), "bracket value for (0, 1) has wrong length"),
         (lambda: LieAlgebra(3, {(0, 1): {3: 1}}), "bracket value for (0, 1) has an index out of range"),
@@ -476,8 +489,14 @@ def test_sparse_signature_matches_the_dense_reference():
 
 
 def test_signatures_of_the_catalog_doubles_match_the_dense_reference():
+    """The Grams of the doubles and their restrictions to the center and to
+    l^2: the catalog entries, the scale, g64 and g65 doubles, and the
+    filiform doubles of n = 3..13 and 30 with module diag(1, -1), whose hyperbolic
+    blocks hold no diagonal entry."""
     doubles = [build_double(instantiate(e, {name: Fraction(1) for name in e.params})) for e in ENTRIES]
     doubles += scale_doubles().values()
+    doubles += [build_double(g64_admissible_cocycle()), build_double(g65_admissible_cocycle())]
+    doubles += [filiform_double(n) for n in (*range(3, 14), 30)]
     for metric in doubles:
         series = lower_central_series(metric.algebra)
         g = metric.gram

@@ -13,6 +13,7 @@ from metriclie.catalog import (
     g64,
     heisenberg,
     orthonormal_module,
+    run_catalog,
 )
 from metriclie.exact_linalg import Matrix, _combine, unit_vector
 from metriclie.lie_core import (
@@ -42,6 +43,8 @@ from support import (
     dense_kernel,
     dense_span,
     dense_vector,
+    direct_series,
+    filiform_double,
     is_canonical,
     random_sparse_table,
     random_unimodular_basis_change,
@@ -483,6 +486,71 @@ def test_a_declined_series_builds_at_most_dim_l2_layers(monkeypatch):
     assert [s.dim for s in series] == [3, 1, 1]  # the solvable table
     assert [s.dim for s in lie_core._lower_central_series(l)] == [32, *range(29, 0, -1), 1]
     assert spans == [28, 0, 0, 1]
+
+
+@pytest.fixture(scope="module")
+def layered_doubles():
+    """The filiform doubles of n = 3..30 (module diag(1, -1)) and the 95
+    catalog doubles, then the catalog doubles and the filiform doubles of
+    n <= 13 in a seeded random integral basis, where a layer's rows share
+    columns with the sum above it and back-eliminate into its pivot rows."""
+    rg = rng(3133)
+    doubles = [filiform_double(n) for n in range(3, 31)]
+    doubles += [g for g in run_catalog().doubles if g is not None]
+    changed = [random_unimodular_basis_change(rg, g, g.algebra.dim)
+               for g in doubles if g.algebra.dim <= 28]
+    return [g.algebra for g in doubles + changed]
+
+
+def test_the_running_sum_of_the_layers_is_the_direct_series(layered_doubles):
+    for l in layered_doubles:
+        assert lie_core._lower_central_series(l) == direct_series(l)
+
+
+def test_each_series_term_keeps_its_rows_while_the_later_ones_are_built(
+    monkeypatch, layered_doubles
+):
+    """Every term the running sum builds, T_c first and T_2 last, still holds
+    the rows it was built with when the series is done, though each later
+    layer back-eliminates into the pivot rows the terms were copied from."""
+    built, kept = [], []
+
+    def recording(ambient_dim, rows):
+        term = Subspace(ambient_dim, rows)
+        built.append(term)
+        kept.append(rows_snapshot(term))
+        return term
+
+    recording.of_rows, recording.full = Subspace.of_rows, Subspace.full
+    monkeypatch.setattr(lie_core, "Subspace", recording)
+    for l in layered_doubles:
+        built.clear()
+        kept.clear()
+        series = lie_core._lower_central_series(l)
+        assert built == list(reversed(series[1:-1])) and all(check() for check in kept)
+
+
+def test_the_running_sum_feeds_each_layer_to_the_elimination_once(monkeypatch):
+    """The rows handed to ``_reduce`` for one series of a filiform double: l^2,
+    then the layers (each from its brackets), and each layer once more into
+    the running sum; summing T_k = W_k + T_(k+1) afresh for each k fed 169
+    rows for n = 12 and 979 for n = 30."""
+    fed = []
+    original = exact_linalg._reduce
+
+    def counting(rows, pivots=None):
+        rows = list(rows)
+        fed.append(len(rows))
+        return original(rows, pivots)
+
+    monkeypatch.setattr(exact_linalg, "_reduce", counting)
+    monkeypatch.setattr(lie_core, "_reduce", counting, raising=False)
+    counts = []
+    for n in (12, 30):
+        fed.clear()
+        lie_core._lower_central_series(filiform_double(n).algebra)
+        counts.append(sum(fed))
+    assert counts == [73, 199]
 
 
 @pytest.fixture(scope="module")

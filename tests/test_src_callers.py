@@ -30,8 +30,10 @@ RESERVED = {
     "verify_equivalence_witness": 4,
     # item 1: the test that recovers the summands of orthogonal sums
     "direct_sum": 1,
-    # item 3: the report of which bases the scheme uses, read by paper item
+    # item 3: the report of which bases the scheme uses, read by paper item,
+    # and the center of its table of bases (a double's center is read off its form)
     "entries_for_item": 3,
+    "center": 3,
 }
 
 # called outside the tests by perfbench/ alone (ROADMAP 7(b): keep them, or
