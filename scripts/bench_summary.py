@@ -16,7 +16,10 @@ wins (ties count for neither side), the ratio of the medians, and whether
 the medians differ by more than the parent's interquartile range (null for
 a single parent run, which has no spread), and whether the change's median
 is within the metric's ``bound`` of the parent's in the worse direction
-(``within_bound``).  The median operations attempted per run go beside
+(``within_bound``).  ``gain_shown`` holds when the metric's gain is shown:
+at least 10 pairs, the change winning at least 9 in 10 of them, and its
+median better than the parent's by more than the parent's interquartile
+range (``medians_differ_beyond_parent_iqr`` holds for a loss too).  The median operations attempted per run go beside
 ``peak_rss_mb``, since the harness keeps every operation it runs, and are
 printed with it.  Traced
 runs are listed apart and left out of the summary.  Runs are listed in the
@@ -108,6 +111,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             wins = sum(
                 (value(c) < value(p)) if lower else (value(c) > value(p)) for p, c in pairs
             )
+            gain = parent[1] - change[1] if lower else change[1] - parent[1]
             entry[name] = {
                 "better": metric["better"],
                 "pairs": len(pairs),
@@ -120,6 +124,10 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                     if len(sides["parent"]) > 1 else None  # one run has no spread
                 ),
                 "within_bound": change[1] <= worst if lower else change[1] >= worst,
+                "gain_shown": (
+                    len(pairs) >= 10 and wins * 10 >= len(pairs) * 9
+                    and gain > parent[2] - parent[0]
+                ),
             }
             if name == "peak_rss_mb":
                 entry[name]["attempted_median"] = {

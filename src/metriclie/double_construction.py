@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact_linalg import Matrix, Scalar, Signature, Subspace, _combine, _Record, rank, signature_of
+from .exact_linalg import Matrix, Scalar, Signature, _combine, _Record, rank, signature_of
 from .lie_core import (
     LieAlgebra,
     is_nilpotent,
@@ -197,13 +197,15 @@ def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
     (every caller in the package checks that first); a form with a null
     part raises ValueError.
 
-    The form being invariant and nondegenerate, <[x, y], c> = <x, [y, c]>
-    makes the center z the orthogonal complement of l^2: the kernel of the
-    echelon rows of l^2 times G.  Then rad l^2 = l^2 meet z = rad z, of
-    dimension r (the null part of z's signature), and l^2/rad and z/rad are
-    orthogonal and fill rad^perp/rad, whose signature is (neg - r, pos - r).
-    So l^2 has signature (neg - neg_z - r, pos - pos_z - r, r), from the
-    signatures of G and of z's form, with no form restricted to l^2.
+    One form is restricted and eliminated besides G: G on l^2, B G B^T for
+    the echelon rows B of l^2 that the series already holds, of signature
+    (neg_2, pos_2, r).  The form being invariant and nondegenerate,
+    <[x, y], c> = <x, [y, c]> makes the center z the orthogonal complement
+    of l^2, so dim z = dim g - dim l^2, and rad z = z meet l^2 = rad l^2 has
+    dimension r.  Then l^2/rad and z/rad are orthogonal and fill
+    rad^perp/rad, whose signature is (neg - r, pos - r), so z has signature
+    (neg - neg_2 - r, pos - pos_2 - r, r): no basis of z is solved for and
+    no form is restricted to it.
     """
     gram = g.gram
     signature = signature_of(gram)
@@ -211,17 +213,15 @@ def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
         raise ValueError("fingerprint needs a nondegenerate form")
     series = lower_central_series(g.algebra)
     derived = series[1] if len(series) > 1 else series[0]  # l^2; dim 0 has one term
-    rows = gram.nonzero_rows
-    z = Subspace.kernel(gram.cols, [_combine(w, rows.__getitem__) for w in derived.rows])
-    center_signature = signature_of(z.form(gram))
-    r = center_signature.null
+    derived_signature = signature_of(derived.form(gram))
+    r = derived_signature.null
     return Fingerprint(
         dim=g.algebra.dim,
         signature=signature,
         series_dims=tuple([s.dim for s in series]),
-        center_dim=z.dim,
-        center_signature=center_signature,
-        derived_signature=Signature(
-            signature.neg - center_signature.neg - r, signature.pos - center_signature.pos - r, r
+        center_dim=g.algebra.dim - derived.dim,
+        center_signature=Signature(
+            signature.neg - derived_signature.neg - r, signature.pos - derived_signature.pos - r, r
         ),
+        derived_signature=derived_signature,
     )

@@ -227,8 +227,16 @@ class Matrix(_Record):
                                          for row in self.nonzero_rows]))
 
     def is_symmetric(self) -> bool:
-        # dict equality tries identity before __eq__, so shared entries compare at C speed
-        return self.rows == self.cols and self.transpose() == self
+        """Whether the matrix is square and each stored entry equals its
+        mirror, compared in place; a zero is not stored, so none is missed."""
+        rows = self.nonzero_rows
+        if len(rows) != self.cols:
+            return False
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if rows[j].get(i) != x:
+                    return False
+        return True
 
 
 def _reduce(

@@ -14,7 +14,7 @@ admissibility test's per-stage data (built by
 :mod:`~metriclie.quadratic_cohomology`, the central filtration among them)
 are computed at most once per instance and then reused.  The center is
 computed on each call; no module of the package asks for it, since the
-fingerprint of a double reads the center off its form.
+fingerprint of a double reads the center's invariants off the form on l^2.
 """
 
 from __future__ import annotations
@@ -213,26 +213,35 @@ def lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
 def _lower_central_series(l: LieAlgebra) -> tuple[Subspace, ...]:
     """The series summed from layers.  V is the e_v off the pivots of D = l^2
     (the span of the stored brackets), W_1 = span V, W_(j+1) = span [e_v, w]
-    (v in V, w a row of W_j; so W_2 is spanned by stored rows) and T_k = W_k +
-    T_(k+1), each layer fed once to one running elimination.  By Jacobi,
-    [W_a, W_b] lies in W_(a+b) (induction on a), so S = sum W_j is a
-    subalgebra; if W_(c+1) = 0 for some c <= dim D + 1 and T_2 = D, S
-    contains V + D = l, and l^k = S^k lies in T_k, which lies in l^k.  A
-    nilpotent Lie algebra never declines, as V generates it (de Graaf 2000)
-    and its class c is at most dim D + 1 (l^2 > ... > l^c > 0 in D).
+    (v in V, w a row of W_j; so W_2 is spanned by stored rows, and is D when
+    every stored bracket is among V) and T_k = W_k + T_(k+1): T_c = W_c is
+    already reduced, and each layer below it is fed once to one running
+    elimination.  By Jacobi, [W_a, W_b] lies in W_(a+b) (induction on a), so
+    S = sum W_j is a subalgebra; if W_(c+1) = 0 for some c <= dim D + 1 and
+    T_2 = D, S contains V + D = l, and l^k = S^k lies in T_k, which lies in
+    l^k.  A nilpotent Lie algebra never declines, as V generates it
+    (de Graaf 2000) and its class c is at most dim D + 1, since
+    l^2 > ... > l^c > 0 in D.
     Others, as gl(2) (T_2 < D), [x1, x2] = y, [x1, y] = y (no layer vanishes)
     and tables that break Jacobi, take the direct loop over every e_i."""
     n, upper = l.dim, list(l._upper())
     derived = Subspace.of_rows(n, [dict(p) for _, _, p in upper])  # D
     gens = set(range(n)).difference([min(row) for row in derived.rows])  # V
     if l._jacobi or l._jacobi is None and validate_jacobi(l).ok:
-        layers = [Subspace.of_rows(n, [dict(p) for u, v, p in upper if u in gens and v in gens])]
+        inner = [p for u, v, p in upper if u in gens and v in gens]
+        # W_2 has D's input rows when every bracket is among V (2-step algebras)
+        layers = [derived if len(inner) == len(upper) else
+                  Subspace.of_rows(n, [dict(p) for p in inner])]
         while layers[-1].dim and len(layers) <= derived.dim:  # layers[j] is W_(j+2)
             layers.append(_bracket_span(l, gens, layers[-1]))
-        # T_(c+1), then T_c, ..., T_2: one running elimination takes each layer
-        # into the pivot rows of the sum above it, and each term keeps copies
-        # of the pivot rows, since the layers below back-eliminate into them
-        sums, pivots = [layers.pop()], {}
+        # T_(c+1), then T_c = W_c, already reduced, then T_(c-1), ..., T_2: one
+        # running elimination takes each layer into the pivot rows of the sum
+        # above it, and each term keeps copies of the pivot rows, since the
+        # layers below back-eliminate into them
+        sums = [layers.pop()]
+        if layers:
+            sums.append(layers.pop())
+        pivots = {min(w): dict(w) for w in sums[-1].rows}
         for layer in reversed(layers):
             reduced = _reduce([dict(w) for w in layer.rows], pivots)
             sums.append(Subspace(n, tuple([dict(w) for _, w in reduced])))

@@ -192,6 +192,7 @@ def direct_fingerprint(g: MetricLieAlgebra) -> Fingerprint:
     (``lie_core.center``) and each signature by its own elimination, l^2's
     of the form restricted to it."""
     series = lower_central_series(g.algebra)
+    derived = series[1] if len(series) > 1 else series[0]  # the zero algebra's l^2
     z = center(g.algebra)
     return Fingerprint(
         dim=g.algebra.dim,
@@ -199,7 +200,7 @@ def direct_fingerprint(g: MetricLieAlgebra) -> Fingerprint:
         series_dims=tuple(s.dim for s in series),
         center_dim=z.dim,
         center_signature=signature_of(z.form(g.gram)),
-        derived_signature=signature_of(series[1].form(g.gram)),
+        derived_signature=signature_of(derived.form(g.gram)),
     )
 
 

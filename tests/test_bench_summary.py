@@ -70,6 +70,8 @@ def test_pairs_runs_and_summarizes_each_metric(tmp_path):
     reject = bench["summary"]["reject"]["ops_per_s"]
     assert reject["pairs"] == 1 and reject["change_wins"] == 0  # a tie counts for neither
     assert reject["medians_differ_beyond_parent_iqr"] is None
+    assert not any(m["gain_shown"] for e in bench["summary"].values() for m in e.values()
+                   if isinstance(m, dict) and "gain_shown" in m)  # fewer than 10 pairs
 
 
 def test_marks_each_metric_within_its_bound_in_the_worse_direction(tmp_path):
@@ -106,3 +108,38 @@ def test_refuses_runs_from_different_machines_and_foreign_files(tmp_path):
     assert done.returncode != 0 and "different machines" in done.stderr
     done, _ = summarize(tmp_path, [("parent", "no result here\n"), ("change", run_output("cli", 1, 9.0))])
     assert done.returncode != 0 and "result object" in done.stderr
+
+
+def test_shows_a_gain_on_ten_pairs_won_nine_times_beyond_the_parent_spread(tmp_path):
+    """``gain_shown`` needs at least 10 pairs, 9 in 10 of them won (a tie
+    counts for neither side) and a median better by more than the parent's
+    interquartile range; a loss as large differs beyond it but shows none."""
+    parent = [100.0 + seed % 5 for seed in range(10)]  # quartiles 101, 102, 103
+    workloads = {
+        "catalog": [p + 10 for p in parent[:9]] + [parent[9] - 1],  # won 9 of 10
+        "cli": [p + 10 for p in parent[:8]] + [parent[8], parent[9] - 1],  # 8, and a tie
+        "reject": [p - 10 for p in parent],  # a loss beyond the spread
+        "scale": [p + 1.5 for p in parent],  # won 10 of 10, by less than the spread
+    }
+    runs = []
+    for workload, change in workloads.items():
+        for seed, (p, c) in enumerate(zip(parent, change)):
+            runs += [("parent", run_output(workload, seed, p)),
+                     ("change", run_output(workload, seed, c))]
+    runs += [("parent", run_output("nine", seed, p)) for seed, p in enumerate(parent[:9])]
+    runs += [("change", run_output("nine", seed, p + 10)) for seed, p in enumerate(parent[:9])]
+    done, bench = summarize(tmp_path, runs)
+    assert done.returncode == 0, done.stderr
+    summary = bench["summary"]
+    catalog = summary["catalog"]
+    assert catalog["ops_per_s"]["change_wins"] == 9 and catalog["ops_per_s"]["gain_shown"] is True
+    assert catalog["op_p50_ms"]["gain_shown"] is True  # lower is better
+    assert summary["cli"]["ops_per_s"]["change_wins"] == 8
+    assert summary["cli"]["ops_per_s"]["gain_shown"] is False
+    reject = summary["reject"]
+    assert reject["ops_per_s"]["medians_differ_beyond_parent_iqr"] is True
+    assert reject["ops_per_s"]["gain_shown"] is False and reject["op_p50_ms"]["gain_shown"] is False
+    assert summary["scale"]["ops_per_s"]["change_wins"] == 10
+    assert summary["scale"]["ops_per_s"]["gain_shown"] is False
+    assert summary["nine"]["ops_per_s"]["pairs"] == 9
+    assert summary["nine"]["ops_per_s"]["gain_shown"] is False

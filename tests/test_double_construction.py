@@ -229,8 +229,10 @@ def test_fingerprint_matches_its_definitions():
     the signature of l^2's own form, on the 95 catalog doubles, the scale
     doubles, the g64 and g65 doubles and the filiform doubles of n = 3..13
     with the module diag(1, -1), each also in a random unimodular basis,
-    where l^2 and the center are not spanned by basis vectors, and on gl(2)
-    with its trace form."""
+    where l^2 and the center are not spanned by basis vectors, on gl(2)
+    with its trace form, on an abelian algebra (l^2 = 0, so the center is
+    everything) with a form of unequal neg and pos, and on the zero
+    algebra."""
     rg = rng(3131)
     doubles = [g for g in run_catalog().doubles if g is not None]
     doubles += [*scale_doubles().values(), build_double(g64_admissible_cocycle()),
@@ -239,16 +241,25 @@ def test_fingerprint_matches_its_definitions():
     assert len(doubles) == 95 + 2 + 2 + 11
     cases = doubles + [random_unimodular_basis_change(rg, g, g.algebra.dim) for g in doubles]
     gl2 = gl2_with_its_trace_form()
-    cases.append(gl2)
-    derived_kinds = set()
+    flat = MetricLieAlgebra(abelian(3), Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 2]]))
+    zero = MetricLieAlgebra(abelian(0), Matrix.zero(0, 0))
+    cases += [gl2, flat, zero]
+    derived_kinds, center_kinds, radicals = set(), set(), set()
     for g in cases:
         assert verify_metric(g).ok
         fp = fingerprint(g)
         assert fp == direct_fingerprint(g)
         derived_kinds.add(fp.derived_signature.neg == fp.derived_signature.pos)
-    assert derived_kinds == {True, False}  # a swap of neg and pos shows
+        center_kinds.add(fp.center_signature.neg == fp.center_signature.pos)
+        radicals.add(fp.center_signature.null > 0)
+    # a swap of neg and pos shows in either signature, and so does a null part
+    assert derived_kinds == center_kinds == radicals == {True, False}
     assert fingerprint(gl2) == Fingerprint(4, Signature(1, 3, 0), (4, 3, 3), 1, Signature(0, 1, 0),
                                            Signature(1, 2, 0))
+    assert fingerprint(flat) == Fingerprint(3, Signature(1, 2, 0), (3, 0), 3, Signature(1, 2, 0),
+                                            Signature(0, 0, 0))
+    assert fingerprint(zero) == Fingerprint(0, Signature(0, 0, 0), (0,), 0, Signature(0, 0, 0),
+                                            Signature(0, 0, 0))
 
 
 def test_fingerprint_refuses_a_degenerate_form():

@@ -446,6 +446,11 @@ def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
     cases = [
         ([[0, half], [other_half, 0]], 2),  # equal values, distinct objects
         ([[1, 2, 3], [2, 1, 0]], 3),  # not square
+        ([[0, 5, 0], [0, 0, 0], [0, 0, 1]], 3),  # a stored entry above, its mirror absent
+        ([[0, 0, 0], [0, 0, 0], [7, 0, 1]], 3),  # a stored entry below, its mirror absent
+        ([[1, 2, 0], [3, 1, 0], [0, 0, 4]], 3),  # a mirror with another value
+        ([[1, 0], [0, 1], [0, 0]], 2),  # not square, the square block symmetric
+        ([[2, 0, 0], [0, -1, 0], [0, 0, Fraction(1, 3)]], 3),  # diagonal only
     ]
     for _ in range(600):
         _, grid = random_symmetric_grid(rg)
@@ -475,7 +480,9 @@ def test_is_symmetric_and_nonzero_rows_match_the_dense_reference():
         assert m.nonzero_rows == expected
         verdicts[m.is_symmetric()] += 1
     assert verdicts[True] > 1000 and verdicts[False] > 800
-    assert matrices[0][0].is_symmetric() and not matrices[1][0].is_symmetric()
+    named = [m.is_symmetric() for m, _, _ in matrices[:7]]
+    assert named == [True, False, False, False, False, False, True]
+    assert Matrix.zero(0, 0).is_symmetric() and Matrix.diagonal([3, 0, -1]).is_symmetric()
 
 
 def test_sparse_signature_matches_the_dense_reference():

@@ -510,31 +510,39 @@ def test_the_running_sum_of_the_layers_is_the_direct_series(layered_doubles):
 def test_each_series_term_keeps_its_rows_while_the_later_ones_are_built(
     monkeypatch, layered_doubles
 ):
-    """Every term the running sum builds, T_c first and T_2 last, still holds
-    the rows it was built with when the series is done, though each later
-    layer back-eliminates into the pivot rows the terms were copied from."""
+    """Every subspace the series builds, each layer and each term among them,
+    still holds the rows it was built with when the series is done, though
+    each later layer back-eliminates into the pivot rows copied from the
+    terms, and T_c, the top nonzero layer itself, from that layer."""
     built, kept = [], []
 
-    def recording(ambient_dim, rows):
-        term = Subspace(ambient_dim, rows)
+    def record(term):
         built.append(term)
         kept.append(rows_snapshot(term))
         return term
 
-    recording.of_rows, recording.full = Subspace.of_rows, Subspace.full
+    def recording(ambient_dim, rows):
+        return record(Subspace(ambient_dim, rows))
+
+    recording.of_rows = lambda ambient_dim, rows: record(Subspace.of_rows(ambient_dim, rows))
+    recording.full = Subspace.full
     monkeypatch.setattr(lie_core, "Subspace", recording)
     for l in layered_doubles:
         built.clear()
         kept.clear()
         series = lie_core._lower_central_series(l)
-        assert built == list(reversed(series[1:-1])) and all(check() for check in kept)
+        assert all(any(t is term for t in built) for term in series[1:-1])
+        assert all(check() for check in kept)
 
 
 def test_the_running_sum_feeds_each_layer_to_the_elimination_once(monkeypatch):
-    """The rows handed to ``_reduce`` for one series of a filiform double: l^2,
-    then the layers (each from its brackets), and each layer once more into
-    the running sum; summing T_k = W_k + T_(k+1) afresh for each k fed 169
-    rows for n = 12 and 979 for n = 30."""
+    """The rows handed to ``_reduce`` for one series of the T*h_15 double and
+    of the filiform doubles of n = 12 and 30: l^2, then the layers (each from
+    its brackets; W_2 is l^2 itself when every bracket is among V, as in the
+    2-step T*h_15), and each layer below the top nonzero one once more into
+    the running sum.  Summing T_k = W_k + T_(k+1) afresh for each k fed 169
+    rows for n = 12 and 979 for n = 30; reducing W_2 and the top layer again
+    fed 57 for T*h_15, 73 and 199."""
     fed = []
     original = exact_linalg._reduce
 
@@ -546,11 +554,11 @@ def test_the_running_sum_feeds_each_layer_to_the_elimination_once(monkeypatch):
     monkeypatch.setattr(exact_linalg, "_reduce", counting)
     monkeypatch.setattr(lie_core, "_reduce", counting, raising=False)
     counts = []
-    for n in (12, 30):
+    for g in (scale_doubles()["T*h_15"], filiform_double(12), filiform_double(30)):
         fed.clear()
-        lie_core._lower_central_series(filiform_double(n).algebra)
+        lie_core._lower_central_series(g.algebra)
         counts.append(sum(fed))
-    assert counts == [73, 199]
+    assert counts == [21, 70, 196]
 
 
 @pytest.fixture(scope="module")
