@@ -17,6 +17,12 @@ never the whole kernel of the bracket pairing; ``cohomology``
 eliminates the nonzero entries of d on the bases of C^(p-1) and C^p, whose
 two matrices may have at most ``MAX_COHOMOLOGY_CELLS`` entries together
 (``--degree 3`` on the 17-dim abelian algebra: about 0.02 s).
+
+Each command runs in a fresh process, so each imports only the modules it
+runs: at the top the reader and writer of documents and what ``cohomology``
+needs; :mod:`~metriclie.quadratic_cohomology`,
+:mod:`~metriclie.double_construction` and :mod:`~metriclie.catalog` inside
+the commands that call them.
 """
 
 from __future__ import annotations
@@ -31,31 +37,21 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 from . import schema
 from .cochain_complex import OrthogonalModule, cohomology_dim
-from .double_construction import (
-    MetricLieAlgebra,
-    build_double,
-    fingerprint,
-    verify_metric,
-)
 from .exact_linalg import signature_of
 from .lie_core import (
+    ConsistencyError,
     LieAlgebra,
     MathError,
     is_nilpotent,
     lower_central_series,
     require_jacobi,
 )
-from .quadratic_cohomology import (
-    AdmissibilityReport,
-    ConsistencyError,
-    QuadraticCocycle,
-    check_admissible,
-    indecomposability_proxy,
-)
 from .schema import SchemaError
 
 if TYPE_CHECKING:
     from .catalog import CatalogRow
+    from .double_construction import MetricLieAlgebra
+    from .quadratic_cohomology import AdmissibilityReport, QuadraticCocycle
 
 DATA_ENV = "METRICLIE_DATA"
 
@@ -138,6 +134,8 @@ def assemble_cocycle(
 ) -> QuadraticCocycle:
     """The cocycle of a payload in the context of ``--algebra``/``--module``
     or, when those are not given, of the documents it embeds."""
+    from .quadratic_cohomology import QuadraticCocycle
+
     algebra, gram = schema.cocycle_context(payload, where)
     if algebra_doc is not None:
         algebra = load_kind(algebra_doc, "lie_algebra")
@@ -199,6 +197,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cocycle = assemble_cocycle(parsed, args.algebra, args.module)
         fields = {"algebra_dim": cocycle.algebra.dim, "module_dim": cocycle.module.dim}
     elif kind == "metric_lie_algebra":
+        from .double_construction import MetricLieAlgebra, fingerprint, verify_metric
+
         bounded(parsed.algebra)
         provenance = None
         if parsed.provenance is not None:
@@ -225,6 +225,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _check_provenance(metric: MetricLieAlgebra) -> None:
     """The double of ``metric.provenance`` must have the brackets and the form
     of ``metric``; the labels may differ."""
+    from .double_construction import build_double
+
     if not is_nilpotent(metric.provenance.algebra):
         raise MathError("provenance: the algebra of the cocycle is not nilpotent")
     rebuilt = build_double(metric.provenance)
@@ -238,6 +240,8 @@ def _fingerprint_payload(fp) -> dict:
 
 
 def cmd_admissible(args: argparse.Namespace) -> int:
+    from .quadratic_cohomology import check_admissible, indecomposability_proxy
+
     parsed = load_kind(args.document, "cocycle")
     cocycle = assemble_cocycle(parsed, args.algebra, args.module)
     rep = check_admissible(cocycle)
@@ -248,6 +252,8 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def cmd_double(args: argparse.Namespace) -> int:
+    from .double_construction import build_double, fingerprint
+
     parsed = load_kind(args.document, "cocycle")
     metric = build_double(assemble_cocycle(parsed, args.algebra, args.module))
     emit(schema.wrap("metric_lie_algebra", schema.metric_to_payload(metric)), args.out)

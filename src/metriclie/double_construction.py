@@ -16,17 +16,20 @@ with ``l`` dually and restricts to the module form on ``a``:
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exact_linalg import Matrix, Scalar, Signature, _combine, _Record, rank, signature_of
 from .lie_core import (
+    ConsistencyError,
     LieAlgebra,
     is_nilpotent,
     lower_central_series,
     nilpotency_index,
     validate_jacobi,
 )
-from .quadratic_cohomology import ConsistencyError, QuadraticCocycle
+
+if TYPE_CHECKING:
+    from .quadratic_cohomology import QuadraticCocycle
 
 
 class MetricLieAlgebra(_Record):

@@ -42,6 +42,13 @@ class NotNilpotentError(MathError):
     """Raised by operations that are only defined for nilpotent algebras."""
 
 
+class ConsistencyError(ValueError):
+    """Raised when an exact re-check of a computed result fails.
+
+    This signals an internal inconsistency, never malformed input.
+    """
+
+
 class JacobiReport(NamedTuple):
     """Outcome of a Jacobi check: either a pass or the first failing triple."""
 

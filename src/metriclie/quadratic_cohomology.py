@@ -53,20 +53,19 @@ from .exact_linalg import (
     _reduce,
     _sum,
 )
-from .lie_core import LieAlgebra, MathError, lower_central_series, nilpotency_index
+from .lie_core import (
+    ConsistencyError,
+    LieAlgebra,
+    MathError,
+    lower_central_series,
+    nilpotency_index,
+)
 
 _HALF = Fraction(1, 2)
 
 
 class CocycleError(MathError):
     """Raised when (alpha, gamma) fails the quadratic cocycle conditions."""
-
-
-class ConsistencyError(ValueError):
-    """Raised when an exact re-check of a computed result fails.
-
-    This signals an internal inconsistency, never malformed input.
-    """
 
 
 def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:

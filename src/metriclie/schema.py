@@ -22,13 +22,15 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, NamedTuple
 
 from .cochain_complex import Cochain, OrthogonalModule, sort_with_sign
-from .double_construction import MetricLieAlgebra
 from .exact_linalg import Matrix, Scalar, Vector, _quo
 from .lie_core import LieAlgebra
-from .quadratic_cohomology import QuadraticCocycle
+
+if TYPE_CHECKING:
+    from .double_construction import MetricLieAlgebra
+    from .quadratic_cohomology import QuadraticCocycle
 
 SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")  # the whole string, ASCII digits only: fullmatch
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import metriclie
 from metriclie import catalog as cat
-from metriclie import cli, schema
+from metriclie import cli, double_construction, schema
 from metriclie.catalog import g41, g64, g64_admissible_cocycle, module_for_tag
 from metriclie.cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
 from metriclie.double_construction import Fingerprint, build_double, fingerprint
@@ -670,7 +670,7 @@ def test_catalog_out_reuses_the_catalog_doubles(tmp_path, monkeypatch, capsys):
         return build_double(cocycle)
 
     monkeypatch.setattr(cat, "build_double", counting_build)
-    monkeypatch.setattr(cli, "build_double", counting_build)
+    monkeypatch.setattr(double_construction, "build_double", counting_build)
     out_dir = tmp_path / "doubles"
     code, doc = run(capsys, "catalog", "--entries", "T1.3b.r02", "--out", str(out_dir))
     assert code == 0
