@@ -11,9 +11,10 @@ The size limits bound the enumerated work and are checked before it starts:
 ``verify``, ``admissible`` and ``double`` enumerate the lower central series,
 the center, the central filtration and the tensor basis l (x) l^(k+1) of the
 algebra, so they take dimension at most ``MAX_DIM`` (``admissible`` on the
-64-dim abelian zero cocycle: about 0.3 s on a 2-core Xeon).  A failing (B_k)
-reports at most dim a kernel tensors, each a dim l x dim l^(k+1) matrix,
-never the whole kernel of the bracket pairing; ``cohomology``
+64-dim abelian zero cocycle: about 0.1 s on a 2-core Xeon), and so does a
+module in every command, as its form is eliminated (a dense 120-dim one took
+8 s).  A failing (B_k) reports at most dim a kernel tensors, each a dim l x
+dim l^(k+1) matrix, never the whole kernel of the bracket pairing; ``cohomology``
 eliminates the nonzero entries of d on the bases of C^(p-1) and C^p, whose
 two matrices may have at most ``MAX_COHOMOLOGY_CELLS`` entries together
 (``--degree 3`` on the 17-dim abelian algebra: about 0.02 s).
@@ -33,11 +34,11 @@ import sys
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence, TypeVar
 
 from . import schema
 from .cochain_complex import OrthogonalModule, cohomology_dim
-from .exact_linalg import signature_of
+from .exact_linalg import Matrix, signature_of
 from .lie_core import (
     ConsistencyError,
     LieAlgebra,
@@ -62,6 +63,7 @@ EXIT_SCHEMA = 2
 MAX_DIM = 64
 MAX_COHOMOLOGY_CELLS = 2_000_000
 MAX_NAME_BYTES = 255  # a file name component on common file systems
+_Sized = TypeVar("_Sized", LieAlgebra, Matrix)  # what bounded checks
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +122,12 @@ def report(command: str, **fields) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def bounded(algebra: LieAlgebra) -> LieAlgebra:
-    """The algebra itself, if its dimension is within ``MAX_DIM``."""
-    if algebra.dim > MAX_DIM:
-        raise SchemaError(
-            f"algebra dimension {algebra.dim} is over the limit MAX_DIM = {MAX_DIM}"
-        )
-    return algebra
+def bounded(x: _Sized) -> _Sized:
+    """An algebra, or a module's form, if its dimension is within ``MAX_DIM``."""
+    what, dim = ("module", x.rows) if isinstance(x, Matrix) else ("algebra", x.dim)
+    if dim > MAX_DIM:
+        raise SchemaError(f"{what} dimension {dim} is over the limit MAX_DIM = {MAX_DIM}")
+    return x
 
 
 def assemble_cocycle(
@@ -150,7 +151,7 @@ def assemble_cocycle(
             "cocycle document has no module context; pass --module or embed one"
         )
     algebra = require_jacobi(bounded(algebra))
-    module = OrthogonalModule(gram)
+    module = OrthogonalModule(bounded(gram))
     alpha, gamma = schema.parse_cochains(payload, algebra.dim, module.dim, where)
     return QuadraticCocycle(algebra, module, alpha, gamma)
 
@@ -191,7 +192,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         series = [s.dim for s in lower_central_series(algebra)]
         fields = {"nilpotent": is_nilpotent(algebra), "series_dims": series}
     elif kind == "module":
-        module = OrthogonalModule(parsed)
+        module = OrthogonalModule(bounded(parsed))
         fields = {"dim": module.dim, "signature": list(signature_of(module.gram).as_tuple())}
     elif kind == "cocycle":
         cocycle = assemble_cocycle(parsed, args.algebra, args.module)
@@ -273,7 +274,7 @@ def cmd_cohomology(args: argparse.Namespace) -> int:
     algebra = require_jacobi(load_kind(args.document, "lie_algebra"))
     module = None
     if args.module is not None:
-        module = OrthogonalModule(load_kind(args.module, "module"))
+        module = OrthogonalModule(bounded(load_kind(args.module, "module")))
     if args.degree < 0:
         raise SchemaError("--degree must be nonnegative")
     n, m, p = algebra.dim, 1 if module is None else module.dim, args.degree

@@ -56,11 +56,6 @@ def _quo(x: Scalar, y: Scalar) -> Scalar:
     return _canon(x / y)
 
 
-def _sum(terms: list[Scalar]) -> Scalar:
-    """The canonical sum of ``terms``, started at the first one (0 for none)."""
-    return _canon(sum(terms[1:], terms[0])) if terms else 0
-
-
 def scalar(value: int | str | Fraction) -> Scalar:
     """Coerce an int, a ``p/q`` string or a Fraction to a canonical scalar."""
     return _canon(value)

@@ -13,8 +13,8 @@ on construction, keeping its verdict; a flag skips it for broken test tables.
 admissibility test's per-stage data (built by
 :mod:`~metriclie.quadratic_cohomology`, the central filtration among them)
 are computed at most once per instance and then reused.  The center is
-computed on each call; no module of the package asks for it, since the
-fingerprint of a double reads the center's invariants off the form on l^2.
+computed on each call, as the center met with a subspace, as is each
+admissibility stage; a double's fingerprint reads its invariants off l^2.
 """
 
 from __future__ import annotations
@@ -276,13 +276,19 @@ def is_nilpotent(l: LieAlgebra) -> bool:
 
 def center(l: LieAlgebra) -> Subspace:
     """Kernel of the adjoint representation, canonicalized."""
-    # the nonzero rows of the ad(e_i): entry j of row (i, t) is [e_i, e_j]_t
-    rows: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for i, brackets in sorted(l._rows.items()):
-        for j, p in brackets.items():
-            for t, c in p.items():
-                rows.setdefault((i, t), {})[j] = c
-    return Subspace.kernel(l.dim, rows.values())
+    return _center_in(l, Subspace.full(l.dim))
+
+
+def _center_in(l: LieAlgebra, s: Subspace) -> Subspace:
+    """The center met with ``s``: the w = sum c_j w_j over its echelon rows w_j
+    with [e_i, w] = 0 for each e_i that has a stored bracket, so c lies in the
+    kernel of the rows (i, t) whose entry j is [e_i, w_j]_t."""
+    ad: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for u, image in enumerate(l.ad_rows(l._rows, s.rows)):
+        for t, x in image.items():
+            ad.setdefault((u // s.dim, t), {})[u % s.dim] = x
+    kernel = Subspace.kernel(s.dim, ad.values())
+    return Subspace.of_rows(l.dim, [_combine(c, s.rows.__getitem__) for c in kernel.rows])
 
 
 def nilpotency_index(l: LieAlgebra) -> int:

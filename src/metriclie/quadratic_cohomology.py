@@ -17,13 +17,13 @@ classification scheme uses.  It checks, for every stage k of the central
 filtration, a linear condition (A_k) ruling out central directions that
 alpha and gamma cannot see, and a nondegeneracy condition (B_k) on the
 alpha-image of the kernel of the bracket pairing.  What they need of ``l``
-alone (the series terms, the coordinates of each [e_i, w_j] in l^(k+1),
-the kernel of the bracket pairing and the stage, the center met with
-l^(k+1), as the kernel of ad on l^(k+1)) is built in one pass over the
-tensor basis of l (x) l^(k+1) per stage, once per ``LieAlgebra`` instance,
-and kept on it; each test then adds only alpha and gamma, in one more pass.
-Every kernel comes from the sparse elimination, and every kernel here reads
-alpha and gamma from their stored rows ``{t: c}``.  Admissibility does not
+alone (the series terms, the coordinates of each [e_i, w_j] in l^(k+1) and
+the kernel of the bracket pairing, from one pass over the tensor basis of
+l (x) l^(k+1), and the stage, the center met with l^(k+1)) is built once
+per ``LieAlgebra`` instance and kept on it; each test then adds alpha and
+gamma, read from their stored rows ``{t: c}`` in one more pass through
+``_combine``.  (A_k) is one kernel, (B_k) one running span of the images
+that stops at dim a, and the form's rank on a smaller one.  Admissibility does not
 make the double indecomposable; :func:`indecomposability_proxy` checks only
 a necessary condition for that.
 """
@@ -51,12 +51,12 @@ from .exact_linalg import (
     _kernel,
     _Record,
     _reduce,
-    _sum,
 )
 from .lie_core import (
     ConsistencyError,
     LieAlgebra,
     MathError,
+    _center_in,
     lower_central_series,
     nilpotency_index,
 )
@@ -238,15 +238,15 @@ class AdmissibilityReport(NamedTuple):
 class _Stage(NamedTuple):
     """What stage k of the admissibility test reads from ``l`` alone.
 
-    ``z_rows[i * d1 + j]`` is minus the coordinates {t: -c} of a nonzero
-    [e_i, w_j] in the echelon rows w of the series term l^(k+1), d1 = its
-    dimension; ``kernel`` is the sparse kernel of the bracket pairing
-    l (x) l^(k+1) -> l over the same tensor indices.  Every cocycle on ``l``
-    shares the rows, so nothing may modify them.
+    ``columns[s]`` is {u: -b_u[s]} over the stage's echelon rows b_u;
+    ``z_rows[i * d1 + j]`` the coordinates {t: -c} of -[e_i, w_j] != 0 in the
+    echelon rows w of l^(k+1), d1 = its dimension; ``kernel`` the kernel of the
+    pairing l (x) l^(k+1) -> l on those indices.  All are shared: none may change.
     """
 
     stage: Subspace
     series_term: Subspace
+    columns: dict[int, dict[int, Scalar]]
     z_rows: dict[int, dict[int, Scalar]]
     kernel: tuple[dict[int, Scalar], ...]
 
@@ -255,10 +255,8 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
     """The algebra's half of the admissibility test for each stage k = 0..m
     of the central filtration, built on the first call and kept on ``l``:
     one pass over the tensor basis e_i (x) w_j of l (x) l^(k+1) reads each
-    [e_i, w_j] once, for its coordinates, for the bracket pairing and for
-    the stage.  The stage l_(k), the center met with l^(k+1), is the
-    w = sum c_j w_j with [e_i, w] = 0 for every i: the kernel of the rows
-    (i, t) whose entry j is [e_i, w_j]_t, mapped through the echelon rows w_j.
+    [e_i, w_j] once, for its coordinates and for the bracket pairing.  The
+    stage l_(k) is the center met with l^(k+1), from ``lie_core``.
 
     A non-nilpotent algebra raises NotNilpotentError from
     :func:`nilpotency_index`, and a bracket outside its series term raises
@@ -272,22 +270,21 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
             z_rows: dict[int, dict[int, Scalar]] = {}
             # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
             pairing: dict[int, dict[int, Scalar]] = {}
-            ad: dict[tuple[int, int], dict[int, Scalar]] = {}  # row (i, t): entry j likewise
             for u, image in enumerate(l.ad_rows(range(n), series_term.rows)):
                 if image:
                     coords = series_term.coords(image)
                     if coords is None:
                         raise ConsistencyError("bracket left the series term, series data corrupt")
                     z_rows[u] = {t: -y for t, y in coords.items()}
-                    i, j = divmod(u, d1)
                     for t, x in image.items():
                         pairing.setdefault(t, {})[u] = x
-                        ad.setdefault((i, t), {})[j] = x
             kernel = _kernel(_reduce(pairing.values()), n * d1)
-            central = _kernel(_reduce(ad.values()), d1)
-            w_of = series_term.rows.__getitem__
-            stage = Subspace.of_rows(n, [_combine(c, w_of) for c in central])
-            stages.append(_Stage(stage, series_term, z_rows, tuple(kernel)))
+            stage = _center_in(l, series_term)
+            columns: dict[int, dict[int, Scalar]] = {}
+            for u, b in enumerate(stage.rows):
+                for s, x in b.items():
+                    columns.setdefault(s, {})[u] = -x
+            stages.append(_Stage(stage, series_term, columns, z_rows, tuple(kernel)))
         l._stages = tuple(stages)
     return l._stages
 
@@ -301,7 +298,7 @@ def _stage_report(
 ) -> ConditionKReport:
     """(A_k) and (B_k) from the algebra's half of stage k, reading alpha(e_i,
     w_j) once per tensor e_i (x) w_j of l (x) l^(k+1); every contraction is a
-    sum of sparse rows through :func:`_combine`.
+    sum of sparse rows through :func:`_combine`, and each condition one elimination.
 
     (A_k): any L0 in the stage admitting compatible (A0, Z0) must be zero.
     The constraints are linear in (L0, A0, Z0) jointly, so the condition
@@ -309,10 +306,12 @@ def _stage_report(
     basis, then A0, then Z0) projecting to zero on the L0 block.
 
     (B_k): alpha maps the kernel of the bracket pairing l (x) l^(k+1) -> l
-    onto a nondegenerate subspace of the module.
+    onto a nondegenerate subspace of the module.  One elimination takes the
+    kernel tensors' images in order up to rank dim a; those that raised the
+    rank are the witness.
     """
     l, module = z.algebra, z.module
-    stage, series_term, z_rows, kernel = half
+    stage, series_term, columns, z_rows, kernel = half
     n, m = l.dim, module.dim
     d0, d1 = stage.dim, series_term.dim
     z_off = d0 + m
@@ -324,16 +323,12 @@ def _stage_report(
         # alpha(e_i, L0) = 0, one row per module coordinate
         alpha_on_stage = [_combine(b, alpha_i.get) for b in stage.rows]
         a_rows += ({u: a[t] for u, a in enumerate(alpha_on_stage) if t in a} for t in range(m))
-        # gamma(e_i, b_u, .) for the stage rows b_u with a nonzero one
-        gamma_stage = [(u, gb) for u, gb in enumerate(_combine(b, gamma_i.get) for b in stage.rows)
-                       if gb]
-        # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0
+        # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0, entry u of
+        # the first term gamma(e_i, b_u, w) = -gamma(e_i, w, b_u) from the columns
         for j, w in enumerate(series_term.rows):
             alpha_iw = _combine(w, alpha_i.get)
             alpha_on_tensor.append(alpha_iw)
-            gamma_iw = ((u, _sum([x * gb[t] for t, x in w.items() if t in gb]))
-                        for u, gb in gamma_stage)
-            row = {u: y for u, y in gamma_iw if y}
+            row = _combine(_combine(w, gamma_i.get), columns.get)
             row.update((d0 + t, y) for t, y in _combine(alpha_iw, gram_rows.__getitem__).items())
             if i * d1 + j in z_rows:
                 row.update((z_off + t, y) for t, y in z_rows[i * d1 + j].items())
@@ -346,21 +341,24 @@ def _stage_report(
         l0 = _combine({u: x for u, x in v.items() if u < d0}, stage.rows.__getitem__)
         head = _dense(v, unknowns)
         a_witness = (_dense(l0, n), head[d0:z_off], head[z_off:])
-    image = Subspace.of_rows(m, [_combine(vec, alpha_on_tensor.__getitem__) for vec in kernel])
+    pivots: dict[int, dict[int, Scalar]] = {}
+    raised: list[int] = []  # the kernel tensors whose image raised the rank
+
+    def images():  # each image is reduced before the next is drawn
+        for u, vec in enumerate(kernel):
+            if (rank := len(pivots)) == m:
+                return
+            yield _combine(vec, alpha_on_tensor.__getitem__)
+            if len(pivots) > rank:
+                raised.append(u)
+
+    image = Subspace(m, tuple([row for _, row in _reduce(images(), pivots)]))
     # the whole module is nondegenerate: OrthogonalModule refuses a degenerate form
     b_passed = image.dim == m or image.is_nondegenerate(module.gram)
-    b_witness = None
-    if not b_passed:
-        # row t: entry u is the e_t component of the image of kernel tensor u, so the
-        # pivots are the tensors, in kernel order, whose images are independent
-        images: dict[int, dict[int, Scalar]] = {}
-        for u, vec in enumerate(kernel):
-            for t, x in _combine(vec, alpha_on_tensor.__getitem__).items():
-                images.setdefault(t, {})[u] = x
-        b_witness = tuple(  # each as its n x d1 coefficient matrix
-            tuple(tuple(kernel[u].get(i * d1 + j, 0) for j in range(d1)) for i in range(n))
-            for u, _ in _reduce(images.values())
-        )
+    b_witness = None if b_passed else tuple(  # each as its n x d1 coefficient matrix
+        tuple(tuple(kernel[u].get(i * d1 + j, 0) for j in range(d1)) for i in range(n))
+        for u in raised
+    )
     return ConditionKReport(k, a_witness is None, b_passed, image.dim, a_witness, b_witness)
 
 

@@ -34,7 +34,7 @@ from metriclie.quadratic_cohomology import (
 )
 from metriclie.schema import algebra_to_payload, cocycle_to_payload, module_to_payload
 
-from support import alternating_value, dense_combination, sparse_row
+from support import alternating_value, dense_combination, rng, sparse_row
 from test_golden import golden_commands
 
 
@@ -467,6 +467,52 @@ def test_inputs_over_the_size_limits_exit_2_at_once(tmp_path, capsys):
         assert code == 2, argv
         assert doc["kind"] == "report" and doc["payload"]["ok"] is False
         assert limit in doc["payload"]["error"], argv
+
+
+def test_a_module_over_max_dim_exits_2_before_its_form_is_eliminated(tmp_path, monkeypatch, capsys):
+    """A module of dimension MAX_DIM + 1 is refused before its form is checked,
+    as a document, as --module and embedded in a cocycle or in a double's
+    provenance, in every command that reads one; one of dimension MAX_DIM is
+    accepted.  The forms are dense, so an elimination would show in the time."""
+    rg = rng(3434)
+
+    def write_cases(n):
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n):
+            grid[i][i] = rg.randint(1, 9)
+            for j in range(i):
+                grid[i][j] = grid[j][i] = rg.randint(-9, 9)
+        payload = {"dim": n, "gram": [[str(x) for x in row] for row in grid]}
+        module = write_doc(tmp_path, f"m{n}.json", schema.wrap("module", payload))
+        zero = {"alpha": [], "gamma": [], "algebra": {"dim": 1, "brackets": []}, "module": payload}
+        cocycle = write_doc(tmp_path, f"z{n}.json", schema.wrap("cocycle", zero))
+        metric = write_doc(tmp_path, f"d{n}.json", schema.wrap("metric_lie_algebra", {
+            "algebra": {"dim": 2, "brackets": []}, "gram": [["0", "1"], ["1", "0"]],
+            "provenance": zero}))
+        form = ("forms/f1.json", "--algebra", "algebras/h1r.json", "--module", module)
+        return [("verify", module), ("verify", cocycle), ("admissible", cocycle),
+                ("double", cocycle), ("verify", metric), ("verify", *form),
+                ("admissible", *form), ("double", *form),
+                ("cohomology", "algebras/h1r.json", "--degree", "1", "--module", module)]
+
+    eliminated = []
+    orthogonal_module = cli.OrthogonalModule
+
+    def recording(gram):
+        eliminated.append(gram.rows)
+        return orthogonal_module(gram)
+
+    monkeypatch.setattr(cli, "OrthogonalModule", recording)
+    for argv in write_cases(cli.MAX_DIM + 1):
+        eliminated.clear()
+        start = time.monotonic()
+        code, doc = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert (code, eliminated) == (2, []), argv
+        assert doc["payload"]["error"] == (
+            f"module dimension {cli.MAX_DIM + 1} is over the limit MAX_DIM = {cli.MAX_DIM}")
+    code, doc = run(capsys, *write_cases(cli.MAX_DIM)[0])
+    assert code == 0 and doc["payload"]["dim"] == cli.MAX_DIM
 
 
 def test_a_million_dimensions_load_without_per_dimension_storage(tmp_path, capsys):

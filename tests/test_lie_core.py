@@ -592,16 +592,41 @@ def test_ad_matches_the_dense_bracket(reference_algebras):
         assert got == sparse_row(dense_bracket(l, x, y))
 
 
+def _dense_center(l: LieAlgebra) -> Subspace:
+    """The kernel of the n stacked dense matrices ad(e_i), whose columns are [e_i, e_j]."""
+    n = l.dim
+    rows = []
+    for i in range(n):
+        columns = [dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
+        rows += [[column[t] for column in columns] for t in range(n)]
+    return dense_span(n, dense_kernel(Matrix.from_rows(rows, cols=n)))
+
+
 def test_center_is_the_kernel_of_the_dense_ad_matrices(reference_algebras):
     for l in reference_algebras:
-        n = l.dim
-        # ad(e_i) has the columns [e_i, e_j]; stack the n matrices and take the kernel
-        rows = []
-        for i in range(n):
-            columns = [dense_ad(l, i, unit_vector(n, j)) for j in range(n)]
-            rows += [[column[t] for column in columns] for t in range(n)]
-        dense = dense_span(n, dense_kernel(Matrix.from_rows(rows, cols=n)))
-        assert center(l) == dense
+        assert center(l) == _dense_center(l)
+
+
+def test_the_center_within_each_series_term_is_its_stage_and_the_dense_center_met_with_it(
+    reference_algebras,
+):
+    """On every nilpotent Lie table among the reference algebras (random
+    tables, the catalog bases and doubles, the large doubles, the zero
+    algebra and the basis changes), the center met with each series term is
+    the stage that the admissibility test keeps for it and the dense
+    center's intersection with the term.  Random tables give stages of
+    every dimension, the full series term among them."""
+    checked, partial = 0, set()
+    for l in reference_algebras:
+        if not (validate_jacobi(l).ok and is_nilpotent(l)):
+            continue
+        dense, stages = _dense_center(l), quadratic_cohomology._stages(l)
+        for s, half in zip(lower_central_series(l), stages):
+            stage = lie_core._center_in(l, s)
+            assert stage == half.stage == dense_intersect(dense, s)
+            partial.add(0 < stage.dim < s.dim)
+        checked += 1
+    assert checked >= 100 and partial == {False, True}
 
 
 def _dense_series(l):

@@ -22,6 +22,7 @@ from metriclie.catalog import (
 )
 from metriclie.cochain_complex import (
     Cochain,
+    OrthogonalModule,
     cochain_from_terms,
     differential,
     differential_matrix,
@@ -55,8 +56,12 @@ from metriclie.quadratic_cohomology import (
 from support import (
     REJECTION_TAGS,
     _cochain_from_vector,
+    _dense_condition_b,
     _random_span_element,
+    alternating_value,
     dense_check_admissible,
+    dense_combination,
+    dense_span,
     five_dim_three_step,
     random_cochain,
     random_quadratic_cochain,
@@ -385,36 +390,145 @@ def test_check_admissible_builds_no_dense_system(monkeypatch):
         assert report.overall is (z.module.dim == 4)
 
 
-def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypatch):
-    # Subspace eliminates through exact_linalg's own binding of _reduce: per
-    # stage once for the span of the (B_k) images and, unless the image is
-    # the whole module (nondegenerate by construction), once for the rank of
-    # the form on it.  The witness kernels use quadratic_cohomology's binding.
-    per_stage = []
-    reduce, stage_report = exact_linalg._reduce, quadratic_cohomology._stage_report
+def _images_until_full(z: QuadraticCocycle, half) -> tuple[int, int]:
+    """How many kernel tensors of a stage, in kernel order, the (B_k) images
+    need to span the module (all of them when they never do), and the rank of
+    all the images; from dense alpha values and dense spans."""
+    m, rows = z.module.dim, half.series_term.rows
 
-    def counting_reduce(rows):
-        if per_stage:
-            per_stage[-1] += 1
-        return reduce(rows)
+    def image(vec):  # the sum of x * w_j[s] * alpha(e_i, e_s) over u = i * d1 + j
+        terms = {}
+        for u, x in vec.items():
+            i, j = divmod(u, len(rows))
+            for s, y in rows[j].items():
+                terms[(i, s)] = terms.get((i, s), 0) + x * y
+        return dense_combination(terms, lambda key: alternating_value(z.alpha, key), m)
+
+    images = [image(vec) for vec in half.kernel]
+    drawn = next((r for r in range(len(images) + 1)
+                  if dense_span(m, images[:r] or [(0,) * m]).dim == m), len(images))
+    return drawn, dense_span(m, images or [(0,) * m]).dim
+
+
+def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypatch):
+    """Per stage, quadratic_cohomology's binding of _reduce runs twice: once
+    on the (A_k) system and once on the (B_k) images, a running elimination
+    that draws the images of the kernel tensors in kernel order and stops at
+    rank dim a.  Subspace takes the rank of the form on the image through
+    exact_linalg's binding only when the image is not the whole module
+    (nondegenerate by construction).  The cached stage, series term,
+    columns, coordinate rows and kernel rows stay as they were built."""
+    seen = []  # per stage: [(A_k) runs, (B_k) runs, images drawn, form ranks]
+    local, shared = quadratic_cohomology._reduce, exact_linalg._reduce
+    stage_report = quadratic_cohomology._stage_report
+    inside = []
+
+    def counting_local(rows, pivots=None):
+        if not inside:  # the stages being built
+            return local(rows, pivots)
+        if pivots is None:
+            seen[-1][0] += 1
+            return local(rows)
+        seen[-1][1] += 1
+
+        def drawn():
+            for row in rows:
+                seen[-1][2] += 1
+                yield row
+        return local(drawn(), pivots)
+
+    def counting_shared(rows, pivots=None):
+        if inside:
+            seen[-1][3] += 1
+        return shared(rows, pivots)
 
     def checked_stage_report(z, k, half, alpha_at, gamma_at):
-        per_stage.append(0)
-        kept = rows_snapshot(half.stage, half.series_term)
-        report = stage_report(z, k, half, alpha_at, gamma_at)
-        assert kept()
+        seen.append([0, 0, 0, 0])
+
+        def cached():
+            return ({s: dict(c) for s, c in half.columns.items()},
+                    {u: dict(r) for u, r in half.z_rows.items()}, [dict(v) for v in half.kernel])
+
+        kept, before = rows_snapshot(half.stage, half.series_term), cached()
+        inside.append(k)
+        try:
+            report = stage_report(z, k, half, alpha_at, gamma_at)
+        finally:
+            inside.pop()
+        assert kept() and cached() == before
         return report
 
-    monkeypatch.setattr(exact_linalg, "_reduce", counting_reduce)
+    monkeypatch.setattr(quadratic_cohomology, "_reduce", counting_local)
+    monkeypatch.setattr(exact_linalg, "_reduce", counting_shared)
     monkeypatch.setattr(quadratic_cohomology, "_stage_report", checked_stage_report)
-    counts = set()
-    for z in (g64_admissible_cocycle(), zero_cocycle(g41(), orthonormal_module([1]))):
-        per_stage.clear()
+    ranks, stopped = set(), 0
+    cocycles = [g64_admissible_cocycle(), g65_admissible_cocycle(),
+                zero_cocycle(g41(), orthonormal_module([1])),
+                zero_cocycle(abelian(3), orthonormal_module([]))]
+    for z in cocycles:
+        seen.clear()
         report = check_admissible(z)
-        full = [c.b_image_dim == z.module.dim for c in report.conditions]
-        assert per_stage == [1 if f else 2 for f in full]
-        counts.update(per_stage)
-    assert counts == {1, 2}
+        for c, half, (a_runs, b_runs, drawn, form_ranks) in zip(
+            report.conditions, quadratic_cohomology._stages(z.algebra), seen
+        ):
+            expected, image_dim = _images_until_full(z, half)
+            full = image_dim == z.module.dim
+            assert (a_runs, b_runs, drawn) == (1, 1, expected)
+            assert c.b_image_dim == image_dim and form_ranks == (0 if full else 1)
+            ranks.add(form_ranks)
+            stopped += drawn < len(half.kernel)
+        assert len(seen) == len(report.conditions)
+    assert ranks == {0, 1} and stopped
+
+
+def _witness_tensors(c) -> list[tuple[int, int]]:
+    """The one tensor e_i (x) w_j of each unit coefficient matrix of a (B_k) witness."""
+    out = []
+    for tensor in c.b_witness:
+        ((i, j),) = [(i, j) for i, row in enumerate(tensor) for j, x in enumerate(row) if x]
+        assert tensor[i][j] == 1
+        out.append((i, j))
+    return out
+
+
+def test_the_b_images_stop_once_the_first_kernel_tensors_span_the_module(monkeypatch):
+    # On abelian R^3 the kernel of the pairing is every e_i (x) e_j in order,
+    # so the images of e_0 (x) e_0, e_0 (x) e_1 and e_0 (x) e_2 span R^2 and
+    # the elimination draws those three of the nine.
+    l, module = abelian(3), orthonormal_module([1, 1])
+    alpha = cochain_from_terms(3, 2, 2, [((0, 1), (1, 0)), ((0, 2), (0, 1)), ((1, 2), (3, 5))])
+    z = QuadraticCocycle(l, module, alpha, Cochain.zero(3, 3, 1, scalar=True))
+    drawn, local = [], quadratic_cohomology._reduce
+
+    def counting(rows, pivots=None):
+        if pivots is None:
+            return local(rows)
+        return local((drawn.append(row) or row for row in rows), pivots)
+
+    monkeypatch.setattr(quadratic_cohomology, "_reduce", counting)
+    (c,) = check_admissible(z).conditions
+    (half,) = quadratic_cohomology._stages(l)
+    assert (c.b_passed, c.b_image_dim, c.b_witness) == _dense_condition_b(z, half.series_term)
+    assert (c.b_passed, c.b_image_dim, len(drawn), len(half.kernel)) == (True, 2, 3, 9)
+
+
+def test_a_b_witness_is_the_kernel_tensors_in_order_whose_image_raised_the_rank():
+    # On abelian R^4 with a = (hyperbolic plane A1, A2) + R A3, alpha(e_0, e_s)
+    # for s = 1, 2, 3 spans the degenerate span(A1, A3); the witness skips
+    # e_0 (x) e_0 (image 0) and the first tensor whose image repeats earlier ones.
+    l = abelian(4)
+    module = OrthogonalModule(Matrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    a1, a3, a13, two_a1 = (1, 0, 0), (0, 0, 1), (1, 0, 1), (2, 0, 0)
+    for values, witness in (((a1, two_a1, a3), [(0, 1), (0, 3)]),
+                            ((a1, a3, a13), [(0, 1), (0, 2)])):
+        terms = [((0, s), value) for s, value in enumerate(values, 1)]
+        z = QuadraticCocycle(l, module, cochain_from_terms(4, 2, 3, terms),
+                             Cochain.zero(4, 3, 1, scalar=True))
+        (c,) = check_admissible(z).conditions
+        (half,) = quadratic_cohomology._stages(l)
+        assert (c.b_passed, c.b_image_dim, c.b_witness) == _dense_condition_b(z, half.series_term)
+        assert (c.b_passed, c.b_image_dim) == (False, 2)
+        assert _witness_tensors(c) == witness
 
 
 def fresh_algebra(l: LieAlgebra) -> LieAlgebra:
