@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .exact_linalg import Matrix, Scalar, Signature, _combine, _Record, rank, signature_of
 from .lie_core import (
+    _EMPTY,
     ConsistencyError,
     LieAlgebra,
     is_nilpotent,
@@ -36,10 +37,12 @@ class MetricLieAlgebra(_Record):
     """An immutable Lie algebra with an invariant nondegenerate symmetric form.
 
     ``provenance`` is the quadratic cocycle the algebra was built from as a
-    double, if any.
+    double, if any.  The slot ``_signature``, not a field, keeps the signature
+    that :func:`verify_metric` found; equality, hashing, repr and copies ignore it.
     """
 
-    __slots__ = _fields = ("algebra", "gram", "provenance")
+    _fields = ("algebra", "gram", "provenance")
+    __slots__ = (*_fields, "_signature")
     algebra: LieAlgebra
     gram: Matrix
     provenance: QuadraticCocycle | None
@@ -139,14 +142,20 @@ def verify_metric(g: MetricLieAlgebra) -> MetricReport:
     Covers symmetry and nondegeneracy of the form, the Jacobi identity, and
     invariance <[x, y], z> + <y, [x, z]> = 0 on basis triples.  A check that
     needs a symmetric (or square) form and cannot run fails as not checked.
+    Each call eliminates the form once, and keeps its signature for :func:`fingerprint`.
     """
     checks: list[MetricCheck] = []
-    n = g.algebra.dim
+    n, gram = g.algebra.dim, g.gram
     skipped = "not checked: the form is not symmetric"
-    square = g.gram.rows == n and g.gram.cols == n
-    sym_ok = square and g.gram.is_symmetric()
+    square = gram.rows == n and gram.cols == n
+    try:
+        signature = signature_of(gram) if square else None
+    except ValueError:  # signature_of's own check: the form is not symmetric
+        signature = None
+    sym_ok = signature is not None
     checks.append(MetricCheck("symmetric", sym_ok, "" if sym_ok else "form is not symmetric"))
-    nondeg_ok = square and rank(g.gram) == n
+    MetricLieAlgebra._signature.__set__(g, signature)  # past the refusing __setattr__
+    nondeg_ok = not signature.null if sym_ok else square and rank(gram) == n
     nondeg_detail = "" if nondeg_ok else "form has a radical" if square else skipped
     checks.append(MetricCheck("nondegenerate", nondeg_ok, nondeg_detail))
     jac = validate_jacobi(g.algebra)
@@ -163,21 +172,27 @@ def _invariance_failure(g: MetricLieAlgebra) -> str:
     """The first basis triple (i, j, k), j <= k, where <[e_i, e_j], e_k> +
     <e_j, [e_i, e_k]> does not vanish, or "" when the form is invariant.
 
-    The form must be symmetric; only the stored brackets of each e_i and the
-    nonzero form entries are multiplied; a failing pair has a stored term,
-    so one pass over the stored terms finds whether e_i fails, and only a
-    failing e_i has its pairs sorted to name the first.
+    The form must be symmetric, so invariance says phi(a, b, c) = <[e_a, e_b],
+    e_c> is alternating.  It is antisymmetric in (a, b), and (12) and (23)
+    generate S_3, so it is invariant iff each nonzero phi(a, b, c) = x, a < b,
+    has phi(a, c, b) = -x and phi(b, c, a) = x, with phi(a, b, .) = G [e_a,
+    e_b] summed once per stored pair.  Only a failing form has the triples
+    (i, j, k), j <= k, with phi(i, j, k) or phi(i, k, j) nonzero scanned in order.
     """
-    support = g.gram.nonzero_rows  # {j: <e_j, e_t>} per t
-    for i, row in sorted(g.algebra._rows.items()):
-        # pairing[k][j] = <e_j, [e_i, e_k]>, so <[e_i, e_j], e_k> = pairing[j][k]
-        pairing = {k: _combine(p, support.__getitem__) for k, p in row.items()}
-        if any(x + pairing.get(j, {}).get(k, 0) for k, p in pairing.items()
-               for j, x in p.items()):
-            for j, k in sorted({(min(j, k), max(j, k)) for k, p in pairing.items() for j in p}):
-                if pairing.get(k, {}).get(j, 0) + pairing.get(j, {}).get(k, 0) != 0:
-                    return "fails at triple %s" % g.algebra.named((i, j, k))
-    return ""
+    support = g.gram.nonzero_rows.__getitem__  # row t: {j: <e_j, e_t>}
+    phi = {(a, b): _combine(p, support) for a, b, p in g.algebra._upper()}
+
+    def at(a: int, b: int, c: int) -> Scalar:  # phi(a, b, c), from the stored pair
+        return phi.get((a, b), _EMPTY).get(c, 0) if a < b else -phi.get((b, a), _EMPTY).get(c, 0)
+
+    if all(at(a, c, b) == -x and at(b, c, a) == x
+           for (a, b), row in phi.items() for c, x in row.items()):
+        return ""
+    for i, j, k in sorted({(i, min(j, c), max(j, c)) for (a, b), row in phi.items()
+                           for c in row for i, j in ((a, b), (b, a))}):
+        if at(i, j, k) + at(i, k, j):
+            return "fails at triple %s" % g.algebra.named((i, j, k))
+    raise ConsistencyError("the alternation pass and the ordered scan disagree")
 
 
 class Fingerprint(NamedTuple):
@@ -197,8 +212,8 @@ class Fingerprint(NamedTuple):
 
 def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
     """Cheap isometry invariants of ``g``, which must pass :func:`verify_metric`
-    (every caller in the package checks that first); a form with a null
-    part raises ValueError.
+    (every caller in the package checks that first; G's signature is the one
+    it kept, or is found here); a form with a null part raises ValueError.
 
     One form is restricted and eliminated besides G: G on l^2, B G B^T for
     the echelon rows B of l^2 that the series already holds, of signature
@@ -211,7 +226,7 @@ def fingerprint(g: MetricLieAlgebra) -> Fingerprint:
     no form is restricted to it.
     """
     gram = g.gram
-    signature = signature_of(gram)
+    signature = getattr(g, "_signature", None) or signature_of(gram)
     if signature.null:
         raise ValueError("fingerprint needs a nondegenerate form")
     series = lower_central_series(g.algebra)

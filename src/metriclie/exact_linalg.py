@@ -416,6 +416,8 @@ def signature_of(gram: Matrix) -> Signature:
             updates = [(i, -_quo(x, b), row_p) for i, x in row_k.items()]
             updates += [(i, -_quo(x, b), row_k) for i, x in row_p.items()]
             pivots = (k, p)
+        if not updates:
+            continue  # the pivot block touches no other row
         for i, f, source in updates:
             row = rows[i]
             for c in pivots:

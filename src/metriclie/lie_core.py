@@ -276,19 +276,21 @@ def is_nilpotent(l: LieAlgebra) -> bool:
 
 def center(l: LieAlgebra) -> Subspace:
     """Kernel of the adjoint representation, canonicalized."""
-    return _center_in(l, Subspace.full(l.dim))
+    full = Subspace.full(l.dim)
+    return _center_in(full, l.ad_rows(l._rows, full.rows))
 
 
-def _center_in(l: LieAlgebra, s: Subspace) -> Subspace:
-    """The center met with ``s``: the w = sum c_j w_j over its echelon rows w_j
-    with [e_i, w] = 0 for each e_i that has a stored bracket, so c lies in the
-    kernel of the rows (i, t) whose entry j is [e_i, w_j]_t."""
+def _center_in(s: Subspace, images: Iterable[dict[int, Scalar]]) -> Subspace:
+    """The center met with ``s``, from the ``images`` [e_i, w_j] (j fastest) of
+    its echelon rows w_j, e_i over indices that include all with a stored
+    bracket: w = sum c_j w_j, c in the kernel of the rows (i, t) whose entry j
+    is [e_i, w_j]_t.  Reduced echelon K times S is reduced echelon, kept as is."""
     ad: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for u, image in enumerate(l.ad_rows(l._rows, s.rows)):
+    for u, image in enumerate(images):
         for t, x in image.items():
             ad.setdefault((u // s.dim, t), {})[u % s.dim] = x
     kernel = Subspace.kernel(s.dim, ad.values())
-    return Subspace.of_rows(l.dim, [_combine(c, s.rows.__getitem__) for c in kernel.rows])
+    return Subspace(s.ambient_dim, tuple([_combine(c, s.rows.__getitem__) for c in kernel.rows]))
 
 
 def nilpotency_index(l: LieAlgebra) -> int:

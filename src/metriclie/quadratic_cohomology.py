@@ -254,9 +254,9 @@ class _Stage(NamedTuple):
 def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
     """The algebra's half of the admissibility test for each stage k = 0..m
     of the central filtration, built on the first call and kept on ``l``:
-    one pass over the tensor basis e_i (x) w_j of l (x) l^(k+1) reads each
-    [e_i, w_j] once, for its coordinates and for the bracket pairing.  The
-    stage l_(k) is the center met with l^(k+1), from ``lie_core``.
+    one pass over the tensor basis e_i (x) w_j of l (x) l^(k+1) sums each
+    [e_i, w_j] once, for its coordinates, for the bracket pairing and for
+    the stage l_(k), the center met with l^(k+1), from ``lie_core``.
 
     A non-nilpotent algebra raises NotNilpotentError from
     :func:`nilpotency_index`, and a bracket outside its series term raises
@@ -270,7 +270,8 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
             z_rows: dict[int, dict[int, Scalar]] = {}
             # row t of the pairing: entry i * d1 + j is the e_t component of [e_i, w_j]
             pairing: dict[int, dict[int, Scalar]] = {}
-            for u, image in enumerate(l.ad_rows(range(n), series_term.rows)):
+            images = list(l.ad_rows(range(n), series_term.rows))
+            for u, image in enumerate(images):
                 if image:
                     coords = series_term.coords(image)
                     if coords is None:
@@ -279,7 +280,7 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
                     for t, x in image.items():
                         pairing.setdefault(t, {})[u] = x
             kernel = _kernel(_reduce(pairing.values()), n * d1)
-            stage = _center_in(l, series_term)
+            stage = _center_in(series_term, images)
             columns: dict[int, dict[int, Scalar]] = {}
             for u, b in enumerate(stage.rows):
                 for s, x in b.items():

@@ -1,6 +1,7 @@
 import json
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -431,7 +432,35 @@ def random_sparse_metric(rg, n: int) -> MetricLieAlgebra:
     return MetricLieAlgebra(LieAlgebra(n, table, validate=False), Matrix.from_rows(gram, cols=n))
 
 
+def alternation_only_failure(rg, n: int, last: bool) -> MetricLieAlgebra:
+    """A random alternating phi(a, b, c) = <[e_a, e_b], e_c> on a diagonal form
+    but for one triple p < q < r, read from the stored pairs as
+    phi(p, q, r) = x, phi(p, r, q) = -x and phi(q, r, p) = x: the reading of
+    (q, r), the one that no other pair reads first, is zero if ``last``,
+    else that of (p, q).  Only the cyclic condition phi(b, c, a) = x on a
+    nonzero phi(a, b, c) = x sees the first failure, as every (23)
+    condition on a nonzero entry holds; only the (23) condition sees the
+    second."""
+    diagonal = [rg.choice((1, -1, 2, Fraction(-1, 3))) for _ in range(n)]
+    phi: dict[tuple[int, int], dict[int, Fraction]] = {}
+    p, q, r = sorted(rg.sample(range(n), 3))
+    triples = {(p, q, r)} | {t for t in combinations(range(n), 3) if rg.random() < 0.3}
+    for a, b, c in triples:
+        x = rational(rg) or Fraction(1)
+        for u, v, w, y in ((a, b, c, x), (a, c, b, -x), (b, c, a, x)):
+            phi.setdefault((u, v), {})[w] = y
+    key, c = ((q, r), p) if last else ((p, q), r)
+    del phi[key][c]
+    # [e_u, e_v] = G^-1 phi(u, v, .) for the diagonal G
+    table = {key: {w: y / diagonal[w] for w, y in row.items()} for key, row in phi.items()}
+    return MetricLieAlgebra(LieAlgebra(n, table, validate=False), Matrix.diagonal(diagonal))
+
+
 def test_invariance_scan_matches_brute_force_triples():
+    """Random tables and forms, the catalog doubles with one form entry
+    moved, and alternating tables but for one zero reading of a triple
+    that the other two stored pairs read as nonzero: the verdict and the
+    triple named are the brute force's."""
     rg = rng(53)
     cases = [random_sparse_metric(rg, rg.randint(0, 7)) for _ in range(80)]
     for g in run_catalog().doubles:
@@ -444,16 +473,17 @@ def test_invariance_scan_matches_brute_force_triples():
         if a != b:
             rows[b][a] += 1
         cases.append(MetricLieAlgebra(g.algebra, Matrix.from_rows(rows, cols=n)))
+    cases += [alternation_only_failure(rg, rg.randint(3, 7), k % 2 == 0) for k in range(40)]
     details = [invariance_detail(g) for g in cases]
     assert details == [brute_invariance_failure(g) for g in cases]
-    assert all(d == "" for d in details[80::2])  # the catalog doubles themselves
-    assert sum(1 for d in details if d) >= 80
+    assert all(d == "" for d in details[80:-40:2])  # the catalog doubles themselves
+    assert sum(1 for d in details if d) >= 120 and all(details[-40:])
 
 
 def test_the_summing_pass_names_the_triple_of_the_sorted_scan():
-    """Each e_i's stored terms are summed in one pass, and only an e_i that
-    fails has its pairs sorted: the first failing triple is the one the scan
-    that sorts every e_i's pairs names, on each catalog and scale double as
+    """The alternation pass decides, and only a failing form has its triples
+    scanned in order: the first failing triple is the one the scan that
+    sorts every e_i's pairs names, on each catalog and scale double as
     built, with one bracket entry moved by one, and with one form entry
     moved by one symmetrically."""
     rg = rng(2828)
@@ -478,6 +508,41 @@ def test_the_summing_pass_names_the_triple_of_the_sorted_scan():
     assert details == [sorted_invariance_failure(g) for g in cases]
     assert all(d == "" for d in details[::3])  # the doubles themselves
     assert sum(1 for d in details[1::3] if d) >= 80 and sum(1 for d in details[2::3] if d) >= 80
+
+
+def test_verify_and_fingerprint_share_one_elimination_of_the_form(monkeypatch):
+    """verify_metric eliminates G on every call and keeps its signature;
+    fingerprint reads it, and eliminates G itself only on an instance never
+    verified, where a form that is not symmetric raises."""
+    seen = []
+
+    def counting(m):
+        seen.append(m)
+        return signature_of(m)
+
+    monkeypatch.setattr(double_construction, "signature_of", counting)
+
+    def eliminations(g):
+        return sum(1 for m in seen if m is g.gram)
+
+    g = build_double(g64_admissible_cocycle())
+    assert eliminations(g) == 1 and g._signature == Signature(8, 8, 0)
+    expected = fingerprint(g)
+    assert eliminations(g) == 1 and len(seen) == 2  # the other is G on l^2
+    seen.clear()
+    assert verify_metric(g).ok and verify_metric(g).ok
+    assert eliminations(g) == 2
+    fresh = MetricLieAlgebra(g.algebra, g.gram, g.provenance)
+    assert fresh == g and getattr(fresh, "_signature", None) is None
+    seen.clear()
+    assert fingerprint(fresh) == expected and eliminations(fresh) == 1
+    skew = MetricLieAlgebra(abelian(2), Matrix.from_rows([[1, 1], [0, 1]]))
+    with pytest.raises(ValueError, match="symmetric"):
+        fingerprint(skew)
+    # a form that is not symmetric keeps no signature, so verifying changes nothing
+    assert not verify_metric(skew).ok and skew._signature is None
+    with pytest.raises(ValueError, match="symmetric"):
+        fingerprint(skew)
 
 
 def test_verify_metric_catches_degenerate_form():

@@ -495,6 +495,53 @@ def test_sparse_signature_matches_the_dense_reference():
     assert kinds == {"empty", "witt", "coupled", "image", "sparse"}
 
 
+def test_isolated_pivot_blocks_count_like_the_dense_reference():
+    """Forms that mix isolated blocks [[a]] and [[0, b], [b, 0]] (pivots that
+    touch no other row, which the elimination passes over) with coupled
+    blocks of zero diagonal and zero rows, on permuted indices: the sparse
+    signature is the dense one and the sum of the blocks' signatures, so
+    each isolated plane counts one negative and one positive direction."""
+    rg = rng(3535)
+
+    def nonzero() -> Fraction:
+        return rational(rg, 4, 3) or Fraction(1)
+
+    planes = 0
+    for case in range(600):
+        kinds = ["plane", "line", "coupled", "zero"] if case % 3 else ["plane", "zero"]
+        blocks = []
+        for kind in rg.choices(kinds, k=rg.randint(1, 6)):
+            size = {"line": 1, "zero": 1, "plane": 2}.get(kind) or rg.randint(2, 4)
+            block = [[Fraction(0)] * size for _ in range(size)]
+            if kind == "line":
+                block[0][0] = nonzero()
+            elif kind == "plane":
+                block[0][1] = block[1][0] = nonzero()
+                planes += 1
+            elif kind == "coupled":  # a path of couplings, so no pivot is isolated
+                for i in range(size - 1):
+                    block[i][i + 1] = block[i + 1][i] = nonzero()
+            blocks.append(block)
+        n = sum(len(b) for b in blocks)
+        grid = [[Fraction(0)] * n for _ in range(n)]
+        offset = 0
+        for block in blocks:
+            for i, row in enumerate(block):
+                grid[offset + i][offset:offset + len(row)] = row
+            offset += len(block)
+        perm = list(range(n))
+        rg.shuffle(perm)
+        g = Matrix.from_rows([[grid[perm[i]][perm[j]] for j in range(n)] for i in range(n)])
+        parts = [dense_signature_of(Matrix.from_rows(b)) for b in blocks]
+        expected = Signature(*[sum(p[t] for p in parts) for t in range(3)])
+        assert signature_of(g) == dense_signature_of(g) == expected, dense_grid(g)
+        if case % 3 == 0:  # planes and zero rows only: the planes count (1, 1) each
+            k = sum(1 for b in blocks if len(b) == 2)
+            assert signature_of(g) == Signature(k, k, len(blocks) - k)
+    assert planes > 600
+    assert signature_of(Matrix.from_rows([[0, 3, 0], [3, 0, 0], [0, 0, 0]])) == Signature(1, 1, 1)
+
+
 def test_signatures_of_the_catalog_doubles_match_the_dense_reference():
     """The Grams of the doubles and their restrictions to the center and to
     l^2: the catalog entries, the scale, g64 and g65 doubles, and the

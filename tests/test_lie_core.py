@@ -622,7 +622,7 @@ def test_the_center_within_each_series_term_is_its_stage_and_the_dense_center_me
             continue
         dense, stages = _dense_center(l), quadratic_cohomology._stages(l)
         for s, half in zip(lower_central_series(l), stages):
-            stage = lie_core._center_in(l, s)
+            stage = lie_core._center_in(s, l.ad_rows(l._rows, s.rows))
             assert stage == half.stage == dense_intersect(dense, s)
             partial.add(0 < stage.dim < s.dim)
         checked += 1

@@ -28,7 +28,7 @@ from metriclie.catalog import (
 )
 from metriclie.cochain_complex import Cochain, OrthogonalModule
 from metriclie.double_construction import MetricLieAlgebra, build_double
-from metriclie.exact_linalg import Matrix, Subspace, _Record
+from metriclie.exact_linalg import Matrix, Subspace, _Record, signature_of
 from metriclie.lie_core import abelian
 from metriclie.quadratic_cohomology import (
     QuadraticCochain,
@@ -132,6 +132,24 @@ def test_catalog_report_equality_ignores_the_doubles(pairs):
     bare = CatalogReport(report.rows, report.collisions, report.family_splits, ())
     assert bare == report and hash(bare) == hash(report) and repr(bare) == repr(report)
     assert CatalogReport(report.rows[:1], report.collisions, report.family_splits, ()) != report
+
+
+def test_a_double_s_kept_signature_is_not_a_field(pairs):
+    """``verify_metric`` keeps the form's signature in the slot ``_signature``,
+    which is not a field: equality, hash, repr, copies and pickles ignore it,
+    and a copy or an unpickled double keeps none."""
+    g, twin = pairs[MetricLieAlgebra]
+    assert "_signature" in MetricLieAlgebra.__slots__ and "_signature" not in g._fields
+    assert g._signature == signature_of(g.gram) and g._signature.null == 0
+    bare = MetricLieAlgebra(g.algebra, g.gram, g.provenance)
+    assert getattr(bare, "_signature", None) is None
+    assert bare == g == twin and hash(bare) == hash(g) and repr(bare) == repr(g)
+    assert "_signature" not in repr(g)
+    for made in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert made == g and getattr(made, "_signature", None) is None
+    with pytest.raises(AttributeError):
+        g._signature = None
+    assert g._signature == signature_of(g.gram)
 
 
 def test_defaults_and_coords_at_the_pivots():

@@ -163,6 +163,24 @@ def test_the_fresh_process_check_sees_a_loaded_module():
         run_fresh(NOT_LOADED % "dataclasses")
 
 
+def test_the_readme_quick_start_prints_its_comments():
+    """The README's quick-start block, run as it stands in a fresh
+    ``python -W error`` process that imports the package from ``src``,
+    prints the values its ``print`` lines name in their comments."""
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line.rsplit("# ", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert expected == ["True", "[4, 4]", "Signature(neg=8, pos=8, null=0)"]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", block], env=fresh_env(PACKAGE.parent),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == expected
+
+
 def test_plain_records_are_read_only_named_tuples():
     metric = build_double(g64_admissible_cocycle())
     fp = fingerprint(metric)
