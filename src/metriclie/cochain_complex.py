@@ -293,6 +293,8 @@ def _scalar_form(n: int, degree: int, sums: dict[tuple[int, ...], Scalar]) -> Co
 
 
 def _basis_enumeration(n: int, degree: int, value_dim: int) -> list[tuple[tuple[int, ...], int]]:
+    if not value_dim:
+        return []  # C^p(l, 0) = 0: no index tuple is walked
     # combinations() copies its pool of n indices even for the one key of degree 0
     keys = combinations(range(n), degree) if degree else [()]
     return [(key, t) for key in keys for t in range(value_dim)]

@@ -320,49 +320,47 @@ def rank(m: Matrix) -> int:
     return len(_reduce(_sparse_rows(m)))
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Deterministic basis of the right kernel of ``m``.
-
-    One vector per free column of the reduced echelon form: the free
-    coordinate is set to 1, pivot coordinates are filled by back substitution,
-    remaining free coordinates are 0.
-    """
-    return [_dense(v, m.cols) for v in _kernel(_reduce(_sparse_rows(m)), m.cols)]
-
-
-def _kernel(reduced: list[tuple[int, dict[int, Scalar]]], cols: int) -> list[dict[int, Scalar]]:
-    """The kernel basis of :func:`kernel_basis` as sparse rows, read off the
-    first ``cols`` columns of reduced rows whose pivots all lie among them."""
-    pivot_set = {p for p, _ in reduced}
-    basis = {f: {f: 1} for f in range(cols) if f not in pivot_set}
+def solve(equations: Iterable[dict], unknowns: Sequence) -> tuple[dict, list[dict]] | None:
+    """The solutions of sparse equations ``{key: coefficient}`` in mutually
+    ordered ``unknowns``, from one elimination that consumes them; a
+    constant term sits at a key ordered after every unknown (b in [A | b]).
+    None when inconsistent, else ``(particular, kernel)`` as sparse rows:
+    the particular solution is 0 at every free unknown, and the kernel has
+    one vector per free unknown, in the order of ``unknowns``, 1 there and
+    0 at the others.  One pass over the pivot rows fills both."""
+    reduced = _reduce(equations)
+    if reduced and reduced[-1][0] not in unknowns:
+        return None  # a pivot at the constant term: 0 = 1
+    pivots = {p for p, _ in reduced}
+    kernel = {f: {f: 1} for f in unknowns if f not in pivots}
+    particular = {}
     for p, row in reduced:
         for j, x in row.items():
-            if j != p and j < cols:
-                basis[j][p] = -x
-    return list(basis.values())
+            if j in kernel:
+                kernel[j][p] = -x
+            elif j != p:
+                particular[p] = x  # j is the constant term
+    return particular, list(kernel.values())
+
+
+def kernel_basis(m: Matrix) -> list[Vector]:
+    """Deterministic basis of the right kernel of ``m``: the kernel of
+    :func:`solve`, one vector per free column, read densely."""
+    return [_dense(v, m.cols) for v in solve(_sparse_rows(m), range(m.cols))[1]]
 
 
 def solve_affine(a: Matrix, b: Vector) -> tuple[Vector, list[Vector]] | None:
-    """Solve ``a x = b`` exactly.
-
-    Returns ``(particular, kernel)`` where the particular solution sets all
-    free variables to zero, or ``None`` when the system is inconsistent.
-    One elimination serves both: the left block of the reduced echelon form
-    of ``[a | b]`` is that of ``a``.
-    """
+    """Solve ``a x = b`` exactly: :func:`solve` on the rows of ``[a | b]``,
+    read densely, or ``None`` when the system is inconsistent."""
     if len(b) != a.rows:
         raise ValueError("right hand side length mismatch")
     rows = _sparse_rows(a)
     for row, x in zip(rows, b):
         if x:
             row[a.cols] = _canon(x)
-    reduced = _reduce(rows)
-    if reduced and reduced[-1][0] == a.cols:
+    if (solution := solve(rows, range(a.cols))) is None:
         return None
-    particular = [0] * a.cols
-    for p, row in reduced:
-        particular[p] = row.get(a.cols, 0)
-    return tuple(particular), [_dense(v, a.cols) for v in _kernel(reduced, a.cols)]
+    return _dense(solution[0], a.cols), [_dense(v, a.cols) for v in solution[1]]
 
 
 class Signature(NamedTuple):
@@ -459,7 +457,7 @@ class Subspace(_Record):
     def kernel(ambient_dim: int, rows: Iterable[dict[int, Scalar]]) -> "Subspace":
         """The common kernel of sparse rows over columns ``0..ambient_dim-1``;
         the rows are consumed."""
-        return Subspace.of_rows(ambient_dim, _kernel(_reduce(rows), ambient_dim))
+        return Subspace.of_rows(ambient_dim, solve(rows, range(ambient_dim))[1])
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":

@@ -48,9 +48,9 @@ from .exact_linalg import (
     Vector,
     _combine,
     _dense,
-    _kernel,
     _Record,
     _reduce,
+    solve,
 )
 from .lie_core import (
     ConsistencyError,
@@ -279,7 +279,7 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
                     z_rows[u] = {t: -y for t, y in coords.items()}
                     for t, x in image.items():
                         pairing.setdefault(t, {})[u] = x
-            kernel = _kernel(_reduce(pairing.values()), n * d1)
+            kernel = solve(pairing.values(), range(n * d1))[1]
             stage = _center_in(series_term, images)
             columns: dict[int, dict[int, Scalar]] = {}
             for u, b in enumerate(stage.rows):
@@ -335,8 +335,7 @@ def _stage_report(
                 row.update((z_off + t, y) for t, y in z_rows[i * d1 + j].items())
             a_rows.append(row)
     unknowns = z_off + d1
-    a_kernel = _kernel(_reduce(a_rows), unknowns)
-    v = next((v for v in a_kernel if min(v) < d0), None)
+    v = next((v for v in solve(a_rows, range(unknowns))[1] if min(v) < d0), None)
     a_witness = None
     if v is not None:
         l0 = _combine({u: x for u, x in v.items() if u < d0}, stage.rows.__getitem__)

@@ -36,11 +36,10 @@ from metriclie.exact_linalg import (
     Subspace,
     _combine,
     _dense,
-    _kernel,
-    _reduce,
     kernel_basis,
     scalar,
     signature_of,
+    solve,
     solve_affine,
     unit_vector,
     vec_add,
@@ -951,7 +950,7 @@ def _dense_condition_b(z: QuadraticCocycle, series_term: Subspace):
             for t, x in enumerate(dense_ad(l, i, w)):
                 if x:
                     rows.setdefault(t, {})[i * d1 + j] = x
-    kernel = _kernel(_reduce(rows.values()), n * d1)
+    kernel = solve(rows.values(), range(n * d1))[1]
     alpha_on_tensor = [
         dense_combination(w, lambda t: alternating_value(z.alpha, (i, t)), m)
         for i in range(n)

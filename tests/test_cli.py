@@ -436,6 +436,38 @@ def test_cohomology_above_the_dimension_is_zero_without_enumerating(capsys):
     assert code == 0 and doc["payload"]["dim"] == 0
 
 
+def test_cohomology_with_a_zero_module_is_zero_without_enumerating(tmp_path, capsys):
+    # C^p(l, 0) = 0, so no index tuple is walked: at degree 3 the 500-dim
+    # abelian algebra has 20.7 million of them, the 20,000-dim one 1.3e12
+    zero = write_doc(tmp_path, "m0.json", schema.wrap("module", {"dim": 0, "gram": []}))
+    for n in (500, 20_000):
+        algebra = write_doc(tmp_path, f"ab{n}.json", schema.wrap("lie_algebra", {"dim": n, "brackets": []}))
+        start = time.monotonic()
+        code, doc = run(capsys, "cohomology", algebra, "--degree", "3", "--module", zero)
+        assert time.monotonic() - start < 1.0, n
+        assert code == 0 and doc["payload"]["dim"] == 0, n
+        assert doc["payload"]["coefficients"] == "module"
+
+
+def test_the_cell_count_stops_once_it_passes_the_limit(tmp_path, capsys):
+    """Inputs whose exact cell count has thousands of digits (too many to
+    print) or takes a minute to multiply out exit 2 with a report at once,
+    and the capped binomials agree with math.comb up to the limit."""
+    over = cli.MAX_COHOMOLOGY_CELLS + 1
+    for n, k in [(n, k) for n in range(41) for k in range(44)] + [(2000, k) for k in range(0, 2001, 7)]:
+        assert cli._capped_comb(n, k) == min(comb(n, k), over), (n, k)
+    for n, p in ((200_000, 1500), (20_000, 10_000), (2 * 10**6, 10**6)):
+        algebra = write_doc(tmp_path, f"ab{n}.json", schema.wrap("lie_algebra", {"dim": n, "brackets": []}))
+        start = time.monotonic()
+        code, doc = run(capsys, "cohomology", algebra, "--degree", str(p))
+        assert time.monotonic() - start < 1.0, (n, p)
+        assert code == 2 and doc["kind"] == "report" and doc["payload"]["ok"] is False, (n, p)
+        assert doc["payload"]["error"] == (
+            f"the differential matrices of degree {p} have more entries than the "
+            f"limit MAX_COHOMOLOGY_CELLS = {cli.MAX_COHOMOLOGY_CELLS}"
+        )
+
+
 def test_inputs_over_the_size_limits_exit_2_at_once(tmp_path, capsys):
     big = write_doc(tmp_path, "ab10000.json", schema.wrap("lie_algebra", {"dim": 10_000, "brackets": []}))
     million = write_doc(tmp_path, "ab1e6.json", schema.wrap("lie_algebra", {"dim": 10**6, "brackets": []}))

@@ -14,7 +14,9 @@ from metriclie.exact_linalg import (
     _row_of,
     kernel_basis,
     rank,
+    scalar,
     signature_of,
+    solve,
     solve_affine,
     unit_vector,
 )
@@ -34,9 +36,14 @@ from metriclie.catalog import (
 from metriclie.cochain_complex import Cochain, differential_matrix
 from metriclie.double_construction import build_double
 from metriclie.lie_core import LieAlgebra, center, lower_central_series
+from metriclie.quadratic_cohomology import half_wedge_square
 
 from support import (
+    _cochain_from_vector,
+    _random_span_element,
+    _vectorize,
     alternating_value,
+    catalog_pairs,
     dense_apply,
     dense_basis,
     dense_bracket,
@@ -54,6 +61,7 @@ from support import (
     dense_vector,
     filiform_double,
     five_dim_three_step,
+    is_canonical,
     plain_product,
     plain_transpose,
     random_cochain,
@@ -64,6 +72,8 @@ from support import (
     rational,
     rng,
     scale_doubles,
+    seven_dim_two_step,
+    six_dim_two_step,
     sparse_row,
     stored_contract_violations,
 )
@@ -356,6 +366,62 @@ def test_sparse_elimination_matches_the_dense_reference():
     assert {(True, False, -1), (False, True, 1), (False, False, -1), (False, False, 1)} <= shapes
     assert ("rank deficient", True) in shapes
     assert inconsistent > 100
+
+
+def _keyed(row, keys) -> dict:
+    """The sparse row ``row`` over column indices, keyed by ``keys[column]``."""
+    return {keys[c]: x for c, x in row.items()}
+
+
+def test_solve_reads_equations_keyed_by_basis_cochains_like_the_dense_references():
+    """solve on equations keyed by the basis cochains (key, t), mutually
+    ordered as the columns of d: the rows of d_2 on every catalog pair and on
+    three larger algebras with three modules each give the kernel_basis
+    (and dense kernel) of the int-keyed rows, re-keyed, and a zero
+    particular solution.  The gamma equation d_3 gamma =
+    1/2 <alpha ^ alpha> of random closed alphas, and d_3 gamma = d_3 x, with
+    the constant under a key ordered after every 3-tuple, give
+    dense_solve_affine's particular solution and kernel, or None with it.
+    Every entry returned is canonical."""
+    rg = rng(3636)
+    solved = inconsistent = back_substituted = 0
+    larger = [(f"{l.dim}-dim/{tag}", l, module_for_tag(tag))
+              for l in (five_dim_three_step(), six_dim_two_step(), seven_dim_two_step())
+              for tag in ("r01", "r11w", "r21")]
+    for name, l, module in catalog_pairs() + larger:
+        n, m = l.dim, 1 if module is None else module.dim
+        d2 = differential_matrix(l, module, 2)
+        keys = [(key, t) for key in combinations(range(n), 2) for t in range(m)]
+        closed = kernel_basis(d2)
+        assert closed == dense_kernel(d2), name
+        kernel = [_keyed(sparse_row(v), keys) for v in closed]
+        assert solve([_keyed(row, keys) for row in d2.nonzero_rows], keys) == ({}, kernel), name
+        back_substituted += sum(len(v) > 1 for v in kernel)
+        if module is None:
+            continue
+        d3 = differential_matrix(l, None, 3)
+        keys3 = [(key, 0) for key in combinations(range(n), 3)]
+        constant = ((n, n, n), 0)  # after every 3-tuple of indices < n
+        for _ in range(3):
+            alpha = _cochain_from_vector(_random_span_element(rg, closed, d2.cols), n, 2, m, False)
+            x = tuple(rational(rg) for _ in keys3)
+            for b in (_vectorize(half_wedge_square(module, alpha)), dense_apply(d3, x)):
+                rows = [_keyed(row, keys3) for row in d3.nonzero_rows]
+                for row, y in zip(rows, b):
+                    if y:
+                        row[constant] = scalar(y)
+                expected, got = dense_solve_affine(d3, b), solve(rows, keys3)
+                if expected is None:
+                    assert got is None, name
+                    inconsistent += 1
+                    continue
+                particular, kernel3 = expected
+                assert got == (_keyed(sparse_row(particular), keys3),
+                               [_keyed(sparse_row(v), keys3) for v in kernel3]), name
+                assert all(map(is_canonical, got[0].values())), name
+                assert all(is_canonical(x) for v in got[1] for x in v.values()), name
+                solved += bool(got[0]) and len(got[1]) > 0
+    assert solved > 20 and inconsistent > 20 and back_substituted > 10
 
 
 def test_elimination_edge_cases():

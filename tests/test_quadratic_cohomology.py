@@ -411,39 +411,52 @@ def _images_until_full(z: QuadraticCocycle, half) -> tuple[int, int]:
 
 
 def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypatch):
-    """Per stage, quadratic_cohomology's binding of _reduce runs twice: once
-    on the (A_k) system and once on the (B_k) images, a running elimination
-    that draws the images of the kernel tensors in kernel order and stops at
-    rank dim a.  Subspace takes the rank of the form on the image through
-    exact_linalg's binding only when the image is not the whole module
-    (nondegenerate by construction).  The cached stage, series term,
-    columns, coordinate rows and kernel rows stay as they were built."""
-    seen = []  # per stage: [(A_k) runs, (B_k) runs, images drawn, form ranks]
+    """Per stage, the (A_k) system is one call of quadratic_cohomology's
+    binding of solve, and its binding of _reduce runs once, on the (B_k)
+    images: a running elimination that draws the images of the kernel
+    tensors in kernel order and stops at rank dim a; it runs no elimination
+    without pivots.  Subspace takes the rank of the form on the image
+    through exact_linalg's binding of _reduce, outside solve, only when the
+    image is not the whole module (nondegenerate by construction).  The
+    cached stage, series term, columns, coordinate rows and kernel rows stay
+    as they were built."""
+    # per stage: [(A_k) solves, other runs, (B_k) runs, images drawn, form ranks]
+    seen = []
     local, shared = quadratic_cohomology._reduce, exact_linalg._reduce
-    stage_report = quadratic_cohomology._stage_report
+    solve, stage_report = quadratic_cohomology.solve, quadratic_cohomology._stage_report
     inside = []
 
-    def counting_local(rows, pivots=None):
+    def counting_solve(equations, unknowns):
         if not inside:  # the stages being built
+            return solve(equations, unknowns)
+        seen[-1][0] += 1
+        inside.append("solve")  # its elimination is no form rank
+        try:
+            return solve(equations, unknowns)
+        finally:
+            inside.pop()
+
+    def counting_local(rows, pivots=None):
+        if not inside:
             return local(rows, pivots)
         if pivots is None:
-            seen[-1][0] += 1
+            seen[-1][1] += 1
             return local(rows)
-        seen[-1][1] += 1
+        seen[-1][2] += 1
 
         def drawn():
             for row in rows:
-                seen[-1][2] += 1
+                seen[-1][3] += 1
                 yield row
         return local(drawn(), pivots)
 
     def counting_shared(rows, pivots=None):
-        if inside:
-            seen[-1][3] += 1
+        if inside and inside[-1] != "solve":
+            seen[-1][4] += 1
         return shared(rows, pivots)
 
     def checked_stage_report(z, k, half, alpha_at, gamma_at):
-        seen.append([0, 0, 0, 0])
+        seen.append([0, 0, 0, 0, 0])
 
         def cached():
             return ({s: dict(c) for s, c in half.columns.items()},
@@ -458,6 +471,7 @@ def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypa
         assert kept() and cached() == before
         return report
 
+    monkeypatch.setattr(quadratic_cohomology, "solve", counting_solve)
     monkeypatch.setattr(quadratic_cohomology, "_reduce", counting_local)
     monkeypatch.setattr(exact_linalg, "_reduce", counting_shared)
     monkeypatch.setattr(quadratic_cohomology, "_stage_report", checked_stage_report)
@@ -468,12 +482,12 @@ def test_stage_report_reduces_the_b_images_once_and_keeps_its_subspaces(monkeypa
     for z in cocycles:
         seen.clear()
         report = check_admissible(z)
-        for c, half, (a_runs, b_runs, drawn, form_ranks) in zip(
+        for c, half, (a_solves, other_runs, b_runs, drawn, form_ranks) in zip(
             report.conditions, quadratic_cohomology._stages(z.algebra), seen
         ):
             expected, image_dim = _images_until_full(z, half)
             full = image_dim == z.module.dim
-            assert (a_runs, b_runs, drawn) == (1, 1, expected)
+            assert (a_solves, other_runs, b_runs, drawn) == (1, 0, 1, expected)
             assert c.b_image_dim == image_dim and form_ranks == (0 if full else 1)
             ranks.add(form_ranks)
             stopped += drawn < len(half.kernel)
