@@ -13,8 +13,10 @@ the center, the central filtration and the tensor basis l (x) l^(k+1) of the
 algebra, so they take dimension at most ``MAX_DIM`` (``admissible`` on the
 64-dim abelian zero cocycle: about 0.1 s on a 2-core Xeon), and so does a
 module in every command, as its form is eliminated (a dense 120-dim one took
-8 s).  A failing (B_k) reports at most dim a kernel tensors, each a dim l x
-dim l^(k+1) matrix, never the whole kernel of the bracket pairing; ``cohomology``
+8 s).  ``MAX_DIM`` bounds the dimension, not the work: on a dense 63-dim
+nilpotent table (1,936 brackets) the Jacobi check alone takes over a minute.
+A failing (B_k) reports at most dim a kernel tensors, each a dim l x dim
+l^(k+1) matrix, never the whole kernel of the bracket pairing; ``cohomology``
 eliminates the nonzero entries of d on the bases of C^(p-1) and C^p, whose
 two matrices may have at most ``MAX_COHOMOLOGY_CELLS`` entries together
 (``--degree 3`` on the 17-dim abelian algebra: about 0.02 s).  The count
@@ -199,7 +201,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif kind == "cocycle":
         cocycle = assemble_cocycle(parsed, args.algebra, args.module)
         fields = {"algebra_dim": cocycle.algebra.dim, "module_dim": cocycle.module.dim}
-    elif kind == "metric_lie_algebra":
+    else:  # "metric_lie_algebra": parse_document refuses report documents
         from .double_construction import MetricLieAlgebra, fingerprint, verify_metric
 
         bounded(parsed.algebra)
@@ -219,8 +221,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "nilpotent": is_nilpotent(metric.algebra),
             "fingerprint": _fingerprint_payload(fingerprint(metric)),
         }
-    else:
-        raise SchemaError(f"verify does not accept {kind} documents")
     emit(report("verify", kind=kind, ok=True, **fields))
     return EXIT_OK
 
@@ -332,8 +332,6 @@ def parse_samples(text: str) -> dict[str, tuple[Fraction, ...]]:
             if cat.PARAM_DOMAINS[name] == "positive" and value <= 0:
                 raise SchemaError(f"--samples {name}: values must be positive")
             values.append(value)
-        if not values:
-            raise SchemaError(f"--samples {name}: empty value list")
         samples[name] = tuple(values)
     return samples
 

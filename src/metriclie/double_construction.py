@@ -70,9 +70,11 @@ class MetricReport(NamedTuple):
 def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     """Assemble and fully validate the metric double of a quadratic cocycle.
 
-    The sparse table is filled in one pass over the stored entries of gamma,
-    alpha, the module form and the rows of ``l``, following the formulas in
-    the module docstring.  The Gram form is stored as its 2n+m sparse rows,
+    The sparse table follows the formulas in the module docstring, one pass over
+    the stored entries of gamma, alpha and the rows of ``l``, with G alpha(X_i,
+    X_j) one ``_combine`` per stored key of alpha.  Each entry is assigned once,
+    from the one key that holds it, so the rows handed to ``LieAlgebra`` are
+    canonical and zero-free.  The Gram form is stored as its 2n+m sparse rows,
     handed to the constructor as they are; no dense row is filled.
     A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`;
     a result that fails its own re-check raises :class:`ConsistencyError`.
@@ -85,35 +87,27 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     x_off = n + m
 
     table: dict[tuple[int, int], dict[int, Scalar]] = {}
-
-    def add(i: int, j: int, t: int, c: Scalar) -> None:
-        """Add c e_t to [e_i, e_j], i < j."""
-        if c:
-            row = table.setdefault((i, j), {})
-            row[t] = row[t] + c if t in row else c
-
-    # [X_i, X_j] picks up gamma(X_i, X_j, X_k) sigma^k for each ordering of a key
+    # the l* block of [X_i, X_j]: gamma(X_i, X_j, X_k) sigma^k, from the sorted key
     for (i, j, k), row in z.gamma.rows.items():
         c = row[0]
-        add(x_off + i, x_off + j, k, c)
-        add(x_off + i, x_off + k, j, -c)
-        add(x_off + j, x_off + k, i, c)
-    # [X_i, X_j] picks up alpha(X_i, X_j); [A_s, X_i] = <A_s, alpha(X_i, X_j)> sigma^j,
-    # summed over the nonzero <A_s, A_t> of row t (the module form is symmetric)
+        table.setdefault((x_off + i, x_off + j), {})[k] = c
+        table.setdefault((x_off + i, x_off + k), {})[j] = -c
+        table.setdefault((x_off + j, x_off + k), {})[i] = c
+    # the a block of [X_i, X_j] is alpha(X_i, X_j); [A_s, X_i] = <A_s, alpha(X_i, X_j)>
+    # sigma^j, entry s of G alpha(X_i, X_j) (the module form is symmetric)
     module_rows = module.gram.nonzero_rows
     for (i, j), v in z.alpha.rows.items():
-        for t, c in v.items():
-            add(x_off + i, x_off + j, a_off + t, c)
-            for s, x in module_rows[t].items():
-                add(a_off + s, x_off + i, j, x * c)
-                add(a_off + s, x_off + j, i, -x * c)
-    # [X_i, X_k] = [e_i, e_k]_l; [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k
+        table.setdefault((x_off + i, x_off + j), {}).update({a_off + t: c for t, c in v.items()})
+        for s, x in _combine(v, module_rows.__getitem__).items():
+            table.setdefault((a_off + s, x_off + i), {})[j] = x
+            table.setdefault((a_off + s, x_off + j), {})[i] = -x
+    # [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k; the l block of [X_i, X_k]
     for i in range(n):
         for k, p in l.row(i).items():
             for t, c in p.items():
+                table.setdefault((t, x_off + i), {})[k] = c
                 if i < k:
-                    add(x_off + i, x_off + k, x_off + t, c)
-                add(t, x_off + i, k, c)
+                    table.setdefault((x_off + i, x_off + k), {})[x_off + t] = c
 
     labels = tuple(
         ["%s*" % s for s in l.labels] + ["A%d" % (t + 1) for t in range(m)] + list(l.labels)

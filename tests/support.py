@@ -338,6 +338,40 @@ def random_valid_cocycle(
     return None
 
 
+def random_full_module(rg: random.Random, m: int) -> OrthogonalModule:
+    """A nondegenerate module form G = P D P^T, P unitriangular and D diagonal
+    with random nonzero rationals, drawn again until some <A_s, A_t>, s != t,
+    is nonzero (for m >= 2)."""
+    while True:
+        p = [[Fraction(int(i == j)) if j >= i else rational(rg) for j in range(m)]
+             for i in range(m)]
+        d = [rational(rg) or Fraction(1) for _ in range(m)]
+        grid = [[sum(p[i][k] * d[k] * p[j][k] for k in range(m)) for j in range(m)]
+                for i in range(m)]
+        if m < 2 or any(grid[i][j] for i in range(m) for j in range(m) if i != j):
+            return OrthogonalModule(Matrix.from_rows(grid, cols=m))
+
+
+def full_module_cocycles(seed: int = 37) -> list[QuadraticCocycle]:
+    """Seeded :func:`random_valid_cocycle` draws on R2, R3, h1, h1R and g41 over
+    :func:`random_full_module` forms of dimension 2 and 3, two per pair, each
+    gamma plus a random closed 3-form; the draws with no solvable gamma are
+    left out."""
+    rg = rng(seed)
+    out = []
+    for base in ("R2", "R3", "h1", "h1R", "g41"):
+        l = base_algebra(base)
+        closed = kernel_basis(differential_matrix(l, None, 3))
+        for m in (2, 3, 2, 3):
+            z = random_valid_cocycle(rg, l, random_full_module(rg, m))
+            if z is not None:
+                shift = _random_span_element(rg, closed, len(_vectorize(z.gamma)))
+                gamma = vec_add(_vectorize(z.gamma), shift)
+                out.append(QuadraticCocycle(l, z.module, z.alpha,
+                                            _cochain_from_vector(gamma, l.dim, 3, 1, True)))
+    return out
+
+
 REJECTION_TAGS = ("r01", "r10", "r11", "r02", "r11w", "r21", "r03", "r22w")
 
 
@@ -524,6 +558,42 @@ def dense_pairing(gram: Matrix, u, v) -> Fraction:
     grid = dense_grid(gram)
     entries = (u[i] * grid[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
     return sum(entries, Fraction(0))
+
+
+def dense_double(z: QuadraticCocycle) -> tuple[dict[tuple[int, int], tuple], list[list]]:
+    """The brackets [e_a, e_b], a < b, as dense vectors, and the Gram grid of the
+    double of ``z``, entry by entry from the formulas of ``double_construction``
+    on the basis (sigma^1..n, A_1..m, X_1..n):
+
+        [X_i, X_j] = gamma(X_i, X_j, .) + alpha(X_i, X_j) + [X_i, X_j]_l,
+        [sigma^t, X_i] = -ad*(X_i) sigma^t, whose sigma^k entry is [X_i, X_k]_t,
+        [A_s, X_i] = <A_s, alpha(X_i, .)>, summed over every entry of the module form,
+
+    every other bracket zero, and <A_s, A_u>_a and sigma^i(X_i) = 1 as the form."""
+    l, n, m = z.algebra, z.algebra.dim, z.module.dim
+    dim, x_off = 2 * n + m, n + m
+    module = dense_grid(z.module.gram)
+    brackets = {key: (Fraction(0),) * dim for key in combinations(range(dim), 2)}
+    for i, j in combinations(range(n), 2):
+        sigma = tuple(alternating_value(z.gamma, (i, j, k))[0] for k in range(n))
+        brackets[(x_off + i, x_off + j)] = (
+            sigma + alternating_value(z.alpha, (i, j)) + dense_basis_bracket(l, i, j))
+    tail = (Fraction(0),) * (m + n)  # the a and l blocks of [sigma^t, X_i] and [A_s, X_i]
+    for i in range(n):
+        for t in range(n):
+            brackets[(t, x_off + i)] = tuple(
+                dense_basis_bracket(l, i, k)[t] for k in range(n)) + tail
+        for s in range(m):
+            brackets[(n + s, x_off + i)] = tuple(
+                sum((module[s][u] * alternating_value(z.alpha, (i, k))[u] for u in range(m)),
+                    Fraction(0))
+                for k in range(n)) + tail
+    grid = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(n):
+        grid[i][x_off + i] = grid[x_off + i][i] = Fraction(1)
+    for s in range(m):
+        grid[n + s][n:x_off] = module[s]
+    return brackets, grid
 
 
 def dense_wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:

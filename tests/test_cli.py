@@ -643,6 +643,47 @@ def test_catalog_out_directory(tmp_path, capsys):
         assert parsed.provenance is not None
 
 
+def test_schema_guards_name_the_position_of_the_bad_field(tmp_path, capsys):
+    """Guards of ``schema`` that the bundled documents and the golden commands
+    never reach: each exits 2 and names the JSON position it refuses."""
+    algebra = {"dim": 3, "brackets": [{"i": 1, "j": 2, "value": ["0", "0", "1"]}]}
+    cases = [
+        (schema.wrap("lie_algebra", {"dim": 2, "brackets": {}}),
+         "lie_algebra.brackets: expected a list"),
+        (schema.wrap("module", {"dim": -1, "gram": []}),
+         "module.dim: expected a nonnegative integer"),
+        (schema.wrap("module", {"dim": True, "gram": [["1"]]}),
+         "module.dim: expected a nonnegative integer"),
+        (schema.wrap("metric_lie_algebra", {"algebra": algebra, "gram": [["0", "1"], ["1", "0"]]}),
+         "metric_lie_algebra.gram: expected 3x3"),
+    ]
+    for doc, message in cases:
+        code, out = run(capsys, "verify", write_doc(tmp_path, "guard.json", doc))
+        assert (code, out["payload"]["error"]) == (2, message)
+
+
+def test_a_catalog_entry_that_breaks_the_gamma_equation_is_an_error_row(monkeypatch, capsys):
+    """``catalog._process`` turns the ``CocycleError`` of an entry whose gamma
+    breaks d gamma = 1/2 <alpha ^ alpha> into a row with its message, which the
+    table prints as ``error=`` and the report as the row's ``error``, exit 1."""
+    broken = cat.CatalogEntry("T9.broken", "9", "g52", "none", gamma_terms=((1, (1, 3, 4)),))
+    message = "gamma_equation fails at basis tuple (X1, X2, X3, Y)"
+    rep = cat.run_catalog(entries=[broken])
+    assert rep.rows == (cat.CatalogRow("T9.broken", (), False, error=message),)
+    assert rep.doubles == (None,) and not rep.all_ok
+    assert cat.report_table(rep).splitlines() == [
+        f"{'T9.broken':24s} {'-':12s} FAIL error={message}",
+        "rows=1 collisions=0",
+    ]
+    monkeypatch.setattr(cat, "ENTRIES", (broken,))
+    code, doc = run(capsys, "catalog")
+    assert code == 1 and doc["payload"]["ok"] is False
+    assert doc["payload"]["rows"] == [{
+        "entry": "T9.broken", "params": {}, "cocycle_valid": False, "admissible": None,
+        "proxy_indecomposable": None, "double_built": None, "error": message,
+    }]
+
+
 def test_verify_on_a_file_that_is_not_utf8_is_schema_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"kind": "module", "version": "caf\u00e9"}'.encode("latin-1"))

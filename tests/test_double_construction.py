@@ -26,20 +26,22 @@ from metriclie.double_construction import (
     fingerprint,
     verify_metric,
 )
-from metriclie.exact_linalg import Matrix, Signature, signature_of, unit_vector
+from metriclie.cochain_complex import OrthogonalModule, cochain_from_terms
+from metriclie.exact_linalg import Matrix, Signature, signature_of
 from metriclie.lie_core import LieAlgebra, abelian
-from metriclie.quadratic_cohomology import ConsistencyError, zero_cocycle
+from metriclie.quadratic_cohomology import ConsistencyError, QuadraticCocycle, zero_cocycle
 
 from support import (
-    alternating_value,
     dense_basis_bracket,
     dense_brackets,
+    dense_double,
     dense_grid,
     dense_matrix_row,
     dense_nonzero_rows,
-    dense_pairing,
     direct_fingerprint,
     filiform_double,
+    full_module_cocycles,
+    is_canonical,
     random_unimodular_basis_change,
     rational,
     rng,
@@ -87,48 +89,14 @@ def ad_row(l, i, k):
     return [dense_basis_bracket(l, i, j)[k] for j in range(l.dim)]
 
 
-def part(z, x):
-    """The block of basis index ``x`` in the double of z, and its index there."""
-    n, m = z.algebra.dim, z.module.dim
-    return ("sigma", x) if x < n else ("a", x - n) if x < n + m else ("x", x - n - m)
-
-
-def docstring_pairing(z, a, b):
-    """<e_a, e_b> in the double of z: <A1, A2>_a + Z1(L2) + Z2(L1)."""
-    (pa, i), (pb, j) = part(z, a), part(z, b)
-    if (pa, pb) == ("a", "a"):
-        return dense_matrix_row(z.module.gram, i)[j]
-    dual = {pa, pb} == {"sigma", "x"} and i == j  # Z(L) with Z = sigma^i, L = X_i
-    return Fraction(1) if dual else Fraction(0)
-
-
-def docstring_gram(z):
-    """The Gram form of the double of z as a plain-list grid of :func:`docstring_pairing`."""
-    dim = 2 * z.algebra.dim + z.module.dim
-    return [[docstring_pairing(z, a, b) for b in range(dim)] for a in range(dim)]
-
-
-def docstring_bracket(z, a, b):
-    """[e_a, e_b] in the double of z, straight from the module docstring."""
-    l, module = z.algebra, z.module
-    n, m = l.dim, module.dim
-    (pa, i), (pb, j) = part(z, a), part(z, b)
-    sigma, a_part, x_part = [Fraction(0)] * n, [Fraction(0)] * m, [Fraction(0)] * n
-    if (pa, pb) == ("x", "x"):
-        # [L1, L2] = gamma(L1, L2, .) + alpha(L1, L2) + [L1, L2]_l
-        sigma = [alternating_value(z.gamma, (i, j, k))[0] for k in range(n)]
-        a_part = list(alternating_value(z.alpha, (i, j)))
-        x_part = list(dense_basis_bracket(l, i, j))
-    elif (pa, pb) == ("sigma", "x"):
-        # [Z, L] = -ad*(L)(Z), and (ad*(L) Z)(L') = -Z([L, L'])
-        sigma = [dense_basis_bracket(l, j, k)[i] for k in range(n)]
-    elif (pa, pb) == ("a", "x"):
-        # [A, L] = <A, alpha(L, .)>
-        sigma = [
-            dense_pairing(module.gram, unit_vector(m, i), alternating_value(z.alpha, (j, k)))
-            for k in range(n)
-        ]
-    return tuple(sigma + a_part + x_part)
+def assert_matches_dense_double(g):
+    """Every bracket [e_a, e_b], a < b, and every entry of the form of ``g``
+    equal those of :func:`dense_double` on its provenance."""
+    brackets, grid = dense_double(g.provenance)
+    pairs = combinations(range(g.algebra.dim), 2)
+    assert {(a, b): dense_basis_bracket(g.algebra, a, b) for a, b in pairs} == brackets
+    assert dense_grid(g.gram) == grid
+    assert g.gram.nonzero_rows == dense_nonzero_rows(grid) and g.gram.cols == len(grid)
 
 
 def test_every_catalog_double_matches_the_docstring_formulas():
@@ -136,12 +104,54 @@ def test_every_catalog_double_matches_the_docstring_formulas():
     built = [g for g in rep.doubles if g is not None]
     assert len(built) == len(rep.rows)
     for g in built:
-        for a in range(g.algebra.dim):
-            for b in range(a + 1, g.algebra.dim):
-                assert dense_basis_bracket(g.algebra, a, b) == docstring_bracket(g.provenance, a, b)
-        grid = docstring_gram(g.provenance)
-        assert dense_grid(g.gram) == grid
-        assert g.gram.nonzero_rows == dense_nonzero_rows(grid) and g.gram.cols == len(grid)
+        assert_matches_dense_double(g)
+
+
+def test_build_double_matches_the_dense_double_over_full_module_forms():
+    """Every catalog module is diagonal or Witt, one entry per row of G, so no
+    catalog double sums two terms into one [A_s, X_i] entry.  The g64 and g65
+    cocycles and seeded cocycles over non-diagonal module forms do: some
+    alpha(X_i, X_j) meets one column s of G in two rows t."""
+    cocycles = [g64_admissible_cocycle(), g65_admissible_cocycle(), *full_module_cocycles()]
+    assert len(cocycles) >= 15
+    summed = 0
+    for z in cocycles:
+        assert_matches_dense_double(build_double(z))
+        rows = z.module.gram.nonzero_rows
+        summed += any(sum(s in rows[t] for t in v) > 1 for v in z.alpha.rows.values()
+                      for s in range(z.module.dim))
+    assert summed >= 10
+
+
+def test_build_double_hands_lie_algebra_canonical_rows_without_zeros(monkeypatch):
+    """Each entry of a double's table is assigned once: every value handed to
+    ``LieAlgebra`` is a nonzero canonical scalar, before ``_row_of`` reads it.
+    On the two cocycles on R^2, G alpha has an entry whose two terms cancel
+    (G = [[1, 1], [1, 2]], alpha = X1^X2 (A1 - A2)) and an integral entry of a
+    fractional form (G = diag(1/2, 1), alpha = X1^X2 2 A1)."""
+    plane = abelian(2)
+    no_gamma = cochain_from_terms(2, 3, 1, [], scalar=True)
+    cocycles = [
+        QuadraticCocycle(plane, OrthogonalModule(Matrix.from_rows([[1, 1], [1, 2]])),
+                         cochain_from_terms(2, 2, 2, [((0, 1), {0: 1, 1: -1})]), no_gamma),
+        QuadraticCocycle(plane, OrthogonalModule(Matrix.diagonal([Fraction(1, 2), 1])),
+                         cochain_from_terms(2, 2, 2, [((0, 1), {0: 2})]), no_gamma),
+        *[g.provenance for g in run_catalog().doubles],
+        *[g.provenance for g in scale_doubles().values()],
+    ]
+    handed = []
+
+    def recording(dim, brackets, *args, **kwargs):
+        handed.append(brackets)
+        return LieAlgebra(dim, brackets, *args, **kwargs)
+
+    monkeypatch.setattr(double_construction, "LieAlgebra", recording)
+    for z in cocycles:
+        build_double(z)
+    assert len(handed) == len(cocycles) == 2 + 95 + 2
+    bad = [(key, t, x) for brackets in handed for key, row in brackets.items()
+           for t, x in row.items() if not (x and is_canonical(x))]
+    assert bad == []
 
 
 def test_item_eight_doubles():
@@ -316,7 +326,7 @@ def test_build_double_fills_no_dense_gram_row(monkeypatch):
     calls.clear()
     for z in cocycles:
         g = build_double(z)
-        assert g.gram.nonzero_rows == dense_nonzero_rows(docstring_gram(z))
+        assert g.gram.nonzero_rows == dense_nonzero_rows(dense_double(z)[1])
         fingerprint(g)
     assert calls == []
 
