@@ -72,10 +72,12 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
 
     The sparse table follows the formulas in the module docstring, one pass over
     the stored entries of gamma, alpha and the rows of ``l``, with G alpha(X_i,
-    X_j) one ``_combine`` per stored key of alpha.  Each entry is assigned once,
-    from the one key that holds it, so the rows handed to ``LieAlgebra`` are
-    canonical and zero-free.  The Gram form is stored as its 2n+m sparse rows,
-    handed to the constructor as they are; no dense row is filled.
+    X_j) one ``_combine`` per stored key of alpha.  Each entry is written once,
+    from the one key that holds it, straight into the store in both
+    orientations, so its rows are canonical and zero-free and go to
+    ``LieAlgebra._of`` as they are; ``verify_metric`` then checks Jacobi.  The
+    Gram form is stored as its 2n+m sparse rows, handed to the ``Matrix``
+    constructor as they are; no dense row is filled.
     A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`;
     a result that fails its own re-check raises :class:`ConsistencyError`.
     """
@@ -86,33 +88,39 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     a_off = n
     x_off = n + m
 
-    table: dict[tuple[int, int], dict[int, Scalar]] = {}
+    rows: dict[int, dict[int, dict[int, Scalar]]] = {}
+
+    def put(i: int, j: int, t: int, c: Scalar) -> None:  # [e_i, e_j]_t = c, [e_j, e_i]_t = -c
+        rows.setdefault(i, {}).setdefault(j, {})[t] = c
+        rows.setdefault(j, {}).setdefault(i, {})[t] = -c
+
     # the l* block of [X_i, X_j]: gamma(X_i, X_j, X_k) sigma^k, from the sorted key
     for (i, j, k), row in z.gamma.rows.items():
         c = row[0]
-        table.setdefault((x_off + i, x_off + j), {})[k] = c
-        table.setdefault((x_off + i, x_off + k), {})[j] = -c
-        table.setdefault((x_off + j, x_off + k), {})[i] = c
+        put(x_off + i, x_off + j, k, c)
+        put(x_off + i, x_off + k, j, -c)
+        put(x_off + j, x_off + k, i, c)
     # the a block of [X_i, X_j] is alpha(X_i, X_j); [A_s, X_i] = <A_s, alpha(X_i, X_j)>
     # sigma^j, entry s of G alpha(X_i, X_j) (the module form is symmetric)
     module_rows = module.gram.nonzero_rows
     for (i, j), v in z.alpha.rows.items():
-        table.setdefault((x_off + i, x_off + j), {}).update({a_off + t: c for t, c in v.items()})
+        for t, c in v.items():
+            put(x_off + i, x_off + j, a_off + t, c)
         for s, x in _combine(v, module_rows.__getitem__).items():
-            table.setdefault((a_off + s, x_off + i), {})[j] = x
-            table.setdefault((a_off + s, x_off + j), {})[i] = -x
+            put(a_off + s, x_off + i, j, x)
+            put(a_off + s, x_off + j, i, -x)
     # [sigma^t, X_i] = -ad*(X_i) sigma^t = [e_i, e_k]_t sigma^k; the l block of [X_i, X_k]
     for i in range(n):
         for k, p in l.row(i).items():
             for t, c in p.items():
-                table.setdefault((t, x_off + i), {})[k] = c
+                put(t, x_off + i, k, c)
                 if i < k:
-                    table.setdefault((x_off + i, x_off + k), {})[x_off + t] = c
+                    put(x_off + i, x_off + k, x_off + t, c)
 
     labels = tuple(
         ["%s*" % s for s in l.labels] + ["A%d" % (t + 1) for t in range(m)] + list(l.labels)
     )
-    algebra = LieAlgebra(total, table, labels=labels, validate=False)
+    algebra = LieAlgebra._of(total, rows, labels)
 
     # Z(L) pairs sigma^i with X_i both ways; the module block is <A_s, A_t>
     gram_rows = [{x_off + i: 1} for i in range(n)]

@@ -7,7 +7,8 @@ and an int product costs a hundredth of a Fraction one; equal values compare
 and hash equal in either type.  Vectors are tuples of scalars.  The one sparse row
 format is the ``{column: nonzero entry}`` map: a matrix stores its rows so,
 as a Lie algebra its brackets and a cochain its values, each read from a
-dense list or a sparse map by :func:`_row_of`.  :func:`_combine` is the one
+dense list or a sparse map from outside by :func:`_row_of`, or handed over
+as built by the kernels, canonical and zero-free.  :func:`_combine` is the one
 contraction: every sum c_k * row_k of sparse rows outside the eliminations,
 a matrix times a vector and the matrix product among them, goes through it;
 every restricted form is B G B^T through that product, and

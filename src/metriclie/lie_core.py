@@ -2,8 +2,11 @@
 
 A Lie algebra stores its antisymmetric structure constants once, as sparse
 rows: ``[e_i, e_j]`` as the ``{t: c}`` map of its nonzero coordinates, in
-both orientations, read by ``_row_of``, and no dense view of them is kept;
-``[e_i, w]`` is a sum of those rows through ``_combine``.  The Jacobi
+both orientations, and no dense view of them is kept; ``[e_i, w]`` is a sum
+of those rows through ``_combine``.  There are two ways into the store: the
+checked constructor reads a table from outside (files, literals, tests)
+through ``_row_of``, and ``LieAlgebra._of`` takes a store that the package's
+own kernels fill, as ``Cochain._of`` takes a cochain's rows.  The Jacobi
 check, the series and the center touch only stored entries: the series of a
 nilpotent Lie algebra brackets layers with a complement of l^2 only, and the
 Jacobi check visits only the triples with a term that can be nonzero.  It runs
@@ -62,9 +65,11 @@ class LieAlgebra:
 
     The one store: ``_rows[i]`` maps each ``j`` with a nonzero [e_i, e_j] to
     its sparse row ``{t: c}`` (c the nonzero e_t coordinate), in both
-    orientations; the rows are shared, and nothing may modify them.
-    ``brackets[(i, j)]``, i < j, may be given as a dense sequence of ``dim``
-    coordinates or as a sparse map ``{t: c}``; ``row`` reads them back.  Instances
+    orientations; the rows are shared, and nothing may modify them.  The
+    constructor checks a table from outside: ``brackets[(i, j)]``, i < j, is
+    a dense sequence of ``dim`` coordinates or a sparse map ``{t: c}``, read
+    by ``_row_of``.  ``_of`` takes a store the kernels filled, unchecked
+    (``build_double``, ``direct_sum``); ``row`` reads the rows back.  Instances
     are immutable, and storage grows with the brackets, not with ``dim``:
     only indices with a stored bracket have a row, and default labels are
     made on demand.  What is derived from the brackets alone is kept in a
@@ -96,15 +101,21 @@ class LieAlgebra:
             if row:
                 rows.setdefault(i, {})[j] = row
                 rows.setdefault(j, {})[i] = {t: -c for t, c in row.items()}
-        self._dim = dim
-        self._labels = labels
-        self._rows = rows
-        self._hash: int | None = None
-        self._series: tuple[Subspace, ...] | None = None
-        self._jacobi: bool | None = None  # validate_jacobi's verdict, once run
-        self._stages: tuple | None = None  # quadratic_cohomology's per-stage data, once built
+        self._fill(dim, rows, labels)
         if validate:
             require_jacobi(self)
+
+    @staticmethod
+    def _of(dim: int, rows: dict, labels: tuple[str, ...] | None) -> LieAlgebra:
+        """The algebra of a store the kernels filled, unchecked: each canonical
+        nonzero entry written once in both orientations, no empty row."""
+        l = LieAlgebra.__new__(LieAlgebra)
+        l._fill(dim, rows, labels)
+        return l
+
+    def _fill(self, dim: int, rows: dict, labels: tuple[str, ...] | None) -> None:
+        self._dim, self._rows, self._labels = dim, rows, labels
+        self._hash = self._series = self._jacobi = self._stages = None  # none kept yet
 
     @property
     def dim(self) -> int:
@@ -305,7 +316,8 @@ def nilpotency_index(l: LieAlgebra) -> int:
 def direct_sum(l1: LieAlgebra, l2: LieAlgebra) -> LieAlgebra:
     """Direct sum of Lie algebras; labels are prefixed to stay unique."""
     n1 = l1.dim
-    table = {(i, j): p for i, j, p in l1._upper()}
-    table.update(((i + n1, j + n1), {t + n1: c for t, c in p.items()}) for i, j, p in l2._upper())
+    rows = dict(l1._rows)  # l1's rows shared, l2's shifted by dim l1
+    rows.update((i + n1, {j + n1: {t + n1: c for t, c in p.items()} for j, p in row.items()})
+                for i, row in l2._rows.items())
     labels = tuple("1.%s" % s for s in l1.labels) + tuple("2.%s" % s for s in l2.labels)
-    return LieAlgebra(n1 + l2.dim, table, labels=labels, validate=False)
+    return LieAlgebra._of(n1 + l2.dim, rows, labels)

@@ -124,8 +124,8 @@ def test_build_double_matches_the_dense_double_over_full_module_forms():
 
 
 def test_build_double_hands_lie_algebra_canonical_rows_without_zeros(monkeypatch):
-    """Each entry of a double's table is assigned once: every value handed to
-    ``LieAlgebra`` is a nonzero canonical scalar, before ``_row_of`` reads it.
+    """Each entry of a double's store is written once: every value handed to
+    ``LieAlgebra._of`` is a nonzero canonical scalar.
     On the two cocycles on R^2, G alpha has an entry whose two terms cancel
     (G = [[1, 1], [1, 2]], alpha = X1^X2 (A1 - A2)) and an integral entry of a
     fractional form (G = diag(1/2, 1), alpha = X1^X2 2 A1)."""
@@ -140,18 +140,94 @@ def test_build_double_hands_lie_algebra_canonical_rows_without_zeros(monkeypatch
         *[g.provenance for g in scale_doubles().values()],
     ]
     handed = []
+    original = LieAlgebra._of
 
-    def recording(dim, brackets, *args, **kwargs):
-        handed.append(brackets)
-        return LieAlgebra(dim, brackets, *args, **kwargs)
+    def recording(dim, rows, labels):
+        handed.append(rows)
+        return original(dim, rows, labels)
 
-    monkeypatch.setattr(double_construction, "LieAlgebra", recording)
+    monkeypatch.setattr(LieAlgebra, "_of", staticmethod(recording))
     for z in cocycles:
         build_double(z)
     assert len(handed) == len(cocycles) == 2 + 95 + 2
-    bad = [(key, t, x) for brackets in handed for key, row in brackets.items()
-           for t, x in row.items() if not (x and is_canonical(x))]
+    bad = [(i, j, t, x) for rows in handed for i, row in rows.items() for j, p in row.items()
+           for t, x in p.items() if not (x and is_canonical(x))]
     assert bad == []
+
+
+def store_faults(l):
+    """Where the store of ``l`` breaks the contract of ``LieAlgebra._of``:
+    an empty row, a zero or non-canonical value, a row [e_j, e_i] that is
+    not the exact negation of [e_i, e_j], or any difference from the checked
+    construction of its brackets (rows, equality, hash)."""
+    faults = [("empty", i, j) for i, row in l._rows.items() for j, p in [(None, row), *row.items()]
+              if not p]
+    faults += [("value", i, j, t, x) for i, row in l._rows.items() for j, p in row.items()
+               for t, x in p.items() if not (x and is_canonical(x))]
+    faults += [("partner", i, j) for i, row in l._rows.items() for j, p in row.items()
+               if l._rows.get(j, {}).get(i) != {t: -x for t, x in p.items()}]
+    checked = LieAlgebra(l.dim, {(i, j): p for i, j, p in l._upper()}, labels=l.labels,
+                         validate=False)
+    if not (l._rows == checked._rows and l == checked and hash(l) == hash(checked)):
+        faults.append(("checked", l))
+    return faults
+
+
+def test_build_double_writes_its_store_once_in_both_orientations(monkeypatch):
+    """``build_double`` fills the store of its ``LieAlgebra`` itself and hands
+    it to the unchecked ``LieAlgebra._of``: every value is a nonzero
+    canonical scalar, each row [e_j, e_i] is the negation of [e_i, e_j], no
+    row is empty, and the store is the checked construction's.  No value
+    goes through ``_row_of``, shadowed in ``lie_core``, and the double's
+    Jacobi check runs once, in ``verify_metric``, on an algebra with no
+    verdict yet: ``_of`` hands none over.
+    On the two cocycles on R^2, G alpha has an entry whose two terms cancel
+    (G = [[1, 1], [1, 2]], alpha = X1^X2 (A1 - A2)) and an integral entry of a
+    fractional form (G = diag(1/2, 1), alpha = X1^X2 2 A1)."""
+    plane = abelian(2)
+    no_gamma = cochain_from_terms(2, 3, 1, [], scalar=True)
+    cocycles = [
+        QuadraticCocycle(plane, OrthogonalModule(Matrix.from_rows([[1, 1], [1, 2]])),
+                         cochain_from_terms(2, 2, 2, [((0, 1), {0: 1, 1: -1})]), no_gamma),
+        QuadraticCocycle(plane, OrthogonalModule(Matrix.diagonal([Fraction(1, 2), 1])),
+                         cochain_from_terms(2, 2, 2, [((0, 1), {0: 2})]), no_gamma),
+        *[g.provenance for g in run_catalog().doubles],
+        *[g.provenance for g in scale_doubles().values()],
+        g64_admissible_cocycle(),
+        g65_admissible_cocycle(),
+        *full_module_cocycles(),
+    ]
+    assert len(cocycles) >= 2 + 95 + 2 + 2 + 15
+    read, checked = [], []
+    original_row_of, original_jacobi = lie_core._row_of, lie_core.validate_jacobi
+
+    def reading(*args):
+        read.append(args)
+        return original_row_of(*args)
+
+    def checking(l):
+        checked.append((l, l._jacobi))
+        return original_jacobi(l)
+
+    doubles = []
+    with monkeypatch.context() as patch:
+        patch.setattr(lie_core, "_row_of", reading)
+        patch.setattr(lie_core, "validate_jacobi", checking)
+        patch.setattr(double_construction, "validate_jacobi", checking)
+        for z in cocycles:
+            checked.clear()
+            doubles.append(build_double(z))
+            assert [v for l, v in checked if l is doubles[-1].algebra] == [None]
+        assert read == []
+        LieAlgebra(3, {(0, 1): (0, 0, 1)})
+        assert len(read) == 1  # the shadow sees a checked construction
+    assert [(g, store_faults(g.algebra)) for g in doubles if store_faults(g.algebra)] == []
+    # a store with one partner row dropped fails
+    g = doubles[0].algebra
+    rows = {i: dict(row) for i, row in g._rows.items()}
+    i, j, _ = next(g._upper())
+    del rows[j][i]
+    assert ("partner", i, j) in store_faults(LieAlgebra._of(g.dim, rows, g.labels))
 
 
 def test_item_eight_doubles():
@@ -288,24 +364,32 @@ def sparse_build_cocycles():
 
 
 def test_build_double_hands_the_constructor_sparse_rows(monkeypatch):
-    """No bracket of a double is filled densely: every bracket the constructor
-    reads goes through ``_row_of``, shadowed in ``lie_core``, and none is a
-    dense sequence."""
-    dense, read = [], []
-    original = lie_core._row_of
+    """No bracket of a double is filled densely: the store handed to
+    ``LieAlgebra._of`` holds sparse maps only, and ``_row_of``, shadowed in
+    ``lie_core``, reads no dense sequence."""
+    dense, handed = [], []
+    original, original_of = lie_core._row_of, LieAlgebra._of
 
     def counting(value, length, what, *args):
-        (read if isinstance(value, Mapping) else dense).append(value)
+        if not isinstance(value, Mapping):
+            dense.append(value)
         return original(value, length, what, *args)
+
+    def recording(dim, rows, labels):
+        handed.append(rows)
+        return original_of(dim, rows, labels)
 
     cocycles = sparse_build_cocycles()
     monkeypatch.setattr(lie_core, "_row_of", counting)
+    monkeypatch.setattr(LieAlgebra, "_of", staticmethod(recording))
     LieAlgebra(3, {(0, 1): (0, 0, 1)})
     assert len(dense) == 1  # the shadow sees a dense construction
     dense.clear()
     for z in cocycles:
         assert list(build_double(z).algebra._upper())
-    assert dense == [] and read
+    assert dense == [] and len(handed) == len(cocycles)
+    assert all(isinstance(p, Mapping) for rows in handed for row in rows.values()
+               for p in [row, *row.values()])
 
 
 def test_build_double_fills_no_dense_gram_row(monkeypatch):

@@ -262,6 +262,26 @@ def test_direct_sum_combines_structure():
     assert two == LieAlgebra(6, shifted, labels=two.labels)
 
 
+def test_direct_sum_fills_the_store_of_the_checked_construction():
+    """``direct_sum`` shares the rows of l1 and shifts those of l2 into the
+    unchecked ``LieAlgebra._of``: over every ordered pair of base algebras,
+    and with the zero algebra on either side, it has the labels, rows and
+    hash of the checked construction of the same brackets."""
+    algebras = [BASE_BUILDERS[name]() for name in sorted(BASE_BUILDERS)] + [abelian(0)]
+    for l1 in algebras:
+        for l2 in algebras:
+            s = direct_sum(l1, l2)
+            n1 = l1.dim
+            table = {(i, j): p for i, j, p in l1._upper()}
+            table.update(((i + n1, j + n1), {t + n1: c for t, c in p.items()})
+                         for i, j, p in l2._upper())
+            labels = ["1.%s" % x for x in l1.labels] + ["2.%s" % x for x in l2.labels]
+            checked = LieAlgebra(n1 + l2.dim, table, labels=labels)
+            assert s.labels == checked.labels and s._rows == checked._rows
+            assert s == checked and hash(s) == hash(checked)
+            assert all(s._rows[i] is row for i, row in l1._rows.items())
+
+
 def test_subspace_coords_of_known_rows():
     s = Subspace.of_rows(3, [{0: 1, 1: 1}, {2: 2}])
     assert s.dim == 2
