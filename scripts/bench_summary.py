@@ -22,7 +22,10 @@ median better than the parent's by more than the parent's interquartile
 range (``medians_differ_beyond_parent_iqr`` holds for a loss too).  The median operations attempted per run go beside
 ``peak_rss_mb``, since the harness keeps every operation it runs, and are
 printed with it.  Traced
-runs are listed apart and left out of the summary.  Runs are listed in the
+runs are listed apart and left out of the summary.  Two traced runs may trace
+different numbers of cycles, so their ``self_s`` totals do not compare; each
+traced run also gets ``per_call_s``, each layer's ``self_s / calls`` for the
+layers it called at least once.  Runs are listed in the
 order of their file names, so name the files in the order the runs were made.
 
     python3 scripts/bench_summary.py --pr 12 --parent runs/*_parent.txt \\
@@ -76,6 +79,16 @@ def quartiles(values: list[float]) -> list[float]:
         return values * 3
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [q1, median, q3]
+
+
+def per_call_s(metrics: dict) -> dict[str, float]:
+    """Each layer's ``<layer>.self_s / <layer>.calls``, where calls > 0."""
+    out = {}
+    for name, calls in metrics.items():
+        layer = name.removesuffix(".calls")
+        if layer != name and calls["value"] > 0 and f"{layer}.self_s" in metrics:
+            out[layer] = metrics[f"{layer}.self_s"]["value"] / calls["value"]
+    return out
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
@@ -166,7 +179,8 @@ def main(argv: list[str] | None = None) -> int:
         "machine": json.loads(machines.pop()),
         "command": COMMAND,
         "runs": [run for run in runs if run["trace"] == 0],
-        "traced": [run for run in runs if run["trace"] == 1],
+        "traced": [dict(run, per_call_s=per_call_s(run["result"]["metrics"]))
+                   for run in runs if run["trace"] == 1],
         "summary": summarize(runs, metrics),
     }
     path = args.out or ROOT / f"BENCH_{args.pr}.json"

@@ -9,7 +9,6 @@ deterministic; rerunning the script must reproduce the tree byte for byte.
 
 from __future__ import annotations
 
-import json
 import shutil
 import sys
 from fractions import Fraction
@@ -98,9 +97,7 @@ def main() -> None:
                 "file": f"catalog/{filename}",
             }
         )
-    (DATA / "catalog" / "index.json").write_text(
-        json.dumps({"entries": index}, indent=2) + "\n"
-    )
+    write(DATA / "catalog" / "index.json", {"entries": index})
 
     doubles = {
         "r2_plane_double.json": cat.instantiate(cat.entry_by_id("T1.8.r01")),

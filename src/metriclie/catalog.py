@@ -179,19 +179,24 @@ GAMMA0_TERMS: tuple[GammaTerm, ...] = ((1, (1, 2, 3)),)
 #: companion 3-form for the f4 rows on the abelian four dimensional base
 GAMMA124_TERMS: tuple[GammaTerm, ...] = ((1, (0, 1, 3)),)
 
-PARAM_DOMAINS = {"s": "rational", "r": "positive"}
+#: the free parameters that must be positive; ``s`` takes any rational value
+POSITIVE_PARAMS = {"r"}
 
 
 class CatalogEntry(NamedTuple):
     """One classified cocycle, possibly depending on rational parameters."""
 
     id: str
-    item: str
     base: str
     module_tag: str
     alpha_terms: tuple[AlphaTerm, ...] = ()
     gamma_terms: tuple[GammaTerm, ...] = ()
     params: tuple[str, ...] = ()
+
+    @property
+    def item(self) -> str:
+        """The item of the table, read off the id: ``T1.3a.r01.g0`` is in ``3a``."""
+        return self.id.split(".")[1]
 
 
 def _resolve(coeff: object, params: Mapping[str, Fraction]) -> Fraction:
@@ -230,7 +235,7 @@ def instantiate(
         )
     for name, value in params.items():
         params[name] = scalar(value)
-        if PARAM_DOMAINS.get(name) == "positive" and params[name] <= 0:
+        if name in POSITIVE_PARAMS and params[name] <= 0:
             raise ValueError(f"parameter {name} of {entry.id} must be positive")
     algebra = base_algebra(entry.base)
     module = module_for_tag(entry.module_tag)
@@ -243,173 +248,95 @@ def instantiate(
 # the entry list
 # ---------------------------------------------------------------------------
 
+# term tuples shared by several rows of one item
+_ALPHA3_1: tuple[AlphaTerm, ...] = ((1, (0, 3), 0),)
+_ALPHA3_2: tuple[AlphaTerm, ...] = ((1, (0, 3), 0), (1, (1, 2), 1))
+_ALPHA3_2_SWAPPED: tuple[AlphaTerm, ...] = ((1, (1, 2), 0), (1, (0, 3), 1))
+_GAMMA3_S: tuple[GammaTerm, ...] = (("s", (0, 3, 2)),)
+_GAMMA3_R: tuple[GammaTerm, ...] = (("r", (1, 3, 2)),)
+_ALPHA6_1: tuple[AlphaTerm, ...] = ((1, (0, 2), 0),)
+_ALPHA6_2: tuple[AlphaTerm, ...] = ((1, (0, 2), 0), (1, (1, 2), 1))
+_ALPHA7_2: tuple[AlphaTerm, ...] = ((1, (0, 1), 0), (1, (0, 2), 1))
+_ALPHA7_3: tuple[AlphaTerm, ...] = ((1, (0, 1), 0), (1, (0, 2), 1), (1, (1, 2), 2))
 
-def _forms(tag: str, with_gamma0: bool = False) -> dict[str, object]:
-    data: dict[str, object] = {"alpha_terms": FORM_TERMS[tag]}
-    if with_gamma0:
-        data["gamma_terms"] = GAMMA0_TERMS
-    return data
-
-
-def _build_entries() -> tuple[CatalogEntry, ...]:
-    entries: list[CatalogEntry] = []
-
-    def add(entry_id: str, item: str, base: str, module_tag: str, **kwargs) -> None:
-        entries.append(CatalogEntry(entry_id, item, base, module_tag, **kwargs))
-
+#: one row per entry: id, base, module tag, alpha terms, gamma terms, params
+ENTRIES: tuple[CatalogEntry, ...] = (
     # item 1: five dimensional abelian base, no module, fixed 3-form
-    add(
-        "T1.1",
-        "1",
-        "R5",
-        "none",
-        gamma_terms=((1, (0, 1, 4)), (1, (2, 3, 4))),
-    )
-
+    CatalogEntry("T1.1", "R5", "none", (), ((1, (0, 1, 4)), (1, (2, 3, 4)))),
     # item 2: two 3-forms on the five dimensional two-step algebra
-    add("T1.2.a", "2", "g52", "none", gamma_terms=((1, (0, 3, 4)),))
-    add(
-        "T1.2.b",
-        "2",
-        "g52",
-        "none",
-        gamma_terms=((1, (0, 3, 4)), (1, (1, 2, 4))),
-    )
-
+    CatalogEntry("T1.2.a", "g52", "none", (), ((1, (0, 3, 4)),)),
+    CatalogEntry("T1.2.b", "g52", "none", (), ((1, (0, 3, 4)), (1, (1, 2, 4)))),
     # item 3: filiform base with alpha = sX1^sY A1 (+ sX2^sZ A2 when dim a = 2)
-    alpha3_1 = ((1, (0, 3), 0),)
-    alpha3_2 = ((1, (0, 3), 0), (1, (1, 2), 1))
-    alpha3_2_swapped = ((1, (1, 2), 0), (1, (0, 3), 1))
-    gamma3 = {
-        "g0": (),
-        "g1": ((1, (0, 3, 2)),),
-        "g1m": ((-1, (0, 3, 2)),),
-        "g2": ((1, (1, 3, 2)),),
-    }
-    for tag in ("r01", "r10"):
-        for gname, gterms in gamma3.items():
-            add(
-                f"T1.3a.{tag}.{gname}",
-                "3a",
-                "g41",
-                tag,
-                alpha_terms=alpha3_1,
-                gamma_terms=gterms,
-            )
-    for tag in ("r02", "r20"):
-        add(
-            f"T1.3b.{tag}.s",
-            "3b",
-            "g41",
-            tag,
-            alpha_terms=alpha3_2,
-            gamma_terms=(("s", (0, 3, 2)),),
-            params=("s",),
-        )
-        add(
-            f"T1.3b.{tag}.r",
-            "3b",
-            "g41",
-            tag,
-            alpha_terms=alpha3_2,
-            gamma_terms=(("r", (1, 3, 2)),),
-            params=("r",),
-        )
-    for aname, aterms in (("a12", alpha3_2), ("a21", alpha3_2_swapped)):
-        add(
-            f"T1.3c.r11.{aname}.s",
-            "3c",
-            "g41",
-            "r11",
-            alpha_terms=aterms,
-            gamma_terms=(("s", (0, 3, 2)),),
-            params=("s",),
-        )
-        add(
-            f"T1.3c.r11.{aname}.r",
-            "3c",
-            "g41",
-            "r11",
-            alpha_terms=aterms,
-            gamma_terms=(("r", (1, 3, 2)),),
-            params=("r",),
-        )
-
+    CatalogEntry("T1.3a.r01.g0", "g41", "r01", _ALPHA3_1),
+    CatalogEntry("T1.3a.r01.g1", "g41", "r01", _ALPHA3_1, ((1, (0, 3, 2)),)),
+    CatalogEntry("T1.3a.r01.g1m", "g41", "r01", _ALPHA3_1, ((-1, (0, 3, 2)),)),
+    CatalogEntry("T1.3a.r01.g2", "g41", "r01", _ALPHA3_1, ((1, (1, 3, 2)),)),
+    CatalogEntry("T1.3a.r10.g0", "g41", "r10", _ALPHA3_1),
+    CatalogEntry("T1.3a.r10.g1", "g41", "r10", _ALPHA3_1, ((1, (0, 3, 2)),)),
+    CatalogEntry("T1.3a.r10.g1m", "g41", "r10", _ALPHA3_1, ((-1, (0, 3, 2)),)),
+    CatalogEntry("T1.3a.r10.g2", "g41", "r10", _ALPHA3_1, ((1, (1, 3, 2)),)),
+    CatalogEntry("T1.3b.r02.s", "g41", "r02", _ALPHA3_2, _GAMMA3_S, ("s",)),
+    CatalogEntry("T1.3b.r02.r", "g41", "r02", _ALPHA3_2, _GAMMA3_R, ("r",)),
+    CatalogEntry("T1.3b.r20.s", "g41", "r20", _ALPHA3_2, _GAMMA3_S, ("s",)),
+    CatalogEntry("T1.3b.r20.r", "g41", "r20", _ALPHA3_2, _GAMMA3_R, ("r",)),
+    CatalogEntry("T1.3c.r11.a12.s", "g41", "r11", _ALPHA3_2, _GAMMA3_S, ("s",)),
+    CatalogEntry("T1.3c.r11.a12.r", "g41", "r11", _ALPHA3_2, _GAMMA3_R, ("r",)),
+    CatalogEntry("T1.3c.r11.a21.s", "g41", "r11", _ALPHA3_2_SWAPPED, _GAMMA3_S, ("s",)),
+    CatalogEntry("T1.3c.r11.a21.r", "g41", "r11", _ALPHA3_2_SWAPPED, _GAMMA3_R, ("r",)),
     # item 4: central extension of the Heisenberg algebra by a line
-    for tag in ("r02", "r20"):
-        for fname in ("f1", "f5", "f6"):
-            add(f"T1.4a.{tag}.{fname}", "4a", "h1R", tag, **_forms(fname))
-        for fname in ("f5", "f6"):
-            add(
-                f"T1.4a.{tag}.{fname}g",
-                "4a",
-                "h1R",
-                tag,
-                **_forms(fname, with_gamma0=True),
-            )
-    for fname in ("f1", "f2", "f3"):
-        add(f"T1.4b.r11w.{fname}", "4b", "h1R", "r11w", **_forms(fname))
-    for fname in ("f5", "f5p", "f6", "f6p"):
-        add(f"T1.4b.r11s.{fname}", "4b", "h1R", "r11s", **_forms(fname))
-        add(
-            f"T1.4b.r11s.{fname}g",
-            "4b",
-            "h1R",
-            "r11s",
-            **_forms(fname, with_gamma0=True),
-        )
-    for tag in ("r01", "r10"):
-        add(f"T1.4c.{tag}", "4c", "h1R", tag, **_forms("f7", with_gamma0=True))
-
+    CatalogEntry("T1.4a.r02.f1", "h1R", "r02", FORM_TERMS["f1"]),
+    CatalogEntry("T1.4a.r02.f5", "h1R", "r02", FORM_TERMS["f5"]),
+    CatalogEntry("T1.4a.r02.f6", "h1R", "r02", FORM_TERMS["f6"]),
+    CatalogEntry("T1.4a.r02.f5g", "h1R", "r02", FORM_TERMS["f5"], GAMMA0_TERMS),
+    CatalogEntry("T1.4a.r02.f6g", "h1R", "r02", FORM_TERMS["f6"], GAMMA0_TERMS),
+    CatalogEntry("T1.4a.r20.f1", "h1R", "r20", FORM_TERMS["f1"]),
+    CatalogEntry("T1.4a.r20.f5", "h1R", "r20", FORM_TERMS["f5"]),
+    CatalogEntry("T1.4a.r20.f6", "h1R", "r20", FORM_TERMS["f6"]),
+    CatalogEntry("T1.4a.r20.f5g", "h1R", "r20", FORM_TERMS["f5"], GAMMA0_TERMS),
+    CatalogEntry("T1.4a.r20.f6g", "h1R", "r20", FORM_TERMS["f6"], GAMMA0_TERMS),
+    CatalogEntry("T1.4b.r11w.f1", "h1R", "r11w", FORM_TERMS["f1"]),
+    CatalogEntry("T1.4b.r11w.f2", "h1R", "r11w", FORM_TERMS["f2"]),
+    CatalogEntry("T1.4b.r11w.f3", "h1R", "r11w", FORM_TERMS["f3"]),
+    CatalogEntry("T1.4b.r11s.f5", "h1R", "r11s", FORM_TERMS["f5"]),
+    CatalogEntry("T1.4b.r11s.f5g", "h1R", "r11s", FORM_TERMS["f5"], GAMMA0_TERMS),
+    CatalogEntry("T1.4b.r11s.f5p", "h1R", "r11s", FORM_TERMS["f5p"]),
+    CatalogEntry("T1.4b.r11s.f5pg", "h1R", "r11s", FORM_TERMS["f5p"], GAMMA0_TERMS),
+    CatalogEntry("T1.4b.r11s.f6", "h1R", "r11s", FORM_TERMS["f6"]),
+    CatalogEntry("T1.4b.r11s.f6g", "h1R", "r11s", FORM_TERMS["f6"], GAMMA0_TERMS),
+    CatalogEntry("T1.4b.r11s.f6p", "h1R", "r11s", FORM_TERMS["f6p"]),
+    CatalogEntry("T1.4b.r11s.f6pg", "h1R", "r11s", FORM_TERMS["f6p"], GAMMA0_TERMS),
+    CatalogEntry("T1.4c.r01", "h1R", "r01", FORM_TERMS["f7"], GAMMA0_TERMS),
+    CatalogEntry("T1.4c.r10", "h1R", "r10", FORM_TERMS["f7"], GAMMA0_TERMS),
     # item 5: four dimensional abelian base
-    for tag in ("r02", "r20"):
-        add(f"T1.5a.{tag}.f1", "5a", "R4", tag, **_forms("f1"))
-        add(
-            f"T1.5a.{tag}.f4g",
-            "5a",
-            "R4",
-            tag,
-            alpha_terms=FORM_TERMS["f4"],
-            gamma_terms=GAMMA124_TERMS,
-        )
-    for fname in ("f1", "f2", "f3"):
-        add(f"T1.5b.r11w.{fname}", "5b", "R4", "r11w", **_forms(fname))
-    add(
-        "T1.5b.r11w.f4g",
-        "5b",
-        "R4",
-        "r11w",
-        alpha_terms=FORM_TERMS["f4"],
-        gamma_terms=GAMMA124_TERMS,
-    )
-    for tag in ("r01", "r10"):
-        add(f"T1.5c.{tag}", "5c", "R4", tag, **_forms("f7", with_gamma0=True))
-
+    CatalogEntry("T1.5a.r02.f1", "R4", "r02", FORM_TERMS["f1"]),
+    CatalogEntry("T1.5a.r02.f4g", "R4", "r02", FORM_TERMS["f4"], GAMMA124_TERMS),
+    CatalogEntry("T1.5a.r20.f1", "R4", "r20", FORM_TERMS["f1"]),
+    CatalogEntry("T1.5a.r20.f4g", "R4", "r20", FORM_TERMS["f4"], GAMMA124_TERMS),
+    CatalogEntry("T1.5b.r11w.f1", "R4", "r11w", FORM_TERMS["f1"]),
+    CatalogEntry("T1.5b.r11w.f2", "R4", "r11w", FORM_TERMS["f2"]),
+    CatalogEntry("T1.5b.r11w.f3", "R4", "r11w", FORM_TERMS["f3"]),
+    CatalogEntry("T1.5b.r11w.f4g", "R4", "r11w", FORM_TERMS["f4"], GAMMA124_TERMS),
+    CatalogEntry("T1.5c.r01", "R4", "r01", FORM_TERMS["f7"], GAMMA0_TERMS),
+    CatalogEntry("T1.5c.r10", "R4", "r10", FORM_TERMS["f7"], GAMMA0_TERMS),
     # item 6: Heisenberg base
-    alpha6_1 = ((1, (0, 2), 0),)
-    alpha6_2 = ((1, (0, 2), 0), (1, (1, 2), 1))
-    for tag in ("r01", "r10"):
-        add(f"T1.6a.{tag}", "6a", "h1", tag, alpha_terms=alpha6_1)
-    for tag in ("r02", "r20", "r11"):
-        add(f"T1.6b.{tag}", "6b", "h1", tag, alpha_terms=alpha6_2)
-
+    CatalogEntry("T1.6a.r01", "h1", "r01", _ALPHA6_1),
+    CatalogEntry("T1.6a.r10", "h1", "r10", _ALPHA6_1),
+    CatalogEntry("T1.6b.r02", "h1", "r02", _ALPHA6_2),
+    CatalogEntry("T1.6b.r20", "h1", "r20", _ALPHA6_2),
+    CatalogEntry("T1.6b.r11", "h1", "r11", _ALPHA6_2),
     # item 7: three dimensional abelian base
-    add("T1.7a", "7a", "R3", "none", gamma_terms=((1, (0, 1, 2)),))
-    alpha7_2 = ((1, (0, 1), 0), (1, (0, 2), 1))
-    alpha7_3 = ((1, (0, 1), 0), (1, (0, 2), 1), (1, (1, 2), 2))
-    for tag in ("r02", "r20", "r11"):
-        add(f"T1.7b.{tag}", "7b", "R3", tag, alpha_terms=alpha7_2)
-    for tag in ("r03", "r21", "r12", "r30"):
-        add(f"T1.7c.{tag}", "7c", "R3", tag, alpha_terms=alpha7_3)
-
+    CatalogEntry("T1.7a", "R3", "none", (), ((1, (0, 1, 2)),)),
+    CatalogEntry("T1.7b.r02", "R3", "r02", _ALPHA7_2),
+    CatalogEntry("T1.7b.r20", "R3", "r20", _ALPHA7_2),
+    CatalogEntry("T1.7b.r11", "R3", "r11", _ALPHA7_2),
+    CatalogEntry("T1.7c.r03", "R3", "r03", _ALPHA7_3),
+    CatalogEntry("T1.7c.r21", "R3", "r21", _ALPHA7_3),
+    CatalogEntry("T1.7c.r12", "R3", "r12", _ALPHA7_3),
+    CatalogEntry("T1.7c.r30", "R3", "r30", _ALPHA7_3),
     # item 8: plane with a symplectic 2-form into a line
-    for tag in ("r01", "r10"):
-        add(f"T1.8.{tag}", "8", "R2", tag, alpha_terms=((1, (0, 1), 0),))
-
-    return tuple(entries)
-
-
-ENTRIES: tuple[CatalogEntry, ...] = _build_entries()
+    CatalogEntry("T1.8.r01", "R2", "r01", ((1, (0, 1), 0),)),
+    CatalogEntry("T1.8.r10", "R2", "r10", ((1, (0, 1), 0),)),
+)
 
 _BY_ID = {entry.id: entry for entry in ENTRIES}
 if len(_BY_ID) != len(ENTRIES):

@@ -323,13 +323,13 @@ def parse_samples(text: str) -> dict[str, tuple[Fraction, ...]]:
             continue
         name, _, rest = chunk.partition("=")
         name = name.strip()
-        if name not in cat.PARAM_DOMAINS:
+        if name not in samples:
             raise SchemaError(f"unknown parameter {name!r} in --samples")
         values = []
         for piece in rest.split(","):
             piece = piece.strip()
             value = schema.parse_scalar(piece, f"--samples {name}")
-            if cat.PARAM_DOMAINS[name] == "positive" and value <= 0:
+            if name in cat.POSITIVE_PARAMS and value <= 0:
                 raise SchemaError(f"--samples {name}: values must be positive")
             values.append(value)
         samples[name] = tuple(values)

@@ -10,8 +10,9 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_summary.py"
 
 
 def run_output(workload, seed, ops_per_s, trace=0, failed=0, cpu="Test CPU", rss=24.0,
-               attempted=40):
-    metrics = {
+               attempted=40, layers=()):
+    metrics = {name: {"value": value, "unit": unit} for name, value, unit in layers}
+    metrics |= {
         "setup_s": {"value": 0.04, "unit": "s"},
         "ops_per_s": {"value": ops_per_s, "unit": "1/s"},
         "op_p50_ms": {"value": 1000 / ops_per_s, "unit": "ms"},
@@ -143,3 +144,22 @@ def test_shows_a_gain_on_ten_pairs_won_nine_times_beyond_the_parent_spread(tmp_p
     assert summary["scale"]["ops_per_s"]["gain_shown"] is False
     assert summary["nine"]["ops_per_s"]["pairs"] == 9
     assert summary["nine"]["ops_per_s"]["gain_shown"] is False
+
+
+def test_divides_each_traced_layer_time_by_its_calls(tmp_path):
+    """Traced runs of different lengths compare per call: ``per_call_s`` is
+    ``self_s / calls`` for each layer called at least once."""
+    layers = {
+        1: [("lie_core.bracket.calls", 4, "count"), ("lie_core.bracket.self_s", 0.002, "s"),
+            ("exact_linalg.rref.calls", 0, "count"), ("exact_linalg.rref.self_s", 0.0, "s"),
+            ("exact_linalg.rref.cells", 12, "cells")],
+        2: [("lie_core.bracket.calls", 10, "count"), ("lie_core.bracket.self_s", 0.004, "s")],
+    }
+    runs = [("parent", run_output("scale", 1, 8.0)), ("change", run_output("scale", 1, 9.0))]
+    runs += [("parent", run_output("scale", 1, 2.0, trace=1, layers=layers[1])),
+             ("change", run_output("scale", 1, 2.5, trace=1, layers=layers[2]))]
+    done, bench = summarize(tmp_path, runs)
+    assert done.returncode == 0, done.stderr
+    assert [run["per_call_s"] for run in bench["traced"]] == [
+        {"lie_core.bracket": 0.0005}, {"lie_core.bracket": 0.0004}]
+    assert not any("per_call_s" in run for run in bench["runs"])

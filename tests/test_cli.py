@@ -619,6 +619,7 @@ def test_catalog_sample_overrides(capsys):
     )
     assert code == 0
     assert len(doc["payload"]["rows"]) == 4
+    assert cli.parse_samples("s=1;;r=2") == {"s": (1,), "r": (2,)}  # an empty chunk is skipped
     for bad in ("r=0", "r=-1", "s=abc", "q=1", "s="):
         code, doc = run(capsys, "catalog", "--entries", "T1.8", "--samples", bad)
         assert code == 2, bad
@@ -666,7 +667,7 @@ def test_a_catalog_entry_that_breaks_the_gamma_equation_is_an_error_row(monkeypa
     """``catalog._process`` turns the ``CocycleError`` of an entry whose gamma
     breaks d gamma = 1/2 <alpha ^ alpha> into a row with its message, which the
     table prints as ``error=`` and the report as the row's ``error``, exit 1."""
-    broken = cat.CatalogEntry("T9.broken", "9", "g52", "none", gamma_terms=((1, (1, 3, 4)),))
+    broken = cat.CatalogEntry("T9.broken", "g52", "none", gamma_terms=((1, (1, 3, 4)),))
     message = "gamma_equation fails at basis tuple (X1, X2, X3, Y)"
     rep = cat.run_catalog(entries=[broken])
     assert rep.rows == (cat.CatalogRow("T9.broken", (), False, error=message),)
@@ -682,6 +683,17 @@ def test_a_catalog_entry_that_breaks_the_gamma_equation_is_an_error_row(monkeypa
         "entry": "T9.broken", "params": {}, "cocycle_valid": False, "admissible": None,
         "proxy_indecomposable": None, "double_built": None, "error": message,
     }]
+
+
+def test_catalog_out_writes_the_good_rows_and_no_file_for_a_failing_row(
+        tmp_path, monkeypatch, capsys):
+    broken = cat.CatalogEntry("T9.broken", "g52", "none", gamma_terms=((1, (1, 3, 4)),))
+    monkeypatch.setattr(cat, "ENTRIES", (broken, cat.entry_by_id("T1.8.r01")))
+    out_dir = tmp_path / "doubles"
+    code, doc = run(capsys, "catalog", "--out", str(out_dir))
+    assert code == 1 and doc["payload"]["ok"] is False
+    assert [row["entry"] for row in doc["payload"]["rows"]] == ["T9.broken", "T1.8.r01"]
+    assert [path.name for path in out_dir.iterdir()] == ["T1_8_r01.json"]
 
 
 def test_verify_on_a_file_that_is_not_utf8_is_schema_error(tmp_path, capsys):
