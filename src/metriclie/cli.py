@@ -15,8 +15,13 @@ algebra, so they take dimension at most ``MAX_DIM`` (``admissible`` on the
 module in every command, as its form is eliminated (a dense 120-dim one took
 8 s).  ``MAX_DIM`` bounds the dimension, not the work: on a dense 63-dim
 nilpotent table (1,936 brackets) the Jacobi check alone takes over a minute.
-A failing (B_k) reports at most dim a kernel tensors, each a dim l x dim
-l^(k+1) matrix, never the whole kernel of the bracket pairing; ``cohomology``
+So every Jacobi check of a document's table first counts its terms in one
+pass over the store (:func:`~metriclie.lie_core.jacobi_terms`), and more
+than ``MAX_JACOBI_TERMS`` exits 2 (a run at the limit takes about 2 s on a
+2-core Xeon; that 63-dim table has 7.3 million terms).  Library calls
+stay unbounded.  A failing (B_k) reports at most dim a kernel tensors, each
+a dim l x dim l^(k+1) matrix, never the whole kernel of the bracket
+pairing; ``cohomology``
 eliminates the nonzero entries of d on the bases of C^(p-1) and C^p, whose
 two matrices may have at most ``MAX_COHOMOLOGY_CELLS`` entries together
 (``--degree 3`` on the 17-dim abelian algebra: about 0.02 s).  The count
@@ -48,6 +53,7 @@ from .lie_core import (
     LieAlgebra,
     MathError,
     is_nilpotent,
+    jacobi_terms,
     lower_central_series,
     require_jacobi,
 )
@@ -66,6 +72,7 @@ EXIT_SCHEMA = 2
 
 MAX_DIM = 64
 MAX_COHOMOLOGY_CELLS = 2_000_000
+MAX_JACOBI_TERMS = 500_000
 MAX_NAME_BYTES = 255  # a file name component on common file systems
 _Sized = TypeVar("_Sized", LieAlgebra, Matrix)  # what bounded checks
 
@@ -127,11 +134,23 @@ def report(command: str, **fields) -> dict:
 
 
 def bounded(x: _Sized) -> _Sized:
-    """An algebra, or a module's form, if its dimension is within ``MAX_DIM``."""
+    """An algebra, or a module's form, if its dimension is within ``MAX_DIM``,
+    and an algebra only if its Jacobi check is within ``MAX_JACOBI_TERMS``."""
     what, dim = ("module", x.rows) if isinstance(x, Matrix) else ("algebra", x.dim)
     if dim > MAX_DIM:
         raise SchemaError(f"{what} dimension {dim} is over the limit MAX_DIM = {MAX_DIM}")
-    return x
+    return x if what == "module" else jacobi_bounded(x)
+
+
+def jacobi_bounded(algebra: LieAlgebra) -> LieAlgebra:
+    """The algebra, if its Jacobi check sums at most ``MAX_JACOBI_TERMS`` terms."""
+    terms = jacobi_terms(algebra)
+    if terms > MAX_JACOBI_TERMS:
+        raise SchemaError(
+            f"the Jacobi check has {terms} terms, over the limit "
+            f"MAX_JACOBI_TERMS = {MAX_JACOBI_TERMS}"
+        )
+    return algebra
 
 
 def assemble_cocycle(
@@ -285,7 +304,7 @@ def _capped_comb(n: int, k: int) -> int:
 
 
 def cmd_cohomology(args: argparse.Namespace) -> int:
-    algebra = require_jacobi(load_kind(args.document, "lie_algebra"))
+    algebra = require_jacobi(jacobi_bounded(load_kind(args.document, "lie_algebra")))
     module = None
     if args.module is not None:
         module = OrthogonalModule(bounded(load_kind(args.module, "module")))

@@ -206,6 +206,14 @@ def validate_jacobi(l: LieAlgebra) -> JacobiReport:
     return JacobiReport(ok=True)
 
 
+def jacobi_terms(l: LieAlgebra) -> int:
+    """The size of :func:`validate_jacobi`'s work, from one pass over the
+    store and no bracket: over each stored [e_b, e_c], b < c, and each e_t in
+    its support, the number of stored brackets of e_t."""
+    stored = l._rows
+    return sum([len(stored.get(t, _EMPTY)) for _, _, p in l._upper() for t in p])
+
+
 def require_jacobi(l: LieAlgebra) -> LieAlgebra:
     """``l`` itself if the Jacobi identity holds, else :class:`JacobiError`
     naming the first failing basis triple by label (never the defect)."""

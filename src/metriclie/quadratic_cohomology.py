@@ -21,11 +21,12 @@ alone (the series terms, the coordinates of each [e_i, w_j] in l^(k+1) and
 the kernel of the bracket pairing, from one pass over the tensor basis of
 l (x) l^(k+1), and the stage, the center met with l^(k+1)) is built once
 per ``LieAlgebra`` instance and kept on it; each test then adds alpha and
-gamma, read from their stored rows ``{t: c}`` in one more pass through
-``_combine``.  (A_k) is one kernel, (B_k) one running span of the images
-that stops at dim a, and the form's rank on a smaller one.  Admissibility does not
-make the double indecomposable; :func:`indecomposability_proxy` checks only
-a necessary condition for that.
+gamma in passes over their stored entries ``{t: c}``, summed into each tensor
+e_i (x) w_j they meet, so a tensor that none meets costs nothing.  (A_k) is
+one kernel, (B_k) one running span of the images that stops at dim a, and
+the form's rank on a smaller one.  Admissibility does not make the double
+indecomposable; :func:`indecomposability_proxy` checks only a necessary
+condition for that.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .exact_linalg import (
     Scalar,
     Subspace,
     Vector,
+    _axpy,
     _combine,
     _dense,
     _Record,
@@ -53,6 +55,7 @@ from .exact_linalg import (
     solve,
 )
 from .lie_core import (
+    _EMPTY,
     ConsistencyError,
     LieAlgebra,
     MathError,
@@ -238,15 +241,17 @@ class AdmissibilityReport(NamedTuple):
 class _Stage(NamedTuple):
     """What stage k of the admissibility test reads from ``l`` alone.
 
-    ``columns[s]`` is {u: -b_u[s]} over the stage's echelon rows b_u;
-    ``z_rows[i * d1 + j]`` the coordinates {t: -c} of -[e_i, w_j] != 0 in the
-    echelon rows w of l^(k+1), d1 = its dimension; ``kernel`` the kernel of the
-    pairing l (x) l^(k+1) -> l on those indices.  All are shared: none may change.
+    ``columns[s]`` is {u: -b_u[s]} over the stage's echelon rows b_u, and
+    ``series_columns[s]`` is {j: w_j[s]} over the echelon rows w_j of
+    l^(k+1), d1 = its dimension; ``z_rows[i * d1 + j]`` the coordinates {t: -c}
+    of -[e_i, w_j] != 0 in those rows; ``kernel`` the kernel of the pairing
+    l (x) l^(k+1) -> l on those indices.  All are shared: none may change.
     """
 
     stage: Subspace
     series_term: Subspace
     columns: dict[int, dict[int, Scalar]]
+    series_columns: dict[int, dict[int, Scalar]]
     z_rows: dict[int, dict[int, Scalar]]
     kernel: tuple[dict[int, Scalar], ...]
 
@@ -281,13 +286,35 @@ def _stages(l: LieAlgebra) -> tuple[_Stage, ...]:
                         pairing.setdefault(t, {})[u] = x
             kernel = solve(pairing.values(), range(n * d1))[1]
             stage = _center_in(series_term, images)
-            columns: dict[int, dict[int, Scalar]] = {}
-            for u, b in enumerate(stage.rows):
-                for s, x in b.items():
-                    columns.setdefault(s, {})[u] = -x
-            stages.append(_Stage(stage, series_term, columns, z_rows, tuple(kernel)))
+            columns: dict[int, dict[int, Scalar]] = {}  # the stage's rows, negated
+            series_columns: dict[int, dict[int, Scalar]] = {}
+            for out, rows, sign in ((columns, stage.rows, -1),
+                                    (series_columns, series_term.rows, 1)):
+                for u, b in enumerate(rows):
+                    for s, x in b.items():
+                        out.setdefault(s, {})[u] = sign * x
+            stages.append(
+                _Stage(stage, series_term, columns, series_columns, z_rows, tuple(kernel))
+            )
         l._stages = tuple(stages)
     return l._stages
+
+
+def _on_tensors(
+    at: dict[int, dict[int, dict[int, Scalar]]],
+    columns: dict[int, dict[int, Scalar]],
+    width: int,
+) -> dict[int, dict[int, Scalar]]:
+    """A form on the tensors e_i (x) v_j, keyed by i * width + j, from its
+    stored rows ``at[i][s]`` on e_i (x) e_s and the ``columns[s]`` {j: v_j[s]}
+    of the rows v_j: each stored row adds v_j[s] times itself into each
+    entry it meets, so a tensor that none meets costs nothing."""
+    out: dict[int, dict[int, Scalar]] = {}
+    for i, at_i in at.items():
+        for s, row in at_i.items():
+            for j, c in columns.get(s, _EMPTY).items():
+                _axpy(out.setdefault(i * width + j, {}), c, row, -1)
+    return out
 
 
 def _stage_report(
@@ -297,14 +324,15 @@ def _stage_report(
     alpha_at: dict[int, dict[int, dict[int, Scalar]]],
     gamma_at: dict[int, dict[int, dict[int, Scalar]]],
 ) -> ConditionKReport:
-    """(A_k) and (B_k) from the algebra's half of stage k, reading alpha(e_i,
-    w_j) once per tensor e_i (x) w_j of l (x) l^(k+1); every contraction is a
-    sum of sparse rows through :func:`_combine`, and each condition one elimination.
+    """(A_k) and (B_k) from the algebra's half of stage k, read off alpha and
+    gamma by :func:`_on_tensors`, and each condition one elimination.
 
     (A_k): any L0 in the stage admitting compatible (A0, Z0) must be zero.
     The constraints are linear in (L0, A0, Z0) jointly, so the condition
     amounts to the kernel of one sparse system (columns: L0 over the stage
-    basis, then A0, then Z0) projecting to zero on the L0 block.
+    basis, then A0, then Z0) projecting to zero on the L0 block.  Its rows
+    are alpha(e_i, L0) = 0 and, at each tensor index, the gamma-only L0
+    block gamma(e_i, L0, w_j) beside G alpha(e_i, w_j) and -[e_i, w_j].
 
     (B_k): alpha maps the kernel of the bracket pairing l (x) l^(k+1) -> l
     onto a nondegenerate subspace of the module.  One elimination takes the
@@ -312,30 +340,33 @@ def _stage_report(
     rank are the witness.
     """
     l, module = z.algebra, z.module
-    stage, series_term, columns, z_rows, kernel = half
+    stage, series_term, columns, series_columns, z_rows, kernel = half
     n, m = l.dim, module.dim
     d0, d1 = stage.dim, series_term.dim
     z_off = d0 + m
     gram_rows = module.gram.nonzero_rows  # also its columns: the form is symmetric
-    a_rows: list[dict[int, Scalar]] = []
-    alpha_on_tensor: list[dict[int, Scalar]] = []
-    for i in range(n):
-        alpha_i, gamma_i = alpha_at.get(i, {}), gamma_at.get(i, {})
-        # alpha(e_i, L0) = 0, one row per module coordinate
-        alpha_on_stage = [_combine(b, alpha_i.get) for b in stage.rows]
-        a_rows += ({u: a[t] for u, a in enumerate(alpha_on_stage) if t in a} for t in range(m))
-        # gamma(e_i, L0, w) + <A0, alpha(e_i, w)> - Z0([e_i, w]) = 0, entry u of
-        # the first term gamma(e_i, b_u, w) = -gamma(e_i, w, b_u) from the columns
-        for j, w in enumerate(series_term.rows):
-            alpha_iw = _combine(w, alpha_i.get)
-            alpha_on_tensor.append(alpha_iw)
-            row = _combine(_combine(w, gamma_i.get), columns.get)
-            row.update((d0 + t, y) for t, y in _combine(alpha_iw, gram_rows.__getitem__).items())
-            if i * d1 + j in z_rows:
-                row.update((z_off + t, y) for t, y in z_rows[i * d1 + j].items())
-            a_rows.append(row)
+    alpha_on_tensor = _on_tensors(alpha_at, series_columns, d1)  # alpha(e_i, w_j)
+    # alpha(e_i, L0) = 0, one row per i and module coordinate t, each negated
+    # (the same equation): entry u is -alpha(e_i, b_u)[t], from the columns
+    stage_rows: dict[tuple[int, int], dict[int, Scalar]] = {}
+    for x, a in _on_tensors(alpha_at, columns, d0).items():
+        i, u = divmod(x, d0)
+        for t, y in a.items():
+            stage_rows.setdefault((i, t), {})[u] = y
+    # gamma(e_i, L0, w_j) + <A0, alpha(e_i, w_j)> - Z0([e_i, w_j]) = 0 at i * d1 + j, entry u
+    # of the first term gamma(e_i, b_u, w_j) = -gamma(e_i, w_j, b_u) from the columns
+    tensor_rows = {x: _combine(g, columns.get)
+                   for x, g in _on_tensors(gamma_at, series_columns, d1).items() if g}
+    for x, a in alpha_on_tensor.items():
+        if a:
+            tensor_rows.setdefault(x, {}).update(
+                (d0 + t, y) for t, y in _combine(a, gram_rows.__getitem__).items()
+            )
+    for x, row in z_rows.items():
+        tensor_rows.setdefault(x, {}).update((z_off + t, y) for t, y in row.items())
     unknowns = z_off + d1
-    v = next((v for v in solve(a_rows, range(unknowns))[1] if min(v) < d0), None)
+    kernel_a = solve([*stage_rows.values(), *tensor_rows.values()], range(unknowns))[1]
+    v = next((v for v in kernel_a if min(v) < d0), None)
     a_witness = None
     if v is not None:
         l0 = _combine({u: x for u, x in v.items() if u < d0}, stage.rows.__getitem__)
@@ -348,7 +379,7 @@ def _stage_report(
         for u, vec in enumerate(kernel):
             if (rank := len(pivots)) == m:
                 return
-            yield _combine(vec, alpha_on_tensor.__getitem__)
+            yield _combine(vec, alpha_on_tensor.get)
             if len(pivots) > rank:
                 raised.append(u)
 

@@ -240,6 +240,31 @@ def standard_filiform(n: int) -> LieAlgebra:
     return LieAlgebra(n, {(0, i): {i + 1: 1} for i in range(1, n - 1)})
 
 
+def heisenberg_in_dense_basis(k: int, seed: int = 3) -> LieAlgebra:
+    """h_(2k+1) ([X_m, Y_m] = Z) in the basis f_i = sum_a P[i][a] e_a, P = L U
+    with L and U unitriangular, their entries off the diagonal drawn from
+    {-1, 0, 1} by ``random.Random(seed)``.  [f_i, f_j] = w(p_i, p_j) Z for the
+    form w(X_m, Y_m) = 1, and Z = sum_t x_t f_t for x the last row of P^-1,
+    from x^T L = y^T, y^T U = e_Z^T: every bracket is a multiple of one dense row."""
+    n = 2 * k + 1
+    rg = random.Random(seed)
+    lower = [[int(a == b) or (rg.choice((-1, 0, 1)) if b < a else 0) for b in range(n)] for a in range(n)]
+    upper = [[int(a == b) or (rg.choice((-1, 0, 1)) if b > a else 0) for b in range(n)] for a in range(n)]
+    p = [[sum(lower[i][m] * upper[m][j] for m in range(n)) for j in range(n)] for i in range(n)]
+    y = [0] * n
+    for j in range(n):
+        y[j] = int(j == n - 1) - sum(y[i] * upper[i][j] for i in range(j))
+    x = [0] * n
+    for j in reversed(range(n)):
+        x[j] = y[j] - sum(x[i] * lower[i][j] for i in range(j + 1, n))
+    table = {}
+    for i, j in combinations(range(n), 2):
+        w = sum(p[i][m] * p[j][k + m] - p[i][k + m] * p[j][m] for m in range(k))
+        if w:
+            table[(i, j)] = {t: w * c for t, c in enumerate(x) if c}
+    return LieAlgebra(n, table, validate=False)
+
+
 def sorted_invariance_failure(g: MetricLieAlgebra) -> str:
     """The sparse invariance scan that sorts the stored pairs of every e_i,
     i in range(dim), before it tests them: the reference for the first

@@ -24,6 +24,7 @@ from metriclie.lie_core import (
     LieAlgebra,
     MathError,
     NotNilpotentError,
+    jacobi_terms,
 )
 from metriclie.quadratic_cohomology import (
     CocycleError,
@@ -34,7 +35,13 @@ from metriclie.quadratic_cohomology import (
 )
 from metriclie.schema import algebra_to_payload, cocycle_to_payload, module_to_payload
 
-from support import alternating_value, dense_combination, rng, sparse_row
+from support import (
+    alternating_value,
+    dense_combination,
+    heisenberg_in_dense_basis,
+    rng,
+    sparse_row,
+)
 from test_golden import golden_commands
 
 
@@ -501,6 +508,49 @@ def test_inputs_over_the_size_limits_exit_2_at_once(tmp_path, capsys):
         assert limit in doc["payload"]["error"], argv
 
 
+def test_the_jacobi_term_limit_admits_its_value_and_refuses_one_more(tmp_path, monkeypatch, capsys):
+    """Every command that checks the Jacobi identity of a document's table
+    counts its terms first: with the limit patched to the count, each runs
+    to its verdict; one below it, each exits 2 with a report naming both."""
+    metric = build_double(g64_admissible_cocycle())
+    terms = jacobi_terms(metric.algebra)
+    assert terms > 0
+    algebra = write_doc(tmp_path, "a.json", schema.wrap("lie_algebra", algebra_to_payload(metric.algebra)))
+    double = write_doc(tmp_path, "d.json", schema.wrap("metric_lie_algebra", schema.metric_to_payload(metric)))
+    cocycle = write_doc(tmp_path, "z.json", schema.wrap("cocycle", {
+        "alpha": [], "gamma": [], "algebra": algebra_to_payload(metric.algebra),
+        "module": {"dim": 1, "gram": [["1"]]},
+    }))
+    cases = [("verify", algebra), ("cohomology", algebra, "--degree", "1"), ("verify", double),
+             ("verify", cocycle), ("admissible", cocycle), ("double", cocycle)]
+    for limit in (terms, terms - 1):
+        monkeypatch.setattr(cli, "MAX_JACOBI_TERMS", limit)
+        for argv in cases:
+            code, doc = run(capsys, *argv)
+            if limit == terms:
+                assert code != 2, argv
+            else:
+                assert code == 2 and doc["payload"]["error"] == (
+                    f"the Jacobi check has {terms} terms, over the limit "
+                    f"MAX_JACOBI_TERMS = {terms - 1}"
+                ), argv
+
+
+def test_a_dense_basis_of_h63_exits_2_before_its_jacobi_check(tmp_path, capsys):
+    """h_63 in a dense basis is within MAX_DIM, but its Jacobi check alone
+    would take over a minute: its 7,261,936 terms are counted and refused at once."""
+    l = heisenberg_in_dense_basis(31)
+    path = write_doc(tmp_path, "h63.json", schema.wrap("lie_algebra", algebra_to_payload(l)))
+    for argv in (("verify", path), ("cohomology", path, "--degree", "1")):
+        start = time.monotonic()
+        code, doc = run(capsys, *argv)
+        assert time.monotonic() - start < 1.0, argv
+        assert code == 2 and doc["payload"]["error"] == (
+            "the Jacobi check has 7261936 terms, over the limit "
+            f"MAX_JACOBI_TERMS = {cli.MAX_JACOBI_TERMS}"
+        ), argv
+
+
 def test_a_module_over_max_dim_exits_2_before_its_form_is_eliminated(tmp_path, monkeypatch, capsys):
     """A module of dimension MAX_DIM + 1 is refused before its form is checked,
     as a document, as --module and embedded in a cocycle or in a double's
@@ -566,7 +616,7 @@ def test_a_million_dimensions_load_without_per_dimension_storage(tmp_path, capsy
 
 
 def test_bundled_documents_and_golden_commands_are_within_the_limits():
-    # with a margin of 2 on the dimension and of 100 on the cells
+    # with a margin of 2 on the dimension and of 100 on the cells and the Jacobi terms
     for argv in golden_commands():
         if argv[0] == "catalog":
             continue
@@ -576,6 +626,7 @@ def test_bundled_documents_and_golden_commands_are_within_the_limits():
         else:
             algebra = parsed if kind == "lie_algebra" else getattr(parsed, "algebra", None)
         assert algebra is None or 2 * algebra.dim <= cli.MAX_DIM, argv
+        assert algebra is None or 100 * jacobi_terms(algebra) <= cli.MAX_JACOBI_TERMS, argv
         if argv[0] == "cohomology":
             n, p = algebra.dim, int(argv[3])
             cells = sum(comb(n, q) * comb(n, q + 1) for q in (p - 1, p) if q >= 0)
