@@ -26,8 +26,8 @@ _PUBLIC = {
         "differential", "differential_matrix", "pullback", "wedge_pair",
     ),
     "double_construction": (
-        "Fingerprint", "MetricLieAlgebra", "MetricReport", "build_double", "fingerprint",
-        "verify_metric",
+        "Fingerprint", "MetricLieAlgebra", "MetricReport", "assemble_double", "build_double",
+        "check_double", "fingerprint", "verify_metric",
     ),
     "exact_linalg": ("Matrix", "Signature", "Subspace", "scalar", "signature_of"),
     "lie_core": (

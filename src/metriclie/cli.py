@@ -18,7 +18,8 @@ nilpotent table (1,936 brackets) the Jacobi check alone takes over a minute.
 So every Jacobi check of a document's table first counts its terms in one
 pass over the store (:func:`~metriclie.lie_core.jacobi_terms`), and more
 than ``MAX_JACOBI_TERMS`` exits 2 (a run at the limit takes about 2 s on a
-2-core Xeon; that 63-dim table has 7.3 million terms).  Library calls
+2-core Xeon; that 63-dim table has 7.3 million terms), and ``double`` counts
+the terms of the double it assembles before checking it.  Library calls
 stay unbounded.  A failing (B_k) reports at most dim a kernel tensors, each
 a dim l x dim l^(k+1) matrix, never the whole kernel of the bracket
 pairing; ``cohomology``
@@ -245,15 +246,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _check_provenance(metric: MetricLieAlgebra) -> None:
-    """The double of ``metric.provenance`` must have the brackets and the form
-    of ``metric``; the labels may differ."""
-    from .double_construction import build_double
+    """The double of ``metric.provenance``, assembled and not verified, must
+    have the brackets and the form of ``metric`` (verified; the labels may
+    differ), and then ``metric`` must be nilpotent, as a double is."""
+    from .double_construction import assemble_double
 
     if not is_nilpotent(metric.provenance.algebra):
         raise MathError("provenance: the algebra of the cocycle is not nilpotent")
-    rebuilt = build_double(metric.provenance)
-    if rebuilt.algebra._rows != metric.algebra._rows or rebuilt.gram != metric.gram:
+    double = assemble_double(metric.provenance)
+    if double.algebra._rows != metric.algebra._rows or double.gram != metric.gram:
         raise MathError("provenance: the double of the cocycle differs from the document")
+    if not is_nilpotent(metric.algebra):
+        raise ConsistencyError("double of a nilpotent algebra must be nilpotent")
 
 
 def _fingerprint_payload(fp) -> dict:
@@ -274,10 +278,12 @@ def cmd_admissible(args: argparse.Namespace) -> int:
 
 
 def cmd_double(args: argparse.Namespace) -> int:
-    from .double_construction import build_double, fingerprint
+    from .double_construction import assemble_double, check_double, fingerprint
 
     parsed = load_kind(args.document, "cocycle")
-    metric = build_double(assemble_cocycle(parsed, args.algebra, args.module))
+    metric = assemble_double(assemble_cocycle(parsed, args.algebra, args.module))
+    jacobi_bounded(metric.algebra)  # the double's own terms, before its Jacobi check
+    check_double(metric)
     emit(schema.wrap("metric_lie_algebra", schema.metric_to_payload(metric)), args.out)
     if args.out is not None:
         emit(

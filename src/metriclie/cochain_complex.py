@@ -18,7 +18,8 @@ with no factorial normalization.
 
 The kernels visit stored entries only: the differential of ``c`` costs
 O(stored keys x p x brackets per target), the wedge of ``c1`` and ``c2``
-O(|c1| |c2|) pairings of stored rows, and the pullback of ``c`` one term per
+O(|c1| |c2|) pairings of stored rows (half as many for the half square
+1/2 <alpha ^ alpha>, in the same loop), and the pullback of ``c`` one term per
 stored key and choice of stored entries of S on it in distinct columns.
 They read and write the stored rows: every sum of rows is an ``_axpy``, and
 every matrix-vector product a sum of sparse rows through ``_combine``.
@@ -27,6 +28,7 @@ every matrix-vector product a sum of sparse rows through ``_combine``.
 from __future__ import annotations
 
 from bisect import bisect
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
@@ -155,9 +157,6 @@ class Cochain(_Record):
             raise ValueError("cochain shape mismatch")
         return self._summed([(key, 1, row) for c in (self, other) for key, row in c.rows.items()])
 
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + other.scale(-1)
-
     def scale(self, c: Scalar) -> "Cochain":
         c = _canon(c)
         return self._summed([(key, c, row) for key, row in self.rows.items()] if c else [])
@@ -247,48 +246,56 @@ def _differential(c: Cochain, hits: dict[int, list[tuple[int, int, Scalar]]]) ->
 
 
 def wedge_pair(module: OrthogonalModule, c1: Cochain, c2: Cochain) -> Cochain:
-    """Scalar valued wedge of two module valued cochains via the module form.
-
-    Runs over the pairs of stored keys with disjoint supports; each right
-    row is multiplied by the form once.
-    """
+    """Scalar valued wedge of two module valued cochains via the module form,
+    over every ordered pair of stored keys; each right row meets the form once."""
     if c1.n != c2.n:
         raise ValueError("cochains live on different algebras")
     if c1.value_dim != module.dim or c2.value_dim != module.dim:
         raise ValueError("cochain values do not match the module")
-    n = c1.n
     out_degree = c1.degree + c2.degree
-    if out_degree > n or not c1.rows or not c2.rows:
-        return Cochain.zero(n, out_degree, 1, scalar=True)
+    if out_degree > c1.n or not c1.rows or not c2.rows:
+        return Cochain.zero(c1.n, out_degree, 1, scalar=True)
     gram = module.gram.nonzero_rows.__getitem__  # also its columns: the form is symmetric
     right = [(k2, _combine(v, gram)) for k2, v in c2.rows.items()]
+    return _pairing(c1.n, out_degree, ((k1 + k2, u, gv) for k1, u in c1.rows.items()
+                                       for k2, gv in right))
+
+
+def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
+    """(1/2) <alpha ^ alpha>.
+
+    In even positive degree both orders of a pair of stored keys give the same
+    term and no key pairs with itself, so each unordered pair of keys is
+    visited once, and sorted only when their supports are disjoint.
+    """
+    p = alpha.degree
+    if p % 2 or not p or alpha.value_dim != module.dim:
+        return wedge_pair(module, alpha, alpha).scale(Fraction(1, 2))
+    gram = module.gram.nonzero_rows.__getitem__  # also its columns: the form is symmetric
+    stored = [(key, frozenset(key), u, _combine(u, gram)) for key, u in alpha.rows.items()]
+    return _pairing(alpha.n, 2 * p, ((k1 + k2, v, gu) for a, (k1, s1, _, gu) in enumerate(stored)
+                                     for k2, s2, v, _ in stored[a + 1 :] if s1.isdisjoint(s2)))
+
+
+def _pairing(n: int, degree: int, pairs: Iterable[tuple[tuple[int, ...], _Row, _Row]]) -> Cochain:
+    """The scalar cochain of the sums of sign * <u, G v> over ``pairs`` (k1 + k2,
+    u, G v) on the key k1 + k2 sorts to with that sign; keys that meet add nothing.
+    No addition has a zero operand: a key whose sum vanishes is dropped."""
     sums: dict[tuple[int, ...], Scalar] = {}
-    for k1, u in c1.rows.items():
-        for k2, gv in right:
-            sorted_sign = sort_with_sign(k1 + k2)
-            if sorted_sign is not None:
-                _add_pairing(sums, *sorted_sign, u, gv)
-    return _scalar_form(n, out_degree, sums)
-
-
-def _add_pairing(sums: dict, key: tuple[int, ...], sign: int, u: _Row, gv: _Row) -> None:
-    """sums[key] += sign * sum of u_t (G v)_t over the stored entries of the
-    sparse ``u`` and ``gv`` = G v, one nonzero product at a time; a key whose
-    sum vanishes is dropped, so no addition has a zero operand.  The sums
-    need not be canonical: :func:`_scalar_form` converts them."""
-    for t, x in u.items():
-        y = gv.get(t)
-        if y is not None:
-            term = x * y if sign == 1 else -(x * y)
-            total = sums[key] + term if key in sums else term
-            if total:
-                sums[key] = total
-            else:
-                del sums[key]
-
-
-def _scalar_form(n: int, degree: int, sums: dict[tuple[int, ...], Scalar]) -> Cochain:
-    """The scalar cochain with the nonzero values ``sums``, made canonical, on sorted keys."""
+    for keys, u, gv in pairs:
+        sorted_sign = sort_with_sign(keys)
+        if sorted_sign is None:
+            continue
+        key, sign = sorted_sign
+        for t, x in u.items():
+            y = gv.get(t)
+            if y is not None:
+                term = x * y if sign == 1 else -(x * y)
+                total = sums[key] + term if key in sums else term
+                if total:
+                    sums[key] = total
+                else:
+                    del sums[key]
     return Cochain._of(n, degree, 1, True, {key: {0: _canon(sums[key])} for key in sorted(sums)})
 
 

@@ -68,18 +68,34 @@ class MetricReport(NamedTuple):
 
 
 def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
-    """Assemble and fully validate the metric double of a quadratic cocycle.
+    """Assemble and fully validate the metric double of a quadratic cocycle."""
+    return check_double(assemble_double(z))
+
+
+def check_double(g: MetricLieAlgebra) -> MetricLieAlgebra:
+    """``g``, a double :func:`assemble_double` made, once it passes
+    :func:`verify_metric` and is nilpotent; else :class:`ConsistencyError`."""
+    report = verify_metric(g)
+    if not report.ok:
+        first = report.failures()[0]
+        raise ConsistencyError("double construction failed %s: %s" % (first.axiom, first.detail))
+    if not is_nilpotent(g.algebra):
+        raise ConsistencyError("double of a nilpotent algebra must be nilpotent")
+    return g
+
+
+def assemble_double(z: QuadraticCocycle) -> MetricLieAlgebra:
+    """The metric double of a quadratic cocycle, assembled and not checked.
 
     The sparse table follows the formulas in the module docstring, one pass over
     the stored entries of gamma, alpha and the rows of ``l``, with G alpha(X_i,
     X_j) one ``_combine`` per stored key of alpha.  Each entry is written once,
     from the one key that holds it, straight into the store in both
     orientations, so its rows are canonical and zero-free and go to
-    ``LieAlgebra._of`` as they are; ``verify_metric`` then checks Jacobi.  The
+    ``LieAlgebra._of`` as they are; nothing checks Jacobi here.  The
     Gram form is stored as its 2n+m sparse rows, handed to the ``Matrix``
     constructor as they are; no dense row is filled.
-    A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`;
-    a result that fails its own re-check raises :class:`ConsistencyError`.
+    A non-nilpotent ``l`` raises :class:`~metriclie.lie_core.NotNilpotentError`.
     """
     l, module = z.algebra, z.module
     nilpotency_index(l)  # raises NotNilpotentError
@@ -128,14 +144,7 @@ def build_double(z: QuadraticCocycle) -> MetricLieAlgebra:
     gram_rows += [{i: 1} for i in range(n)]
     gram = Matrix(total, tuple(gram_rows))
 
-    result = MetricLieAlgebra(algebra=algebra, gram=gram, provenance=z)
-    report = verify_metric(result)
-    if not report.ok:
-        first = report.failures()[0]
-        raise ConsistencyError("double construction failed %s: %s" % (first.axiom, first.detail))
-    if not is_nilpotent(algebra):
-        raise ConsistencyError("double of a nilpotent algebra must be nilpotent")
-    return result
+    return MetricLieAlgebra(algebra=algebra, gram=gram, provenance=z)
 
 
 def verify_metric(g: MetricLieAlgebra) -> MetricReport:

@@ -37,10 +37,8 @@ from typing import NamedTuple
 from .cochain_complex import (
     Cochain,
     OrthogonalModule,
-    _add_pairing,
-    _scalar_form,
     differential,
-    sort_with_sign,
+    half_wedge_square,
     wedge_pair,
 )
 from .exact_linalg import (
@@ -71,43 +69,21 @@ class CocycleError(MathError):
     """Raised when (alpha, gamma) fails the quadratic cocycle conditions."""
 
 
-def half_wedge_square(module: OrthogonalModule, alpha: Cochain) -> Cochain:
-    """(1/2) <alpha ^ alpha>.
-
-    In even positive degree both orders of a pair of stored keys give the same
-    term and no key pairs with itself, so each unordered pair of keys is
-    visited once, and sorted only when their supports are disjoint.
-    """
-    p, m = alpha.degree, module.dim
-    if p % 2 or not p or 2 * p > alpha.n or alpha.value_dim != m:
-        return wedge_pair(module, alpha, alpha).scale(_HALF)
-    stored = [(key, frozenset(key), u) for key, u in alpha.rows.items()]
-    gram = module.gram.nonzero_rows.__getitem__  # also its columns: the form is symmetric
-    sums: dict[tuple[int, ...], Scalar] = {}
-    for a, (k1, s1, u) in enumerate(stored):
-        gu = _combine(u, gram)
-        for k2, s2, v in stored[a + 1 :]:
-            if s1.isdisjoint(s2):
-                _add_pairing(sums, *sort_with_sign(k1 + k2), v, gu)
-    return _scalar_form(alpha.n, 2 * p, sums)
-
-
 def cocycle_defect(
     l: LieAlgebra, module: OrthogonalModule, alpha: Cochain, gamma: Cochain
 ) -> tuple[str, tuple[int, ...]] | None:
     """The first failing cocycle condition, or None when both hold.
 
-    Returns ``("d_alpha", key)`` for a nonzero component of d alpha and
-    ``("gamma_equation", key)`` for a 4-tuple where d gamma and the half
-    wedge square disagree.
+    Returns ``("d_alpha", key)`` for the least key of d alpha and
+    ``("gamma_equation", key)`` for the least 4-tuple where the stored rows
+    of d gamma and the half wedge square differ, compared key by key.
     """
     d_alpha = differential(l, alpha)
     if not d_alpha.is_zero():
         return ("d_alpha", min(d_alpha.rows))
-    residual = differential(l, gamma) - half_wedge_square(module, alpha)
-    if not residual.is_zero():
-        return ("gamma_equation", min(residual.rows))
-    return None
+    d_gamma, half = differential(l, gamma).rows, half_wedge_square(module, alpha).rows
+    differ = [key for key in d_gamma.keys() | half.keys() if d_gamma.get(key) != half.get(key)]
+    return ("gamma_equation", min(differ)) if differ else None
 
 
 class QuadraticCochain(_Record):

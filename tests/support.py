@@ -458,6 +458,93 @@ def dense_values(c: Cochain) -> dict[tuple[int, ...], tuple]:
 
 
 # ---------------------------------------------------------------------------
+# derivations of a metric double (ROADMAP items 4 and 24)
+# ---------------------------------------------------------------------------
+
+
+def derivation_equations(g: MetricLieAlgebra, skew: bool) -> list[dict]:
+    """The equations of Der(l), l = g.algebra, on the unknowns D[(i, j)] of
+    D e_j = sum_i D[(i, j)] e_i: for each a < b and each t,
+    (D[e_a, e_b] - [D e_a, e_b] - [e_a, D e_b])_t = 0, summed from the
+    stored rows of l.  With ``skew``, also <D e_r, e_c> + <e_r, D e_c> = 0
+    for r <= c (G D + D^T G = 0).  Fresh dicts on every call: ``solve``
+    consumes them."""
+    l, n = g.algebra, g.algebra.dim
+    equations = []
+    for a, b in combinations(range(n), 2):
+        eq: dict[int, dict] = {}
+        for s, c in l.row(a).get(b, {}).items():  # D [e_a, e_b]
+            for t in range(n):
+                eq.setdefault(t, {})[(t, s)] = c
+        for fixed, moved, sign in ((b, a, 1), (a, b, -1)):  # -[D e_a, e_b] = [e_b, D e_a]
+            for i, p in l.row(fixed).items():
+                for t, x in p.items():
+                    row = eq.setdefault(t, {})
+                    row[(i, moved)] = row.get((i, moved), 0) + sign * x
+        equations += eq.values()
+    gram = g.gram.nonzero_rows  # symmetric: row c is column c
+    for r in range(n) if skew else ():
+        for c in range(r, n):
+            row = {}
+            for moved, other in ((r, c), (c, r)):  # twice on the diagonal
+                for i, x in gram[other].items():
+                    row[(i, moved)] = row.get((i, moved), 0) + x
+            equations.append(row)
+    return [clean for row in equations if (clean := {u: x for u, x in row.items() if x})]
+
+
+def derivation_dims(g: MetricLieAlgebra) -> tuple[int, int]:
+    """(dim Der l, dim skew Der l) of the metric Lie algebra ``g``, each the
+    kernel of one keyed :func:`solve` over the unknowns D[(i, j)]."""
+    unknowns = [(i, j) for i in range(g.algebra.dim) for j in range(g.algebra.dim)]
+    return tuple(len(solve(derivation_equations(g, skew), unknowns)[1]) for skew in (False, True))
+
+
+def dense_derivation_dims(g: MetricLieAlgebra) -> tuple[int, int]:
+    """:func:`derivation_dims` by a dense rank: every equation written from
+    the dense brackets and the dense form as a row over the n^2 unknowns, in
+    the order i * n + j, eliminated to echelon form column by column."""
+    l, n = g.algebra, g.algebra.dim
+    bracket = {(i, j): dense_basis_bracket(l, i, j) for i in range(n) for j in range(n)}
+    rows = []
+    for a, b in combinations(range(n), 2):
+        for t in range(n):
+            row = [Fraction(0)] * (n * n)
+            for s in range(n):
+                row[t * n + s] += bracket[a, b][s]
+                row[s * n + a] -= bracket[s, b][t]
+                row[s * n + b] -= bracket[a, s][t]
+            rows.append(row)
+    grid = dense_grid(g.gram)
+    skew_rows = []
+    for r in range(n):
+        for c in range(r, n):
+            row = [Fraction(0)] * (n * n)
+            for i in range(n):
+                row[i * n + r] += grid[i][c]
+                row[i * n + c] += grid[r][i]
+            skew_rows.append(row)
+    return n * n - _dense_rank(rows), n * n - _dense_rank(rows + skew_rows)
+
+
+def _dense_rank(rows: list[list]) -> int:
+    """The rank of dense rows by elimination below each pivot, column by
+    column; zero rows are dropped as they appear."""
+    rows = [row for row in rows if any(row)]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((row for row in rows if row[c]), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rank += 1
+        rows = [row if not row[c] else [x - row[c] / pivot[c] * y for x, y in zip(row, pivot)]
+                for row in rows]
+        rows = [row for row in rows if any(row)]
+    return rank
+
+
+# ---------------------------------------------------------------------------
 # dense reference kernels: every basis tuple, every slot split
 # ---------------------------------------------------------------------------
 

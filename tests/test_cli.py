@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import metriclie
 from metriclie import catalog as cat
-from metriclie import cli, double_construction, schema
+from metriclie import cli, double_construction, lie_core, schema
 from metriclie.catalog import g41, g64, g64_admissible_cocycle, module_for_tag
 from metriclie.cochain_complex import Cochain, OrthogonalModule, cochain_from_terms
 from metriclie.double_construction import Fingerprint, build_double, fingerprint
@@ -240,6 +240,34 @@ def test_verify_rebuilds_the_double_of_the_provenance(tmp_path, capsys):
         code, out = run(capsys, "verify", write_doc(tmp_path, "swapped.json", doc))
         assert code == 1
         assert out["payload"] == {"command": "verify", "ok": False, "error": "provenance: " + message}
+
+
+def test_verify_checks_a_double_once_and_assembles_its_provenance(tmp_path, monkeypatch, capsys):
+    """``verify`` on the g64 double that ``double`` writes runs one
+    ``verify_metric``, on the document, and checks the Jacobi identity of one
+    16-dim table; the double of the provenance is assembled and compared,
+    never verified again."""
+    path = str(tmp_path / "g64_double.json")
+    code, _ = run(capsys, "double", "cocycles/g64_quad.json", "--out", path)
+    assert code == 0
+    calls = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def call(x):
+            calls.append((name, x.dim if isinstance(x, LieAlgebra) else x.algebra.dim))
+            return original(x)
+
+        monkeypatch.setattr(module, name, call)
+
+    recording(double_construction, "verify_metric")
+    recording(double_construction, "validate_jacobi")
+    recording(lie_core, "validate_jacobi")
+    recording(double_construction, "build_double")
+    code, doc = run(capsys, "verify", path)
+    assert code == 0 and doc["payload"]["ok"] is True
+    assert sorted(calls) == [("validate_jacobi", 6), ("validate_jacobi", 16), ("verify_metric", 16)]
 
 
 def test_every_library_failure_on_an_exit_1_path_is_a_math_error():
@@ -509,12 +537,15 @@ def test_inputs_over_the_size_limits_exit_2_at_once(tmp_path, capsys):
 
 
 def test_the_jacobi_term_limit_admits_its_value_and_refuses_one_more(tmp_path, monkeypatch, capsys):
-    """Every command that checks the Jacobi identity of a document's table
-    counts its terms first: with the limit patched to the count, each runs
-    to its verdict; one below it, each exits 2 with a report naming both."""
+    """Every command that checks the Jacobi identity of a table counts its
+    terms first: with the limit patched to the count, each runs to its
+    verdict; one below it, each exits 2 with a report naming both.  ``double``
+    counts the document's terms, then those of the double it assembles."""
     metric = build_double(g64_admissible_cocycle())
     terms = jacobi_terms(metric.algebra)
-    assert terms > 0
+    line = OrthogonalModule(Matrix.identity(1))
+    double_terms = jacobi_terms(build_double(zero_cocycle(metric.algebra, line)).algebra)
+    assert double_terms > terms > 0
     algebra = write_doc(tmp_path, "a.json", schema.wrap("lie_algebra", algebra_to_payload(metric.algebra)))
     double = write_doc(tmp_path, "d.json", schema.wrap("metric_lie_algebra", schema.metric_to_payload(metric)))
     cocycle = write_doc(tmp_path, "z.json", schema.wrap("cocycle", {
@@ -523,17 +554,47 @@ def test_the_jacobi_term_limit_admits_its_value_and_refuses_one_more(tmp_path, m
     }))
     cases = [("verify", algebra), ("cohomology", algebra, "--degree", "1"), ("verify", double),
              ("verify", cocycle), ("admissible", cocycle), ("double", cocycle)]
-    for limit in (terms, terms - 1):
+    for limit in (terms, terms - 1, double_terms, double_terms - 1):
         monkeypatch.setattr(cli, "MAX_JACOBI_TERMS", limit)
         for argv in cases:
+            counts = (terms, double_terms) if argv[0] == "double" else (terms,)
+            over = next((count for count in counts if count > limit), None)
             code, doc = run(capsys, *argv)
-            if limit == terms:
+            if over is None:
                 assert code != 2, argv
             else:
                 assert code == 2 and doc["payload"]["error"] == (
-                    f"the Jacobi check has {terms} terms, over the limit "
-                    f"MAX_JACOBI_TERMS = {terms - 1}"
+                    f"the Jacobi check has {over} terms, over the limit "
+                    f"MAX_JACOBI_TERMS = {limit}"
                 ), argv
+
+
+def test_double_exits_2_before_the_jacobi_check_of_a_double_over_the_limit(tmp_path, monkeypatch, capsys):
+    """The zero cocycle over h_31 in a dense basis, with a 1-dim module: the
+    document's 350,519 Jacobi terms pass the limit, but the 63-dim double
+    has 1,277,653, so ``double`` refuses it before any Jacobi check of the
+    double runs (checking it took about 10 s)."""
+    l = heisenberg_in_dense_basis(15)
+    assert jacobi_terms(l) == 350_519 <= cli.MAX_JACOBI_TERMS
+    path = write_doc(tmp_path, "h31.json", schema.wrap("cocycle", {
+        "alpha": [], "gamma": [], "algebra": algebra_to_payload(l),
+        "module": {"dim": 1, "gram": [["1"]]},
+    }))
+    checked = []
+    validate_jacobi = lie_core.validate_jacobi
+
+    def recording(algebra):
+        checked.append(algebra.dim)
+        return validate_jacobi(algebra)
+
+    monkeypatch.setattr(lie_core, "validate_jacobi", recording)
+    monkeypatch.setattr(double_construction, "validate_jacobi", recording)
+    code, doc = run(capsys, "double", path)
+    assert code == 2 and doc["payload"]["error"] == (
+        "the Jacobi check has 1277653 terms, over the limit "
+        f"MAX_JACOBI_TERMS = {cli.MAX_JACOBI_TERMS}"
+    )
+    assert checked == [31]
 
 
 def test_a_dense_basis_of_h63_exits_2_before_its_jacobi_check(tmp_path, capsys):

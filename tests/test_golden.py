@@ -4,16 +4,22 @@ Every command runs in process through ``cli.main``.  Its output is the
 triple (argv, exit code, stdout), and a short sha256 of that triple is
 compared with the table pinned in ``golden.json``, so a failure names the
 commands whose output changed.  The files ``catalog --out`` writes are pinned
-the same way, by one digest over their sorted names and bytes.  After an
-intended change of output, rewrite the table with
+the same way, by one digest over their sorted names and bytes.
+
+Run as a script,
 
     PYTHONPATH=src python tests/test_golden.py
+
+makes the same comparison without pytest (so also on interpreters that lack
+it), names each command whose digest changed and exits 1 if any did.  After
+an intended change of output, rewrite the table with ``--write``.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -73,15 +79,32 @@ def current_digests(out_dir):
     return digests
 
 
-def test_cli_outputs_match_the_pinned_digests(tmp_path):
+def changed_commands(current):
+    """The commands, pinned or current, whose digest is not the pinned one."""
     pinned = json.loads(GOLDEN.read_text())
-    current = current_digests(tmp_path)
-    assert sorted(current) == sorted(pinned)
-    changed = [command for command in current if current[command] != pinned[command]]
+    return sorted(c for c in pinned.keys() | current.keys() if pinned.get(c) != current.get(c))
+
+
+def test_cli_outputs_match_the_pinned_digests(tmp_path):
+    changed = changed_commands(current_digests(tmp_path))
     assert changed == [], "output changed for: " + "; ".join(changed)
 
 
-if __name__ == "__main__":
+def main(argv):
+    if argv not in ([], ["--write"]):
+        print("usage: test_golden.py [--write]", file=sys.stderr)
+        return 2
     with tempfile.TemporaryDirectory() as out_dir:
         digests = current_digests(Path(out_dir))
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    if argv:
+        GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        return 0
+    changed = changed_commands(digests)
+    for command in changed:
+        print("changed:", command)
+    print("%d commands, %d changed" % (len(digests), len(changed)))
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -111,6 +111,45 @@ def test_perturbed_alpha_is_rejected():
         QuadraticCocycle(z.algebra, z.module, bad_alpha, z.gamma)
 
 
+def test_cocycle_defect_builds_no_residual_cochain(monkeypatch, rejection_study):
+    """The 95 catalog cocycles and the 50 of the rejection study, each as it
+    is and with one gamma coefficient raised by 1 at a seeded key:
+    ``cocycle_defect`` names the least key of d gamma - 1/2 <alpha ^ alpha>
+    (taken apart here), and the only cochains it makes are d alpha, d gamma
+    and the half square; none is summed or scaled, so d gamma and the half
+    square are compared key by key.  (On a 4-dim nilpotent algebra every
+    3-form is closed, so most catalog changes leave the identity intact.)"""
+    rg = rng(4242)
+    cocycles = [instantiate(entry, point) for entry in ENTRIES
+                for point in _sample_points(entry, default_samples())]
+    cases = []
+    for z in cocycles + list(rejection_study.cocycles):
+        n = z.algebra.dim
+        cases.append((z, z.gamma, None))
+        if n < 3:  # no 3-form to change
+            continue
+        gamma = z.gamma + Cochain(n, 3, 1, True, {tuple(sorted(rg.sample(range(n), 3))): (1,)})
+        residual = differential(z.algebra, gamma) + half_wedge_square(z.module, z.alpha).scale(-1)
+        cases.append((z, gamma, ("gamma_equation", min(residual.rows)) if residual.rows else None))
+    assert len(cases) == 2 * (95 + 50) - 2 and sum(defect is not None for *_, defect in cases) == 16
+    built = []
+    of = Cochain._of
+
+    def recording(n, degree, value_dim, scalar, rows):
+        built.append(degree)
+        return of(n, degree, value_dim, scalar, rows)
+
+    def refused(*args):
+        raise AssertionError("a cochain was summed or scaled")
+
+    monkeypatch.setattr(Cochain, "_of", staticmethod(recording))
+    monkeypatch.setattr(Cochain, "_summed", refused)
+    for z, gamma, defect in cases:
+        built.clear()
+        assert cocycle_defect(z.algebra, z.module, z.alpha, gamma) == defect
+        assert built == [3, 4, 4]
+
+
 def test_shape_mismatches_are_rejected():
     z = g64_admissible_cocycle()
     with pytest.raises(ValueError):
